@@ -52,7 +52,8 @@ def _profile_and_mesh(cfg: RunConfig):
 
 def _solver_options(cfg: RunConfig) -> disp.SolverOptions:
     return disp.SolverOptions(s_max_factor=cfg.numerics.s_max_factor,
-                              root_tol=cfg.numerics.root_tol)
+                              root_tol=cfg.numerics.root_tol,
+                              eig_tol=cfg.numerics.eig_tol)
 
 
 def _rounded_regime_inputs(cfg: RunConfig, profile):

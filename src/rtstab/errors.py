@@ -34,7 +34,7 @@ class SolverDivergence(AnalyzerError):
 
 
 class NoSignChange(AnalyzerError):
-    """Growth-rate bisection could not bracket a root despite alpha < 0."""
+    """Growth-rate root solve could not bracket a root despite alpha < 0."""
 
 
 class NotUnstableOrientation(AnalyzerError):

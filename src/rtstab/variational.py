@@ -22,7 +22,8 @@ functional value.  The modified-problem eigenvalue is
 
 E0 is indefinite when the heavy fluid sits on top (jump > 0) and the internal
 surface tension is subcritical; M is positive definite, so the pencil is
-well-posed regardless and no shifting tricks are needed.
+well-posed regardless.  The matrices are sparse: each dof couples only to
+its own node and the two neighbouring nodes.
 
 A three-field variant (phi, theta, psi) assembles the full quadratic
 structure at a general frequency vector; at xi = (|xi|, 0) the theta block
@@ -33,19 +34,18 @@ theta from the reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                 LinearOperator, eigsh, splu)
 
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import SolverDivergence
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(4)
-
-# Dense generalized eigensolve below this many dofs, shift-invert above.
-DENSE_DOF_LIMIT = 600
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,27 @@ def build_mesh(b: float, ell: float, n_minus: int, n_plus: int) -> Mesh1D:
 
 @dataclass(frozen=True)
 class QuadraticForms:
-    """Symmetric matrices with v^T K0 v = E0(v), v^T K1 v = E1(v), v^T M v = J(v)."""
+    """Sparse symmetric matrices with v^T K0 v = E0(v), v^T K1 v = E1(v),
+    v^T M v = J(v), in the two-field dof order of Mesh1D."""
 
-    K0: np.ndarray
-    K1: np.ndarray
-    M: np.ndarray
+    K0: sp.csr_array
+    K1: sp.csr_array
+    M: sp.csr_array
     xi_abs: float
     g: float
     psi_interface_dof: int
     psi_top_dof: int
+
+    @cached_property
+    def interleaved(self):
+        """(K0, K1, M, perm): the matrices as CSC in (phi_1, psi_1, phi_2,
+        psi_2, ...) order, where the half-bandwidth is 3; row k there is dof
+        perm[k] here."""
+        n_free = self.K0.shape[0] // 2
+        perm = np.stack([np.arange(n_free), n_free + np.arange(n_free)],
+                        axis=1).ravel()
+        return (*(A[perm][:, perm].tocsc() for A in (self.K0, self.K1, self.M)),
+                perm)
 
 
 def _layer_fields(profile: EquilibriumProfile, layer: str, xq: np.ndarray):
@@ -132,6 +144,21 @@ def _layer_fields(profile: EquilibriumProfile, layer: str, xq: np.ndarray):
     dp = np.asarray(law.derivative(rho), float)
     drho = -profile.params.g * rho / dp
     return rho, drho, dp
+
+
+def _scatter(mesh: Mesh1D, local: np.ndarray) -> sp.csr_array:
+    """Sum per-element (phi_l, phi_r, psi_l, psi_r) matrices into a sparse
+    two-field matrix, dropping the constrained bottom dofs."""
+    nf = mesh.n_free
+    left = np.arange(mesh.n_elements) - 1  # scalar dof of each left node
+    gdof = np.stack([left, left + 1, nf + left, nf + left + 1], axis=1)
+    gdof[0, [0, 2]] = -1  # the bottom node carries no dof
+    rows = np.repeat(gdof, 4, axis=1)
+    cols = np.tile(gdof, (1, 4))
+    keep = (rows >= 0) & (cols >= 0)
+    vals = local.reshape(mesh.n_elements, 16)[keep]
+    return sp.coo_array((vals, (rows[keep], cols[keep])),
+                        shape=(mesh.ndof, mesh.ndof)).tocsr()
 
 
 def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
@@ -144,9 +171,9 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     """
     xi = float(xi_abs)
     nf = mesh.n_free
-    K0 = np.zeros((mesh.ndof, mesh.ndof))
-    K1 = np.zeros_like(K0)
-    M = np.zeros_like(K0)
+    k0 = np.zeros((mesh.n_elements, 4, 4))
+    k1 = np.zeros_like(k0)
+    m = np.zeros_like(k0)
     for e in range(mesh.n_elements):
         layer = mesh.element_layer(e)
         mu = params.mu(layer)
@@ -154,9 +181,6 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
         xq, wq, N, dN = mesh.element_quad(e)
         rho, drho, dp = _layer_fields(profile, layer, xq)
         h_prime = dp / rho
-        k0 = np.zeros((4, 4))
-        k1 = np.zeros((4, 4))
-        m = np.zeros((4, 4))
         for q in range(xq.size):
             w = wq[q]
             row_phi = np.array([N[q, 0], N[q, 1], 0.0, 0.0])
@@ -164,33 +188,22 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
             row_dphi = np.array([dN[0], dN[1], 0.0, 0.0])
             row_dpsi = np.array([0.0, 0.0, dN[0], dN[1]])
             gvec = drho[q] * row_psi + rho[q] * row_dpsi + rho[q] * xi * row_phi
-            k0 += w * 0.5 * h_prime[q] * np.outer(gvec, gvec)
+            k0[e] += w * 0.5 * h_prime[q] * np.outer(gvec, gvec)
             a = row_dphi - xi * row_psi
             bb = row_dpsi - xi * row_phi
             c = row_dpsi + xi * row_phi
-            k1 += w * 0.5 * (mu * (np.outer(a, a) + np.outer(bb, bb)
-                                   + np.outer(c, c) / 3.0)
-                             + mu_p * np.outer(c, c))
-            m += w * 0.5 * rho[q] * (np.outer(row_phi, row_phi)
-                                     + np.outer(row_psi, row_psi))
-        dofs = [mesh.node_dof(e), mesh.node_dof(e + 1)]
-        gdof = [dofs[0], dofs[1],
-                None if dofs[0] is None else nf + dofs[0],
-                None if dofs[1] is None else nf + dofs[1]]
-        for i in range(4):
-            if gdof[i] is None:
-                continue
-            for j in range(4):
-                if gdof[j] is None:
-                    continue
-                K0[gdof[i], gdof[j]] += k0[i, j]
-                K1[gdof[i], gdof[j]] += k1[i, j]
-                M[gdof[i], gdof[j]] += m[i, j]
+            k1[e] += w * 0.5 * (mu * (np.outer(a, a) + np.outer(bb, bb)
+                                      + np.outer(c, c) / 3.0)
+                                + mu_p * np.outer(c, c))
+            m[e] += w * 0.5 * rho[q] * (np.outer(row_phi, row_phi)
+                                        + np.outer(row_psi, row_psi))
     psi0 = nf + mesh.node_dof(mesh.interface_index)
     psiL = nf + mesh.node_dof(mesh.n_nodes - 1)
+    K0 = _scatter(mesh, k0)
     K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
     K0[psiL, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
-    return QuadraticForms(K0, K1, M, xi, params.g, psi0, psiL)
+    return QuadraticForms(K0, _scatter(mesh, k1), _scatter(mesh, m),
+                          xi, params.g, psi0, psiL)
 
 
 def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
@@ -246,36 +259,88 @@ def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:
     return v
 
 
-def min_eig(forms: QuadraticForms, s: float, method: str = "auto",
-            dense_limit: int = DENSE_DOF_LIMIT) -> tuple[float, np.ndarray]:
+def _ldl(A: sp.csc_array):
+    """Unpivoted LU of a symmetric band matrix, which is its LDL^T
+    factorization, and whether it certifies A positive definite: the row and
+    column permutations are the identity and every pivot is > 0 (Sylvester's
+    law of inertia)."""
+    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    natural = np.arange(A.shape[0])
+    certified = (np.array_equal(lu.perm_r, natural)
+                 and np.array_equal(lu.perm_c, natural)
+                 and bool(np.all(lu.U.diagonal() > 0)))
+    return lu, certified
+
+
+def _shift_invert_min(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair by shift-invert Lanczos at a shift certified to lie
+    below the spectrum; the eigenvector comes back in the two-field order."""
+    K0, K1, M, perm = forms.interleaved
+    K = K0 + s * K1
+    try:
+        lu, below = _ldl(K)
+    except RuntimeError:  # exactly singular: 0 is an eigenvalue
+        below = False
+    shift = 0.0
+    if not below:
+        shift = -1.1 * forms.g * forms.xi_abs - 1.0
+        try:
+            lu, _ = _ldl(K - shift * M)
+        except RuntimeError as exc:
+            raise SolverDivergence(f"shift-invert factorization failed: {exc}") from exc
+    n = K.shape[0]
+    rng = np.random.default_rng(0)
+    try:
+        vals, vecs = eigsh(K, k=1, M=M, sigma=shift, which="LM",
+                           OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
+                           v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    except (ArpackNoConvergence, ArpackError, RuntimeError) as exc:
+        raise SolverDivergence(f"shift-invert eigensolve failed: {exc}") from exc
+    v = np.empty(n)
+    v[perm] = vecs[:, 0]
+    return float(vals[0]), v
+
+
+def min_eig(forms: QuadraticForms, s: float,
+            method: str = "iterative") -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K0 + s K1) v = alpha M v.
 
     The minimizer is returned J-normalized (v^T M v = 1) with the interface
-    psi value >= 0.  method "dense" reduces via Cholesky of M and solves the
-    full spectrum; "iterative" runs shift-invert Lanczos seeded strictly
-    below the -g|xi| lower bound for alpha; "auto" picks by dof count.
+    psi value >= 0.  method "iterative" runs shift-invert Lanczos on the
+    sparse pencil in interleaved (phi_i, psi_i) order, where K = K0 + s K1
+    has half-bandwidth 3 and an unpivoted LDL^T factorization costs O(n).
+    If every pivot of K is positive, K is positive definite, so the shift 0
+    lies below the spectrum and that factorization is the shift-invert
+    operator; this keeps Lanczos fast when the lowest eigenvalues cluster
+    just above 0.  Otherwise the shift is the proven lower bound
+    -1.1 g|xi| - 1 < -g|xi| <= alpha.  Lanczos starts from a fixed vector,
+    so equal inputs give bit-identical results.  method "dense" reduces via
+    Cholesky of M and solves the full spectrum: the reference the sparse path
+    is tested against.
     """
     if s <= 0:
         raise ValueError("modified-problem parameter s must be > 0")
-    K = forms.K0 + s * forms.K1
-    n = K.shape[0]
-    if method == "auto":
-        method = "dense" if n <= dense_limit else "iterative"
     if method == "dense":
-        vals, vecs = scipy.linalg.eigh(K, forms.M)
+        vals, vecs = scipy.linalg.eigh((forms.K0 + s * forms.K1).toarray(),
+                                       forms.M.toarray())
         alpha, v = float(vals[0]), vecs[:, 0]
     elif method == "iterative":
-        shift = -forms.g * forms.xi_abs - 1.0 - 0.1 * forms.g * forms.xi_abs
-        try:
-            vals, vecs = eigsh(sp.csr_matrix(K), k=1, M=sp.csr_matrix(forms.M),
-                               sigma=shift, which="LM")
-        except (ArpackNoConvergence, ArpackError, RuntimeError) as exc:
-            raise SolverDivergence(f"shift-invert eigensolve failed: {exc}") from exc
-        alpha, v = float(vals[0]), vecs[:, 0]
+        alpha, v = _shift_invert_min(forms, s)
     else:
         raise ValueError(f"unknown eigensolve method {method!r}")
     v = v / np.sqrt(v @ forms.M @ v)
     return alpha, _fix_sign(v, forms.psi_interface_dof)
+
+
+def eig_residual(forms: QuadraticForms, s: float, alpha: float,
+                 v: np.ndarray) -> float:
+    """Normwise relative residual of an eigenpair of K = K0 + s K1:
+    ||(K - alpha M) v|| / ((||K||_1 + |alpha| ||M||_1) ||v||)."""
+    K = forms.K0 + s * forms.K1
+    r = K @ v - alpha * (forms.M @ v)
+    scale = (abs(K).sum(axis=0).max()
+             + abs(alpha) * abs(forms.M).sum(axis=0).max()) * np.linalg.norm(v)
+    return float(np.linalg.norm(r) / scale)
 
 
 def evaluate_energy(forms: QuadraticForms, v: np.ndarray, s: float) -> tuple[float, float]:

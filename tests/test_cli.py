@@ -94,6 +94,15 @@ def test_growth_and_mode_artifacts(tmp_path):
     assert sidecar["lambda"] == pytest.approx(growth["lambda"], rel=1e-12)
 
 
+def test_growth_converged_follows_eig_tol(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", eig_tol=1e-300)
+    out = tmp_path / "o"
+    assert main(["growth", "--config", str(cfg), "--out", str(out),
+                 "--xi", "1.0"]) == 0
+    growth = json.loads((out / "growth.json").read_text())
+    assert growth["lambda"] > 0 and growth["converged"] is False
+
+
 def test_mode_rejects_stable_frequency(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", k_plus=2.0, k_minus=1.0)
     assert main(["mode", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
-                               critical_frequency, critical_tension,
-                               growth_rate, negativity_probe, psi_bump,
-                               psi_bump_norm_sq, sweep_lattice,
+from rtstab.dispersion import (DispersionPoint, SolverOptions, _bisect_root,
+                               _dedup_lattice, critical_frequency,
+                               critical_tension, growth_rate, negativity_probe,
+                               psi_bump, psi_bump_norm_sq, sweep_lattice,
                                write_dispersion_csv)
 from rtstab.errors import NoSignChange, NotUnstableOrientation
 from rtstab.variational import assemble_forms, build_mesh, min_eig
@@ -115,6 +115,53 @@ def test_bisect_root_contracts():
     assert root == pytest.approx(2.0, abs=1e-11)
     with pytest.raises(NoSignChange):
         _bisect_root(f, 3.0, 10.0, 1.0, 8.0, 1e-12, 1e-12, 200)
+
+
+def test_newton_in_bracket_falls_back_to_bisection():
+    f = lambda s: (s - 2.0, None)
+    plain = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12, 200)
+    # a slope this small sends every Newton step far outside the bracket
+    overshoot = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12, 200,
+                             slope=lambda s, payload: 1e-9)
+    assert overshoot[0] == pytest.approx(2.0, abs=1e-11)
+    assert overshoot == plain  # every iterate was the bracket midpoint
+    # the exact slope lands on the root right after the first midpoint
+    root, val, _, iters = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12,
+                                       200, slope=lambda s, payload: 1.0)
+    assert (root, val, iters) == (2.0, 0.0, 2)
+
+
+def test_newton_in_bracket_contracts_on_a_curved_f():
+    f = lambda s: (s ** 3 + s - 10.0, None)
+    root, val, _, iters = _bisect_root(f, 0.0, 10.0, -10.0, 1000.0, 1e-13,
+                                       1e-13, 200,
+                                       slope=lambda s, payload: 3 * s * s + 1)
+    assert root == pytest.approx(2.0, abs=1e-13) and abs(val) <= 1e-13
+    assert iters <= 10
+
+
+def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
+    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    assert pt.converged and pt.iterations <= 12
+    # the same root by plain bisection on the same forms
+    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
+    f = lambda s: (s * s + min_eig(forms, s)[0], None)
+    lo, hi = 1e-8 * s_max, s_max
+    root, *_ = _bisect_root(f, lo, hi, f(lo)[0], f(hi)[0], 1e-10 * s_max ** 2,
+                            1e-10 * s_max, 200)
+    assert abs(pt.lam - root) <= 10 * 1e-10 * s_max
+    assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 10 * 1e-10 * s_max ** 2
+
+
+def test_converged_flag_comes_from_the_eigen_residual(unstable_profile, params,
+                                                      mesh40):
+    assert growth_rate(unstable_profile, 1.0, mesh40, params).converged
+    strict = SolverOptions(eig_tol=1e-300)
+    assert not growth_rate(unstable_profile, 1.0, mesh40, params, strict).converged
+    prm = unit_params(sigma_minus=0.5)
+    probe = growth_rate(unstable_profile, 3.0, mesh40, prm, strict)
+    assert probe.lam == 0.0 and not probe.converged
 
 
 def test_dedup_lattice_exact(params):

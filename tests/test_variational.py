@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rtstab.variational import (assemble_forms, assemble_forms_3field,
-                                assemble_forms_alt, build_mesh,
+                                assemble_forms_alt, build_mesh, eig_residual,
                                 evaluate_energy, min_eig, min_eig_3field)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from tests.conftest import unit_params
@@ -31,18 +31,19 @@ def test_zero_vector_zero_forms(unstable_profile, params, mesh40):
 
 def test_exact_symmetry_and_definiteness(unstable_profile, params, mesh40):
     forms = assemble_forms(mesh40, unstable_profile, 1.3, params)
-    assert np.array_equal(forms.K0, forms.K0.T)
-    assert np.array_equal(forms.K1, forms.K1.T)
-    assert np.array_equal(forms.M, forms.M.T)
-    assert np.linalg.eigvalsh(forms.K1).min() >= -1e-14
-    assert np.linalg.eigvalsh(forms.M).min() > 0
+    K0, K1, M = forms.K0.toarray(), forms.K1.toarray(), forms.M.toarray()
+    assert np.array_equal(K0, K0.T)
+    assert np.array_equal(K1, K1.T)
+    assert np.array_equal(M, M.T)
+    assert np.linalg.eigvalsh(K1).min() >= -1e-14
+    assert np.linalg.eigvalsh(M).min() > 0
 
 
 def test_stable_orientation_k0_psd(stable_profile, params, mesh40):
     # jump <= 0 and sigma >= 0 make the static energy nonnegative
-    forms = assemble_forms(mesh40, stable_profile, 1.0, params)
-    scale = np.abs(forms.K0).max()
-    assert np.linalg.eigvalsh(forms.K0).min() >= -1e-13 * scale
+    K0 = assemble_forms(mesh40, stable_profile, 1.0, params).K0.toarray()
+    scale = np.abs(K0).max()
+    assert np.linalg.eigvalsh(K0).min() >= -1e-13 * scale
 
 
 def test_energy_lower_bound_random(unstable_profile, params, mesh40):
@@ -82,6 +83,34 @@ def test_dense_vs_iterative(unstable_profile, params):
         a_dense, _ = min_eig(forms, s, method="dense")
         a_iter, _ = min_eig(forms, s, method="iterative")
         assert abs(a_dense - a_iter) <= 1e-9
+
+
+def test_shift_invert_is_deterministic(unstable_profile, params, mesh100):
+    # the Lanczos start vector is fixed, so repeated solves are bit-identical
+    for s in (1e-6, 0.5):
+        runs = [min_eig(assemble_forms(mesh100, unstable_profile, 1.0, params), s)
+                for _ in range(2)]
+        forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+        runs += [min_eig(forms, s, method="iterative") for _ in range(2)]
+        for alpha, v in runs[1:]:
+            assert alpha == runs[0][0]
+            assert np.array_equal(v, runs[0][1])
+
+
+def test_sparse_matches_dense_past_sigma_c(unstable_profile):
+    # supercritical tension: at s = 1e-8 S_max the lowest eigenvalues are
+    # small, positive and clustered, so the certified shift 0 is used
+    sigma_c = unstable_profile.jump  # g = L1 = L2 = 1
+    prm = unit_params(sigma_minus=1.05 * sigma_c, sigma_plus=0.1)
+    mesh = build_mesh(1.0, 1.0, 100, 100)
+    s = 1e-8 * 1.25 * unstable_profile.jump
+    for xi in (1.0, 2.0, 5.0, 11.5):
+        forms = assemble_forms(mesh, unstable_profile, xi, prm)
+        a_sparse, v = min_eig(forms, s)
+        a_dense, _ = min_eig(forms, s, method="dense")
+        assert a_dense > 0
+        assert abs(a_sparse - a_dense) <= 1e-9
+        assert eig_residual(forms, s, a_sparse, v) <= 1e-12
 
 
 def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
@@ -138,7 +167,7 @@ def test_k0_alt_agreement(unstable_profile, params):
         alt = assemble_forms_alt(mesh, unstable_profile, 1.0, params)
         for _ in range(5):
             v = rng.standard_normal(mesh.ndof)
-            gap = abs(v @ (forms.K0 - alt) @ v)
+            gap = abs(v @ (forms.K0.toarray() - alt) @ v)
             # exact identity at the continuous level; the discrete gap is
             # pure quadrature error, far below the h^2 envelope
             assert gap <= 1e-6 * (1.0 / n) ** 2 * (v @ v)
@@ -152,7 +181,7 @@ def test_k0_alt_exact_when_g_zero():
     mesh = build_mesh(1.0, 1.0, 12, 12)
     forms = assemble_forms(mesh, prof, 1.0, prm)
     alt = assemble_forms_alt(mesh, prof, 1.0, prm)
-    assert np.abs(forms.K0 - alt).max() <= 1e-12 * np.abs(alt).max()
+    assert np.abs(forms.K0.toarray() - alt).max() <= 1e-12 * np.abs(alt).max()
 
 
 def test_theta_decouples_at_negative_alpha(unstable_profile, params, mesh40):
@@ -173,9 +202,9 @@ def test_3field_restriction_matches_2field(unstable_profile, params, mesh40):
     f2 = assemble_forms(mesh40, unstable_profile, 1.0, params)
     nf = f3.n_free
     idx = np.r_[0:nf, 2 * nf:3 * nf]
-    assert np.abs(f3.K0[np.ix_(idx, idx)] - f2.K0).max() <= 1e-12
-    assert np.abs(f3.K1[np.ix_(idx, idx)] - f2.K1).max() <= 1e-12
-    assert np.abs(f3.M[np.ix_(idx, idx)] - f2.M).max() == 0.0
+    assert np.abs(f3.K0[np.ix_(idx, idx)] - f2.K0.toarray()).max() <= 1e-12
+    assert np.abs(f3.K1[np.ix_(idx, idx)] - f2.K1.toarray()).max() <= 1e-12
+    assert np.abs(f3.M[np.ix_(idx, idx)] - f2.M.toarray()).max() == 0.0
 
 
 def test_3field_rotation_invariance(unstable_profile, params):
