@@ -12,18 +12,18 @@ from .dispersion import (DispersionPoint, GrowthSummary, SolverOptions,
                          negativity_probe, psi_bump, psi_bump_norm_sq,
                          sweep_lattice)
 from .equilibrium import (EquilibriumProfile, PhysicalParams, PressureLaw,
-                          check_admissibility, density_jump, enthalpy_weight,
+                          check_admissibility, enthalpy_weight,
                           solve_equilibrium)
 from .evolve import (FrequencyState, IntegratorParams, Trajectory, advance,
                      energy_balance_residual, measure_growth, semidiscretize)
 from .modes import (GrowingMode, assemble_mode, export_mode, ode_residual,
                     rotate_mode)
-from .poisson_ext import (ExtensionParams, PeriodicField, extend_down,
-                          extend_interface, extend_up_specialized,
+from .poisson_ext import (DownwardExtension, ExtensionParams,
+                          InterfaceExtension, PeriodicField, UpwardExtension,
                           vandermonde_coeffs)
 from .variational import (Mesh1D, QuadraticForms, assemble_forms,
-                          assemble_forms_alt, assemble_forms_3field,
-                          build_mesh, evaluate_energy, min_eig, min_eig_3field)
+                          assemble_forms_3field, build_mesh, evaluate_energy,
+                          min_eig, min_eig_3field)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

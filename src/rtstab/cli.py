@@ -32,7 +32,7 @@ from . import modes as modes_mod
 from .config import RunConfig, load_config
 from .equilibrium import export_profile_csv, solve_equilibrium
 from .errors import AnalyzerError, ConfigError, InvalidInput
-from .poisson_ext import (ExtensionParams, extend_interface, read_field_csv)
+from .poisson_ext import ExtensionParams, InterfaceExtension, read_field_csv
 from .variational import assemble_forms, build_mesh, min_eig
 
 
@@ -146,7 +146,7 @@ def cmd_oracle(cfg, out, args) -> int:
 def cmd_extend(cfg, out, args) -> int:
     field = read_field_csv(args.input)
     params = ExtensionParams.default(args.m)
-    ext = extend_interface(field, params)
+    ext = InterfaceExtension(field, params)
     levels = np.linspace(-cfg.params.b, cfg.params.ell, args.levels)
     with open(out / "extension.csv", "w", encoding="utf-8") as fh:
         fh.write("x3,i1,i2,value\n")

@@ -43,7 +43,7 @@ import numpy as np
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from .variational import (Mesh1D, QuadraticForms, assemble_forms,
-                          eig_residual, evaluate_energy, min_eig)
+                          eig_residual, evaluate_energy, min_eig, project_p1)
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,14 @@ class GrowthSummary:
     """Sweep result: the sharp rate over the scanned lattice.
 
     Lambda is attained for sigma_minus > 0 (finitely many admissible
-    frequencies); for sigma_minus = 0 the scan is cutoff-limited and
-    lambda_star is the achieved lattice maximum without a guarantee that it
-    exceeds half the true supremum.
+    frequencies); for sigma_minus = 0 the scan is cutoff-limited, attained is
+    False and Lambda is the achieved lattice maximum without a guarantee that
+    it exceeds half the true supremum.
     """
 
     Lambda: float
     argmax_xi: tuple[float, float] | None
     attained: bool
-    lambda_star: float
-    lambda_star_guaranteed: bool
     curve: tuple[DispersionPoint, ...]
     sigma_c: float
     xi_c: float
@@ -148,6 +146,15 @@ def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
     raise SolverDivergence(f"root solve exceeded {max_iter} iterations")
 
 
+def _bracket(profile: EquilibriumProfile, params: PhysicalParams,
+             opts: SolverOptions) -> tuple[float, float]:
+    """(s_min, S_max): S_max = s_max_factor * b g jump / mu_minus, or
+    b g / mu_minus when the orientation is stable, and s_min = s_min_frac S_max."""
+    bound = params.b * params.g * max(profile.jump, 0.0) / params.mu_minus
+    s_max = opts.s_max_factor * bound if bound > 0 else params.b * params.g / params.mu_minus
+    return opts.s_min_frac * s_max, s_max
+
+
 def _converged(forms: QuadraticForms, s: float, alpha: float, v: np.ndarray,
                opts: SolverOptions) -> bool:
     return eig_residual(forms, s, alpha, v) <= opts.eig_tol
@@ -169,10 +176,7 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
         raise ValueError("xi_abs must be > 0")
     if forms is None:
         forms = assemble_forms(mesh, profile, xi_abs, params)
-    jump = profile.jump
-    bound = params.b * params.g * max(jump, 0.0) / params.mu_minus
-    s_max = opts.s_max_factor * bound if bound > 0 else params.b * params.g / params.mu_minus
-    s_min = opts.s_min_frac * s_max
+    s_min, s_max = _bracket(profile, params, opts)
     alpha0, v0 = min_eig(forms, s_min)
     xi = (float(xi_abs), 0.0)
     if alpha0 >= 0:
@@ -261,9 +265,7 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
         key, (m, n) = item
         xi_abs = math.sqrt(float(key))
         forms = assemble_forms(mesh, profile, xi_abs, params)
-        bound = params.b * params.g * max(jump, 0.0) / params.mu_minus
-        s_max = opts.s_max_factor * bound if bound > 0 else params.b * params.g / params.mu_minus
-        s_min = opts.s_min_frac * s_max
+        s_min = _bracket(profile, params, opts)[0]
         alpha0, v0 = min_eig(forms, s_min)
         return DispersionPoint((m / params.L1, n / params.L2), xi_abs,
                                0.0, alpha0, v0, 1,
@@ -288,8 +290,7 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
             lam_max = pt.lam
             argmax = pt.xi
     attained = jump <= 0 or params.sigma_minus > 0
-    return GrowthSummary(lam_max, argmax, attained, lam_max, attained,
-                         tuple(curve), sigma_c,
+    return GrowthSummary(lam_max, argmax, attained, tuple(curve), sigma_c,
                          xi_c if jump > 0 else math.nan)
 
 
@@ -310,23 +311,6 @@ def psi_bump_norm_sq(b: float, ell: float, exponent: float) -> float:
     return math.sqrt(math.pi) * (b + ell) * math.gamma(a + 1.0) / (2.0 * math.gamma(a + 1.5))
 
 
-def _project_p1(mesh: Mesh1D, elem_values) -> np.ndarray:
-    """L2-project per-element quadrature samples onto continuous P1 nodes."""
-    n = mesh.n_nodes
-    mass = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for e in range(mesh.n_elements):
-        xq, wq, N, _dN = mesh.element_quad(e)
-        vals = elem_values(e, xq)
-        for q in range(xq.size):
-            w = wq[q]
-            for i, node in enumerate((e, e + 1)):
-                rhs[node] += w * vals[q] * N[q, i]
-                for j, node_j in enumerate((e, e + 1)):
-                    mass[node, node_j] += w * N[q, i] * N[q, j]
-    return np.linalg.solve(mass, rhs)
-
-
 def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
                      mesh: Mesh1D, params: PhysicalParams,
                      exponent: float = 5.0) -> float:
@@ -344,7 +328,8 @@ def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
     psi_nodes = psi_bump(mesh.nodes, params.b, params.ell, exponent)
     dpsi_elem = np.diff(psi_nodes) / np.diff(mesh.nodes)
 
-    phi_nodes = _project_p1(mesh, lambda e, xq: np.full(xq.size, -dpsi_elem[e] / xi_abs))
+    phi_nodes = project_p1(mesh, np.broadcast_to(-dpsi_elem[:, None] / xi_abs,
+                                                 mesh.quad[0].shape), 0, mesh.n_elements)
     phi_nodes[0] = 0.0
     v = np.zeros(mesh.ndof)
     v[:mesh.n_free] = phi_nodes[1:]
@@ -375,7 +360,6 @@ def summary_dict(summary: GrowthSummary) -> dict:
         xi_c = None
     return {
         "Lambda": summary.Lambda,
-        "lambda_star": summary.lambda_star,
         "argmax_xi": list(summary.argmax_xi) if summary.argmax_xi else None,
         "attained": summary.attained,
         "sigma_c": summary.sigma_c,

@@ -287,11 +287,6 @@ def solve_equilibrium(law_plus: PressureLaw, law_minus: PressureLaw,
                                            x_p, rho_p, x_m, rho_m)
 
 
-def density_jump(profile: EquilibriumProfile) -> float:
-    """Signed interface density jump rho_plus(0) - rho_minus(0)."""
-    return profile.jump
-
-
 def enthalpy_weight(profile: EquilibriumProfile, x3: float,
                     law: PressureLaw | None = None) -> float:
     """h'(rho(x3)) = P'(rho(x3))/rho(x3); `law` picks the layer at x3 = 0."""

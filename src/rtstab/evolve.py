@@ -43,7 +43,8 @@ from scipy.sparse.linalg import splu
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
-from .variational import Mesh1D
+from .variational import (Mesh1D, assemble, field_rows, layer_fields,
+                          viscous_terms)
 
 
 @dataclass(frozen=True)
@@ -95,113 +96,43 @@ class EvolutionOperators:
         xi1, xi2 = self.xi
         xi_sq = xi1 * xi1 + xi2 * xi2
         nf = mesh.n_free
-        i0 = mesh.interface_index
         nq = mesh.n_nodes + 1  # broken at the interface
         self.nq, self.nf = nq, nf
         self.nu = 3 * nf
         self.n = nq + self.nu + 2
         self.sigma_top_coef = profile.rho1 * params.g + params.sigma_plus * xi_sq
         self.sigma_int_coef = params.sigma_minus * xi_sq - profile.jump * params.g
-
-        def qdof(e, local):
-            node = e + local
-            return node if e < i0 else node + 1
-
-        def udof(comp, node):
-            return None if node == 0 else nq + comp * nf + (node - 1)
-
-        self.u3_top = udof(2, mesh.n_nodes - 1)
-        self.u3_int = udof(2, i0)
+        self.u3_top = nq + 3 * nf - 1
+        self.u3_int = nq + 2 * nf + mesh.interface_index - 1
         self.eta_plus_idx = nq + self.nu
         self.eta_minus_idx = nq + self.nu + 1
 
-        rows_m, cols_m, vals_m = [], [], []
-        rows_a, cols_a, vals_a = [], [], []
-
-        def add(rows, cols, vals, i, j, v):
-            if i is None or j is None or v == 0:
-                return
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-
-        for e in range(mesh.n_elements):
-            layer = mesh.element_layer(e)
-            mu = params.mu(layer)
-            mu_p = params.mu_prime(layer)
-            xq, wq, N, dN = mesh.element_quad(e)
-            rho = np.asarray(profile.rho(xq, layer), float)
-            drho = np.asarray(profile.drho(xq, layer), float)
-            hp = np.asarray(profile.h_prime(xq, layer), float)
-            udofs = [udof(c, n) for c in range(3) for n in (e, e + 1)]
-            qdofs = [qdof(e, 0), qdof(e, 1)]
-            mq_loc = np.zeros((2, 2))
-            mu_loc = np.zeros((2, 2))
-            b_loc = np.zeros((2, 6), dtype=complex)
-            d_loc = np.zeros((6, 6), dtype=complex)
-            for q in range(xq.size):
-                w = wq[q]
-                nn = N[q]
-                z2 = np.zeros(2)
-                r_u1 = np.concatenate([nn, z2, z2])
-                r_u2 = np.concatenate([z2, nn, z2])
-                r_u3 = np.concatenate([z2, z2, nn])
-                r_du1 = np.concatenate([dN, z2, z2])
-                r_du2 = np.concatenate([z2, dN, z2])
-                r_du3 = np.concatenate([z2, z2, dN])
-                mq_loc += w * hp[q] * np.outer(nn, nn)
-                mu_loc += w * rho[q] * np.outer(nn, nn)
-                # div_xi(rho u) = i xi1 rho u1 + i xi2 rho u2 + (rho u3)'
-                div_rho_u = (1j * xi1 * rho[q] * r_u1 + 1j * xi2 * rho[q] * r_u2
-                             + drho[q] * r_u3 + rho[q] * r_du3)
-                b_loc += w * hp[q] * np.outer(nn, div_rho_u)
-                # viscous dissipation, deviatoric split
-                dv = 1j * xi1 * r_u1 + 1j * xi2 * r_u2 + r_du3
-                d11 = 2j * xi1 * r_u1 - (2.0 / 3.0) * dv
-                d22 = 2j * xi2 * r_u2 - (2.0 / 3.0) * dv
-                d33 = 2.0 * r_du3 - (2.0 / 3.0) * dv
-                d12 = 1j * xi1 * r_u2 + 1j * xi2 * r_u1
-                d13 = 1j * xi1 * r_u3 + r_du1
-                d23 = 1j * xi2 * r_u3 + r_du2
-                herm = (np.outer(d11.conj(), d11) + np.outer(d22.conj(), d22)
-                        + np.outer(d33.conj(), d33)
-                        + 2.0 * (np.outer(d12.conj(), d12)
-                                 + np.outer(d13.conj(), d13)
-                                 + np.outer(d23.conj(), d23)))
-                d_loc += w * (0.5 * mu * herm + mu_p * np.outer(dv.conj(), dv))
-            for i in range(2):
-                for j in range(2):
-                    add(rows_m, cols_m, vals_m, qdofs[i], qdofs[j], mq_loc[i, j])
-            for c in range(3):
-                for i in range(2):
-                    for j in range(2):
-                        add(rows_m, cols_m, vals_m, udofs[2 * c + i],
-                            udofs[2 * c + j], mu_loc[i, j])
-            # A rows: q gets -B u; u gets +B^H q - D u
-            for i in range(2):
-                for j in range(6):
-                    add(rows_a, cols_a, vals_a, qdofs[i], udofs[j], -b_loc[i, j])
-                    add(rows_a, cols_a, vals_a, udofs[j], qdofs[i],
-                        np.conj(b_loc[i, j]))
-            for i in range(6):
-                for j in range(6):
-                    add(rows_a, cols_a, vals_a, udofs[i], udofs[j], -d_loc[i, j])
-
-        # eta rows of M (identity) and the kinematic/boundary coupling in A
-        for idx in (self.eta_plus_idx, self.eta_minus_idx):
-            add(rows_m, cols_m, vals_m, idx, idx, 1.0)
-        add(rows_a, cols_a, vals_a, self.eta_plus_idx, self.u3_top, 1.0)
-        add(rows_a, cols_a, vals_a, self.eta_minus_idx, self.u3_int, 1.0)
-        add(rows_a, cols_a, vals_a, self.u3_top, self.eta_plus_idx,
-            -self.sigma_top_coef)
-        add(rows_a, cols_a, vals_a, self.u3_int, self.eta_minus_idx,
-            -self.sigma_int_coef)
-
+        e = np.arange(mesh.n_elements)[:, None]
+        qdofs = e + [0, 1] + (e >= mesh.interface_index)
+        udofs = mesh.dofs(3)
+        udofs[udofs >= 0] += nq
+        rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params)
+        N = mesh.quad[2]
+        u, du = field_rows(mesh, 3)
+        r = rho[..., None]
         shape = (self.n, self.n)
-        self.M = sp.csr_matrix((np.asarray(vals_m, complex), (rows_m, cols_m)),
-                               shape=shape)
-        self.A = sp.csr_matrix((np.asarray(vals_a, complex), (rows_a, cols_a)),
-                               shape=shape)
+        # div_xi(rho u) = i xi1 rho u1 + i xi2 rho u2 + (rho u3)'
+        div_rho_u = (1j * xi1 * r * u[0] + 1j * xi2 * r * u[1]
+                     + drho[..., None] * u[2] + r * du[2])
+        B = assemble(mesh, [(dp / rho, N, div_rho_u)], qdofs, udofs, shape)
+        D = assemble(mesh, ((2.0 * c, row) for c, row in viscous_terms(
+            mu, mu_p, u, du, (1j * xi1, 1j * xi2))), udofs, udofs, shape)
+        i, j = self.eta_plus_idx, self.eta_minus_idx
+        # kinematic rows deta/dt = u3 and the boundary forces on u3
+        eta = sp.coo_array(([1.0, 1.0, -self.sigma_top_coef, -self.sigma_int_coef],
+                            ([i, j, self.u3_top, self.u3_int],
+                             [self.u3_top, self.u3_int, i, j])), shape=shape)
+        eta_mass = sp.coo_array(([1.0, 1.0], ([i, j], [i, j])), shape=shape)
+        self.M = (assemble(mesh, [(dp / rho, N)], qdofs, qdofs, shape)
+                  + assemble(mesh, [(rho, row) for row in u], udofs, udofs, shape)
+                  + eta_mass).astype(complex)
+        # A rows: q gets -B u; u gets +B^H q - D u
+        self.A = (B.conj().T - B - D + eta).tocsr()
         # blocks reused by the quadratic functionals
         self.Mq_block = self.M[:nq, :nq]
         self.Mu_block = self.M[nq:nq + self.nu, nq:nq + self.nu]

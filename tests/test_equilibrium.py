@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from rtstab.equilibrium import (EquilibriumProfile, PressureLaw,
-                                check_admissibility, density_jump,
-                                enthalpy_weight, export_profile_csv,
-                                solve_equilibrium)
+                                check_admissibility, enthalpy_weight,
+                                export_profile_csv, solve_equilibrium)
 from rtstab.errors import DegeneratePressure, InverseFailure
 from tests.conftest import unit_params
 
@@ -33,15 +32,15 @@ def test_top_boundary_value_exact(unstable_profile):
 def test_interface_values_and_jump(unstable_profile, stable_profile):
     assert unstable_profile.rho_top_interface == pytest.approx(np.e, rel=1e-10)
     assert unstable_profile.rho_bot_interface == pytest.approx(np.e / 2, rel=1e-10)
-    assert density_jump(unstable_profile) == pytest.approx(np.e / 2, rel=1e-10)
+    assert unstable_profile.jump == pytest.approx(np.e / 2, rel=1e-10)
     swapped = math.exp(0.5) / 2 - math.exp(0.5)
-    assert density_jump(stable_profile) == pytest.approx(swapped, rel=1e-10)
+    assert stable_profile.jump == pytest.approx(swapped, rel=1e-10)
 
 
 def test_identical_laws_zero_jump(params):
     prof = solve_equilibrium(PressureLaw.isothermal(1.5),
                              PressureLaw.isothermal(1.5), params)
-    assert abs(density_jump(prof)) < 1e-13
+    assert abs(prof.jump) < 1e-13
 
 
 def test_jump_sign_flips_with_swapped_constants(params):
@@ -50,7 +49,7 @@ def test_jump_sign_flips_with_swapped_constants(params):
                               PressureLaw.isothermal(k2), params)
         b = solve_equilibrium(PressureLaw.isothermal(k2),
                               PressureLaw.isothermal(k1), params)
-        assert density_jump(a) > 0 > density_jump(b)
+        assert a.jump > 0 > b.jump
 
 
 def test_polytropic_gamma2_linear_profile(params):

@@ -44,7 +44,7 @@ def test_continuity_identity_at_quadrature(mode, unstable_profile, mesh40):
     i0 = mesh40.interface_index
     scale = max(np.abs(qm).max(), np.abs(qp).max())
     for e in range(mesh40.n_elements):
-        xq, _, N, _ = mesh40.element_quad(e)
+        N = mesh40.quad[2][e]
         if e < i0:
             qvals = N[:, 0] * qm[e] + N[:, 1] * qm[e + 1]
             stored = N[:, 0] * mode.q_tilde_minus[e] + N[:, 1] * mode.q_tilde_minus[e + 1]

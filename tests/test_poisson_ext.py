@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from rtstab.errors import IllConditioned
-from rtstab.poisson_ext import (ExtensionParams, PeriodicField, extend_down,
-                                extend_interface, extend_up_specialized,
-                                read_field_csv, vandermonde_coeffs,
-                                write_field_csv)
+from rtstab.poisson_ext import (DownwardExtension, ExtensionParams,
+                                InterfaceExtension, PeriodicField,
+                                UpwardExtension, read_field_csv,
+                                vandermonde_coeffs, write_field_csv)
 
 
 def band_limited(seed=1, n1=16, n2=16, L1=1.0, L2=2.0):
@@ -49,7 +49,7 @@ def test_lambda_ordering_enforced():
 
 def test_extend_down_trace_fidelity():
     f = band_limited()
-    ext = extend_down(f, 0.5)
+    ext = DownwardExtension(f, 0.5)
     assert np.abs(ext.evaluate(0.5) - f.values).max() <= 1e-12
 
 
@@ -57,7 +57,7 @@ def test_extend_down_single_mode_decay():
     n = 16
     x = 2 * math.pi * np.arange(n) / n
     f = PeriodicField(np.cos(x)[:, None] * np.ones((1, n)), 1.0, 1.0)
-    ext = extend_down(f, 0.0)
+    ext = DownwardExtension(f, 0.0)
     # |xi| = 1 mode damps by e^{-|xi|} per unit depth
     assert np.abs(ext.evaluate(-1.0)).max() == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert np.abs(ext.evaluate(-1.0, deriv=1)).max() == \
@@ -66,19 +66,19 @@ def test_extend_down_single_mode_decay():
 
 def test_extend_down_constant():
     f = PeriodicField(3.5 * np.ones((8, 8)), 1.0, 1.0)
-    ext = extend_down(f, 2.0)
+    ext = DownwardExtension(f, 2.0)
     assert np.abs(ext.evaluate(-5.0) - 3.5).max() <= 1e-13
 
 
 def test_extend_up_constant_and_decay():
     p = ExtensionParams.default(1)
     f = PeriodicField(2.0 * np.ones((8, 8)), 1.0, 1.0)
-    up = extend_up_specialized(f, p)
+    up = UpwardExtension(f, p)
     assert np.abs(up.evaluate(7.0) - 2.0).max() <= 1e-13  # zero mode persists
     n = 16
     x = 2 * math.pi * np.arange(n) / n
     mode = PeriodicField(np.cos(x)[:, None] * np.ones((1, n)), 1.0, 1.0)
-    up2 = extend_up_specialized(mode, ExtensionParams.from_lambdas([1.0, 2.0]))
+    up2 = UpwardExtension(mode, ExtensionParams.from_lambdas([1.0, 2.0]))
     # alpha = (3, -2): value 3 e^{-x} - 2 e^{-2x} at |xi| = 1
     x3 = 0.8
     expected = 3 * math.exp(-x3) - 2 * math.exp(-2 * x3)
@@ -89,7 +89,7 @@ def test_extend_up_constant_and_decay():
 def test_interface_derivative_matching_analytic():
     f = band_limited(seed=3)
     p = ExtensionParams.default(2)
-    two = extend_interface(f, p)
+    two = InterfaceExtension(f, p)
     scale = np.abs(f.values).max()
     for ell in range(p.m + 1):
         lo = two.down.evaluate(0.0, deriv=ell)
@@ -104,7 +104,7 @@ def test_interface_derivative_matching_analytic():
 def test_interface_matching_by_finite_differences():
     f = band_limited(seed=4, n1=8, n2=8)
     p = ExtensionParams.default(2)
-    two = extend_interface(f, p)
+    two = InterfaceExtension(f, p)
 
     def probe(ell, h):
         # one-sided 2nd-order stencils above and below the interface
@@ -135,7 +135,7 @@ def test_interface_matching_by_finite_differences():
 
 def test_zero_field_zero_extension():
     f = PeriodicField(np.zeros((8, 8)), 1.0, 1.0)
-    two = extend_interface(f, ExtensionParams.default(3))
+    two = InterfaceExtension(f, ExtensionParams.default(3))
     assert np.abs(two.evaluate(1.3)).max() == 0.0
     assert np.abs(two.evaluate(-0.4)).max() == 0.0
 
@@ -143,7 +143,7 @@ def test_zero_field_zero_extension():
 def test_upward_amplitude_bounded_by_alpha_sum():
     f = band_limited(seed=9)
     p = ExtensionParams.default(3)
-    up = extend_up_specialized(f, p)
+    up = UpwardExtension(f, p)
     bound = np.sum(np.abs(p.alphas)) * np.abs(f.values).max()
     for x3 in (0.1, 0.5, 2.0):
         assert np.abs(up.evaluate(x3)).max() <= bound * (1 + 1e-12)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from rtstab.variational import (assemble_forms, assemble_forms_3field,
-                                assemble_forms_alt, build_mesh, eig_residual,
-                                evaluate_energy, min_eig, min_eig_3field)
+                                build_mesh, eig_residual, evaluate_energy,
+                                min_eig, min_eig_3field, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from tests.conftest import unit_params
+from tests.oracles import add_element, assemble_forms_alt
 
 
 def test_build_mesh_examples():
@@ -184,6 +185,60 @@ def test_k0_alt_exact_when_g_zero():
     assert np.abs(forms.K0.toarray() - alt).max() <= 1e-12 * np.abs(alt).max()
 
 
+def test_k1_and_m_match_closed_form_p1_elements():
+    # g ~ 0 freezes the density, so every integrand has constant coefficients
+    # per layer and 4-point Gauss reproduces the closed-form P1 element matrices
+    prm = unit_params(b=0.8, ell=1.3, g=1e-30, mu_plus=0.7, mu_minus=1.3,
+                      mu_prime_plus=0.3, mu_prime_minus=0.1)
+    prof = solve_equilibrium(PressureLaw.isothermal(1.0),
+                             PressureLaw.isothermal(2.0), prm)
+    mesh = build_mesh(0.8, 1.3, 5, 7)
+    xi = 1.7
+    forms = assemble_forms(mesh, prof, xi, prm)
+    mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0  # times h
+    stiff = np.array([[1.0, -1.0], [-1.0, 1.0]])  # over h
+    cross = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / 2.0  # int N_i N_j'
+    K1 = np.zeros((mesh.ndof, mesh.ndof))
+    M = np.zeros_like(K1)
+    for e in range(mesh.n_elements):
+        layer = mesh.element_layer(e)
+        h = mesh.nodes[e + 1] - mesh.nodes[e]
+        rho = prof.rho1 if layer == "plus" else prof.rho_bot_interface
+        mu = prm.mu(layer)
+        kappa = mu / 3.0 + prm.mu_prime(layer)
+        # E1 = 1/2 int mu (phi' - xi psi)^2 + mu (psi' - xi phi)^2
+        #               + kappa (psi' + xi phi)^2
+        pp = 0.5 * mu * stiff / h + 0.5 * xi**2 * (mu + kappa) * h * mass
+        ss = 0.5 * (mu + kappa) * stiff / h + 0.5 * xi**2 * mu * h * mass
+        ps = 0.5 * xi * (kappa - mu) * cross - 0.5 * xi * mu * cross.T
+        add_element(K1, mesh, e, np.block([[pp, ps], [ps.T, ss]]))
+        m = 0.5 * rho * h * mass
+        add_element(M, mesh, e, np.block([[m, 0 * m], [0 * m, m]]))
+    for got, ref in ((forms.K1.toarray(), K1), (forms.M.toarray(), M)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_project_p1_reproduces_p1_interpolants():
+    mesh = build_mesh(0.8, 1.3, 6, 9)
+    rng = np.random.default_rng(7)
+    lower, upper = rng.standard_normal((2, mesh.n_nodes))
+    N = mesh.quad[2]
+
+    def at_points(f):
+        return N[..., 0] * f[:-1, None] + N[..., 1] * f[1:, None]
+
+    whole = project_p1(mesh, at_points(lower), 0, mesh.n_elements)
+    assert np.abs(whole - lower).max() <= 1e-13 * np.abs(lower).max()
+    # a field broken at the interface: each layer sees only its own part
+    i0 = mesh.interface_index
+    broken = np.where(np.arange(mesh.n_elements)[:, None] < i0,
+                      at_points(lower), at_points(upper))
+    assert np.abs(project_p1(mesh, broken, 0, i0) - lower[:i0 + 1]).max() \
+        <= 1e-13 * np.abs(lower).max()
+    assert np.abs(project_p1(mesh, broken, i0, mesh.n_elements) - upper[i0:]).max() \
+        <= 1e-13 * np.abs(upper).max()
+
+
 def test_theta_decouples_at_negative_alpha(unstable_profile, params, mesh40):
     f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0), params)
     f2 = assemble_forms(mesh40, unstable_profile, 1.0, params)
@@ -222,15 +277,3 @@ def test_min_eig_requires_positive_s(unstable_profile, params, mesh40):
     forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
     with pytest.raises(ValueError):
         min_eig(forms, 0.0)
-
-
-def test_coordinate_export(tmp_path, unstable_profile, params):
-    from rtstab.variational import export_matrix_coordinate
-    mesh = build_mesh(1.0, 1.0, 2, 2)
-    forms = assemble_forms(mesh, unstable_profile, 1.0, params)
-    path = tmp_path / "K0.txt"
-    export_matrix_coordinate(forms.K0, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "% 8 8"
-    i, j, v = lines[1].split()
-    assert forms.K0[int(i), int(j)] == float(v)
