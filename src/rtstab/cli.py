@@ -201,6 +201,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out, args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a solver failure
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, InvalidInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

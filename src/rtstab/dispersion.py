@@ -17,7 +17,10 @@ each eigensolve also gives the slope f'(s) = 2 s + v^T K1 v for free.  The
 next iterate is the Newton step when it falls strictly inside the current
 bracket and the midpoint otherwise, so the bracket never loses the root and
 the iteration converges whenever bisection would, typically in a handful of
-eigensolves instead of thirty-odd.
+eigensolves instead of thirty-odd.  Since alpha increases in s, alpha at the
+bracket's lower end less 1% lies below alpha at every later iterate; each
+eigensolve offers it to min_eig as a shift-invert shift, which min_eig uses
+only if a Cholesky factorization certifies it below the spectrum.
 
 Instability is confined to the frequency window 0 < |xi| < xi_c with
 xi_c = sqrt(jump g / sigma_minus) (all frequencies when sigma_minus = 0),
@@ -186,14 +189,24 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
     if f_lo > 0:
         raise NoSignChange(
             f"alpha({s_min}) = {alpha0} < 0 but f(s_min) = {f_lo} > 0 at |xi| = {xi_abs}")
-    alpha1, _v1 = min_eig(forms, s_max)
+    # alpha at the bracket's lower end, less 1%, lies below alpha at every
+    # later iterate (alpha increases in s): a shift for min_eig to certify
+    lower = alpha0
+
+    def eig(s):
+        return min_eig(forms, s, below=lower - 0.01 * abs(lower))
+
+    alpha1, _v1 = eig(s_max)
     f_hi = s_max**2 + alpha1
     if f_hi <= 0:
         raise NoSignChange(
             f"f(S_max) = {f_hi} <= 0 at |xi| = {xi_abs}; root exceeds the growth bound")
 
     def f(s):
-        alpha, v = min_eig(forms, s)
+        nonlocal lower
+        alpha, v = eig(s)
+        if s * s + alpha < 0:  # s becomes the bracket's lower end
+            lower = alpha
         return s * s + alpha, (alpha, v)
 
     def slope(s, payload):

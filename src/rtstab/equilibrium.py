@@ -31,7 +31,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator, make_interp_spline
 from scipy.optimize import brentq
 
-from .errors import DegeneratePressure, InverseFailure, NonPositiveDensity
+from .errors import (DegeneratePressure, InverseFailure, NonPositiveDensity,
+                     OutsideTable)
 
 # P'(rho) at or below this value aborts the hydrostatic integration.
 PRESSURE_SLOPE_TOL = 1e-12
@@ -44,6 +45,8 @@ class PressureLaw:
     kind is one of "isothermal" (P = K rho), "polytropic" (P = K rho^gamma)
     or "tabulated" (monotone cubic through (rho, P) samples).  P must be
     smooth, positive and strictly increasing on the traversed density range.
+    A tabulated law is defined on [rho_table[0], rho_table[-1]] only: value
+    and derivative raise OutsideTable beyond it instead of extrapolating.
     """
 
     kind: str
@@ -101,7 +104,7 @@ class PressureLaw:
         if self.kind == "polytropic":
             k, gamma = self.params
             return k * np.asarray(rho, float) ** gamma
-        return self._interp(rho)
+        return self._interp(self._in_table(rho))
 
     def derivative(self, rho):
         """P'(rho); vectorized."""
@@ -110,7 +113,15 @@ class PressureLaw:
         if self.kind == "polytropic":
             k, gamma = self.params
             return k * gamma * np.asarray(rho, float) ** (gamma - 1.0)
-        return self._dinterp(rho)
+        return self._dinterp(self._in_table(rho))
+
+    def _in_table(self, rho):
+        r = np.asarray(rho, float)
+        lo, hi = self.rho_table[0], self.rho_table[-1]
+        if np.any((r < lo) | (r > hi)):
+            raise OutsideTable(f"density {r.min()} .. {r.max()} outside the "
+                               f"pressure table [{lo}, {hi}]")
+        return r
 
     def inverse(self, p: float) -> float:
         """rho with P(rho) = p, to relative tolerance 1e-12."""

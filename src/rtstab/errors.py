@@ -21,6 +21,10 @@ class InverseFailure(AnalyzerError):
     """Pressure-law inverse undefined at the requested pressure."""
 
 
+class OutsideTable(AnalyzerError):
+    """A tabulated pressure law was evaluated outside its density table."""
+
+
 class NonPositiveDensity(AnalyzerError):
     """Equilibrium integration produced a density <= 0."""
 

@@ -46,6 +46,8 @@ from .modes import GrowingMode
 from .variational import (Mesh1D, assemble, field_rows, layer_fields,
                           viscous_terms)
 
+BLOCK = 8  # states per vectorised block of the energy-balance pass
+
 
 @dataclass(frozen=True)
 class IntegratorParams:
@@ -165,31 +167,33 @@ class EvolutionOperators:
                               complex(y[self.eta_minus_idx]), time)
 
     # -- quadratic functionals -------------------------------------------
-    def energy(self, y: np.ndarray) -> float:
+    # Each takes one state (n,) or a block of states (n, k), one per column.
+    def energy(self, y: np.ndarray):
         q = y[:self.nq]
         u = y[self.nq:self.nq + self.nu]
-        e = 0.5 * np.real(np.vdot(q, self.Mq_block @ q)) \
-            + 0.5 * np.real(np.vdot(u, self.Mu_block @ u))
-        e += 0.5 * self.sigma_top_coef * abs(y[self.eta_plus_idx]) ** 2
-        e += 0.5 * self.params.sigma_minus * (self.xi[0]**2 + self.xi[1]**2) \
-            * abs(y[self.eta_minus_idx]) ** 2
-        return float(e)
+        xi_sq = self.xi[0]**2 + self.xi[1]**2
+        return 0.5 * (_dot(q, self.Mq_block @ q) + _dot(u, self.Mu_block @ u)
+                      + self.sigma_top_coef * np.abs(y[self.eta_plus_idx])**2
+                      + self.params.sigma_minus * xi_sq
+                      * np.abs(y[self.eta_minus_idx])**2)
 
-    def full_energy(self, y: np.ndarray) -> float:
+    def full_energy(self, y: np.ndarray):
         """Energy plus the interface term -1/2 jump g |eta_-|^2 (positive when
         the orientation is stable); non-increasing along exact dynamics."""
         return self.energy(y) - 0.5 * self.profile.jump * self.params.g \
             * abs(y[self.eta_minus_idx]) ** 2
 
-    def dissipation(self, y: np.ndarray) -> float:
+    def dissipation(self, y: np.ndarray):
         u = y[self.nq:self.nq + self.nu]
-        return float(np.real(np.vdot(u, self.D @ u)))
+        return _dot(u, self.D @ u)
 
-    def interface_work(self, y: np.ndarray) -> float:
-        u3 = y[self.u3_int]
-        eta = y[self.eta_minus_idx]
-        return float(self.profile.jump * self.params.g
-                     * np.real(eta * np.conj(u3)))
+
+def _dot(x: np.ndarray, ax: np.ndarray):
+    """Re x^H ax of each column: a scalar for vectors, (k,) for (m, k).  The
+    real views of x and ax pair real with real and imaginary with imaginary
+    parts, so the sum needs no conjugated copy."""
+    d = np.einsum("i...,i...->...", x.view(float), ax.view(float))
+    return d if x.ndim == 1 else d.reshape(-1, 2).sum(axis=1)
 
 
 def semidiscretize(profile: EquilibriumProfile, mesh: Mesh1D,
@@ -301,36 +305,49 @@ def measure_growth(traj: Trajectory, fit_window: float) -> float:
     return float(np.polyfit(t, np.log(window), 1)[0])
 
 
-def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators) -> np.ndarray:
+def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators,
+                            series: bool = False):
     """Per-step defect of the discrete energy identity, relative to the energy.
 
     Trapezoidal evaluates the identity at step midpoints, where it holds to
     round-off; implicit Euler evaluates at the right endpoint and the
-    returned series reflects the scheme's O(dt) dissipation bias.
+    returned series reflects the scheme's O(dt) dissipation bias.  States
+    are taken BLOCK at a time, so no temporary grows with the step count.
+    With series, returns (residual, energy, dissipation), the last two at
+    every state.
     """
     n_steps = traj.states.shape[0] - 1
-    res = np.empty(n_steps)
-    e_prev = ops.energy(traj.states[0])
-    for k in range(n_steps):
-        y0 = traj.states[k]
-        y1 = traj.states[k + 1]
-        e_next = ops.energy(y1)
-        y_eval = 0.5 * (y0 + y1) if traj.scheme == "trapezoidal" else y1
-        flux = -ops.dissipation(y_eval) + ops.interface_work(y_eval)
-        scale = max(abs(e_prev), abs(e_next), 1e-300)
-        res[k] = (e_next - e_prev - traj.dt * flux) / scale
-        e_prev = e_next
-    return res
+    energy, diss = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    cross = np.empty(n_steps)  # Re u_k^H D u_k+1
+    u = slice(ops.nq, ops.nq + ops.nu)
+    for a in range(0, n_steps, BLOCK):
+        Y = traj.states[a:a + BLOCK + 1].T.copy()  # one state per column
+        U, k = Y[u], Y.shape[1]
+        DU = ops.D @ U
+        energy[a:a + k] = ops.energy(Y)
+        diss[a:a + k] = _dot(U, DU)
+        cross[a:a + k - 1] = _dot(U[:, :-1], DU[:, 1:])
+    eta = traj.states[:, ops.eta_minus_idx]
+    u3 = traj.states[:, ops.u3_int]
+    if traj.scheme == "trapezoidal":
+        # at the midpoint m of y_k and y_k+1, D Hermitian gives
+        # Re m^H D m = (d_k + d_k+1 + 2 Re u_k^H D u_k+1) / 4
+        d_eval = 0.25 * (diss[:-1] + diss[1:]) + 0.5 * cross
+        eta, u3 = 0.5 * (eta[:-1] + eta[1:]), 0.5 * (u3[:-1] + u3[1:])
+    else:
+        d_eval, eta, u3 = diss[1:], eta[1:], u3[1:]
+    flux = ops.profile.jump * ops.params.g * np.real(eta * np.conj(u3)) - d_eval
+    scale = np.maximum(np.maximum(np.abs(energy[:-1]), np.abs(energy[1:])), 1e-300)
+    res = (energy[1:] - energy[:-1] - traj.dt * flux) / scale
+    return (res, energy, diss) if series else res
 
 
 def write_trajectory_csv(traj: Trajectory, ops: EvolutionOperators, path) -> None:
     """CSV: t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual."""
-    resid = energy_balance_residual(traj, ops)
+    resid, energy, diss = energy_balance_residual(traj, ops, series=True)
+    resid = np.concatenate([[0.0], resid])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual\n")
-        for k in range(traj.times.size):
-            y = traj.states[k]
-            r = 0.0 if k == 0 else resid[k - 1]
-            fh.write(f"{traj.times[k]:.17g},{abs(y[traj.eta_minus_idx]):.17g},"
-                     f"{abs(y[traj.eta_plus_idx]):.17g},{ops.energy(y):.17g},"
-                     f"{ops.dissipation(y):.17g},{r:.17g}\n")
+        for row in zip(traj.times, traj.eta_minus_abs, traj.eta_plus_abs,
+                       energy, diss, resid):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -23,7 +23,12 @@ functional value.  The modified-problem eigenvalue is
 E0 is indefinite when the heavy fluid sits on top (jump > 0) and the internal
 surface tension is subcritical; M is positive definite, so the pencil is
 well-posed regardless.  The matrices are sparse: each dof couples only to
-its own node and the two neighbouring nodes.
+its own node and the two neighbouring nodes, so in the interleaved order
+(phi_1, psi_1, phi_2, psi_2, ...) they are banded with half-bandwidth 3 and
+QuadraticForms keeps them in LAPACK band storage.  min_eig finds the smallest
+eigenpair by Lanczos on U (K - shift M)^-1 U^T, where M = U^T U, with banded
+Cholesky factorizations only: a shift is certified below the spectrum exactly
+when the Cholesky factorization of K - shift M succeeds.
 
 A three-field variant (phi, theta, psi) assembles the full quadratic
 structure at a general frequency vector; at xi = (|xi|, 0) the theta block
@@ -45,13 +50,15 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, eigsh, splu, spsolve)
+from scipy.linalg.blas import dtbmv, dtbsv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spsolve
 
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import SolverDivergence
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(4)
+BAND = 3  # half-bandwidth of the two-field pencil in interleaved order
 
 
 @dataclass(frozen=True)
@@ -209,15 +216,31 @@ class QuadraticForms:
     psi_top_dof: int
 
     @cached_property
-    def interleaved(self):
-        """(K0, K1, M, perm): the matrices as CSC in (phi_1, psi_1, phi_2,
-        psi_2, ...) order, where the half-bandwidth is 3; row k there is dof
-        perm[k] here."""
-        n_free = self.K0.shape[0] // 2
-        perm = np.stack([np.arange(n_free), n_free + np.arange(n_free)],
-                        axis=1).ravel()
-        return (*(A[perm][:, perm].tocsc() for A in (self.K0, self.K1, self.M)),
-                perm)
+    def band(self):
+        """(K0, K1, M, perm): the matrices in LAPACK upper band storage for
+        the (phi_1, psi_1, phi_2, psi_2, ...) order, where the half-bandwidth
+        is BAND; entry (i, j), i <= j, sits at [BAND + i - j, j], and row k
+        there is dof perm[k] here."""
+        n = self.K0.shape[0]
+        perm = np.arange(n).reshape(2, -1).T.ravel()
+        out = []
+        for A in (self.K0, self.K1, self.M):
+            dia = A[perm][:, perm].todia()  # offset d: A[j - d, j] at column j
+            if np.abs(dia.offsets).max() > BAND:
+                raise ValueError("matrix is wider than the interleaved band")
+            upper = dia.offsets >= 0
+            ab = np.zeros((BAND + 1, n))
+            ab[BAND - dia.offsets[upper]] = dia.data[upper]
+            out.append(ab)
+        return (*out, perm)
+
+    @cached_property
+    def m_factor(self) -> np.ndarray:
+        """Upper band Cholesky factor U of M = U^T U in the banded order."""
+        U, info = dpbtrf(self.band[2])
+        if info != 0:
+            raise SolverDivergence(f"mass matrix is not positive definite (info {info})")
+        return U
 
 
 def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
@@ -256,64 +279,50 @@ def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:
     return v
 
 
-def _ldl(A: sp.csc_array):
-    """Unpivoted LU of a symmetric band matrix, which is its LDL^T
-    factorization, and whether it certifies A positive definite: the row and
-    column permutations are the identity and every pivot is > 0 (Sylvester's
-    law of inertia)."""
-    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    natural = np.arange(A.shape[0])
-    certified = (np.array_equal(lu.perm_r, natural)
-                 and np.array_equal(lu.perm_c, natural)
-                 and bool(np.all(lu.U.diagonal() > 0)))
-    return lu, certified
-
-
-def _shift_invert_min(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair by shift-invert Lanczos at a shift certified to lie
-    below the spectrum; the eigenvector comes back in the two-field order."""
-    K0, K1, M, perm = forms.interleaved
+def _shift_invert_min(forms: QuadraticForms, s: float,
+                      below: float | None) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair from the largest eigenvalue theta = 1/(alpha -
+    shift) of U (K - shift M)^-1 U^T, M = U^T U, and its vector w = U v; v
+    comes back in the two-field order."""
+    K0, K1, M, perm = forms.band
     K = K0 + s * K1
-    try:
-        lu, below = _ldl(K)
-    except RuntimeError:  # exactly singular: 0 is an eigenvalue
-        below = False
-    shift = 0.0
-    if not below:
-        shift = -1.1 * forms.g * forms.xi_abs - 1.0
-        try:
-            lu, _ = _ldl(K - shift * M)
-        except RuntimeError as exc:
-            raise SolverDivergence(f"shift-invert factorization failed: {exc}") from exc
-    n = K.shape[0]
+    for shift in (0.0, below, -1.1 * forms.g * forms.xi_abs - 1.0):
+        if shift is not None:
+            F, info = dpbtrf(K - shift * M)
+            if info == 0:
+                break
+    else:
+        raise SolverDivergence("no shift-invert shift is below the spectrum")
+    U = forms.m_factor
+
+    def apply(x):
+        return dtbmv(BAND, U, dpbtrs(F, dtbmv(BAND, U, x, trans=1))[0])
+
+    n = K.shape[1]
     rng = np.random.default_rng(0)
     try:
-        vals, vecs = eigsh(K, k=1, M=M, sigma=shift, which="LM",
-                           OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
-                           v0=rng.uniform(-1.0, 1.0, n), rng=rng)
-    except (ArpackNoConvergence, ArpackError, RuntimeError) as exc:
+        theta, w = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=1,
+                         which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    except ArpackError as exc:
         raise SolverDivergence(f"shift-invert eigensolve failed: {exc}") from exc
     v = np.empty(n)
-    v[perm] = vecs[:, 0]
-    return float(vals[0]), v
+    v[perm] = dtbsv(BAND, U, w[:, 0])
+    return shift + 1.0 / float(theta[0]), v
 
 
-def min_eig(forms: QuadraticForms, s: float,
-            method: str = "iterative") -> tuple[float, np.ndarray]:
+def min_eig(forms: QuadraticForms, s: float, method: str = "iterative",
+            below: float | None = None) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K0 + s K1) v = alpha M v.
 
     The minimizer is returned J-normalized (v^T M v = 1) with the interface
-    psi value >= 0.  method "iterative" runs shift-invert Lanczos on the
-    sparse pencil in interleaved (phi_i, psi_i) order, where K = K0 + s K1
-    has half-bandwidth 3 and an unpivoted LDL^T factorization costs O(n).
-    If every pivot of K is positive, K is positive definite, so the shift 0
-    lies below the spectrum and that factorization is the shift-invert
-    operator; this keeps Lanczos fast when the lowest eigenvalues cluster
-    just above 0.  Otherwise the shift is the proven lower bound
-    -1.1 g|xi| - 1 < -g|xi| <= alpha.  Lanczos starts from a fixed vector,
+    psi value >= 0.  method "iterative" is the banded shift-invert Lanczos
+    of the module docstring, at the first of 0, `below` (a caller's guess
+    under alpha) and the proven bound -1.1 g|xi| - 1 < -g|xi| <= alpha whose
+    Cholesky factorization certifies it below the spectrum; the closer the
+    shift, the fewer the Lanczos steps.  Lanczos starts from a fixed vector,
     so equal inputs give bit-identical results.  method "dense" reduces via
-    Cholesky of M and solves the full spectrum: the reference the sparse path
-    is tested against.
+    Cholesky of M and solves the full spectrum: the reference the banded
+    path is tested against.
     """
     if s <= 0:
         raise ValueError("modified-problem parameter s must be > 0")
@@ -322,7 +331,7 @@ def min_eig(forms: QuadraticForms, s: float,
                                        forms.M.toarray())
         alpha, v = float(vals[0]), vecs[:, 0]
     elif method == "iterative":
-        alpha, v = _shift_invert_min(forms, s)
+        alpha, v = _shift_invert_min(forms, s, below)
     else:
         raise ValueError(f"unknown eigensolve method {method!r}")
     v = v / np.sqrt(v @ forms.M @ v)

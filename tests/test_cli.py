@@ -157,6 +157,19 @@ def test_solver_error_exit_3(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_linalg_error_exit_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet a failed factorization is a
+    # solver failure, not a configuration error
+    def failing_eigensolve(forms, s):
+        raise np.linalg.LinAlgError("eigenvalue algorithm did not converge")
+
+    monkeypatch.setattr("rtstab.cli.min_eig", failing_eigensolve)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["alpha", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--xi", "1.0", "--s", "0.1"]) == 3
+    assert "solver error" in capsys.readouterr().err
+
+
 def test_load_config_validates(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     rc = load_config(cfg)

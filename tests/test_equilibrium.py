@@ -8,7 +8,7 @@ import pytest
 from rtstab.equilibrium import (EquilibriumProfile, PressureLaw,
                                 check_admissibility, enthalpy_weight,
                                 export_profile_csv, solve_equilibrium)
-from rtstab.errors import DegeneratePressure, InverseFailure
+from rtstab.errors import DegeneratePressure, InverseFailure, OutsideTable
 from tests.conftest import unit_params
 
 
@@ -163,13 +163,28 @@ def test_inverse_failure_outside_table(params):
 
 def test_degenerate_pressure_detected():
     # the [2, 3] table segment is flat to 1e-13, so P' collapses below the
-    # slope tolerance once the descent enters it
+    # slope tolerance once the descent (rho grows downward from 1.5) enters it
     rho = np.array([0.5, 1.0, 2.0, 3.0, 3.5])
     p = np.array([0.5, 1.0, 2.0, 2.0 + 1e-13, 2.5])
     law = PressureLaw.tabulated(rho, p)
-    prm = unit_params(p_atm=2.2)
+    prm = unit_params(p_atm=1.5)
     with pytest.raises(DegeneratePressure):
         solve_equilibrium(law, PressureLaw.isothermal(1.0), prm)
+
+
+def test_tabulated_law_does_not_extrapolate(params):
+    # isothermal K = 1 tabulated on rho in [0.5, 1.5]: the upper layer's
+    # descent from rho = 1 would reach e = 2.72 at the interface
+    rho = np.linspace(0.5, 1.5, 16)
+    law = PressureLaw.tabulated(rho, rho)
+    assert float(law.value(1.5)) == pytest.approx(1.5, rel=1e-12)
+    for outside in (0.4, 1.6, np.array([1.0, 2.72])):
+        with pytest.raises(OutsideTable):
+            law.value(outside)
+        with pytest.raises(OutsideTable):
+            law.derivative(outside)
+    with pytest.raises(OutsideTable):
+        solve_equilibrium(law, PressureLaw.isothermal(2.0), params)
 
 
 def test_profile_csv_export(tmp_path, unstable_profile):

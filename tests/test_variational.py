@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rtstab.variational import (assemble_forms, assemble_forms_3field,
+from scipy.linalg.lapack import dpbtrf
+
+from rtstab.variational import (BAND, assemble_forms, assemble_forms_3field,
                                 build_mesh, eig_residual, evaluate_energy,
                                 min_eig, min_eig_3field, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
@@ -112,6 +114,50 @@ def test_sparse_matches_dense_past_sigma_c(unstable_profile):
         assert a_dense > 0
         assert abs(a_sparse - a_dense) <= 1e-9
         assert eig_residual(forms, s, a_sparse, v) <= 1e-12
+
+
+def _pd(forms, s, shift):
+    """Whether the banded Cholesky accepts K0 + s K1 - shift M."""
+    K0, K1, M, _perm = forms.band
+    return dpbtrf(K0 + s * K1 - shift * M)[1] == 0
+
+
+def test_band_storage_reproduces_interleaved_forms(unstable_profile, params, mesh40):
+    forms = assemble_forms(mesh40, unstable_profile, 1.3, params)
+    *bands, perm = forms.band
+    n = mesh40.ndof
+    assert np.array_equal(perm[:4], [0, n // 2, 1, n // 2 + 1])
+    for ab, A in zip(bands, (forms.K0, forms.K1, forms.M)):
+        upper = sum(np.diag(ab[BAND - d, d:], d) for d in range(BAND + 1))
+        dense = upper + np.triu(upper, 1).T
+        assert np.array_equal(dense, A[perm][:, perm].toarray())
+
+
+def test_hint_above_alpha_is_rejected(unstable_profile, params, mesh100):
+    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    s = 0.5
+    a_dense, _ = min_eig(forms, s, method="dense")
+    hint = a_dense + 0.05
+    assert not _pd(forms, s, hint)
+    alpha, v = min_eig(forms, s, below=hint)
+    assert abs(alpha - a_dense) <= 1e-10
+    assert eig_residual(forms, s, alpha, v) <= 1e-12
+
+
+def test_below_root_hinted_and_unhinted_match_dense(unstable_profile, params, mesh100):
+    # at |xi| = 1 the root is near s = 0.075; below it K is indefinite, so
+    # the shift is the hint (alpha at a smaller s less 1%) or the far bound
+    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    a_lo, _ = min_eig(forms, 0.01)
+    hint = a_lo - 0.01 * abs(a_lo)
+    for s in (0.02, 0.05):
+        a_dense, _ = min_eig(forms, s, method="dense")
+        assert s * s + a_dense < 0
+        assert not _pd(forms, s, 0.0) and _pd(forms, s, hint)
+        for below in (None, hint):
+            alpha, v = min_eig(forms, s, below=below)
+            assert abs(alpha - a_dense) <= 1e-10
+            assert eig_residual(forms, s, alpha, v) <= 1e-12
 
 
 def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
