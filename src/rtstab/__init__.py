@@ -12,8 +12,7 @@ from .dispersion import (DispersionPoint, GrowthSummary, SolverOptions,
                          negativity_probe, psi_bump, psi_bump_norm_sq,
                          sweep_lattice)
 from .equilibrium import (EquilibriumProfile, PhysicalParams, PressureLaw,
-                          check_admissibility, enthalpy_weight,
-                          solve_equilibrium)
+                          check_admissibility, solve_equilibrium)
 from .evolve import (FrequencyState, IntegratorParams, Trajectory, advance,
                      energy_balance_residual, measure_growth, semidiscretize)
 from .modes import (GrowingMode, assemble_mode, export_mode, ode_residual,

@@ -197,6 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("xi", "s"):
+            value = getattr(args, flag, None)
+            if value is not None and not 0.0 < value < np.inf:
+                raise InvalidInput(f"--{flag} must be finite and > 0, got {value}")
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,11 @@ orientations.  Everything downstream consumes the profile through rho, its
 hydrostatic derivative, and the enthalpy weight h'(rho) = P'(rho)/rho.
 
 Profiles are integrated top-down with classical fixed-step RK4 and stored as
-dense samples with a quintic spline per layer, so interpolation error stays
-below the integrator's O(h^4) node error.  Closed forms exist for isothermal
-and gamma=2 polytropic laws and are used in tests as oracles only; the solver
-path is always the integrator.
+dense samples with a cubic Hermite interpolant per layer whose node slopes are
+the exact hydrostatic -g rho_i / P'(rho_i), so interpolation error stays at
+the integrator's O(h^4) node error.  Closed forms exist for isothermal and
+gamma=2 polytropic laws and are used in tests as oracles only; the solver path
+is always the integrator.  Only tabulated laws import scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, make_interp_spline
-from scipy.optimize import brentq
 
 from .errors import (DegeneratePressure, InverseFailure, NonPositiveDensity,
                      OutsideTable)
@@ -72,6 +71,7 @@ class PressureLaw:
                 raise ValueError("tabulated law must be strictly increasing in rho and P")
             if rho[0] <= 0 or p[0] <= 0:
                 raise ValueError("tabulated law must have positive rho and P")
+            from scipy.interpolate import PchipInterpolator
             interp = PchipInterpolator(rho, p)
             # Monotone data + pchip give dP/drho >= 0; verify strictness away
             # from the nodes so DegeneratePressure can surface early.
@@ -137,6 +137,7 @@ class PressureLaw:
         lo, hi = float(self.p_table[0]), float(self.p_table[-1])
         if not (lo <= p <= hi):
             raise InverseFailure(f"pressure {p} outside table range [{lo}, {hi}]")
+        from scipy.optimize import brentq
         root = brentq(lambda r: float(self._interp(r)) - p,
                       float(self.rho_table[0]), float(self.rho_table[-1]),
                       xtol=1e-15, rtol=1e-15)
@@ -180,7 +181,7 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class EquilibriumProfile:
-    """Piecewise equilibrium density with layer-wise spline interpolation.
+    """Piecewise equilibrium density, a cubic Hermite interpolant per layer.
 
     rho1 is the density at the top surface, rho_top_interface and
     rho_bot_interface the one-sided values at the internal interface, and
@@ -211,19 +212,20 @@ class EquilibriumProfile:
                    rho_top_interface=float(rho_plus[0]),
                    rho_bot_interface=float(rho_minus[-1]),
                    jump=float(rho_plus[0]) - float(rho_minus[-1]))
-        k = 5 if x_plus.size >= 6 and x_minus.size >= 6 else 3
-        object.__setattr__(prof, "_spl_plus", make_interp_spline(x_plus, rho_plus, k=k))
-        object.__setattr__(prof, "_spl_minus", make_interp_spline(x_minus, rho_minus, k=k))
+        for side, x, r, law in (("plus", x_plus, rho_plus, law_plus),
+                                ("minus", x_minus, rho_minus, law_minus)):
+            slope = -params.g * r / law.derivative(r)  # exact hydrostatic slope
+            object.__setattr__(prof, f"_interp_{side}", _hermite(x, r, slope))
         return prof
 
     def law(self, layer: str) -> PressureLaw:
         return self.law_plus if layer == "plus" else self.law_minus
 
     def rho_plus(self, x3):
-        return self._spl_plus(x3)
+        return self._interp_plus(x3)
 
     def rho_minus(self, x3):
-        return self._spl_minus(x3)
+        return self._interp_minus(x3)
 
     def rho(self, x3, layer: str | None = None):
         """Density at x3; the interface value is taken from `layer` (default:
@@ -232,18 +234,26 @@ class EquilibriumProfile:
             layer = "plus" if np.all(np.asarray(x3) >= 0) else "minus"
         return self.rho_plus(x3) if layer == "plus" else self.rho_minus(x3)
 
-    def drho(self, x3, layer: str):
-        """Hydrostatic density slope -g rho / P'(rho) on the given layer."""
-        r = self.rho(x3, layer)
-        return -self.params.g * r / self.law(layer).derivative(r)
 
-    def h_prime(self, x3, layer: str):
-        """Enthalpy weight h'(rho(x3)) = P'(rho(x3)) / rho(x3)."""
-        r = self.rho(x3, layer)
-        return self.law(layer).derivative(r) / r
+def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
+    """Piecewise cubic Hermite interpolant through (x_i, y_i) with slopes dy_i:
+    f(t) is the value and f(t, 1) the first derivative; on [x_i, x_i+1] it is
+    y_i + c1 s + c2 s^2 + c3 s^3 with s = (t - x_i)/h_i, continued past the ends."""
+    h, dlt = np.diff(x), np.diff(y)
+    c1 = h * dy[:-1]
+    c2 = 3.0 * dlt - h * (2.0 * dy[:-1] + dy[1:])
+    c3 = h * (dy[:-1] + dy[1:]) - 2.0 * dlt
+    inner = x[1:-1]  # searching these gives the interval index, ends included
 
-    def pressure(self, x3, layer: str):
-        return self.law(layer).value(self.rho(x3, layer))
+    def f(t, nu: int = 0):
+        t = np.asarray(t, float)
+        i = np.searchsorted(inner, t, side="right")
+        s = (t - x[i]) / h[i]
+        if nu == 0:
+            return y[i] + s * (c1[i] + s * (c2[i] + s * c3[i]))
+        return (c1[i] + s * (2.0 * c2[i] + 3.0 * s * c3[i])) / h[i]
+
+    return f
 
 
 def _rk4_down(law: PressureLaw, g: float, rho_start: float, x_start: float,
@@ -298,27 +308,6 @@ def solve_equilibrium(law_plus: PressureLaw, law_minus: PressureLaw,
                                            x_p, rho_p, x_m, rho_m)
 
 
-def enthalpy_weight(profile: EquilibriumProfile, x3: float,
-                    law: PressureLaw | None = None) -> float:
-    """h'(rho(x3)) = P'(rho(x3))/rho(x3); `law` picks the layer at x3 = 0."""
-    p = profile.params
-    if not (-p.b <= x3 <= p.ell):
-        raise ValueError(f"x3 = {x3} outside [{-p.b}, {p.ell}]")
-    if law is None:
-        layer = "plus" if x3 >= 0 else "minus"
-    elif law is profile.law_plus:
-        layer = "plus"
-    elif law is profile.law_minus:
-        layer = "minus"
-    else:
-        raise ValueError("law does not belong to this profile")
-    if layer == "plus" and x3 < 0:
-        raise ValueError(f"x3 = {x3} not in the upper layer")
-    if layer == "minus" and x3 > 0:
-        raise ValueError(f"x3 = {x3} not in the lower layer")
-    return float(profile.h_prime(x3, layer))
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Numeric admissibility summary for an equilibrium profile."""
@@ -334,12 +323,13 @@ class AdmissibilityReport:
 
 
 def check_admissibility(profile: EquilibriumProfile, hydro_tol: float = 1e-6,
-                        match_tol: float = 1e-9, n_probe: int = 512) -> AdmissibilityReport:
+                        match_tol: float = 1e-9) -> AdmissibilityReport:
     """Check positivity, P' > 0, the hydrostatic residual and pressure matching.
 
-    The hydrostatic residual |d(P(rho))/dx3 + g rho| is evaluated through the
-    stored spline's derivative on a dense probe grid, so it measures the
-    actual integration + interpolation error of the profile.
+    Density and P' are checked at the nodes and interval midpoints; the
+    hydrostatic residual |d(P(rho))/dx3 + g rho| at the midpoints only, where
+    the Hermite slope is not the formula itself and its own error vanishes to
+    leading order, so the residual measures the O(h^4) integration error.
     """
     p = profile.params
     failures = []
@@ -347,20 +337,21 @@ def check_admissibility(profile: EquilibriumProfile, hydro_tol: float = 1e-6,
     argmin = 0.0
     max_resid = 0.0
     min_slope = math.inf
-    for layer, (a, b) in (("minus", (-p.b, 0.0)), ("plus", (0.0, p.ell))):
-        stored = profile.x_plus if layer == "plus" else profile.x_minus
-        xs = np.union1d(np.linspace(a, b, n_probe), stored)
-        spl = profile._spl_plus if layer == "plus" else profile._spl_minus
-        rho = spl(xs)
+    for layer in ("minus", "plus"):
+        nodes = profile.x_plus if layer == "plus" else profile.x_minus
+        f = profile._interp_plus if layer == "plus" else profile._interp_minus
+        m = nodes.size
+        xs = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])])
+        rho = f(xs)
         i = int(np.argmin(rho))
         if rho[i] < min_density:
             min_density, argmin = float(rho[i]), float(xs[i])
-        if rho[i] <= 0:
+        if not rho[i] > 0:
             failures.append("NonPositiveDensity")
             continue
         dp = profile.law(layer).derivative(rho)
         min_slope = min(min_slope, float(np.min(dp)))
-        resid = np.abs(dp * spl(xs, 1) + p.g * rho)
+        resid = np.abs(dp[m:] * f(xs[m:], 1) + p.g * rho[m:])
         max_resid = max(max_resid, float(np.max(resid)))
     if min_slope <= PRESSURE_SLOPE_TOL:
         failures.append("DegeneratePressure")

@@ -33,6 +33,10 @@ class DegeneratePressure(AnalyzerError):
     """P'(rho) dropped to or below tolerance during a solve."""
 
 
+class BandOverflow(AnalyzerError):
+    """An assembled matrix has entries outside its fixed band storage."""
+
+
 class SolverDivergence(AnalyzerError):
     """An iterative solver failed to converge within its iteration budget."""
 

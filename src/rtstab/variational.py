@@ -55,7 +55,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spsolve
 
 from .equilibrium import EquilibriumProfile, PhysicalParams
-from .errors import SolverDivergence
+from .errors import BandOverflow, SolverDivergence
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(4)
 BAND = 3  # half-bandwidth of the two-field pencil in interleaved order
@@ -227,7 +227,7 @@ class QuadraticForms:
         for A in (self.K0, self.K1, self.M):
             dia = A[perm][:, perm].todia()  # offset d: A[j - d, j] at column j
             if np.abs(dia.offsets).max() > BAND:
-                raise ValueError("matrix is wider than the interleaved band")
+                raise BandOverflow("matrix is wider than the interleaved band")
             upper = dia.offsets >= 0
             ab = np.zeros((BAND + 1, n))
             ab[BAND - dia.offsets[upper]] = dia.data[upper]

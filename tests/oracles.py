@@ -1,8 +1,9 @@
-"""Independent reference assemblies that tests compare the element kernel with."""
+"""Independent references that tests compare the solver with: an alternate
+assembly for the element kernel and a layer-checked enthalpy weight."""
 
 import numpy as np
 
-from rtstab.equilibrium import EquilibriumProfile, PhysicalParams
+from rtstab.equilibrium import EquilibriumProfile, PhysicalParams, PressureLaw
 from rtstab.variational import Mesh1D
 
 
@@ -50,3 +51,25 @@ def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     K[psi0, psi0] += 0.5 * params.sigma_minus * xi**2
     K[-1, -1] += 0.5 * params.sigma_plus * xi**2
     return K
+
+
+def enthalpy_weight(profile: EquilibriumProfile, x3: float,
+                    law: PressureLaw | None = None) -> float:
+    """h'(rho(x3)) = P'(rho(x3))/rho(x3); `law` picks the layer at x3 = 0."""
+    p = profile.params
+    if not (-p.b <= x3 <= p.ell):
+        raise ValueError(f"x3 = {x3} outside [{-p.b}, {p.ell}]")
+    if law is None:
+        layer = "plus" if x3 >= 0 else "minus"
+    elif law is profile.law_plus:
+        layer = "plus"
+    elif law is profile.law_minus:
+        layer = "minus"
+    else:
+        raise ValueError("law does not belong to this profile")
+    if layer == "plus" and x3 < 0:
+        raise ValueError(f"x3 = {x3} not in the upper layer")
+    if layer == "minus" and x3 > 0:
+        raise ValueError(f"x3 = {x3} not in the lower layer")
+    rho = profile.rho(x3, layer)
+    return float(profile.law(layer).derivative(rho) / rho)

@@ -1,10 +1,15 @@
 """End-to-end CLI runs against temporary configs and output directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rtstab
 from rtstab.cli import main
 from rtstab.config import load_config
 from rtstab.errors import ConfigError
@@ -168,6 +173,35 @@ def test_linalg_error_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["alpha", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--xi", "1.0", "--s", "0.1"]) == 3
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command, flag", [("growth", "--xi"), ("oracle", "--xi"),
+                                           ("alpha", "--xi"), ("alpha", "--s")])
+def test_nonpositive_or_nonfinite_flag_exit_2(tmp_path, capsys, command, flag, value):
+    cfg = write_config(tmp_path / "cfg.json")
+    args = {"--xi": "1.0", "--s": "0.1"} if command == "alpha" else {"--xi": "1.0"}
+    args[flag] = value
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv + [a for kv in args.items() for a in kv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} must be finite and > 0" in err
+
+
+def test_default_run_skips_interpolate_and_optimize(tmp_path):
+    # the isothermal path needs neither; only a tabulated law imports them
+    cfg = write_config(tmp_path / "cfg.json", n=12, cutoff=1.2)
+    code = ("import sys\n"
+            "from rtstab.cli import main\n"
+            f"assert main(['dispersion', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.special', "
+            "'scipy.optimize') if m in sys.modules))\n")
+    src = str(Path(rtstab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_load_config_validates(tmp_path):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from rtstab.equilibrium import (EquilibriumProfile, PressureLaw,
-                                check_admissibility, enthalpy_weight,
-                                export_profile_csv, solve_equilibrium)
+                                check_admissibility, export_profile_csv,
+                                solve_equilibrium)
 from rtstab.errors import DegeneratePressure, InverseFailure, OutsideTable
 from tests.conftest import unit_params
+from tests.oracles import enthalpy_weight
 
 
 def test_isothermal_matches_closed_form(unstable_profile):
@@ -22,6 +23,16 @@ def test_isothermal_matches_closed_form(unstable_profile):
     exact_m = 0.5 * np.e * np.exp(-xm / 2.0)
     rel_m = np.abs(unstable_profile.rho_minus(xm) - exact_m) / exact_m
     assert rel_m.max() <= 1e-8
+
+
+def test_hermite_profile_matches_closed_form_at_midpoints(unstable_profile):
+    # midpoints are where a cubic Hermite interpolant is farthest from its nodes
+    for x, f, exact in ((unstable_profile.x_plus, unstable_profile.rho_plus,
+                         lambda t: np.exp(1.0 - t)),
+                        (unstable_profile.x_minus, unstable_profile.rho_minus,
+                         lambda t: 0.5 * np.e * np.exp(-t / 2.0))):
+        mids = 0.5 * (x[1:] + x[:-1])
+        assert np.max(np.abs(f(mids) - exact(mids)) / exact(mids)) <= 1e-12
 
 
 def test_top_boundary_value_exact(unstable_profile):
@@ -109,6 +120,21 @@ def test_admissibility_pass(unstable_profile):
     assert report.passed
     assert report.min_density == pytest.approx(1.0, rel=1e-10)
     assert report.argmin_x3 == pytest.approx(1.0)
+
+
+def test_admissibility_flags_perturbed_sample(unstable_profile, params):
+    # a node-only residual would miss this: the Hermite slope there is the
+    # formula at the perturbed value, so only the midpoints see the defect
+    rho = unstable_profile.rho_plus_samples.copy()
+    rho[len(rho) // 2] += 1e-6
+    bad = EquilibriumProfile.from_samples(
+        unstable_profile.law_plus, unstable_profile.law_minus, params,
+        unstable_profile.x_plus, rho,
+        unstable_profile.x_minus, unstable_profile.rho_minus_samples)
+    report = check_admissibility(bad)
+    assert check_admissibility(unstable_profile).max_hydrostatic_residual < 1e-10
+    assert not report.passed
+    assert report.failures == ("HydrostaticResidual",)
 
 
 def test_admissibility_flags_negative_density(unstable_profile, params):

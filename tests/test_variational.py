@@ -1,5 +1,6 @@
 """Assembly contracts, eigensolver agreement, and variational structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from rtstab.variational import (BAND, assemble_forms, assemble_forms_3field,
                                 build_mesh, eig_residual, evaluate_energy,
                                 min_eig, min_eig_3field, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
+from rtstab.errors import BandOverflow
 from tests.conftest import unit_params
 from tests.oracles import add_element, assemble_forms_alt
 
@@ -317,6 +319,16 @@ def test_3field_rotation_invariance(unstable_profile, params):
     a_rot, _ = min_eig_3field(
         assemble_forms_3field(mesh, unstable_profile, (c, s), params), 0.05)
     assert a_rot == pytest.approx(a_axis, abs=1e-11)
+
+
+def test_band_overflow_is_a_solver_error(unstable_profile, params, mesh40):
+    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    wide = forms.M.tolil()
+    wide[0, mesh40.ndof - 1] = wide[mesh40.ndof - 1, 0] = 1e-3
+    bad = dataclasses.replace(forms, M=wide.tocsr())
+    with pytest.raises(BandOverflow):
+        bad.band
+    assert not isinstance(BandOverflow(), ValueError)
 
 
 def test_min_eig_requires_positive_s(unstable_profile, params, mesh40):
