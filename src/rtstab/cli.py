@@ -10,10 +10,10 @@ Subcommands:
     oracle        trajectory.csv + rate.json for --xi
     extend        extension.csv for --input grid, order --m
 
-Shared flags: --config PATH (required), --out DIR, --threads N.  Exit codes:
-0 success, 2 configuration/contract error, 3 solver failure.  Artifacts are
-deterministic: CSV floats print with %.17g, JSON uses sorted keys and
-round-trip float repr.
+Shared flags: --config PATH (required), --out DIR, --threads N (used by
+dispersion only).  Exit codes: 0 success, 2 configuration/contract error, 3
+solver failure.  Artifacts are deterministic: CSV floats print with %.17g,
+JSON uses sorted keys and round-trip float repr.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ def _profile_and_mesh(cfg: RunConfig):
     return profile, mesh
 
 
-def _solver_options(cfg: RunConfig) -> disp.SolverOptions:
-    return disp.SolverOptions(s_max_factor=cfg.numerics.s_max_factor,
-                              root_tol=cfg.numerics.root_tol,
-                              eig_tol=cfg.numerics.eig_tol)
-
-
 def _rounded_regime_inputs(cfg: RunConfig, profile):
     """Apply the configured zero epsilon before the exact-table call."""
     eps = cfg.numerics.zero_epsilon
@@ -86,7 +80,7 @@ def cmd_dispersion(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
     summary = disp.sweep_lattice(profile, mesh, cfg.params,
                                  cutoff=cfg.numerics.xi_cutoff,
-                                 opts=_solver_options(cfg),
+                                 numerics=cfg.numerics,
                                  threads=args.threads)
     disp.write_dispersion_csv(summary.curve, out / "dispersion.csv")
     _write_json(disp.summary_dict(summary), out / "summary.json")
@@ -95,7 +89,7 @@ def cmd_dispersion(cfg, out, args) -> int:
 
 def cmd_growth(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, _solver_options(cfg))
+    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, cfg.numerics)
     _write_json({"xi": list(pt.xi), "xi_abs": pt.xi_abs, "lambda": pt.lam,
                  "alpha_at_star": pt.alpha_at_star, "iterations": pt.iterations,
                  "converged": pt.converged}, out / "growth.json")
@@ -111,7 +105,7 @@ def cmd_classify(cfg, out, args) -> int:
 
 def cmd_mode(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, _solver_options(cfg))
+    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, cfg.numerics)
     if pt.lam <= 0:
         raise InvalidInput(f"no growing mode at |xi| = {args.xi} (lambda = 0)")
     mode = modes_mod.assemble_mode(pt, profile, mesh)
@@ -121,7 +115,7 @@ def cmd_mode(cfg, out, args) -> int:
 
 def cmd_oracle(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, _solver_options(cfg))
+    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, cfg.numerics)
     ops = evolve.semidiscretize(profile, mesh, (args.xi, 0.0), cfg.params)
     if pt.lam > 0:
         state = evolve.state_from_mode(ops, modes_mod.assemble_mode(pt, profile, mesh))
@@ -132,8 +126,7 @@ def cmd_oracle(cfg, out, args) -> int:
         dt = cfg.numerics.dt if cfg.numerics.dt else 0.05
         t_final = cfg.numerics.t_final if cfg.numerics.t_final else 20.0
     integ = evolve.IntegratorParams(dt=dt, t_final=t_final,
-                                    scheme=cfg.numerics.scheme,
-                                    fit_window=cfg.numerics.fit_window)
+                                    scheme=cfg.numerics.scheme)
     traj = evolve.advance(state, ops, integ)
     evolve.write_trajectory_csv(traj, ops, out / "trajectory.csv")
     fitted = evolve.measure_growth(traj, cfg.numerics.fit_window)
@@ -179,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for the dispersion sweep")
         if name in ("alpha", "growth", "mode", "oracle"):
             p.add_argument("--xi", type=float, required=True,
                            help="frequency magnitude |xi|")
@@ -197,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("xi", "s"):
+        for flag in ("xi", "s", "threads"):
             value = getattr(args, flag, None)
             if value is not None and not 0.0 < value < np.inf:
                 raise InvalidInput(f"--{flag} must be finite and > 0, got {value}")

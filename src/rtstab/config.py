@@ -36,6 +36,9 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class NumericsConfig:
+    """Validated numerics settings; dispersion.growth_rate and sweep_lattice
+    take their solver tolerances from it."""
+
     n_minus: int = 100
     n_plus: int = 100
     n_samples: int = 513
@@ -54,10 +57,11 @@ class NumericsConfig:
             raise ConfigError("numerics.n_minus and numerics.n_plus must be >= 2")
         if self.n_samples < 8:
             raise ConfigError("numerics.n_samples must be >= 8")
-        for name in ("eig_tol", "root_tol", "s_max_factor", "xi_cutoff",
-                     "fit_window", "zero_epsilon"):
+        for name in ("eig_tol", "root_tol", "xi_cutoff", "fit_window", "zero_epsilon"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"numerics.{name} must be > 0")
+        if not self.s_max_factor > 1:  # S_max must lie above the growth bound
+            raise ConfigError("numerics.s_max_factor must be > 1")
         if self.fit_window > 1:
             raise ConfigError("numerics.fit_window must be <= 1")
         if self.dt is not None and self.dt <= 0:

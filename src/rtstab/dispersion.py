@@ -43,28 +43,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from .variational import (Mesh1D, QuadraticForms, assemble_forms,
                           eig_residual, evaluate_energy, min_eig, project_p1)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Root-finder and eigensolver knobs for a dispersion solve.
-
-    eig_tol bounds the relative eigen-residual (variational.eig_residual) of
-    the returned minimizer; a point above it is reported unconverged.
-    """
-
-    s_max_factor: float = 1.25
-    s_min_frac: float = 1e-8
-    root_tol: float = 1e-10
-    max_iter: int = 200
-    eig_tol: float = 1e-10
-
-
-DEFAULT_OPTIONS = SolverOptions()
+S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
+MAX_ITER = 200  # root-solve iterations before SolverDivergence
 
 
 @dataclass(frozen=True)
@@ -150,22 +137,22 @@ def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
 
 
 def _bracket(profile: EquilibriumProfile, params: PhysicalParams,
-             opts: SolverOptions) -> tuple[float, float]:
+             numerics: NumericsConfig) -> tuple[float, float]:
     """(s_min, S_max): S_max = s_max_factor * b g jump / mu_minus, or
-    b g / mu_minus when the orientation is stable, and s_min = s_min_frac S_max."""
+    b g / mu_minus when the orientation is stable, and s_min = S_MIN_FRAC S_max."""
     bound = params.b * params.g * max(profile.jump, 0.0) / params.mu_minus
-    s_max = opts.s_max_factor * bound if bound > 0 else params.b * params.g / params.mu_minus
-    return opts.s_min_frac * s_max, s_max
+    s_max = numerics.s_max_factor * bound if bound > 0 else params.b * params.g / params.mu_minus
+    return S_MIN_FRAC * s_max, s_max
 
 
 def _converged(forms: QuadraticForms, s: float, alpha: float, v: np.ndarray,
-               opts: SolverOptions) -> bool:
-    return eig_residual(forms, s, alpha, v) <= opts.eig_tol
+               numerics: NumericsConfig) -> bool:
+    return eig_residual(forms, s, alpha, v) <= numerics.eig_tol
 
 
 def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
-                params: PhysicalParams, opts: SolverOptions = DEFAULT_OPTIONS,
-                forms: QuadraticForms | None = None) -> DispersionPoint:
+                params: PhysicalParams,
+                numerics: NumericsConfig = NumericsConfig()) -> DispersionPoint:
     """Solve s^2 + alpha(s) = 0 at one frequency magnitude.
 
     If the probe alpha(s_min) is already nonnegative there is no growing
@@ -173,18 +160,18 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
     with no sign change on the bracket is an inconsistency and raises
     NoSignChange rather than being repaired.  Otherwise the root comes from
     Newton steps inside [s_min, S_max]; iterations counts every eigensolve,
-    the two end-point probes included.
+    the two end-point probes included.  numerics supplies s_max_factor,
+    root_tol and eig_tol.
     """
     if xi_abs <= 0:
         raise ValueError("xi_abs must be > 0")
-    if forms is None:
-        forms = assemble_forms(mesh, profile, xi_abs, params)
-    s_min, s_max = _bracket(profile, params, opts)
+    forms = assemble_forms(mesh, profile, xi_abs, params)
+    s_min, s_max = _bracket(profile, params, numerics)
     alpha0, v0 = min_eig(forms, s_min)
     xi = (float(xi_abs), 0.0)
     if alpha0 >= 0:
         return DispersionPoint(xi, float(xi_abs), 0.0, alpha0, v0, 1,
-                               _converged(forms, s_min, alpha0, v0, opts))
+                               _converged(forms, s_min, alpha0, v0, numerics))
     f_lo = s_min**2 + alpha0
     if f_lo > 0:
         raise NoSignChange(
@@ -213,12 +200,12 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
         _alpha, v = payload
         return 2.0 * s + float(v @ forms.K1 @ v)  # Hellmann-Feynman
 
-    ftol = opts.root_tol * s_max**2
-    wtol = opts.root_tol * s_max
+    ftol = numerics.root_tol * s_max**2
+    wtol = numerics.root_tol * s_max
     root, _fval, (alpha, v), iters = _bisect_root(
-        f, s_min, s_max, f_lo, f_hi, ftol, wtol, opts.max_iter, slope)
+        f, s_min, s_max, f_lo, f_hi, ftol, wtol, MAX_ITER, slope)
     return DispersionPoint(xi, float(xi_abs), root, alpha, v, iters + 2,
-                           _converged(forms, root, alpha, v, opts))
+                           _converged(forms, root, alpha, v, numerics))
 
 
 def _dedup_lattice(params: PhysicalParams, limit: float):
@@ -249,7 +236,7 @@ def _dedup_lattice(params: PhysicalParams, limit: float):
 
 
 def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalParams,
-                  cutoff: float, opts: SolverOptions = DEFAULT_OPTIONS,
+                  cutoff: float, numerics: NumericsConfig = NumericsConfig(),
                   threads: int = 1) -> GrowthSummary:
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
@@ -271,18 +258,18 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
     def solve_one(item):
         key, (m, n) = item
         xi_abs = math.sqrt(float(key))
-        point = growth_rate(profile, xi_abs, mesh, params, opts)
+        point = growth_rate(profile, xi_abs, mesh, params, numerics)
         return replace(point, xi=(m / params.L1, n / params.L2))
 
     def probe_one(item):
         key, (m, n) = item
         xi_abs = math.sqrt(float(key))
         forms = assemble_forms(mesh, profile, xi_abs, params)
-        s_min = _bracket(profile, params, opts)[0]
+        s_min = _bracket(profile, params, numerics)[0]
         alpha0, v0 = min_eig(forms, s_min)
         return DispersionPoint((m / params.L1, n / params.L2), xi_abs,
                                0.0, alpha0, v0, 1,
-                               _converged(forms, s_min, alpha0, v0, opts))
+                               _converged(forms, s_min, alpha0, v0, numerics))
 
     def run(item):
         key, _ = item

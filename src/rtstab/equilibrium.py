@@ -227,11 +227,9 @@ class EquilibriumProfile:
     def rho_minus(self, x3):
         return self._interp_minus(x3)
 
-    def rho(self, x3, layer: str | None = None):
-        """Density at x3; the interface value is taken from `layer` (default:
-        upper side for x3 >= 0)."""
-        if layer is None:
-            layer = "plus" if np.all(np.asarray(x3) >= 0) else "minus"
+    def rho(self, x3, layer: str):
+        """Density at x3 from `layer`'s interpolant ("plus" or "minus"), which
+        also picks the side of the jump at the interface."""
         return self.rho_plus(x3) if layer == "plus" else self.rho_minus(x3)
 
 

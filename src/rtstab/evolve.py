@@ -51,18 +51,15 @@ BLOCK = 8  # states per vectorised block of the energy-balance pass
 
 @dataclass(frozen=True)
 class IntegratorParams:
-    """Implicit one-step scheme selection and rate-fit window."""
+    """Implicit one-step scheme selection."""
 
     dt: float
     t_final: float
     scheme: str = "trapezoidal"
-    fit_window: float = 0.5
 
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
-        if not 0 < self.fit_window <= 1:
-            raise ValueError("fit_window must lie in (0, 1]")
         if self.scheme not in ("trapezoidal", "implicit_euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -113,7 +110,7 @@ class EvolutionOperators:
         qdofs = e + [0, 1] + (e >= mesh.interface_index)
         udofs = mesh.dofs(3)
         udofs[udofs >= 0] += nq
-        rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params)
+        rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
         N = mesh.quad[2]
         u, du = field_rows(mesh, 3)
         r = rho[..., None]
@@ -213,19 +210,6 @@ def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> FrequencyStat
     q = np.concatenate([mode.q_tilde_minus, mode.q_tilde_plus]).astype(complex)
     return FrequencyState(q, u, complex(mode.eta_tilde_plus),
                           complex(mode.eta_tilde_minus), 0.0)
-
-
-def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> FrequencyState:
-    """Random complex initial data (essential constraints respected)."""
-    rng = np.random.default_rng(seed)
-    mesh = ops.mesh
-    q = scale * (rng.standard_normal(ops.nq) + 1j * rng.standard_normal(ops.nq))
-    u = scale * (rng.standard_normal((3, mesh.n_nodes))
-                 + 1j * rng.standard_normal((3, mesh.n_nodes)))
-    u[:, 0] = 0.0
-    eta_p = scale * complex(rng.standard_normal(), rng.standard_normal())
-    eta_m = scale * complex(rng.standard_normal(), rng.standard_normal())
-    return FrequencyState(q, u, eta_p, eta_m, 0.0)
 
 
 def interface_bump_state(ops: EvolutionOperators) -> FrequencyState:

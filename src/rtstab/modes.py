@@ -63,7 +63,7 @@ def project_q_tilde(mesh: Mesh1D, profile: EquilibriumProfile, phi: np.ndarray,
                     theta: np.ndarray, psi: np.ndarray, xi: tuple[float, float],
                     lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Broken P1 projection of -(1/lam)[(rho psi)' + rho (xi1 phi + xi2 theta)]."""
-    rho, drho, *_ = layer_fields(mesh, profile, profile.params)
+    rho, drho, *_ = layer_fields(mesh, profile, profile.params, mesh.quad[0])
     N = mesh.quad[2]
 
     def at_points(f):
@@ -197,59 +197,31 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile,
     dpsi = np.diff(psi) / h
     i0 = mesh.interface_index
 
-    def coeffs(e):
-        layer = mesh.element_layer(e)
-        return layer, params.mu(layer), params.mu_prime(layer)
-
     # Midpoint flux samples.  flux_phi = lam mu phi'; flux_perp likewise for
     # the transverse field; flux_v = (4 lam mu/3 + lam mu') psi'
     #                              + (lam mu' + lam mu/3) |xi| phi;
     # flux_p = h'(rho) [ (rho psi)' + rho |xi| phi ]  (note P' = rho h').
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    ne = mesh.n_elements
-    f_phi = np.empty(ne)
-    f_perp = np.empty(ne)
-    f_v = np.empty(ne)
-    f_p = np.empty(ne)
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mids)
     phi_mid = 0.5 * (phi_par[:-1] + phi_par[1:])
     psi_mid = 0.5 * (psi[:-1] + psi[1:])
     perp_mid = 0.5 * (phi_perp[:-1] + phi_perp[1:])
-    rho_mid = np.empty(ne)
-    dp_mid = np.empty(ne)
-    for e in range(ne):
-        layer, mu, mu_p = coeffs(e)
-        rho = float(profile.rho(mids[e], layer))
-        dp = float(profile.law(layer).derivative(rho))
-        drho = -params.g * rho / dp
-        rho_mid[e], dp_mid[e] = rho, dp
-        f_phi[e] = lam * mu * dphi[e]
-        f_perp[e] = lam * mu * dperp[e]
-        f_v[e] = (4 * lam * mu / 3 + lam * mu_p) * dpsi[e] \
-            + (lam * mu_p + lam * mu / 3) * xi_abs * phi_mid[e]
-        f_p[e] = (dp / rho) * (drho * psi_mid[e] + rho * dpsi[e]
-                               + rho * xi_abs * phi_mid[e])
+    f_phi = lam * mu * dphi
+    f_perp = lam * mu * dperp
+    f_v = (4 * lam * mu / 3 + lam * mu_p) * dpsi \
+        + (lam * mu_p + lam * mu / 3) * xi_abs * phi_mid
+    f_p = (dp / rho) * (drho * psi_mid + rho * dpsi + rho * xi_abs * phi_mid)
+    df_phi, df_perp, df_v, df_p = (_flux_slope(mesh, f)
+                                   for f in (f_phi, f_perp, f_v, f_p))
 
-    df_phi = _flux_slope(mesh, f_phi)
-    df_perp = _flux_slope(mesh, f_perp)
-    df_v = _flux_slope(mesh, f_v)
-    df_p = _flux_slope(mesh, f_p)
-
-    r_phi = 0.0
-    r_psi = 0.0
-    r_perp = 0.0
-    for e in range(ne):
-        layer, mu, mu_p = coeffs(e)
-        rho, dp = rho_mid[e], dp_mid[e]
-        drho = -params.g * rho / dp
-        a_coef = lam**2 * rho + lam * mu * xi_abs**2 \
-            + xi_abs**2 * (lam * mu_p + lam * mu / 3 + dp * rho)
-        b_term = xi_abs * ((lam * mu_p + lam * mu / 3) * dpsi[e]
-                           + dp * (drho * psi_mid[e] + rho * dpsi[e]))
-        r_phi = max(r_phi, abs(-df_phi[e] + a_coef * phi_mid[e] + b_term))
-        r_psi = max(r_psi, abs(-df_v[e] - rho * df_p[e]
-                               + (lam**2 * rho + lam * mu * xi_abs**2) * psi_mid[e]))
-        r_perp = max(r_perp, abs(-df_perp[e]
-                                 + (lam**2 * rho + lam * mu * xi_abs**2) * perp_mid[e]))
+    a_coef = lam**2 * rho + lam * mu * xi_abs**2 \
+        + xi_abs**2 * (lam * mu_p + lam * mu / 3 + dp * rho)
+    b_term = xi_abs * ((lam * mu_p + lam * mu / 3) * dpsi
+                       + dp * (drho * psi_mid + rho * dpsi))
+    inertia = lam**2 * rho + lam * mu * xi_abs**2
+    r_phi = float(np.abs(-df_phi + a_coef * phi_mid + b_term).max())
+    r_psi = float(np.abs(-df_v - rho * df_p + inertia * psi_mid).max())
+    r_perp = float(np.abs(-df_perp + inertia * perp_mid).max())
 
     # Boundary and jump rows from layer-end extrapolated fluxes.
     mu_pl = params.mu_plus
@@ -300,8 +272,3 @@ def export_mode(mode: GrowingMode, csv_path, json_path=None) -> None:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def import_mode_csv(csv_path) -> dict[str, np.ndarray]:
-    """Re-read an exported mode CSV into column arrays (round-trip exact)."""
-    data = np.genfromtxt(csv_path, delimiter=",", names=True)
-    return {name: np.atleast_1d(data[name]) for name in data.dtype.names}

@@ -30,11 +30,6 @@ eigenpair by Lanczos on U (K - shift M)^-1 U^T, where M = U^T U, with banded
 Cholesky factorizations only: a shift is certified below the spectrum exactly
 when the Cholesky factorization of K - shift M succeeds.
 
-A three-field variant (phi, theta, psi) assembles the full quadratic
-structure at a general frequency vector; at xi = (|xi|, 0) the theta block
-decouples and is coercive, which is the discrete counterpart of dropping
-theta from the reduction.
-
 Every matrix here, the evolution oracle's (M, A) and both P1 projections
 come from one vectorised element kernel, `assemble`: a list of terms
 (c, B[, C]) of quadrature-point coefficients and linear-functional rows,
@@ -48,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -96,9 +90,6 @@ class Mesh1D:
         """Two-field (phi, psi) dof count."""
         return 2 * self.n_free
 
-    def element_layer(self, e: int) -> str:
-        return "minus" if e < self.n_minus else "plus"
-
     @cached_property
     def quad(self):
         """(xq, wq, N, dN) on every element: Gauss points and weights of shape
@@ -134,10 +125,11 @@ def build_mesh(b: float, ell: float, n_minus: int, n_plus: int) -> Mesh1D:
 
 
 def layer_fields(mesh: Mesh1D, profile: EquilibriumProfile,
-                 params: PhysicalParams) -> np.ndarray:
-    """rho, rho' = -g rho / P'(rho), P'(rho), mu and mu' at every quadrature
-    point, stacked as (5, E, Q); each element takes its own layer's values."""
-    xq = mesh.quad[0]
+                 params: PhysicalParams, xq: np.ndarray) -> np.ndarray:
+    """rho, rho' = -g rho / P'(rho), P'(rho), mu and mu' at the points xq,
+    stacked as (5, *xq.shape); row e of xq holds points of element e, such as
+    its quadrature points mesh.quad[0] or its midpoint, and takes the values
+    of that element's layer."""
     out = np.empty((5, *xq.shape))
     for layer, rows in (("minus", slice(0, mesh.n_minus)),
                         ("plus", slice(mesh.n_minus, None))):
@@ -253,7 +245,7 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     """
     xi = float(xi_abs)
     nf = mesh.n_free
-    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params)
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
     (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
     r, dr = rho[..., None], drho[..., None]
     dv = dpsi + xi * phi
@@ -310,30 +302,21 @@ def _shift_invert_min(forms: QuadraticForms, s: float,
     return shift + 1.0 / float(theta[0]), v
 
 
-def min_eig(forms: QuadraticForms, s: float, method: str = "iterative",
+def min_eig(forms: QuadraticForms, s: float,
             below: float | None = None) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K0 + s K1) v = alpha M v.
 
     The minimizer is returned J-normalized (v^T M v = 1) with the interface
-    psi value >= 0.  method "iterative" is the banded shift-invert Lanczos
-    of the module docstring, at the first of 0, `below` (a caller's guess
-    under alpha) and the proven bound -1.1 g|xi| - 1 < -g|xi| <= alpha whose
+    psi value >= 0.  The solve is the banded shift-invert Lanczos of the
+    module docstring, at the first of 0, `below` (a caller's guess under
+    alpha) and the proven bound -1.1 g|xi| - 1 < -g|xi| <= alpha whose
     Cholesky factorization certifies it below the spectrum; the closer the
     shift, the fewer the Lanczos steps.  Lanczos starts from a fixed vector,
-    so equal inputs give bit-identical results.  method "dense" reduces via
-    Cholesky of M and solves the full spectrum: the reference the banded
-    path is tested against.
+    so equal inputs give bit-identical results.
     """
     if s <= 0:
         raise ValueError("modified-problem parameter s must be > 0")
-    if method == "dense":
-        vals, vecs = scipy.linalg.eigh((forms.K0 + s * forms.K1).toarray(),
-                                       forms.M.toarray())
-        alpha, v = float(vals[0]), vecs[:, 0]
-    elif method == "iterative":
-        alpha, v = _shift_invert_min(forms, s, below)
-    else:
-        raise ValueError(f"unknown eigensolve method {method!r}")
+    alpha, v = _shift_invert_min(forms, s, below)
     v = v / np.sqrt(v @ forms.M @ v)
     return alpha, _fix_sign(v, forms.psi_interface_dof)
 
@@ -356,18 +339,6 @@ def evaluate_energy(forms: QuadraticForms, v: np.ndarray, s: float) -> tuple[flo
     return e, j
 
 
-@dataclass(frozen=True)
-class Forms3Field:
-    """Three-field (phi, theta, psi) matrices; dof blocks in that order."""
-
-    K0: np.ndarray
-    K1: np.ndarray
-    M: np.ndarray
-    xi: tuple[float, float]
-    n_free: int
-    psi_interface_dof: int
-
-
 def viscous_terms(mu, mu_p, u, du, k):
     """Yield the kernel terms of the dissipation
 
@@ -386,45 +357,3 @@ def viscous_terms(mu, mu_p, u, du, k):
     yield 0.5 * mu, k1 * u3 + du1
     yield 0.5 * mu, k2 * u3 + du2
     yield 0.5 * mu_p, dv
-
-
-def assemble_forms_3field(mesh: Mesh1D, profile: EquilibriumProfile,
-                          xi: tuple[float, float], params: PhysicalParams) -> Forms3Field:
-    """Full quadratic structure at a frequency vector xi = (xi1, xi2).
-
-    E1 is the viscous dissipation (viscous_terms) of the normal-mode
-    velocity u = (-i phi, -i theta, psi) exp(i xi.x'), the field the
-    evolution oracle starts from; it is real.  At xi2 = 0 the theta block
-    decouples from (phi, psi).
-    """
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    nf = mesh.n_free
-    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params)
-    (phi, theta, psi), (dphi, dtheta, dpsi) = field_rows(mesh, 3)
-    r, dr = rho[..., None], drho[..., None]
-    dofs = mesh.dofs(3)
-    shape = (3 * nf, 3 * nf)
-    K0 = assemble(mesh, [(0.5 * dp / rho,
-                          dr * psi + r * dpsi + r * (xi1 * phi + xi2 * theta))],
-                  dofs, dofs, shape).toarray()
-    K1 = assemble(mesh, viscous_terms(mu, mu_p, (-1j * phi, -1j * theta, psi),
-                                      (-1j * dphi, -1j * dtheta, dpsi),
-                                      (1j * xi1, 1j * xi2)),
-                  dofs, dofs, shape).toarray().real
-    M = assemble(mesh, [(0.5 * rho, f) for f in (phi, theta, psi)],
-                 dofs, dofs, shape).toarray()
-    xi_sq = xi1**2 + xi2**2
-    psi0, psiL = 2 * nf + mesh.interface_index - 1, 3 * nf - 1
-    K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi_sq - profile.jump * params.g)
-    K0[psiL, psiL] += 0.5 * (params.sigma_plus * xi_sq + profile.rho1 * params.g)
-    return Forms3Field(K0, K1, M, (xi1, xi2), nf, psi0)
-
-
-def min_eig_3field(forms: Forms3Field, s: float) -> tuple[float, np.ndarray]:
-    """Dense smallest eigenpair of the three-field pencil, J-normalized."""
-    if s <= 0:
-        raise ValueError("modified-problem parameter s must be > 0")
-    vals, vecs = scipy.linalg.eigh(forms.K0 + s * forms.K1, forms.M)
-    v = vecs[:, 0]
-    v = v / np.sqrt(v @ forms.M @ v)
-    return float(vals[0]), _fix_sign(v, forms.psi_interface_dof)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs against temporary configs and output directories."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import rtstab
+from bench.spans import TARGETS
 from rtstab.cli import main
 from rtstab.config import load_config
 from rtstab.errors import ConfigError
@@ -175,12 +177,16 @@ def test_linalg_error_exit_3(tmp_path, capsys, monkeypatch):
     assert "solver error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("command, flag", [("growth", "--xi"), ("oracle", "--xi"),
-                                           ("alpha", "--xi"), ("alpha", "--s")])
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, flag, value)
+      for command, flag in (("growth", "--xi"), ("oracle", "--xi"),
+                            ("alpha", "--xi"), ("alpha", "--s"))
+      for value in ("nan", "inf", "0", "-1")),
+    ("dispersion", "--threads", "0"), ("dispersion", "--threads", "-1")])
 def test_nonpositive_or_nonfinite_flag_exit_2(tmp_path, capsys, command, flag, value):
     cfg = write_config(tmp_path / "cfg.json")
-    args = {"--xi": "1.0", "--s": "0.1"} if command == "alpha" else {"--xi": "1.0"}
+    args = {"alpha": {"--xi": "1.0", "--s": "0.1"},
+            "dispersion": {}}.get(command, {"--xi": "1.0"})
     args[flag] = value
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
     assert main(argv + [a for kv in args.items() for a in kv]) == 2
@@ -215,3 +221,15 @@ def test_load_config_validates(tmp_path):
     cfg2 = write_config(tmp_path / "cfg2.json", scheme="rk9")
     with pytest.raises(ConfigError):
         load_config(cfg2)
+    for factor in (0.5, 1.0):  # S_max must lie above the growth bound
+        cfg3 = write_config(tmp_path / "cfg3.json", s_max_factor=factor)
+        with pytest.raises(ConfigError, match="s_max_factor must be > 1"):
+            load_config(cfg3)
+
+
+def test_bench_span_targets_resolve():
+    # the benchmark times each layer by wrapping these names in place, and a
+    # name that no longer resolves is timed as 0 instead of failing the run
+    for module, attr, _span, _attrs in TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), \
+            f"{module}.{attr}"

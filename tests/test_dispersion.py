@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from rtstab.dispersion import (DispersionPoint, SolverOptions, _bisect_root,
-                               _dedup_lattice, critical_frequency,
-                               critical_tension, growth_rate, negativity_probe,
-                               psi_bump, psi_bump_norm_sq, sweep_lattice,
+from rtstab.config import NumericsConfig
+from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
+                               critical_frequency, critical_tension,
+                               growth_rate, negativity_probe, psi_bump,
+                               psi_bump_norm_sq, sweep_lattice,
                                write_dispersion_csv)
 from rtstab.errors import NoSignChange, NotUnstableOrientation
 from rtstab.variational import assemble_forms, build_mesh, min_eig
@@ -157,7 +158,7 @@ def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
 def test_converged_flag_comes_from_the_eigen_residual(unstable_profile, params,
                                                       mesh40):
     assert growth_rate(unstable_profile, 1.0, mesh40, params).converged
-    strict = SolverOptions(eig_tol=1e-300)
+    strict = NumericsConfig(eig_tol=1e-300)
     assert not growth_rate(unstable_profile, 1.0, mesh40, params, strict).converged
     prm = unit_params(sigma_minus=0.5)
     probe = growth_rate(unstable_profile, 3.0, mesh40, prm, strict)

@@ -10,10 +10,11 @@ from rtstab.dispersion import growth_rate
 from rtstab.errors import SingularStep, ZeroSignal
 from rtstab.evolve import (IntegratorParams, Trajectory, advance,
                            energy_balance_residual, interface_bump_state,
-                           measure_growth, random_state, semidiscretize,
-                           state_from_mode, write_trajectory_csv)
+                           measure_growth, semidiscretize, state_from_mode,
+                           write_trajectory_csv)
 from rtstab.modes import assemble_mode
 from rtstab.variational import assemble_forms, build_mesh
+from tests.oracles import random_state
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ def test_time_reversal_single_step(unstable_setup):
 def test_oracle_rate_agreement(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     lam = pt.lam
-    integ = IntegratorParams(dt=0.01 / lam, t_final=6.0 / lam, fit_window=0.5)
+    integ = IntegratorParams(dt=0.01 / lam, t_final=6.0 / lam)
     traj = advance(state_from_mode(ops, mode), ops, integ)
     fitted = measure_growth(traj, 0.5)
     assert fitted == pytest.approx(lam, rel=0.02)

@@ -8,9 +8,9 @@ import pytest
 
 from rtstab.dispersion import growth_rate
 from rtstab.errors import DegenerateMode, NotARotation
-from rtstab.modes import (assemble_mode, export_mode, import_mode_csv,
-                          ode_residual, rotate_mode)
+from rtstab.modes import assemble_mode, export_mode, ode_residual, rotate_mode
 from rtstab.variational import build_mesh
+from tests.oracles import import_mode_csv
 
 
 @pytest.fixture(scope="module")

@@ -8,13 +8,13 @@ import pytest
 
 from scipy.linalg.lapack import dpbtrf
 
-from rtstab.variational import (BAND, assemble_forms, assemble_forms_3field,
-                                build_mesh, eig_residual, evaluate_energy,
-                                min_eig, min_eig_3field, project_p1)
+from rtstab.variational import (BAND, assemble_forms, build_mesh, eig_residual,
+                                evaluate_energy, min_eig, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import BandOverflow
 from tests.conftest import unit_params
-from tests.oracles import add_element, assemble_forms_alt
+from tests.oracles import (add_element, assemble_forms_3field, assemble_forms_alt,
+                           element_layer, min_eig_3field, min_eig_dense)
 
 
 def test_build_mesh_examples():
@@ -85,8 +85,8 @@ def test_dense_vs_iterative(unstable_profile, params):
         xi = float(rng.uniform(0.3, 3.0))
         s = float(rng.uniform(1e-4, 1.5))
         forms = assemble_forms(mesh, unstable_profile, xi, params)
-        a_dense, _ = min_eig(forms, s, method="dense")
-        a_iter, _ = min_eig(forms, s, method="iterative")
+        a_dense, _ = min_eig_dense(forms, s)
+        a_iter, _ = min_eig(forms, s)
         assert abs(a_dense - a_iter) <= 1e-9
 
 
@@ -96,7 +96,7 @@ def test_shift_invert_is_deterministic(unstable_profile, params, mesh100):
         runs = [min_eig(assemble_forms(mesh100, unstable_profile, 1.0, params), s)
                 for _ in range(2)]
         forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
-        runs += [min_eig(forms, s, method="iterative") for _ in range(2)]
+        runs += [min_eig(forms, s) for _ in range(2)]
         for alpha, v in runs[1:]:
             assert alpha == runs[0][0]
             assert np.array_equal(v, runs[0][1])
@@ -112,7 +112,7 @@ def test_sparse_matches_dense_past_sigma_c(unstable_profile):
     for xi in (1.0, 2.0, 5.0, 11.5):
         forms = assemble_forms(mesh, unstable_profile, xi, prm)
         a_sparse, v = min_eig(forms, s)
-        a_dense, _ = min_eig(forms, s, method="dense")
+        a_dense, _ = min_eig_dense(forms, s)
         assert a_dense > 0
         assert abs(a_sparse - a_dense) <= 1e-9
         assert eig_residual(forms, s, a_sparse, v) <= 1e-12
@@ -138,7 +138,7 @@ def test_band_storage_reproduces_interleaved_forms(unstable_profile, params, mes
 def test_hint_above_alpha_is_rejected(unstable_profile, params, mesh100):
     forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
     s = 0.5
-    a_dense, _ = min_eig(forms, s, method="dense")
+    a_dense, _ = min_eig_dense(forms, s)
     hint = a_dense + 0.05
     assert not _pd(forms, s, hint)
     alpha, v = min_eig(forms, s, below=hint)
@@ -153,7 +153,7 @@ def test_below_root_hinted_and_unhinted_match_dense(unstable_profile, params, me
     a_lo, _ = min_eig(forms, 0.01)
     hint = a_lo - 0.01 * abs(a_lo)
     for s in (0.02, 0.05):
-        a_dense, _ = min_eig(forms, s, method="dense")
+        a_dense, _ = min_eig_dense(forms, s)
         assert s * s + a_dense < 0
         assert not _pd(forms, s, 0.0) and _pd(forms, s, hint)
         for below in (None, hint):
@@ -249,7 +249,7 @@ def test_k1_and_m_match_closed_form_p1_elements():
     K1 = np.zeros((mesh.ndof, mesh.ndof))
     M = np.zeros_like(K1)
     for e in range(mesh.n_elements):
-        layer = mesh.element_layer(e)
+        layer = element_layer(mesh, e)
         h = mesh.nodes[e + 1] - mesh.nodes[e]
         rho = prof.rho1 if layer == "plus" else prof.rho_bot_interface
         mu = prm.mu(layer)
