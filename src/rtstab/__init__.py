@@ -12,8 +12,8 @@ from .dispersion import (DispersionPoint, GrowthSummary, critical_frequency,
                          psi_bump, psi_bump_norm_sq, sweep_lattice)
 from .equilibrium import (EquilibriumProfile, PhysicalParams, PressureLaw,
                           check_admissibility, solve_equilibrium)
-from .evolve import (FrequencyState, IntegratorParams, Trajectory, advance,
-                     energy_balance_residual, measure_growth, semidiscretize)
+from .evolve import (Trajectory, advance, energy_balance_residual,
+                     measure_growth, semidiscretize)
 from .modes import (GrowingMode, assemble_mode, export_mode, ode_residual,
                     rotate_mode)
 from .poisson_ext import (DownwardExtension, ExtensionParams,

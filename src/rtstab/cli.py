@@ -125,14 +125,12 @@ def cmd_oracle(cfg, out, args) -> int:
         state = evolve.interface_bump_state(ops)
         dt = cfg.numerics.dt if cfg.numerics.dt else 0.05
         t_final = cfg.numerics.t_final if cfg.numerics.t_final else 20.0
-    integ = evolve.IntegratorParams(dt=dt, t_final=t_final,
-                                    scheme=cfg.numerics.scheme)
-    traj = evolve.advance(state, ops, integ)
+    traj = evolve.advance(state, ops, dt, t_final)
     evolve.write_trajectory_csv(traj, ops, out / "trajectory.csv")
     fitted = evolve.measure_growth(traj, cfg.numerics.fit_window)
     _write_json({"xi_abs": args.xi, "lambda_variational": pt.lam,
-                 "fitted_rate": fitted, "dt": dt, "t_final": t_final,
-                 "scheme": cfg.numerics.scheme}, out / "rate.json")
+                 "fitted_rate": fitted, "dt": dt, "t_final": t_final},
+                out / "rate.json")
     return 0
 
 

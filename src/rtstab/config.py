@@ -17,17 +17,19 @@ Layout (defaults in parentheses):
                     "eig_tol" (1e-10), "root_tol" (1e-10),
                     "s_max_factor" (1.25), "xi_cutoff" (8.0),
                     "dt" (null = 0.01/lambda), "t_final" (null = 6/lambda),
-                    "scheme" ("trapezoidal"), "fit_window" (0.5),
-                    "zero_epsilon" (1e-12) }
+                    "fit_window" (0.5), "zero_epsilon" (1e-12) }
     }
 
-Tabulated laws carry "rho" and "p" arrays instead of "params".  Validation
-failures raise ConfigError with the violated constraint spelled out.
+Tabulated laws carry "rho" and "p" arrays instead of "params".  Element and
+sample counts must be JSON integers, and every other number must be finite.
+Validation failures, an unknown key under "numerics" among them, raise
+ConfigError with the violated constraint spelled out.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .equilibrium import PhysicalParams, PressureLaw
@@ -48,28 +50,29 @@ class NumericsConfig:
     xi_cutoff: float = 8.0
     dt: float | None = None
     t_final: float | None = None
-    scheme: str = "trapezoidal"
     fit_window: float = 0.5
     zero_epsilon: float = 1e-12
 
     def __post_init__(self):
+        # comparisons are written so that NaN fails them
+        for name in ("n_minus", "n_plus", "n_samples"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"numerics.{name} must be an integer")
         if self.n_minus < 2 or self.n_plus < 2:
             raise ConfigError("numerics.n_minus and numerics.n_plus must be >= 2")
         if self.n_samples < 8:
             raise ConfigError("numerics.n_samples must be >= 8")
-        for name in ("eig_tol", "root_tol", "xi_cutoff", "fit_window", "zero_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"numerics.{name} must be > 0")
-        if not self.s_max_factor > 1:  # S_max must lie above the growth bound
-            raise ConfigError("numerics.s_max_factor must be > 1")
-        if self.fit_window > 1:
-            raise ConfigError("numerics.fit_window must be <= 1")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("numerics.dt must be > 0 when given")
-        if self.t_final is not None and self.t_final <= 0:
-            raise ConfigError("numerics.t_final must be > 0 when given")
-        if self.scheme not in ("trapezoidal", "implicit_euler"):
-            raise ConfigError("numerics.scheme must be trapezoidal or implicit_euler")
+        for name in ("eig_tol", "root_tol", "xi_cutoff", "zero_epsilon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"numerics.{name} must be finite and > 0")
+        if not 1 < self.s_max_factor < math.inf:  # S_max must lie above the growth bound
+            raise ConfigError("numerics.s_max_factor must be > 1 and finite")
+        if not 0 < self.fit_window <= 1:
+            raise ConfigError("numerics.fit_window must lie in (0, 1]")
+        for name in ("dt", "t_final"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"numerics.{name} must be finite and > 0 when given")
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ and disappears entirely once sigma_minus reaches the critical tension
 
 because the smallest nonzero lattice frequency then falls outside the
 window.  The sweep enumerates xi in (1/L1)Z x (1/L2)Z, deduplicates by |xi|
-(rates depend on the magnitude alone), solves inside the window and records
-an alpha probe at the smallest s elsewhere.
+(rates depend on the magnitude alone) and calls growth_rate at every point;
+outside the window that call ends at its nonnegative alpha probe.
 """
 
 from __future__ import annotations
@@ -240,19 +240,17 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
                   threads: int = 1) -> GrowthSummary:
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
-    Frequencies inside the instability window get a full fixed-point solve;
-    the rest get a nonnegativity probe of alpha at the smallest s, recorded
-    with lam = 0.  Points are independent, so the solve may run on a thread
-    pool; results are reduced deterministically in ascending |xi|^2 order.
+    Every frequency goes through growth_rate, so a point gets lam = 0 only
+    when its probe alpha(s_min) is nonnegative; outside the instability
+    window that probe is the whole solve.  Points are independent, so the
+    solve may run on a thread pool; results are reduced deterministically in
+    ascending |xi|^2 order.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise ValueError("cutoff must be finite and > 0")
     jump = profile.jump
-    sigma_c = critical_tension(profile, params)
-    if jump > 0:
-        xi_c = critical_frequency(profile, params)
-    else:
-        xi_c = 0.0  # stable orientation: no instability window at all
+    # a stable orientation has no instability window at all
+    xi_c = critical_frequency(profile, params) if jump > 0 else math.nan
     groups = _dedup_lattice(params, cutoff)
 
     def solve_one(item):
@@ -261,27 +259,11 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
         point = growth_rate(profile, xi_abs, mesh, params, numerics)
         return replace(point, xi=(m / params.L1, n / params.L2))
 
-    def probe_one(item):
-        key, (m, n) = item
-        xi_abs = math.sqrt(float(key))
-        forms = assemble_forms(mesh, profile, xi_abs, params)
-        s_min = _bracket(profile, params, numerics)[0]
-        alpha0, v0 = min_eig(forms, s_min)
-        return DispersionPoint((m / params.L1, n / params.L2), xi_abs,
-                               0.0, alpha0, v0, 1,
-                               _converged(forms, s_min, alpha0, v0, numerics))
-
-    def run(item):
-        key, _ = item
-        if jump > 0 and math.sqrt(float(key)) < xi_c:
-            return solve_one(item)
-        return probe_one(item)
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            curve = list(pool.map(run, groups))
+            curve = list(pool.map(solve_one, groups))
     else:
-        curve = [run(item) for item in groups]
+        curve = [solve_one(item) for item in groups]
 
     lam_max = 0.0
     argmax = None
@@ -290,8 +272,8 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
             lam_max = pt.lam
             argmax = pt.xi
     attained = jump <= 0 or params.sigma_minus > 0
-    return GrowthSummary(lam_max, argmax, attained, tuple(curve), sigma_c,
-                         xi_c if jump > 0 else math.nan)
+    return GrowthSummary(lam_max, argmax, attained, tuple(curve),
+                         critical_tension(profile, params), xi_c)
 
 
 def psi_bump(x3, b: float, ell: float, exponent: float):

@@ -35,6 +35,10 @@ from .errors import (DegeneratePressure, InverseFailure, NonPositiveDensity,
 
 # P'(rho) at or below this value aborts the hydrostatic integration.
 PRESSURE_SLOPE_TOL = 1e-12
+# check_admissibility bounds: the midpoint hydrostatic residual, and the
+# pressure mismatch at the interface and against p_atm at the top.
+HYDRO_TOL = 1e-6
+MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,19 +58,22 @@ class PressureLaw:
     p_table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        # comparisons are written so that NaN fails them
         if self.kind == "isothermal":
             (k,) = self.params
-            if k <= 0:
-                raise ValueError("isothermal coefficient K must be > 0")
+            if not 0 < k < math.inf:
+                raise ValueError("isothermal coefficient K must be finite and > 0")
         elif self.kind == "polytropic":
             k, gamma = self.params
-            if k <= 0 or gamma < 1:
-                raise ValueError("polytropic law requires K > 0 and gamma >= 1")
+            if not (0 < k < math.inf and 1 <= gamma < math.inf):
+                raise ValueError("polytropic law requires finite K > 0 and gamma >= 1")
         elif self.kind == "tabulated":
             rho = np.asarray(self.rho_table, dtype=float)
             p = np.asarray(self.p_table, dtype=float)
             if rho.ndim != 1 or rho.shape != p.shape or rho.size < 4:
                 raise ValueError("tabulated law needs matching 1d tables, >= 4 points")
+            if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(p))):
+                raise ValueError("tabulated law tables must be finite")
             if np.any(np.diff(rho) <= 0) or np.any(np.diff(p) <= 0):
                 raise ValueError("tabulated law must be strictly increasing in rho and P")
             if rho[0] <= 0 or p[0] <= 0:
@@ -162,15 +169,13 @@ class PhysicalParams:
     sigma_minus: float = 0.0
 
     def __post_init__(self):
-        for name in ("b", "ell", "L1", "L2", "g", "p_atm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.mu_plus <= 0 or self.mu_minus <= 0:
-            raise ValueError("shear viscosities mu_plus, mu_minus must be > 0")
-        if self.mu_prime_plus < 0 or self.mu_prime_minus < 0:
-            raise ValueError("bulk viscosities mu_prime_plus, mu_prime_minus must be >= 0")
-        if self.sigma_plus < 0 or self.sigma_minus < 0:
-            raise ValueError("surface tensions sigma_plus, sigma_minus must be >= 0")
+        # comparisons are written so that NaN fails them
+        for name in ("b", "ell", "L1", "L2", "g", "p_atm", "mu_plus", "mu_minus"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("mu_prime_plus", "mu_prime_minus", "sigma_plus", "sigma_minus"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def mu(self, layer: str) -> float:
         return self.mu_plus if layer == "plus" else self.mu_minus
@@ -320,8 +325,7 @@ class AdmissibilityReport:
     failures: tuple[str, ...]
 
 
-def check_admissibility(profile: EquilibriumProfile, hydro_tol: float = 1e-6,
-                        match_tol: float = 1e-9) -> AdmissibilityReport:
+def check_admissibility(profile: EquilibriumProfile) -> AdmissibilityReport:
     """Check positivity, P' > 0, the hydrostatic residual and pressure matching.
 
     Density and P' are checked at the nodes and interval midpoints; the
@@ -353,14 +357,14 @@ def check_admissibility(profile: EquilibriumProfile, hydro_tol: float = 1e-6,
         max_resid = max(max_resid, float(np.max(resid)))
     if min_slope <= PRESSURE_SLOPE_TOL:
         failures.append("DegeneratePressure")
-    if max_resid > hydro_tol:
+    if max_resid > HYDRO_TOL:
         failures.append("HydrostaticResidual")
     cont = abs(float(profile.law_plus.value(profile.rho_top_interface))
                - float(profile.law_minus.value(profile.rho_bot_interface)))
     top = abs(float(profile.law_plus.value(profile.rho1)) - p.p_atm)
-    if cont > match_tol:
+    if cont > MATCH_TOL:
         failures.append("PressureContinuity")
-    if top > match_tol:
+    if top > MATCH_TOL:
         failures.append("TopPressure")
     return AdmissibilityReport(min_density, argmin, max_resid, cont, top,
                                min_slope, not failures, tuple(failures))

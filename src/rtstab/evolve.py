@@ -24,10 +24,13 @@ semidiscrete energy identity
     E = 1/2 int rho |u|^2 + 1/2 int h'(rho) |q|^2
       + 1/2 (rho1 g + sigma_+ |xi|^2) |eta_+|^2 + 1/2 sigma_- |xi|^2 |eta_-|^2
 
-hold exactly, and the trapezoidal rule inherits it exactly at step midpoints
-(quadratic invariants are preserved).  For a stable orientation (jump < 0)
-the full energy adds -1/2 jump g |eta_-|^2 > 0 and is non-increasing at every
-step, to round-off.  Growth rates are measured by least squares on
+hold exactly.  A state is one packed complex vector
+y = [q | u1, u2, u3 without the bottom node | eta_+, eta_-] (layout in
+EvolutionOperators), advanced by the trapezoidal rule, which inherits the
+identity exactly at step midpoints (quadratic invariants are preserved) and
+is second order in dt.  For a stable orientation (jump < 0) the full energy
+adds -1/2 jump g |eta_-|^2 > 0 and is non-increasing at every step, to
+round-off.  Growth rates are measured by least squares on
 log|eta_-(t)| and cross-checked against the variational fixed point.
 """
 
@@ -47,37 +50,6 @@ from .variational import (Mesh1D, assemble, field_rows, layer_fields,
                           viscous_terms)
 
 BLOCK = 8  # states per vectorised block of the energy-balance pass
-
-
-@dataclass(frozen=True)
-class IntegratorParams:
-    """Implicit one-step scheme selection."""
-
-    dt: float
-    t_final: float
-    scheme: str = "trapezoidal"
-
-    def __post_init__(self):
-        if self.dt == 0:
-            raise ValueError("dt must be nonzero")
-        if self.scheme not in ("trapezoidal", "implicit_euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
-@dataclass(frozen=True)
-class FrequencyState:
-    """Single-frequency state (q_hat, u_hat, eta_hat+-) at one time.
-
-    u_hat rows are the three velocity components on all mesh nodes (the
-    bottom value is pinned to zero); q_hat is broken P1 with the lower-layer
-    nodes first, interface repeated.
-    """
-
-    q_hat: np.ndarray
-    u_hat: np.ndarray
-    eta_hat_plus: complex
-    eta_hat_minus: complex
-    time: float = 0.0
 
 
 class EvolutionOperators:
@@ -138,31 +110,6 @@ class EvolutionOperators:
         # Hermitian dissipation block, kept separately for diagnostics.
         self.D = -self.A[nq:nq + self.nu, nq:nq + self.nu]
 
-    # -- state packing ---------------------------------------------------
-    def pack(self, state: FrequencyState) -> np.ndarray:
-        mesh = self.mesh
-        i0 = mesh.interface_index
-        y = np.zeros(self.n, dtype=complex)
-        y[:self.nq] = state.q_hat
-        u = np.asarray(state.u_hat, dtype=complex)
-        if u.shape != (3, mesh.n_nodes):
-            raise ValueError("u_hat must have shape (3, n_nodes)")
-        if np.abs(u[:, 0]).max() > 1e-13 * max(1.0, np.abs(u).max()):
-            raise ValueError("u_hat must vanish at the bottom node")
-        for c in range(3):
-            y[self.nq + c * self.nf:self.nq + (c + 1) * self.nf] = u[c, 1:]
-        y[self.eta_plus_idx] = state.eta_hat_plus
-        y[self.eta_minus_idx] = state.eta_hat_minus
-        return y
-
-    def unpack(self, y: np.ndarray, time: float = 0.0) -> FrequencyState:
-        mesh = self.mesh
-        u = np.zeros((3, mesh.n_nodes), dtype=complex)
-        for c in range(3):
-            u[c, 1:] = y[self.nq + c * self.nf:self.nq + (c + 1) * self.nf]
-        return FrequencyState(y[:self.nq].copy(), u, complex(y[self.eta_plus_idx]),
-                              complex(y[self.eta_minus_idx]), time)
-
     # -- quadratic functionals -------------------------------------------
     # Each takes one state (n,) or a block of states (n, k), one per column.
     def energy(self, y: np.ndarray):
@@ -199,25 +146,26 @@ def semidiscretize(profile: EquilibriumProfile, mesh: Mesh1D,
     return EvolutionOperators(mesh, profile, xi, params)
 
 
-def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> FrequencyState:
+def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> np.ndarray:
     """Growing-mode initial data: u = (-i phi, -i theta, psi), q = q_tilde,
-    eta = eta_tilde; an approximate eigenvector of the semidiscrete system."""
-    mesh = ops.mesh
-    u = np.zeros((3, mesh.n_nodes), dtype=complex)
-    u[0] = -1j * mode.phi
-    u[1] = -1j * mode.theta
-    u[2] = mode.psi
-    q = np.concatenate([mode.q_tilde_minus, mode.q_tilde_plus]).astype(complex)
-    return FrequencyState(q, u, complex(mode.eta_tilde_plus),
-                          complex(mode.eta_tilde_minus), 0.0)
+    eta = eta_tilde; an approximate eigenvector of the semidiscrete system.
+    Raises ValueError if the mode's velocity does not vanish at the bottom
+    or the mode lives on another mesh than ops."""
+    u = np.array([-1j * mode.phi, -1j * mode.theta, mode.psi])
+    if np.abs(u[:, 0]).max() > 1e-13 * max(1.0, np.abs(u).max()):
+        raise ValueError("mode velocity must vanish at the bottom node")
+    y = np.concatenate([mode.q_tilde_minus, mode.q_tilde_plus, u[:, 1:].ravel(),
+                        [mode.eta_tilde_plus, mode.eta_tilde_minus]]).astype(complex)
+    if y.size != ops.n:
+        raise ValueError(f"mode has {y.size} dofs, the operators {ops.n}")
+    return y
 
 
-def interface_bump_state(ops: EvolutionOperators) -> FrequencyState:
+def interface_bump_state(ops: EvolutionOperators) -> np.ndarray:
     """Quiescent state with a unit interface displacement."""
-    mesh = ops.mesh
-    return FrequencyState(np.zeros(ops.nq, complex),
-                          np.zeros((3, mesh.n_nodes), complex), 0.0 + 0.0j,
-                          1.0 + 0.0j, 0.0)
+    y = np.zeros(ops.n, dtype=complex)
+    y[ops.eta_minus_idx] = 1.0
+    return y
 
 
 @dataclass(frozen=True)
@@ -226,7 +174,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # (n_steps + 1, n) complex
-    scheme: str
     dt: float
     eta_plus_idx: int
     eta_minus_idx: int
@@ -240,38 +187,31 @@ class Trajectory:
         return np.abs(self.states[:, self.eta_plus_idx])
 
 
-def advance(state: FrequencyState, ops: EvolutionOperators,
-            integ: IntegratorParams) -> Trajectory:
-    """Integrate M dy/dt = A y with the chosen implicit one-step scheme.
-
-    Trapezoidal: (M - dt/2 A) y+ = (M + dt/2 A) y;  implicit Euler:
-    (M - dt A) y+ = M y.  The step matrix is factorized once.  dt may be
-    negative (time reversal), in which case t_final must be too.
+def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
+            t_final: float) -> Trajectory:
+    """Integrate M dy/dt = A y from y0 at t = 0 by trapezoidal steps
+    (M - dt/2 A) y+ = (M + dt/2 A) y, factorizing the step matrix once.
+    dt may be negative (time reversal), in which case t_final must be too.
     """
-    dt = integ.dt
-    n_steps = int(round(integ.t_final / dt))
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
+    n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final must cover at least one step of size dt")
-    if integ.scheme == "trapezoidal":
-        lhs = (ops.M - 0.5 * dt * ops.A).tocsc()
-        rhs = (ops.M + 0.5 * dt * ops.A).tocsr()
-    else:
-        lhs = (ops.M - dt * ops.A).tocsc()
-        rhs = ops.M.tocsr()
+    lhs = (ops.M - 0.5 * dt * ops.A).tocsc()
+    rhs = (ops.M + 0.5 * dt * ops.A).tocsr()
     try:
         solver = splu(lhs)
     except RuntimeError as exc:
         raise SingularStep(f"implicit step matrix is singular: {exc}") from exc
-    y = ops.pack(state)
     out = np.empty((n_steps + 1, ops.n), dtype=complex)
-    out[0] = y
+    out[0] = y = y0
     for k in range(n_steps):
         y = solver.solve(rhs @ y)
         if not np.all(np.isfinite(y)):
             raise SingularStep(f"non-finite state at step {k + 1}")
         out[k + 1] = y
-    times = state.time + dt * np.arange(n_steps + 1)
-    return Trajectory(times, out, integ.scheme, dt,
+    return Trajectory(dt * np.arange(n_steps + 1), out, dt,
                       ops.eta_plus_idx, ops.eta_minus_idx)
 
 
@@ -289,16 +229,13 @@ def measure_growth(traj: Trajectory, fit_window: float) -> float:
     return float(np.polyfit(t, np.log(window), 1)[0])
 
 
-def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators,
-                            series: bool = False):
+def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators):
     """Per-step defect of the discrete energy identity, relative to the energy.
 
-    Trapezoidal evaluates the identity at step midpoints, where it holds to
-    round-off; implicit Euler evaluates at the right endpoint and the
-    returned series reflects the scheme's O(dt) dissipation bias.  States
-    are taken BLOCK at a time, so no temporary grows with the step count.
-    With series, returns (residual, energy, dissipation), the last two at
-    every state.
+    The identity is evaluated at step midpoints, where the trapezoidal rule
+    holds it to round-off.  States are taken BLOCK at a time, so no
+    temporary grows with the step count.  Returns (residual, energy,
+    dissipation): the defect of each step and the last two at every state.
     """
     n_steps = traj.states.shape[0] - 1
     energy, diss = np.empty(n_steps + 1), np.empty(n_steps + 1)
@@ -313,22 +250,19 @@ def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators,
         cross[a:a + k - 1] = _dot(U[:, :-1], DU[:, 1:])
     eta = traj.states[:, ops.eta_minus_idx]
     u3 = traj.states[:, ops.u3_int]
-    if traj.scheme == "trapezoidal":
-        # at the midpoint m of y_k and y_k+1, D Hermitian gives
-        # Re m^H D m = (d_k + d_k+1 + 2 Re u_k^H D u_k+1) / 4
-        d_eval = 0.25 * (diss[:-1] + diss[1:]) + 0.5 * cross
-        eta, u3 = 0.5 * (eta[:-1] + eta[1:]), 0.5 * (u3[:-1] + u3[1:])
-    else:
-        d_eval, eta, u3 = diss[1:], eta[1:], u3[1:]
-    flux = ops.profile.jump * ops.params.g * np.real(eta * np.conj(u3)) - d_eval
+    # at the midpoint m of y_k and y_k+1, D Hermitian gives
+    # Re m^H D m = (d_k + d_k+1 + 2 Re u_k^H D u_k+1) / 4
+    d_mid = 0.25 * (diss[:-1] + diss[1:]) + 0.5 * cross
+    eta, u3 = 0.5 * (eta[:-1] + eta[1:]), 0.5 * (u3[:-1] + u3[1:])
+    flux = ops.profile.jump * ops.params.g * np.real(eta * np.conj(u3)) - d_mid
     scale = np.maximum(np.maximum(np.abs(energy[:-1]), np.abs(energy[1:])), 1e-300)
     res = (energy[1:] - energy[:-1] - traj.dt * flux) / scale
-    return (res, energy, diss) if series else res
+    return res, energy, diss
 
 
 def write_trajectory_csv(traj: Trajectory, ops: EvolutionOperators, path) -> None:
     """CSV: t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual."""
-    resid, energy, diss = energy_balance_residual(traj, ops, series=True)
+    resid, energy, diss = energy_balance_residual(traj, ops)
     resid = np.concatenate([[0.0], resid])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual\n")

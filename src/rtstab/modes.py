@@ -249,13 +249,11 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile,
                              abs(phi_par[0]), abs(psi[0]))
 
 
-def export_mode(mode: GrowingMode, csv_path, json_path=None) -> None:
+def export_mode(mode: GrowingMode, csv_path, json_path) -> None:
     """Write the mode profiles (CSV) and a JSON sidecar with xi, lam, eta.
 
     The interface row appears once per layer because q_tilde jumps there.
     """
-    if json_path is None:
-        json_path = str(csv_path) + ".json"
     mesh = mode.mesh
     i0 = mesh.interface_index
     with open(csv_path, "w", encoding="utf-8") as fh:

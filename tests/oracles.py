@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from rtstab.equilibrium import EquilibriumProfile, PhysicalParams, PressureLaw
-from rtstab.evolve import EvolutionOperators, FrequencyState
+from rtstab.evolve import EvolutionOperators
 from rtstab.variational import (Mesh1D, QuadraticForms, _fix_sign, assemble,
                                 field_rows, layer_fields, viscous_terms)
 
@@ -154,17 +154,17 @@ def min_eig_3field(forms: Forms3Field, s: float) -> tuple[float, np.ndarray]:
     return _dense_min(forms.K0 + s * forms.K1, forms.M, forms.psi_interface_dof)
 
 
-def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> FrequencyState:
-    """Random complex initial data (essential constraints respected)."""
+def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> np.ndarray:
+    """Random complex packed state; the bottom velocity node is drawn and
+    dropped, so the essential constraint holds."""
     rng = np.random.default_rng(seed)
     mesh = ops.mesh
     q = scale * (rng.standard_normal(ops.nq) + 1j * rng.standard_normal(ops.nq))
     u = scale * (rng.standard_normal((3, mesh.n_nodes))
                  + 1j * rng.standard_normal((3, mesh.n_nodes)))
-    u[:, 0] = 0.0
     eta_p = scale * complex(rng.standard_normal(), rng.standard_normal())
     eta_m = scale * complex(rng.standard_normal(), rng.standard_normal())
-    return FrequencyState(q, u, eta_p, eta_m, 0.0)
+    return np.concatenate([q, u[:, 1:].ravel(), [eta_p, eta_m]])
 
 
 def import_mode_csv(csv_path) -> dict[str, np.ndarray]:

@@ -16,8 +16,8 @@ from rtstab.classify import RegimeLabel, classify_regime
 from rtstab.dispersion import (critical_tension, growth_rate, psi_bump,
                                psi_bump_norm_sq, sweep_lattice)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
-from rtstab.evolve import (IntegratorParams, advance, interface_bump_state,
-                           measure_growth, semidiscretize, state_from_mode)
+from rtstab.evolve import (advance, interface_bump_state, measure_growth,
+                           semidiscretize, state_from_mode)
 from rtstab.modes import assemble_mode, rotate_mode
 from rtstab.variational import (assemble_forms, build_mesh, evaluate_energy,
                                 min_eig)
@@ -205,9 +205,7 @@ def test_criterion_09_time_evolution_oracle(unstable_profile, params):
     pt = growth_rate(unstable_profile, 1.0, mesh, params)
     mode = assemble_mode(pt, unstable_profile, mesh)
     ops = semidiscretize(unstable_profile, mesh, (1.0, 0.0), params)
-    integ = IntegratorParams(dt=0.01 / pt.lam, t_final=6.0 / pt.lam,
-                             scheme="trapezoidal")
-    traj = advance(state_from_mode(ops, mode), ops, integ)
+    traj = advance(state_from_mode(ops, mode), ops, 0.01 / pt.lam, 6.0 / pt.lam)
     fitted = measure_growth(traj, 0.5)
     rel = abs(fitted - pt.lam) / pt.lam
     elapsed = time.time() - t0
@@ -221,16 +219,14 @@ def test_criterion_10_energy_identity(stable_profile, unstable_profile, params,
     t0 = time.time()
     ops_s = semidiscretize(stable_profile, build_mesh(1.0, 1.0, 60, 60),
                            (1.0, 0.0), params)
-    traj_s = advance(interface_bump_state(ops_s), ops_s,
-                     IntegratorParams(dt=0.05, t_final=20.0))
+    traj_s = advance(interface_bump_state(ops_s), ops_s, 0.05, 20.0)
     fe = np.array([ops_s.full_energy(y) for y in traj_s.states])
     non_increasing = bool(np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300)))
 
     pt = rate_at_one
     mode = assemble_mode(pt, unstable_profile, mesh100)
     ops_u = semidiscretize(unstable_profile, mesh100, (1.0, 0.0), params)
-    traj_u = advance(state_from_mode(ops_u, mode), ops_u,
-                     IntegratorParams(dt=0.01 / pt.lam, t_final=6.0 / pt.lam))
+    traj_u = advance(state_from_mode(ops_u, mode), ops_u, 0.01 / pt.lam, 6.0 / pt.lam)
     egy = np.array([ops_u.energy(y) for y in traj_u.states[::10]])
     tt = traj_u.times[::10]
     half = tt.size // 2

@@ -225,6 +225,34 @@ def test_load_config_validates(tmp_path):
         cfg3 = write_config(tmp_path / "cfg3.json", s_max_factor=factor)
         with pytest.raises(ConfigError, match="s_max_factor must be > 1"):
             load_config(cfg3)
+    # json.load accepts NaN and Infinity; counts must be JSON integers
+    nan, inf = float("nan"), float("inf")
+    for i, kwargs in enumerate([
+            {"eig_tol": nan}, {"root_tol": nan}, {"zero_epsilon": nan},
+            {"xi_cutoff": inf}, {"s_max_factor": nan}, {"s_max_factor": inf},
+            {"fit_window": nan}, {"dt": nan}, {"t_final": inf},
+            {"n_minus": 40.5}, {"n_plus": 24.0}, {"n_samples": 64.5},
+            {"sigma_minus": nan}, {"sigma_plus": inf}, {"mu_minus": nan},
+            {"k_minus": nan}, {"k_plus": inf}]):
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path / f"bad{i}.json", **kwargs))
+    for i, (where, value) in enumerate([
+            (("geometry", "b"), nan), (("gravity",), inf),
+            (("fluids", "minus", "law"), {"kind": "polytropic", "params": [1.0, nan]}),
+            (("fluids", "minus", "law"),
+             {"kind": "tabulated", "rho": [0.5, 1.0, 2.0, 3.0], "p": [1.0, 2.0, 4.0, nan]})]):
+        doc = json.loads(cfg.read_text())
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_config(path)
+    nan_tol = write_config(tmp_path / "nan_tol.json", eig_tol=nan)
+    assert main(["growth", "--config", str(nan_tol), "--out", str(tmp_path / "o"),
+                 "--xi", "1.0"]) == 2
 
 
 def test_bench_span_targets_resolve():

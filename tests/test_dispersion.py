@@ -197,7 +197,21 @@ def test_sweep_supercritical_all_zero(unstable_profile):
     assert summary.Lambda == 0.0
     assert len(summary.curve) >= 3
     assert all(p.lam == 0.0 for p in summary.curve)
-    assert all(p.alpha_at_star >= -1e-9 for p in summary.curve)
+    assert all(p.alpha_at_star >= 0 for p in summary.curve)
+
+
+def test_sweep_window_and_probes(unstable_profile):
+    # 0 < sigma_minus < sigma_c puts xi_c = sqrt(2.5) inside the cutoff:
+    # |xi| in {1, sqrt(2)} grow, and the rest are zero by a nonnegative probe
+    prm = unit_params(sigma_minus=0.4 * unstable_profile.jump)
+    mesh = build_mesh(1.0, 1.0, 24, 24)
+    summary = sweep_lattice(unstable_profile, mesh, prm, cutoff=3.0)
+    assert summary.xi_c == pytest.approx(math.sqrt(2.5), rel=1e-12)
+    growing = [p for p in summary.curve if p.lam > 0]
+    zero = [p for p in summary.curve if p.lam == 0.0]
+    assert [round(p.xi_abs ** 2, 12) for p in growing] == [1.0, 2.0]
+    assert len(zero) >= 3 and len(growing) + len(zero) == len(summary.curve)
+    assert all(p.alpha_at_star >= 0 for p in zero)
 
 
 def test_sweep_unstable_bound_and_threads(unstable_profile, params):

@@ -1,4 +1,4 @@
-"""Semidiscrete evolution: oracle agreement, energy identity, schemes."""
+"""Semidiscrete evolution: oracle agreement, energy identity, time stepping."""
 
 import math
 from dataclasses import replace
@@ -8,9 +8,9 @@ import pytest
 
 from rtstab.dispersion import growth_rate
 from rtstab.errors import SingularStep, ZeroSignal
-from rtstab.evolve import (IntegratorParams, Trajectory, advance,
-                           energy_balance_residual, interface_bump_state,
-                           measure_growth, semidiscretize, state_from_mode,
+from rtstab.evolve import (Trajectory, advance, energy_balance_residual,
+                           interface_bump_state, measure_growth,
+                           semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode
 from rtstab.variational import assemble_forms, build_mesh
@@ -39,7 +39,7 @@ def test_boundary_coefficients_match_variational(unstable_setup, unstable_profil
 def test_viscous_pairing_matches_e1(unstable_setup, unstable_profile, params):
     # <D u, u> at the mode velocity equals twice the variational E1
     mesh, _pt, mode, ops = unstable_setup
-    y = ops.pack(state_from_mode(ops, mode))
+    y = state_from_mode(ops, mode)
     u = y[ops.nq:ops.nq + ops.nu]
     duu = float(np.real(np.vdot(u, ops.D @ u)))
     forms = assemble_forms(mesh, unstable_profile, 1.0, params)
@@ -51,8 +51,8 @@ def test_viscous_pairing_matches_e1(unstable_setup, unstable_profile, params):
 def test_zero_state_stays_zero(unstable_setup):
     _mesh, _pt, _mode, ops = unstable_setup
     z = interface_bump_state(ops)
-    z = replace(z, eta_hat_minus=0.0 + 0.0j)
-    traj = advance(z, ops, IntegratorParams(dt=0.1, t_final=1.0))
+    z[ops.eta_minus_idx] = 0.0
+    traj = advance(z, ops, 0.1, 1.0)
     assert np.abs(traj.states).max() == 0.0
 
 
@@ -60,8 +60,7 @@ def test_one_step_amplification(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     lam = pt.lam
     dt = 0.01 / lam
-    traj = advance(state_from_mode(ops, mode), ops,
-                   IntegratorParams(dt=dt, t_final=dt))
+    traj = advance(state_from_mode(ops, mode), ops, dt, dt)
     ratio = np.linalg.norm(traj.states[1]) / np.linalg.norm(traj.states[0])
     predicted = (1 + lam * dt / 2) / (1 - lam * dt / 2)
     # eigen-direction analysis up to O(dt^3 + h^2)
@@ -70,11 +69,9 @@ def test_one_step_amplification(unstable_setup):
 
 def test_time_reversal_single_step(unstable_setup):
     _mesh, _pt, _mode, ops = unstable_setup
-    st = random_state(ops, seed=5)
-    y0 = ops.pack(st)
-    fwd = advance(st, ops, IntegratorParams(dt=0.01, t_final=0.01))
-    back = advance(ops.unpack(fwd.states[-1], 0.01), ops,
-                   IntegratorParams(dt=-0.01, t_final=-0.01))
+    y0 = random_state(ops, seed=5)
+    fwd = advance(y0, ops, 0.01, 0.01)
+    back = advance(fwd.states[-1], ops, -0.01, -0.01)
     rel = np.linalg.norm(back.states[-1] - y0) / np.linalg.norm(y0)
     assert rel <= 1e-10
 
@@ -82,8 +79,7 @@ def test_time_reversal_single_step(unstable_setup):
 def test_oracle_rate_agreement(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     lam = pt.lam
-    integ = IntegratorParams(dt=0.01 / lam, t_final=6.0 / lam)
-    traj = advance(state_from_mode(ops, mode), ops, integ)
+    traj = advance(state_from_mode(ops, mode), ops, 0.01 / lam, 6.0 / lam)
     fitted = measure_growth(traj, 0.5)
     assert fitted == pytest.approx(lam, rel=0.02)
 
@@ -91,25 +87,22 @@ def test_oracle_rate_agreement(unstable_setup):
 def test_random_data_converges_to_dominant_rate(unstable_setup):
     _mesh, pt, _mode, ops = unstable_setup
     lam = pt.lam
-    integ = IntegratorParams(dt=0.02 / lam, t_final=14.0 / lam)
-    traj = advance(random_state(ops, seed=8, scale=1e-3), ops, integ)
+    traj = advance(random_state(ops, seed=8, scale=1e-3), ops, 0.02 / lam, 14.0 / lam)
     fitted = measure_growth(traj, 0.3)
     assert fitted == pytest.approx(lam, rel=0.03)
 
 
 def test_trapezoidal_balance_residual_machine_zero(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
-    integ = IntegratorParams(dt=0.05 / pt.lam, t_final=1.0 / pt.lam)
-    traj = advance(state_from_mode(ops, mode), ops, integ)
-    res = energy_balance_residual(traj, ops)
+    traj = advance(state_from_mode(ops, mode), ops, 0.05 / pt.lam, 1.0 / pt.lam)
+    res, _energy, _diss = energy_balance_residual(traj, ops)
     assert np.abs(res).max() <= 1e-12
 
 
 def test_energy_grows_at_twice_lambda(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     lam = pt.lam
-    integ = IntegratorParams(dt=0.01 / lam, t_final=6.0 / lam)
-    traj = advance(state_from_mode(ops, mode), ops, integ)
+    traj = advance(state_from_mode(ops, mode), ops, 0.01 / lam, 6.0 / lam)
     egy = np.array([ops.energy(y) for y in traj.states[::20]])
     tt = traj.times[::20]
     half = tt.size // 2
@@ -120,8 +113,7 @@ def test_energy_grows_at_twice_lambda(unstable_setup):
 def test_stable_full_energy_monotone(stable_profile, params):
     mesh = build_mesh(1.0, 1.0, 40, 40)
     ops = semidiscretize(stable_profile, mesh, (1.0, 0.0), params)
-    traj = advance(interface_bump_state(ops), ops,
-                   IntegratorParams(dt=0.05, t_final=20.0))
+    traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     fe = np.array([ops.full_energy(y) for y in traj.states])
     assert np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300))
     # interface amplitude never exceeds its running maximum
@@ -136,21 +128,10 @@ def test_supercritical_tension_no_growth(unstable_profile):
     prm = unit_params(sigma_minus=1.5 * sigma_c, sigma_plus=0.5)
     mesh = build_mesh(1.0, 1.0, 40, 40)
     ops = semidiscretize(unstable_profile, mesh, (1.0, 0.0), prm)
-    traj = advance(interface_bump_state(ops), ops,
-                   IntegratorParams(dt=0.05, t_final=20.0))
+    traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     em = traj.eta_minus_abs
     runmax = np.maximum.accumulate(em)
     assert np.all(em[1:] <= (1 + 1e-6) * runmax[:-1])
-
-
-def test_implicit_euler_damps_more(unstable_setup):
-    # backward Euler's O(dt) bias shows up as a nonzero balance residual
-    _mesh, pt, mode, ops = unstable_setup
-    integ = IntegratorParams(dt=0.05 / pt.lam, t_final=1.0 / pt.lam,
-                             scheme="implicit_euler")
-    traj = advance(state_from_mode(ops, mode), ops, integ)
-    res = energy_balance_residual(traj, ops)
-    assert np.abs(res).max() > 1e-12
 
 
 def test_trapezoidal_rate_error_second_order(unstable_setup):
@@ -159,8 +140,7 @@ def test_trapezoidal_rate_error_second_order(unstable_setup):
     lam = pt.lam
     rates = []
     for dt_frac in (0.4, 0.2, 0.1):
-        integ = IntegratorParams(dt=dt_frac / lam, t_final=4.0 / lam)
-        traj = advance(state_from_mode(ops, mode), ops, integ)
+        traj = advance(state_from_mode(ops, mode), ops, dt_frac / lam, 4.0 / lam)
         rates.append(measure_growth(traj, 0.5))
     order = math.log2(abs(rates[0] - rates[1]) / abs(rates[1] - rates[2]))
     assert order == pytest.approx(2.0, abs=0.3)
@@ -170,7 +150,7 @@ def test_measure_growth_exact_exponential():
     t = np.linspace(0.0, 3.0, 301)
     states = np.zeros((301, 2), dtype=complex)
     states[:, 1] = np.exp(0.7 * t)
-    traj = Trajectory(t, states, "trapezoidal", t[1] - t[0], 0, 1)
+    traj = Trajectory(t, states, t[1] - t[0], 0, 1)
     assert measure_growth(traj, 0.6) == pytest.approx(0.7, abs=1e-10)
     with pytest.raises(ValueError):
         measure_growth(traj, 0.0)
@@ -179,7 +159,7 @@ def test_measure_growth_exact_exponential():
 def test_zero_signal_raises():
     t = np.linspace(0.0, 1.0, 11)
     states = np.zeros((11, 2), dtype=complex)
-    traj = Trajectory(t, states, "trapezoidal", 0.1, 0, 1)
+    traj = Trajectory(t, states, 0.1, 0, 1)
     with pytest.raises(ZeroSignal):
         measure_growth(traj, 0.5)
 
@@ -191,17 +171,14 @@ def test_singular_step_raises(unstable_setup):
         M = ops.M * 0.0
         A = ops.A * 0.0
         n = ops.n
-        pack = ops.pack
 
     with pytest.raises(SingularStep):
-        advance(interface_bump_state(ops), Degenerate(),
-                IntegratorParams(dt=0.1, t_final=0.5))
+        advance(interface_bump_state(ops), Degenerate(), 0.1, 0.5)
 
 
 def test_trajectory_csv(tmp_path, unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
-    integ = IntegratorParams(dt=0.2 / pt.lam, t_final=1.0 / pt.lam)
-    traj = advance(state_from_mode(ops, mode), ops, integ)
+    traj = advance(state_from_mode(ops, mode), ops, 0.2 / pt.lam, 1.0 / pt.lam)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, ops, path)
     lines = path.read_text().splitlines()
@@ -209,10 +186,17 @@ def test_trajectory_csv(tmp_path, unstable_setup):
     assert len(lines) == traj.times.size + 1
 
 
-def test_pack_rejects_nonzero_bottom(unstable_setup):
-    _mesh, _pt, _mode, ops = unstable_setup
-    st = interface_bump_state(ops)
-    u = st.u_hat.copy()
-    u[0, 0] = 1.0
+def test_state_from_mode_rejects_nonzero_bottom(unstable_setup):
+    _mesh, _pt, mode, ops = unstable_setup
+    phi = mode.phi.copy()
+    phi[0] = 1.0
     with pytest.raises(ValueError):
-        ops.pack(replace(st, u_hat=u))
+        state_from_mode(ops, replace(mode, phi=phi))
+
+
+def test_state_from_mode_rejects_other_mesh(unstable_setup, unstable_profile, params):
+    _mesh, _pt, mode, _ops = unstable_setup
+    other = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, 10, 10),
+                           (1.0, 0.0), params)
+    with pytest.raises(ValueError):
+        state_from_mode(other, mode)

@@ -156,4 +156,5 @@ def test_export_rotated_sidecar(tmp_path, mode):
 
 def test_export_unwritable_path(mode, tmp_path):
     with pytest.raises(OSError):
-        export_mode(mode, tmp_path / "nope" / "mode.csv")
+        export_mode(mode, tmp_path / "nope" / "mode.csv",
+                    tmp_path / "nope" / "mode.json")
