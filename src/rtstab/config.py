@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .equilibrium import PhysicalParams, PressureLaw
 from .errors import ConfigError
@@ -54,10 +54,18 @@ class NumericsConfig:
     zero_epsilon: float = 1e-12
 
     def __post_init__(self):
+        # JSON true and false load as Python ints, so bool is refused by name
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # dt and t_final left to their lambda-based defaults
+            count = f.name in ("n_minus", "n_plus", "n_samples")
+            kinds = int if count else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an integer" if count else "a number (int or float)"
+                raise ConfigError(f"numerics.{f.name} must be {kind}, "
+                                  f"not {type(value).__name__}")
         # comparisons are written so that NaN fails them
-        for name in ("n_minus", "n_plus", "n_samples"):
-            if not isinstance(getattr(self, name), int):
-                raise ConfigError(f"numerics.{name} must be an integer")
         if self.n_minus < 2 or self.n_plus < 2:
             raise ConfigError("numerics.n_minus and numerics.n_plus must be >= 2")
         if self.n_samples < 8:
@@ -119,13 +127,18 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"missing config key: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid physical parameters: {exc}") from exc
+    for side in ("plus", "minus"):
+        if "law" not in fluids[side]:
+            raise ConfigError(f"missing config key: fluids.{side}.law")
     law_plus = _law_from_dict(fluids["plus"]["law"], "fluids.plus.law")
     law_minus = _law_from_dict(fluids["minus"]["law"], "fluids.minus.law")
-    try:
-        numerics = NumericsConfig(**doc.get("numerics", {}))
-    except TypeError as exc:
-        raise ConfigError(f"unknown numerics option: {exc}") from exc
-    return RunConfig(params, law_plus, law_minus, numerics)
+    numerics = doc.get("numerics", {})
+    if not isinstance(numerics, dict):
+        raise ConfigError("numerics must be a JSON object")
+    unknown = sorted(set(numerics) - {f.name for f in fields(NumericsConfig)})
+    if unknown:
+        raise ConfigError(f"unknown numerics option: {', '.join(unknown)}")
+    return RunConfig(params, law_plus, law_minus, NumericsConfig(**numerics))
 
 
 def load_config(path) -> RunConfig:

@@ -32,6 +32,15 @@ is second order in dt.  For a stable orientation (jump < 0) the full energy
 adds -1/2 jump g |eta_-|^2 > 0 and is non-increasing at every step, to
 round-off.  Growth rates are measured by least squares on
 log|eta_-(t)| and cross-checked against the variational fixed point.
+
+The only complex coefficients are the i xi1, i xi2 of the horizontal
+derivatives.  After the phase change u_h -> -i u_h, y = T z with
+T = diag(1, -i, -i, 1, 1) on the (q, u1, u2, u3, eta) blocks, the divergence
+and every strain entry are real rows in z times 1 or i, so T^H M T and
+T^H A T are exactly real and z steps as two real columns (Re z, Im z).
+Listed node by node, both matrices are banded with half-bandwidth
+STEP_BAND, so advance factorizes the step matrix once by LAPACK dgbtrf and
+takes each step with one sparse product and one dgbtrs.
 """
 
 from __future__ import annotations
@@ -41,21 +50,27 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .equilibrium import EquilibriumProfile, PhysicalParams
-from .errors import SingularStep, ZeroSignal
+from .errors import BandOverflow, InvalidInput, SingularStep, ZeroSignal
 from .modes import GrowingMode
 from .variational import (Mesh1D, assemble, field_rows, layer_fields,
                           viscous_terms)
 
 BLOCK = 8  # states per vectorised block of the energy-balance pass
+STEP_BAND = 8  # half-bandwidth of the phased step matrices in the interleaved order
 
 
 class EvolutionOperators:
     """Assembled semidiscrete system M dy/dt = A y with energy functionals.
 
     State layout: y = [q (nq) | u1, u2, u3 (each n_free) | eta_+, eta_-].
+    advance steps in another basis: `phase` is the diagonal of the phase
+    change T of the module docstring, and `order` lists the dofs node by node
+    (q, u1, u2, u3 at each node; the upper q and eta_- at the interface
+    node, eta_+ at the top node), the order in which T^H M T and T^H A T
+    have half-bandwidth STEP_BAND.
     """
 
     def __init__(self, mesh: Mesh1D, profile: EquilibriumProfile,
@@ -77,6 +92,17 @@ class EvolutionOperators:
         self.u3_int = nq + 2 * nf + mesh.interface_index - 1
         self.eta_plus_idx = nq + self.nu
         self.eta_minus_idx = nq + self.nu + 1
+        self.phase = np.ones(self.n, dtype=complex)
+        self.phase[nq:nq + 2 * nf] = -1j
+        # q, u1, u2, u3 at each node; the interface node's own q is the
+        # lower one, and the upper q and eta_- follow its block
+        i0 = mesh.interface_index
+        node = np.arange(1, mesh.n_nodes)
+        q = node + (node > i0)
+        per_node = np.stack([q] + [nq + k * nf + node - 1 for k in range(3)], axis=1)
+        self.order = np.concatenate([[0], per_node[:i0].ravel(),
+                                     [i0 + 1, self.eta_minus_idx],
+                                     per_node[i0:].ravel(), [self.eta_plus_idx]])
 
         e = np.arange(mesh.n_elements)[:, None]
         qdofs = e + [0, 1] + (e >= mesh.interface_index)
@@ -187,30 +213,82 @@ class Trajectory:
         return np.abs(self.states[:, self.eta_plus_idx])
 
 
+def _phased(A: sp.csr_array, ops: EvolutionOperators) -> sp.csr_array:
+    """T^H A T in ops.order, T = diag(ops.phase), as a real matrix; raises
+    InvalidInput if any entry has a nonzero imaginary part."""
+    C = A.tocoo()
+    data = np.conj(ops.phase[C.row]) * C.data * ops.phase[C.col]
+    if np.any(data.imag != 0):
+        raise InvalidInput("phase-transformed operator is not real")
+    pos = np.argsort(ops.order)
+    return sp.csr_array((data.real, (pos[C.row], pos[C.col])), shape=A.shape)
+
+
+def _band(A: sp.csr_array) -> np.ndarray:
+    """A in the general band storage of dgbtrf with kl = ku = STEP_BAND:
+    entry (i, j) sits at [2 STEP_BAND + i - j, j], and the top STEP_BAND
+    rows are room for the fill of the pivoting."""
+    ab = np.zeros((3 * STEP_BAND + 1, A.shape[0]), order="F")
+    dia = A.todia()  # offset d: A[j - d, j] at column j
+    for d, diagonal in zip(dia.offsets, dia.data):
+        if abs(d) > STEP_BAND:
+            raise BandOverflow("step matrix is wider than the interleaved band")
+        ab[2 * STEP_BAND - d] = diagonal
+    return ab
+
+
+def _step_system(ops: EvolutionOperators, dt: float):
+    """(lu, piv, rhs) for the step L z+ = R z in ops.order, with
+    L = T^H (M - dt/2 A) T and R = T^H (M + dt/2 A) T: the dgbtrf factors of
+    L and R as a real CSR matrix.  The phased M and A die here, before
+    advance fills its state buffer, so they add nothing to the peak memory."""
+    M, A = _phased(ops.M, ops), _phased(ops.A, ops)
+    lu, piv, info = dgbtrf(_band(M - 0.5 * dt * A), STEP_BAND, STEP_BAND,
+                           overwrite_ab=1)
+    if info > 0:
+        raise SingularStep(f"implicit step matrix is singular (zero pivot {info})")
+    return lu, piv, M + 0.5 * dt * A
+
+
 def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
             t_final: float) -> Trajectory:
     """Integrate M dy/dt = A y from y0 at t = 0 by trapezoidal steps
-    (M - dt/2 A) y+ = (M + dt/2 A) y, factorizing the step matrix once.
-    dt may be negative (time reversal), in which case t_final must be too.
+    (M - dt/2 A) y+ = (M + dt/2 A) y.  dt may be negative (time reversal),
+    in which case t_final must be too.
+
+    The steps run on z = T^-1 y in the interleaved order (EvolutionOperators),
+    where both step matrices are real and banded: the real and imaginary
+    parts of z are two real columns, the left matrix is factorized once by
+    dgbtrf, and each step is a sparse product of the right matrix with both
+    columns and one dgbtrs.  Every step is written straight back into the
+    complex packed layout.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final must cover at least one step of size dt")
-    lhs = (ops.M - 0.5 * dt * ops.A).tocsc()
-    rhs = (ops.M + 0.5 * dt * ops.A).tocsr()
-    try:
-        solver = splu(lhs)
-    except RuntimeError as exc:
-        raise SingularStep(f"implicit step matrix is singular: {exc}") from exc
-    out = np.empty((n_steps + 1, ops.n), dtype=complex)
-    out[0] = y = y0
+    lu, piv, rhs = _step_system(ops, dt)
+    # y = T z is a signed permutation of w = [Re z | Im z]: in the real view
+    # of y, dof j holds (Re z_j, Im z_j) where its phase is 1 and
+    # (Im z_j, -Re z_j) where it is -i
+    n, turned = ops.n, ops.phase == -1j
+    pos = np.argsort(ops.order)
+    src = np.stack([pos + n * turned, pos + n * ~turned], axis=1).ravel()
+    sign = np.stack([np.ones(n), np.where(turned, -1.0, 1.0)], axis=1).ravel()
+    out = np.empty((n_steps + 1, n), dtype=complex)
+    out[0] = y0
+    real_view = out.view(float)
+    w = np.empty(2 * n)
+    w[src] = sign * real_view[0]
+    z = w.reshape(2, n).T  # the (n, 2) block (Re z, Im z), column-major
     for k in range(n_steps):
-        y = solver.solve(rhs @ y)
-        if not np.all(np.isfinite(y)):
+        b = np.empty((n, 2), order="F")
+        b[:, 0], b[:, 1] = rhs @ z[:, 0], rhs @ z[:, 1]
+        z = dgbtrs(lu, STEP_BAND, STEP_BAND, b, piv, overwrite_b=1)[0]
+        if not np.all(np.isfinite(z)):
             raise SingularStep(f"non-finite state at step {k + 1}")
-        out[k + 1] = y
+        np.multiply(z.T.ravel()[src], sign, out=real_view[k + 1])
     return Trajectory(dt * np.arange(n_steps + 1), out, dt,
                       ops.eta_plus_idx, ops.eta_minus_idx)
 

@@ -45,8 +45,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbmv, dtbsv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spsolve
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import BandOverflow, SolverDivergence
@@ -183,7 +183,8 @@ def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
 
 def project_p1(mesh: Mesh1D, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """L2 projection of quadrature-point samples (E, Q) onto continuous P1 on
-    elements lo..hi-1; returns the values at nodes lo..hi."""
+    elements lo..hi-1; returns the values at nodes lo..hi.  The P1 mass is
+    SPD tridiagonal and is solved from its two diagonals by dptsv."""
     N = mesh.quad[2]
     e = np.arange(mesh.n_elements)[:, None]
     dofs = np.where((lo <= e) & (e < hi), e - lo + [0, 1], -1)
@@ -191,7 +192,10 @@ def project_p1(mesh: Mesh1D, values: np.ndarray, lo: int, hi: int) -> np.ndarray
     mass = assemble(mesh, [(1.0, N)], dofs, dofs, (n, n))
     rhs = assemble(mesh, [(values, N, np.ones_like(N[..., :1]))], dofs,
                    np.zeros_like(dofs[:, :1]), (n, 1))
-    return spsolve(mass.tocsc(), rhs.toarray()[:, 0])
+    _d, _e, x, info = dptsv(mass.diagonal(), mass.diagonal(1), rhs.toarray())
+    if info != 0:
+        raise SolverDivergence(f"P1 mass matrix is not positive definite (info {info})")
+    return x[:, 0]
 
 
 @dataclass(frozen=True)

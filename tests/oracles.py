@@ -1,12 +1,14 @@
 """Independent references that tests compare the solver with, and helpers
 only tests use: an alternate assembly for the element kernel, a dense
 full-spectrum eigensolve, the three-field pencil, a layer-checked enthalpy
-weight, random oracle states and a mode CSV reader."""
+weight, random oracle states, a complex sparse-LU time step and a mode CSV
+reader."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
 from rtstab.equilibrium import EquilibriumProfile, PhysicalParams, PressureLaw
 from rtstab.evolve import EvolutionOperators
@@ -165,6 +167,13 @@ def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> 
     eta_p = scale * complex(rng.standard_normal(), rng.standard_normal())
     eta_m = scale * complex(rng.standard_normal(), rng.standard_normal())
     return np.concatenate([q, u[:, 1:].ravel(), [eta_p, eta_m]])
+
+
+def lu_step(ops: EvolutionOperators, y: np.ndarray, dt: float) -> np.ndarray:
+    """One trapezoidal step (M - dt/2 A) y+ = (M + dt/2 A) y of the complex
+    packed state by SuperLU, without the phase change or the band order."""
+    lhs = (ops.M - 0.5 * dt * ops.A).tocsc()
+    return splu(lhs).solve((ops.M + 0.5 * dt * ops.A) @ y)
 
 
 def import_mode_csv(csv_path) -> dict[str, np.ndarray]:

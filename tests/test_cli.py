@@ -219,8 +219,16 @@ def test_load_config_validates(tmp_path):
     with pytest.raises(ConfigError):
         load_config(bad)
     cfg2 = write_config(tmp_path / "cfg2.json", scheme="rk9")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown numerics option: scheme"):
         load_config(cfg2)
+    # a value of the wrong JSON type names its key and the expected type
+    for i, (key, value) in enumerate([
+            ("eig_tol", "1e-10"), ("eig_tol", True), ("root_tol", [1e-10]),
+            ("dt", "0.1"), ("n_minus", True), ("n_plus", "24")]):
+        cfg_t = write_config(tmp_path / f"type{i}.json", **{key: value})
+        kind = "an integer" if key.startswith("n_") else r"a number \(int or float\)"
+        with pytest.raises(ConfigError, match=f"numerics.{key} must be {kind}"):
+            load_config(cfg_t)
     for factor in (0.5, 1.0):  # S_max must lie above the growth bound
         cfg3 = write_config(tmp_path / "cfg3.json", s_max_factor=factor)
         with pytest.raises(ConfigError, match="s_max_factor must be > 1"):
@@ -253,6 +261,19 @@ def test_load_config_validates(tmp_path):
     nan_tol = write_config(tmp_path / "nan_tol.json", eig_tol=nan)
     assert main(["growth", "--config", str(nan_tol), "--out", str(tmp_path / "o"),
                  "--xi", "1.0"]) == 2
+
+
+def test_missing_pressure_law_exits_2(tmp_path, capsys):
+    for side in ("plus", "minus"):
+        doc = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        del doc["fluids"][side]["law"]
+        path = tmp_path / f"no_law_{side}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"missing config key: fluids.{side}.law"):
+            load_config(path)
+        assert main(["growth", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--xi", "1.0"]) == 2
+        assert f"fluids.{side}.law" in capsys.readouterr().err
 
 
 def test_bench_span_targets_resolve():

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from rtstab.dispersion import growth_rate
-from rtstab.errors import SingularStep, ZeroSignal
-from rtstab.evolve import (Trajectory, advance, energy_balance_residual,
-                           interface_bump_state, measure_growth,
-                           semidiscretize, state_from_mode,
+from rtstab.errors import BandOverflow, InvalidInput, SingularStep, ZeroSignal
+from rtstab.evolve import (STEP_BAND, Trajectory, _phased, advance,
+                           energy_balance_residual, interface_bump_state,
+                           measure_growth, semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode
 from rtstab.variational import assemble_forms, build_mesh
-from tests.oracles import random_state
+from tests.oracles import lu_step, random_state
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +171,51 @@ def test_singular_step_raises(unstable_setup):
         M = ops.M * 0.0
         A = ops.A * 0.0
         n = ops.n
+        phase = ops.phase
+        order = ops.order
 
     with pytest.raises(SingularStep):
         advance(interface_bump_state(ops), Degenerate(), 0.1, 0.5)
+
+
+def test_banded_step_matches_complex_lu(unstable_profile, params):
+    mesh = build_mesh(1.0, 1.0, 40, 40)
+    ops = semidiscretize(unstable_profile, mesh, (0.6, 0.8), params)
+    y0, dt = random_state(ops, seed=3), 0.1
+    y1 = advance(y0, ops, dt, dt).states[1]
+    ref = lu_step(ops, y0, dt)
+    assert np.linalg.norm(y1 - ref) <= 1e-11 * np.linalg.norm(ref)
+    # normwise backward error of the banded step in the packed complex system
+    lhs = ops.M - 0.5 * dt * ops.A
+    r = lhs @ y1 - (ops.M + 0.5 * dt * ops.A) @ y0
+    scale = abs(lhs).sum(axis=1).max() * np.abs(y1).max()
+    assert np.abs(r).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
+    ops = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, n, n + 1),
+                         (0.6, 0.8), params)
+    assert np.array_equal(np.sort(ops.order), np.arange(ops.n))
+    step = _phased(ops.M, ops) - 0.05 * _phased(ops.A, ops)
+    assert np.abs(step.todia().offsets).max() == STEP_BAND
+
+
+def test_non_real_or_wide_step_raises(unstable_setup):
+    _mesh, _pt, _mode, ops = unstable_setup
+
+    class Unphased:  # without u_h -> -i u_h the step matrices stay complex
+        M, A, n, order = ops.M, ops.A, ops.n, ops.order
+        phase = np.ones(ops.n, dtype=complex)
+
+    class Packed:  # the packed layout is far wider than the band
+        M, A, n, phase = ops.M, ops.A, ops.n, ops.phase
+        order = np.arange(ops.n)
+
+    with pytest.raises(InvalidInput, match="not real"):
+        advance(interface_bump_state(ops), Unphased(), 0.1, 0.1)
+    with pytest.raises(BandOverflow):
+        advance(interface_bump_state(ops), Packed(), 0.1, 0.1)
 
 
 def test_trajectory_csv(tmp_path, unstable_setup):
