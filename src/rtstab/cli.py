@@ -116,7 +116,7 @@ def cmd_mode(cfg, out, args) -> int:
 def cmd_oracle(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
     pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, cfg.numerics)
-    ops = evolve.semidiscretize(profile, mesh, (args.xi, 0.0), cfg.params)
+    ops = evolve.semidiscretize(profile, mesh, args.xi, cfg.params)
     if pt.lam > 0:
         state = evolve.state_from_mode(ops, modes_mod.assemble_mode(pt, profile, mesh))
         dt = cfg.numerics.dt if cfg.numerics.dt else 0.01 / pt.lam

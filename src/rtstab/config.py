@@ -21,7 +21,8 @@ Layout (defaults in parentheses):
     }
 
 Tabulated laws carry "rho" and "p" arrays instead of "params".  Element and
-sample counts must be JSON integers, and every other number must be finite.
+sample counts must be JSON integers, and every other number must be a finite
+JSON number: a boolean or a numeric string is refused with its key named.
 Validation failures, an unknown key under "numerics" among them, raise
 ConfigError with the violated constraint spelled out.
 """
@@ -54,16 +55,14 @@ class NumericsConfig:
     zero_epsilon: float = 1e-12
 
     def __post_init__(self):
-        # JSON true and false load as Python ints, so bool is refused by name
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.default is None:
                 continue  # dt and t_final left to their lambda-based defaults
-            count = f.name in ("n_minus", "n_plus", "n_samples")
-            kinds = int if count else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                kind = "an integer" if count else "a number (int or float)"
-                raise ConfigError(f"numerics.{f.name} must be {kind}, "
+            if f.name not in ("n_minus", "n_plus", "n_samples"):
+                _number(value, f"numerics.{f.name}")
+            elif isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"numerics.{f.name} must be an integer, "
                                   f"not {type(value).__name__}")
         # comparisons are written so that NaN fails them
         if self.n_minus < 2 or self.n_plus < 2:
@@ -91,15 +90,29 @@ class RunConfig:
     numerics: NumericsConfig
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; JSON true and false load as Python ints, so
+    bool is refused by name, and a string is not parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number (int or float), "
+                          f"not {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(values, where: str) -> list[float]:
+    return [_number(value, where) for value in values]
+
+
 def _law_from_dict(d: dict, where: str) -> PressureLaw:
     try:
         kind = d["kind"]
         if kind == "isothermal":
-            return PressureLaw.isothermal(*d["params"])
+            return PressureLaw.isothermal(*_numbers(d["params"], f"{where}.params"))
         if kind == "polytropic":
-            return PressureLaw.polytropic(*d["params"])
+            return PressureLaw.polytropic(*_numbers(d["params"], f"{where}.params"))
         if kind == "tabulated":
-            return PressureLaw.tabulated(d["rho"], d["p"])
+            return PressureLaw.tabulated(_numbers(d["rho"], f"{where}.rho"),
+                                         _numbers(d["p"], f"{where}.p"))
         raise ConfigError(f"{where}.kind must be isothermal, polytropic or tabulated")
     except ConfigError:
         raise
@@ -108,21 +121,24 @@ def _law_from_dict(d: dict, where: str) -> PressureLaw:
 
 
 def parse_config(doc: dict) -> RunConfig:
+    st = doc.get("surface_tension", {})
+    if not isinstance(st, dict):
+        raise ConfigError("surface_tension must be a JSON object")
     try:
         geo = doc["geometry"]
         fluids = doc["fluids"]
-        st = doc.get("surface_tension", {})
-        params = PhysicalParams(
-            b=float(geo["b"]), ell=float(geo["ell"]),
-            L1=float(geo["L1"]), L2=float(geo["L2"]),
-            g=float(doc["gravity"]), p_atm=float(doc["atmosphere"]),
-            mu_plus=float(fluids["plus"]["mu"]),
-            mu_minus=float(fluids["minus"]["mu"]),
-            mu_prime_plus=float(fluids["plus"].get("mu_prime", 0.0)),
-            mu_prime_minus=float(fluids["minus"].get("mu_prime", 0.0)),
-            sigma_plus=float(st.get("sigma_plus", 0.0)),
-            sigma_minus=float(st.get("sigma_minus", 0.0)),
-        )
+        values = {name: _number(geo[name], f"geometry.{name}")
+                  for name in ("b", "ell", "L1", "L2")}
+        values["g"] = _number(doc["gravity"], "gravity")
+        values["p_atm"] = _number(doc["atmosphere"], "atmosphere")
+        for side in ("plus", "minus"):
+            fluid = fluids[side]
+            values[f"mu_{side}"] = _number(fluid["mu"], f"fluids.{side}.mu")
+            values[f"mu_prime_{side}"] = _number(fluid.get("mu_prime", 0.0),
+                                                 f"fluids.{side}.mu_prime")
+            values[f"sigma_{side}"] = _number(st.get(f"sigma_{side}", 0.0),
+                                              f"surface_tension.sigma_{side}")
+        params = PhysicalParams(**values)
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
     except (TypeError, ValueError) as exc:

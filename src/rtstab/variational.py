@@ -239,27 +239,42 @@ class QuadraticForms:
         return U
 
 
+def form_terms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
+               params: PhysicalParams):
+    """The bulk kernel terms (div, visc, mass) of E0, E1 and J at frequency
+    magnitude xi_abs, in the (phi, psi) rows of field_rows(mesh, 2): div is
+    E0's one term (h'(rho)/2, (rho psi)' + rho xi phi), visc the three of E1
+    and mass the two of J.  The evolution oracle reads the same lists for its
+    velocity (v, w) = (i u_parallel, u3), whose mass, dissipation and
+    divergence are 2 J, 2 E1 and the row of div."""
+    xi = float(xi_abs)
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
+    (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
+    r, dr = rho[..., None], drho[..., None]
+    dv = dpsi + xi * phi
+    div = (0.5 * dp / rho, dr * psi + r * dpsi + r * xi * phi)
+    visc = [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
+            (mu / 6.0 + 0.5 * mu_p, dv)]
+    mass = [(0.5 * rho, phi), (0.5 * rho, psi)]
+    return div, visc, mass
+
+
 def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
                    params: PhysicalParams) -> QuadraticForms:
     """Assemble (K0, K1, M) at frequency magnitude xi_abs.
 
     Local dof order per element is (phi_l, phi_r, psi_l, psi_r); the bulk
-    integrands are squares of linear functionals of these, so each matrix is
-    a sum of outer products and exactly symmetric.
+    integrands are squares of linear functionals of these (form_terms), so
+    each matrix is a sum of outer products and exactly symmetric.
     """
     xi = float(xi_abs)
     nf = mesh.n_free
-    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
-    (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
-    r, dr = rho[..., None], drho[..., None]
-    dv = dpsi + xi * phi
+    div, visc, mass = form_terms(mesh, profile, xi, params)
     dofs = mesh.dofs(2)
     shape = (mesh.ndof, mesh.ndof)
-    K0 = assemble(mesh, [(0.5 * dp / rho, dr * psi + r * dpsi + r * xi * phi)],
-                  dofs, dofs, shape)
-    K1 = assemble(mesh, [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
-                         (mu / 6.0 + 0.5 * mu_p, dv)], dofs, dofs, shape)
-    M = assemble(mesh, [(0.5 * rho, phi), (0.5 * rho, psi)], dofs, dofs, shape)
+    K0 = assemble(mesh, [div], dofs, dofs, shape)
+    K1 = assemble(mesh, visc, dofs, dofs, shape)
+    M = assemble(mesh, mass, dofs, dofs, shape)
     psi0, psiL = nf + mesh.interface_index - 1, 2 * nf - 1
     K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
     K0[psiL, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
@@ -341,23 +356,3 @@ def evaluate_energy(forms: QuadraticForms, v: np.ndarray, s: float) -> tuple[flo
     e = float(v @ forms.K0 @ v + s * (v @ forms.K1 @ v))
     j = float(v @ forms.M @ v)
     return e, j
-
-
-def viscous_terms(mu, mu_p, u, du, k):
-    """Yield the kernel terms of the dissipation
-
-        int mu/4 |D0|^2 + mu'/2 |div u|^2
-
-    of a velocity with component rows u = (u1, u2, u3) and vertical
-    derivatives du, where the horizontal derivatives are k = (k1, k2) times
-    the field (k = i xi for one Fourier mode) and D0 is the deviatoric part
-    of grad u + grad u^T; the off-diagonal entries count twice."""
-    (u1, u2, u3), (du1, du2, du3), (k1, k2) = u, du, k
-    dv = k1 * u1 + k2 * u2 + du3
-    yield 0.25 * mu, 2.0 * k1 * u1 - (2.0 / 3.0) * dv
-    yield 0.25 * mu, 2.0 * k2 * u2 - (2.0 / 3.0) * dv
-    yield 0.25 * mu, 2.0 * du3 - (2.0 / 3.0) * dv
-    yield 0.5 * mu, k1 * u2 + k2 * u1
-    yield 0.5 * mu, k1 * u3 + du1
-    yield 0.5 * mu, k2 * u3 + du2
-    yield 0.5 * mu_p, dv

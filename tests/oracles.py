@@ -1,19 +1,22 @@
 """Independent references that tests compare the solver with, and helpers
 only tests use: an alternate assembly for the element kernel, a dense
-full-spectrum eigensolve, the three-field pencil, a layer-checked enthalpy
-weight, random oracle states, a complex sparse-LU time step and a mode CSV
-reader."""
+full-spectrum eigensolve, the viscous dissipation of a full 3-component
+velocity, the three-field pencil, a layer-checked enthalpy weight, random
+oracle states, the complex evolution operators at a frequency vector with
+their sparse-LU time step, and a mode CSV reader."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from rtstab.equilibrium import EquilibriumProfile, PhysicalParams, PressureLaw
 from rtstab.evolve import EvolutionOperators
 from rtstab.variational import (Mesh1D, QuadraticForms, _fix_sign, assemble,
-                                field_rows, layer_fields, viscous_terms)
+                                field_rows, layer_fields)
 
 
 def element_layer(mesh: Mesh1D, e: int) -> str:
@@ -104,6 +107,26 @@ def min_eig_dense(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
                       forms.psi_interface_dof)
 
 
+def viscous_terms(mu, mu_p, u, du, k):
+    """Yield the kernel terms of the dissipation
+
+        int mu/4 |D0|^2 + mu'/2 |div u|^2
+
+    of a velocity with component rows u = (u1, u2, u3) and vertical
+    derivatives du, where the horizontal derivatives are k = (k1, k2) times
+    the field (k = i xi for one Fourier mode) and D0 is the deviatoric part
+    of grad u + grad u^T; the off-diagonal entries count twice."""
+    (u1, u2, u3), (du1, du2, du3), (k1, k2) = u, du, k
+    dv = k1 * u1 + k2 * u2 + du3
+    yield 0.25 * mu, 2.0 * k1 * u1 - (2.0 / 3.0) * dv
+    yield 0.25 * mu, 2.0 * k2 * u2 - (2.0 / 3.0) * dv
+    yield 0.25 * mu, 2.0 * du3 - (2.0 / 3.0) * dv
+    yield 0.5 * mu, k1 * u2 + k2 * u1
+    yield 0.5 * mu, k1 * u3 + du1
+    yield 0.5 * mu, k2 * u3 + du2
+    yield 0.5 * mu_p, dv
+
+
 @dataclass(frozen=True)
 class Forms3Field:
     """Three-field (phi, theta, psi) matrices; dof blocks in that order."""
@@ -157,23 +180,71 @@ def min_eig_3field(forms: Forms3Field, s: float) -> tuple[float, np.ndarray]:
 
 
 def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> np.ndarray:
-    """Random complex packed state; the bottom velocity node is drawn and
-    dropped, so the essential constraint holds."""
+    """Random real in-plane state (q, v, w, eta+-); the bottom velocity node
+    is drawn and dropped, so the essential constraint holds."""
     rng = np.random.default_rng(seed)
-    mesh = ops.mesh
-    q = scale * (rng.standard_normal(ops.nq) + 1j * rng.standard_normal(ops.nq))
-    u = scale * (rng.standard_normal((3, mesh.n_nodes))
-                 + 1j * rng.standard_normal((3, mesh.n_nodes)))
-    eta_p = scale * complex(rng.standard_normal(), rng.standard_normal())
-    eta_m = scale * complex(rng.standard_normal(), rng.standard_normal())
-    return np.concatenate([q, u[:, 1:].ravel(), [eta_p, eta_m]])
+    q = rng.standard_normal(ops.q.size)
+    v, w = rng.standard_normal((2, ops.mesh.n_nodes))
+    y = np.empty(ops.n)
+    y[ops.q], y[ops.v], y[ops.w] = q, v[1:], w[1:]
+    y[[ops.eta_plus_idx, ops.eta_minus_idx]] = rng.standard_normal(2)
+    return scale * y
 
 
-def lu_step(ops: EvolutionOperators, y: np.ndarray, dt: float) -> np.ndarray:
-    """One trapezoidal step (M - dt/2 A) y+ = (M + dt/2 A) y of the complex
-    packed state by SuperLU, without the phase change or the band order."""
-    lhs = (ops.M - 0.5 * dt * ops.A).tocsc()
-    return splu(lhs).solve((ops.M + 0.5 * dt * ops.A) @ y)
+def complex_operators(profile: EquilibriumProfile, mesh: Mesh1D,
+                      xi: tuple[float, float], params: PhysicalParams):
+    """(M, A) of the complex packed system M dy/dt = A y at a frequency
+    vector xi, y = [q (nq) | u1, u2, u3 (each n_free) | eta_+, eta_-], with
+    the dissipation from viscous_terms of the full velocity at k = i xi:
+    the reference for the in-plane operators, built without
+    variational.form_terms."""
+    xi1, xi2 = float(xi[0]), float(xi[1])
+    xi_sq = xi1 * xi1 + xi2 * xi2
+    nf = mesh.n_free
+    nq = mesh.n_nodes + 1  # broken at the interface
+    n = nq + 3 * nf + 2
+    e = np.arange(mesh.n_elements)[:, None]
+    qdofs = e + [0, 1] + (e >= mesh.interface_index)
+    udofs = mesh.dofs(3)
+    udofs[udofs >= 0] += nq
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
+    N = mesh.quad[2]
+    u, du = field_rows(mesh, 3)
+    r = rho[..., None]
+    shape = (n, n)
+    # div_xi(rho u) = i xi1 rho u1 + i xi2 rho u2 + (rho u3)'
+    div_rho_u = (1j * xi1 * r * u[0] + 1j * xi2 * r * u[1]
+                 + drho[..., None] * u[2] + r * du[2])
+    B = assemble(mesh, [(dp / rho, N, div_rho_u)], qdofs, udofs, shape)
+    D = assemble(mesh, ((2.0 * c, row) for c, row in viscous_terms(
+        mu, mu_p, u, du, (1j * xi1, 1j * xi2))), udofs, udofs, shape)
+    top = profile.rho1 * params.g + params.sigma_plus * xi_sq
+    interface = params.sigma_minus * xi_sq - profile.jump * params.g
+    i, j = n - 2, n - 1
+    u3_top, u3_int = nq + 3 * nf - 1, nq + 2 * nf + mesh.interface_index - 1
+    eta = sp.coo_array(([1.0, 1.0, -top, -interface],
+                        ([i, j, u3_top, u3_int], [u3_top, u3_int, i, j])), shape=shape)
+    eta_mass = sp.coo_array(([1.0, 1.0], ([i, j], [i, j])), shape=shape)
+    M = (assemble(mesh, [(dp / rho, N)], qdofs, qdofs, shape)
+         + assemble(mesh, [(rho, row) for row in u], udofs, udofs, shape)
+         + eta_mass).astype(complex).tocsr()
+    return M, (B.conj().T - B - D + eta).tocsr()
+
+
+def embed_state(ops: EvolutionOperators, y: np.ndarray,
+                xi: tuple[float, float]) -> np.ndarray:
+    """The complex packed state of a real in-plane state y of ops:
+    u_h = -i v xi/|xi|, u3 = w, q and eta unchanged."""
+    xi_abs = math.hypot(*xi)
+    v = y[ops.v]
+    return np.concatenate([y[ops.q], -1j * v * xi[0] / xi_abs, -1j * v * xi[1] / xi_abs,
+                           y[ops.w], [y[ops.eta_plus_idx], y[ops.eta_minus_idx]]])
+
+
+def lu_step(M: sp.csr_array, A: sp.csr_array, y: np.ndarray, dt: float) -> np.ndarray:
+    """One trapezoidal step (M - dt/2 A) y+ = (M + dt/2 A) y of a complex
+    packed state by SuperLU."""
+    return splu((M - 0.5 * dt * A).tocsc()).solve((M + 0.5 * dt * A) @ y)
 
 
 def import_mode_csv(csv_path) -> dict[str, np.ndarray]:

@@ -258,6 +258,38 @@ def test_load_config_validates(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_config(path)
+    # a section that is not an object, and a physical value of the wrong
+    # JSON type, name their key
+    for i, (where, value, match) in enumerate([
+            (("surface_tension",), None, "surface_tension must be a JSON object"),
+            (("surface_tension",), [], "surface_tension must be a JSON object"),
+            (("surface_tension",), "x", "surface_tension must be a JSON object"),
+            (("surface_tension",), 3, "surface_tension must be a JSON object"),
+            (("gravity",), True, "gravity must be a number"),
+            (("gravity",), "1.0", "gravity must be a number"),
+            (("atmosphere",), "2", "atmosphere must be a number"),
+            (("geometry", "ell"), False, "geometry.ell must be a number"),
+            (("fluids", "plus", "mu"), "1", "fluids.plus.mu must be a number"),
+            (("fluids", "minus", "mu_prime"), True, "fluids.minus.mu_prime must be a number"),
+            (("surface_tension", "sigma_minus"), "0.1",
+             "surface_tension.sigma_minus must be a number"),
+            (("fluids", "plus", "law"), {"kind": "isothermal", "params": [True]},
+             r"fluids.plus.law.params must be a number"),
+            (("fluids", "minus", "law"), {"kind": "polytropic", "params": [1.0, "2"]},
+             r"fluids.minus.law.params must be a number"),
+            (("fluids", "minus", "law"),
+             {"kind": "tabulated", "rho": [0.5, 1.0, True, 3.0], "p": [1.0, 2.0, 4.0, 8.0]},
+             r"fluids.minus.law.rho must be a number")]):
+        doc = json.loads(cfg.read_text())
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path = tmp_path / f"typed{i}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     nan_tol = write_config(tmp_path / "nan_tol.json", eig_tol=nan)
     assert main(["growth", "--config", str(nan_tol), "--out", str(tmp_path / "o"),
                  "--xi", "1.0"]) == 2

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from rtstab.dispersion import growth_rate
-from rtstab.errors import BandOverflow, InvalidInput, SingularStep, ZeroSignal
-from rtstab.evolve import (STEP_BAND, Trajectory, _phased, advance,
+from rtstab.errors import BandOverflow, SingularStep, ZeroSignal
+from rtstab.evolve import (STEP_BAND, Trajectory, advance,
                            energy_balance_residual, interface_bump_state,
                            measure_growth, semidiscretize, state_from_mode,
                            write_trajectory_csv)
-from rtstab.modes import assemble_mode
+from rtstab.modes import assemble_mode, rotate_mode
 from rtstab.variational import assemble_forms, build_mesh
-from tests.oracles import lu_step, random_state
+from tests.conftest import unit_params
+from tests.oracles import complex_operators, embed_state, lu_step, random_state
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def unstable_setup(unstable_profile, params):
     mesh = build_mesh(1.0, 1.0, 60, 60)
     pt = growth_rate(unstable_profile, 1.0, mesh, params)
     mode = assemble_mode(pt, unstable_profile, mesh)
-    ops = semidiscretize(unstable_profile, mesh, (1.0, 0.0), params)
+    ops = semidiscretize(unstable_profile, mesh, 1.0, params)
     return mesh, pt, mode, ops
 
 
@@ -40,8 +41,7 @@ def test_viscous_pairing_matches_e1(unstable_setup, unstable_profile, params):
     # <D u, u> at the mode velocity equals twice the variational E1
     mesh, _pt, mode, ops = unstable_setup
     y = state_from_mode(ops, mode)
-    u = y[ops.nq:ops.nq + ops.nu]
-    duu = float(np.real(np.vdot(u, ops.D @ u)))
+    duu = float(y @ ops.D @ y)
     forms = assemble_forms(mesh, unstable_profile, 1.0, params)
     v = np.concatenate([mode.phi[1:], mode.psi[1:]])
     e1 = float(v @ forms.K1 @ v)
@@ -112,7 +112,7 @@ def test_energy_grows_at_twice_lambda(unstable_setup):
 
 def test_stable_full_energy_monotone(stable_profile, params):
     mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(stable_profile, mesh, (1.0, 0.0), params)
+    ops = semidiscretize(stable_profile, mesh, 1.0, params)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     fe = np.array([ops.full_energy(y) for y in traj.states])
     assert np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300))
@@ -127,7 +127,7 @@ def test_supercritical_tension_no_growth(unstable_profile):
     sigma_c = unstable_profile.jump
     prm = unit_params(sigma_minus=1.5 * sigma_c, sigma_plus=0.5)
     mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(unstable_profile, mesh, (1.0, 0.0), prm)
+    ops = semidiscretize(unstable_profile, mesh, 1.0, prm)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     em = traj.eta_minus_abs
     runmax = np.maximum.accumulate(em)
@@ -171,51 +171,63 @@ def test_singular_step_raises(unstable_setup):
         M = ops.M * 0.0
         A = ops.A * 0.0
         n = ops.n
-        phase = ops.phase
-        order = ops.order
 
     with pytest.raises(SingularStep):
         advance(interface_bump_state(ops), Degenerate(), 0.1, 0.5)
 
 
-def test_banded_step_matches_complex_lu(unstable_profile, params):
-    mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(unstable_profile, mesh, (0.6, 0.8), params)
-    y0, dt = random_state(ops, seed=3), 0.1
-    y1 = advance(y0, ops, dt, dt).states[1]
-    ref = lu_step(ops, y0, dt)
-    assert np.linalg.norm(y1 - ref) <= 1e-11 * np.linalg.norm(ref)
-    # normwise backward error of the banded step in the packed complex system
-    lhs = ops.M - 0.5 * dt * ops.A
-    r = lhs @ y1 - (ops.M + 0.5 * dt * ops.A) @ y0
-    scale = abs(lhs).sum(axis=1).max() * np.abs(y1).max()
-    assert np.abs(r).max() <= 1e-14 * scale
+def test_banded_step_matches_complex_lu(unstable_profile):
+    # the in-plane step against the complex packed (q | u1, u2, u3 | eta)
+    # system with the full-velocity dissipation, stepped by SuperLU
+    prm = unit_params(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
+                      sigma_minus=0.1)
+    mesh, dt = build_mesh(1.0, 1.0, 40, 40), 0.1
+    for xi in ((0.6, 0.8), (1.02, 1.36)):
+        ops = semidiscretize(unstable_profile, mesh, math.hypot(*xi), prm)
+        y0 = random_state(ops, seed=3)
+        y1 = advance(y0, ops, dt, dt).states[1]
+        ref = lu_step(*complex_operators(unstable_profile, mesh, xi, prm),
+                      embed_state(ops, y0, xi), dt)
+        got = embed_state(ops, y1, xi)
+        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+        # normwise backward error of the banded step in the real system
+        lhs = ops.M - 0.5 * dt * ops.A
+        r = lhs @ y1 - (ops.M + 0.5 * dt * ops.A) @ y0
+        scale = abs(lhs).sum(axis=1).max() * np.abs(y1).max()
+        assert np.abs(r).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 40])
 def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
-    ops = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, n, n + 1),
-                         (0.6, 0.8), params)
-    assert np.array_equal(np.sort(ops.order), np.arange(ops.n))
-    step = _phased(ops.M, ops) - 0.05 * _phased(ops.A, ops)
+    # in the unknowns (q, v = i u_parallel, w = u3) the step matrices are
+    # real, and node by node their half-bandwidth is STEP_BAND at every n
+    ops = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, n, n + 1), 1.0, params)
+    layout = np.concatenate([ops.q, ops.v, ops.w, [ops.eta_plus_idx, ops.eta_minus_idx]])
+    assert np.array_equal(np.sort(layout), np.arange(ops.n))
+    step = ops.M - 0.05 * ops.A
+    assert step.dtype == np.float64
     assert np.abs(step.todia().offsets).max() == STEP_BAND
 
 
-def test_non_real_or_wide_step_raises(unstable_setup):
+def test_wide_step_raises(unstable_setup):
     _mesh, _pt, _mode, ops = unstable_setup
+    packed = np.concatenate([ops.q, ops.v, ops.w, [ops.eta_plus_idx, ops.eta_minus_idx]])
 
-    class Unphased:  # without u_h -> -i u_h the step matrices stay complex
-        M, A, n, order = ops.M, ops.A, ops.n, ops.order
-        phase = np.ones(ops.n, dtype=complex)
+    class Packed:  # the field-by-field layout is far wider than the band
+        M = ops.M[packed][:, packed]
+        A = ops.A[packed][:, packed]
+        n = ops.n
 
-    class Packed:  # the packed layout is far wider than the band
-        M, A, n, phase = ops.M, ops.A, ops.n, ops.phase
-        order = np.arange(ops.n)
-
-    with pytest.raises(InvalidInput, match="not real"):
-        advance(interface_bump_state(ops), Unphased(), 0.1, 0.1)
     with pytest.raises(BandOverflow):
         advance(interface_bump_state(ops), Packed(), 0.1, 0.1)
+
+
+def test_advance_rejects_complex_state(unstable_setup):
+    # the operators are real: a complex state is two real trajectories
+    _mesh, _pt, _mode, ops = unstable_setup
+    y0 = interface_bump_state(ops).astype(complex)
+    with pytest.raises(ValueError, match="real"):
+        advance(y0, ops, 0.1, 0.1)
 
 
 def test_trajectory_csv(tmp_path, unstable_setup):
@@ -238,7 +250,15 @@ def test_state_from_mode_rejects_nonzero_bottom(unstable_setup):
 
 def test_state_from_mode_rejects_other_mesh(unstable_setup, unstable_profile, params):
     _mesh, _pt, mode, _ops = unstable_setup
-    other = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, 10, 10),
-                           (1.0, 0.0), params)
+    other = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, 10, 10), 1.0, params)
     with pytest.raises(ValueError):
         state_from_mode(other, mode)
+
+
+def test_state_from_mode_rejects_nonzero_theta(unstable_setup):
+    # a rotated mode's velocity is not along (1, 0): theta would be dropped
+    _mesh, _pt, mode, ops = unstable_setup
+    t = 0.4
+    R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    with pytest.raises(ValueError, match="theta"):
+        state_from_mode(ops, rotate_mode(mode, R))
