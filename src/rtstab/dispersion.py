@@ -46,7 +46,7 @@ import numpy as np
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from .variational import (Mesh1D, QuadraticForms, assemble_forms,
+from .variational import (Mesh1D, QuadraticForms, assemble_forms, band_mv,
                           eig_residual, evaluate_energy, min_eig, project_p1)
 
 
@@ -61,7 +61,9 @@ class DispersionPoint:
     lam is the fixed-point rate (0 when no growing mode exists at this
     frequency); alpha_at_star is alpha evaluated at the returned s (for
     lam = 0 it is the stability probe alpha(s_min) >= 0); converged says
-    that the minimizer's relative eigen-residual is within eig_tol.
+    that the minimizer's relative eigen-residual is within eig_tol.  The
+    minimizer lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2,
+    ...), in the dof order of Mesh1D.dofs.
     """
 
     xi: tuple[float, float]
@@ -198,7 +200,7 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
 
     def slope(s, payload):
         _alpha, v = payload
-        return 2.0 * s + float(v @ forms.K1 @ v)  # Hellmann-Feynman
+        return 2.0 * s + float(v @ band_mv(forms.K1, v))  # Hellmann-Feynman
 
     ftol = numerics.root_tol * s_max**2
     wtol = numerics.root_tol * s_max
@@ -313,9 +315,8 @@ def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
     phi_nodes = project_p1(mesh, np.broadcast_to(-dpsi_elem[:, None] / xi_abs,
                                                  mesh.quad[0].shape), 0, mesh.n_elements)
     phi_nodes[0] = 0.0
-    v = np.zeros(mesh.ndof)
-    v[:mesh.n_free] = phi_nodes[1:]
-    v[mesh.n_free:] = psi_nodes[1:]
+    v = np.empty(mesh.ndof)
+    v[0::2], v[1::2] = phi_nodes[1:], psi_nodes[1:]
     forms = assemble_forms(mesh, profile, xi_abs, params)
     e_val, _j = evaluate_energy(forms, v, s)
     return e_val

@@ -32,10 +32,12 @@ equation, which makes the semidiscrete energy identity
 
 hold exactly.  A state is one real vector y, listed node by node in the
 order in which the step matrices are banded with half-bandwidth STEP_BAND
-(layout in EvolutionOperators).  It is advanced by the trapezoidal rule,
-which inherits the identity exactly at step midpoints (quadratic invariants
-are preserved) and is second order in dt: the step matrix is factorized
-once by LAPACK dgbtrf, and each step is one sparse product and one dgbtrs.
+(layout in EvolutionOperators), and every operator is assembled straight
+into the LAPACK band storage of variational.assemble.  It is advanced by
+the trapezoidal rule, which inherits the identity exactly at step midpoints
+(quadratic invariants are preserved) and is second order in dt: the step
+matrix is factorized once by LAPACK dgbtrf, and each step is one CSR
+product and one dgbtrs.
 For a stable orientation (jump < 0) the full energy adds -1/2 jump g eta_-^2
 > 0 and is non-increasing at every step, to round-off.  Growth rates are
 measured by least squares on log|eta_-(t)| and cross-checked against the
@@ -52,9 +54,9 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .equilibrium import EquilibriumProfile, PhysicalParams
-from .errors import BandOverflow, SingularStep, ZeroSignal
+from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
-from .variational import Mesh1D, assemble, form_terms
+from .variational import Mesh1D, assemble, band_mv, form_terms
 
 BLOCK = 8  # states per vectorised block of the energy-balance pass
 STEP_BAND = 6  # half-bandwidth of the step matrices in the node-by-node order
@@ -67,7 +69,9 @@ class EvolutionOperators:
     each other node; the interface node's triple holds the lower q and is
     followed by the upper q and eta_-, and eta_+ comes last.  The index
     arrays q (the lower layer's nodes, then the upper layer's), v and w
-    (nodes 1 .. n_nodes - 1) give each field's place in y.
+    (nodes 1 .. n_nodes - 1) give each field's place in y.  M, A, the
+    energy matrix W and the dissipation D are in the band storage of
+    variational.assemble with half-bandwidth STEP_BAND.
     """
 
     def __init__(self, mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
@@ -89,44 +93,41 @@ class EvolutionOperators:
 
         e = np.arange(mesh.n_elements)[:, None]
         qdofs = self.q[e + [0, 1] + (e >= i0)]
-        udofs = mesh.dofs(2)
-        udofs = np.where(udofs >= 0, np.concatenate([self.v, self.w])[udofs], -1)
+        udofs = mesh.dofs(2)  # (v, w) node by node
+        udofs = np.where(udofs >= 0, (at[1:, None] + [1, 2]).ravel()[udofs], -1)
         (c, div), visc, mass = form_terms(mesh, profile, self.xi_abs, params)
         N = mesh.quad[2]
-        shape = (self.n, self.n)
+        n, band = self.n, STEP_BAND
         # h'(rho) = 2 c weighs the q rows: the q mass, and B, the divergence
-        # of rho u tested with q
-        B = assemble(mesh, [(2.0 * c, N, div)], qdofs, udofs, shape)
-        fields = (assemble(mesh, [(2.0 * c, N)], qdofs, qdofs, shape)
-                  + 2.0 * assemble(mesh, mass, udofs, udofs, shape))
-        self.D = 2.0 * assemble(mesh, visc, udofs, udofs, shape)
+        # of rho u tested with q; B^T swaps B's two rows and two dof maps
+        B = assemble(mesh, [(2.0 * c, N, div)], qdofs, udofs, n, band)
+        BT = assemble(mesh, [(2.0 * c, div, N)], udofs, qdofs, n, band)
+        fields = (assemble(mesh, [(2.0 * c, N)], qdofs, qdofs, n, band)
+                  + 2.0 * assemble(mesh, mass, udofs, udofs, n, band))
+        self.D = 2.0 * assemble(mesh, visc, udofs, udofs, n, band)
         i, j, top, mid = self.eta_plus_idx, self.eta_minus_idx, self.u3_top, self.u3_int
-
-        def entries(values, rows, cols):
-            return sp.coo_array((values, (rows, cols)), shape=shape)
-
-        self.M = (fields + entries([1.0, 1.0], [i, j], [i, j])).tocsr()
-        self.W = (fields + entries([self.sigma_top_coef, params.sigma_minus * xi_sq],
-                                   [i, j], [i, j])).tocsr()
+        self.M, self.W = fields.copy(), fields
+        self.M[band, [i, j]] = 1.0
+        self.W[band, [i, j]] = self.sigma_top_coef, params.sigma_minus * xi_sq
         # A rows: q gets -B u; u gets +B^T q - D u; eta gets deta/dt = w, and
         # w the boundary forces
-        self.A = (B.T - B - self.D
-                  + entries([1.0, 1.0, -self.sigma_top_coef, -self.sigma_int_coef],
-                            [i, j, top, mid], [top, mid, i, j])).tocsr()
+        self.A = BT - B - self.D
+        rows, cols = np.array([i, j, top, mid]), np.array([top, mid, i, j])
+        self.A[band + rows - cols, cols] = (1.0, 1.0, -self.sigma_top_coef,
+                                            -self.sigma_int_coef)
 
-    # -- quadratic functionals -------------------------------------------
-    # Each takes one state (n,) or a block of states (n, k), one per column.
-    def energy(self, y: np.ndarray):
-        return 0.5 * (y * (self.W @ y)).sum(axis=0)
+    # -- quadratic functionals of one state (n,) --------------------------
+    def energy(self, y: np.ndarray) -> float:
+        return 0.5 * float(y @ band_mv(self.W, y))
 
-    def full_energy(self, y: np.ndarray):
+    def full_energy(self, y: np.ndarray) -> float:
         """Energy plus the interface term -1/2 jump g eta_-^2 (positive when
         the orientation is stable); non-increasing along exact dynamics."""
         return self.energy(y) - 0.5 * self.profile.jump * self.params.g \
             * y[self.eta_minus_idx] ** 2
 
-    def dissipation(self, y: np.ndarray):
-        return (y * (self.D @ y)).sum(axis=0)
+    def dissipation(self, y: np.ndarray) -> float:
+        return float(y @ band_mv(self.D, y))
 
 
 def semidiscretize(profile: EquilibriumProfile, mesh: Mesh1D, xi_abs: float,
@@ -184,17 +185,11 @@ class Trajectory:
         return np.abs(self.states[:, self.eta_plus_idx])
 
 
-def _band(A: sp.csr_array) -> np.ndarray:
-    """A in the general band storage of dgbtrf with kl = ku = STEP_BAND:
-    entry (i, j) sits at [2 STEP_BAND + i - j, j], and the top STEP_BAND
-    rows are room for the fill of the pivoting."""
-    ab = np.zeros((3 * STEP_BAND + 1, A.shape[0]), order="F")
-    dia = A.todia()  # offset d: A[j - d, j] at column j
-    for d, diagonal in zip(dia.offsets, dia.data):
-        if abs(d) > STEP_BAND:
-            raise BandOverflow("step matrix is wider than the node-by-node band")
-        ab[2 * STEP_BAND - d] = diagonal
-    return ab
+def _csr(ab: np.ndarray) -> sp.csr_array:
+    """CSR copy of a band array of half-bandwidth STEP_BAND, through a
+    zero-copy DIA view, for repeated and block products."""
+    return sp.dia_array((ab, STEP_BAND - np.arange(2 * STEP_BAND + 1)),
+                        shape=(ab.shape[1],) * 2).tocsr()
 
 
 def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
@@ -203,11 +198,12 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     steps (M - dt/2 A) y+ = (M + dt/2 A) y.  dt may be negative (time
     reversal), in which case t_final must be too.
 
-    M - dt/2 A is factorized once by dgbtrf in the band storage of the
-    node-by-node order, and each step is one sparse product with M + dt/2 A
-    and one dgbtrs, written straight into the (n_steps + 1, n) record.  A
-    complex y0 raises ValueError: the operators are real, so its real and
-    imaginary parts are two separate trajectories.
+    M - dt/2 A is factorized once by dgbtrf, with STEP_BAND zero rows on top
+    of its band storage as room for the fill of the pivoting, and each step
+    is one CSR product with M + dt/2 A and one dgbtrs, written straight into
+    the (n_steps + 1, n) record.  A complex y0 raises ValueError: the
+    operators are real, so its real and imaginary parts are two separate
+    trajectories.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -216,11 +212,12 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final must cover at least one step of size dt")
-    lu, piv, info = dgbtrf(_band(ops.M - 0.5 * dt * ops.A), STEP_BAND, STEP_BAND,
-                           overwrite_ab=1)
+    lhs = np.zeros((3 * STEP_BAND + 1, ops.n), order="F")
+    lhs[STEP_BAND:] = ops.M - 0.5 * dt * ops.A
+    lu, piv, info = dgbtrf(lhs, STEP_BAND, STEP_BAND, overwrite_ab=1)
     if info > 0:
         raise SingularStep(f"implicit step matrix is singular (zero pivot {info})")
-    rhs = ops.M + 0.5 * dt * ops.A
+    rhs = _csr(ops.M + 0.5 * dt * ops.A)
     out = np.empty((n_steps + 1, ops.n))
     out[0] = y0
     for k in range(n_steps):
@@ -250,17 +247,19 @@ def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators):
     """Per-step defect of the discrete energy identity, relative to the energy.
 
     The identity is evaluated at step midpoints, where the trapezoidal rule
-    holds it to round-off.  States are taken BLOCK at a time, so no
-    temporary grows with the step count.  Returns (residual, energy,
-    dissipation): the defect of each step and the last two at every state.
+    holds it to round-off.  States are taken BLOCK at a time through CSR
+    copies of W and D, so no temporary grows with the step count.  Returns
+    (residual, energy, dissipation): the defect of each step and the last
+    two at every state.
     """
+    W, D = _csr(ops.W), _csr(ops.D)
     n_steps = traj.states.shape[0] - 1
     energy, diss = np.empty(n_steps + 1), np.empty(n_steps + 1)
     cross = np.empty(n_steps)  # y_k^T D y_k+1
     for a in range(0, n_steps, BLOCK):
         Y = traj.states[a:a + BLOCK + 1].T  # one state per column
-        DY, k = ops.D @ Y, Y.shape[1]
-        energy[a:a + k] = ops.energy(Y)
+        DY, k = D @ Y, Y.shape[1]
+        energy[a:a + k] = 0.5 * (Y * (W @ Y)).sum(axis=0)
         diss[a:a + k] = (Y * DY).sum(axis=0)
         cross[a:a + k - 1] = (Y[:, :-1] * DY[:, 1:]).sum(axis=0)
     eta = traj.states[:, ops.eta_minus_idx]

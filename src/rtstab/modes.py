@@ -82,11 +82,10 @@ def assemble_mode(point: DispersionPoint, profile: EquilibriumProfile,
     """Build the normalized growing mode from a converged dispersion point."""
     if point.lam <= 0:
         raise ValueError("assemble_mode requires a growing point (lam > 0)")
-    nf = mesh.n_free
     phi = np.zeros(mesh.n_nodes)
     psi = np.zeros(mesh.n_nodes)
-    phi[1:] = point.minimizer[:nf]
-    psi[1:] = point.minimizer[nf:]
+    phi[1:] = point.minimizer[0::2]
+    psi[1:] = point.minimizer[1::2]
     psi0 = psi[mesh.interface_index]
     if abs(psi0) < 1e-10:
         raise DegenerateMode(f"interface psi = {psi0} below 1e-10")

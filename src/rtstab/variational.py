@@ -23,18 +23,20 @@ functional value.  The modified-problem eigenvalue is
 E0 is indefinite when the heavy fluid sits on top (jump > 0) and the internal
 surface tension is subcritical; M is positive definite, so the pencil is
 well-posed regardless.  The matrices are sparse: each dof couples only to
-its own node and the two neighbouring nodes, so in the interleaved order
-(phi_1, psi_1, phi_2, psi_2, ...) they are banded with half-bandwidth 3 and
-QuadraticForms keeps them in LAPACK band storage.  min_eig finds the smallest
-eigenpair by Lanczos on U (K - shift M)^-1 U^T, where M = U^T U, with banded
-Cholesky factorizations only: a shift is certified below the spectrum exactly
-when the Cholesky factorization of K - shift M succeeds.
+its own node and the two neighbouring nodes, so in the node-by-node order
+(phi_1, psi_1, phi_2, psi_2, ...) of Mesh1D.dofs they are banded with
+half-bandwidth 3 and are assembled straight into LAPACK band storage.
+min_eig finds the smallest eigenpair by Lanczos on U (K - shift M)^-1 U^T,
+where M = U^T U, with banded Cholesky factorizations only: a shift is
+certified below the spectrum exactly when the Cholesky factorization of
+K - shift M succeeds.
 
 Every matrix here, the evolution oracle's (M, A) and both P1 projections
 come from one vectorised element kernel, `assemble`: a list of terms
 (c, B[, C]) of quadrature-point coefficients and linear-functional rows,
 summed as w c conj(B)^T C over all elements and points at once and
-scattered into CSR through a dof map such as `Mesh1D.dofs`.
+scattered through a dof map such as `Mesh1D.dofs` into the LAPACK general
+band storage that every solver reads.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import dtbmv, dtbsv
+from scipy.linalg.blas import dgbmv, dtbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -52,7 +53,7 @@ from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import BandOverflow, SolverDivergence
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(4)
-BAND = 3  # half-bandwidth of the two-field pencil in interleaved order
+BAND = 3  # half-bandwidth of the two-field pencil in node-by-node order
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ class Mesh1D:
     """Uniform-per-layer P1 mesh on [-b, ell] with a node exactly at 0.
 
     Scalar unknowns carry one dof per node except the bottom node, where the
-    essential condition removes it.  Two-field dof order: all phi then all
-    psi, each in node order 1..n_nodes-1.
+    essential condition removes it.  Several fields are numbered node by
+    node: two-field dofs are (phi_1, psi_1, phi_2, psi_2, ...) over nodes
+    1..n_nodes-1.
     """
 
     nodes: np.ndarray
@@ -105,10 +107,11 @@ class Mesh1D:
 
     def dofs(self, blocks: int) -> np.ndarray:
         """(E, 2 blocks) global dofs of each element's (left, right) node in
-        each of `blocks` scalar fields of n_free dofs; -1 at the bottom node."""
+        each of `blocks` scalar fields, numbered node by node: field k at
+        node m >= 1 is dof (m - 1) blocks + k; -1 at the bottom node."""
         left = np.arange(self.n_elements)[:, None] - 1
-        out = np.concatenate([left + [k * self.n_free, k * self.n_free + 1]
-                              for k in range(blocks)], axis=1)
+        out = np.concatenate([blocks * (left + [0, 1]) + k for k in range(blocks)],
+                             axis=1)
         out[0, 0::2] = -1
         return out
 
@@ -153,8 +156,9 @@ def field_rows(mesh: Mesh1D, blocks: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
-             shape: tuple[int, int]) -> sp.csr_array:
-    """The element kernel: sum over elements e and quadrature points q of
+             n: int, w: int) -> np.ndarray:
+    """The element kernel: the n x n matrix A summed over elements e and
+    quadrature points q from
 
         w c conj(B)^T C
 
@@ -163,8 +167,13 @@ def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
     functionals of the element's local dofs.  Each outer product is formed
     before it is weighted and the points are summed in order, so a term with
     C = B gives an exactly symmetric matrix.  The (E, I, J) element matrices
-    are scattered once through the (E, I) and (E, J) global dof maps; a dof
-    of -1 is dropped.
+    are scattered once through the (E, I) and (E, J) global dof maps into
+    LAPACK general band storage of half-bandwidth w,
+
+        ab[w + i - j, j] = A[i, j],   ab of shape (2 w + 1, n),
+
+    so that ab[:w + 1] is the upper band storage of a symmetric A.  A dof of
+    -1 is dropped; an entry more than w off the diagonal raises BandOverflow.
     """
     local = 0.0
     for c, B, *C in terms:
@@ -177,8 +186,20 @@ def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
     rows = np.repeat(row_dofs, n_j, axis=1)
     cols = np.tile(col_dofs, (1, n_i))
     keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_array((local.reshape(rows.shape)[keep], (rows[keep], cols[keep])),
-                        shape=shape).tocsr()
+    rows, cols, values = rows[keep], cols[keep], local.reshape(keep.shape)[keep]
+    if np.abs(rows - cols).max() > w:
+        raise BandOverflow(f"dof map is wider than the half-bandwidth {w}")
+    at, size = (w + rows - cols) * n + cols, (2 * w + 1) * n
+    ab = np.bincount(at, values.real, size)
+    if np.iscomplexobj(values):
+        ab = ab + 1j * np.bincount(at, values.imag, size)
+    return ab.reshape(2 * w + 1, n)
+
+
+def band_mv(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for one vector x and A in the band storage of assemble."""
+    w, n = ab.shape[0] // 2, ab.shape[1]
+    return dgbmv(n, n, w, w, 1.0, ab, x)
 
 
 def project_p1(mesh: Mesh1D, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -189,51 +210,34 @@ def project_p1(mesh: Mesh1D, values: np.ndarray, lo: int, hi: int) -> np.ndarray
     e = np.arange(mesh.n_elements)[:, None]
     dofs = np.where((lo <= e) & (e < hi), e - lo + [0, 1], -1)
     n = hi - lo + 1
-    mass = assemble(mesh, [(1.0, N)], dofs, dofs, (n, n))
-    rhs = assemble(mesh, [(values, N, np.ones_like(N[..., :1]))], dofs,
-                   np.zeros_like(dofs[:, :1]), (n, 1))
-    _d, _e, x, info = dptsv(mass.diagonal(), mass.diagonal(1), rhs.toarray())
+    mass = assemble(mesh, [(1.0, N)], dofs, dofs, n, 1)
+    load = ((mesh.quad[1] * values)[..., None] * N).sum(axis=1)  # int f N_i
+    keep = dofs >= 0
+    _d, _e, x, info = dptsv(mass[1], mass[0, 1:], np.bincount(dofs[keep], load[keep], n))
     if info != 0:
         raise SolverDivergence(f"P1 mass matrix is not positive definite (info {info})")
-    return x[:, 0]
+    return x
 
 
 @dataclass(frozen=True)
 class QuadraticForms:
-    """Sparse symmetric matrices with v^T K0 v = E0(v), v^T K1 v = E1(v),
-    v^T M v = J(v), in the two-field dof order of Mesh1D."""
+    """Symmetric matrices with v^T K0 v = E0(v), v^T K1 v = E1(v),
+    v^T M v = J(v) for v in the node-by-node order (phi_1, psi_1, phi_2,
+    psi_2, ...) of Mesh1D.dofs, each in the band storage of assemble with
+    half-bandwidth BAND: entry (i, j) sits at [BAND + i - j, j], so rows
+    :BAND + 1 are LAPACK's upper band storage."""
 
-    K0: sp.csr_array
-    K1: sp.csr_array
-    M: sp.csr_array
+    K0: np.ndarray
+    K1: np.ndarray
+    M: np.ndarray
     xi_abs: float
     g: float
     psi_interface_dof: int
-    psi_top_dof: int
-
-    @cached_property
-    def band(self):
-        """(K0, K1, M, perm): the matrices in LAPACK upper band storage for
-        the (phi_1, psi_1, phi_2, psi_2, ...) order, where the half-bandwidth
-        is BAND; entry (i, j), i <= j, sits at [BAND + i - j, j], and row k
-        there is dof perm[k] here."""
-        n = self.K0.shape[0]
-        perm = np.arange(n).reshape(2, -1).T.ravel()
-        out = []
-        for A in (self.K0, self.K1, self.M):
-            dia = A[perm][:, perm].todia()  # offset d: A[j - d, j] at column j
-            if np.abs(dia.offsets).max() > BAND:
-                raise BandOverflow("matrix is wider than the interleaved band")
-            upper = dia.offsets >= 0
-            ab = np.zeros((BAND + 1, n))
-            ab[BAND - dia.offsets[upper]] = dia.data[upper]
-            out.append(ab)
-        return (*out, perm)
 
     @cached_property
     def m_factor(self) -> np.ndarray:
-        """Upper band Cholesky factor U of M = U^T U in the banded order."""
-        U, info = dpbtrf(self.band[2])
+        """Upper band Cholesky factor U of M = U^T U."""
+        U, info = dpbtrf(self.M[:BAND + 1])
         if info != 0:
             raise SolverDivergence(f"mass matrix is not positive definite (info {info})")
         return U
@@ -265,20 +269,18 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
 
     Local dof order per element is (phi_l, phi_r, psi_l, psi_r); the bulk
     integrands are squares of linear functionals of these (form_terms), so
-    each matrix is a sum of outer products and exactly symmetric.
+    each matrix is a sum of outer products and exactly symmetric.  The
+    boundary terms of E0 sit on the diagonal, row BAND of the band storage.
     """
     xi = float(xi_abs)
-    nf = mesh.n_free
     div, visc, mass = form_terms(mesh, profile, xi, params)
     dofs = mesh.dofs(2)
-    shape = (mesh.ndof, mesh.ndof)
-    K0 = assemble(mesh, [div], dofs, dofs, shape)
-    K1 = assemble(mesh, visc, dofs, dofs, shape)
-    M = assemble(mesh, mass, dofs, dofs, shape)
-    psi0, psiL = nf + mesh.interface_index - 1, 2 * nf - 1
-    K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
-    K0[psiL, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
-    return QuadraticForms(K0, K1, M, xi, params.g, psi0, psiL)
+    K0, K1, M = (assemble(mesh, terms, dofs, dofs, mesh.ndof, BAND)
+                 for terms in ([div], visc, mass))
+    psi0, psiL = 2 * mesh.interface_index - 1, mesh.ndof - 1
+    K0[BAND, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
+    K0[BAND, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
+    return QuadraticForms(K0, K1, M, xi, params.g, psi0)
 
 
 def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:
@@ -293,10 +295,9 @@ def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:
 def _shift_invert_min(forms: QuadraticForms, s: float,
                       below: float | None) -> tuple[float, np.ndarray]:
     """Smallest eigenpair from the largest eigenvalue theta = 1/(alpha -
-    shift) of U (K - shift M)^-1 U^T, M = U^T U, and its vector w = U v; v
-    comes back in the two-field order."""
-    K0, K1, M, perm = forms.band
-    K = K0 + s * K1
+    shift) of U (K - shift M)^-1 U^T, M = U^T U, and its vector w = U v."""
+    K = forms.K0[:BAND + 1] + s * forms.K1[:BAND + 1]
+    M = forms.M[:BAND + 1]
     for shift in (0.0, below, -1.1 * forms.g * forms.xi_abs - 1.0):
         if shift is not None:
             F, info = dpbtrf(K - shift * M)
@@ -316,9 +317,7 @@ def _shift_invert_min(forms: QuadraticForms, s: float,
                          which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng)
     except ArpackError as exc:
         raise SolverDivergence(f"shift-invert eigensolve failed: {exc}") from exc
-    v = np.empty(n)
-    v[perm] = dtbsv(BAND, U, w[:, 0])
-    return shift + 1.0 / float(theta[0]), v
+    return shift + 1.0 / float(theta[0]), dtbsv(BAND, U, w[:, 0])
 
 
 def min_eig(forms: QuadraticForms, s: float,
@@ -336,7 +335,7 @@ def min_eig(forms: QuadraticForms, s: float,
     if s <= 0:
         raise ValueError("modified-problem parameter s must be > 0")
     alpha, v = _shift_invert_min(forms, s, below)
-    v = v / np.sqrt(v @ forms.M @ v)
+    v = v / np.sqrt(v @ band_mv(forms.M, v))
     return alpha, _fix_sign(v, forms.psi_interface_dof)
 
 
@@ -345,14 +344,15 @@ def eig_residual(forms: QuadraticForms, s: float, alpha: float,
     """Normwise relative residual of an eigenpair of K = K0 + s K1:
     ||(K - alpha M) v|| / ((||K||_1 + |alpha| ||M||_1) ||v||)."""
     K = forms.K0 + s * forms.K1
-    r = K @ v - alpha * (forms.M @ v)
-    scale = (abs(K).sum(axis=0).max()
-             + abs(alpha) * abs(forms.M).sum(axis=0).max()) * np.linalg.norm(v)
+    r = band_mv(K, v) - alpha * band_mv(forms.M, v)
+    # column j of the band storage holds column j of the matrix
+    scale = (np.abs(K).sum(axis=0).max()
+             + abs(alpha) * np.abs(forms.M).sum(axis=0).max()) * np.linalg.norm(v)
     return float(np.linalg.norm(r) / scale)
 
 
 def evaluate_energy(forms: QuadraticForms, v: np.ndarray, s: float) -> tuple[float, float]:
     """(E, J) = (v^T (K0 + s K1) v, v^T M v)."""
-    e = float(v @ forms.K0 @ v + s * (v @ forms.K1 @ v))
-    j = float(v @ forms.M @ v)
+    e = float(v @ band_mv(forms.K0, v) + s * (v @ band_mv(forms.K1, v)))
+    j = float(v @ band_mv(forms.M, v))
     return e, j

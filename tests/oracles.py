@@ -1,9 +1,10 @@
 """Independent references that tests compare the solver with, and helpers
-only tests use: an alternate assembly for the element kernel, a dense
-full-spectrum eigensolve, the viscous dissipation of a full 3-component
-velocity, the three-field pencil, a layer-checked enthalpy weight, random
-oracle states, the complex evolution operators at a frequency vector with
-their sparse-LU time step, and a mode CSV reader."""
+only tests use: dense and CSR copies of band storage, an alternate assembly
+for the element kernel, a dense full-spectrum eigensolve, the viscous
+dissipation of a full 3-component velocity, the three-field pencil, a
+layer-checked enthalpy weight, random oracle states, the complex evolution
+operators at a frequency vector with their sparse-LU time step, and a mode
+CSV reader."""
 
 import math
 from dataclasses import dataclass
@@ -19,15 +20,32 @@ from rtstab.variational import (Mesh1D, QuadraticForms, _fix_sign, assemble,
                                 field_rows, layer_fields)
 
 
+def dense(ab: np.ndarray) -> np.ndarray:
+    """The n x n matrix A of the band storage ab[w + i - j, j] = A[i, j]."""
+    w, n = ab.shape[0] // 2, ab.shape[1]
+    k, j = np.indices(ab.shape)
+    i = j + k - w
+    inside = (0 <= i) & (i < n)
+    A = np.zeros((n, n), ab.dtype)
+    A[i[inside], j[inside]] = ab[inside]
+    return A
+
+
+def csr(ab: np.ndarray) -> sp.csr_array:
+    """The same matrix as a CSR array, through a zero-copy DIA view."""
+    w, n = ab.shape[0] // 2, ab.shape[1]
+    return sp.dia_array((ab, w - np.arange(2 * w + 1)), shape=(n, n)).tocsr()
+
+
 def element_layer(mesh: Mesh1D, e: int) -> str:
     return "minus" if e < mesh.n_minus else "plus"
 
 
 def add_element(K: np.ndarray, mesh: Mesh1D, e: int, local: np.ndarray) -> None:
     """Add element e's (phi_l, phi_r, psi_l, psi_r) matrix `local` into the
-    dense two-field matrix K; rows and columns of the bottom node are dropped."""
-    nf = mesh.n_free
-    gdof = [e - 1, e, nf + e - 1, nf + e]
+    dense two-field matrix K, whose dofs run node by node (phi_1, psi_1,
+    phi_2, ...); rows and columns of the bottom node are dropped."""
+    gdof = [2 * e - 2, 2 * e, 2 * e - 1, 2 * e + 1]
     free = [e > 0, True, e > 0, True]
     for i in range(4):
         for j in range(4):
@@ -63,7 +81,7 @@ def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
             cross = np.outer(row_psi, row_phi)
             k -= w * params.g * rho[q] * xi * 0.5 * (cross + cross.T)
         add_element(K, mesh, e, k)
-    psi0 = mesh.n_free + mesh.interface_index - 1
+    psi0 = 2 * mesh.interface_index - 1
     K[psi0, psi0] += 0.5 * params.sigma_minus * xi**2
     K[-1, -1] += 0.5 * params.sigma_plus * xi**2
     return K
@@ -103,7 +121,7 @@ def _dense_min(K: np.ndarray, M: np.ndarray,
 def min_eig_dense(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     """Dense reference for variational.min_eig: Cholesky reduction of M and
     the full spectrum of the two-field pencil."""
-    return _dense_min((forms.K0 + s * forms.K1).toarray(), forms.M.toarray(),
+    return _dense_min(dense(forms.K0 + s * forms.K1), dense(forms.M),
                       forms.psi_interface_dof)
 
 
@@ -129,7 +147,8 @@ def viscous_terms(mu, mu_p, u, du, k):
 
 @dataclass(frozen=True)
 class Forms3Field:
-    """Three-field (phi, theta, psi) matrices; dof blocks in that order."""
+    """Three-field matrices, dofs node by node (phi_1, theta_1, psi_1,
+    phi_2, ...)."""
 
     K0: np.ndarray
     K1: np.ndarray
@@ -155,18 +174,18 @@ def assemble_forms_3field(mesh: Mesh1D, profile: EquilibriumProfile,
     (phi, theta, psi), (dphi, dtheta, dpsi) = field_rows(mesh, 3)
     r, dr = rho[..., None], drho[..., None]
     dofs = mesh.dofs(3)
-    shape = (3 * nf, 3 * nf)
-    K0 = assemble(mesh, [(0.5 * dp / rho,
-                          dr * psi + r * dpsi + r * (xi1 * phi + xi2 * theta))],
-                  dofs, dofs, shape).toarray()
-    K1 = assemble(mesh, viscous_terms(mu, mu_p, (-1j * phi, -1j * theta, psi),
-                                      (-1j * dphi, -1j * dtheta, dpsi),
-                                      (1j * xi1, 1j * xi2)),
-                  dofs, dofs, shape).toarray().real
-    M = assemble(mesh, [(0.5 * rho, f) for f in (phi, theta, psi)],
-                 dofs, dofs, shape).toarray()
+    n, w = 3 * nf, 5  # phi_l to psi_r is 5 apart
+    K0 = dense(assemble(mesh, [(0.5 * dp / rho,
+                                dr * psi + r * dpsi + r * (xi1 * phi + xi2 * theta))],
+                        dofs, dofs, n, w))
+    K1 = dense(assemble(mesh, viscous_terms(mu, mu_p, (-1j * phi, -1j * theta, psi),
+                                            (-1j * dphi, -1j * dtheta, dpsi),
+                                            (1j * xi1, 1j * xi2)),
+                        dofs, dofs, n, w)).real
+    M = dense(assemble(mesh, [(0.5 * rho, f) for f in (phi, theta, psi)],
+                       dofs, dofs, n, w))
     xi_sq = xi1**2 + xi2**2
-    psi0, psiL = 2 * nf + mesh.interface_index - 1, 3 * nf - 1
+    psi0, psiL = 3 * mesh.interface_index - 1, 3 * nf - 1
     K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi_sq - profile.jump * params.g)
     K0[psiL, psiL] += 0.5 * (params.sigma_plus * xi_sq + profile.rho1 * params.g)
     return Forms3Field(K0, K1, M, (xi1, xi2), nf, psi0)
@@ -194,10 +213,11 @@ def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> 
 def complex_operators(profile: EquilibriumProfile, mesh: Mesh1D,
                       xi: tuple[float, float], params: PhysicalParams):
     """(M, A) of the complex packed system M dy/dt = A y at a frequency
-    vector xi, y = [q (nq) | u1, u2, u3 (each n_free) | eta_+, eta_-], with
-    the dissipation from viscous_terms of the full velocity at k = i xi:
-    the reference for the in-plane operators, built without
-    variational.form_terms."""
+    vector xi, y = [q (nq) | (u1, u2, u3) node by node | eta_+, eta_-],
+    with the dissipation from viscous_terms of the full velocity at
+    k = i xi: the reference for the in-plane operators, built without
+    variational.form_terms.  The kernel assembles at half-bandwidth n - 1,
+    wide enough for any coupling, and the blocks are combined as CSR."""
     xi1, xi2 = float(xi[0]), float(xi[1])
     xi_sq = xi1 * xi1 + xi2 * xi2
     nf = mesh.n_free
@@ -211,22 +231,22 @@ def complex_operators(profile: EquilibriumProfile, mesh: Mesh1D,
     N = mesh.quad[2]
     u, du = field_rows(mesh, 3)
     r = rho[..., None]
-    shape = (n, n)
+    w = n - 1
     # div_xi(rho u) = i xi1 rho u1 + i xi2 rho u2 + (rho u3)'
     div_rho_u = (1j * xi1 * r * u[0] + 1j * xi2 * r * u[1]
                  + drho[..., None] * u[2] + r * du[2])
-    B = assemble(mesh, [(dp / rho, N, div_rho_u)], qdofs, udofs, shape)
-    D = assemble(mesh, ((2.0 * c, row) for c, row in viscous_terms(
-        mu, mu_p, u, du, (1j * xi1, 1j * xi2))), udofs, udofs, shape)
+    B = csr(assemble(mesh, [(dp / rho, N, div_rho_u)], qdofs, udofs, n, w))
+    D = csr(assemble(mesh, ((2.0 * c, row) for c, row in viscous_terms(
+        mu, mu_p, u, du, (1j * xi1, 1j * xi2))), udofs, udofs, n, w))
     top = profile.rho1 * params.g + params.sigma_plus * xi_sq
     interface = params.sigma_minus * xi_sq - profile.jump * params.g
     i, j = n - 2, n - 1
-    u3_top, u3_int = nq + 3 * nf - 1, nq + 2 * nf + mesh.interface_index - 1
+    u3_top, u3_int = nq + 3 * nf - 1, nq + 3 * mesh.interface_index - 1
     eta = sp.coo_array(([1.0, 1.0, -top, -interface],
-                        ([i, j, u3_top, u3_int], [u3_top, u3_int, i, j])), shape=shape)
-    eta_mass = sp.coo_array(([1.0, 1.0], ([i, j], [i, j])), shape=shape)
-    M = (assemble(mesh, [(dp / rho, N)], qdofs, qdofs, shape)
-         + assemble(mesh, [(rho, row) for row in u], udofs, udofs, shape)
+                        ([i, j, u3_top, u3_int], [u3_top, u3_int, i, j])), shape=(n, n))
+    eta_mass = sp.coo_array(([1.0, 1.0], ([i, j], [i, j])), shape=(n, n))
+    M = (csr(assemble(mesh, [(dp / rho, N)], qdofs, qdofs, n, w))
+         + csr(assemble(mesh, [(rho, row) for row in u], udofs, udofs, n, w))
          + eta_mass).astype(complex).tocsr()
     return M, (B.conj().T - B - D + eta).tocsr()
 
@@ -237,8 +257,9 @@ def embed_state(ops: EvolutionOperators, y: np.ndarray,
     u_h = -i v xi/|xi|, u3 = w, q and eta unchanged."""
     xi_abs = math.hypot(*xi)
     v = y[ops.v]
-    return np.concatenate([y[ops.q], -1j * v * xi[0] / xi_abs, -1j * v * xi[1] / xi_abs,
-                           y[ops.w], [y[ops.eta_plus_idx], y[ops.eta_minus_idx]]])
+    u = np.stack([-1j * v * xi[0] / xi_abs, -1j * v * xi[1] / xi_abs, y[ops.w]], axis=1)
+    return np.concatenate([y[ops.q], u.ravel(),
+                           [y[ops.eta_plus_idx], y[ops.eta_minus_idx]]])
 
 
 def lu_step(M: sp.csr_array, A: sp.csr_array, y: np.ndarray, dt: float) -> np.ndarray:

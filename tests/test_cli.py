@@ -127,6 +127,20 @@ def test_oracle_artifacts(tmp_path):
     assert header == "t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual"
 
 
+@pytest.mark.parametrize("command", ["mode", "oracle"])
+def test_mode_and_oracle_determinism(tmp_path, command):
+    # both read the minimizer that the dispersion solve returns
+    artifacts = {"mode": ("mode.csv", "mode.json"),
+                 "oracle": ("trajectory.csv", "rate.json")}[command]
+    cfg = write_config(tmp_path / "cfg.json", n=40, t_final=None)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    for out in (out1, out2):
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--xi", "1.0"]) == 0
+    for name in artifacts:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_extend_artifacts(tmp_path):
     from rtstab.poisson_ext import PeriodicField, write_field_csv
     rng = np.random.default_rng(0)

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from rtstab.dispersion import growth_rate
-from rtstab.errors import BandOverflow, SingularStep, ZeroSignal
+from rtstab.errors import SingularStep, ZeroSignal
 from rtstab.evolve import (STEP_BAND, Trajectory, advance,
                            energy_balance_residual, interface_bump_state,
                            measure_growth, semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode, rotate_mode
-from rtstab.variational import assemble_forms, build_mesh
+from rtstab.variational import BAND, assemble_forms, build_mesh
 from tests.conftest import unit_params
-from tests.oracles import complex_operators, embed_state, lu_step, random_state
+from tests.oracles import (complex_operators, dense, embed_state, lu_step,
+                           random_state)
 
 
 @pytest.fixture(scope="module")
@@ -34,17 +35,17 @@ def test_boundary_coefficients_match_variational(unstable_setup, unstable_profil
     k0_top = 0.5 * (params.sigma_plus + unstable_profile.rho1 * params.g)
     assert abs(ops.sigma_int_coef - 2 * k0_int) <= 1e-12
     assert abs(ops.sigma_top_coef - 2 * k0_top) <= 1e-12
-    assert forms.K0[forms.psi_interface_dof, forms.psi_interface_dof] != 0.0
+    assert forms.K0[BAND, forms.psi_interface_dof] != 0.0
 
 
 def test_viscous_pairing_matches_e1(unstable_setup, unstable_profile, params):
     # <D u, u> at the mode velocity equals twice the variational E1
     mesh, _pt, mode, ops = unstable_setup
     y = state_from_mode(ops, mode)
-    duu = float(y @ ops.D @ y)
+    duu = ops.dissipation(y)
     forms = assemble_forms(mesh, unstable_profile, 1.0, params)
-    v = np.concatenate([mode.phi[1:], mode.psi[1:]])
-    e1 = float(v @ forms.K1 @ v)
+    v = np.stack([mode.phi[1:], mode.psi[1:]], axis=1).ravel()
+    e1 = float(v @ dense(forms.K1) @ v)
     assert duu == pytest.approx(2.0 * e1, rel=1e-12)
 
 
@@ -191,8 +192,8 @@ def test_banded_step_matches_complex_lu(unstable_profile):
         got = embed_state(ops, y1, xi)
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
         # normwise backward error of the banded step in the real system
-        lhs = ops.M - 0.5 * dt * ops.A
-        r = lhs @ y1 - (ops.M + 0.5 * dt * ops.A) @ y0
+        lhs = dense(ops.M - 0.5 * dt * ops.A)
+        r = lhs @ y1 - dense(ops.M + 0.5 * dt * ops.A) @ y0
         scale = abs(lhs).sum(axis=1).max() * np.abs(y1).max()
         assert np.abs(r).max() <= 1e-14 * scale
 
@@ -205,21 +206,20 @@ def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
     layout = np.concatenate([ops.q, ops.v, ops.w, [ops.eta_plus_idx, ops.eta_minus_idx]])
     assert np.array_equal(np.sort(layout), np.arange(ops.n))
     step = ops.M - 0.05 * ops.A
-    assert step.dtype == np.float64
-    assert np.abs(step.todia().offsets).max() == STEP_BAND
+    assert step.dtype == np.float64 and step.shape == (2 * STEP_BAND + 1, ops.n)
+    i, j = np.nonzero(dense(step))
+    assert np.abs(i - j).max() == STEP_BAND
 
 
-def test_wide_step_raises(unstable_setup):
-    _mesh, _pt, _mode, ops = unstable_setup
-    packed = np.concatenate([ops.q, ops.v, ops.w, [ops.eta_plus_idx, ops.eta_minus_idx]])
-
-    class Packed:  # the field-by-field layout is far wider than the band
-        M = ops.M[packed][:, packed]
-        A = ops.A[packed][:, packed]
-        n = ops.n
-
-    with pytest.raises(BandOverflow):
-        advance(interface_bump_state(ops), Packed(), 0.1, 0.1)
+def test_swapped_assembly_is_the_transpose(unstable_profile):
+    # A holds -B in its (q, u) block and B^T, assembled by swapping the
+    # term's rows and dof maps, in its (u, q) block: exact transposes
+    prm = unit_params(mu_prime_minus=0.3, sigma_plus=0.2, sigma_minus=0.1)
+    ops = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, 20, 23), 1.3, prm)
+    A, u = dense(ops.A), np.concatenate([ops.v, ops.w])
+    BT = A[np.ix_(u, ops.q)]
+    assert np.count_nonzero(BT) > 0
+    assert np.array_equal(BT, -A[np.ix_(ops.q, u)].T)
 
 
 def test_advance_rejects_complex_state(unstable_setup):

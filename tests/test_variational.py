@@ -1,6 +1,5 @@
 """Assembly contracts, eigensolver agreement, and variational structure."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +7,15 @@ import pytest
 
 from scipy.linalg.lapack import dpbtrf
 
-from rtstab.variational import (BAND, assemble_forms, build_mesh, eig_residual,
-                                evaluate_energy, min_eig, project_p1)
+from rtstab.variational import (BAND, assemble, assemble_forms, build_mesh,
+                                eig_residual, evaluate_energy, form_terms,
+                                layer_fields, min_eig, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import BandOverflow
+from rtstab.evolve import STEP_BAND
 from tests.conftest import unit_params
 from tests.oracles import (add_element, assemble_forms_3field, assemble_forms_alt,
-                           element_layer, min_eig_3field, min_eig_dense)
+                           dense, element_layer, min_eig_3field, min_eig_dense)
 
 
 def test_build_mesh_examples():
@@ -36,7 +37,7 @@ def test_zero_vector_zero_forms(unstable_profile, params, mesh40):
 
 def test_exact_symmetry_and_definiteness(unstable_profile, params, mesh40):
     forms = assemble_forms(mesh40, unstable_profile, 1.3, params)
-    K0, K1, M = forms.K0.toarray(), forms.K1.toarray(), forms.M.toarray()
+    K0, K1, M = dense(forms.K0), dense(forms.K1), dense(forms.M)
     assert np.array_equal(K0, K0.T)
     assert np.array_equal(K1, K1.T)
     assert np.array_equal(M, M.T)
@@ -46,7 +47,7 @@ def test_exact_symmetry_and_definiteness(unstable_profile, params, mesh40):
 
 def test_stable_orientation_k0_psd(stable_profile, params, mesh40):
     # jump <= 0 and sigma >= 0 make the static energy nonnegative
-    K0 = assemble_forms(mesh40, stable_profile, 1.0, params).K0.toarray()
+    K0 = dense(assemble_forms(mesh40, stable_profile, 1.0, params).K0)
     scale = np.abs(K0).max()
     assert np.linalg.eigvalsh(K0).min() >= -1e-13 * scale
 
@@ -55,9 +56,10 @@ def test_energy_lower_bound_random(unstable_profile, params, mesh40):
     rng = np.random.default_rng(42)
     for xi in (0.5, 1.0, 2.0):
         forms = assemble_forms(mesh40, unstable_profile, xi, params)
+        M = dense(forms.M)
         for _ in range(100):
             v = rng.standard_normal(mesh40.ndof)
-            v /= math.sqrt(v @ forms.M @ v)
+            v /= math.sqrt(v @ M @ v)
             e, j = evaluate_energy(forms, v, 0.2)
             assert j == pytest.approx(1.0, abs=1e-10)
             assert e >= -params.g * xi - 1e-10
@@ -120,19 +122,71 @@ def test_sparse_matches_dense_past_sigma_c(unstable_profile):
 
 def _pd(forms, s, shift):
     """Whether the banded Cholesky accepts K0 + s K1 - shift M."""
-    K0, K1, M, _perm = forms.band
-    return dpbtrf(K0 + s * K1 - shift * M)[1] == 0
+    K = forms.K0 + s * forms.K1 - shift * forms.M
+    return dpbtrf(K[:BAND + 1])[1] == 0
 
 
-def test_band_storage_reproduces_interleaved_forms(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.3, params)
-    *bands, perm = forms.band
-    n = mesh40.ndof
-    assert np.array_equal(perm[:4], [0, n // 2, 1, n // 2 + 1])
-    for ab, A in zip(bands, (forms.K0, forms.K1, forms.M)):
-        upper = sum(np.diag(ab[BAND - d, d:], d) for d in range(BAND + 1))
-        dense = upper + np.triu(upper, 1).T
-        assert np.array_equal(dense, A[perm][:, perm].toarray())
+def _dense_forms(mesh, profile, xi, prm):
+    """(K0, K1, M) summed element by element and point by point into dense
+    matrices through add_element, written out from the functionals of the
+    variational module docstring."""
+    n = mesh.ndof
+    K0, K1, M = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    fields = layer_fields(mesh, profile, prm, mesh.quad[0])
+    for e in range(mesh.n_elements):
+        _xq, wq, N, dN = (a[e] for a in mesh.quad)
+        rho, drho, dp, mu, mu_p = fields[:, e]
+        k0, k1, m = np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
+        for q in range(wq.size):
+            phi, psi = np.r_[N[q], 0, 0], np.r_[0, 0, N[q]]
+            dphi, dpsi = np.r_[dN[q], 0, 0], np.r_[0, 0, dN[q]]
+            div = drho[q] * psi + rho[q] * dpsi + rho[q] * xi * phi
+            k0 += wq[q] * 0.5 * dp[q] / rho[q] * np.outer(div, div)
+            for c, row in ((0.5 * mu[q], dphi - xi * psi), (0.5 * mu[q], dpsi - xi * phi),
+                           (mu[q] / 6 + 0.5 * mu_p[q], dpsi + xi * phi)):
+                k1 += wq[q] * c * np.outer(row, row)
+            m += wq[q] * 0.5 * rho[q] * (np.outer(phi, phi) + np.outer(psi, psi))
+        for K, local in ((K0, k0), (K1, k1), (M, m)):
+            add_element(K, mesh, e, local)
+    i0 = 2 * mesh.interface_index - 1
+    K0[i0, i0] += 0.5 * (prm.sigma_minus * xi**2 - profile.jump * prm.g)
+    K0[-1, -1] += 0.5 * (prm.sigma_plus * xi**2 + profile.rho1 * prm.g)
+    return K0, K1, M
+
+
+def test_band_storage_reproduces_interleaved_forms(unstable_profile):
+    # the kernel's band storage against a dense per-element, per-point sum,
+    # with mu' != 0 and both surface tensions on
+    prm = unit_params(mu_plus=0.7, mu_prime_plus=0.2, mu_prime_minus=0.3,
+                      sigma_plus=0.2, sigma_minus=0.1)
+    mesh = build_mesh(1.0, 1.0, 7, 9)
+    for xi in (0.4, 1.3, 6.0):
+        forms = assemble_forms(mesh, unstable_profile, xi, prm)
+        assert forms.psi_interface_dof == 2 * mesh.interface_index - 1
+        for ab, ref in zip((forms.K0, forms.K1, forms.M),
+                           _dense_forms(mesh, unstable_profile, xi, prm)):
+            assert ab.shape == (2 * BAND + 1, mesh.ndof)
+            assert np.abs(dense(ab) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_kernel_raises_band_overflow(unstable_profile, params, mesh40):
+    # the pencil in block order (all phi, then all psi) is far wider than BAND
+    nf = mesh40.n_free
+    dofs = np.arange(mesh40.n_elements)[:, None] - 1 + np.array([0, 1, nf, nf + 1])
+    dofs[0, 0::2] = -1
+    (c, div), _visc, mass = form_terms(mesh40, unstable_profile, 1.0, params)
+    with pytest.raises(BandOverflow):
+        assemble(mesh40, mass, dofs, dofs, mesh40.ndof, BAND)
+    # so is the oracle's divergence in the field-by-field layout
+    # [q (broken at the interface) | v | w | eta] at STEP_BAND
+    e = np.arange(mesh40.n_elements)[:, None]
+    qdofs = e + [0, 1] + (e >= mesh40.interface_index)
+    nq = mesh40.n_nodes + 1
+    udofs = np.where(dofs >= 0, nq + dofs, -1)
+    with pytest.raises(BandOverflow):
+        assemble(mesh40, [(2.0 * c, mesh40.quad[2], div)], qdofs, udofs,
+                 nq + mesh40.ndof + 2, STEP_BAND)
+    assert not isinstance(BandOverflow(), ValueError)
 
 
 def test_hint_above_alpha_is_rejected(unstable_profile, params, mesh100):
@@ -175,13 +229,14 @@ def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
 
 def test_monotonicity_in_s(unstable_profile, params, mesh40):
     forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    K1 = dense(forms.K1)
     s_grid = np.geomspace(1e-3, 1.7, 10)
     alphas = []
     e1s = []
     for s in s_grid:
         a, v = min_eig(forms, s)
         alphas.append(a)
-        e1s.append(float(v @ forms.K1 @ v))
+        e1s.append(float(v @ K1 @ v))
     for i in range(len(s_grid) - 1):
         assert alphas[i + 1] >= alphas[i] - 1e-12
         if e1s[i + 1] > 1e-12:
@@ -216,7 +271,7 @@ def test_k0_alt_agreement(unstable_profile, params):
         alt = assemble_forms_alt(mesh, unstable_profile, 1.0, params)
         for _ in range(5):
             v = rng.standard_normal(mesh.ndof)
-            gap = abs(v @ (forms.K0.toarray() - alt) @ v)
+            gap = abs(v @ (dense(forms.K0) - alt) @ v)
             # exact identity at the continuous level; the discrete gap is
             # pure quadrature error, far below the h^2 envelope
             assert gap <= 1e-6 * (1.0 / n) ** 2 * (v @ v)
@@ -230,7 +285,7 @@ def test_k0_alt_exact_when_g_zero():
     mesh = build_mesh(1.0, 1.0, 12, 12)
     forms = assemble_forms(mesh, prof, 1.0, prm)
     alt = assemble_forms_alt(mesh, prof, 1.0, prm)
-    assert np.abs(forms.K0.toarray() - alt).max() <= 1e-12 * np.abs(alt).max()
+    assert np.abs(dense(forms.K0) - alt).max() <= 1e-12 * np.abs(alt).max()
 
 
 def test_k1_and_m_match_closed_form_p1_elements():
@@ -262,7 +317,7 @@ def test_k1_and_m_match_closed_form_p1_elements():
         add_element(K1, mesh, e, np.block([[pp, ps], [ps.T, ss]]))
         m = 0.5 * rho * h * mass
         add_element(M, mesh, e, np.block([[m, 0 * m], [0 * m, m]]))
-    for got, ref in ((forms.K1.toarray(), K1), (forms.M.toarray(), M)):
+    for got, ref in ((dense(forms.K1), K1), (dense(forms.M), M)):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -294,20 +349,18 @@ def test_theta_decouples_at_negative_alpha(unstable_profile, params, mesh40):
     a2, _ = min_eig(f2, 0.01)
     assert a3 < 0
     assert a3 == pytest.approx(a2, abs=1e-11)
-    nf = f3.n_free
-    theta = v3[nf:2 * nf]
-    mass = f3.M[nf:2 * nf, nf:2 * nf]
+    theta = v3[1::3]
+    mass = f3.M[1::3, 1::3]
     assert math.sqrt(abs(theta @ mass @ theta)) <= 1e-8
 
 
 def test_3field_restriction_matches_2field(unstable_profile, params, mesh40):
     f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0), params)
     f2 = assemble_forms(mesh40, unstable_profile, 1.0, params)
-    nf = f3.n_free
-    idx = np.r_[0:nf, 2 * nf:3 * nf]
-    assert np.abs(f3.K0[np.ix_(idx, idx)] - f2.K0.toarray()).max() <= 1e-12
-    assert np.abs(f3.K1[np.ix_(idx, idx)] - f2.K1.toarray()).max() <= 1e-12
-    assert np.abs(f3.M[np.ix_(idx, idx)] - f2.M.toarray()).max() == 0.0
+    idx = np.flatnonzero(np.arange(3 * f3.n_free) % 3 != 1)  # (phi_m, psi_m)
+    assert np.abs(f3.K0[np.ix_(idx, idx)] - dense(f2.K0)).max() <= 1e-12
+    assert np.abs(f3.K1[np.ix_(idx, idx)] - dense(f2.K1)).max() <= 1e-12
+    assert np.abs(f3.M[np.ix_(idx, idx)] - dense(f2.M)).max() == 0.0
 
 
 def test_3field_rotation_invariance(unstable_profile, params):
@@ -319,16 +372,6 @@ def test_3field_rotation_invariance(unstable_profile, params):
     a_rot, _ = min_eig_3field(
         assemble_forms_3field(mesh, unstable_profile, (c, s), params), 0.05)
     assert a_rot == pytest.approx(a_axis, abs=1e-11)
-
-
-def test_band_overflow_is_a_solver_error(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
-    wide = forms.M.tolil()
-    wide[0, mesh40.ndof - 1] = wide[mesh40.ndof - 1, 0] = 1e-3
-    bad = dataclasses.replace(forms, M=wide.tocsr())
-    with pytest.raises(BandOverflow):
-        bad.band
-    assert not isinstance(BandOverflow(), ValueError)
 
 
 def test_min_eig_requires_positive_s(unstable_profile, params, mesh40):
