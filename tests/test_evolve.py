@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from rtstab.dispersion import growth_rate
-from rtstab.errors import SingularStep, ZeroSignal
+from rtstab.errors import BandOverflow, SingularStep, ZeroSignal
 from rtstab.evolve import (STEP_BAND, Trajectory, advance,
                            energy_balance_residual, interface_bump_state,
                            measure_growth, semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode, rotate_mode
-from rtstab.variational import BAND, assemble_forms, build_mesh
+from rtstab.variational import (BAND, assemble, assemble_forms, build_mesh,
+                                form_terms)
 from tests.conftest import unit_params
 from tests.oracles import (complex_operators, dense, embed_state, lu_step,
                            random_state)
@@ -209,6 +210,21 @@ def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
     assert step.dtype == np.float64 and step.shape == (2 * STEP_BAND + 1, ops.n)
     i, j = np.nonzero(dense(step))
     assert np.abs(i - j).max() == STEP_BAND
+
+
+def test_wide_step_raises(unstable_profile, params, mesh40):
+    # the oracle's divergence in the field-by-field layout
+    # [q (broken at the interface) | v | w | eta] is far wider than STEP_BAND
+    (c, div), _visc, _mass = form_terms(mesh40, unstable_profile, 1.0, params)
+    nf, nq = mesh40.n_free, mesh40.n_nodes + 1
+    e = np.arange(mesh40.n_elements)[:, None]
+    qdofs = e + [0, 1] + (e >= mesh40.interface_index)
+    udofs = e - 1 + np.array([0, 1, nf, nf + 1])
+    udofs[0, 0::2] = -1
+    udofs = np.where(udofs >= 0, nq + udofs, -1)
+    with pytest.raises(BandOverflow):
+        assemble(mesh40, [(2.0 * c, mesh40.quad[2], div)], qdofs, udofs,
+                 nq + mesh40.ndof + 2, STEP_BAND)
 
 
 def test_swapped_assembly_is_the_transpose(unstable_profile):

@@ -12,7 +12,6 @@ from rtstab.variational import (BAND, assemble, assemble_forms, build_mesh,
                                 layer_fields, min_eig, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import BandOverflow
-from rtstab.evolve import STEP_BAND
 from tests.conftest import unit_params
 from tests.oracles import (add_element, assemble_forms_3field, assemble_forms_alt,
                            dense, element_layer, min_eig_3field, min_eig_dense)
@@ -169,23 +168,15 @@ def test_band_storage_reproduces_interleaved_forms(unstable_profile):
             assert np.abs(dense(ab) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_kernel_raises_band_overflow(unstable_profile, params, mesh40):
-    # the pencil in block order (all phi, then all psi) is far wider than BAND
+def test_band_overflow_is_a_solver_error(unstable_profile, params, mesh40):
+    # the pencil in block order (all phi, then all psi) is far wider than
+    # BAND: the kernel refuses it
     nf = mesh40.n_free
     dofs = np.arange(mesh40.n_elements)[:, None] - 1 + np.array([0, 1, nf, nf + 1])
     dofs[0, 0::2] = -1
-    (c, div), _visc, mass = form_terms(mesh40, unstable_profile, 1.0, params)
+    _div, _visc, mass = form_terms(mesh40, unstable_profile, 1.0, params)
     with pytest.raises(BandOverflow):
         assemble(mesh40, mass, dofs, dofs, mesh40.ndof, BAND)
-    # so is the oracle's divergence in the field-by-field layout
-    # [q (broken at the interface) | v | w | eta] at STEP_BAND
-    e = np.arange(mesh40.n_elements)[:, None]
-    qdofs = e + [0, 1] + (e >= mesh40.interface_index)
-    nq = mesh40.n_nodes + 1
-    udofs = np.where(dofs >= 0, nq + dofs, -1)
-    with pytest.raises(BandOverflow):
-        assemble(mesh40, [(2.0 * c, mesh40.quad[2], div)], qdofs, udofs,
-                 nq + mesh40.ndof + 2, STEP_BAND)
     assert not isinstance(BandOverflow(), ValueError)
 
 
