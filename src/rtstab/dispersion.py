@@ -6,21 +6,28 @@ point s = sqrt(-alpha(s)), i.e. the unique root of
     f(s) = s^2 + alpha(s)
 
 on (0, S_max].  alpha is continuous and strictly increasing in s, so f is
-too and a sign-change bracket always contains the root.  Every rate obeys
-lambda <= b g jump / mu_minus, which caps the bracket at
+too.  Every rate obeys lambda <= b g jump / mu_minus, which caps the search
+at
 
     S_max = s_max_factor * b * g * jump / mu_minus.
 
-The root solve is a safeguarded Newton iteration inside that bracket.  By
-Hellmann-Feynman, alpha'(s) = v^T K1 v at the J-normalized minimizer v, so
-each eigensolve also gives the slope f'(s) = 2 s + v^T K1 v for free.  The
-next iterate is the Newton step when it falls strictly inside the current
-bracket and the midpoint otherwise, so the bracket never loses the root and
-the iteration converges whenever bisection would, typically in a handful of
-eigensolves instead of thirty-odd.  Since alpha increases in s, alpha at the
-bracket's lower end less 1% lies below alpha at every later iterate; each
-eigensolve offers it to min_eig as a shift-invert shift, which min_eig uses
-only if a Cholesky factorization certifies it below the spectrum.
+Since s^2 + alpha(s) is the smallest eigenvalue of the pencil
+
+    T(s) = K0 + s K1 + s^2 M   against M,
+
+T(s) is positive definite exactly when s > lambda: the root is where T stops
+being definite, and it needs banded factorizations of T, not eigensolves.
+The root solve is a nonlinear Rayleigh-functional iteration (Ruhe, SIAM J.
+Numer. Anal. 10, 1973; Schwetlick and Schreiber, Linear Algebra Appl. 436,
+2012).  For any v with v^T K0 v < 0 the Rayleigh functional rho(v), the
+positive root of the scalar quadratic v^T T(s) v = 0, is at most lambda,
+because v^T T(rho) v = 0 makes rho^2 + alpha(rho) <= 0.  Starting from the
+stability probe's minimizer, each step sets v <- T(rho)^-1 M v by one band
+LU factorization and takes the new rho(v); once rho moves by at most
+delta = root_tol S_max, a successful Cholesky factorization of T(rho +
+delta) proves lambda < rho + delta, so [rho, rho + delta] encloses the
+root.  When that certificate fails, or the iteration cannot proceed, a
+bisection on the sign of the Cholesky test of T(s) takes over.
 
 Instability is confined to the frequency window 0 < |xi| < xi_c with
 xi_c = sqrt(jump g / sigma_minus) (all frequencies when sigma_minus = 0),
@@ -42,16 +49,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
 
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from .variational import (Mesh1D, QuadraticForms, assemble_forms, band_mv,
-                          eig_residual, evaluate_energy, min_eig, project_p1)
+from .variational import (BAND, Mesh1D, QuadraticForms, assemble_forms,
+                          band_mv, eig_residual, evaluate_energy, j_normalize,
+                          min_eig, project_p1)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
-MAX_ITER = 200  # root-solve iterations before SolverDivergence
+MAX_ITER = 200  # bisection steps before SolverDivergence
+RF_MAX_ITER = 30  # Rayleigh-functional steps before the bisection takes over
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,14 @@ class DispersionPoint:
     """One lattice frequency with its growth rate and solve metadata.
 
     lam is the fixed-point rate (0 when no growing mode exists at this
-    frequency); alpha_at_star is alpha evaluated at the returned s (for
-    lam = 0 it is the stability probe alpha(s_min) >= 0); converged says
-    that the minimizer's relative eigen-residual is within eig_tol.  The
-    minimizer lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2,
-    ...), in the dof order of Mesh1D.dofs.
+    frequency); alpha_at_star is the Rayleigh quotient of K0 + lam K1 at the
+    minimizer, alpha(lam) (for lam = 0 it is the stability probe
+    alpha(s_min) >= 0); iterations counts the probe eigensolve and every
+    factorization of T(s) (growth_rate); converged says that a growing
+    rate's enclosure was certified and, for every point, that the
+    minimizer's relative eigen-residual is within eig_tol.  The minimizer
+    lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2, ...), in the
+    dof order of Mesh1D.dofs.
     """
 
     xi: tuple[float, float]
@@ -108,33 +121,22 @@ def critical_frequency(profile: EquilibriumProfile, params: PhysicalParams) -> f
 
 
 def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                 ftol: float, wtol: float, max_iter: int, slope=None):
-    """Bracketed root of an increasing f with f(lo) < 0 < f(hi).
-
-    f returns (value, payload).  Without `slope` every iterate is the
-    bracket midpoint.  With slope(s, payload) -> f'(s), the iterate after s
-    is the Newton step from s when it lies strictly inside the updated
-    bracket, and the midpoint otherwise.  Stops when |f| <= ftol or the
-    bracket is at most wtol wide.  Returns (root, f(root), payload,
-    iterations).
+                 ftol: float, wtol: float, max_iter: int):
+    """Bracketed root of an increasing f with f(lo) < 0 < f(hi) by
+    bisection.  Stops when |f| <= ftol or the bracket is at most wtol wide.
+    Returns (root, f(root), iterations).
     """
     if f_lo > 0 or f_hi <= 0:
         raise NoSignChange(f"f({lo}) = {f_lo}, f({hi}) = {f_hi} do not bracket a root")
-    s = 0.5 * (lo + hi)
     for iterations in range(1, max_iter + 1):
-        val, payload = f(s)
+        s = 0.5 * (lo + hi)
+        val = f(s)
         if abs(val) <= ftol or (hi - lo) <= wtol:
-            return s, val, payload, iterations
+            return s, val, iterations
         if val < 0:
             lo = s
         else:
             hi = s
-        step = math.nan
-        if slope is not None:
-            d = slope(s, payload)
-            if d > 0:
-                step = s - val / d
-        s = step if lo < step < hi else 0.5 * (lo + hi)
     raise SolverDivergence(f"root solve exceeded {max_iter} iterations")
 
 
@@ -145,6 +147,46 @@ def _bracket(profile: EquilibriumProfile, params: PhysicalParams,
     bound = params.b * params.g * max(profile.jump, 0.0) / params.mu_minus
     s_max = numerics.s_max_factor * bound if bound > 0 else params.b * params.g / params.mu_minus
     return S_MIN_FRAC * s_max, s_max
+
+
+def _pencil(forms: QuadraticForms, s: float) -> np.ndarray:
+    """T(s) = K0 + s K1 + s^2 M in the band storage of the forms."""
+    return forms.K0 + s * forms.K1 + (s * s) * forms.M
+
+
+def _definite(forms: QuadraticForms, s: float) -> bool:
+    """Whether the banded Cholesky factorization of T(s) succeeds, which
+    holds exactly when s > lambda."""
+    return dpbtrf(_pencil(forms, s)[:BAND + 1])[1] == 0
+
+
+def _rayleigh_functional(forms: QuadraticForms, v: np.ndarray) -> float:
+    """The positive root of v^T T(s) v = 0, or nan when v^T K0 v >= 0."""
+    a, b, c = (float(v @ band_mv(X, v)) for X in (forms.M, forms.K1, forms.K0))
+    if not c < 0:
+        return math.nan
+    return -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))  # no cancellation
+
+
+def _rf_iterate(forms: QuadraticForms, v: np.ndarray, s_min: float,
+                s_max: float, delta: float) -> tuple[float, np.ndarray, int]:
+    """Rayleigh-functional iteration from v: (rho, v, factorizations), where
+    the last step moved rho by at most delta.  rho is nan when an iterate
+    leaves [s_min, s_max] (v^T K0 v >= 0 included), T(rho) is exactly
+    singular or RF_MAX_ITER steps do not settle."""
+    lu = np.zeros((3 * BAND + 1, v.size), order="F")  # BAND rows for the fill
+    rho, step, count = _rayleigh_functional(forms, v), math.inf, 0
+    while count < RF_MAX_ITER and s_min <= rho <= s_max and abs(rho - step) > delta:
+        lu[BAND:] = _pencil(forms, rho)
+        factor, piv, info = dgbtrf(lu, BAND, BAND)
+        count += 1
+        if info != 0:
+            return math.nan, v, count
+        v = dgbtrs(factor, BAND, BAND, band_mv(forms.M, v), piv)[0]
+        v /= np.abs(v).max()
+        step, rho = rho, _rayleigh_functional(forms, v)
+    settled = s_min <= rho <= s_max and abs(rho - step) <= delta
+    return (rho if settled else math.nan), v, count
 
 
 def _converged(forms: QuadraticForms, s: float, alpha: float, v: np.ndarray,
@@ -158,12 +200,15 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
     """Solve s^2 + alpha(s) = 0 at one frequency magnitude.
 
     If the probe alpha(s_min) is already nonnegative there is no growing
-    mode and lam = 0 is returned with the probe value.  A negative probe
-    with no sign change on the bracket is an inconsistency and raises
-    NoSignChange rather than being repaired.  Otherwise the root comes from
-    Newton steps inside [s_min, S_max]; iterations counts every eigensolve,
-    the two end-point probes included.  numerics supplies s_max_factor,
-    root_tol and eig_tol.
+    mode and lam = 0 is returned with the probe value; a negative probe
+    with s_min^2 + alpha(s_min) > 0 raises NoSignChange.  Otherwise the
+    certified Rayleigh-functional iteration of the module docstring runs
+    from the probe's minimizer, with delta = root_tol S_max.  If the
+    certificate fails, v^T K0 v >= 0, an iterate leaves [s_min, S_max] or
+    the iteration does not settle, the root comes from the Cholesky-sign
+    bisection on [s_min, S_max] (NoSignChange if T(S_max) is not definite)
+    and one eigensolve there.  numerics supplies s_max_factor, root_tol
+    and eig_tol.
     """
     if xi_abs <= 0:
         raise ValueError("xi_abs must be > 0")
@@ -178,36 +223,26 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
     if f_lo > 0:
         raise NoSignChange(
             f"alpha({s_min}) = {alpha0} < 0 but f(s_min) = {f_lo} > 0 at |xi| = {xi_abs}")
-    # alpha at the bracket's lower end, less 1%, lies below alpha at every
-    # later iterate (alpha increases in s): a shift for min_eig to certify
-    lower = alpha0
-
-    def eig(s):
-        return min_eig(forms, s, below=lower - 0.01 * abs(lower))
-
-    alpha1, _v1 = eig(s_max)
-    f_hi = s_max**2 + alpha1
-    if f_hi <= 0:
+    delta = numerics.root_tol * s_max
+    lam, v, count = _rf_iterate(forms, v0, s_min, s_max, delta)
+    iters = 1 + count  # the probe and the factorizations of T so far
+    if math.isfinite(lam):
+        iters += 1
+        if _definite(forms, lam + delta):  # lam <= lambda < lam + delta
+            v = j_normalize(forms, v)
+            e_val, j_val = evaluate_energy(forms, v, lam)
+            alpha = e_val / j_val
+            return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters,
+                                   _converged(forms, lam, alpha, v, numerics))
+    iters += 1  # the Cholesky test of T(S_max)
+    if not _definite(forms, s_max):
         raise NoSignChange(
-            f"f(S_max) = {f_hi} <= 0 at |xi| = {xi_abs}; root exceeds the growth bound")
-
-    def f(s):
-        nonlocal lower
-        alpha, v = eig(s)
-        if s * s + alpha < 0:  # s becomes the bracket's lower end
-            lower = alpha
-        return s * s + alpha, (alpha, v)
-
-    def slope(s, payload):
-        _alpha, v = payload
-        return 2.0 * s + float(v @ band_mv(forms.K1, v))  # Hellmann-Feynman
-
-    ftol = numerics.root_tol * s_max**2
-    wtol = numerics.root_tol * s_max
-    root, _fval, (alpha, v), iters = _bisect_root(
-        f, s_min, s_max, f_lo, f_hi, ftol, wtol, MAX_ITER, slope)
-    return DispersionPoint(xi, float(xi_abs), root, alpha, v, iters + 2,
-                           _converged(forms, root, alpha, v, numerics))
+            f"T(S_max) is not definite at |xi| = {xi_abs}; root exceeds the growth bound")
+    lam, _sign, steps = _bisect_root(lambda s: 1.0 if _definite(forms, s) else -1.0,
+                                     s_min, s_max, -1.0, 1.0, 0.0, delta, MAX_ITER)
+    alpha, v = min_eig(forms, lam)
+    return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters + steps + 1,
+                           _converged(forms, lam, alpha, v, numerics))
 
 
 def _dedup_lattice(params: PhysicalParams, limit: float):

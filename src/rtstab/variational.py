@@ -174,6 +174,8 @@ def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
 
     so that ab[:w + 1] is the upper band storage of a symmetric A.  A dof of
     -1 is dropped; an entry more than w off the diagonal raises BandOverflow.
+    ab is returned as the transpose of an (n, 2 w + 1) array, so it is
+    Fortran-ordered and BLAS/LAPACK read it without a copy.
     """
     local = 0.0
     for c, B, *C in terms:
@@ -189,11 +191,11 @@ def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
     rows, cols, values = rows[keep], cols[keep], local.reshape(keep.shape)[keep]
     if np.abs(rows - cols).max() > w:
         raise BandOverflow(f"dof map is wider than the half-bandwidth {w}")
-    at, size = (w + rows - cols) * n + cols, (2 * w + 1) * n
+    at, size = cols * (2 * w + 1) + w + rows - cols, (2 * w + 1) * n
     ab = np.bincount(at, values.real, size)
     if np.iscomplexobj(values):
         ab = ab + 1j * np.bincount(at, values.imag, size)
-    return ab.reshape(2 * w + 1, n)
+    return ab.reshape(n, 2 * w + 1).T
 
 
 def band_mv(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -292,17 +294,20 @@ def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:
     return v
 
 
-def _shift_invert_min(forms: QuadraticForms, s: float,
-                      below: float | None) -> tuple[float, np.ndarray]:
+def j_normalize(forms: QuadraticForms, v: np.ndarray) -> np.ndarray:
+    """v scaled to v^T M v = 1 with its interface psi value >= 0."""
+    return _fix_sign(v / np.sqrt(v @ band_mv(forms.M, v)), forms.psi_interface_dof)
+
+
+def _shift_invert_min(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     """Smallest eigenpair from the largest eigenvalue theta = 1/(alpha -
     shift) of U (K - shift M)^-1 U^T, M = U^T U, and its vector w = U v."""
     K = forms.K0[:BAND + 1] + s * forms.K1[:BAND + 1]
     M = forms.M[:BAND + 1]
-    for shift in (0.0, below, -1.1 * forms.g * forms.xi_abs - 1.0):
-        if shift is not None:
-            F, info = dpbtrf(K - shift * M)
-            if info == 0:
-                break
+    for shift in (0.0, -1.1 * forms.g * forms.xi_abs - 1.0):
+        F, info = dpbtrf(K - shift * M)
+        if info == 0:
+            break
     else:
         raise SolverDivergence("no shift-invert shift is below the spectrum")
     U = forms.m_factor
@@ -320,23 +325,20 @@ def _shift_invert_min(forms: QuadraticForms, s: float,
     return shift + 1.0 / float(theta[0]), dtbsv(BAND, U, w[:, 0])
 
 
-def min_eig(forms: QuadraticForms, s: float,
-            below: float | None = None) -> tuple[float, np.ndarray]:
+def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K0 + s K1) v = alpha M v.
 
     The minimizer is returned J-normalized (v^T M v = 1) with the interface
-    psi value >= 0.  The solve is the banded shift-invert Lanczos of the
-    module docstring, at the first of 0, `below` (a caller's guess under
-    alpha) and the proven bound -1.1 g|xi| - 1 < -g|xi| <= alpha whose
-    Cholesky factorization certifies it below the spectrum; the closer the
-    shift, the fewer the Lanczos steps.  Lanczos starts from a fixed vector,
-    so equal inputs give bit-identical results.
+    psi value >= 0, by j_normalize.  The solve is the banded
+    shift-invert Lanczos of the module docstring, at the first of 0 and the
+    proven bound -1.1 g|xi| - 1 < -g|xi| <= alpha whose Cholesky
+    factorization certifies it below the spectrum.  Lanczos starts from a
+    fixed vector, so equal inputs give bit-identical results.
     """
     if s <= 0:
         raise ValueError("modified-problem parameter s must be > 0")
-    alpha, v = _shift_invert_min(forms, s, below)
-    v = v / np.sqrt(v @ band_mv(forms.M, v))
-    return alpha, _fix_sign(v, forms.psi_interface_dof)
+    alpha, v = _shift_invert_min(forms, s)
+    return alpha, j_normalize(forms, v)
 
 
 def eig_residual(forms: QuadraticForms, s: float, alpha: float,

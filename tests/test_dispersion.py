@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from rtstab import dispersion
 from rtstab.config import NumericsConfig
 from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
                                critical_frequency, critical_tension,
                                growth_rate, negativity_probe, psi_bump,
                                psi_bump_norm_sq, sweep_lattice,
                                write_dispersion_csv)
+from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import NoSignChange, NotUnstableOrientation
-from rtstab.variational import assemble_forms, build_mesh, min_eig
+from rtstab.variational import assemble_forms, build_mesh, eig_residual, min_eig
 from tests.conftest import unit_params
 
 
@@ -111,34 +113,11 @@ def test_growth_rate_zero_stable_orientation(stable_profile, params, mesh40):
 
 
 def test_bisect_root_contracts():
-    f = lambda s: (s - 2.0, None)
-    root, val, _, iters = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12, 200)
+    f = lambda s: s - 2.0
+    root, val, iters = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12, 200)
     assert root == pytest.approx(2.0, abs=1e-11)
     with pytest.raises(NoSignChange):
         _bisect_root(f, 3.0, 10.0, 1.0, 8.0, 1e-12, 1e-12, 200)
-
-
-def test_newton_in_bracket_falls_back_to_bisection():
-    f = lambda s: (s - 2.0, None)
-    plain = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12, 200)
-    # a slope this small sends every Newton step far outside the bracket
-    overshoot = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12, 200,
-                             slope=lambda s, payload: 1e-9)
-    assert overshoot[0] == pytest.approx(2.0, abs=1e-11)
-    assert overshoot == plain  # every iterate was the bracket midpoint
-    # the exact slope lands on the root right after the first midpoint
-    root, val, _, iters = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12,
-                                       200, slope=lambda s, payload: 1.0)
-    assert (root, val, iters) == (2.0, 0.0, 2)
-
-
-def test_newton_in_bracket_contracts_on_a_curved_f():
-    f = lambda s: (s ** 3 + s - 10.0, None)
-    root, val, _, iters = _bisect_root(f, 0.0, 10.0, -10.0, 1000.0, 1e-13,
-                                       1e-13, 200,
-                                       slope=lambda s, payload: 3 * s * s + 1)
-    assert root == pytest.approx(2.0, abs=1e-13) and abs(val) <= 1e-13
-    assert iters <= 10
 
 
 def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
@@ -147,12 +126,137 @@ def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
     # the same root by plain bisection on the same forms
     forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
-    f = lambda s: (s * s + min_eig(forms, s)[0], None)
+    f = lambda s: s * s + min_eig(forms, s)[0]
     lo, hi = 1e-8 * s_max, s_max
-    root, *_ = _bisect_root(f, lo, hi, f(lo)[0], f(hi)[0], 1e-10 * s_max ** 2,
+    root, *_ = _bisect_root(f, lo, hi, f(lo), f(hi), 1e-10 * s_max ** 2,
                             1e-10 * s_max, 200)
     assert abs(pt.lam - root) <= 10 * 1e-10 * s_max
     assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 10 * 1e-10 * s_max ** 2
+
+
+def _tight_root(forms, s_max):
+    """Reference root: bisection on the sign of s^2 + alpha(s) from min_eig,
+    to a bracket of 1e-13 S_max."""
+    f = lambda s: s * s + min_eig(forms, s)[0]
+    lo, hi = 1e-8 * s_max, s_max
+    return _bisect_root(f, lo, hi, f(lo), f(hi), 0.0, 1e-13 * s_max, 200)[0]
+
+
+def _scenario(name, unstable_profile, mesh100):
+    """(profile, |xi|, params, S_max) of the enclosure scenarios."""
+    if name == "polytropic":
+        prm = unit_params(mu_prime_plus=0.3, mu_prime_minus=0.2, sigma_plus=0.1)
+        prof = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
+                                 PressureLaw.polytropic(2.0, 1.4), prm)
+        xi = 1.0
+    elif name == "isothermal":
+        prm, prof, xi = unit_params(), unstable_profile, 1.0
+    else:  # a fraction of xi_c at sigma_minus = 0.1
+        prm, prof = unit_params(sigma_minus=0.1), unstable_profile
+        xi = float(name) * critical_frequency(prof, prm)
+    s_max = 1.25 * prm.b * prm.g * prof.jump / prm.mu_minus
+    return prof, xi, prm, s_max
+
+
+def _count_min_eig(monkeypatch):
+    calls = []
+
+    def counted(forms, s):
+        calls.append(s)
+        return min_eig(forms, s)
+
+    monkeypatch.setattr(dispersion, "min_eig", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["isothermal", "polytropic", "0.5", "0.99", "0.999"])
+def test_rayleigh_functional_encloses_the_root(name, unstable_profile, mesh100,
+                                               monkeypatch):
+    prof, xi, prm, s_max = _scenario(name, unstable_profile, mesh100)
+    calls = _count_min_eig(monkeypatch)
+    pt = growth_rate(prof, xi, mesh100, prm)
+    assert len(calls) == 1  # the probe: the root took factorizations only
+    assert pt.converged and pt.lam > 0 and pt.iterations <= 10
+    delta = 1e-10 * s_max
+    forms = assemble_forms(mesh100, prof, xi, prm)
+    assert pt.lam - delta <= _tight_root(forms, s_max) <= pt.lam + delta
+    assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 1e-12 * s_max ** 2
+    assert eig_residual(forms, pt.lam, pt.alpha_at_star, pt.minimizer) <= 1e-12
+
+
+def test_forced_fallback_bisects_to_the_root(unstable_profile, params, mesh100,
+                                             monkeypatch):
+    monkeypatch.setattr(dispersion, "_rf_iterate",
+                        lambda forms, v, s_min, s_max, delta: (math.nan, v, 0))
+    calls = _count_min_eig(monkeypatch)
+    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
+    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * 1e-10 * s_max
+    assert pt.converged and len(calls) == 2  # the probe and one at the root
+    # the probe, the Cholesky test of T(S_max), 35 sign tests that halve
+    # [s_min, S_max] below 1e-10 S_max, and the eigensolve at the root
+    assert pt.iterations == 38
+
+
+@pytest.mark.parametrize("plant", ["probe_start", "below_root"])
+def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, params,
+                                                  mesh100, monkeypatch):
+    s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
+    delta = 1e-10 * s_max
+    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    root = _tight_root(forms, s_max)
+    planted = []
+
+    def plant_iterate(forms, v, s_min, s_max, delta):
+        # the probe's own Rayleigh functional, a valid lower bound well short
+        # of the root, or an iterate 100 delta below the root
+        rho = (dispersion._rayleigh_functional(forms, v) if plant == "probe_start"
+               else root - 100 * delta)
+        planted.append(rho)
+        return rho, v, 1
+
+    monkeypatch.setattr(dispersion, "_rf_iterate", plant_iterate)
+    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    assert planted[0] < root - delta
+    assert not dispersion._definite(forms, planted[0] + delta)
+    assert abs(pt.lam - root) <= 10 * delta and pt.converged
+
+
+def test_rayleigh_functional_iteration_gives_up(unstable_profile, params, mesh100,
+                                                monkeypatch):
+    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
+    args = (1e-8 * s_max, s_max, 1e-10 * s_max)
+    # psi(0) = 0 leaves only the nonnegative bulk energy: v^T K0 v > 0
+    v = np.zeros(mesh100.ndof)
+    v[1] = 1.0
+    lam, _v, count = dispersion._rf_iterate(forms, v, *args)
+    assert math.isnan(lam) and count == 0
+    # a cap of one step cannot settle from the probe vector
+    _alpha, v0 = min_eig(forms, args[0])
+    monkeypatch.setattr(dispersion, "RF_MAX_ITER", 1)
+    lam, _v, count = dispersion._rf_iterate(forms, v0, *args)
+    assert math.isnan(lam) and count == 1
+    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * args[2] and pt.converged
+
+
+def test_root_above_s_max_raises(unstable_profile, params, mesh40, monkeypatch):
+    # a bracket whose upper end lies below the root: the iterates leave it and
+    # the Cholesky factorization of T(S_max) fails
+    monkeypatch.setattr(dispersion, "_bracket", lambda *a: (1e-9, 0.05))
+    with pytest.raises(NoSignChange):
+        growth_rate(unstable_profile, 1.0, mesh40, params)
+
+
+def test_one_eigensolve_per_frequency(unstable_profile, params, mesh100, monkeypatch):
+    # the README scenario's sweep: each root's only eigensolve is its probe
+    calls = _count_min_eig(monkeypatch)
+    summary = sweep_lattice(unstable_profile, mesh100, params, cutoff=4.0)
+    assert len(summary.curve) == 8 and len(calls) == 8
+    assert all(p.lam > 0 and p.converged and p.iterations <= 10
+               for p in summary.curve)
 
 
 def test_converged_flag_comes_from_the_eigen_residual(unstable_profile, params,
