@@ -19,8 +19,9 @@ from .modes import (GrowingMode, assemble_mode, export_mode, ode_residual,
 from .poisson_ext import (DownwardExtension, ExtensionParams,
                           InterfaceExtension, PeriodicField, UpwardExtension,
                           vandermonde_coeffs)
-from .variational import (Mesh1D, QuadraticForms, assemble_forms, build_mesh,
-                          evaluate_energy, min_eig)
+from .variational import (FormCoefficients, Mesh1D, QuadraticForms,
+                          assemble_forms, build_mesh, evaluate_energy,
+                          form_coefficients, min_eig)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

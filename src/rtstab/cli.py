@@ -33,7 +33,7 @@ from .config import RunConfig, load_config
 from .equilibrium import export_profile_csv, solve_equilibrium
 from .errors import AnalyzerError, ConfigError, InvalidInput
 from .poisson_ext import ExtensionParams, InterfaceExtension, read_field_csv
-from .variational import assemble_forms, build_mesh, min_eig
+from .variational import build_mesh, form_coefficients, min_eig
 
 
 def _write_json(obj, path) -> None:
@@ -70,7 +70,7 @@ def cmd_equilibrium(cfg, out, args) -> int:
 
 def cmd_alpha(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
-    forms = assemble_forms(mesh, profile, args.xi, cfg.params)
+    forms = form_coefficients(mesh, profile, cfg.params).at(args.xi)
     alpha, _v = min_eig(forms, args.s)
     print(f"{alpha:.17g}")
     return 0
@@ -89,7 +89,8 @@ def cmd_dispersion(cfg, out, args) -> int:
 
 def cmd_growth(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, cfg.numerics)
+    pt = disp.growth_rate(form_coefficients(mesh, profile, cfg.params), args.xi,
+                          cfg.numerics)
     _write_json({"xi": list(pt.xi), "xi_abs": pt.xi_abs, "lambda": pt.lam,
                  "alpha_at_star": pt.alpha_at_star, "iterations": pt.iterations,
                  "converged": pt.converged}, out / "growth.json")
@@ -105,7 +106,8 @@ def cmd_classify(cfg, out, args) -> int:
 
 def cmd_mode(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, cfg.numerics)
+    pt = disp.growth_rate(form_coefficients(mesh, profile, cfg.params), args.xi,
+                          cfg.numerics)
     if pt.lam <= 0:
         raise InvalidInput(f"no growing mode at |xi| = {args.xi} (lambda = 0)")
     mode = modes_mod.assemble_mode(pt, profile, mesh)
@@ -115,7 +117,8 @@ def cmd_mode(cfg, out, args) -> int:
 
 def cmd_oracle(cfg, out, args) -> int:
     profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(profile, args.xi, mesh, cfg.params, cfg.numerics)
+    pt = disp.growth_rate(form_coefficients(mesh, profile, cfg.params), args.xi,
+                          cfg.numerics)
     ops = evolve.semidiscretize(profile, mesh, args.xi, cfg.params)
     if pt.lam > 0:
         state = evolve.state_from_mode(ops, modes_mod.assemble_mode(pt, profile, mesh))

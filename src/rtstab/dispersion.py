@@ -36,9 +36,11 @@ and disappears entirely once sigma_minus reaches the critical tension
     sigma_c = jump * g * max(L1^2, L2^2),
 
 because the smallest nonzero lattice frequency then falls outside the
-window.  The sweep enumerates xi in (1/L1)Z x (1/L2)Z, deduplicates by |xi|
-(rates depend on the magnitude alone) and calls growth_rate at every point;
-outside the window that call ends at its nonnegative alpha probe.
+window.  The sweep enumerates xi in (1/L1)Z x (1/L2)Z and deduplicates by
+|xi| (rates depend on the magnitude alone).  It builds the forms' quadratic
+coefficients in |xi| once (variational.form_coefficients), and growth_rate
+takes the forms at each point from them, one band combination each; outside
+the window that call ends at its nonnegative alpha probe.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from .variational import (BAND, Mesh1D, QuadraticForms, assemble_forms,
-                          band_mv, eig_residual, evaluate_energy, j_normalize,
-                          min_eig, project_p1)
+from .variational import (BAND, FormCoefficients, Mesh1D, QuadraticForms,
+                          assemble_forms, band_mv, eig_residual, evaluate_energy,
+                          form_coefficients, j_normalize, min_eig, project_p1)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
@@ -120,24 +122,21 @@ def critical_frequency(profile: EquilibriumProfile, params: PhysicalParams) -> f
     return math.sqrt(profile.jump * params.g / params.sigma_minus)
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                 ftol: float, wtol: float, max_iter: int):
-    """Bracketed root of an increasing f with f(lo) < 0 < f(hi) by
-    bisection.  Stops when |f| <= ftol or the bracket is at most wtol wide.
-    Returns (root, f(root), iterations).
-    """
-    if f_lo > 0 or f_hi <= 0:
-        raise NoSignChange(f"f({lo}) = {f_lo}, f({hi}) = {f_hi} do not bracket a root")
-    for iterations in range(1, max_iter + 1):
+def _bisect_root(above, lo: float, hi: float, wtol: float, max_iter: int):
+    """Bisection of the bracket [lo, hi] of a root r, where above(s) says
+    whether s > r, until it is at most wtol wide.  Returns (midpoint of the
+    last bracket, calls of above)."""
+    calls = 0
+    while hi - lo > wtol:
+        if calls == max_iter:
+            raise SolverDivergence(f"root solve exceeded {max_iter} iterations")
         s = 0.5 * (lo + hi)
-        val = f(s)
-        if abs(val) <= ftol or (hi - lo) <= wtol:
-            return s, val, iterations
-        if val < 0:
-            lo = s
-        else:
+        calls += 1
+        if above(s):
             hi = s
-    raise SolverDivergence(f"root solve exceeded {max_iter} iterations")
+        else:
+            lo = s
+    return 0.5 * (lo + hi), calls
 
 
 def _bracket(profile: EquilibriumProfile, params: PhysicalParams,
@@ -194,10 +193,10 @@ def _converged(forms: QuadraticForms, s: float, alpha: float, v: np.ndarray,
     return eig_residual(forms, s, alpha, v) <= numerics.eig_tol
 
 
-def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
-                params: PhysicalParams,
+def growth_rate(coeffs: FormCoefficients, xi_abs: float,
                 numerics: NumericsConfig = NumericsConfig()) -> DispersionPoint:
-    """Solve s^2 + alpha(s) = 0 at one frequency magnitude.
+    """Solve s^2 + alpha(s) = 0 at one frequency magnitude, on the forms
+    coeffs.at(xi_abs) of the mesh, profile and params coeffs was built from.
 
     If the probe alpha(s_min) is already nonnegative there is no growing
     mode and lam = 0 is returned with the probe value; a negative probe
@@ -212,8 +211,8 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
     """
     if xi_abs <= 0:
         raise ValueError("xi_abs must be > 0")
-    forms = assemble_forms(mesh, profile, xi_abs, params)
-    s_min, s_max = _bracket(profile, params, numerics)
+    forms = coeffs.at(xi_abs)
+    s_min, s_max = _bracket(coeffs.profile, coeffs.params, numerics)
     alpha0, v0 = min_eig(forms, s_min)
     xi = (float(xi_abs), 0.0)
     if alpha0 >= 0:
@@ -238,8 +237,8 @@ def growth_rate(profile: EquilibriumProfile, xi_abs: float, mesh: Mesh1D,
     if not _definite(forms, s_max):
         raise NoSignChange(
             f"T(S_max) is not definite at |xi| = {xi_abs}; root exceeds the growth bound")
-    lam, _sign, steps = _bisect_root(lambda s: 1.0 if _definite(forms, s) else -1.0,
-                                     s_min, s_max, -1.0, 1.0, 0.0, delta, MAX_ITER)
+    lam, steps = _bisect_root(lambda s: _definite(forms, s), s_min, s_max, delta,
+                              MAX_ITER)
     alpha, v = min_eig(forms, lam)
     return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters + steps + 1,
                            _converged(forms, lam, alpha, v, numerics))
@@ -277,11 +276,12 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
                   threads: int = 1) -> GrowthSummary:
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
-    Every frequency goes through growth_rate, so a point gets lam = 0 only
-    when its probe alpha(s_min) is nonnegative; outside the instability
-    window that probe is the whole solve.  Points are independent, so the
-    solve may run on a thread pool; results are reduced deterministically in
-    ascending |xi|^2 order.
+    Every frequency goes through growth_rate on one FormCoefficients built
+    here, so a point gets lam = 0 only when its probe alpha(s_min) is
+    nonnegative; outside the instability window that probe is the whole
+    solve.  Points are independent, so the solve may run on a thread pool
+    that shares the read-only coefficients; results are reduced
+    deterministically in ascending |xi|^2 order.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise ValueError("cutoff must be finite and > 0")
@@ -289,11 +289,12 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
     # a stable orientation has no instability window at all
     xi_c = critical_frequency(profile, params) if jump > 0 else math.nan
     groups = _dedup_lattice(params, cutoff)
+    coeffs = form_coefficients(mesh, profile, params)
 
     def solve_one(item):
         key, (m, n) = item
         xi_abs = math.sqrt(float(key))
-        point = growth_rate(profile, xi_abs, mesh, params, numerics)
+        point = growth_rate(coeffs, xi_abs, numerics)
         return replace(point, xi=(m / params.L1, n / params.L2))
 
     if threads > 1:
@@ -338,7 +339,8 @@ def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
     E < 0 certifies alpha(s) < 0 without an eigensolve (the candidate is an
     upper bound for the constrained infimum after J-normalization).  psi' is
     the elementwise derivative of the nodal interpolant, L2-projected back to
-    the nodes; the essential value at -b is then enforced.
+    the nodes; the essential value at -b is then enforced.  The check runs
+    at one frequency, so it assembles the forms there directly.
     """
     if xi_abs <= 0:
         raise ValueError("xi_abs must be > 0")

@@ -37,6 +37,14 @@ come from one vectorised element kernel, `assemble`: a list of terms
 summed as w c conj(B)^T C over all elements and points at once and
 scattered through a dof map such as `Mesh1D.dofs` into the LAPACK general
 band storage that every solver reads.
+
+xi enters the bulk integrands only through rows affine in xi, and the
+boundary terms through sigma_± xi^2, so K0(xi) = A0 + xi B0 + xi^2 C0,
+likewise K1, and M does not depend on xi.  form_coefficients assembles
+these coefficients once per mesh, profile and params, and the sweep and
+every command take their forms from FormCoefficients.at(xi), one band
+combination per frequency.  assemble_forms assembles at one xi; it is the
+reference the coefficients are tested against.
 """
 
 from __future__ import annotations
@@ -253,21 +261,28 @@ def form_terms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     and mass the two of J.  The evolution oracle reads the same lists for its
     velocity (v, w) = (i u_parallel, u3), whose mass, dissipation and
     divergence are 2 J, 2 E1 and the row of div."""
-    xi = float(xi_abs)
-    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
+    fields = layer_fields(mesh, profile, params, mesh.quad[0])
+    return _terms(mesh, fields, [float(xi_abs)])[0]
+
+
+def _terms(mesh: Mesh1D, fields: np.ndarray, xis) -> list:
+    """form_terms at each magnitude in xis, from the layer_fields at the
+    quadrature points; the rows' parts without xi are formed once."""
+    rho, drho, dp, mu, mu_p = fields
     (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
-    r, dr = rho[..., None], drho[..., None]
-    dv = dpsi + xi * phi
-    div = (0.5 * dp / rho, dr * psi + r * dpsi + r * xi * phi)
-    visc = [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
-            (mu / 6.0 + 0.5 * mu_p, dv)]
+    r = rho[..., None]
+    div0 = drho[..., None] * psi + r * dpsi
     mass = [(0.5 * rho, phi), (0.5 * rho, psi)]
-    return div, visc, mass
+    return [((0.5 * dp / rho, div0 + r * xi * phi),
+             [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
+              (mu / 6.0 + 0.5 * mu_p, dpsi + xi * phi)],
+             mass) for xi in xis]
 
 
 def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
                    params: PhysicalParams) -> QuadraticForms:
-    """Assemble (K0, K1, M) at frequency magnitude xi_abs.
+    """Assemble (K0, K1, M) at frequency magnitude xi_abs by the kernel: the
+    reference that form_coefficients is built from and tested against.
 
     Local dof order per element is (phi_l, phi_r, psi_l, psi_r); the bulk
     integrands are squares of linear functionals of these (form_terms), so
@@ -283,6 +298,65 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     K0[BAND, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
     K0[BAND, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
     return QuadraticForms(K0, K1, M, xi, params.g, psi0)
+
+
+@dataclass(frozen=True, eq=False)
+class FormCoefficients:
+    """The forms of one mesh, profile and params as quadratic polynomials in
+    the frequency magnitude xi: K0(xi) = A0 + xi B0 + xi^2 C0 with K0 =
+    (A0, B0, C0), likewise K1, and the mass M, which does not depend on xi.
+    Every array is exactly symmetric band storage and read-only, so one
+    object serves all the frequencies of a sweep and all its threads."""
+
+    mesh: Mesh1D
+    profile: EquilibriumProfile
+    params: PhysicalParams
+    K0: tuple[np.ndarray, np.ndarray, np.ndarray]
+    K1: tuple[np.ndarray, np.ndarray, np.ndarray]
+    M: np.ndarray
+
+    def at(self, xi_abs: float) -> QuadraticForms:
+        """The forms at frequency magnitude xi_abs, in the band storage of
+        assemble_forms (which they reproduce to round-off)."""
+        xi = float(xi_abs)
+        K0, K1 = (A + xi * B + (xi * xi) * C for A, B, C in (self.K0, self.K1))
+        return QuadraticForms(K0, K1, self.M, xi, self.params.g,
+                              2 * self.mesh.interface_index - 1)
+
+
+def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile,
+                      params: PhysicalParams) -> FormCoefficients:
+    """The coefficients of the forms in xi by the three-point rule on the
+    kernel: A = K(0), B = (K(1) - K(-1))/2 and C = (K(1) + K(-1))/2 - K(0),
+    exact up to round-off because the bulk terms are quadratic in xi.
+
+    Flipping the sign of every phi dof maps K(xi) to K(-xi) bit for bit and
+    negates exactly the band rows that couple phi to psi (odd i - j), so
+    K(-1) is not assembled: B is K(1) on those rows and C is K(1) - K(0) on
+    the others, the rule's values to the bit.  The boundary terms of E0 go
+    straight into A (-jump g/2 at the interface, rho1 g/2 at the top) and C
+    (sigma_-/2 and sigma_+/2).
+    """
+    fields = layer_fields(mesh, profile, params, mesh.quad[0])
+    dofs = mesh.dofs(2)
+    cross = (np.arange(2 * BAND + 1) - BAND) % 2 == 1
+    (div0, visc0, mass), (div1, visc1, _mass) = _terms(mesh, fields, (0.0, 1.0))
+
+    def coefficients(terms0, terms1):
+        A, K = (assemble(mesh, terms, dofs, dofs, mesh.ndof, BAND)
+                for terms in (terms0, terms1))
+        B, C = K, K - A
+        B[~cross], C[cross] = 0.0, 0.0
+        return A, B, C
+
+    (A0, B0, C0), K1 = coefficients([div0], [div1]), coefficients(visc0, visc1)
+    M = assemble(mesh, mass, dofs, dofs, mesh.ndof, BAND)
+    psi0, psiL = 2 * mesh.interface_index - 1, mesh.ndof - 1
+    A0[BAND, [psi0, psiL]] += -0.5 * profile.jump * params.g, 0.5 * profile.rho1 * params.g
+    C0[BAND, [psi0, psiL]] += 0.5 * params.sigma_minus, 0.5 * params.sigma_plus
+    for ab in (A0, B0, C0, *K1, M):
+        ab.flags.writeable = False
+    return FormCoefficients(mesh, profile, params, (A0, B0, C0), K1, M)
 
 
 def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Independent references that tests compare the solver with, and helpers
-only tests use: dense and CSR copies of band storage, an alternate assembly
-for the element kernel, a dense full-spectrum eigensolve, the viscous
+only tests use: dense and CSR copies of band storage, a dense per-element
+assembly of the forms and an alternate one of E0, a dense full-spectrum
+eigensolve, the viscous
 dissipation of a full 3-component velocity, the three-field pencil, a
 layer-checked enthalpy weight, random oracle states, the complex evolution
 operators at a frequency vector with their sparse-LU time step, and a mode
@@ -51,6 +52,35 @@ def add_element(K: np.ndarray, mesh: Mesh1D, e: int, local: np.ndarray) -> None:
         for j in range(4):
             if free[i] and free[j]:
                 K[gdof[i], gdof[j]] += local[i, j]
+
+
+def dense_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi: float,
+                prm: PhysicalParams):
+    """(K0, K1, M) at frequency magnitude xi, summed element by element and
+    point by point into dense matrices through add_element, written out from
+    the functionals of the variational module docstring."""
+    n = mesh.ndof
+    K0, K1, M = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    fields = layer_fields(mesh, profile, prm, mesh.quad[0])
+    for e in range(mesh.n_elements):
+        _xq, wq, N, dN = (a[e] for a in mesh.quad)
+        rho, drho, dp, mu, mu_p = fields[:, e]
+        k0, k1, m = np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
+        for q in range(wq.size):
+            phi, psi = np.r_[N[q], 0, 0], np.r_[0, 0, N[q]]
+            dphi, dpsi = np.r_[dN[q], 0, 0], np.r_[0, 0, dN[q]]
+            div = drho[q] * psi + rho[q] * dpsi + rho[q] * xi * phi
+            k0 += wq[q] * 0.5 * dp[q] / rho[q] * np.outer(div, div)
+            for c, row in ((0.5 * mu[q], dphi - xi * psi), (0.5 * mu[q], dpsi - xi * phi),
+                           (mu[q] / 6 + 0.5 * mu_p[q], dpsi + xi * phi)):
+                k1 += wq[q] * c * np.outer(row, row)
+            m += wq[q] * 0.5 * rho[q] * (np.outer(phi, phi) + np.outer(psi, psi))
+        for K, local in ((K0, k0), (K1, k1), (M, m)):
+            add_element(K, mesh, e, local)
+    i0 = 2 * mesh.interface_index - 1
+    K0[i0, i0] += 0.5 * (prm.sigma_minus * xi**2 - profile.jump * prm.g)
+    K0[-1, -1] += 0.5 * (prm.sigma_plus * xi**2 + profile.rho1 * prm.g)
+    return K0, K1, M
 
 
 def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,

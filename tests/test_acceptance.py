@@ -20,7 +20,7 @@ from rtstab.evolve import (advance, interface_bump_state, measure_growth,
                            semidiscretize, state_from_mode)
 from rtstab.modes import assemble_mode, rotate_mode
 from rtstab.variational import (assemble_forms, build_mesh, evaluate_energy,
-                                min_eig)
+                                form_coefficients, min_eig)
 from tests.conftest import unit_params
 from tests.oracles import (assemble_forms_3field, dense, min_eig_3field,
                            min_eig_dense)
@@ -37,7 +37,7 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def rate_at_one(unstable_profile, params, mesh100):
-    return growth_rate(unstable_profile, 1.0, mesh100, params)
+    return growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
 
 
 def test_criterion_01_equilibrium_exactness(params):
@@ -205,7 +205,7 @@ def test_criterion_08_mesh_convergence(unstable_profile, params):
 def test_criterion_09_time_evolution_oracle(unstable_profile, params):
     t0 = time.time()
     mesh = build_mesh(1.0, 1.0, 200, 200)
-    pt = growth_rate(unstable_profile, 1.0, mesh, params)
+    pt = growth_rate(form_coefficients(mesh, unstable_profile, params), 1.0)
     mode = assemble_mode(pt, unstable_profile, mesh)
     ops = semidiscretize(unstable_profile, mesh, 1.0, params)
     traj = advance(state_from_mode(ops, mode), ops, 0.01 / pt.lam, 6.0 / pt.lam)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rtstab import dispersion
+from rtstab import dispersion, variational
 from rtstab.config import NumericsConfig
 from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
                                critical_frequency, critical_tension,
@@ -13,8 +13,9 @@ from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
                                psi_bump_norm_sq, sweep_lattice,
                                write_dispersion_csv)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
-from rtstab.errors import NoSignChange, NotUnstableOrientation
-from rtstab.variational import assemble_forms, build_mesh, eig_residual, min_eig
+from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
+from rtstab.variational import (assemble_forms, build_mesh, eig_residual,
+                                form_coefficients, min_eig)
 from tests.conftest import unit_params
 
 
@@ -76,7 +77,7 @@ def test_negativity_probe_contract(unstable_profile, params, mesh40):
 
 
 def test_growth_rate_unstable(unstable_profile, params, mesh40):
-    pt = growth_rate(unstable_profile, 1.0, mesh40, params)
+    pt = growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     assert pt.converged and pt.lam > 0
     assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 1e-8 * s_max ** 2
@@ -86,7 +87,7 @@ def test_growth_rate_unstable(unstable_profile, params, mesh40):
 
 def test_growth_rate_unique_sign_change(unstable_profile, params, mesh40):
     # f is increasing: exactly one sign change over a 32-point bracket scan
-    pt = growth_rate(unstable_profile, 1.0, mesh40, params)
+    pt = growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
     forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     svals = np.linspace(1e-8 * s_max, s_max, 32)
@@ -103,33 +104,40 @@ def test_growth_rate_zero_above_cutoff(unstable_profile):
     prm = unit_params(sigma_minus=0.5)
     mesh = build_mesh(1.0, 1.0, 30, 30)
     xi_c = critical_frequency(unstable_profile, prm)
-    pt = growth_rate(unstable_profile, xi_c * 1.05, mesh, prm)
+    pt = growth_rate(form_coefficients(mesh, unstable_profile, prm), xi_c * 1.05)
     assert pt.lam == 0.0 and pt.alpha_at_star >= 0
 
 
 def test_growth_rate_zero_stable_orientation(stable_profile, params, mesh40):
-    pt = growth_rate(stable_profile, 1.0, mesh40, params)
+    pt = growth_rate(form_coefficients(mesh40, stable_profile, params), 1.0)
     assert pt.lam == 0.0 and pt.alpha_at_star >= 0
 
 
 def test_bisect_root_contracts():
-    f = lambda s: s - 2.0
-    root, val, iters = _bisect_root(f, 0.0, 10.0, -2.0, 8.0, 1e-12, 1e-12, 200)
-    assert root == pytest.approx(2.0, abs=1e-11)
-    with pytest.raises(NoSignChange):
-        _bisect_root(f, 3.0, 10.0, 1.0, 8.0, 1e-12, 1e-12, 200)
+    calls = []
+
+    def above(s):
+        calls.append(s)
+        return s > 2.0
+
+    root, iters = _bisect_root(above, 0.0, 10.0, 1e-12, 200)
+    assert root == pytest.approx(2.0, abs=1e-12) and iters == len(calls)
+    # the width is tested before each halving: 10 / 2^44 is the first
+    # bracket at most 1e-12 wide, and no call is spent past it
+    assert iters == 44 == math.ceil(math.log2(10.0 / 1e-12))
+    assert _bisect_root(above, 1.0, 1.5, 1.0, 200) == (1.25, 0)
+    with pytest.raises(SolverDivergence):
+        _bisect_root(above, 0.0, 10.0, 1e-12, 10)
 
 
 def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
-    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
     assert pt.converged and pt.iterations <= 12
-    # the same root by plain bisection on the same forms
+    # the same root by plain bisection on the sign of s^2 + alpha(s)
     forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
-    f = lambda s: s * s + min_eig(forms, s)[0]
-    lo, hi = 1e-8 * s_max, s_max
-    root, *_ = _bisect_root(f, lo, hi, f(lo), f(hi), 1e-10 * s_max ** 2,
-                            1e-10 * s_max, 200)
+    root, _ = _bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
+                           1e-8 * s_max, s_max, 1e-10 * s_max, 200)
     assert abs(pt.lam - root) <= 10 * 1e-10 * s_max
     assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 10 * 1e-10 * s_max ** 2
 
@@ -137,9 +145,8 @@ def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
 def _tight_root(forms, s_max):
     """Reference root: bisection on the sign of s^2 + alpha(s) from min_eig,
     to a bracket of 1e-13 S_max."""
-    f = lambda s: s * s + min_eig(forms, s)[0]
-    lo, hi = 1e-8 * s_max, s_max
-    return _bisect_root(f, lo, hi, f(lo), f(hi), 0.0, 1e-13 * s_max, 200)[0]
+    return _bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
+                        1e-8 * s_max, s_max, 1e-13 * s_max, 200)[0]
 
 
 def _scenario(name, unstable_profile, mesh100):
@@ -174,7 +181,7 @@ def test_rayleigh_functional_encloses_the_root(name, unstable_profile, mesh100,
                                                monkeypatch):
     prof, xi, prm, s_max = _scenario(name, unstable_profile, mesh100)
     calls = _count_min_eig(monkeypatch)
-    pt = growth_rate(prof, xi, mesh100, prm)
+    pt = growth_rate(form_coefficients(mesh100, prof, prm), xi)
     assert len(calls) == 1  # the probe: the root took factorizations only
     assert pt.converged and pt.lam > 0 and pt.iterations <= 10
     delta = 1e-10 * s_max
@@ -189,14 +196,14 @@ def test_forced_fallback_bisects_to_the_root(unstable_profile, params, mesh100,
     monkeypatch.setattr(dispersion, "_rf_iterate",
                         lambda forms, v, s_min, s_max, delta: (math.nan, v, 0))
     calls = _count_min_eig(monkeypatch)
-    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * 1e-10 * s_max
     assert pt.converged and len(calls) == 2  # the probe and one at the root
-    # the probe, the Cholesky test of T(S_max), 35 sign tests that halve
+    # the probe, the Cholesky test of T(S_max), 34 sign tests that halve
     # [s_min, S_max] below 1e-10 S_max, and the eigensolve at the root
-    assert pt.iterations == 38
+    assert pt.iterations == 37
 
 
 @pytest.mark.parametrize("plant", ["probe_start", "below_root"])
@@ -217,7 +224,7 @@ def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, param
         return rho, v, 1
 
     monkeypatch.setattr(dispersion, "_rf_iterate", plant_iterate)
-    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
     assert planted[0] < root - delta
     assert not dispersion._definite(forms, planted[0] + delta)
     assert abs(pt.lam - root) <= 10 * delta and pt.converged
@@ -238,7 +245,7 @@ def test_rayleigh_functional_iteration_gives_up(unstable_profile, params, mesh10
     monkeypatch.setattr(dispersion, "RF_MAX_ITER", 1)
     lam, _v, count = dispersion._rf_iterate(forms, v0, *args)
     assert math.isnan(lam) and count == 1
-    pt = growth_rate(unstable_profile, 1.0, mesh100, params)
+    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * args[2] and pt.converged
 
 
@@ -247,7 +254,7 @@ def test_root_above_s_max_raises(unstable_profile, params, mesh40, monkeypatch):
     # the Cholesky factorization of T(S_max) fails
     monkeypatch.setattr(dispersion, "_bracket", lambda *a: (1e-9, 0.05))
     with pytest.raises(NoSignChange):
-        growth_rate(unstable_profile, 1.0, mesh40, params)
+        growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
 
 
 def test_one_eigensolve_per_frequency(unstable_profile, params, mesh100, monkeypatch):
@@ -259,13 +266,47 @@ def test_one_eigensolve_per_frequency(unstable_profile, params, mesh100, monkeyp
                for p in summary.curve)
 
 
+def test_sweep_assembles_once_per_mesh(unstable_profile, params, mesh40, monkeypatch):
+    # the forms at each frequency are a band combination of coefficients
+    # built once per sweep, so the kernel calls do not grow with the lattice
+    kernel, calls = variational.assemble, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(variational, "assemble", counted)
+    counts = []
+    for cutoff, points in ((4.0, 8), (12.0, 57)):
+        calls.clear()
+        summary = sweep_lattice(unstable_profile, mesh40, params, cutoff=cutoff)
+        assert len(summary.curve) == points
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_growth_rate_and_sweep_take_one_path(threads, unstable_profile, mesh40):
+    # a single-frequency solve and the sweep's row at the same |xi| agree bit
+    # for bit, on one thread and on a pool
+    prm = unit_params(sigma_minus=0.2, sigma_plus=0.1)
+    alone = growth_rate(form_coefficients(mesh40, unstable_profile, prm), 2.0)
+    summary = sweep_lattice(unstable_profile, mesh40, prm, cutoff=3.0, threads=threads)
+    (row,) = [p for p in summary.curve if p.xi_abs == 2.0]
+    assert alone.lam > 0 and row.xi == (2.0, 0.0)
+    assert (row.lam, row.alpha_at_star, row.iterations, row.converged) == \
+        (alone.lam, alone.alpha_at_star, alone.iterations, alone.converged)
+    assert np.array_equal(row.minimizer, alone.minimizer)
+
+
 def test_converged_flag_comes_from_the_eigen_residual(unstable_profile, params,
                                                       mesh40):
-    assert growth_rate(unstable_profile, 1.0, mesh40, params).converged
+    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    assert growth_rate(coeffs, 1.0).converged
     strict = NumericsConfig(eig_tol=1e-300)
-    assert not growth_rate(unstable_profile, 1.0, mesh40, params, strict).converged
+    assert not growth_rate(coeffs, 1.0, strict).converged
     prm = unit_params(sigma_minus=0.5)
-    probe = growth_rate(unstable_profile, 3.0, mesh40, prm, strict)
+    probe = growth_rate(form_coefficients(mesh40, unstable_profile, prm), 3.0, strict)
     assert probe.lam == 0.0 and not probe.converged
 
 

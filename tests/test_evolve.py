@@ -14,7 +14,7 @@ from rtstab.evolve import (STEP_BAND, Trajectory, advance,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode, rotate_mode
 from rtstab.variational import (BAND, assemble, assemble_forms, build_mesh,
-                                form_terms)
+                                form_coefficients, form_terms)
 from tests.conftest import unit_params
 from tests.oracles import (complex_operators, dense, embed_state, lu_step,
                            random_state)
@@ -23,7 +23,7 @@ from tests.oracles import (complex_operators, dense, embed_state, lu_step,
 @pytest.fixture(scope="module")
 def unstable_setup(unstable_profile, params):
     mesh = build_mesh(1.0, 1.0, 60, 60)
-    pt = growth_rate(unstable_profile, 1.0, mesh, params)
+    pt = growth_rate(form_coefficients(mesh, unstable_profile, params), 1.0)
     mode = assemble_mode(pt, unstable_profile, mesh)
     ops = semidiscretize(unstable_profile, mesh, 1.0, params)
     return mesh, pt, mode, ops

@@ -9,13 +9,13 @@ import pytest
 from rtstab.dispersion import growth_rate
 from rtstab.errors import DegenerateMode, NotARotation
 from rtstab.modes import assemble_mode, export_mode, ode_residual, rotate_mode
-from rtstab.variational import build_mesh
+from rtstab.variational import build_mesh, form_coefficients
 from tests.oracles import import_mode_csv
 
 
 @pytest.fixture(scope="module")
 def mode_point(unstable_profile, params, mesh40):
-    return growth_rate(unstable_profile, 1.0, mesh40, params)
+    return growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_residual_decay_under_refinement(unstable_profile, params):
     worst = []
     for n in (25, 50, 100):
         mesh = build_mesh(1.0, 1.0, n, n)
-        pt = growth_rate(unstable_profile, 1.0, mesh, params)
+        pt = growth_rate(form_coefficients(mesh, unstable_profile, params), 1.0)
         mode_n = assemble_mode(pt, unstable_profile, mesh)
         rep = ode_residual(mode_n, unstable_profile, params).as_dict()
         worst.append(max(rep.values()))

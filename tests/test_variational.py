@@ -8,13 +8,14 @@ import pytest
 from scipy.linalg.lapack import dpbtrf
 
 from rtstab.variational import (BAND, assemble, assemble_forms, band_mv,
-                                build_mesh, eig_residual, evaluate_energy, form_terms,
-                                layer_fields, min_eig, project_p1)
+                                build_mesh, eig_residual, evaluate_energy,
+                                form_coefficients, form_terms, min_eig, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import BandOverflow
 from tests.conftest import unit_params
 from tests.oracles import (add_element, assemble_forms_3field, assemble_forms_alt,
-                           dense, element_layer, min_eig_3field, min_eig_dense)
+                           dense, dense_forms, element_layer, min_eig_3field,
+                           min_eig_dense)
 
 
 def test_build_mesh_examples():
@@ -125,34 +126,6 @@ def _pd(forms, s, shift):
     return dpbtrf(K[:BAND + 1])[1] == 0
 
 
-def _dense_forms(mesh, profile, xi, prm):
-    """(K0, K1, M) summed element by element and point by point into dense
-    matrices through add_element, written out from the functionals of the
-    variational module docstring."""
-    n = mesh.ndof
-    K0, K1, M = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-    fields = layer_fields(mesh, profile, prm, mesh.quad[0])
-    for e in range(mesh.n_elements):
-        _xq, wq, N, dN = (a[e] for a in mesh.quad)
-        rho, drho, dp, mu, mu_p = fields[:, e]
-        k0, k1, m = np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
-        for q in range(wq.size):
-            phi, psi = np.r_[N[q], 0, 0], np.r_[0, 0, N[q]]
-            dphi, dpsi = np.r_[dN[q], 0, 0], np.r_[0, 0, dN[q]]
-            div = drho[q] * psi + rho[q] * dpsi + rho[q] * xi * phi
-            k0 += wq[q] * 0.5 * dp[q] / rho[q] * np.outer(div, div)
-            for c, row in ((0.5 * mu[q], dphi - xi * psi), (0.5 * mu[q], dpsi - xi * phi),
-                           (mu[q] / 6 + 0.5 * mu_p[q], dpsi + xi * phi)):
-                k1 += wq[q] * c * np.outer(row, row)
-            m += wq[q] * 0.5 * rho[q] * (np.outer(phi, phi) + np.outer(psi, psi))
-        for K, local in ((K0, k0), (K1, k1), (M, m)):
-            add_element(K, mesh, e, local)
-    i0 = 2 * mesh.interface_index - 1
-    K0[i0, i0] += 0.5 * (prm.sigma_minus * xi**2 - profile.jump * prm.g)
-    K0[-1, -1] += 0.5 * (prm.sigma_plus * xi**2 + profile.rho1 * prm.g)
-    return K0, K1, M
-
-
 def test_band_storage_reproduces_interleaved_forms(unstable_profile):
     # the kernel's band storage against a dense per-element, per-point sum,
     # with mu' != 0 and both surface tensions on
@@ -163,7 +136,7 @@ def test_band_storage_reproduces_interleaved_forms(unstable_profile):
         forms = assemble_forms(mesh, unstable_profile, xi, prm)
         assert forms.psi_interface_dof == 2 * mesh.interface_index - 1
         for ab, ref in zip((forms.K0, forms.K1, forms.M),
-                           _dense_forms(mesh, unstable_profile, xi, prm)):
+                           dense_forms(mesh, unstable_profile, xi, prm)):
             assert ab.shape == (2 * BAND + 1, mesh.ndof)
             assert np.abs(dense(ab) - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -197,10 +170,76 @@ def test_band_arrays_are_fortran_ordered(unstable_profile, params, mesh100):
     # dgbmv reads Fortran-ordered band arrays in place; a C-ordered copy of
     # the same storage gives the same products bit for bit
     forms = assemble_forms(mesh100, unstable_profile, 1.3, params)
+    at = form_coefficients(mesh100, unstable_profile, params).at(1.3)
     v = np.random.default_rng(3).standard_normal(mesh100.ndof)
-    for ab in (forms.K0, forms.K1, forms.M):
+    for ab in (forms.K0, forms.K1, forms.M, at.K0, at.K1, at.M):
         assert ab.flags.f_contiguous and not ab.flags.c_contiguous
         assert np.array_equal(band_mv(ab, v), band_mv(np.ascontiguousarray(ab), v))
+
+
+def _coefficient_scenarios(unstable_profile, params):
+    """The isothermal pair, and a polytropic pair with mu' != 0 and both
+    surface tensions on."""
+    prm = unit_params(mu_prime_plus=0.3, mu_prime_minus=0.2, sigma_plus=0.15,
+                      sigma_minus=0.05)
+    poly = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
+                             PressureLaw.polytropic(2.0, 1.4), prm)
+    return [(unstable_profile, params), (poly, prm)]
+
+
+def test_coefficients_reproduce_the_assembled_forms(unstable_profile, params, mesh100):
+    # against the kernel at the benchmark's n = 100 too, where the cancellation
+    # in C is largest, and against the dense per-element sum on a small mesh
+    small = build_mesh(1.0, 1.0, 9, 12)
+    for prof, prm in _coefficient_scenarios(unstable_profile, params):
+        for mesh in (small, mesh100):
+            coeffs = form_coefficients(mesh, prof, prm)
+            for xi in (0.3, 1.0, 2.5, 7.1, 11.9):
+                forms, ref = coeffs.at(xi), assemble_forms(mesh, prof, xi, prm)
+                assert forms.xi_abs == xi and forms.g == prm.g
+                assert forms.psi_interface_dof == ref.psi_interface_dof
+                pairs = list(zip((forms.K0, forms.K1, forms.M), (ref.K0, ref.K1, ref.M)))
+                if mesh is small:
+                    pairs += zip(map(dense, (forms.K0, forms.K1, forms.M)),
+                                 dense_forms(mesh, prof, xi, prm))
+                for got, want in pairs:
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_coefficients_are_exactly_symmetric_and_read_only(unstable_profile, params):
+    mesh = build_mesh(1.0, 1.0, 9, 12)
+    for prof, prm in _coefficient_scenarios(unstable_profile, params):
+        coeffs = form_coefficients(mesh, prof, prm)
+        stored = (*coeffs.K0, *coeffs.K1, coeffs.M)
+        for xi in (0.3, 1.0, 2.5, 7.1, 11.9):
+            forms = coeffs.at(xi)
+            for ab in (forms.K0, forms.K1, forms.M, *stored):
+                # ab[w + i - j, j] == ab[w + j - i, i] for every i, j
+                assert np.array_equal(dense(ab), dense(ab).T)
+        for ab in stored:
+            with pytest.raises(ValueError):
+                ab[BAND, 0] = 1.0
+
+
+def test_coefficients_are_the_three_point_rule(unstable_profile, params):
+    # form_coefficients never assembles K(-1): flipping every phi dof maps
+    # K(1) to K(-1).  The rule A = K(0), B = (K(1) - K(-1))/2,
+    # C = (K(1) + K(-1))/2 - K(0) on the kernel gives the same bulk bits.
+    mesh = build_mesh(1.0, 1.0, 9, 12)
+    dofs = mesh.dofs(2)
+    for prof, prm in _coefficient_scenarios(unstable_profile, params):
+        coeffs = form_coefficients(mesh, prof, prm)
+        kernel = [[assemble(mesh, t, dofs, dofs, mesh.ndof, BAND) for t in ([div], visc)]
+                  for div, visc, _mass in (form_terms(mesh, prof, xi, prm)
+                                           for xi in (0.0, 1.0, -1.0))]
+        bulk = np.ones((2 * BAND + 1, mesh.ndof), bool)
+        bulk[BAND, [coeffs.at(1.0).psi_interface_dof, -1]] = False  # E0's boundary
+        for k, (A, B, C) in enumerate((coeffs.K0, coeffs.K1)):
+            at0, at1, at_1 = (K[k] for K in kernel)
+            entries = bulk if k == 0 else slice(None)
+            for got, rule in ((A, at0), (B, 0.5 * (at1 - at_1)),
+                              (C, 0.5 * (at1 + at_1) - at0)):
+                assert np.array_equal(got[entries], rule[entries])
 
 
 def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
