@@ -8,8 +8,8 @@ regime, with an independent time-evolution oracle validating every rate.
 
 from .classify import RegimeLabel, classify_regime, regime_report
 from .dispersion import (DispersionPoint, GrowthSummary, critical_frequency,
-                         critical_tension, growth_rate, negativity_probe,
-                         psi_bump, psi_bump_norm_sq, sweep_lattice)
+                         critical_tension, growth_rate, psi_bump,
+                         psi_bump_norm_sq, sweep_lattice)
 from .equilibrium import (EquilibriumProfile, PhysicalParams, PressureLaw,
                           check_admissibility, solve_equilibrium)
 from .evolve import (Trajectory, advance, energy_balance_residual,
@@ -19,9 +19,8 @@ from .modes import (GrowingMode, assemble_mode, export_mode, ode_residual,
 from .poisson_ext import (DownwardExtension, ExtensionParams,
                           InterfaceExtension, PeriodicField, UpwardExtension,
                           vandermonde_coeffs)
-from .variational import (FormCoefficients, Mesh1D, QuadraticForms,
-                          assemble_forms, build_mesh, evaluate_energy,
-                          form_coefficients, min_eig)
+from .variational import (FormCoefficients, Mesh1D, QuadraticForms, build_mesh,
+                          evaluate_energy, form_coefficients, min_eig)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

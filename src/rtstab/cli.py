@@ -50,6 +50,12 @@ def _profile_and_mesh(cfg: RunConfig):
     return profile, mesh
 
 
+def _form_coefficients(cfg: RunConfig):
+    """The one FormCoefficients of a single-frequency command."""
+    profile, mesh = _profile_and_mesh(cfg)
+    return form_coefficients(mesh, profile, cfg.params)
+
+
 def _rounded_regime_inputs(cfg: RunConfig, profile):
     """Apply the configured zero epsilon before the exact-table call."""
     eps = cfg.numerics.zero_epsilon
@@ -69,9 +75,7 @@ def cmd_equilibrium(cfg, out, args) -> int:
 
 
 def cmd_alpha(cfg, out, args) -> int:
-    profile, mesh = _profile_and_mesh(cfg)
-    forms = form_coefficients(mesh, profile, cfg.params).at(args.xi)
-    alpha, _v = min_eig(forms, args.s)
+    alpha, _v = min_eig(_form_coefficients(cfg).at(args.xi), args.s)
     print(f"{alpha:.17g}")
     return 0
 
@@ -88,9 +92,7 @@ def cmd_dispersion(cfg, out, args) -> int:
 
 
 def cmd_growth(cfg, out, args) -> int:
-    profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(form_coefficients(mesh, profile, cfg.params), args.xi,
-                          cfg.numerics)
+    pt = disp.growth_rate(_form_coefficients(cfg), args.xi, cfg.numerics)
     _write_json({"xi": list(pt.xi), "xi_abs": pt.xi_abs, "lambda": pt.lam,
                  "alpha_at_star": pt.alpha_at_star, "iterations": pt.iterations,
                  "converged": pt.converged}, out / "growth.json")
@@ -105,23 +107,21 @@ def cmd_classify(cfg, out, args) -> int:
 
 
 def cmd_mode(cfg, out, args) -> int:
-    profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(form_coefficients(mesh, profile, cfg.params), args.xi,
-                          cfg.numerics)
+    coeffs = _form_coefficients(cfg)
+    pt = disp.growth_rate(coeffs, args.xi, cfg.numerics)
     if pt.lam <= 0:
         raise InvalidInput(f"no growing mode at |xi| = {args.xi} (lambda = 0)")
-    mode = modes_mod.assemble_mode(pt, profile, mesh)
+    mode = modes_mod.assemble_mode(pt, coeffs)
     modes_mod.export_mode(mode, out / "mode.csv", out / "mode.json")
     return 0
 
 
 def cmd_oracle(cfg, out, args) -> int:
-    profile, mesh = _profile_and_mesh(cfg)
-    pt = disp.growth_rate(form_coefficients(mesh, profile, cfg.params), args.xi,
-                          cfg.numerics)
-    ops = evolve.semidiscretize(profile, mesh, args.xi, cfg.params)
+    coeffs = _form_coefficients(cfg)
+    pt = disp.growth_rate(coeffs, args.xi, cfg.numerics)
+    ops = evolve.semidiscretize(coeffs, args.xi)
     if pt.lam > 0:
-        state = evolve.state_from_mode(ops, modes_mod.assemble_mode(pt, profile, mesh))
+        state = evolve.state_from_mode(ops, modes_mod.assemble_mode(pt, coeffs))
         dt = cfg.numerics.dt if cfg.numerics.dt else 0.01 / pt.lam
         t_final = cfg.numerics.t_final if cfg.numerics.t_final else 6.0 / pt.lam
     else:

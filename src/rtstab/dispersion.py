@@ -56,9 +56,9 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from .variational import (BAND, FormCoefficients, Mesh1D, QuadraticForms,
-                          assemble_forms, band_mv, eig_residual, evaluate_energy,
-                          form_coefficients, j_normalize, min_eig, project_p1)
+from .variational import (BAND, FormCoefficients, Mesh1D, QuadraticForms, band_mv,
+                          eig_residual, evaluate_energy, form_coefficients,
+                          j_normalize, min_eig)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
@@ -207,10 +207,8 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
     the iteration does not settle, the root comes from the Cholesky-sign
     bisection on [s_min, S_max] (NoSignChange if T(S_max) is not definite)
     and one eigensolve there.  numerics supplies s_max_factor, root_tol
-    and eig_tol.
+    and eig_tol.  xi_abs must be finite and > 0 (ValueError from coeffs.at).
     """
-    if xi_abs <= 0:
-        raise ValueError("xi_abs must be > 0")
     forms = coeffs.at(xi_abs)
     s_min, s_max = _bracket(coeffs.profile, coeffs.params, numerics)
     alpha0, v0 = min_eig(forms, s_min)
@@ -329,34 +327,6 @@ def psi_bump_norm_sq(b: float, ell: float, exponent: float) -> float:
     sqrt(pi) (b + ell) Gamma(a+1) / (2 Gamma(a + 3/2)) for a = exponent."""
     a = float(exponent)
     return math.sqrt(math.pi) * (b + ell) * math.gamma(a + 1.0) / (2.0 * math.gamma(a + 1.5))
-
-
-def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
-                     mesh: Mesh1D, params: PhysicalParams,
-                     exponent: float = 5.0) -> float:
-    """Energy E(.; s) at the interpolated bump candidate with phi = -psi'/|xi|.
-
-    E < 0 certifies alpha(s) < 0 without an eigensolve (the candidate is an
-    upper bound for the constrained infimum after J-normalization).  psi' is
-    the elementwise derivative of the nodal interpolant, L2-projected back to
-    the nodes; the essential value at -b is then enforced.  The check runs
-    at one frequency, so it assembles the forms there directly.
-    """
-    if xi_abs <= 0:
-        raise ValueError("xi_abs must be > 0")
-    if exponent < 5:
-        raise ValueError("exponent must be >= 5 for an admissible candidate")
-    psi_nodes = psi_bump(mesh.nodes, params.b, params.ell, exponent)
-    dpsi_elem = np.diff(psi_nodes) / np.diff(mesh.nodes)
-
-    phi_nodes = project_p1(mesh, np.broadcast_to(-dpsi_elem[:, None] / xi_abs,
-                                                 mesh.quad[0].shape), 0, mesh.n_elements)
-    phi_nodes[0] = 0.0
-    v = np.empty(mesh.ndof)
-    v[0::2], v[1::2] = phi_nodes[1:], psi_nodes[1:]
-    forms = assemble_forms(mesh, profile, xi_abs, params)
-    e_val, _j = evaluate_energy(forms, v, s)
-    return e_val
 
 
 def write_dispersion_csv(curve, path) -> None:

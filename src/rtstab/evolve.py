@@ -20,8 +20,9 @@ normal modes carry none of it, so the oracle steps the in-plane system: the
 velocity u_h = -i v xi/|xi|, u3 = w, with q, v, w and eta+- real.  In these
 unknowns every coefficient is real and depends on xi only through |xi|: the
 velocity mass, the dissipation and the divergence row are 2 J, 2 E1 and the
-E0 divergence row of the variational forms (variational.form_terms), and
-the boundary coefficients are twice the variational point masses.  v and w
+E0 divergence row of the variational forms (variational.form_terms of the
+FormCoefficients' fields), and the boundary coefficients are twice the
+variational point masses (variational.surface_coefficients).  v and w
 live in continuous P1 (essential zero at the bottom); q lives in P1 broken
 at the interface with an h'(rho)-weighted projection of the continuity
 equation, which makes the semidiscrete energy identity
@@ -53,10 +54,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
-from .variational import Mesh1D, assemble, band_mv, form_terms
+from .variational import (FormCoefficients, assemble, band_mv, check_frequency,
+                          form_terms, surface_coefficients)
 
 BLOCK = 8  # states per vectorised block of the energy-balance pass
 STEP_BAND = 6  # half-bandwidth of the step matrices in the node-by-node order
@@ -74,15 +75,14 @@ class EvolutionOperators:
     variational.assemble with half-bandwidth STEP_BAND.
     """
 
-    def __init__(self, mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
-                 params: PhysicalParams):
-        self.mesh = mesh
-        self.profile = profile
-        self.xi_abs = float(xi_abs)
-        self.params = params
+    def __init__(self, coeffs: FormCoefficients, xi_abs: float):
+        self.coeffs = coeffs
+        self.mesh = mesh = coeffs.mesh
+        self.xi_abs = check_frequency(xi_abs)
         xi_sq = self.xi_abs * self.xi_abs
-        self.sigma_top_coef = profile.rho1 * params.g + params.sigma_plus * xi_sq
-        self.sigma_int_coef = params.sigma_minus * xi_sq - profile.jump * params.g
+        A, C = surface_coefficients(coeffs.profile, coeffs.params)
+        self.sigma_int_coef, self.sigma_top_coef = A + xi_sq * C
+        self.interface_gravity = A[0]  # -jump g, the part without sigma_-
         i0, node = mesh.interface_index, np.arange(mesh.n_nodes)
         at = 3 * node - 2 + 2 * (node > i0)  # place of node k's (lower) q, k >= 1
         self.n = 3 * mesh.n_nodes + 1
@@ -95,7 +95,7 @@ class EvolutionOperators:
         qdofs = self.q[e + [0, 1] + (e >= i0)]
         udofs = mesh.dofs(2)  # (v, w) node by node
         udofs = np.where(udofs >= 0, (at[1:, None] + [1, 2]).ravel()[udofs], -1)
-        (c, div), visc, mass = form_terms(mesh, profile, self.xi_abs, params)
+        (c, div), visc, mass = form_terms(mesh, coeffs.fields, self.xi_abs)
         N = mesh.quad[2]
         n, band = self.n, STEP_BAND
         # h'(rho) = 2 c weighs the q rows: the q mass, and B, the divergence
@@ -108,7 +108,7 @@ class EvolutionOperators:
         i, j, top, mid = self.eta_plus_idx, self.eta_minus_idx, self.u3_top, self.u3_int
         self.M, self.W = fields.copy(), fields
         self.M[band, [i, j]] = 1.0
-        self.W[band, [i, j]] = self.sigma_top_coef, params.sigma_minus * xi_sq
+        self.W[band, [i, j]] = self.sigma_top_coef, xi_sq * C[0]
         # A rows: q gets -B u; u gets +B^T q - D u; eta gets deta/dt = w, and
         # w the boundary forces
         self.A = BT - B - self.D
@@ -123,18 +123,17 @@ class EvolutionOperators:
     def full_energy(self, y: np.ndarray) -> float:
         """Energy plus the interface term -1/2 jump g eta_-^2 (positive when
         the orientation is stable); non-increasing along exact dynamics."""
-        return self.energy(y) - 0.5 * self.profile.jump * self.params.g \
-            * y[self.eta_minus_idx] ** 2
+        return self.energy(y) + 0.5 * self.interface_gravity * y[self.eta_minus_idx] ** 2
 
     def dissipation(self, y: np.ndarray) -> float:
         return float(y @ band_mv(self.D, y))
 
 
-def semidiscretize(profile: EquilibriumProfile, mesh: Mesh1D, xi_abs: float,
-                   params: PhysicalParams) -> EvolutionOperators:
+def semidiscretize(coeffs: FormCoefficients, xi_abs: float) -> EvolutionOperators:
     """Assemble the in-plane semidiscrete operators (mass, dynamics) at the
-    frequency magnitude xi_abs."""
-    return EvolutionOperators(mesh, profile, xi_abs, params)
+    frequency magnitude xi_abs from the fields and surface coefficients of
+    coeffs."""
+    return EvolutionOperators(coeffs, xi_abs)
 
 
 def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> np.ndarray:
@@ -143,16 +142,16 @@ def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> np.ndarray:
     semidiscrete system.  Raises ValueError if the mode has a nonzero theta
     (its velocity is not along (1, 0), e.g. after rotate_mode), if its
     velocity does not vanish at the bottom, or if it lives on another mesh
-    than ops."""
+    than ops (other nodes or another layer split)."""
     if np.any(mode.theta != 0):
         raise ValueError("mode must have theta = 0 (frequency along x1)")
+    if mode.mesh.n_minus != ops.mesh.n_minus \
+            or not np.array_equal(mode.mesh.nodes, ops.mesh.nodes):
+        raise ValueError("mode lives on another mesh than the operators")
     u = np.stack([mode.phi, mode.psi])
     if np.abs(u[:, 0]).max() > 1e-13 * max(1.0, np.abs(u).max()):
         raise ValueError("mode velocity must vanish at the bottom node")
     q = np.concatenate([mode.q_tilde_minus, mode.q_tilde_plus])
-    if u.shape[1] != ops.mesh.n_nodes or q.size != ops.q.size:
-        raise ValueError(f"mode has {u.shape[1]} nodes, the operators "
-                         f"{ops.mesh.n_nodes}")
     y = np.empty(ops.n)
     y[ops.q], y[ops.v], y[ops.w] = q, u[0, 1:], u[1, 1:]
     y[ops.eta_plus_idx], y[ops.eta_minus_idx] = mode.eta_tilde_plus, mode.eta_tilde_minus
@@ -268,7 +267,7 @@ def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators):
     # m^T D m = (d_k + d_k+1 + 2 y_k^T D y_k+1) / 4
     d_mid = 0.25 * (diss[:-1] + diss[1:]) + 0.5 * cross
     eta, w = 0.5 * (eta[:-1] + eta[1:]), 0.5 * (w[:-1] + w[1:])
-    flux = ops.profile.jump * ops.params.g * eta * w - d_mid
+    flux = -ops.interface_gravity * eta * w - d_mid
     scale = np.maximum(np.maximum(np.abs(energy[:-1]), np.abs(energy[1:])), 1e-300)
     res = (energy[1:] - energy[:-1] - traj.dt * flux) / scale
     return res, energy, diss

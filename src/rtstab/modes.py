@@ -35,7 +35,8 @@ import numpy as np
 from .dispersion import DispersionPoint
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import DegenerateMode, NotARotation
-from .variational import Mesh1D, layer_fields, project_p1
+from .variational import (FormCoefficients, Mesh1D, layer_fields, project_p1,
+                          surface_coefficients)
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,13 @@ class GrowingMode:
     eta_tilde_minus: float
 
 
-def project_q_tilde(mesh: Mesh1D, profile: EquilibriumProfile, phi: np.ndarray,
-                    theta: np.ndarray, psi: np.ndarray, xi: tuple[float, float],
+def project_q_tilde(coeffs: FormCoefficients, phi: np.ndarray, theta: np.ndarray,
+                    psi: np.ndarray, xi: tuple[float, float],
                     lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Broken P1 projection of -(1/lam)[(rho psi)' + rho (xi1 phi + xi2 theta)]."""
-    rho, drho, *_ = layer_fields(mesh, profile, profile.params, mesh.quad[0])
+    """Broken P1 projection of -(1/lam)[(rho psi)' + rho (xi1 phi + xi2 theta)]
+    on the mesh of coeffs, with rho and rho' from its quadrature-point fields."""
+    mesh = coeffs.mesh
+    rho, drho, *_ = coeffs.fields
     N = mesh.quad[2]
 
     def at_points(f):
@@ -77,11 +80,12 @@ def project_q_tilde(mesh: Mesh1D, profile: EquilibriumProfile, phi: np.ndarray,
             project_p1(mesh, raw, i0, mesh.n_elements))
 
 
-def assemble_mode(point: DispersionPoint, profile: EquilibriumProfile,
-                  mesh: Mesh1D) -> GrowingMode:
-    """Build the normalized growing mode from a converged dispersion point."""
+def assemble_mode(point: DispersionPoint, coeffs: FormCoefficients) -> GrowingMode:
+    """Build the normalized growing mode from a converged dispersion point
+    solved on coeffs (growth_rate), on the same mesh and fields."""
     if point.lam <= 0:
         raise ValueError("assemble_mode requires a growing point (lam > 0)")
+    mesh = coeffs.mesh
     phi = np.zeros(mesh.n_nodes)
     psi = np.zeros(mesh.n_nodes)
     phi[1:] = point.minimizer[0::2]
@@ -89,7 +93,7 @@ def assemble_mode(point: DispersionPoint, profile: EquilibriumProfile,
     psi0 = psi[mesh.interface_index]
     if abs(psi0) < 1e-10:
         raise DegenerateMode(f"interface psi = {psi0} below 1e-10")
-    params = profile.params
+    params = coeffs.params
     lam = point.lam
     # |eta_minus| * 2 pi sqrt(L1 L2) = 1 after scaling.
     eta_minus_raw = psi0 / lam
@@ -98,7 +102,7 @@ def assemble_mode(point: DispersionPoint, profile: EquilibriumProfile,
     psi *= scale
     theta = np.zeros_like(phi)
     xi = (point.xi_abs, 0.0)
-    q_minus, q_plus = project_q_tilde(mesh, profile, phi, theta, psi, xi, lam)
+    q_minus, q_plus = project_q_tilde(coeffs, phi, theta, psi, xi, lam)
     return GrowingMode(xi, lam, mesh, phi, theta, psi, q_minus, q_plus,
                        eta_tilde_plus=psi[-1] / lam,
                        eta_tilde_minus=psi[mesh.interface_index] / lam)
@@ -229,11 +233,12 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile,
     ends_p = _flux_ends(mesh, f_p)
     ends_dphi = _flux_ends(mesh, dphi)
     top_shear = abs(mu_pl * lam * (xi_abs * psi[-1] - ends_dphi["top"]))
+    A, C = surface_coefficients(profile, params)
+    interface_coef, top_coef = A + xi_abs**2 * C
     # normal stress at the top: -flux_v + lam mu |xi| phi - rho1 flux_p
     #                           = (rho1 g + sigma_+ |xi|^2) psi
     top_stress = abs(-ends_v["top"] + lam * mu_pl * xi_abs * phi_par[-1]
-                     - profile.rho1 * ends_p["top"]
-                     - (profile.rho1 * params.g + params.sigma_plus * xi_abs**2) * psi[-1])
+                     - profile.rho1 * ends_p["top"] - top_coef * psi[-1])
     jump_shear = abs(mu_pl * lam * (xi_abs * psi[i0] - ends_dphi["int_plus"])
                      - mu_mi * lam * (xi_abs * psi[i0] - ends_dphi["int_minus"]))
     # jump of (flux_v - lam mu |xi| phi + rho flux_p) balances
@@ -242,7 +247,7 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile,
                        + profile.rho_top_interface * ends_p["int_plus"])
                       - (ends_v["int_minus"] - lam * mu_mi * xi_abs * phi_par[i0]
                          + profile.rho_bot_interface * ends_p["int_minus"])
-                      + (profile.jump * params.g - params.sigma_minus * xi_abs**2) * psi[i0])
+                      - interface_coef * psi[i0])
     return OdeResidualReport(r_phi, r_psi, r_perp, top_shear, top_stress,
                              jump_shear, jump_stress,
                              abs(phi_par[0]), abs(psi[0]))

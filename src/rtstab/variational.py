@@ -40,15 +40,16 @@ band storage that every solver reads.
 
 xi enters the bulk integrands only through rows affine in xi, and the
 boundary terms through sigma_± xi^2, so K0(xi) = A0 + xi B0 + xi^2 C0,
-likewise K1, and M does not depend on xi.  form_coefficients assembles
-these coefficients once per mesh, profile and params, and the sweep and
-every command take their forms from FormCoefficients.at(xi), one band
-combination per frequency.  assemble_forms assembles at one xi; it is the
-reference the coefficients are tested against.
+likewise K1, and M does not depend on xi.  form_coefficients evaluates the
+profile fields at the quadrature points and assembles these coefficients
+once per mesh, profile and params; the sweep and every command take their
+forms from FormCoefficients.at(xi), one band combination per frequency,
+and the growing mode and the evolution oracle read its fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -253,51 +254,39 @@ class QuadraticForms:
         return U
 
 
-def form_terms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
-               params: PhysicalParams):
+def form_terms(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
     """The bulk kernel terms (div, visc, mass) of E0, E1 and J at frequency
-    magnitude xi_abs, in the (phi, psi) rows of field_rows(mesh, 2): div is
-    E0's one term (h'(rho)/2, (rho psi)' + rho xi phi), visc the three of E1
-    and mass the two of J.  The evolution oracle reads the same lists for its
-    velocity (v, w) = (i u_parallel, u3), whose mass, dissipation and
-    divergence are 2 J, 2 E1 and the row of div."""
-    fields = layer_fields(mesh, profile, params, mesh.quad[0])
-    return _terms(mesh, fields, [float(xi_abs)])[0]
-
-
-def _terms(mesh: Mesh1D, fields: np.ndarray, xis) -> list:
-    """form_terms at each magnitude in xis, from the layer_fields at the
-    quadrature points; the rows' parts without xi are formed once."""
+    magnitude xi_abs, in the (phi, psi) rows of field_rows(mesh, 2), from the
+    layer_fields at the quadrature points: div is E0's one term (h'(rho)/2,
+    (rho psi)' + rho xi phi), visc the three of E1 and mass the two of J.
+    The evolution oracle reads the same lists for its velocity (v, w) =
+    (i u_parallel, u3), whose mass, dissipation and divergence are 2 J, 2 E1
+    and the row of div."""
+    xi = float(xi_abs)
     rho, drho, dp, mu, mu_p = fields
     (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
     r = rho[..., None]
-    div0 = drho[..., None] * psi + r * dpsi
-    mass = [(0.5 * rho, phi), (0.5 * rho, psi)]
-    return [((0.5 * dp / rho, div0 + r * xi * phi),
-             [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
-              (mu / 6.0 + 0.5 * mu_p, dpsi + xi * phi)],
-             mass) for xi in xis]
+    return ((0.5 * dp / rho, drho[..., None] * psi + r * dpsi + r * xi * phi),
+            [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
+             (mu / 6.0 + 0.5 * mu_p, dpsi + xi * phi)],
+            [(0.5 * rho, phi), (0.5 * rho, psi)])
 
 
-def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
-                   params: PhysicalParams) -> QuadraticForms:
-    """Assemble (K0, K1, M) at frequency magnitude xi_abs by the kernel: the
-    reference that form_coefficients is built from and tested against.
+def surface_coefficients(profile: EquilibriumProfile,
+                         params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (sigma_- xi^2 - jump g, rho1 g + sigma_+ xi^2) of
+    E0's surface terms, 1/2 coefficient psi^2 at the interface and the top,
+    as (A, C) with coefficient = A + xi^2 C."""
+    return (np.array([-profile.jump * params.g, profile.rho1 * params.g]),
+            np.array([params.sigma_minus, params.sigma_plus]))
 
-    Local dof order per element is (phi_l, phi_r, psi_l, psi_r); the bulk
-    integrands are squares of linear functionals of these (form_terms), so
-    each matrix is a sum of outer products and exactly symmetric.  The
-    boundary terms of E0 sit on the diagonal, row BAND of the band storage.
-    """
+
+def check_frequency(xi_abs: float) -> float:
+    """xi_abs as a float; ValueError unless 0 < xi_abs < inf (NaN fails)."""
     xi = float(xi_abs)
-    div, visc, mass = form_terms(mesh, profile, xi, params)
-    dofs = mesh.dofs(2)
-    K0, K1, M = (assemble(mesh, terms, dofs, dofs, mesh.ndof, BAND)
-                 for terms in ([div], visc, mass))
-    psi0, psiL = 2 * mesh.interface_index - 1, mesh.ndof - 1
-    K0[BAND, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
-    K0[BAND, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
-    return QuadraticForms(K0, K1, M, xi, params.g, psi0)
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"frequency magnitude must be finite and > 0, got {xi_abs}")
+    return xi
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,20 +294,22 @@ class FormCoefficients:
     """The forms of one mesh, profile and params as quadratic polynomials in
     the frequency magnitude xi: K0(xi) = A0 + xi B0 + xi^2 C0 with K0 =
     (A0, B0, C0), likewise K1, and the mass M, which does not depend on xi.
-    Every array is exactly symmetric band storage and read-only, so one
-    object serves all the frequencies of a sweep and all its threads."""
+    fields holds the layer_fields at the quadrature points mesh.quad[0] that
+    they were assembled from.  Every array is read-only and every form is
+    exactly symmetric band storage, so one object serves all the frequencies
+    of a sweep and all its threads."""
 
     mesh: Mesh1D
     profile: EquilibriumProfile
     params: PhysicalParams
+    fields: np.ndarray
     K0: tuple[np.ndarray, np.ndarray, np.ndarray]
     K1: tuple[np.ndarray, np.ndarray, np.ndarray]
     M: np.ndarray
 
     def at(self, xi_abs: float) -> QuadraticForms:
-        """The forms at frequency magnitude xi_abs, in the band storage of
-        assemble_forms (which they reproduce to round-off)."""
-        xi = float(xi_abs)
+        """The forms at frequency magnitude xi_abs (0 < xi_abs < inf)."""
+        xi = check_frequency(xi_abs)
         K0, K1 = (A + xi * B + (xi * xi) * C for A, B, C in (self.K0, self.K1))
         return QuadraticForms(K0, K1, self.M, xi, self.params.g,
                               2 * self.mesh.interface_index - 1)
@@ -333,14 +324,27 @@ def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile,
     Flipping the sign of every phi dof maps K(xi) to K(-xi) bit for bit and
     negates exactly the band rows that couple phi to psi (odd i - j), so
     K(-1) is not assembled: B is K(1) on those rows and C is K(1) - K(0) on
-    the others, the rule's values to the bit.  The boundary terms of E0 go
-    straight into A (-jump g/2 at the interface, rho1 g/2 at the top) and C
-    (sigma_-/2 and sigma_+/2).
+    the others, the rule's values to the bit.  The surface terms of E0
+    (surface_coefficients) go straight into A and C.
+
+    params must agree with profile.params in b, ell, g and p_atm (mu, mu'
+    and sigma are the forms' own), and the mesh must span [-b, ell];
+    otherwise ValueError.
     """
+    ref = profile.params
+    for name in ("b", "ell", "g", "p_atm"):
+        if getattr(params, name) != getattr(ref, name):
+            raise ValueError(f"params.{name} = {getattr(params, name)} differs from "
+                             f"the profile's {getattr(ref, name)}")
+    if mesh.nodes[0] != -ref.b or mesh.nodes[-1] != ref.ell:
+        raise ValueError(f"mesh spans [{mesh.nodes[0]}, {mesh.nodes[-1]}], "
+                         f"not [-b, ell] = [{-ref.b}, {ref.ell}]")
     fields = layer_fields(mesh, profile, params, mesh.quad[0])
+    fields.flags.writeable = False
     dofs = mesh.dofs(2)
     cross = (np.arange(2 * BAND + 1) - BAND) % 2 == 1
-    (div0, visc0, mass), (div1, visc1, _mass) = _terms(mesh, fields, (0.0, 1.0))
+    (div0, visc0, mass), (div1, visc1, _mass) = (form_terms(mesh, fields, xi)
+                                                 for xi in (0.0, 1.0))
 
     def coefficients(terms0, terms1):
         A, K = (assemble(mesh, terms, dofs, dofs, mesh.ndof, BAND)
@@ -351,12 +355,13 @@ def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile,
 
     (A0, B0, C0), K1 = coefficients([div0], [div1]), coefficients(visc0, visc1)
     M = assemble(mesh, mass, dofs, dofs, mesh.ndof, BAND)
-    psi0, psiL = 2 * mesh.interface_index - 1, mesh.ndof - 1
-    A0[BAND, [psi0, psiL]] += -0.5 * profile.jump * params.g, 0.5 * profile.rho1 * params.g
-    C0[BAND, [psi0, psiL]] += 0.5 * params.sigma_minus, 0.5 * params.sigma_plus
+    surface = [2 * mesh.interface_index - 1, mesh.ndof - 1]
+    A, C = surface_coefficients(profile, params)
+    A0[BAND, surface] += 0.5 * A
+    C0[BAND, surface] += 0.5 * C
     for ab in (A0, B0, C0, *K1, M):
         ab.flags.writeable = False
-    return FormCoefficients(mesh, profile, params, (A0, B0, C0), K1, M)
+    return FormCoefficients(mesh, profile, params, fields, (A0, B0, C0), K1, M)
 
 
 def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:
@@ -409,8 +414,8 @@ def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     factorization certifies it below the spectrum.  Lanczos starts from a
     fixed vector, so equal inputs give bit-identical results.
     """
-    if s <= 0:
-        raise ValueError("modified-problem parameter s must be > 0")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"modified-problem parameter s must be finite and > 0, got {s}")
     alpha, v = _shift_invert_min(forms, s)
     return alpha, j_normalize(forms, v)
 

@@ -1,11 +1,11 @@
 """Independent references that tests compare the solver with, and helpers
-only tests use: dense and CSR copies of band storage, a dense per-element
-assembly of the forms and an alternate one of E0, a dense full-spectrum
-eigensolve, the viscous
-dissipation of a full 3-component velocity, the three-field pencil, a
-layer-checked enthalpy weight, random oracle states, the complex evolution
-operators at a frequency vector with their sparse-LU time step, and a mode
-CSV reader."""
+only tests use: dense and CSR copies of band storage, the kernel assembly
+of the forms at one frequency, a dense per-element assembly of the forms and
+an alternate one of E0, the bump-candidate negativity probe, a dense
+full-spectrum eigensolve, the viscous dissipation of a full 3-component
+velocity, the three-field pencil, a layer-checked enthalpy weight, random
+oracle states, the complex evolution operators at a frequency vector with
+their sparse-LU time step, and a mode CSV reader."""
 
 import math
 from dataclasses import dataclass
@@ -15,10 +15,12 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from rtstab.dispersion import psi_bump
 from rtstab.equilibrium import EquilibriumProfile, PhysicalParams, PressureLaw
 from rtstab.evolve import EvolutionOperators
-from rtstab.variational import (Mesh1D, QuadraticForms, _fix_sign, assemble,
-                                field_rows, layer_fields)
+from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
+                                evaluate_energy, field_rows, form_coefficients,
+                                form_terms, layer_fields, project_p1)
 
 
 def dense(ab: np.ndarray) -> np.ndarray:
@@ -52,6 +54,55 @@ def add_element(K: np.ndarray, mesh: Mesh1D, e: int, local: np.ndarray) -> None:
         for j in range(4):
             if free[i] and free[j]:
                 K[gdof[i], gdof[j]] += local[i, j]
+
+
+def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
+                   params: PhysicalParams) -> QuadraticForms:
+    """Assemble (K0, K1, M) at frequency magnitude xi_abs by the kernel: the
+    one-frequency reference that form_coefficients is tested against.
+
+    Local dof order per element is (phi_l, phi_r, psi_l, psi_r); the bulk
+    integrands are squares of linear functionals of these (form_terms), so
+    each matrix is a sum of outer products and exactly symmetric.  The
+    boundary terms of E0 sit on the diagonal, row BAND of the band storage.
+    """
+    xi = float(xi_abs)
+    fields = layer_fields(mesh, profile, params, mesh.quad[0])
+    div, visc, mass = form_terms(mesh, fields, xi)
+    dofs = mesh.dofs(2)
+    K0, K1, M = (assemble(mesh, terms, dofs, dofs, mesh.ndof, BAND)
+                 for terms in ([div], visc, mass))
+    psi0, psiL = 2 * mesh.interface_index - 1, mesh.ndof - 1
+    K0[BAND, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
+    K0[BAND, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
+    return QuadraticForms(K0, K1, M, xi, params.g, psi0)
+
+
+def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
+                     mesh: Mesh1D, params: PhysicalParams,
+                     exponent: float = 5.0) -> float:
+    """Energy E(.; s) at the interpolated bump candidate with phi = -psi'/|xi|.
+
+    E < 0 certifies alpha(s) < 0 without an eigensolve (the candidate is an
+    upper bound for the constrained infimum after J-normalization).  psi' is
+    the elementwise derivative of the nodal interpolant, L2-projected back to
+    the nodes; the essential value at -b is then enforced.
+    """
+    if xi_abs <= 0:
+        raise ValueError("xi_abs must be > 0")
+    if exponent < 5:
+        raise ValueError("exponent must be >= 5 for an admissible candidate")
+    psi_nodes = psi_bump(mesh.nodes, params.b, params.ell, exponent)
+    dpsi_elem = np.diff(psi_nodes) / np.diff(mesh.nodes)
+
+    phi_nodes = project_p1(mesh, np.broadcast_to(-dpsi_elem[:, None] / xi_abs,
+                                                 mesh.quad[0].shape), 0, mesh.n_elements)
+    phi_nodes[0] = 0.0
+    v = np.empty(mesh.ndof)
+    v[0::2], v[1::2] = phi_nodes[1:], psi_nodes[1:]
+    forms = form_coefficients(mesh, profile, params).at(xi_abs)
+    e_val, _j = evaluate_energy(forms, v, s)
+    return e_val
 
 
 def dense_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi: float,

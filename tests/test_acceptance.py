@@ -19,8 +19,8 @@ from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.evolve import (advance, interface_bump_state, measure_growth,
                            semidiscretize, state_from_mode)
 from rtstab.modes import assemble_mode, rotate_mode
-from rtstab.variational import (assemble_forms, build_mesh, evaluate_energy,
-                                form_coefficients, min_eig)
+from rtstab.variational import (build_mesh, evaluate_energy, form_coefficients,
+                                min_eig)
 from tests.conftest import unit_params
 from tests.oracles import (assemble_forms_3field, dense, min_eig_3field,
                            min_eig_dense)
@@ -36,8 +36,13 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def rate_at_one(unstable_profile, params, mesh100):
-    return growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
+def coeffs100(unstable_profile, params, mesh100):
+    return form_coefficients(mesh100, unstable_profile, params)
+
+
+@pytest.fixture(scope="module")
+def rate_at_one(coeffs100):
+    return growth_rate(coeffs100, 1.0)
 
 
 def test_criterion_01_equilibrium_exactness(params):
@@ -88,10 +93,11 @@ def test_criterion_03_energy_lower_bound(params):
     for law_p, law_m, prm in configs:
         prof = solve_equilibrium(law_p, law_m, prm, 129)
         assert prof.jump > 0
+        coeffs = form_coefficients(mesh, prof, prm)
         for _ in range(4):
             xi = float(rng.uniform(0.3, 3.0))
             s = float(rng.uniform(1e-4, 1.0))
-            forms = assemble_forms(mesh, prof, xi, prm)
+            forms = coeffs.at(xi)
             M = dense(forms.M)
             for _ in range(50):
                 v = rng.standard_normal(mesh.ndof)
@@ -104,9 +110,9 @@ def test_criterion_03_energy_lower_bound(params):
            f"worst margin {worst_margin:.3e}, {elapsed:.1f}s")
 
 
-def test_criterion_04_monotonicity(unstable_profile, params, mesh100):
+def test_criterion_04_monotonicity(unstable_profile, params, coeffs100):
     t0 = time.time()
-    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    forms = coeffs100.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     s_grid = np.geomspace(1e-4 * s_max, s_max, 10)
     K1 = dense(forms.K1)
@@ -167,13 +173,13 @@ def test_criterion_07_eigensolver_oracle(params):
         solve_equilibrium(PressureLaw.polytropic(1.0, 2.0),
                           PressureLaw.polytropic(1.6, 2.0), params, 65),
     ]
+    coeffs = [form_coefficients(mesh, prof, params) for prof in profiles]
     rng = np.random.default_rng(7)
     worst = 0.0
     for k in range(50):
-        prof = profiles[k % 3]
         xi = float(rng.uniform(0.2, 4.0))
         s = float(rng.uniform(1e-4, 1.6))
-        forms = assemble_forms(mesh, prof, xi, params)
+        forms = coeffs[k % 3].at(xi)
         a_dense, _ = min_eig_dense(forms, s)
         a_iter, _ = min_eig(forms, s)
         worst = max(worst, abs(a_dense - a_iter))
@@ -190,7 +196,7 @@ def test_criterion_08_mesh_convergence(unstable_profile, params):
         alphas = []
         for n in (25, 50, 100, 200):
             mesh = build_mesh(1.0, 1.0, n, n)
-            forms = assemble_forms(mesh, unstable_profile, xi, params)
+            forms = form_coefficients(mesh, unstable_profile, params).at(xi)
             a, _ = min_eig(forms, s)
             alphas.append(a)
         d = np.abs(np.diff(alphas))
@@ -205,9 +211,10 @@ def test_criterion_08_mesh_convergence(unstable_profile, params):
 def test_criterion_09_time_evolution_oracle(unstable_profile, params):
     t0 = time.time()
     mesh = build_mesh(1.0, 1.0, 200, 200)
-    pt = growth_rate(form_coefficients(mesh, unstable_profile, params), 1.0)
-    mode = assemble_mode(pt, unstable_profile, mesh)
-    ops = semidiscretize(unstable_profile, mesh, 1.0, params)
+    coeffs = form_coefficients(mesh, unstable_profile, params)
+    pt = growth_rate(coeffs, 1.0)
+    mode = assemble_mode(pt, coeffs)
+    ops = semidiscretize(coeffs, 1.0)
     traj = advance(state_from_mode(ops, mode), ops, 0.01 / pt.lam, 6.0 / pt.lam)
     fitted = measure_growth(traj, 0.5)
     rel = abs(fitted - pt.lam) / pt.lam
@@ -217,17 +224,17 @@ def test_criterion_09_time_evolution_oracle(unstable_profile, params):
            f"lambda {pt.lam:.6f} vs fit {fitted:.6f}, rel {rel:.2%}, {elapsed:.0f}s")
 
 
-def test_criterion_10_energy_identity(stable_profile, unstable_profile, params,
-                                      rate_at_one, mesh100):
+def test_criterion_10_energy_identity(stable_profile, params, rate_at_one, coeffs100):
     t0 = time.time()
-    ops_s = semidiscretize(stable_profile, build_mesh(1.0, 1.0, 60, 60), 1.0, params)
+    ops_s = semidiscretize(
+        form_coefficients(build_mesh(1.0, 1.0, 60, 60), stable_profile, params), 1.0)
     traj_s = advance(interface_bump_state(ops_s), ops_s, 0.05, 20.0)
     fe = np.array([ops_s.full_energy(y) for y in traj_s.states])
     non_increasing = bool(np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300)))
 
     pt = rate_at_one
-    mode = assemble_mode(pt, unstable_profile, mesh100)
-    ops_u = semidiscretize(unstable_profile, mesh100, 1.0, params)
+    mode = assemble_mode(pt, coeffs100)
+    ops_u = semidiscretize(coeffs100, 1.0)
     traj_u = advance(state_from_mode(ops_u, mode), ops_u, 0.01 / pt.lam, 6.0 / pt.lam)
     egy = np.array([ops_u.energy(y) for y in traj_u.states[::10]])
     tt = traj_u.times[::10]
@@ -241,9 +248,9 @@ def test_criterion_10_energy_identity(stable_profile, unstable_profile, params,
 
 
 def test_criterion_11_equivariance_and_theta(unstable_profile, params,
-                                             rate_at_one, mesh100):
+                                             rate_at_one, coeffs100, mesh100):
     t0 = time.time()
-    mode = assemble_mode(rate_at_one, unstable_profile, mesh100)
+    mode = assemble_mode(rate_at_one, coeffs100)
     t = 0.93
     R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
     back = rotate_mode(rotate_mode(mode, R), R.T)

@@ -9,14 +9,15 @@ from rtstab import dispersion, variational
 from rtstab.config import NumericsConfig
 from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
                                critical_frequency, critical_tension,
-                               growth_rate, negativity_probe, psi_bump,
-                               psi_bump_norm_sq, sweep_lattice,
-                               write_dispersion_csv)
+                               growth_rate, psi_bump, psi_bump_norm_sq,
+                               sweep_lattice, write_dispersion_csv)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from rtstab.variational import (assemble_forms, build_mesh, eig_residual,
-                                form_coefficients, min_eig)
+from rtstab.evolve import EvolutionOperators, semidiscretize
+from rtstab.variational import (build_mesh, eig_residual, form_coefficients,
+                                min_eig)
 from tests.conftest import unit_params
+from tests.oracles import negativity_probe
 
 
 def test_critical_tension_examples(unstable_profile, params):
@@ -64,7 +65,7 @@ def test_bump_shape():
 def test_negativity_probe_unstable(unstable_profile, params, mesh40):
     e_val = negativity_probe(unstable_profile, 1.0, 1e-3, mesh40, params)
     assert e_val < 0
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     alpha, _ = min_eig(forms, 1e-3)
     assert alpha < 0  # probe certificate agrees with the eigensolve
 
@@ -74,6 +75,19 @@ def test_negativity_probe_contract(unstable_profile, params, mesh40):
         negativity_probe(unstable_profile, 1.0, 1e-3, mesh40, params, exponent=4)
     with pytest.raises(ValueError):
         negativity_probe(unstable_profile, 0.0, 1e-3, mesh40, params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_frequency_and_s_must_be_finite_and_positive(bad, unstable_profile, params,
+                                                     mesh40):
+    # NaN passed the old `<= 0` guards and reached LAPACK
+    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    for entry in (coeffs.at, lambda xi: growth_rate(coeffs, xi),
+                  lambda xi: semidiscretize(coeffs, xi),
+                  lambda xi: EvolutionOperators(coeffs, xi),
+                  lambda s: min_eig(coeffs.at(1.0), s)):
+        with pytest.raises(ValueError):
+            entry(bad)
 
 
 def test_growth_rate_unstable(unstable_profile, params, mesh40):
@@ -87,8 +101,8 @@ def test_growth_rate_unstable(unstable_profile, params, mesh40):
 
 def test_growth_rate_unique_sign_change(unstable_profile, params, mesh40):
     # f is increasing: exactly one sign change over a 32-point bracket scan
-    pt = growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     svals = np.linspace(1e-8 * s_max, s_max, 32)
     signs = []
@@ -131,10 +145,10 @@ def test_bisect_root_contracts():
 
 
 def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
-    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
+    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
     assert pt.converged and pt.iterations <= 12
     # the same root by plain bisection on the sign of s^2 + alpha(s)
-    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     root, _ = _bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
                            1e-8 * s_max, s_max, 1e-10 * s_max, 200)
@@ -181,11 +195,12 @@ def test_rayleigh_functional_encloses_the_root(name, unstable_profile, mesh100,
                                                monkeypatch):
     prof, xi, prm, s_max = _scenario(name, unstable_profile, mesh100)
     calls = _count_min_eig(monkeypatch)
-    pt = growth_rate(form_coefficients(mesh100, prof, prm), xi)
+    coeffs = form_coefficients(mesh100, prof, prm)
+    pt = growth_rate(coeffs, xi)
     assert len(calls) == 1  # the probe: the root took factorizations only
     assert pt.converged and pt.lam > 0 and pt.iterations <= 10
     delta = 1e-10 * s_max
-    forms = assemble_forms(mesh100, prof, xi, prm)
+    forms = coeffs.at(xi)
     assert pt.lam - delta <= _tight_root(forms, s_max) <= pt.lam + delta
     assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 1e-12 * s_max ** 2
     assert eig_residual(forms, pt.lam, pt.alpha_at_star, pt.minimizer) <= 1e-12
@@ -196,9 +211,9 @@ def test_forced_fallback_bisects_to_the_root(unstable_profile, params, mesh100,
     monkeypatch.setattr(dispersion, "_rf_iterate",
                         lambda forms, v, s_min, s_max, delta: (math.nan, v, 0))
     calls = _count_min_eig(monkeypatch)
-    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
+    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
-    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * 1e-10 * s_max
     assert pt.converged and len(calls) == 2  # the probe and one at the root
     # the probe, the Cholesky test of T(S_max), 34 sign tests that halve
@@ -211,7 +226,8 @@ def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, param
                                                   mesh100, monkeypatch):
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     delta = 1e-10 * s_max
-    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    forms = coeffs.at(1.0)
     root = _tight_root(forms, s_max)
     planted = []
 
@@ -224,7 +240,7 @@ def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, param
         return rho, v, 1
 
     monkeypatch.setattr(dispersion, "_rf_iterate", plant_iterate)
-    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
+    pt = growth_rate(coeffs, 1.0)
     assert planted[0] < root - delta
     assert not dispersion._definite(forms, planted[0] + delta)
     assert abs(pt.lam - root) <= 10 * delta and pt.converged
@@ -232,7 +248,8 @@ def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, param
 
 def test_rayleigh_functional_iteration_gives_up(unstable_profile, params, mesh100,
                                                 monkeypatch):
-    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    forms = coeffs.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     args = (1e-8 * s_max, s_max, 1e-10 * s_max)
     # psi(0) = 0 leaves only the nonnegative bulk energy: v^T K0 v > 0
@@ -245,7 +262,7 @@ def test_rayleigh_functional_iteration_gives_up(unstable_profile, params, mesh10
     monkeypatch.setattr(dispersion, "RF_MAX_ITER", 1)
     lam, _v, count = dispersion._rf_iterate(forms, v0, *args)
     assert math.isnan(lam) and count == 1
-    pt = growth_rate(form_coefficients(mesh100, unstable_profile, params), 1.0)
+    pt = growth_rate(coeffs, 1.0)
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * args[2] and pt.converged
 
 

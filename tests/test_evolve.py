@@ -13,8 +13,8 @@ from rtstab.evolve import (STEP_BAND, Trajectory, advance,
                            measure_growth, semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode, rotate_mode
-from rtstab.variational import (BAND, assemble, assemble_forms, build_mesh,
-                                form_coefficients, form_terms)
+from rtstab.variational import (BAND, assemble, build_mesh, form_coefficients,
+                                form_terms)
 from tests.conftest import unit_params
 from tests.oracles import (complex_operators, dense, embed_state, lu_step,
                            random_state)
@@ -23,15 +23,16 @@ from tests.oracles import (complex_operators, dense, embed_state, lu_step,
 @pytest.fixture(scope="module")
 def unstable_setup(unstable_profile, params):
     mesh = build_mesh(1.0, 1.0, 60, 60)
-    pt = growth_rate(form_coefficients(mesh, unstable_profile, params), 1.0)
-    mode = assemble_mode(pt, unstable_profile, mesh)
-    ops = semidiscretize(unstable_profile, mesh, 1.0, params)
+    coeffs = form_coefficients(mesh, unstable_profile, params)
+    pt = growth_rate(coeffs, 1.0)
+    mode = assemble_mode(pt, coeffs)
+    ops = semidiscretize(coeffs, 1.0)
     return mesh, pt, mode, ops
 
 
 def test_boundary_coefficients_match_variational(unstable_setup, unstable_profile, params):
-    mesh, _pt, _mode, ops = unstable_setup
-    forms = assemble_forms(mesh, unstable_profile, 1.0, params)
+    _mesh, _pt, _mode, ops = unstable_setup
+    forms = ops.coeffs.at(1.0)
     k0_int = 0.5 * (params.sigma_minus - unstable_profile.jump * params.g)
     k0_top = 0.5 * (params.sigma_plus + unstable_profile.rho1 * params.g)
     assert abs(ops.sigma_int_coef - 2 * k0_int) <= 1e-12
@@ -39,12 +40,12 @@ def test_boundary_coefficients_match_variational(unstable_setup, unstable_profil
     assert forms.K0[BAND, forms.psi_interface_dof] != 0.0
 
 
-def test_viscous_pairing_matches_e1(unstable_setup, unstable_profile, params):
+def test_viscous_pairing_matches_e1(unstable_setup):
     # <D u, u> at the mode velocity equals twice the variational E1
-    mesh, _pt, mode, ops = unstable_setup
+    _mesh, _pt, mode, ops = unstable_setup
     y = state_from_mode(ops, mode)
     duu = ops.dissipation(y)
-    forms = assemble_forms(mesh, unstable_profile, 1.0, params)
+    forms = ops.coeffs.at(1.0)
     v = np.stack([mode.phi[1:], mode.psi[1:]], axis=1).ravel()
     e1 = float(v @ dense(forms.K1) @ v)
     assert duu == pytest.approx(2.0 * e1, rel=1e-12)
@@ -114,7 +115,7 @@ def test_energy_grows_at_twice_lambda(unstable_setup):
 
 def test_stable_full_energy_monotone(stable_profile, params):
     mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(stable_profile, mesh, 1.0, params)
+    ops = semidiscretize(form_coefficients(mesh, stable_profile, params), 1.0)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     fe = np.array([ops.full_energy(y) for y in traj.states])
     assert np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300))
@@ -129,7 +130,7 @@ def test_supercritical_tension_no_growth(unstable_profile):
     sigma_c = unstable_profile.jump
     prm = unit_params(sigma_minus=1.5 * sigma_c, sigma_plus=0.5)
     mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(unstable_profile, mesh, 1.0, prm)
+    ops = semidiscretize(form_coefficients(mesh, unstable_profile, prm), 1.0)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     em = traj.eta_minus_abs
     runmax = np.maximum.accumulate(em)
@@ -184,8 +185,9 @@ def test_banded_step_matches_complex_lu(unstable_profile):
     prm = unit_params(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
                       sigma_minus=0.1)
     mesh, dt = build_mesh(1.0, 1.0, 40, 40), 0.1
+    coeffs = form_coefficients(mesh, unstable_profile, prm)
     for xi in ((0.6, 0.8), (1.02, 1.36)):
-        ops = semidiscretize(unstable_profile, mesh, math.hypot(*xi), prm)
+        ops = semidiscretize(coeffs, math.hypot(*xi))
         y0 = random_state(ops, seed=3)
         y1 = advance(y0, ops, dt, dt).states[1]
         ref = lu_step(*complex_operators(unstable_profile, mesh, xi, prm),
@@ -203,7 +205,8 @@ def test_banded_step_matches_complex_lu(unstable_profile):
 def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
     # in the unknowns (q, v = i u_parallel, w = u3) the step matrices are
     # real, and node by node their half-bandwidth is STEP_BAND at every n
-    ops = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, n, n + 1), 1.0, params)
+    ops = semidiscretize(
+        form_coefficients(build_mesh(1.0, 1.0, n, n + 1), unstable_profile, params), 1.0)
     layout = np.concatenate([ops.q, ops.v, ops.w, [ops.eta_plus_idx, ops.eta_minus_idx]])
     assert np.array_equal(np.sort(layout), np.arange(ops.n))
     step = ops.M - 0.05 * ops.A
@@ -215,7 +218,8 @@ def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
 def test_wide_step_raises(unstable_profile, params, mesh40):
     # the oracle's divergence in the field-by-field layout
     # [q (broken at the interface) | v | w | eta] is far wider than STEP_BAND
-    (c, div), _visc, _mass = form_terms(mesh40, unstable_profile, 1.0, params)
+    (c, div), _visc, _mass = form_terms(
+        mesh40, form_coefficients(mesh40, unstable_profile, params).fields, 1.0)
     nf, nq = mesh40.n_free, mesh40.n_nodes + 1
     e = np.arange(mesh40.n_elements)[:, None]
     qdofs = e + [0, 1] + (e >= mesh40.interface_index)
@@ -231,7 +235,8 @@ def test_swapped_assembly_is_the_transpose(unstable_profile):
     # A holds -B in its (q, u) block and B^T, assembled by swapping the
     # term's rows and dof maps, in its (u, q) block: exact transposes
     prm = unit_params(mu_prime_minus=0.3, sigma_plus=0.2, sigma_minus=0.1)
-    ops = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, 20, 23), 1.3, prm)
+    ops = semidiscretize(
+        form_coefficients(build_mesh(1.0, 1.0, 20, 23), unstable_profile, prm), 1.3)
     A, u = dense(ops.A), np.concatenate([ops.v, ops.w])
     BT = A[np.ix_(u, ops.q)]
     assert np.count_nonzero(BT) > 0
@@ -266,9 +271,19 @@ def test_state_from_mode_rejects_nonzero_bottom(unstable_setup):
 
 def test_state_from_mode_rejects_other_mesh(unstable_setup, unstable_profile, params):
     _mesh, _pt, mode, _ops = unstable_setup
-    other = semidiscretize(unstable_profile, build_mesh(1.0, 1.0, 10, 10), 1.0, params)
+
+    def ops_on(n_minus, n_plus):
+        mesh = build_mesh(1.0, 1.0, n_minus, n_plus)
+        return semidiscretize(form_coefficients(mesh, unstable_profile, params), 1.0)
+
     with pytest.raises(ValueError):
-        state_from_mode(other, mode)
+        state_from_mode(ops_on(10, 10), mode)
+    # the same node and q counts with another layer split
+    coeffs = form_coefficients(build_mesh(1.0, 1.0, 10, 30), unstable_profile, params)
+    split = assemble_mode(growth_rate(coeffs, 1.0), coeffs)
+    state_from_mode(ops_on(10, 30), split)
+    with pytest.raises(ValueError, match="mesh"):
+        state_from_mode(ops_on(30, 10), split)
 
 
 def test_state_from_mode_rejects_nonzero_theta(unstable_setup):

@@ -14,13 +14,18 @@ from tests.oracles import import_mode_csv
 
 
 @pytest.fixture(scope="module")
-def mode_point(unstable_profile, params, mesh40):
-    return growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
+def coeffs40(unstable_profile, params, mesh40):
+    return form_coefficients(mesh40, unstable_profile, params)
 
 
 @pytest.fixture(scope="module")
-def mode(mode_point, unstable_profile, mesh40):
-    return assemble_mode(mode_point, unstable_profile, mesh40)
+def mode_point(coeffs40):
+    return growth_rate(coeffs40, 1.0)
+
+
+@pytest.fixture(scope="module")
+def mode(mode_point, coeffs40):
+    return assemble_mode(mode_point, coeffs40)
 
 
 def test_normalization(mode, params):
@@ -36,11 +41,11 @@ def test_kinematic_identities(mode, mesh40):
     assert mode.lam * mode.eta_tilde_plus == pytest.approx(mode.psi[-1], rel=1e-14)
 
 
-def test_continuity_identity_at_quadrature(mode, unstable_profile, mesh40):
+def test_continuity_identity_at_quadrature(mode, coeffs40, mesh40):
     # lam q + Proj[(rho psi)' + rho xi1 phi] = 0 with the stored projection
     from rtstab.modes import project_q_tilde
-    qm, qp = project_q_tilde(mesh40, unstable_profile, mode.phi, mode.theta,
-                             mode.psi, mode.xi, mode.lam)
+    qm, qp = project_q_tilde(coeffs40, mode.phi, mode.theta, mode.psi, mode.xi,
+                             mode.lam)
     i0 = mesh40.interface_index
     scale = max(np.abs(qm).max(), np.abs(qp).max())
     for e in range(mesh40.n_elements):
@@ -92,13 +97,13 @@ def test_rotate_rejects_non_rotation(mode):
         rotate_mode(mode, 1.0000001 * np.eye(2))
 
 
-def test_degenerate_mode_rejected(mode_point, unstable_profile, mesh40):
+def test_degenerate_mode_rejected(mode_point, coeffs40):
     from dataclasses import replace
     bad = replace(mode_point, minimizer=np.zeros_like(mode_point.minimizer))
     with pytest.raises(DegenerateMode):
-        assemble_mode(bad, unstable_profile, mesh40)
+        assemble_mode(bad, coeffs40)
     with pytest.raises(ValueError):
-        assemble_mode(replace(mode_point, lam=0.0), unstable_profile, mesh40)
+        assemble_mode(replace(mode_point, lam=0.0), coeffs40)
 
 
 def test_dirichlet_rows_exact(mode, unstable_profile, params):
@@ -112,8 +117,8 @@ def test_residual_decay_under_refinement(unstable_profile, params):
     worst = []
     for n in (25, 50, 100):
         mesh = build_mesh(1.0, 1.0, n, n)
-        pt = growth_rate(form_coefficients(mesh, unstable_profile, params), 1.0)
-        mode_n = assemble_mode(pt, unstable_profile, mesh)
+        coeffs = form_coefficients(mesh, unstable_profile, params)
+        mode_n = assemble_mode(growth_rate(coeffs, 1.0), coeffs)
         rep = ode_residual(mode_n, unstable_profile, params).as_dict()
         worst.append(max(rep.values()))
     order = math.log2(worst[0] / worst[1]) if worst[1] else 2.0

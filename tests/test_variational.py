@@ -7,15 +7,15 @@ import pytest
 
 from scipy.linalg.lapack import dpbtrf
 
-from rtstab.variational import (BAND, assemble, assemble_forms, band_mv,
-                                build_mesh, eig_residual, evaluate_energy,
-                                form_coefficients, form_terms, min_eig, project_p1)
+from rtstab.variational import (BAND, assemble, band_mv, build_mesh, eig_residual,
+                                evaluate_energy, form_coefficients, form_terms,
+                                min_eig, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import BandOverflow
 from tests.conftest import unit_params
-from tests.oracles import (add_element, assemble_forms_3field, assemble_forms_alt,
-                           dense, dense_forms, element_layer, min_eig_3field,
-                           min_eig_dense)
+from tests.oracles import (add_element, assemble_forms, assemble_forms_3field,
+                           assemble_forms_alt, dense, dense_forms, element_layer,
+                           min_eig_3field, min_eig_dense)
 
 
 def test_build_mesh_examples():
@@ -29,14 +29,14 @@ def test_build_mesh_examples():
 
 
 def test_zero_vector_zero_forms(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     v = np.zeros(mesh40.ndof)
     e, j = evaluate_energy(forms, v, 0.7)
     assert e == 0.0 and j == 0.0
 
 
 def test_exact_symmetry_and_definiteness(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.3, params)
+    forms = form_coefficients(mesh40, unstable_profile, params).at(1.3)
     K0, K1, M = dense(forms.K0), dense(forms.K1), dense(forms.M)
     assert np.array_equal(K0, K0.T)
     assert np.array_equal(K1, K1.T)
@@ -47,15 +47,16 @@ def test_exact_symmetry_and_definiteness(unstable_profile, params, mesh40):
 
 def test_stable_orientation_k0_psd(stable_profile, params, mesh40):
     # jump <= 0 and sigma >= 0 make the static energy nonnegative
-    K0 = dense(assemble_forms(mesh40, stable_profile, 1.0, params).K0)
+    K0 = dense(form_coefficients(mesh40, stable_profile, params).at(1.0).K0)
     scale = np.abs(K0).max()
     assert np.linalg.eigvalsh(K0).min() >= -1e-13 * scale
 
 
 def test_energy_lower_bound_random(unstable_profile, params, mesh40):
     rng = np.random.default_rng(42)
+    coeffs = form_coefficients(mesh40, unstable_profile, params)
     for xi in (0.5, 1.0, 2.0):
-        forms = assemble_forms(mesh40, unstable_profile, xi, params)
+        forms = coeffs.at(xi)
         M = dense(forms.M)
         for _ in range(100):
             v = rng.standard_normal(mesh40.ndof)
@@ -66,7 +67,7 @@ def test_energy_lower_bound_random(unstable_profile, params, mesh40):
 
 
 def test_stable_alpha_nonnegative(stable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, stable_profile, 1.0, params)
+    forms = form_coefficients(mesh40, stable_profile, params).at(1.0)
     for s in np.geomspace(1e-6, 2.0, 8):
         alpha, _ = min_eig(forms, s)
         assert alpha >= -1e-12
@@ -74,8 +75,9 @@ def test_stable_alpha_nonnegative(stable_profile, params, mesh40):
 
 def test_alpha_respects_lower_bound(unstable_profile, params, mesh40):
     # sharpest form of the energy bound: the infimum itself sits above -g|xi|
+    coeffs = form_coefficients(mesh40, unstable_profile, params)
     for xi in (0.5, 1.0, 2.5):
-        forms = assemble_forms(mesh40, unstable_profile, xi, params)
+        forms = coeffs.at(xi)
         alpha, _ = min_eig(forms, 1e-6)
         assert alpha >= -params.g * xi - 1e-10
 
@@ -83,10 +85,11 @@ def test_alpha_respects_lower_bound(unstable_profile, params, mesh40):
 def test_dense_vs_iterative(unstable_profile, params):
     mesh = build_mesh(1.0, 1.0, 20, 20)
     rng = np.random.default_rng(3)
+    coeffs = form_coefficients(mesh, unstable_profile, params)
     for _ in range(10):
         xi = float(rng.uniform(0.3, 3.0))
         s = float(rng.uniform(1e-4, 1.5))
-        forms = assemble_forms(mesh, unstable_profile, xi, params)
+        forms = coeffs.at(xi)
         a_dense, _ = min_eig_dense(forms, s)
         a_iter, _ = min_eig(forms, s)
         assert abs(a_dense - a_iter) <= 1e-9
@@ -95,9 +98,9 @@ def test_dense_vs_iterative(unstable_profile, params):
 def test_shift_invert_is_deterministic(unstable_profile, params, mesh100):
     # the Lanczos start vector is fixed, so repeated solves are bit-identical
     for s in (1e-6, 0.5):
-        runs = [min_eig(assemble_forms(mesh100, unstable_profile, 1.0, params), s)
+        runs = [min_eig(form_coefficients(mesh100, unstable_profile, params).at(1.0), s)
                 for _ in range(2)]
-        forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+        forms = form_coefficients(mesh100, unstable_profile, params).at(1.0)
         runs += [min_eig(forms, s) for _ in range(2)]
         for alpha, v in runs[1:]:
             assert alpha == runs[0][0]
@@ -111,8 +114,9 @@ def test_sparse_matches_dense_past_sigma_c(unstable_profile):
     prm = unit_params(sigma_minus=1.05 * sigma_c, sigma_plus=0.1)
     mesh = build_mesh(1.0, 1.0, 100, 100)
     s = 1e-8 * 1.25 * unstable_profile.jump
+    coeffs = form_coefficients(mesh, unstable_profile, prm)
     for xi in (1.0, 2.0, 5.0, 11.5):
-        forms = assemble_forms(mesh, unstable_profile, xi, prm)
+        forms = coeffs.at(xi)
         a_sparse, v = min_eig(forms, s)
         a_dense, _ = min_eig_dense(forms, s)
         assert a_dense > 0
@@ -132,8 +136,9 @@ def test_band_storage_reproduces_interleaved_forms(unstable_profile):
     prm = unit_params(mu_plus=0.7, mu_prime_plus=0.2, mu_prime_minus=0.3,
                       sigma_plus=0.2, sigma_minus=0.1)
     mesh = build_mesh(1.0, 1.0, 7, 9)
+    coeffs = form_coefficients(mesh, unstable_profile, prm)
     for xi in (0.4, 1.3, 6.0):
-        forms = assemble_forms(mesh, unstable_profile, xi, prm)
+        forms = coeffs.at(xi)
         assert forms.psi_interface_dof == 2 * mesh.interface_index - 1
         for ab, ref in zip((forms.K0, forms.K1, forms.M),
                            dense_forms(mesh, unstable_profile, xi, prm)):
@@ -147,7 +152,8 @@ def test_band_overflow_is_a_solver_error(unstable_profile, params, mesh40):
     nf = mesh40.n_free
     dofs = np.arange(mesh40.n_elements)[:, None] - 1 + np.array([0, 1, nf, nf + 1])
     dofs[0, 0::2] = -1
-    _div, _visc, mass = form_terms(mesh40, unstable_profile, 1.0, params)
+    _div, _visc, mass = form_terms(
+        mesh40, form_coefficients(mesh40, unstable_profile, params).fields, 1.0)
     with pytest.raises(BandOverflow):
         assemble(mesh40, mass, dofs, dofs, mesh40.ndof, BAND)
     assert not isinstance(BandOverflow(), ValueError)
@@ -156,7 +162,7 @@ def test_band_overflow_is_a_solver_error(unstable_profile, params, mesh40):
 def test_below_root_matches_dense(unstable_profile, params, mesh100):
     # at |xi| = 1 the root is near s = 0.075; below it K is indefinite, so
     # the shift is the far bound -1.1 g|xi| - 1
-    forms = assemble_forms(mesh100, unstable_profile, 1.0, params)
+    forms = form_coefficients(mesh100, unstable_profile, params).at(1.0)
     for s in (0.02, 0.05):
         a_dense, _ = min_eig_dense(forms, s)
         assert s * s + a_dense < 0
@@ -169,10 +175,9 @@ def test_below_root_matches_dense(unstable_profile, params, mesh100):
 def test_band_arrays_are_fortran_ordered(unstable_profile, params, mesh100):
     # dgbmv reads Fortran-ordered band arrays in place; a C-ordered copy of
     # the same storage gives the same products bit for bit
-    forms = assemble_forms(mesh100, unstable_profile, 1.3, params)
-    at = form_coefficients(mesh100, unstable_profile, params).at(1.3)
+    forms = form_coefficients(mesh100, unstable_profile, params).at(1.3)
     v = np.random.default_rng(3).standard_normal(mesh100.ndof)
-    for ab in (forms.K0, forms.K1, forms.M, at.K0, at.K1, at.M):
+    for ab in (forms.K0, forms.K1, forms.M):
         assert ab.flags.f_contiguous and not ab.flags.c_contiguous
         assert np.array_equal(band_mv(ab, v), band_mv(np.ascontiguousarray(ab), v))
 
@@ -206,6 +211,20 @@ def test_coefficients_reproduce_the_assembled_forms(unstable_profile, params, me
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_form_coefficients_rejects_params_of_another_profile(unstable_profile, params,
+                                                            mesh40):
+    # the profile's g fixes rho' and its b and ell the span of the mesh; the
+    # viscosities and tensions are the forms' own
+    for key, value in (("b", 2.0), ("ell", 0.5), ("g", 2.0), ("p_atm", 1.5)):
+        with pytest.raises(ValueError, match=f"params.{key} "):
+            form_coefficients(mesh40, unstable_profile, unit_params(**{key: value}))
+    for mesh in (build_mesh(2.0, 1.0, 40, 40), build_mesh(1.0, 0.5, 40, 40)):
+        with pytest.raises(ValueError, match="mesh spans"):
+            form_coefficients(mesh, unstable_profile, params)
+    prm = unit_params(mu_plus=0.5, mu_prime_minus=0.2, sigma_plus=0.1, sigma_minus=0.3)
+    assert form_coefficients(mesh40, unstable_profile, prm).params is prm
+
+
 def test_coefficients_are_exactly_symmetric_and_read_only(unstable_profile, params):
     mesh = build_mesh(1.0, 1.0, 9, 12)
     for prof, prm in _coefficient_scenarios(unstable_profile, params):
@@ -216,7 +235,7 @@ def test_coefficients_are_exactly_symmetric_and_read_only(unstable_profile, para
             for ab in (forms.K0, forms.K1, forms.M, *stored):
                 # ab[w + i - j, j] == ab[w + j - i, i] for every i, j
                 assert np.array_equal(dense(ab), dense(ab).T)
-        for ab in stored:
+        for ab in (*stored, coeffs.fields):
             with pytest.raises(ValueError):
                 ab[BAND, 0] = 1.0
 
@@ -226,12 +245,10 @@ def test_coefficients_are_the_three_point_rule(unstable_profile, params):
     # K(1) to K(-1).  The rule A = K(0), B = (K(1) - K(-1))/2,
     # C = (K(1) + K(-1))/2 - K(0) on the kernel gives the same bulk bits.
     mesh = build_mesh(1.0, 1.0, 9, 12)
-    dofs = mesh.dofs(2)
     for prof, prm in _coefficient_scenarios(unstable_profile, params):
         coeffs = form_coefficients(mesh, prof, prm)
-        kernel = [[assemble(mesh, t, dofs, dofs, mesh.ndof, BAND) for t in ([div], visc)]
-                  for div, visc, _mass in (form_terms(mesh, prof, xi, prm)
-                                           for xi in (0.0, 1.0, -1.0))]
+        kernel = [(f.K0, f.K1) for f in (assemble_forms(mesh, prof, xi, prm)
+                                         for xi in (0.0, 1.0, -1.0))]
         bulk = np.ones((2 * BAND + 1, mesh.ndof), bool)
         bulk[BAND, [coeffs.at(1.0).psi_interface_dof, -1]] = False  # E0's boundary
         for k, (A, B, C) in enumerate((coeffs.K0, coeffs.K1)):
@@ -243,7 +260,7 @@ def test_coefficients_are_the_three_point_rule(unstable_profile, params):
 
 
 def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     alpha, v = min_eig(forms, 0.05)
     e, j = evaluate_energy(forms, v, 0.05)
     assert e == pytest.approx(alpha, abs=1e-10)
@@ -254,7 +271,7 @@ def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
 
 
 def test_monotonicity_in_s(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     K1 = dense(forms.K1)
     s_grid = np.geomspace(1e-3, 1.7, 10)
     alphas = []
@@ -272,7 +289,7 @@ def test_monotonicity_in_s(unstable_profile, params, mesh40):
 
 
 def test_minimizer_interface_value_nonzero(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     alpha, v = min_eig(forms, 0.01)
     assert alpha < 0
     assert v[forms.psi_interface_dof] > 1e-8  # sign convention makes it >= 0
@@ -282,7 +299,7 @@ def test_mesh_convergence_order(unstable_profile, params):
     alphas = []
     for n in (25, 50, 100):
         mesh = build_mesh(1.0, 1.0, n, n)
-        forms = assemble_forms(mesh, unstable_profile, 1.0, params)
+        forms = form_coefficients(mesh, unstable_profile, params).at(1.0)
         a, _ = min_eig(forms, 0.075)
         alphas.append(a)
     order = math.log2(abs(alphas[1] - alphas[0]) / abs(alphas[2] - alphas[1]))
@@ -293,7 +310,7 @@ def test_k0_alt_agreement(unstable_profile, params):
     rng = np.random.default_rng(11)
     for n in (8, 16, 32):
         mesh = build_mesh(1.0, 1.0, n, n)
-        forms = assemble_forms(mesh, unstable_profile, 1.0, params)
+        forms = form_coefficients(mesh, unstable_profile, params).at(1.0)
         alt = assemble_forms_alt(mesh, unstable_profile, 1.0, params)
         for _ in range(5):
             v = rng.standard_normal(mesh.ndof)
@@ -309,7 +326,7 @@ def test_k0_alt_exact_when_g_zero():
     prof = solve_equilibrium(PressureLaw.isothermal(1.0),
                              PressureLaw.isothermal(2.0), prm)
     mesh = build_mesh(1.0, 1.0, 12, 12)
-    forms = assemble_forms(mesh, prof, 1.0, prm)
+    forms = form_coefficients(mesh, prof, prm).at(1.0)
     alt = assemble_forms_alt(mesh, prof, 1.0, prm)
     assert np.abs(dense(forms.K0) - alt).max() <= 1e-12 * np.abs(alt).max()
 
@@ -323,7 +340,7 @@ def test_k1_and_m_match_closed_form_p1_elements():
                              PressureLaw.isothermal(2.0), prm)
     mesh = build_mesh(0.8, 1.3, 5, 7)
     xi = 1.7
-    forms = assemble_forms(mesh, prof, xi, prm)
+    forms = form_coefficients(mesh, prof, prm).at(xi)
     mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0  # times h
     stiff = np.array([[1.0, -1.0], [-1.0, 1.0]])  # over h
     cross = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / 2.0  # int N_i N_j'
@@ -370,7 +387,7 @@ def test_project_p1_reproduces_p1_interpolants():
 
 def test_theta_decouples_at_negative_alpha(unstable_profile, params, mesh40):
     f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0), params)
-    f2 = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    f2 = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     a3, v3 = min_eig_3field(f3, 0.01)
     a2, _ = min_eig(f2, 0.01)
     assert a3 < 0
@@ -382,7 +399,7 @@ def test_theta_decouples_at_negative_alpha(unstable_profile, params, mesh40):
 
 def test_3field_restriction_matches_2field(unstable_profile, params, mesh40):
     f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0), params)
-    f2 = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    f2 = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     idx = np.flatnonzero(np.arange(3 * f3.n_free) % 3 != 1)  # (phi_m, psi_m)
     assert np.abs(f3.K0[np.ix_(idx, idx)] - dense(f2.K0)).max() <= 1e-12
     assert np.abs(f3.K1[np.ix_(idx, idx)] - dense(f2.K1)).max() <= 1e-12
@@ -401,6 +418,6 @@ def test_3field_rotation_invariance(unstable_profile, params):
 
 
 def test_min_eig_requires_positive_s(unstable_profile, params, mesh40):
-    forms = assemble_forms(mesh40, unstable_profile, 1.0, params)
+    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
     with pytest.raises(ValueError):
         min_eig(forms, 0.0)
