@@ -42,35 +42,32 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _profile_and_mesh(cfg: RunConfig):
-    profile = solve_equilibrium(cfg.law_plus, cfg.law_minus, cfg.params,
-                                cfg.numerics.n_samples)
-    mesh = build_mesh(cfg.params.b, cfg.params.ell,
-                      cfg.numerics.n_minus, cfg.numerics.n_plus)
-    return profile, mesh
+def _profile(cfg: RunConfig):
+    return solve_equilibrium(cfg.law_plus, cfg.law_minus, cfg.params,
+                             cfg.numerics.n_samples)
 
 
 def _form_coefficients(cfg: RunConfig):
-    """The one FormCoefficients of a single-frequency command."""
-    profile, mesh = _profile_and_mesh(cfg)
-    return form_coefficients(mesh, profile, cfg.params)
+    """The one FormCoefficients of a run: its profile on the configured mesh."""
+    mesh = build_mesh(cfg.params.b, cfg.params.ell,
+                      cfg.numerics.n_minus, cfg.numerics.n_plus)
+    return form_coefficients(mesh, _profile(cfg))
 
 
-def _rounded_regime_inputs(cfg: RunConfig, profile):
+def _rounded_regime_inputs(profile, eps: float):
     """Apply the configured zero epsilon before the exact-table call."""
-    eps = cfg.numerics.zero_epsilon
+    params = profile.params
     jump = profile.jump if abs(profile.jump) > eps else 0.0
-    sp = cfg.params.sigma_plus if abs(cfg.params.sigma_plus) > eps else 0.0
-    sm = cfg.params.sigma_minus if abs(cfg.params.sigma_minus) > eps else 0.0
-    sigma_c = disp.critical_tension(profile, cfg.params)
+    sp = params.sigma_plus if abs(params.sigma_plus) > eps else 0.0
+    sm = params.sigma_minus if abs(params.sigma_minus) > eps else 0.0
+    sigma_c = disp.critical_tension(profile)
     if abs(sm - sigma_c) <= eps:
         sm = sigma_c
     return jump, sp, sm, sigma_c
 
 
 def cmd_equilibrium(cfg, out, args) -> int:
-    profile, _ = _profile_and_mesh(cfg)
-    export_profile_csv(profile, out / "profile.csv")
+    export_profile_csv(_profile(cfg), out / "profile.csv")
     return 0
 
 
@@ -81,11 +78,8 @@ def cmd_alpha(cfg, out, args) -> int:
 
 
 def cmd_dispersion(cfg, out, args) -> int:
-    profile, mesh = _profile_and_mesh(cfg)
-    summary = disp.sweep_lattice(profile, mesh, cfg.params,
-                                 cutoff=cfg.numerics.xi_cutoff,
-                                 numerics=cfg.numerics,
-                                 threads=args.threads)
+    summary = disp.sweep_lattice(_form_coefficients(cfg), cfg.numerics.xi_cutoff,
+                                 cfg.numerics, args.threads)
     disp.write_dispersion_csv(summary.curve, out / "dispersion.csv")
     _write_json(disp.summary_dict(summary), out / "summary.json")
     return 0
@@ -100,8 +94,8 @@ def cmd_growth(cfg, out, args) -> int:
 
 
 def cmd_classify(cfg, out, args) -> int:
-    profile, _ = _profile_and_mesh(cfg)
-    report = classify_mod.regime_report(*_rounded_regime_inputs(cfg, profile))
+    report = classify_mod.regime_report(
+        *_rounded_regime_inputs(_profile(cfg), cfg.numerics.zero_epsilon))
     _write_json(report, out / "regime.json")
     return 0
 
@@ -192,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("xi", "s", "threads"):
+        for flag in ("xi", "s", "threads", "levels"):
             value = getattr(args, flag, None)
             if value is not None and not 0.0 < value < np.inf:
                 raise InvalidInput(f"--{flag} must be finite and > 0, got {value}")

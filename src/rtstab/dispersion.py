@@ -37,10 +37,11 @@ and disappears entirely once sigma_minus reaches the critical tension
 
 because the smallest nonzero lattice frequency then falls outside the
 window.  The sweep enumerates xi in (1/L1)Z x (1/L2)Z and deduplicates by
-|xi| (rates depend on the magnitude alone).  It builds the forms' quadratic
-coefficients in |xi| once (variational.form_coefficients), and growth_rate
-takes the forms at each point from them, one band combination each; outside
-the window that call ends at its nonnegative alpha probe.
+|xi| (rates depend on the magnitude alone).  Like growth_rate, it takes the
+forms' quadratic coefficients in |xi| (variational.form_coefficients) and
+reads every physical parameter from their profile.  growth_rate takes the
+forms at each point from them, one band combination each; outside the
+window that call ends at its nonnegative alpha probe.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from .variational import (BAND, FormCoefficients, Mesh1D, QuadraticForms, band_mv,
-                          eig_residual, evaluate_energy, form_coefficients,
-                          j_normalize, min_eig)
+from .variational import (BAND, FormCoefficients, QuadraticForms, band_mv,
+                          eig_residual, evaluate_energy, j_normalize, min_eig)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
@@ -108,13 +108,15 @@ class GrowthSummary:
     xi_c: float
 
 
-def critical_tension(profile: EquilibriumProfile, params: PhysicalParams) -> float:
+def critical_tension(profile: EquilibriumProfile) -> float:
     """sigma_c = jump * g * max(L1^2, L2^2)."""
+    params = profile.params
     return profile.jump * params.g * max(params.L1**2, params.L2**2)
 
 
-def critical_frequency(profile: EquilibriumProfile, params: PhysicalParams) -> float:
+def critical_frequency(profile: EquilibriumProfile) -> float:
     """Frequency cutoff sqrt(jump*g/sigma_minus); +inf when sigma_minus = 0."""
+    params = profile.params
     if profile.jump <= 0:
         raise NotUnstableOrientation(f"density jump {profile.jump} <= 0")
     if params.sigma_minus == 0:
@@ -139,10 +141,10 @@ def _bisect_root(above, lo: float, hi: float, wtol: float, max_iter: int):
     return 0.5 * (lo + hi), calls
 
 
-def _bracket(profile: EquilibriumProfile, params: PhysicalParams,
-             numerics: NumericsConfig) -> tuple[float, float]:
+def _bracket(profile: EquilibriumProfile, numerics: NumericsConfig) -> tuple[float, float]:
     """(s_min, S_max): S_max = s_max_factor * b g jump / mu_minus, or
     b g / mu_minus when the orientation is stable, and s_min = S_MIN_FRAC S_max."""
+    params = profile.params
     bound = params.b * params.g * max(profile.jump, 0.0) / params.mu_minus
     s_max = numerics.s_max_factor * bound if bound > 0 else params.b * params.g / params.mu_minus
     return S_MIN_FRAC * s_max, s_max
@@ -196,7 +198,7 @@ def _converged(forms: QuadraticForms, s: float, alpha: float, v: np.ndarray,
 def growth_rate(coeffs: FormCoefficients, xi_abs: float,
                 numerics: NumericsConfig = NumericsConfig()) -> DispersionPoint:
     """Solve s^2 + alpha(s) = 0 at one frequency magnitude, on the forms
-    coeffs.at(xi_abs) of the mesh, profile and params coeffs was built from.
+    coeffs.at(xi_abs) of the mesh and profile coeffs was built from.
 
     If the probe alpha(s_min) is already nonnegative there is no growing
     mode and lam = 0 is returned with the probe value; a negative probe
@@ -210,7 +212,7 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
     and eig_tol.  xi_abs must be finite and > 0 (ValueError from coeffs.at).
     """
     forms = coeffs.at(xi_abs)
-    s_min, s_max = _bracket(coeffs.profile, coeffs.params, numerics)
+    s_min, s_max = _bracket(coeffs.profile, numerics)
     alpha0, v0 = min_eig(forms, s_min)
     xi = (float(xi_abs), 0.0)
     if alpha0 >= 0:
@@ -269,25 +271,25 @@ def _dedup_lattice(params: PhysicalParams, limit: float):
     return sorted(groups.items(), key=lambda kv: kv[0])
 
 
-def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalParams,
-                  cutoff: float, numerics: NumericsConfig = NumericsConfig(),
+def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
+                  numerics: NumericsConfig = NumericsConfig(),
                   threads: int = 1) -> GrowthSummary:
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
-    Every frequency goes through growth_rate on one FormCoefficients built
-    here, so a point gets lam = 0 only when its probe alpha(s_min) is
-    nonnegative; outside the instability window that probe is the whole
-    solve.  Points are independent, so the solve may run on a thread pool
-    that shares the read-only coefficients; results are reduced
-    deterministically in ascending |xi|^2 order.
+    Every frequency goes through growth_rate on coeffs, so a point gets
+    lam = 0 only when its probe alpha(s_min) is nonnegative; outside the
+    instability window that probe is the whole solve.  Points are
+    independent, so the solve may run on a thread pool that shares the
+    read-only coefficients; results are reduced deterministically in
+    ascending |xi|^2 order.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise ValueError("cutoff must be finite and > 0")
-    jump = profile.jump
+    profile = coeffs.profile
+    params, jump = profile.params, profile.jump
     # a stable orientation has no instability window at all
-    xi_c = critical_frequency(profile, params) if jump > 0 else math.nan
+    xi_c = critical_frequency(profile) if jump > 0 else math.nan
     groups = _dedup_lattice(params, cutoff)
-    coeffs = form_coefficients(mesh, profile, params)
 
     def solve_one(item):
         key, (m, n) = item
@@ -309,7 +311,7 @@ def sweep_lattice(profile: EquilibriumProfile, mesh: Mesh1D, params: PhysicalPar
             argmax = pt.xi
     attained = jump <= 0 or params.sigma_minus > 0
     return GrowthSummary(lam_max, argmax, attained, tuple(curve),
-                         critical_tension(profile, params), xi_c)
+                         critical_tension(profile), xi_c)
 
 
 def psi_bump(x3, b: float, ell: float, exponent: float):

@@ -80,7 +80,7 @@ class EvolutionOperators:
         self.mesh = mesh = coeffs.mesh
         self.xi_abs = check_frequency(xi_abs)
         xi_sq = self.xi_abs * self.xi_abs
-        A, C = surface_coefficients(coeffs.profile, coeffs.params)
+        A, C = surface_coefficients(coeffs.profile)
         self.sigma_int_coef, self.sigma_top_coef = A + xi_sq * C
         self.interface_gravity = A[0]  # -jump g, the part without sigma_-
         i0, node = mesh.interface_index, np.arange(mesh.n_nodes)
@@ -106,7 +106,7 @@ class EvolutionOperators:
                   + 2.0 * assemble(mesh, mass, udofs, udofs, n, band))
         self.D = 2.0 * assemble(mesh, visc, udofs, udofs, n, band)
         i, j, top, mid = self.eta_plus_idx, self.eta_minus_idx, self.u3_top, self.u3_int
-        self.M, self.W = fields.copy(), fields
+        self.M, self.W = fields.copy(order="F"), fields
         self.M[band, [i, j]] = 1.0
         self.W[band, [i, j]] = self.sigma_top_coef, xi_sq * C[0]
         # A rows: q gets -B u; u gets +B^T q - D u; eta gets deta/dt = w, and

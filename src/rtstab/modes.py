@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DispersionPoint
-from .equilibrium import EquilibriumProfile, PhysicalParams
+from .equilibrium import EquilibriumProfile
 from .errors import DegenerateMode, NotARotation
 from .variational import (FormCoefficients, Mesh1D, layer_fields, project_p1,
                           surface_coefficients)
@@ -93,7 +93,7 @@ def assemble_mode(point: DispersionPoint, coeffs: FormCoefficients) -> GrowingMo
     psi0 = psi[mesh.interface_index]
     if abs(psi0) < 1e-10:
         raise DegenerateMode(f"interface psi = {psi0} below 1e-10")
-    params = coeffs.params
+    params = coeffs.profile.params
     lam = point.lam
     # |eta_minus| * 2 pi sqrt(L1 L2) = 1 after scaling.
     eta_minus_raw = psi0 / lam
@@ -175,8 +175,7 @@ def _flux_ends(mesh: Mesh1D, f_mid: np.ndarray) -> dict[str, float]:
     }
 
 
-def ode_residual(mode: GrowingMode, profile: EquilibriumProfile,
-                 params: PhysicalParams) -> OdeResidualReport:
+def ode_residual(mode: GrowingMode, profile: EquilibriumProfile) -> OdeResidualReport:
     """Strong-form residuals of the reduced normal-mode ODE system.
 
     The in-plane component (xi1 phi + xi2 theta)/|xi| feeds the phi equation;
@@ -205,7 +204,7 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile,
     #                              + (lam mu' + lam mu/3) |xi| phi;
     # flux_p = h'(rho) [ (rho psi)' + rho |xi| phi ]  (note P' = rho h').
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mids)
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, mids)
     phi_mid = 0.5 * (phi_par[:-1] + phi_par[1:])
     psi_mid = 0.5 * (psi[:-1] + psi[1:])
     perp_mid = 0.5 * (phi_perp[:-1] + phi_perp[1:])
@@ -227,13 +226,13 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile,
     r_perp = float(np.abs(-df_perp + inertia * perp_mid).max())
 
     # Boundary and jump rows from layer-end extrapolated fluxes.
-    mu_pl = params.mu_plus
-    mu_mi = params.mu_minus
+    mu_pl = profile.params.mu_plus
+    mu_mi = profile.params.mu_minus
     ends_v = _flux_ends(mesh, f_v)
     ends_p = _flux_ends(mesh, f_p)
     ends_dphi = _flux_ends(mesh, dphi)
     top_shear = abs(mu_pl * lam * (xi_abs * psi[-1] - ends_dphi["top"]))
-    A, C = surface_coefficients(profile, params)
+    A, C = surface_coefficients(profile)
     interface_coef, top_coef = A + xi_abs**2 * C
     # normal stress at the top: -flux_v + lam mu |xi| phi - rho1 flux_p
     #                           = (rho1 g + sigma_+ |xi|^2) psi

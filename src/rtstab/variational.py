@@ -42,9 +42,10 @@ xi enters the bulk integrands only through rows affine in xi, and the
 boundary terms through sigma_± xi^2, so K0(xi) = A0 + xi B0 + xi^2 C0,
 likewise K1, and M does not depend on xi.  form_coefficients evaluates the
 profile fields at the quadrature points and assembles these coefficients
-once per mesh, profile and params; the sweep and every command take their
-forms from FormCoefficients.at(xi), one band combination per frequency,
-and the growing mode and the evolution oracle read its fields.
+once per mesh and profile, whose params are the only physical parameters
+read here; the sweep and every command take their forms from
+FormCoefficients.at(xi), one band combination per frequency, and the
+growing mode and the evolution oracle read its fields.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from scipy.linalg.blas import dgbmv, dtbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .equilibrium import EquilibriumProfile, PhysicalParams
+from .equilibrium import EquilibriumProfile
 from .errors import BandOverflow, SolverDivergence
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -136,18 +137,18 @@ def build_mesh(b: float, ell: float, n_minus: int, n_plus: int) -> Mesh1D:
     return Mesh1D(np.concatenate([lower, upper[1:]]), n_minus, n_plus)
 
 
-def layer_fields(mesh: Mesh1D, profile: EquilibriumProfile,
-                 params: PhysicalParams, xq: np.ndarray) -> np.ndarray:
+def layer_fields(mesh: Mesh1D, profile: EquilibriumProfile, xq: np.ndarray) -> np.ndarray:
     """rho, rho' = -g rho / P'(rho), P'(rho), mu and mu' at the points xq,
     stacked as (5, *xq.shape); row e of xq holds points of element e, such as
     its quadrature points mesh.quad[0] or its midpoint, and takes the values
     of that element's layer."""
+    params = profile.params
     out = np.empty((5, *xq.shape))
     for layer, rows in (("minus", slice(0, mesh.n_minus)),
                         ("plus", slice(mesh.n_minus, None))):
         rho = np.asarray(profile.rho(xq[rows], layer), float)
         dp = np.asarray(profile.law(layer).derivative(rho), float)
-        out[:, rows] = np.broadcast_arrays(rho, -profile.params.g * rho / dp, dp,
+        out[:, rows] = np.broadcast_arrays(rho, -params.g * rho / dp, dp,
                                            params.mu(layer), params.mu_prime(layer))
     return out
 
@@ -272,11 +273,11 @@ def form_terms(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
             [(0.5 * rho, phi), (0.5 * rho, psi)])
 
 
-def surface_coefficients(profile: EquilibriumProfile,
-                         params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+def surface_coefficients(profile: EquilibriumProfile) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (sigma_- xi^2 - jump g, rho1 g + sigma_+ xi^2) of
     E0's surface terms, 1/2 coefficient psi^2 at the interface and the top,
     as (A, C) with coefficient = A + xi^2 C."""
+    params = profile.params
     return (np.array([-profile.jump * params.g, profile.rho1 * params.g]),
             np.array([params.sigma_minus, params.sigma_plus]))
 
@@ -291,7 +292,7 @@ def check_frequency(xi_abs: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FormCoefficients:
-    """The forms of one mesh, profile and params as quadratic polynomials in
+    """The forms of one mesh and profile as quadratic polynomials in
     the frequency magnitude xi: K0(xi) = A0 + xi B0 + xi^2 C0 with K0 =
     (A0, B0, C0), likewise K1, and the mass M, which does not depend on xi.
     fields holds the layer_fields at the quadrature points mesh.quad[0] that
@@ -301,7 +302,6 @@ class FormCoefficients:
 
     mesh: Mesh1D
     profile: EquilibriumProfile
-    params: PhysicalParams
     fields: np.ndarray
     K0: tuple[np.ndarray, np.ndarray, np.ndarray]
     K1: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -311,12 +311,11 @@ class FormCoefficients:
         """The forms at frequency magnitude xi_abs (0 < xi_abs < inf)."""
         xi = check_frequency(xi_abs)
         K0, K1 = (A + xi * B + (xi * xi) * C for A, B, C in (self.K0, self.K1))
-        return QuadraticForms(K0, K1, self.M, xi, self.params.g,
+        return QuadraticForms(K0, K1, self.M, xi, self.profile.params.g,
                               2 * self.mesh.interface_index - 1)
 
 
-def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile,
-                      params: PhysicalParams) -> FormCoefficients:
+def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile) -> FormCoefficients:
     """The coefficients of the forms in xi by the three-point rule on the
     kernel: A = K(0), B = (K(1) - K(-1))/2 and C = (K(1) + K(-1))/2 - K(0),
     exact up to round-off because the bulk terms are quadratic in xi.
@@ -325,21 +324,14 @@ def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile,
     negates exactly the band rows that couple phi to psi (odd i - j), so
     K(-1) is not assembled: B is K(1) on those rows and C is K(1) - K(0) on
     the others, the rule's values to the bit.  The surface terms of E0
-    (surface_coefficients) go straight into A and C.
-
-    params must agree with profile.params in b, ell, g and p_atm (mu, mu'
-    and sigma are the forms' own), and the mesh must span [-b, ell];
-    otherwise ValueError.
+    (surface_coefficients) go straight into A and C.  The mesh must span
+    the profile's [-b, ell]; otherwise ValueError.
     """
     ref = profile.params
-    for name in ("b", "ell", "g", "p_atm"):
-        if getattr(params, name) != getattr(ref, name):
-            raise ValueError(f"params.{name} = {getattr(params, name)} differs from "
-                             f"the profile's {getattr(ref, name)}")
     if mesh.nodes[0] != -ref.b or mesh.nodes[-1] != ref.ell:
         raise ValueError(f"mesh spans [{mesh.nodes[0]}, {mesh.nodes[-1]}], "
                          f"not [-b, ell] = [{-ref.b}, {ref.ell}]")
-    fields = layer_fields(mesh, profile, params, mesh.quad[0])
+    fields = layer_fields(mesh, profile, mesh.quad[0])
     fields.flags.writeable = False
     dofs = mesh.dofs(2)
     cross = (np.arange(2 * BAND + 1) - BAND) % 2 == 1
@@ -356,12 +348,12 @@ def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile,
     (A0, B0, C0), K1 = coefficients([div0], [div1]), coefficients(visc0, visc1)
     M = assemble(mesh, mass, dofs, dofs, mesh.ndof, BAND)
     surface = [2 * mesh.interface_index - 1, mesh.ndof - 1]
-    A, C = surface_coefficients(profile, params)
+    A, C = surface_coefficients(profile)
     A0[BAND, surface] += 0.5 * A
     C0[BAND, surface] += 0.5 * C
     for ab in (A0, B0, C0, *K1, M):
         ab.flags.writeable = False
-    return FormCoefficients(mesh, profile, params, fields, (A0, B0, C0), K1, M)
+    return FormCoefficients(mesh, profile, fields, (A0, B0, C0), K1, M)
 
 
 def _fix_sign(v: np.ndarray, psi_interface_dof: int) -> np.ndarray:

@@ -14,16 +14,22 @@ def unit_params(**overrides) -> PhysicalParams:
     return PhysicalParams(**base)
 
 
+def unit_profile(**overrides):
+    """The unstable isothermal pair, k_plus = 1 over k_minus = 2 (heavy above
+    light along the interface, jump > 0; e/2 at unit g), solved at
+    unit_params(**overrides)."""
+    return solve_equilibrium(PressureLaw.isothermal(1.0),
+                             PressureLaw.isothermal(2.0), unit_params(**overrides))
+
+
 @pytest.fixture(scope="session")
 def params():
     return unit_params()
 
 
 @pytest.fixture(scope="session")
-def unstable_profile(params):
-    # heavy-above-light along the interface: jump = e/2 > 0
-    return solve_equilibrium(PressureLaw.isothermal(1.0),
-                             PressureLaw.isothermal(2.0), params)
+def unstable_profile():
+    return unit_profile()
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from rtstab.dispersion import psi_bump
-from rtstab.equilibrium import EquilibriumProfile, PhysicalParams, PressureLaw
+from rtstab.equilibrium import EquilibriumProfile, PressureLaw
 from rtstab.evolve import EvolutionOperators
 from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
                                 evaluate_energy, field_rows, form_coefficients,
@@ -56,8 +56,8 @@ def add_element(K: np.ndarray, mesh: Mesh1D, e: int, local: np.ndarray) -> None:
                 K[gdof[i], gdof[j]] += local[i, j]
 
 
-def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
-                   params: PhysicalParams) -> QuadraticForms:
+def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile,
+                   xi_abs: float) -> QuadraticForms:
     """Assemble (K0, K1, M) at frequency magnitude xi_abs by the kernel: the
     one-frequency reference that form_coefficients is tested against.
 
@@ -66,8 +66,8 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     each matrix is a sum of outer products and exactly symmetric.  The
     boundary terms of E0 sit on the diagonal, row BAND of the band storage.
     """
-    xi = float(xi_abs)
-    fields = layer_fields(mesh, profile, params, mesh.quad[0])
+    xi, params = float(xi_abs), profile.params
+    fields = layer_fields(mesh, profile, mesh.quad[0])
     div, visc, mass = form_terms(mesh, fields, xi)
     dofs = mesh.dofs(2)
     K0, K1, M = (assemble(mesh, terms, dofs, dofs, mesh.ndof, BAND)
@@ -79,8 +79,7 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
 
 
 def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
-                     mesh: Mesh1D, params: PhysicalParams,
-                     exponent: float = 5.0) -> float:
+                     mesh: Mesh1D, exponent: float = 5.0) -> float:
     """Energy E(.; s) at the interpolated bump candidate with phi = -psi'/|xi|.
 
     E < 0 certifies alpha(s) < 0 without an eigensolve (the candidate is an
@@ -92,7 +91,7 @@ def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
         raise ValueError("xi_abs must be > 0")
     if exponent < 5:
         raise ValueError("exponent must be >= 5 for an admissible candidate")
-    psi_nodes = psi_bump(mesh.nodes, params.b, params.ell, exponent)
+    psi_nodes = psi_bump(mesh.nodes, profile.params.b, profile.params.ell, exponent)
     dpsi_elem = np.diff(psi_nodes) / np.diff(mesh.nodes)
 
     phi_nodes = project_p1(mesh, np.broadcast_to(-dpsi_elem[:, None] / xi_abs,
@@ -100,19 +99,18 @@ def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
     phi_nodes[0] = 0.0
     v = np.empty(mesh.ndof)
     v[0::2], v[1::2] = phi_nodes[1:], psi_nodes[1:]
-    forms = form_coefficients(mesh, profile, params).at(xi_abs)
+    forms = form_coefficients(mesh, profile).at(xi_abs)
     e_val, _j = evaluate_energy(forms, v, s)
     return e_val
 
 
-def dense_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi: float,
-                prm: PhysicalParams):
+def dense_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi: float):
     """(K0, K1, M) at frequency magnitude xi, summed element by element and
     point by point into dense matrices through add_element, written out from
     the functionals of the variational module docstring."""
-    n = mesh.ndof
+    n, prm = mesh.ndof, profile.params
     K0, K1, M = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-    fields = layer_fields(mesh, profile, prm, mesh.quad[0])
+    fields = layer_fields(mesh, profile, mesh.quad[0])
     for e in range(mesh.n_elements):
         _xq, wq, N, dN = (a[e] for a in mesh.quad)
         rho, drho, dp, mu, mu_p = fields[:, e]
@@ -134,8 +132,8 @@ def dense_forms(mesh: Mesh1D, profile: EquilibriumProfile, xi: float,
     return K0, K1, M
 
 
-def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
-                       params: PhysicalParams) -> np.ndarray:
+def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile,
+                       xi_abs: float) -> np.ndarray:
     """Alternate E0 assembly obtained by integrating the gravity term by parts:
 
         E0 = sigma_- xi^2/2 psi(0)^2 + sigma_+ xi^2/2 psi(ell)^2
@@ -144,7 +142,7 @@ def assemble_forms_alt(mesh: Mesh1D, profile: EquilibriumProfile, xi_abs: float,
     Agrees with the primary K0 up to quadrature error.  A dense per-element,
     per-point loop, kept apart from the vectorised kernel on purpose.
     """
-    xi = float(xi_abs)
+    xi, params = float(xi_abs), profile.params
     K = np.zeros((mesh.ndof, mesh.ndof))
     for e in range(mesh.n_elements):
         layer = element_layer(mesh, e)
@@ -240,7 +238,7 @@ class Forms3Field:
 
 
 def assemble_forms_3field(mesh: Mesh1D, profile: EquilibriumProfile,
-                          xi: tuple[float, float], params: PhysicalParams) -> Forms3Field:
+                          xi: tuple[float, float]) -> Forms3Field:
     """Full quadratic structure at a frequency vector xi = (xi1, xi2).
 
     E1 is the viscous dissipation (viscous_terms) of the normal-mode
@@ -250,8 +248,8 @@ def assemble_forms_3field(mesh: Mesh1D, profile: EquilibriumProfile,
     dropping theta from the two-field reduction.
     """
     xi1, xi2 = float(xi[0]), float(xi[1])
-    nf = mesh.n_free
-    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
+    nf, params = mesh.n_free, profile.params
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, mesh.quad[0])
     (phi, theta, psi), (dphi, dtheta, dpsi) = field_rows(mesh, 3)
     r, dr = rho[..., None], drho[..., None]
     dofs = mesh.dofs(3)
@@ -292,7 +290,7 @@ def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> 
 
 
 def complex_operators(profile: EquilibriumProfile, mesh: Mesh1D,
-                      xi: tuple[float, float], params: PhysicalParams):
+                      xi: tuple[float, float]):
     """(M, A) of the complex packed system M dy/dt = A y at a frequency
     vector xi, y = [q (nq) | (u1, u2, u3) node by node | eta_+, eta_-],
     with the dissipation from viscous_terms of the full velocity at
@@ -301,14 +299,14 @@ def complex_operators(profile: EquilibriumProfile, mesh: Mesh1D,
     wide enough for any coupling, and the blocks are combined as CSR."""
     xi1, xi2 = float(xi[0]), float(xi[1])
     xi_sq = xi1 * xi1 + xi2 * xi2
-    nf = mesh.n_free
+    nf, params = mesh.n_free, profile.params
     nq = mesh.n_nodes + 1  # broken at the interface
     n = nq + 3 * nf + 2
     e = np.arange(mesh.n_elements)[:, None]
     qdofs = e + [0, 1] + (e >= mesh.interface_index)
     udofs = mesh.dofs(3)
     udofs[udofs >= 0] += nq
-    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, params, mesh.quad[0])
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, mesh.quad[0])
     N = mesh.quad[2]
     u, du = field_rows(mesh, 3)
     r = rho[..., None]

@@ -21,7 +21,7 @@ from rtstab.evolve import (advance, interface_bump_state, measure_growth,
 from rtstab.modes import assemble_mode, rotate_mode
 from rtstab.variational import (build_mesh, evaluate_energy, form_coefficients,
                                 min_eig)
-from tests.conftest import unit_params
+from tests.conftest import unit_params, unit_profile
 from tests.oracles import (assemble_forms_3field, dense, min_eig_3field,
                            min_eig_dense)
 
@@ -36,8 +36,8 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def coeffs100(unstable_profile, params, mesh100):
-    return form_coefficients(mesh100, unstable_profile, params)
+def coeffs100(unstable_profile, mesh100):
+    return form_coefficients(mesh100, unstable_profile)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_criterion_03_energy_lower_bound(params):
     for law_p, law_m, prm in configs:
         prof = solve_equilibrium(law_p, law_m, prm, 129)
         assert prof.jump > 0
-        coeffs = form_coefficients(mesh, prof, prm)
+        coeffs = form_coefficients(mesh, prof)
         for _ in range(4):
             xi = float(rng.uniform(0.3, 3.0))
             s = float(rng.uniform(1e-4, 1.0))
@@ -136,7 +136,7 @@ def test_criterion_04_monotonicity(unstable_profile, params, coeffs100):
 def test_criterion_05_growth_bound(unstable_profile, params):
     t0 = time.time()
     mesh = build_mesh(1.0, 1.0, 64, 64)
-    summary = sweep_lattice(unstable_profile, mesh, params, cutoff=7.0)
+    summary = sweep_lattice(form_coefficients(mesh, unstable_profile), cutoff=7.0)
     bound = params.b * params.g * unstable_profile.jump / params.mu_minus
     n_pts = len(summary.curve)
     worst = max(p.lam / bound for p in summary.curve)
@@ -148,13 +148,13 @@ def test_criterion_05_growth_bound(unstable_profile, params):
 
 def test_criterion_06_stability_threshold(unstable_profile):
     t0 = time.time()
-    sigma_c = critical_tension(unstable_profile, unit_params())
+    sigma_c = critical_tension(unstable_profile)
     mesh = build_mesh(1.0, 1.0, 48, 48)
-    prm_hi = unit_params(sigma_plus=0.1, sigma_minus=1.05 * sigma_c)
-    hi = sweep_lattice(unstable_profile, mesh, prm_hi, cutoff=2.5)
+    hi = sweep_lattice(form_coefficients(
+        mesh, unit_profile(sigma_plus=0.1, sigma_minus=1.05 * sigma_c)), cutoff=2.5)
     probes_ok = all(p.alpha_at_star >= -1e-9 for p in hi.curve)
-    prm_lo = unit_params(sigma_plus=0.1, sigma_minus=0.5 * sigma_c)
-    lo = sweep_lattice(unstable_profile, mesh, prm_lo, cutoff=2.0)
+    lo = sweep_lattice(form_coefficients(
+        mesh, unit_profile(sigma_plus=0.1, sigma_minus=0.5 * sigma_c)), cutoff=2.0)
     elapsed = time.time() - t0
     report(6, "sigma_- = 1.05 sigma_c stabilizes every frequency; "
               "0.5 sigma_c leaves a growing one",
@@ -173,7 +173,7 @@ def test_criterion_07_eigensolver_oracle(params):
         solve_equilibrium(PressureLaw.polytropic(1.0, 2.0),
                           PressureLaw.polytropic(1.6, 2.0), params, 65),
     ]
-    coeffs = [form_coefficients(mesh, prof, params) for prof in profiles]
+    coeffs = [form_coefficients(mesh, prof) for prof in profiles]
     rng = np.random.default_rng(7)
     worst = 0.0
     for k in range(50):
@@ -188,7 +188,7 @@ def test_criterion_07_eigensolver_oracle(params):
            worst <= 1e-9 and elapsed < 60.0, f"max |diff| {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_08_mesh_convergence(unstable_profile, params):
+def test_criterion_08_mesh_convergence(unstable_profile):
     t0 = time.time()
     samples = [(1.0, 0.075), (2.0, 0.05), (0.7, 0.3)]
     worst_order = math.inf
@@ -196,7 +196,7 @@ def test_criterion_08_mesh_convergence(unstable_profile, params):
         alphas = []
         for n in (25, 50, 100, 200):
             mesh = build_mesh(1.0, 1.0, n, n)
-            forms = form_coefficients(mesh, unstable_profile, params).at(xi)
+            forms = form_coefficients(mesh, unstable_profile).at(xi)
             a, _ = min_eig(forms, s)
             alphas.append(a)
         d = np.abs(np.diff(alphas))
@@ -208,10 +208,10 @@ def test_criterion_08_mesh_convergence(unstable_profile, params):
            f"min order {worst_order:.2f}, {elapsed:.0f}s")
 
 
-def test_criterion_09_time_evolution_oracle(unstable_profile, params):
+def test_criterion_09_time_evolution_oracle(unstable_profile):
     t0 = time.time()
     mesh = build_mesh(1.0, 1.0, 200, 200)
-    coeffs = form_coefficients(mesh, unstable_profile, params)
+    coeffs = form_coefficients(mesh, unstable_profile)
     pt = growth_rate(coeffs, 1.0)
     mode = assemble_mode(pt, coeffs)
     ops = semidiscretize(coeffs, 1.0)
@@ -224,10 +224,10 @@ def test_criterion_09_time_evolution_oracle(unstable_profile, params):
            f"lambda {pt.lam:.6f} vs fit {fitted:.6f}, rel {rel:.2%}, {elapsed:.0f}s")
 
 
-def test_criterion_10_energy_identity(stable_profile, params, rate_at_one, coeffs100):
+def test_criterion_10_energy_identity(stable_profile, rate_at_one, coeffs100):
     t0 = time.time()
     ops_s = semidiscretize(
-        form_coefficients(build_mesh(1.0, 1.0, 60, 60), stable_profile, params), 1.0)
+        form_coefficients(build_mesh(1.0, 1.0, 60, 60), stable_profile), 1.0)
     traj_s = advance(interface_bump_state(ops_s), ops_s, 0.05, 20.0)
     fe = np.array([ops_s.full_energy(y) for y in traj_s.states])
     non_increasing = bool(np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300)))
@@ -247,8 +247,8 @@ def test_criterion_10_energy_identity(stable_profile, params, rate_at_one, coeff
            f"energy rate {rate:.6f} vs 2 lambda {2 * pt.lam:.6f}, {elapsed:.0f}s")
 
 
-def test_criterion_11_equivariance_and_theta(unstable_profile, params,
-                                             rate_at_one, coeffs100, mesh100):
+def test_criterion_11_equivariance_and_theta(unstable_profile, rate_at_one, coeffs100,
+                                             mesh100):
     t0 = time.time()
     mode = assemble_mode(rate_at_one, coeffs100)
     t = 0.93
@@ -258,7 +258,7 @@ def test_criterion_11_equivariance_and_theta(unstable_profile, params,
     round_trip = max(np.abs(back.phi - mode.phi).max() / scale,
                      np.abs(back.theta - mode.theta).max() / scale,
                      abs(back.xi[0] - mode.xi[0]), abs(back.xi[1] - mode.xi[1]))
-    f3 = assemble_forms_3field(mesh100, unstable_profile, (1.0, 0.0), params)
+    f3 = assemble_forms_3field(mesh100, unstable_profile, (1.0, 0.0))
     _a3, v3 = min_eig_3field(f3, rate_at_one.lam)
     theta = v3[1::3]
     mass = f3.M[1::3, 1::3]

@@ -55,18 +55,19 @@ def test_report_shape():
     assert rep2["decay_claim"] is None
 
 
-def test_consistency_with_dispersion(unstable_profile, params, mesh40):
+def test_consistency_with_dispersion(unstable_profile, mesh40):
     # unstable cell <-> positive sharp rate; supercritical cell <-> flat curve
-    from tests.conftest import unit_params
+    from tests.conftest import unit_profile
     from rtstab.dispersion import critical_tension, sweep_lattice
-    sigma_c = critical_tension(unstable_profile, params)
+    from rtstab.variational import form_coefficients
+    sigma_c = critical_tension(unstable_profile)
     label = classify_regime(unstable_profile.jump, 0.0, 0.0, sigma_c)
     assert label is RegimeLabel.NONLINEARLY_UNSTABLE
-    summary = sweep_lattice(unstable_profile, mesh40, params, cutoff=1.8)
+    summary = sweep_lattice(form_coefficients(mesh40, unstable_profile), cutoff=1.8)
     assert summary.Lambda > 0
-    prm = unit_params(sigma_plus=0.1, sigma_minus=1.2 * sigma_c)
-    label2 = classify_regime(unstable_profile.jump, prm.sigma_plus,
-                             prm.sigma_minus, sigma_c)
+    prof = unit_profile(sigma_plus=0.1, sigma_minus=1.2 * sigma_c)
+    label2 = classify_regime(prof.jump, prof.params.sigma_plus,
+                             prof.params.sigma_minus, sigma_c)
     assert label2 is RegimeLabel.STABLE_EXPONENTIAL_DECAY
-    summary2 = sweep_lattice(unstable_profile, mesh40, prm, cutoff=1.8)
+    summary2 = sweep_lattice(form_coefficients(mesh40, prof), cutoff=1.8)
     assert summary2.Lambda == 0.0

@@ -197,11 +197,14 @@ def test_linalg_error_exit_3(tmp_path, capsys, monkeypatch):
       for command, flag in (("growth", "--xi"), ("oracle", "--xi"),
                             ("alpha", "--xi"), ("alpha", "--s"))
       for value in ("nan", "inf", "0", "-1")),
-    ("dispersion", "--threads", "0"), ("dispersion", "--threads", "-1")])
+    ("dispersion", "--threads", "0"), ("dispersion", "--threads", "-1"),
+    ("extend", "--levels", "0"), ("extend", "--levels", "-3")])
 def test_nonpositive_or_nonfinite_flag_exit_2(tmp_path, capsys, command, flag, value):
+    # the flags are checked before any file is read, so extend's --input
+    # need not exist
     cfg = write_config(tmp_path / "cfg.json")
-    args = {"alpha": {"--xi": "1.0", "--s": "0.1"},
-            "dispersion": {}}.get(command, {"--xi": "1.0"})
+    args = {"alpha": {"--xi": "1.0", "--s": "0.1"}, "dispersion": {},
+            "extend": {"--input": str(tmp_path / "field.csv")}}.get(command, {"--xi": "1.0"})
     args[flag] = value
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
     assert main(argv + [a for kv in args.items() for a in kv]) == 2
@@ -336,22 +339,27 @@ def test_bench_span_targets_resolve_but_assemble_forms():
             assert callable(fn), f"{module}.{attr}"
 
 
-@pytest.mark.parametrize("command", ["oracle", "mode"])
+@pytest.mark.parametrize("command", ["alpha", "dispersion", "growth", "mode", "oracle",
+                                     "equilibrium", "classify"])
 def test_one_field_evaluation_per_command(command, tmp_path, monkeypatch):
-    # the growth rate, the mode and the oracle operators all read one
-    # FormCoefficients, so the profile fields are evaluated once per run
-    counts = {}
-    for name in ("layer_fields", "form_coefficients"):
+    # every command that solves at a frequency reads one FormCoefficients,
+    # so the mesh is built and the profile fields are evaluated once per
+    # run; the profile-only commands build neither
+    calls = 0 if command in ("equilibrium", "classify") else 1
+    names = ("build_mesh", "layer_fields", "form_coefficients")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(variational, name)
 
         def counted(*args, _name=name, _fn=original):
-            counts[_name] = counts.get(_name, 0) + 1
+            counts[_name] += 1
             return _fn(*args)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("rtstab") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     cfg = write_config(tmp_path / "cfg.json", n=12)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--xi", "1.0"]) == 0
-    assert counts == {"layer_fields": 1, "form_coefficients": 1}
+    extra = {"alpha": ["--xi", "1.0", "--s", "0.1"], "growth": ["--xi", "1.0"],
+             "mode": ["--xi", "1.0"], "oracle": ["--xi", "1.0"]}.get(command, [])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
+    assert counts == dict.fromkeys(names, calls)

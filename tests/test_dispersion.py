@@ -16,33 +16,32 @@ from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from rtstab.evolve import EvolutionOperators, semidiscretize
 from rtstab.variational import (build_mesh, eig_residual, form_coefficients,
                                 min_eig)
-from tests.conftest import unit_params
+from tests.conftest import unit_params, unit_profile
 from tests.oracles import negativity_probe
 
 
-def test_critical_tension_examples(unstable_profile, params):
-    assert critical_tension(unstable_profile, params) == \
-        pytest.approx(np.e / 2, rel=1e-9)
-    prm = unit_params(L1=2.0, L2=1.0)
-    # jump*g = 1 scenario via direct formula check: sigma_c = max{4,1}*jump*g
-    assert critical_tension(unstable_profile, prm) == \
+def test_critical_tension_examples(unstable_profile):
+    assert critical_tension(unstable_profile) == pytest.approx(np.e / 2, rel=1e-9)
+    # direct formula check: sigma_c = max{4,1}*jump*g
+    assert critical_tension(unit_profile(L1=2.0, L2=1.0)) == \
         pytest.approx(4 * np.e / 2, rel=1e-9)
+    # g enters through the profile, whose jump it also sets: e^2/2 at g = 2
+    assert critical_tension(unit_profile(g=2.0)) == pytest.approx(np.e ** 2, rel=1e-9)
 
 
 def test_critical_tension_zero_jump(params):
     from rtstab.equilibrium import PressureLaw, solve_equilibrium
     prof = solve_equilibrium(PressureLaw.isothermal(1.0),
                              PressureLaw.isothermal(1.0), params)
-    assert abs(critical_tension(prof, params)) < 1e-12
+    assert abs(critical_tension(prof)) < 1e-12
 
 
 def test_critical_frequency(unstable_profile, stable_profile):
-    prm = unit_params(sigma_minus=0.5)
-    assert critical_frequency(unstable_profile, prm) == \
+    assert critical_frequency(unit_profile(sigma_minus=0.5)) == \
         pytest.approx(math.sqrt(math.e), rel=1e-9)
-    assert critical_frequency(unstable_profile, unit_params()) == math.inf
+    assert critical_frequency(unstable_profile) == math.inf
     with pytest.raises(NotUnstableOrientation):
-        critical_frequency(stable_profile, prm)
+        critical_frequency(stable_profile)
 
 
 def test_bump_norm_formula_vs_quadrature():
@@ -62,26 +61,26 @@ def test_bump_shape():
     assert psi_bump(-1.0, 1.0, 2.0, 5.0) == 0.0
 
 
-def test_negativity_probe_unstable(unstable_profile, params, mesh40):
-    e_val = negativity_probe(unstable_profile, 1.0, 1e-3, mesh40, params)
+def test_negativity_probe_unstable(unstable_profile, mesh40):
+    e_val = negativity_probe(unstable_profile, 1.0, 1e-3, mesh40)
     assert e_val < 0
-    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
     alpha, _ = min_eig(forms, 1e-3)
     assert alpha < 0  # probe certificate agrees with the eigensolve
 
 
-def test_negativity_probe_contract(unstable_profile, params, mesh40):
+def test_negativity_probe_contract(unstable_profile, mesh40):
     with pytest.raises(ValueError):
-        negativity_probe(unstable_profile, 1.0, 1e-3, mesh40, params, exponent=4)
+        negativity_probe(unstable_profile, 1.0, 1e-3, mesh40, exponent=4)
     with pytest.raises(ValueError):
-        negativity_probe(unstable_profile, 0.0, 1e-3, mesh40, params)
+        negativity_probe(unstable_profile, 0.0, 1e-3, mesh40)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
-def test_frequency_and_s_must_be_finite_and_positive(bad, unstable_profile, params,
+def test_frequency_and_s_must_be_finite_and_positive(bad, unstable_profile,
                                                      mesh40):
     # NaN passed the old `<= 0` guards and reached LAPACK
-    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    coeffs = form_coefficients(mesh40, unstable_profile)
     for entry in (coeffs.at, lambda xi: growth_rate(coeffs, xi),
                   lambda xi: semidiscretize(coeffs, xi),
                   lambda xi: EvolutionOperators(coeffs, xi),
@@ -91,7 +90,7 @@ def test_frequency_and_s_must_be_finite_and_positive(bad, unstable_profile, para
 
 
 def test_growth_rate_unstable(unstable_profile, params, mesh40):
-    pt = growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
+    pt = growth_rate(form_coefficients(mesh40, unstable_profile), 1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     assert pt.converged and pt.lam > 0
     assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 1e-8 * s_max ** 2
@@ -101,7 +100,7 @@ def test_growth_rate_unstable(unstable_profile, params, mesh40):
 
 def test_growth_rate_unique_sign_change(unstable_profile, params, mesh40):
     # f is increasing: exactly one sign change over a 32-point bracket scan
-    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    coeffs = form_coefficients(mesh40, unstable_profile)
     pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     svals = np.linspace(1e-8 * s_max, s_max, 32)
@@ -114,16 +113,15 @@ def test_growth_rate_unique_sign_change(unstable_profile, params, mesh40):
     assert svals[signs.index(1.0) - 1] <= pt.lam <= svals[signs.index(1.0)]
 
 
-def test_growth_rate_zero_above_cutoff(unstable_profile):
-    prm = unit_params(sigma_minus=0.5)
+def test_growth_rate_zero_above_cutoff():
+    prof = unit_profile(sigma_minus=0.5)
     mesh = build_mesh(1.0, 1.0, 30, 30)
-    xi_c = critical_frequency(unstable_profile, prm)
-    pt = growth_rate(form_coefficients(mesh, unstable_profile, prm), xi_c * 1.05)
+    pt = growth_rate(form_coefficients(mesh, prof), critical_frequency(prof) * 1.05)
     assert pt.lam == 0.0 and pt.alpha_at_star >= 0
 
 
-def test_growth_rate_zero_stable_orientation(stable_profile, params, mesh40):
-    pt = growth_rate(form_coefficients(mesh40, stable_profile, params), 1.0)
+def test_growth_rate_zero_stable_orientation(stable_profile, mesh40):
+    pt = growth_rate(form_coefficients(mesh40, stable_profile), 1.0)
     assert pt.lam == 0.0 and pt.alpha_at_star >= 0
 
 
@@ -145,7 +143,7 @@ def test_bisect_root_contracts():
 
 
 def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
-    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    coeffs = form_coefficients(mesh100, unstable_profile)
     pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
     assert pt.converged and pt.iterations <= 12
     # the same root by plain bisection on the sign of s^2 + alpha(s)
@@ -163,20 +161,21 @@ def _tight_root(forms, s_max):
                         1e-8 * s_max, s_max, 1e-13 * s_max, 200)[0]
 
 
-def _scenario(name, unstable_profile, mesh100):
-    """(profile, |xi|, params, S_max) of the enclosure scenarios."""
+def _scenario(name, unstable_profile):
+    """(profile, |xi|, S_max) of the enclosure scenarios."""
     if name == "polytropic":
         prm = unit_params(mu_prime_plus=0.3, mu_prime_minus=0.2, sigma_plus=0.1)
         prof = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
                                  PressureLaw.polytropic(2.0, 1.4), prm)
         xi = 1.0
     elif name == "isothermal":
-        prm, prof, xi = unit_params(), unstable_profile, 1.0
+        prof, xi = unstable_profile, 1.0
     else:  # a fraction of xi_c at sigma_minus = 0.1
-        prm, prof = unit_params(sigma_minus=0.1), unstable_profile
-        xi = float(name) * critical_frequency(prof, prm)
+        prof = unit_profile(sigma_minus=0.1)
+        xi = float(name) * critical_frequency(prof)
+    prm = prof.params
     s_max = 1.25 * prm.b * prm.g * prof.jump / prm.mu_minus
-    return prof, xi, prm, s_max
+    return prof, xi, s_max
 
 
 def _count_min_eig(monkeypatch):
@@ -193,9 +192,9 @@ def _count_min_eig(monkeypatch):
 @pytest.mark.parametrize("name", ["isothermal", "polytropic", "0.5", "0.99", "0.999"])
 def test_rayleigh_functional_encloses_the_root(name, unstable_profile, mesh100,
                                                monkeypatch):
-    prof, xi, prm, s_max = _scenario(name, unstable_profile, mesh100)
+    prof, xi, s_max = _scenario(name, unstable_profile)
     calls = _count_min_eig(monkeypatch)
-    coeffs = form_coefficients(mesh100, prof, prm)
+    coeffs = form_coefficients(mesh100, prof)
     pt = growth_rate(coeffs, xi)
     assert len(calls) == 1  # the probe: the root took factorizations only
     assert pt.converged and pt.lam > 0 and pt.iterations <= 10
@@ -211,7 +210,7 @@ def test_forced_fallback_bisects_to_the_root(unstable_profile, params, mesh100,
     monkeypatch.setattr(dispersion, "_rf_iterate",
                         lambda forms, v, s_min, s_max, delta: (math.nan, v, 0))
     calls = _count_min_eig(monkeypatch)
-    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    coeffs = form_coefficients(mesh100, unstable_profile)
     pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * 1e-10 * s_max
@@ -226,7 +225,7 @@ def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, param
                                                   mesh100, monkeypatch):
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     delta = 1e-10 * s_max
-    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    coeffs = form_coefficients(mesh100, unstable_profile)
     forms = coeffs.at(1.0)
     root = _tight_root(forms, s_max)
     planted = []
@@ -248,7 +247,7 @@ def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, param
 
 def test_rayleigh_functional_iteration_gives_up(unstable_profile, params, mesh100,
                                                 monkeypatch):
-    coeffs = form_coefficients(mesh100, unstable_profile, params)
+    coeffs = form_coefficients(mesh100, unstable_profile)
     forms = coeffs.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     args = (1e-8 * s_max, s_max, 1e-10 * s_max)
@@ -266,26 +265,27 @@ def test_rayleigh_functional_iteration_gives_up(unstable_profile, params, mesh10
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * args[2] and pt.converged
 
 
-def test_root_above_s_max_raises(unstable_profile, params, mesh40, monkeypatch):
+def test_root_above_s_max_raises(unstable_profile, mesh40, monkeypatch):
     # a bracket whose upper end lies below the root: the iterates leave it and
     # the Cholesky factorization of T(S_max) fails
     monkeypatch.setattr(dispersion, "_bracket", lambda *a: (1e-9, 0.05))
     with pytest.raises(NoSignChange):
-        growth_rate(form_coefficients(mesh40, unstable_profile, params), 1.0)
+        growth_rate(form_coefficients(mesh40, unstable_profile), 1.0)
 
 
-def test_one_eigensolve_per_frequency(unstable_profile, params, mesh100, monkeypatch):
+def test_one_eigensolve_per_frequency(unstable_profile, mesh100, monkeypatch):
     # the README scenario's sweep: each root's only eigensolve is its probe
     calls = _count_min_eig(monkeypatch)
-    summary = sweep_lattice(unstable_profile, mesh100, params, cutoff=4.0)
+    summary = sweep_lattice(form_coefficients(mesh100, unstable_profile), cutoff=4.0)
     assert len(summary.curve) == 8 and len(calls) == 8
     assert all(p.lam > 0 and p.converged and p.iterations <= 10
                for p in summary.curve)
 
 
-def test_sweep_assembles_once_per_mesh(unstable_profile, params, mesh40, monkeypatch):
+def test_sweep_assembles_once_per_mesh(unstable_profile, mesh40, monkeypatch):
     # the forms at each frequency are a band combination of coefficients
-    # built once per sweep, so the kernel calls do not grow with the lattice
+    # built once per mesh before the sweep, so the sweep calls no kernel
+    coeffs = form_coefficients(mesh40, unstable_profile)
     kernel, calls = variational.assemble, []
 
     def counted(*args):
@@ -293,22 +293,19 @@ def test_sweep_assembles_once_per_mesh(unstable_profile, params, mesh40, monkeyp
         return kernel(*args)
 
     monkeypatch.setattr(variational, "assemble", counted)
-    counts = []
     for cutoff, points in ((4.0, 8), (12.0, 57)):
-        calls.clear()
-        summary = sweep_lattice(unstable_profile, mesh40, params, cutoff=cutoff)
+        summary = sweep_lattice(coeffs, cutoff=cutoff)
         assert len(summary.curve) == points
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_growth_rate_and_sweep_take_one_path(threads, unstable_profile, mesh40):
     # a single-frequency solve and the sweep's row at the same |xi| agree bit
     # for bit, on one thread and on a pool
-    prm = unit_params(sigma_minus=0.2, sigma_plus=0.1)
-    alone = growth_rate(form_coefficients(mesh40, unstable_profile, prm), 2.0)
-    summary = sweep_lattice(unstable_profile, mesh40, prm, cutoff=3.0, threads=threads)
+    coeffs = form_coefficients(mesh40, unit_profile(sigma_minus=0.2, sigma_plus=0.1))
+    alone = growth_rate(coeffs, 2.0)
+    summary = sweep_lattice(coeffs, cutoff=3.0, threads=threads)
     (row,) = [p for p in summary.curve if p.xi_abs == 2.0]
     assert alone.lam > 0 and row.xi == (2.0, 0.0)
     assert (row.lam, row.alpha_at_star, row.iterations, row.converged) == \
@@ -316,14 +313,14 @@ def test_growth_rate_and_sweep_take_one_path(threads, unstable_profile, mesh40):
     assert np.array_equal(row.minimizer, alone.minimizer)
 
 
-def test_converged_flag_comes_from_the_eigen_residual(unstable_profile, params,
+def test_converged_flag_comes_from_the_eigen_residual(unstable_profile,
                                                       mesh40):
-    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    coeffs = form_coefficients(mesh40, unstable_profile)
     assert growth_rate(coeffs, 1.0).converged
     strict = NumericsConfig(eig_tol=1e-300)
     assert not growth_rate(coeffs, 1.0, strict).converged
-    prm = unit_params(sigma_minus=0.5)
-    probe = growth_rate(form_coefficients(mesh40, unstable_profile, prm), 3.0, strict)
+    probe = growth_rate(form_coefficients(mesh40, unit_profile(sigma_minus=0.5)), 3.0,
+                        strict)
     assert probe.lam == 0.0 and not probe.converged
 
 
@@ -343,9 +340,9 @@ def test_dedup_lattice_exact(params):
 
 def test_sweep_admissible_set(unstable_profile):
     # sigma_minus tuned so the instability window holds |xi| in {1, sqrt(2)}
-    prm = unit_params(sigma_minus=unstable_profile.jump / 1.5 ** 2)
+    prof = unit_profile(sigma_minus=unstable_profile.jump / 1.5 ** 2)
     mesh = build_mesh(1.0, 1.0, 24, 24)
-    summary = sweep_lattice(unstable_profile, mesh, prm, cutoff=1.5)
+    summary = sweep_lattice(form_coefficients(mesh, prof), cutoff=1.5)
     assert [round(p.xi_abs ** 2, 12) for p in summary.curve] == [1.0, 2.0]
     assert all(p.lam > 0 for p in summary.curve)
     assert summary.attained
@@ -353,9 +350,9 @@ def test_sweep_admissible_set(unstable_profile):
 
 def test_sweep_supercritical_all_zero(unstable_profile):
     sigma_c = unstable_profile.jump  # g = L = 1
-    prm = unit_params(sigma_minus=1.05 * sigma_c, sigma_plus=0.1)
+    prof = unit_profile(sigma_minus=1.05 * sigma_c, sigma_plus=0.1)
     mesh = build_mesh(1.0, 1.0, 24, 24)
-    summary = sweep_lattice(unstable_profile, mesh, prm, cutoff=2.5)
+    summary = sweep_lattice(form_coefficients(mesh, prof), cutoff=2.5)
     assert summary.Lambda == 0.0
     assert len(summary.curve) >= 3
     assert all(p.lam == 0.0 for p in summary.curve)
@@ -365,9 +362,9 @@ def test_sweep_supercritical_all_zero(unstable_profile):
 def test_sweep_window_and_probes(unstable_profile):
     # 0 < sigma_minus < sigma_c puts xi_c = sqrt(2.5) inside the cutoff:
     # |xi| in {1, sqrt(2)} grow, and the rest are zero by a nonnegative probe
-    prm = unit_params(sigma_minus=0.4 * unstable_profile.jump)
+    prof = unit_profile(sigma_minus=0.4 * unstable_profile.jump)
     mesh = build_mesh(1.0, 1.0, 24, 24)
-    summary = sweep_lattice(unstable_profile, mesh, prm, cutoff=3.0)
+    summary = sweep_lattice(form_coefficients(mesh, prof), cutoff=3.0)
     assert summary.xi_c == pytest.approx(math.sqrt(2.5), rel=1e-12)
     growing = [p for p in summary.curve if p.lam > 0]
     zero = [p for p in summary.curve if p.lam == 0.0]
@@ -377,20 +374,20 @@ def test_sweep_window_and_probes(unstable_profile):
 
 
 def test_sweep_unstable_bound_and_threads(unstable_profile, params):
-    mesh = build_mesh(1.0, 1.0, 24, 24)
-    summary = sweep_lattice(unstable_profile, mesh, params, cutoff=3.0)
+    coeffs = form_coefficients(build_mesh(1.0, 1.0, 24, 24), unstable_profile)
+    summary = sweep_lattice(coeffs, cutoff=3.0)
     bound = params.b * params.g * unstable_profile.jump / params.mu_minus
     assert summary.Lambda > 0
     assert all(p.lam <= bound * (1 + 1e-6) for p in summary.curve)
     assert not summary.attained  # sigma_minus = 0: cutoff-limited scan
     # thread pool reduces to identical results
-    par = sweep_lattice(unstable_profile, mesh, params, cutoff=3.0, threads=4)
+    par = sweep_lattice(coeffs, cutoff=3.0, threads=4)
     assert [p.lam for p in par.curve] == [p.lam for p in summary.curve]
 
 
-def test_sweep_requires_finite_cutoff(unstable_profile, params, mesh40):
+def test_sweep_requires_finite_cutoff(unstable_profile, mesh40):
     with pytest.raises(ValueError):
-        sweep_lattice(unstable_profile, mesh40, params, cutoff=math.inf)
+        sweep_lattice(form_coefficients(mesh40, unstable_profile), cutoff=math.inf)
 
 
 def test_dispersion_csv(tmp_path):

@@ -15,23 +15,24 @@ from rtstab.evolve import (STEP_BAND, Trajectory, advance,
 from rtstab.modes import assemble_mode, rotate_mode
 from rtstab.variational import (BAND, assemble, build_mesh, form_coefficients,
                                 form_terms)
-from tests.conftest import unit_params
+from tests.conftest import unit_profile
 from tests.oracles import (complex_operators, dense, embed_state, lu_step,
                            random_state)
 
 
 @pytest.fixture(scope="module")
-def unstable_setup(unstable_profile, params):
+def unstable_setup(unstable_profile):
     mesh = build_mesh(1.0, 1.0, 60, 60)
-    coeffs = form_coefficients(mesh, unstable_profile, params)
+    coeffs = form_coefficients(mesh, unstable_profile)
     pt = growth_rate(coeffs, 1.0)
     mode = assemble_mode(pt, coeffs)
     ops = semidiscretize(coeffs, 1.0)
     return mesh, pt, mode, ops
 
 
-def test_boundary_coefficients_match_variational(unstable_setup, unstable_profile, params):
+def test_boundary_coefficients_match_variational(unstable_setup, unstable_profile):
     _mesh, _pt, _mode, ops = unstable_setup
+    params = unstable_profile.params
     forms = ops.coeffs.at(1.0)
     k0_int = 0.5 * (params.sigma_minus - unstable_profile.jump * params.g)
     k0_top = 0.5 * (params.sigma_plus + unstable_profile.rho1 * params.g)
@@ -113,9 +114,9 @@ def test_energy_grows_at_twice_lambda(unstable_setup):
     assert rate == pytest.approx(2 * lam, rel=0.02)
 
 
-def test_stable_full_energy_monotone(stable_profile, params):
+def test_stable_full_energy_monotone(stable_profile):
     mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(form_coefficients(mesh, stable_profile, params), 1.0)
+    ops = semidiscretize(form_coefficients(mesh, stable_profile), 1.0)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     fe = np.array([ops.full_energy(y) for y in traj.states])
     assert np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300))
@@ -126,11 +127,10 @@ def test_stable_full_energy_monotone(stable_profile, params):
 
 
 def test_supercritical_tension_no_growth(unstable_profile):
-    from tests.conftest import unit_params
     sigma_c = unstable_profile.jump
-    prm = unit_params(sigma_minus=1.5 * sigma_c, sigma_plus=0.5)
+    prof = unit_profile(sigma_minus=1.5 * sigma_c, sigma_plus=0.5)
     mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(form_coefficients(mesh, unstable_profile, prm), 1.0)
+    ops = semidiscretize(form_coefficients(mesh, prof), 1.0)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
     em = traj.eta_minus_abs
     runmax = np.maximum.accumulate(em)
@@ -179,18 +179,18 @@ def test_singular_step_raises(unstable_setup):
         advance(interface_bump_state(ops), Degenerate(), 0.1, 0.5)
 
 
-def test_banded_step_matches_complex_lu(unstable_profile):
+def test_banded_step_matches_complex_lu():
     # the in-plane step against the complex packed (q | u1, u2, u3 | eta)
     # system with the full-velocity dissipation, stepped by SuperLU
-    prm = unit_params(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
-                      sigma_minus=0.1)
+    prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
+                        sigma_minus=0.1)
     mesh, dt = build_mesh(1.0, 1.0, 40, 40), 0.1
-    coeffs = form_coefficients(mesh, unstable_profile, prm)
+    coeffs = form_coefficients(mesh, prof)
     for xi in ((0.6, 0.8), (1.02, 1.36)):
         ops = semidiscretize(coeffs, math.hypot(*xi))
         y0 = random_state(ops, seed=3)
         y1 = advance(y0, ops, dt, dt).states[1]
-        ref = lu_step(*complex_operators(unstable_profile, mesh, xi, prm),
+        ref = lu_step(*complex_operators(prof, mesh, xi),
                       embed_state(ops, y0, xi), dt)
         got = embed_state(ops, y1, xi)
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
@@ -202,11 +202,11 @@ def test_banded_step_matches_complex_lu(unstable_profile):
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 40])
-def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
+def test_phased_step_matrices_real_and_banded(unstable_profile, n):
     # in the unknowns (q, v = i u_parallel, w = u3) the step matrices are
     # real, and node by node their half-bandwidth is STEP_BAND at every n
     ops = semidiscretize(
-        form_coefficients(build_mesh(1.0, 1.0, n, n + 1), unstable_profile, params), 1.0)
+        form_coefficients(build_mesh(1.0, 1.0, n, n + 1), unstable_profile), 1.0)
     layout = np.concatenate([ops.q, ops.v, ops.w, [ops.eta_plus_idx, ops.eta_minus_idx]])
     assert np.array_equal(np.sort(layout), np.arange(ops.n))
     step = ops.M - 0.05 * ops.A
@@ -215,11 +215,11 @@ def test_phased_step_matrices_real_and_banded(unstable_profile, params, n):
     assert np.abs(i - j).max() == STEP_BAND
 
 
-def test_wide_step_raises(unstable_profile, params, mesh40):
+def test_wide_step_raises(unstable_profile, mesh40):
     # the oracle's divergence in the field-by-field layout
     # [q (broken at the interface) | v | w | eta] is far wider than STEP_BAND
     (c, div), _visc, _mass = form_terms(
-        mesh40, form_coefficients(mesh40, unstable_profile, params).fields, 1.0)
+        mesh40, form_coefficients(mesh40, unstable_profile).fields, 1.0)
     nf, nq = mesh40.n_free, mesh40.n_nodes + 1
     e = np.arange(mesh40.n_elements)[:, None]
     qdofs = e + [0, 1] + (e >= mesh40.interface_index)
@@ -231,12 +231,11 @@ def test_wide_step_raises(unstable_profile, params, mesh40):
                  nq + mesh40.ndof + 2, STEP_BAND)
 
 
-def test_swapped_assembly_is_the_transpose(unstable_profile):
+def test_swapped_assembly_is_the_transpose():
     # A holds -B in its (q, u) block and B^T, assembled by swapping the
     # term's rows and dof maps, in its (u, q) block: exact transposes
-    prm = unit_params(mu_prime_minus=0.3, sigma_plus=0.2, sigma_minus=0.1)
-    ops = semidiscretize(
-        form_coefficients(build_mesh(1.0, 1.0, 20, 23), unstable_profile, prm), 1.3)
+    prof = unit_profile(mu_prime_minus=0.3, sigma_plus=0.2, sigma_minus=0.1)
+    ops = semidiscretize(form_coefficients(build_mesh(1.0, 1.0, 20, 23), prof), 1.3)
     A, u = dense(ops.A), np.concatenate([ops.v, ops.w])
     BT = A[np.ix_(u, ops.q)]
     assert np.count_nonzero(BT) > 0
@@ -269,17 +268,17 @@ def test_state_from_mode_rejects_nonzero_bottom(unstable_setup):
         state_from_mode(ops, replace(mode, phi=phi))
 
 
-def test_state_from_mode_rejects_other_mesh(unstable_setup, unstable_profile, params):
+def test_state_from_mode_rejects_other_mesh(unstable_setup, unstable_profile):
     _mesh, _pt, mode, _ops = unstable_setup
 
     def ops_on(n_minus, n_plus):
         mesh = build_mesh(1.0, 1.0, n_minus, n_plus)
-        return semidiscretize(form_coefficients(mesh, unstable_profile, params), 1.0)
+        return semidiscretize(form_coefficients(mesh, unstable_profile), 1.0)
 
     with pytest.raises(ValueError):
         state_from_mode(ops_on(10, 10), mode)
     # the same node and q counts with another layer split
-    coeffs = form_coefficients(build_mesh(1.0, 1.0, 10, 30), unstable_profile, params)
+    coeffs = form_coefficients(build_mesh(1.0, 1.0, 10, 30), unstable_profile)
     split = assemble_mode(growth_rate(coeffs, 1.0), coeffs)
     state_from_mode(ops_on(10, 30), split)
     with pytest.raises(ValueError, match="mesh"):

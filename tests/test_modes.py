@@ -14,8 +14,8 @@ from tests.oracles import import_mode_csv
 
 
 @pytest.fixture(scope="module")
-def coeffs40(unstable_profile, params, mesh40):
-    return form_coefficients(mesh40, unstable_profile, params)
+def coeffs40(unstable_profile, mesh40):
+    return form_coefficients(mesh40, unstable_profile)
 
 
 @pytest.fixture(scope="module")
@@ -106,31 +106,31 @@ def test_degenerate_mode_rejected(mode_point, coeffs40):
         assemble_mode(replace(mode_point, lam=0.0), coeffs40)
 
 
-def test_dirichlet_rows_exact(mode, unstable_profile, params):
-    rep = ode_residual(mode, unstable_profile, params)
+def test_dirichlet_rows_exact(mode, unstable_profile):
+    rep = ode_residual(mode, unstable_profile)
     assert rep.bottom_phi == 0.0
     assert rep.bottom_psi == 0.0
     assert rep.theta_interior == 0.0  # theta = 0 solves its equation vacuously
 
 
-def test_residual_decay_under_refinement(unstable_profile, params):
+def test_residual_decay_under_refinement(unstable_profile):
     worst = []
     for n in (25, 50, 100):
         mesh = build_mesh(1.0, 1.0, n, n)
-        coeffs = form_coefficients(mesh, unstable_profile, params)
+        coeffs = form_coefficients(mesh, unstable_profile)
         mode_n = assemble_mode(growth_rate(coeffs, 1.0), coeffs)
-        rep = ode_residual(mode_n, unstable_profile, params).as_dict()
+        rep = ode_residual(mode_n, unstable_profile).as_dict()
         worst.append(max(rep.values()))
     order = math.log2(worst[0] / worst[1]) if worst[1] else 2.0
     order2 = math.log2(worst[1] / worst[2]) if worst[2] else 2.0
     assert min(order, order2) >= 0.9
 
 
-def test_residual_rotation_invariant(mode, unstable_profile, params):
-    base = ode_residual(mode, unstable_profile, params).as_dict()
+def test_residual_rotation_invariant(mode, unstable_profile):
+    base = ode_residual(mode, unstable_profile).as_dict()
     t = 1.1
     R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    rot = ode_residual(rotate_mode(mode, R), unstable_profile, params).as_dict()
+    rot = ode_residual(rotate_mode(mode, R), unstable_profile).as_dict()
     for key, val in base.items():
         assert rot[key] == pytest.approx(val, abs=1e-12)
 

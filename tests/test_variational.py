@@ -12,7 +12,8 @@ from rtstab.variational import (BAND, assemble, band_mv, build_mesh, eig_residua
                                 min_eig, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import BandOverflow
-from tests.conftest import unit_params
+from rtstab.evolve import semidiscretize
+from tests.conftest import unit_params, unit_profile
 from tests.oracles import (add_element, assemble_forms, assemble_forms_3field,
                            assemble_forms_alt, dense, dense_forms, element_layer,
                            min_eig_3field, min_eig_dense)
@@ -28,15 +29,15 @@ def test_build_mesh_examples():
         build_mesh(1.0, 1.0, 1, 2)
 
 
-def test_zero_vector_zero_forms(unstable_profile, params, mesh40):
-    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+def test_zero_vector_zero_forms(unstable_profile, mesh40):
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
     v = np.zeros(mesh40.ndof)
     e, j = evaluate_energy(forms, v, 0.7)
     assert e == 0.0 and j == 0.0
 
 
-def test_exact_symmetry_and_definiteness(unstable_profile, params, mesh40):
-    forms = form_coefficients(mesh40, unstable_profile, params).at(1.3)
+def test_exact_symmetry_and_definiteness(unstable_profile, mesh40):
+    forms = form_coefficients(mesh40, unstable_profile).at(1.3)
     K0, K1, M = dense(forms.K0), dense(forms.K1), dense(forms.M)
     assert np.array_equal(K0, K0.T)
     assert np.array_equal(K1, K1.T)
@@ -45,16 +46,16 @@ def test_exact_symmetry_and_definiteness(unstable_profile, params, mesh40):
     assert np.linalg.eigvalsh(M).min() > 0
 
 
-def test_stable_orientation_k0_psd(stable_profile, params, mesh40):
+def test_stable_orientation_k0_psd(stable_profile, mesh40):
     # jump <= 0 and sigma >= 0 make the static energy nonnegative
-    K0 = dense(form_coefficients(mesh40, stable_profile, params).at(1.0).K0)
+    K0 = dense(form_coefficients(mesh40, stable_profile).at(1.0).K0)
     scale = np.abs(K0).max()
     assert np.linalg.eigvalsh(K0).min() >= -1e-13 * scale
 
 
 def test_energy_lower_bound_random(unstable_profile, params, mesh40):
     rng = np.random.default_rng(42)
-    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    coeffs = form_coefficients(mesh40, unstable_profile)
     for xi in (0.5, 1.0, 2.0):
         forms = coeffs.at(xi)
         M = dense(forms.M)
@@ -66,8 +67,8 @@ def test_energy_lower_bound_random(unstable_profile, params, mesh40):
             assert e >= -params.g * xi - 1e-10
 
 
-def test_stable_alpha_nonnegative(stable_profile, params, mesh40):
-    forms = form_coefficients(mesh40, stable_profile, params).at(1.0)
+def test_stable_alpha_nonnegative(stable_profile, mesh40):
+    forms = form_coefficients(mesh40, stable_profile).at(1.0)
     for s in np.geomspace(1e-6, 2.0, 8):
         alpha, _ = min_eig(forms, s)
         assert alpha >= -1e-12
@@ -75,17 +76,17 @@ def test_stable_alpha_nonnegative(stable_profile, params, mesh40):
 
 def test_alpha_respects_lower_bound(unstable_profile, params, mesh40):
     # sharpest form of the energy bound: the infimum itself sits above -g|xi|
-    coeffs = form_coefficients(mesh40, unstable_profile, params)
+    coeffs = form_coefficients(mesh40, unstable_profile)
     for xi in (0.5, 1.0, 2.5):
         forms = coeffs.at(xi)
         alpha, _ = min_eig(forms, 1e-6)
         assert alpha >= -params.g * xi - 1e-10
 
 
-def test_dense_vs_iterative(unstable_profile, params):
+def test_dense_vs_iterative(unstable_profile):
     mesh = build_mesh(1.0, 1.0, 20, 20)
     rng = np.random.default_rng(3)
-    coeffs = form_coefficients(mesh, unstable_profile, params)
+    coeffs = form_coefficients(mesh, unstable_profile)
     for _ in range(10):
         xi = float(rng.uniform(0.3, 3.0))
         s = float(rng.uniform(1e-4, 1.5))
@@ -95,12 +96,12 @@ def test_dense_vs_iterative(unstable_profile, params):
         assert abs(a_dense - a_iter) <= 1e-9
 
 
-def test_shift_invert_is_deterministic(unstable_profile, params, mesh100):
+def test_shift_invert_is_deterministic(unstable_profile, mesh100):
     # the Lanczos start vector is fixed, so repeated solves are bit-identical
     for s in (1e-6, 0.5):
-        runs = [min_eig(form_coefficients(mesh100, unstable_profile, params).at(1.0), s)
+        runs = [min_eig(form_coefficients(mesh100, unstable_profile).at(1.0), s)
                 for _ in range(2)]
-        forms = form_coefficients(mesh100, unstable_profile, params).at(1.0)
+        forms = form_coefficients(mesh100, unstable_profile).at(1.0)
         runs += [min_eig(forms, s) for _ in range(2)]
         for alpha, v in runs[1:]:
             assert alpha == runs[0][0]
@@ -111,10 +112,10 @@ def test_sparse_matches_dense_past_sigma_c(unstable_profile):
     # supercritical tension: at s = 1e-8 S_max the lowest eigenvalues are
     # small, positive and clustered, so the certified shift 0 is used
     sigma_c = unstable_profile.jump  # g = L1 = L2 = 1
-    prm = unit_params(sigma_minus=1.05 * sigma_c, sigma_plus=0.1)
+    prof = unit_profile(sigma_minus=1.05 * sigma_c, sigma_plus=0.1)
     mesh = build_mesh(1.0, 1.0, 100, 100)
     s = 1e-8 * 1.25 * unstable_profile.jump
-    coeffs = form_coefficients(mesh, unstable_profile, prm)
+    coeffs = form_coefficients(mesh, prof)
     for xi in (1.0, 2.0, 5.0, 11.5):
         forms = coeffs.at(xi)
         a_sparse, v = min_eig(forms, s)
@@ -130,39 +131,39 @@ def _pd(forms, s, shift):
     return dpbtrf(K[:BAND + 1])[1] == 0
 
 
-def test_band_storage_reproduces_interleaved_forms(unstable_profile):
+def test_band_storage_reproduces_interleaved_forms():
     # the kernel's band storage against a dense per-element, per-point sum,
     # with mu' != 0 and both surface tensions on
-    prm = unit_params(mu_plus=0.7, mu_prime_plus=0.2, mu_prime_minus=0.3,
-                      sigma_plus=0.2, sigma_minus=0.1)
+    prof = unit_profile(mu_plus=0.7, mu_prime_plus=0.2, mu_prime_minus=0.3,
+                        sigma_plus=0.2, sigma_minus=0.1)
     mesh = build_mesh(1.0, 1.0, 7, 9)
-    coeffs = form_coefficients(mesh, unstable_profile, prm)
+    coeffs = form_coefficients(mesh, prof)
     for xi in (0.4, 1.3, 6.0):
         forms = coeffs.at(xi)
         assert forms.psi_interface_dof == 2 * mesh.interface_index - 1
         for ab, ref in zip((forms.K0, forms.K1, forms.M),
-                           dense_forms(mesh, unstable_profile, xi, prm)):
+                           dense_forms(mesh, prof, xi)):
             assert ab.shape == (2 * BAND + 1, mesh.ndof)
             assert np.abs(dense(ab) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_band_overflow_is_a_solver_error(unstable_profile, params, mesh40):
+def test_band_overflow_is_a_solver_error(unstable_profile, mesh40):
     # the pencil in block order (all phi, then all psi) is far wider than
     # BAND: the kernel refuses it
     nf = mesh40.n_free
     dofs = np.arange(mesh40.n_elements)[:, None] - 1 + np.array([0, 1, nf, nf + 1])
     dofs[0, 0::2] = -1
     _div, _visc, mass = form_terms(
-        mesh40, form_coefficients(mesh40, unstable_profile, params).fields, 1.0)
+        mesh40, form_coefficients(mesh40, unstable_profile).fields, 1.0)
     with pytest.raises(BandOverflow):
         assemble(mesh40, mass, dofs, dofs, mesh40.ndof, BAND)
     assert not isinstance(BandOverflow(), ValueError)
 
 
-def test_below_root_matches_dense(unstable_profile, params, mesh100):
+def test_below_root_matches_dense(unstable_profile, mesh100):
     # at |xi| = 1 the root is near s = 0.075; below it K is indefinite, so
     # the shift is the far bound -1.1 g|xi| - 1
-    forms = form_coefficients(mesh100, unstable_profile, params).at(1.0)
+    forms = form_coefficients(mesh100, unstable_profile).at(1.0)
     for s in (0.02, 0.05):
         a_dense, _ = min_eig_dense(forms, s)
         assert s * s + a_dense < 0
@@ -172,63 +173,61 @@ def test_below_root_matches_dense(unstable_profile, params, mesh100):
         assert eig_residual(forms, s, alpha, v) <= 1e-12
 
 
-def test_band_arrays_are_fortran_ordered(unstable_profile, params, mesh100):
+def test_band_arrays_are_fortran_ordered(unstable_profile, mesh100):
     # dgbmv reads Fortran-ordered band arrays in place; a C-ordered copy of
-    # the same storage gives the same products bit for bit
-    forms = form_coefficients(mesh100, unstable_profile, params).at(1.3)
-    v = np.random.default_rng(3).standard_normal(mesh100.ndof)
-    for ab in (forms.K0, forms.K1, forms.M):
-        assert ab.flags.f_contiguous and not ab.flags.c_contiguous
-        assert np.array_equal(band_mv(ab, v), band_mv(np.ascontiguousarray(ab), v))
+    # the same storage gives the same products bit for bit.  That holds for
+    # the forms and for the evolution oracle's operators
+    coeffs = form_coefficients(mesh100, unstable_profile)
+    forms, ops = coeffs.at(1.3), semidiscretize(coeffs, 1.3)
+    rng = np.random.default_rng(3)
+    for arrays in ((forms.K0, forms.K1, forms.M), (ops.M, ops.A, ops.W, ops.D)):
+        v = rng.standard_normal(arrays[0].shape[1])
+        for ab in arrays:
+            assert ab.flags.f_contiguous and not ab.flags.c_contiguous
+            assert np.array_equal(band_mv(ab, v), band_mv(np.ascontiguousarray(ab), v))
 
 
-def _coefficient_scenarios(unstable_profile, params):
+def _coefficient_scenarios(unstable_profile):
     """The isothermal pair, and a polytropic pair with mu' != 0 and both
     surface tensions on."""
     prm = unit_params(mu_prime_plus=0.3, mu_prime_minus=0.2, sigma_plus=0.15,
                       sigma_minus=0.05)
     poly = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
                              PressureLaw.polytropic(2.0, 1.4), prm)
-    return [(unstable_profile, params), (poly, prm)]
+    return [unstable_profile, poly]
 
 
-def test_coefficients_reproduce_the_assembled_forms(unstable_profile, params, mesh100):
+def test_coefficients_reproduce_the_assembled_forms(unstable_profile, mesh100):
     # against the kernel at the benchmark's n = 100 too, where the cancellation
     # in C is largest, and against the dense per-element sum on a small mesh
     small = build_mesh(1.0, 1.0, 9, 12)
-    for prof, prm in _coefficient_scenarios(unstable_profile, params):
+    for prof in _coefficient_scenarios(unstable_profile):
         for mesh in (small, mesh100):
-            coeffs = form_coefficients(mesh, prof, prm)
+            coeffs = form_coefficients(mesh, prof)
             for xi in (0.3, 1.0, 2.5, 7.1, 11.9):
-                forms, ref = coeffs.at(xi), assemble_forms(mesh, prof, xi, prm)
-                assert forms.xi_abs == xi and forms.g == prm.g
+                forms, ref = coeffs.at(xi), assemble_forms(mesh, prof, xi)
+                assert forms.xi_abs == xi and forms.g == prof.params.g
                 assert forms.psi_interface_dof == ref.psi_interface_dof
                 pairs = list(zip((forms.K0, forms.K1, forms.M), (ref.K0, ref.K1, ref.M)))
                 if mesh is small:
                     pairs += zip(map(dense, (forms.K0, forms.K1, forms.M)),
-                                 dense_forms(mesh, prof, xi, prm))
+                                 dense_forms(mesh, prof, xi))
                 for got, want in pairs:
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_form_coefficients_rejects_params_of_another_profile(unstable_profile, params,
-                                                            mesh40):
-    # the profile's g fixes rho' and its b and ell the span of the mesh; the
-    # viscosities and tensions are the forms' own
-    for key, value in (("b", 2.0), ("ell", 0.5), ("g", 2.0), ("p_atm", 1.5)):
-        with pytest.raises(ValueError, match=f"params.{key} "):
-            form_coefficients(mesh40, unstable_profile, unit_params(**{key: value}))
+def test_form_coefficients_rejects_a_mesh_of_another_span(unstable_profile):
+    # the mesh is built apart from the profile, so it must span the
+    # profile's [-b, ell]
     for mesh in (build_mesh(2.0, 1.0, 40, 40), build_mesh(1.0, 0.5, 40, 40)):
         with pytest.raises(ValueError, match="mesh spans"):
-            form_coefficients(mesh, unstable_profile, params)
-    prm = unit_params(mu_plus=0.5, mu_prime_minus=0.2, sigma_plus=0.1, sigma_minus=0.3)
-    assert form_coefficients(mesh40, unstable_profile, prm).params is prm
+            form_coefficients(mesh, unstable_profile)
 
 
-def test_coefficients_are_exactly_symmetric_and_read_only(unstable_profile, params):
+def test_coefficients_are_exactly_symmetric_and_read_only(unstable_profile):
     mesh = build_mesh(1.0, 1.0, 9, 12)
-    for prof, prm in _coefficient_scenarios(unstable_profile, params):
-        coeffs = form_coefficients(mesh, prof, prm)
+    for prof in _coefficient_scenarios(unstable_profile):
+        coeffs = form_coefficients(mesh, prof)
         stored = (*coeffs.K0, *coeffs.K1, coeffs.M)
         for xi in (0.3, 1.0, 2.5, 7.1, 11.9):
             forms = coeffs.at(xi)
@@ -240,14 +239,14 @@ def test_coefficients_are_exactly_symmetric_and_read_only(unstable_profile, para
                 ab[BAND, 0] = 1.0
 
 
-def test_coefficients_are_the_three_point_rule(unstable_profile, params):
+def test_coefficients_are_the_three_point_rule(unstable_profile):
     # form_coefficients never assembles K(-1): flipping every phi dof maps
     # K(1) to K(-1).  The rule A = K(0), B = (K(1) - K(-1))/2,
     # C = (K(1) + K(-1))/2 - K(0) on the kernel gives the same bulk bits.
     mesh = build_mesh(1.0, 1.0, 9, 12)
-    for prof, prm in _coefficient_scenarios(unstable_profile, params):
-        coeffs = form_coefficients(mesh, prof, prm)
-        kernel = [(f.K0, f.K1) for f in (assemble_forms(mesh, prof, xi, prm)
+    for prof in _coefficient_scenarios(unstable_profile):
+        coeffs = form_coefficients(mesh, prof)
+        kernel = [(f.K0, f.K1) for f in (assemble_forms(mesh, prof, xi)
                                          for xi in (0.0, 1.0, -1.0))]
         bulk = np.ones((2 * BAND + 1, mesh.ndof), bool)
         bulk[BAND, [coeffs.at(1.0).psi_interface_dof, -1]] = False  # E0's boundary
@@ -259,8 +258,8 @@ def test_coefficients_are_the_three_point_rule(unstable_profile, params):
                 assert np.array_equal(got[entries], rule[entries])
 
 
-def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
-    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+def test_rayleigh_identity_and_scaling(unstable_profile, mesh40):
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
     alpha, v = min_eig(forms, 0.05)
     e, j = evaluate_energy(forms, v, 0.05)
     assert e == pytest.approx(alpha, abs=1e-10)
@@ -270,8 +269,8 @@ def test_rayleigh_identity_and_scaling(unstable_profile, params, mesh40):
     assert j2 == pytest.approx(4 * j, rel=1e-12)
 
 
-def test_monotonicity_in_s(unstable_profile, params, mesh40):
-    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+def test_monotonicity_in_s(unstable_profile, mesh40):
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
     K1 = dense(forms.K1)
     s_grid = np.geomspace(1e-3, 1.7, 10)
     alphas = []
@@ -288,30 +287,30 @@ def test_monotonicity_in_s(unstable_profile, params, mesh40):
                 0.5 * (s_grid[i + 1] - s_grid[i]) * e1s[i + 1]
 
 
-def test_minimizer_interface_value_nonzero(unstable_profile, params, mesh40):
-    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+def test_minimizer_interface_value_nonzero(unstable_profile, mesh40):
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
     alpha, v = min_eig(forms, 0.01)
     assert alpha < 0
     assert v[forms.psi_interface_dof] > 1e-8  # sign convention makes it >= 0
 
 
-def test_mesh_convergence_order(unstable_profile, params):
+def test_mesh_convergence_order(unstable_profile):
     alphas = []
     for n in (25, 50, 100):
         mesh = build_mesh(1.0, 1.0, n, n)
-        forms = form_coefficients(mesh, unstable_profile, params).at(1.0)
+        forms = form_coefficients(mesh, unstable_profile).at(1.0)
         a, _ = min_eig(forms, 0.075)
         alphas.append(a)
     order = math.log2(abs(alphas[1] - alphas[0]) / abs(alphas[2] - alphas[1]))
     assert order > 1.9
 
 
-def test_k0_alt_agreement(unstable_profile, params):
+def test_k0_alt_agreement(unstable_profile):
     rng = np.random.default_rng(11)
     for n in (8, 16, 32):
         mesh = build_mesh(1.0, 1.0, n, n)
-        forms = form_coefficients(mesh, unstable_profile, params).at(1.0)
-        alt = assemble_forms_alt(mesh, unstable_profile, 1.0, params)
+        forms = form_coefficients(mesh, unstable_profile).at(1.0)
+        alt = assemble_forms_alt(mesh, unstable_profile, 1.0)
         for _ in range(5):
             v = rng.standard_normal(mesh.ndof)
             gap = abs(v @ (dense(forms.K0) - alt) @ v)
@@ -321,26 +320,22 @@ def test_k0_alt_agreement(unstable_profile, params):
 
 
 def test_k0_alt_exact_when_g_zero():
-    prm = unit_params(g=1e-30, sigma_plus=0.5, sigma_minus=0.7)
     # g ~ 0 freezes the density, so both assemblies integrate identical bulk
-    prof = solve_equilibrium(PressureLaw.isothermal(1.0),
-                             PressureLaw.isothermal(2.0), prm)
+    prof = unit_profile(g=1e-30, sigma_plus=0.5, sigma_minus=0.7)
     mesh = build_mesh(1.0, 1.0, 12, 12)
-    forms = form_coefficients(mesh, prof, prm).at(1.0)
-    alt = assemble_forms_alt(mesh, prof, 1.0, prm)
+    forms = form_coefficients(mesh, prof).at(1.0)
+    alt = assemble_forms_alt(mesh, prof, 1.0)
     assert np.abs(dense(forms.K0) - alt).max() <= 1e-12 * np.abs(alt).max()
 
 
 def test_k1_and_m_match_closed_form_p1_elements():
     # g ~ 0 freezes the density, so every integrand has constant coefficients
     # per layer and 4-point Gauss reproduces the closed-form P1 element matrices
-    prm = unit_params(b=0.8, ell=1.3, g=1e-30, mu_plus=0.7, mu_minus=1.3,
-                      mu_prime_plus=0.3, mu_prime_minus=0.1)
-    prof = solve_equilibrium(PressureLaw.isothermal(1.0),
-                             PressureLaw.isothermal(2.0), prm)
+    prof = unit_profile(b=0.8, ell=1.3, g=1e-30, mu_plus=0.7, mu_minus=1.3,
+                        mu_prime_plus=0.3, mu_prime_minus=0.1)
     mesh = build_mesh(0.8, 1.3, 5, 7)
     xi = 1.7
-    forms = form_coefficients(mesh, prof, prm).at(xi)
+    forms = form_coefficients(mesh, prof).at(xi)
     mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0  # times h
     stiff = np.array([[1.0, -1.0], [-1.0, 1.0]])  # over h
     cross = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / 2.0  # int N_i N_j'
@@ -350,8 +345,8 @@ def test_k1_and_m_match_closed_form_p1_elements():
         layer = element_layer(mesh, e)
         h = mesh.nodes[e + 1] - mesh.nodes[e]
         rho = prof.rho1 if layer == "plus" else prof.rho_bot_interface
-        mu = prm.mu(layer)
-        kappa = mu / 3.0 + prm.mu_prime(layer)
+        mu = prof.params.mu(layer)
+        kappa = mu / 3.0 + prof.params.mu_prime(layer)
         # E1 = 1/2 int mu (phi' - xi psi)^2 + mu (psi' - xi phi)^2
         #               + kappa (psi' + xi phi)^2
         pp = 0.5 * mu * stiff / h + 0.5 * xi**2 * (mu + kappa) * h * mass
@@ -385,9 +380,9 @@ def test_project_p1_reproduces_p1_interpolants():
         <= 1e-13 * np.abs(upper).max()
 
 
-def test_theta_decouples_at_negative_alpha(unstable_profile, params, mesh40):
-    f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0), params)
-    f2 = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+def test_theta_decouples_at_negative_alpha(unstable_profile, mesh40):
+    f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0))
+    f2 = form_coefficients(mesh40, unstable_profile).at(1.0)
     a3, v3 = min_eig_3field(f3, 0.01)
     a2, _ = min_eig(f2, 0.01)
     assert a3 < 0
@@ -397,27 +392,27 @@ def test_theta_decouples_at_negative_alpha(unstable_profile, params, mesh40):
     assert math.sqrt(abs(theta @ mass @ theta)) <= 1e-8
 
 
-def test_3field_restriction_matches_2field(unstable_profile, params, mesh40):
-    f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0), params)
-    f2 = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+def test_3field_restriction_matches_2field(unstable_profile, mesh40):
+    f3 = assemble_forms_3field(mesh40, unstable_profile, (1.0, 0.0))
+    f2 = form_coefficients(mesh40, unstable_profile).at(1.0)
     idx = np.flatnonzero(np.arange(3 * f3.n_free) % 3 != 1)  # (phi_m, psi_m)
     assert np.abs(f3.K0[np.ix_(idx, idx)] - dense(f2.K0)).max() <= 1e-12
     assert np.abs(f3.K1[np.ix_(idx, idx)] - dense(f2.K1)).max() <= 1e-12
     assert np.abs(f3.M[np.ix_(idx, idx)] - dense(f2.M)).max() == 0.0
 
 
-def test_3field_rotation_invariance(unstable_profile, params):
+def test_3field_rotation_invariance(unstable_profile):
     # alpha depends on |xi| only: compare (1,0) against a rotated frequency
     mesh = build_mesh(1.0, 1.0, 24, 24)
     a_axis, _ = min_eig_3field(
-        assemble_forms_3field(mesh, unstable_profile, (1.0, 0.0), params), 0.05)
+        assemble_forms_3field(mesh, unstable_profile, (1.0, 0.0)), 0.05)
     c, s = math.cos(0.7), math.sin(0.7)
     a_rot, _ = min_eig_3field(
-        assemble_forms_3field(mesh, unstable_profile, (c, s), params), 0.05)
+        assemble_forms_3field(mesh, unstable_profile, (c, s)), 0.05)
     assert a_rot == pytest.approx(a_axis, abs=1e-11)
 
 
-def test_min_eig_requires_positive_s(unstable_profile, params, mesh40):
-    forms = form_coefficients(mesh40, unstable_profile, params).at(1.0)
+def test_min_eig_requires_positive_s(unstable_profile, mesh40):
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
     with pytest.raises(ValueError):
         min_eig(forms, 0.0)
