@@ -10,10 +10,11 @@ Subcommands:
     oracle        trajectory.csv + rate.json for --xi
     extend        extension.csv for --input grid, order --m
 
-Shared flags: --config PATH (required), --out DIR, --threads N (used by
-dispersion only).  Exit codes: 0 success, 2 configuration/contract error, 3
-solver failure.  Artifacts are deterministic: CSV floats print with %.17g,
-JSON uses sorted keys and round-trip float repr.
+Shared flags: --config PATH (required), --out DIR, --threads N (accepted
+and ignored: every command runs serially; the flag stays only while the
+benchmark passes it).  Exit codes: 0 success, 2 configuration/contract or
+I/O error, 3 solver failure.  Artifacts are deterministic: CSV floats print
+with %.17g, JSON uses sorted keys and round-trip float repr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import evolve
 from . import modes as modes_mod
 from .config import RunConfig, load_config
 from .equilibrium import export_profile_csv, solve_equilibrium
-from .errors import AnalyzerError, ConfigError, InvalidInput
+from .errors import AnalyzerError, ConfigError, IllConditioned, InvalidInput
 from .poisson_ext import ExtensionParams, InterfaceExtension, read_field_csv
 from .variational import build_mesh, form_coefficients, min_eig
 
@@ -79,7 +80,7 @@ def cmd_alpha(cfg, out, args) -> int:
 
 def cmd_dispersion(cfg, out, args) -> int:
     summary = disp.sweep_lattice(_form_coefficients(cfg), cfg.numerics.xi_cutoff,
-                                 cfg.numerics, args.threads)
+                                 cfg.numerics)
     disp.write_dispersion_csv(summary.curve, out / "dispersion.csv")
     _write_json(disp.summary_dict(summary), out / "summary.json")
     return 0
@@ -133,7 +134,10 @@ def cmd_oracle(cfg, out, args) -> int:
 
 def cmd_extend(cfg, out, args) -> int:
     field = read_field_csv(args.input)
-    params = ExtensionParams.default(args.m)
+    try:
+        params = ExtensionParams.default(args.m)
+    except (ValueError, IllConditioned) as exc:
+        raise InvalidInput(f"--m {args.m} is not a supported matching order: {exc}") from exc
     ext = InterfaceExtension(field, params)
     levels = np.linspace(-cfg.params.b, cfg.params.ell, args.levels)
     with open(out / "extension.csv", "w", encoding="utf-8") as fh:
@@ -168,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the dispersion sweep")
+                       help="accepted and ignored; kept only while the "
+                            "benchmark passes it")
         if name in ("alpha", "growth", "mode", "oracle"):
             p.add_argument("--xi", type=float, required=True,
                            help="frequency magnitude |xi|")
@@ -190,6 +195,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and not 0.0 < value < np.inf:
                 raise InvalidInput(f"--{flag} must be finite and > 0, got {value}")
+        if getattr(args, "m", 0) < 0:
+            raise InvalidInput(f"--m must be >= 0, got {args.m}")
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -197,7 +204,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but a solver failure
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, InvalidInput, ValueError) as exc:
+    except (ConfigError, InvalidInput, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalyzerError as exc:

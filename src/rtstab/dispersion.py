@@ -39,15 +39,15 @@ because the smallest nonzero lattice frequency then falls outside the
 window.  The sweep enumerates xi in (1/L1)Z x (1/L2)Z and deduplicates by
 |xi| (rates depend on the magnitude alone).  Like growth_rate, it takes the
 forms' quadratic coefficients in |xi| (variational.form_coefficients) and
-reads every physical parameter from their profile.  growth_rate takes the
-forms at each point from them, one band combination each; outside the
-window that call ends at its nonnegative alpha probe.
+reads every physical parameter from their profile.  It is one serial pass
+of growth_rate in ascending |xi|^2, which takes the forms at each point
+from the coefficients, one band combination each; outside the window that
+call ends at its nonnegative alpha probe.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -272,16 +272,13 @@ def _dedup_lattice(params: PhysicalParams, limit: float):
 
 
 def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
-                  numerics: NumericsConfig = NumericsConfig(),
-                  threads: int = 1) -> GrowthSummary:
+                  numerics: NumericsConfig = NumericsConfig()) -> GrowthSummary:
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
-    Every frequency goes through growth_rate on coeffs, so a point gets
-    lam = 0 only when its probe alpha(s_min) is nonnegative; outside the
-    instability window that probe is the whole solve.  Points are
-    independent, so the solve may run on a thread pool that shares the
-    read-only coefficients; results are reduced deterministically in
-    ascending |xi|^2 order.
+    Every frequency goes through growth_rate on coeffs, in ascending |xi|^2,
+    so a point gets lam = 0 only when its probe alpha(s_min) is nonnegative;
+    outside the instability window that probe is the whole solve.  Each row
+    carries its lattice representative as xi.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise ValueError("cutoff must be finite and > 0")
@@ -289,20 +286,9 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     params, jump = profile.params, profile.jump
     # a stable orientation has no instability window at all
     xi_c = critical_frequency(profile) if jump > 0 else math.nan
-    groups = _dedup_lattice(params, cutoff)
-
-    def solve_one(item):
-        key, (m, n) = item
-        xi_abs = math.sqrt(float(key))
-        point = growth_rate(coeffs, xi_abs, numerics)
-        return replace(point, xi=(m / params.L1, n / params.L2))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            curve = list(pool.map(solve_one, groups))
-    else:
-        curve = [solve_one(item) for item in groups]
-
+    curve = [replace(growth_rate(coeffs, math.sqrt(float(key)), numerics),
+                     xi=(m / params.L1, n / params.L2))
+             for key, (m, n) in _dedup_lattice(params, cutoff)]
     lam_max = 0.0
     argmax = None
     for pt in curve:

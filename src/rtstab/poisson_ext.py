@@ -42,8 +42,9 @@ class PeriodicField:
         v = np.asarray(self.values)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
             raise ValueError("values must be a 2d grid with sizes >= 2")
-        if self.L1 <= 0 or self.L2 <= 0:
-            raise ValueError("periodicity lengths must be > 0")
+        if not (0 < self.L1 < np.inf and 0 < self.L2 < np.inf):
+            raise ValueError(f"periodicity lengths must be finite and > 0, "
+                             f"got L1 = {self.L1}, L2 = {self.L2}")
         object.__setattr__(self, "values", v)
 
     @property

@@ -298,7 +298,7 @@ class FormCoefficients:
     fields holds the layer_fields at the quadrature points mesh.quad[0] that
     they were assembled from.  Every array is read-only and every form is
     exactly symmetric band storage, so one object serves all the frequencies
-    of a sweep and all its threads."""
+    of a sweep."""
 
     mesh: Mesh1D
     profile: EquilibriumProfile

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import rtstab
+from bench.inputs import WORKLOADS, cli_argv
 from bench.spans import TARGETS
 from rtstab import variational
-from rtstab.cli import main
+from rtstab.cli import build_parser, main
 from rtstab.config import load_config
 from rtstab.errors import ConfigError
 
@@ -69,6 +70,7 @@ def test_dispersion_supercritical_all_zero(tmp_path):
 
 
 def test_dispersion_unstable_and_determinism(tmp_path):
+    # --threads is accepted and changes no byte
     cfg = write_config(tmp_path / "cfg.json", cutoff=1.5)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["dispersion", "--config", str(cfg), "--out", str(out1)]) == 0
@@ -154,6 +156,63 @@ def test_extend_artifacts(tmp_path):
     rows = (out / "extension.csv").read_text().splitlines()
     assert rows[0] == "x3,i1,i2,value"
     assert len(rows) == 1 + 5 * 64
+
+
+def write_field_header(path, L1, L2):
+    path.write_text(f"N1,N2,L1,L2\n2,2,{L1},{L2}\n0.5,1.5\n1.0,2.0\n")
+    return path
+
+
+def assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(needle in err for needle in needles), err
+
+
+@pytest.mark.parametrize("period", ["nan", "inf"])
+@pytest.mark.parametrize("side", ["L1", "L2"])
+def test_extend_rejects_bad_period_exit_2(tmp_path, capsys, side, period):
+    lengths = {"L1": "1", "L2": "1", side: period}
+    grid = write_field_header(tmp_path / "grid.csv", lengths["L1"], lengths["L2"])
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--input", str(grid)]) == 2
+    assert_one_error_line(capsys, "periodicity lengths must be finite and > 0")
+    assert not (tmp_path / "o" / "extension.csv").exists()
+
+
+@pytest.mark.parametrize("order, code", [("-1", 2), ("0", 0), ("13", 2)])
+def test_extend_order_flag(tmp_path, capsys, order, code):
+    # --m 0 is value matching with a single term; the default nodes refuse
+    # order 13 and above in floating point
+    grid = write_field_header(tmp_path / "grid.csv", 1, 1)
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "o"
+    assert main(["extend", "--config", str(cfg), "--out", str(out),
+                 "--input", str(grid), "--m", order, "--levels", "3"]) == code
+    if code:
+        assert_one_error_line(capsys, "--m")
+    else:
+        assert len((out / "extension.csv").read_text().splitlines()) == 1 + 3 * 4
+
+
+def test_io_errors_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--input", str(tmp_path / "missing.csv")]) == 2
+    assert_one_error_line(capsys, "missing.csv")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["classify", "--config", str(cfg), "--out", str(taken)]) == 2
+    assert_one_error_line(capsys, "taken")
+
+
+def test_bench_argv_parses():
+    # the benchmark passes --threads, so the flag must stay accepted until
+    # its argv stops passing it
+    for workload in WORKLOADS:
+        args = build_parser().parse_args(cli_argv(workload, "cfg.json", "out"))
+        assert args.command == WORKLOADS[workload][0] and args.threads == 1
 
 
 def test_malformed_config_exit_2(tmp_path, capsys):

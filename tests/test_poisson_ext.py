@@ -161,3 +161,11 @@ def test_field_csv_round_trip(tmp_path):
 def test_extension_params_validation():
     with pytest.raises(ValueError):
         ExtensionParams(np.array([1.0, 2.0]), np.array([1.0, 1.0]))  # bad moments
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -1.0, 0.0])
+def test_periodic_field_rejects_bad_period(period):
+    # NaN fails every comparison, so the check must be 0 < L < inf
+    for lengths in ((period, 1.0), (1.0, period)):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            PeriodicField(np.zeros((2, 2)), *lengths)
