@@ -32,7 +32,7 @@ from . import evolve
 from . import modes as modes_mod
 from .config import RunConfig, load_config
 from .equilibrium import export_profile_csv, solve_equilibrium
-from .errors import AnalyzerError, ConfigError, IllConditioned, InvalidInput
+from .errors import AnalyzerError, ConfigError, InvalidInput
 from .poisson_ext import ExtensionParams, InterfaceExtension, read_field_csv
 from .variational import build_mesh, form_coefficients, min_eig
 
@@ -136,7 +136,7 @@ def cmd_extend(cfg, out, args) -> int:
     field = read_field_csv(args.input)
     try:
         params = ExtensionParams.default(args.m)
-    except (ValueError, IllConditioned) as exc:
+    except ValueError as exc:
         raise InvalidInput(f"--m {args.m} is not a supported matching order: {exc}") from exc
     ext = InterfaceExtension(field, params)
     levels = np.linspace(-cfg.params.b, cfg.params.ell, args.levels)
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="modified-problem parameter s")
         if name == "extend":
             p.add_argument("--input", required=True, help="grid field CSV")
-            p.add_argument("--m", type=int, default=2, help="matching order")
+            p.add_argument("--m", type=int, default=2, help="matching order, 0 to 12")
             p.add_argument("--levels", type=int, default=9,
                            help="number of x3 evaluation levels")
     return ap
@@ -195,8 +195,6 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and not 0.0 < value < np.inf:
                 raise InvalidInput(f"--{flag} must be finite and > 0, got {value}")
-        if getattr(args, "m", 0) < 0:
-            raise InvalidInput(f"--m must be >= 0, got {args.m}")
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -249,25 +249,19 @@ def _dedup_lattice(params: PhysicalParams, limit: float):
 
     |xi|^2 = (m/L1)^2 + (n/L2)^2 is compared as an exact rational of the
     float inputs, so lattice images of equal magnitude collapse to a single
-    representative (nonnegative components preferred, then largest m).
+    representative: the largest (m, n) with m, n >= 0.  Sign flips do not
+    change |xi|, so only that quadrant is walked.
     """
     l1sq = Fraction(params.L1) ** 2
     l2sq = Fraction(params.L2) ** 2
     m_max = int(math.floor(limit * params.L1)) + 1
     n_max = int(math.floor(limit * params.L2)) + 1
     groups: dict[Fraction, tuple[int, int]] = {}
-    for m in range(-m_max, m_max + 1):
-        for n in range(-n_max, n_max + 1):
-            if m == 0 and n == 0:
-                continue
+    for m in range(m_max + 1):
+        for n in range(n_max + 1):
             key = Fraction(m * m) / l1sq + Fraction(n * n) / l2sq
-            if float(key) >= limit * limit:
-                continue
-            cand = (m, n)
-            best = groups.get(key)
-            if best is None or (cand[0] >= 0, cand[1] >= 0, cand) > (
-                    best[0] >= 0, best[1] >= 0, best):
-                groups[key] = cand
+            if key and float(key) < limit * limit:
+                groups[key] = (m, n)  # (m, n) ascends: the last seen is the largest
     return sorted(groups.items(), key=lambda kv: kv[0])
 
 

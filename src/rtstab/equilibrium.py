@@ -18,9 +18,10 @@ hydrostatic derivative, and the enthalpy weight h'(rho) = P'(rho)/rho.
 Profiles are integrated top-down with classical fixed-step RK4 and stored as
 dense samples with a cubic Hermite interpolant per layer whose node slopes are
 the exact hydrostatic -g rho_i / P'(rho_i), so interpolation error stays at
-the integrator's O(h^4) node error.  Closed forms exist for isothermal and
-gamma=2 polytropic laws and are used in tests as oracles only; the solver path
-is always the integrator.  Only tabulated laws import scipy.interpolate.
+the integrator's O(h^4) node error.  A law is closed-form, P = K rho^gamma
+(isothermal is gamma = 1), or tabulated; only tabulated laws import
+scipy.interpolate.  Closed-form profiles (gamma = 1 and 2) serve as test
+oracles only; the solver path is always the integrator.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ MATCH_TOL = 1e-9
 class PressureLaw:
     """Barotropic pressure law P(rho) with derivative and inverse.
 
-    kind is one of "isothermal" (P = K rho), "polytropic" (P = K rho^gamma)
+    kind is "polytropic" (P = K rho^gamma; isothermal P = K rho is gamma = 1)
     or "tabulated" (monotone cubic through (rho, P) samples).  P must be
     smooth, positive and strictly increasing on the traversed density range.
     A tabulated law is defined on [rho_table[0], rho_table[-1]] only: value
@@ -59,14 +60,12 @@ class PressureLaw:
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
-        if self.kind == "isothermal":
-            (k,) = self.params
-            if not 0 < k < math.inf:
-                raise ValueError("isothermal coefficient K must be finite and > 0")
-        elif self.kind == "polytropic":
+        if self.kind == "polytropic":
             k, gamma = self.params
-            if not (0 < k < math.inf and 1 <= gamma < math.inf):
-                raise ValueError("polytropic law requires finite K > 0 and gamma >= 1")
+            if not 0 < k < math.inf:
+                raise ValueError(f"pressure coefficient K must be finite and > 0, got {k}")
+            if not 1 <= gamma < math.inf:
+                raise ValueError(f"exponent gamma must be finite and >= 1, got {gamma}")
         elif self.kind == "tabulated":
             rho = np.asarray(self.rho_table, dtype=float)
             p = np.asarray(self.p_table, dtype=float)
@@ -94,7 +93,8 @@ class PressureLaw:
 
     @classmethod
     def isothermal(cls, k: float) -> "PressureLaw":
-        return cls("isothermal", (float(k),))
+        """P = K rho: the polytropic law with gamma = 1."""
+        return cls.polytropic(k, 1.0)
 
     @classmethod
     def polytropic(cls, k: float, gamma: float) -> "PressureLaw":
@@ -105,21 +105,17 @@ class PressureLaw:
         return cls("tabulated", (), np.asarray(rho, float), np.asarray(p, float))
 
     def value(self, rho):
-        """P(rho); vectorized."""
-        if self.kind == "isothermal":
-            return self.params[0] * np.asarray(rho, float)
+        """P(rho); vectorized.  A closed-form law maps a scalar to a scalar."""
         if self.kind == "polytropic":
             k, gamma = self.params
-            return k * np.asarray(rho, float) ** gamma
+            return k * rho ** gamma
         return self._interp(self._in_table(rho))
 
     def derivative(self, rho):
-        """P'(rho); vectorized."""
-        if self.kind == "isothermal":
-            return np.full_like(np.asarray(rho, float), self.params[0])
+        """P'(rho); vectorized.  A closed-form law maps a scalar to a scalar."""
         if self.kind == "polytropic":
             k, gamma = self.params
-            return k * gamma * np.asarray(rho, float) ** (gamma - 1.0)
+            return k * gamma * rho ** (gamma - 1.0)
         return self._dinterp(self._in_table(rho))
 
     def _in_table(self, rho):
@@ -132,13 +128,9 @@ class PressureLaw:
 
     def inverse(self, p: float) -> float:
         """rho with P(rho) = p, to relative tolerance 1e-12."""
-        if self.kind == "isothermal":
-            if p <= 0:
-                raise InverseFailure(f"isothermal inverse undefined for p = {p}")
-            return p / self.params[0]
         if self.kind == "polytropic":
             if p <= 0:
-                raise InverseFailure(f"polytropic inverse undefined for p = {p}")
+                raise InverseFailure(f"pressure-law inverse undefined for p = {p}")
             k, gamma = self.params
             return (p / k) ** (1.0 / gamma)
         lo, hi = float(self.p_table[0]), float(self.p_table[-1])
@@ -273,14 +265,14 @@ def _rk4_down(law: PressureLaw, g: float, rho_start: float, x_start: float,
     h = xs[1] - xs[0]  # negative
     rhos = np.empty(n_nodes)
     rhos[0] = rho_start
-    r = rho_start
+    r = rhos[0]  # a numpy scalar: P' overflows to inf instead of raising
     for i in range(n_nodes - 1):
         k1 = f(r)
         k2 = f(r + 0.5 * h * k1)
         k3 = f(r + 0.5 * h * k2)
         k4 = f(r + h * k3)
         r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if r <= 0 or not np.isfinite(r):
+        if r <= 0 or not math.isfinite(r):
             raise NonPositiveDensity(f"rho = {r} at x3 = {xs[i + 1]}")
         rhos[i + 1] = r
     return xs[::-1].copy(), rhos[::-1].copy()
@@ -359,9 +351,12 @@ def check_admissibility(profile: EquilibriumProfile) -> AdmissibilityReport:
         failures.append("DegeneratePressure")
     if max_resid > HYDRO_TOL:
         failures.append("HydrostaticResidual")
-    cont = abs(float(profile.law_plus.value(profile.rho_top_interface))
-               - float(profile.law_minus.value(profile.rho_bot_interface)))
-    top = abs(float(profile.law_plus.value(profile.rho1)) - p.p_atm)
+    # numpy scalars: a Python float to a fractional power is complex when
+    # negative, where numpy gives the nan that the density check reports
+    plus, minus = profile.rho_plus_samples, profile.rho_minus_samples
+    cont = abs(float(profile.law_plus.value(plus[0]))
+               - float(profile.law_minus.value(minus[-1])))
+    top = abs(float(profile.law_plus.value(plus[-1])) - p.p_atm)
     if cont > MATCH_TOL:
         failures.append("PressureContinuity")
     if top > MATCH_TOL:
@@ -377,7 +372,7 @@ def export_profile_csv(profile: EquilibriumProfile, path) -> None:
         for layer, xs, rhos in (("minus", profile.x_minus, profile.rho_minus_samples),
                                 ("plus", profile.x_plus, profile.rho_plus_samples)):
             law = profile.law(layer)
-            for x, r in zip(xs, rhos):
-                pres = float(law.value(r))
-                hp = float(law.derivative(r)) / r
-                fh.write(f"{x:.17g},{r:.17g},{pres:.17g},{hp:.17g},{layer}\n")
+            pres = law.value(rhos)
+            hp = law.derivative(rhos) / rhos
+            for x, r, pr, h in zip(xs, rhos, pres, hp):
+                fh.write(f"{x:.17g},{r:.17g},{pr:.17g},{h:.17g},{layer}\n")

@@ -143,24 +143,14 @@ class OdeResidualReport:
 def _flux_slope(mesh: Mesh1D, f_mid: np.ndarray) -> np.ndarray:
     """d/dx3 of a per-element flux at element midpoints, per layer.
 
-    Central differences of the midpoint samples in the layer interior,
+    One np.gradient per layer: central differences in the layer interior,
     one-sided at the first/last element of each layer (consistent, O(h)).
+    build_mesh gives every layer the two elements np.gradient needs.
     """
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     i0 = mesh.interface_index
-    out = np.empty_like(f_mid)
-    for lo, hi in ((0, i0), (i0, mesh.n_elements)):
-        f = f_mid[lo:hi]
-        m = mids[lo:hi]
-        d = np.empty_like(f)
-        if f.size >= 3:
-            d[1:-1] = (f[2:] - f[:-2]) / (m[2:] - m[:-2])
-            d[0] = (f[1] - f[0]) / (m[1] - m[0])
-            d[-1] = (f[-1] - f[-2]) / (m[-1] - m[-2])
-        else:
-            d[:] = (f[-1] - f[0]) / (m[-1] - m[0]) if f.size == 2 else 0.0
-        out[lo:hi] = d
-    return out
+    return np.concatenate([np.gradient(f_mid[:i0], mids[:i0]),
+                           np.gradient(f_mid[i0:], mids[i0:])])
 
 
 def _flux_ends(mesh: Mesh1D, f_mid: np.ndarray) -> dict[str, float]:

@@ -10,11 +10,12 @@ Upward extension from x3 = 0 uses the specialized sum
     sum_j alpha_j e^{-|xi| lambda_j x3},     0 < lambda_0 < ... < lambda_m,
 
 with alpha solving the Vandermonde system V alpha = (1,...,1)^T,
-V_ij = (-lambda_j)^i.  The moment identities sum_j alpha_j (-lambda_j)^l = 1
+V_ij = (-lambda_j)^i, in closed form (a Lagrange basis at the nodes
+-lambda_j).  The moment identities sum_j alpha_j (-lambda_j)^l = 1
 for 0 <= l <= m make every vertical derivative up to order m match the
 downward extension at the interface, so the two-sided interface extension is
 C^m across x3 = 0.  The lambda_j are otherwise free; lambda_j = j + 1 is the
-documented default.
+documented default, for orders m = 0 to 12.
 
 Grid fields are transformed with the FFT; evaluators return values on the
 same horizontal grid at any requested height, with analytic x3-derivatives.
@@ -22,6 +23,7 @@ same horizontal grid at any requested height, with analytic x3-derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,8 +66,11 @@ class PeriodicField:
 def vandermonde_coeffs(lambdas) -> np.ndarray:
     """Solve V alpha = (1,...,1)^T with V_ij = (-lambda_j)^i.
 
-    Vandermonde matrices are badly conditioned in floating point, so the
-    system is solved in exact rational arithmetic (floats are rationals) and
+    The system says sum_j alpha_j p(-lambda_j) = p(1) for every polynomial p
+    of degree <= m, so alpha_j is the Lagrange basis polynomial at the nodes
+    -lambda_j evaluated at 1: prod_{k != j} (1 + lambda_k)/(lambda_k - lambda_j).
+    Vandermonde systems are badly conditioned in floating point, so the
+    product is formed in exact rational arithmetic (floats are rationals) and
     only the result is rounded.  The rounded coefficients are then residual-
     checked; clustered lambdas blow up |alpha| and fail the check.
     """
@@ -74,21 +79,14 @@ def vandermonde_coeffs(lambdas) -> np.ndarray:
         raise ValueError("lambdas must be a nonempty 1d sequence")
     if lam[0] <= 0 or np.any(np.diff(lam) <= 0):
         raise ValueError("lambdas must be strictly increasing and positive")
-    m1 = lam.size
     lam_q = [Fraction(x) for x in lam]
-    aug = [[(-lam_q[j]) ** i for j in range(m1)] + [Fraction(1)] for i in range(m1)]
-    for col in range(m1):
-        pivot = max(range(col, m1), key=lambda r: abs(aug[r][col]))
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for row in range(m1):
-            if row != col and aug[row][col] != 0:
-                factor = aug[row][col] / aug[col][col]
-                aug[row] = [a - factor * b for a, b in zip(aug[row], aug[col])]
-    alphas = np.array([float(aug[i][m1] / aug[i][i]) for i in range(m1)])
+    alphas = np.array([float(math.prod((1 + lk) / (lk - lj)
+                                       for k, lk in enumerate(lam_q) if k != j))
+                       for j, lj in enumerate(lam_q)])
     # Residual of the rounded coefficients against the exact system; rounding
     # of huge alphas (clustered lambdas) is what shows up here.
     resid = max(abs(sum(Fraction(a) * (-lq) ** i for a, lq in zip(alphas, lam_q)) - 1)
-                for i in range(m1))
+                for i in range(lam.size))
     if resid > Fraction(1, 10**8):
         raise IllConditioned(f"Vandermonde solve residual {float(resid)} > 1e-8")
     return alphas
@@ -125,7 +123,10 @@ class ExtensionParams:
 
     @classmethod
     def default(cls, m: int) -> "ExtensionParams":
-        """lambda_j = j + 1 (an arbitrary documented choice)."""
+        """lambda_j = j + 1 (an arbitrary documented choice), for orders 0 to
+        12: from order 13 on, their rounded alphas fail the moment check."""
+        if not 0 <= m <= 12:
+            raise ValueError(f"the default nodes support orders 0 to 12, got {m}")
         return cls.from_lambdas(np.arange(1.0, m + 2.0))
 
 
@@ -202,14 +203,31 @@ def write_field_csv(field: PeriodicField, path) -> None:
 
 
 def read_field_csv(path) -> PeriodicField:
+    """Read the format of write_field_csv.  A malformed file raises ValueError
+    naming the file, the line and what that line should hold."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["N1", "N2", "L1", "L2"]:
-            raise ValueError(f"unexpected field CSV header {header}")
-        n1_s, n2_s, l1_s, l2_s = fh.readline().strip().split(",")
-        n1, n2 = int(n1_s), int(n2_s)
-        rows = [np.fromstring(fh.readline(), sep=",") for _ in range(n1)]
-    values = np.vstack(rows)
-    if values.shape != (n1, n2):
-        raise ValueError(f"field CSV body {values.shape} != header sizes ({n1}, {n2})")
-    return PeriodicField(values, float(l1_s), float(l2_s))
+        lines = [line.strip() for line in fh]
+
+    def bad(lineno: int, what: str) -> ValueError:
+        got = repr(lines[lineno - 1]) if lineno <= len(lines) else "end of file"
+        return ValueError(f"{path}, line {lineno}: expected {what}, got {got}")
+
+    if lines[:1] != ["N1,N2,L1,L2"]:
+        raise bad(1, "the header N1,N2,L1,L2")
+    try:
+        n1_s, n2_s, l1_s, l2_s = lines[1].split(",")
+        n1, n2, L1, L2 = int(n1_s), int(n2_s), float(l1_s), float(l2_s)
+        if n1 < 2 or n2 < 2:
+            raise ValueError
+    except (IndexError, ValueError):
+        raise bad(2, "integers N1, N2 >= 2 and numbers L1, L2") from None
+    rows = []
+    for lineno in range(3, 3 + n1):
+        try:
+            rows.append([float(cell) for cell in lines[lineno - 1].split(",")])
+            if len(rows[-1]) != n2 or not all(map(math.isfinite, rows[-1])):
+                raise ValueError
+        except (IndexError, ValueError):
+            raise bad(lineno, f"grid row {lineno - 2} of {n1}: "
+                              f"{n2} comma-separated finite numbers") from None
+    return PeriodicField(np.array(rows), L1, L2)

@@ -146,8 +146,8 @@ def layer_fields(mesh: Mesh1D, profile: EquilibriumProfile, xq: np.ndarray) -> n
     out = np.empty((5, *xq.shape))
     for layer, rows in (("minus", slice(0, mesh.n_minus)),
                         ("plus", slice(mesh.n_minus, None))):
-        rho = np.asarray(profile.rho(xq[rows], layer), float)
-        dp = np.asarray(profile.law(layer).derivative(rho), float)
+        rho = profile.rho(xq[rows], layer)
+        dp = profile.law(layer).derivative(rho)
         out[:, rows] = np.broadcast_arrays(rho, -params.g * rho / dp, dp,
                                            params.mu(layer), params.mu_prime(layer))
     return out

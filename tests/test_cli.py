@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,7 @@ def assert_one_error_line(capsys, *needles):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(needle in err for needle in needles), err
+    return err
 
 
 @pytest.mark.parametrize("period", ["nan", "inf"])
@@ -181,19 +183,49 @@ def test_extend_rejects_bad_period_exit_2(tmp_path, capsys, side, period):
     assert not (tmp_path / "o" / "extension.csv").exists()
 
 
-@pytest.mark.parametrize("order, code", [("-1", 2), ("0", 0), ("13", 2)])
+@pytest.mark.parametrize("order, code", [("-1", 2), ("0", 0), ("12", 0), ("13", 2),
+                                         ("1000000", 2)])
 def test_extend_order_flag(tmp_path, capsys, order, code):
     # --m 0 is value matching with a single term; the default nodes refuse
-    # order 13 and above in floating point
+    # order 13 and above in floating point, before any exact arithmetic
     grid = write_field_header(tmp_path / "grid.csv", 1, 1)
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "o"
+    start = time.perf_counter()
     assert main(["extend", "--config", str(cfg), "--out", str(out),
                  "--input", str(grid), "--m", order, "--levels", "3"]) == code
+    assert time.perf_counter() - start < 2.0
     if code:
         assert_one_error_line(capsys, "--m")
     else:
         assert len((out / "extension.csv").read_text().splitlines()) == 1 + 3 * 4
+
+
+@pytest.mark.parametrize("body, line", [
+    pytest.param("2,2,1,1\n0.5,abc\n1.0,2.0\n", "line 3", id="not_a_number"),
+    pytest.param("2,2,1,1\n0.5,1.5\n1.0,nan\n", "line 4", id="not_finite"),
+    pytest.param("3,2,1,1\n0.5,1.5\n1.0,2.0\n", "line 5", id="fewer_rows_than_n1"),
+    pytest.param("2,2,1,1\n0.5\n1.0,2.0\n", "line 3", id="short_row"),
+    pytest.param("2,2,1,1\n0.5,1.5\n1.0,2.0,3.0\n", "line 4", id="long_row"),
+    pytest.param("2,x,1,1\n0.5,1.5\n1.0,2.0\n", "line 2", id="n2_not_an_integer"),
+    pytest.param("2,2,1\n0.5,1.5\n1.0,2.0\n", "line 2", id="l2_missing"),
+    pytest.param("1,2,1,1\n0.5,1.5\n", "line 2", id="n1_below_2")])
+def test_extend_malformed_field_csv_exit_2(tmp_path, capsys, body, line):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("N1,N2,L1,L2\n" + body)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--input", str(grid)]) == 2
+    assert_one_error_line(capsys, "grid.csv", line + ": expected")
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_bad_pressure_coefficient_exit_2(tmp_path, capsys, side, k):
+    cfg = write_config(tmp_path / "cfg.json", **{f"k_{side}": k})
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = assert_one_error_line(capsys, f"fluids.{side}.law", "K must be finite and > 0")
+    assert "polytropic" not in err
 
 
 def test_io_errors_exit_2(tmp_path, capsys):

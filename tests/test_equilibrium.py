@@ -109,6 +109,41 @@ def test_enthalpy_weight(unstable_profile):
         enthalpy_weight(unstable_profile, -0.5, unstable_profile.law_plus)
 
 
+def test_isothermal_is_polytropic_gamma_one():
+    law = PressureLaw.isothermal(2.5)
+    assert law == PressureLaw.polytropic(2.5, 1.0)
+    rho = np.linspace(0.1, 7.0, 33)
+    for r in (1.3, np.float64(0.7), rho):
+        assert np.array_equal(law.value(r), 2.5 * r)
+        assert np.array_equal(law.derivative(r), np.full_like(np.asarray(r), 2.5))
+    for p in (0.3, 1.0, 4.75):
+        assert law.inverse(p) == p / 2.5
+
+
+@pytest.mark.parametrize("law", [PressureLaw.isothermal(2.0),
+                                 PressureLaw.polytropic(1.0, 1.4)])
+def test_closed_form_law_maps_scalars_to_scalars(law):
+    for method in (law.value, law.derivative):
+        out = method(1.5)
+        assert not isinstance(out, np.ndarray) and np.ndim(out) == 0
+        assert method(np.array([1.5, 2.0])).shape == (2,)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_pressure_law_rejects_bad_coefficient(k):
+    with pytest.raises(ValueError, match="K must be finite and > 0") as info:
+        PressureLaw.isothermal(k)
+    assert "polytropic" not in str(info.value)
+    with pytest.raises(ValueError, match="K must be finite and > 0"):
+        PressureLaw.polytropic(k, 1.4)
+
+
+@pytest.mark.parametrize("gamma", [0.5, math.nan, math.inf])
+def test_pressure_law_rejects_bad_exponent(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and >= 1"):
+        PressureLaw.polytropic(1.0, gamma)
+
+
 def test_polytropic_weight_direct():
     law = PressureLaw.polytropic(1.0, 2.0)
     # P' = 2 rho, so h'(2) = P'(2)/2 = 2
@@ -145,6 +180,22 @@ def test_admissibility_flags_negative_density(unstable_profile, params):
         unstable_profile.x_plus, rho,
         unstable_profile.x_minus, unstable_profile.rho_minus_samples)
     report = check_admissibility(bad)
+    assert not report.passed
+    assert "NonPositiveDensity" in report.failures
+
+
+def test_admissibility_flags_negative_interface_density(params):
+    # P of a negative density is nan at gamma = 1.4: the pressure checks must
+    # leave it to the density check, not fail on it
+    prof = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
+                             PressureLaw.polytropic(2.0, 1.4), params)
+    rho = prof.rho_plus_samples.copy()
+    rho[0] = -0.1
+    with np.errstate(invalid="ignore"):
+        bad = EquilibriumProfile.from_samples(
+            prof.law_plus, prof.law_minus, params, prof.x_plus, rho,
+            prof.x_minus, prof.rho_minus_samples)
+        report = check_admissibility(bad)
     assert not report.passed
     assert "NonPositiveDensity" in report.failures
 

@@ -26,13 +26,24 @@ def test_vandermonde_hand_examples():
         assert np.sum(a * (-lam) ** ell) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("m", range(13))
 def test_moment_identities_default_lambdas(m):
     p = ExtensionParams.default(m)
     assert np.allclose(p.lambdas, np.arange(1.0, m + 2.0))
     for ell in range(m + 1):
         assert np.sum(p.alphas * (-p.lambdas) ** ell) == \
             pytest.approx(1.0, abs=1e-10)
+
+
+def test_default_nodes_order_range():
+    for m in (-1, 13, 10**6):
+        with pytest.raises(ValueError, match="orders 0 to 12"):
+            ExtensionParams.default(m)
+    # the cap is the float moment check's own verdict on these nodes
+    for m in (13, 14):
+        lam = np.arange(1.0, m + 2.0)
+        with pytest.raises(ValueError, match="moment condition"):
+            ExtensionParams(lam, vandermonde_coeffs(lam))
 
 
 def test_ill_conditioned_cluster():
