@@ -21,13 +21,14 @@ The root solve is a nonlinear Rayleigh-functional iteration (Ruhe, SIAM J.
 Numer. Anal. 10, 1973; Schwetlick and Schreiber, Linear Algebra Appl. 436,
 2012).  For any v with v^T K0 v < 0 the Rayleigh functional rho(v), the
 positive root of the scalar quadratic v^T T(s) v = 0, is at most lambda,
-because v^T T(rho) v = 0 makes rho^2 + alpha(rho) <= 0.  Starting from the
-stability probe's minimizer, each step sets v <- T(rho)^-1 M v by one band
-LU factorization and takes the new rho(v); once rho moves by at most
-delta = root_tol S_max, a successful Cholesky factorization of T(rho +
-delta) proves lambda < rho + delta, so [rho, rho + delta] encloses the
-root.  When that certificate fails, or the iteration cannot proceed, a
-bisection on the sign of the Cholesky test of T(s) takes over.
+because v^T T(rho) v = 0 makes rho^2 + alpha(rho) <= 0.  From any start
+vector (the stability probe's minimizer, or a neighbouring root's vector),
+each step sets v <- T(rho)^-1 M v by one band LU factorization and takes
+the new rho(v); once rho moves by at most delta = root_tol S_max, a
+successful Cholesky factorization of T(rho + delta) proves lambda < rho +
+delta, so [rho, rho + delta] encloses the root.  When that certificate
+fails, or the iteration cannot proceed, a bisection on the sign of the
+Cholesky test of T(s) takes over.
 
 Instability is confined to the frequency window 0 < |xi| < xi_c with
 xi_c = sqrt(jump g / sigma_minus) (all frequencies when sigma_minus = 0),
@@ -41,8 +42,12 @@ window.  The sweep enumerates xi in (1/L1)Z x (1/L2)Z and deduplicates by
 forms' quadratic coefficients in |xi| (variational.form_coefficients) and
 reads every physical parameter from their profile.  It is one serial pass
 of growth_rate in ascending |xi|^2, which takes the forms at each point
-from the coefficients, one band combination each; outside the window that
-call ends at its nonnegative alpha probe.
+from the coefficients, one band combination each.  It continues along the
+lattice: a row after a growing row starts the iteration from that row's
+root vector once a Cholesky test of T(s_min) shows growth, so a chain of
+growing frequencies takes one probe eigensolve, at its first row.  A
+decaying row, and a start the iteration or the certificate rejects, takes
+the probe path; outside the window that ends at a nonnegative alpha probe.
 """
 
 from __future__ import annotations
@@ -73,8 +78,10 @@ class DispersionPoint:
     lam is the fixed-point rate (0 when no growing mode exists at this
     frequency); alpha_at_star is the Rayleigh quotient of K0 + lam K1 at the
     minimizer, alpha(lam) (for lam = 0 it is the stability probe
-    alpha(s_min) >= 0); iterations counts the probe eigensolve and every
-    factorization of T(s) (growth_rate); converged says that a growing
+    alpha(s_min) >= 0); iterations counts the eigensolves and every
+    factorization of T(s) (growth_rate), so a row continued from its
+    predecessor counts the Cholesky test of T(s_min), the LU steps and the
+    certificate, with no probe; converged says that a growing
     rate's enclosure was certified and, for every point, that the
     minimizer's relative eigen-residual is within eig_tol.  The minimizer
     lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2, ...), in the
@@ -195,44 +202,67 @@ def _converged(forms: QuadraticForms, s: float, alpha: float, v: np.ndarray,
     return eig_residual(forms, s, alpha, v) <= numerics.eig_tol
 
 
+def _certified_root(forms: QuadraticForms, v: np.ndarray, s_min: float,
+                    s_max: float, delta: float) -> tuple[float, np.ndarray, int]:
+    """_rf_iterate from v, then the certificate: (lam, v, factorizations),
+    where lam is nan unless the Cholesky factorization of T(lam + delta)
+    succeeded, which proves lam <= lambda < lam + delta."""
+    lam, v, count = _rf_iterate(forms, v, s_min, s_max, delta)
+    if math.isfinite(lam):
+        count += 1
+        if not _definite(forms, lam + delta):
+            lam = math.nan
+    return lam, v, count
+
+
 def growth_rate(coeffs: FormCoefficients, xi_abs: float,
-                numerics: NumericsConfig = NumericsConfig()) -> DispersionPoint:
+                numerics: NumericsConfig = NumericsConfig(),
+                start: np.ndarray | None = None) -> DispersionPoint:
     """Solve s^2 + alpha(s) = 0 at one frequency magnitude, on the forms
     coeffs.at(xi_abs) of the mesh and profile coeffs was built from.
 
-    If the probe alpha(s_min) is already nonnegative there is no growing
-    mode and lam = 0 is returned with the probe value; a negative probe
-    with s_min^2 + alpha(s_min) > 0 raises NoSignChange.  Otherwise the
-    certified Rayleigh-functional iteration of the module docstring runs
-    from the probe's minimizer, with delta = root_tol S_max.  If the
-    certificate fails, v^T K0 v >= 0, an iterate leaves [s_min, S_max] or
-    the iteration does not settle, the root comes from the Cholesky-sign
-    bisection on [s_min, S_max] (NoSignChange if T(S_max) is not definite)
-    and one eigensolve there.  numerics supplies s_max_factor, root_tol
-    and eig_tol.  xi_abs must be finite and > 0 (ValueError from coeffs.at).
+    Given a start vector, a failed Cholesky factorization of T(s_min) (s_min
+    < lambda) runs the certified Rayleigh-functional iteration of the module
+    docstring from start, with delta = root_tol S_max.  Otherwise, or when
+    that is rejected, the probe path runs: if the probe alpha(s_min) is
+    nonnegative there is no growing mode and lam = 0 is returned with the
+    probe value; a negative probe with s_min^2 + alpha(s_min) > 0 raises
+    NoSignChange.  Otherwise the certified iteration runs from the probe's
+    minimizer.  If the certificate fails, v^T K0 v >= 0, an iterate leaves
+    [s_min, S_max] or the iteration does not settle, the root comes from the
+    Cholesky-sign bisection on [s_min, S_max] (NoSignChange if T(S_max) is
+    not definite) and one eigensolve there.  numerics supplies s_max_factor,
+    root_tol and eig_tol.  xi_abs must be finite and > 0 (ValueError from
+    coeffs.at).
     """
     forms = coeffs.at(xi_abs)
     s_min, s_max = _bracket(coeffs.profile, numerics)
-    alpha0, v0 = min_eig(forms, s_min)
-    xi = (float(xi_abs), 0.0)
-    if alpha0 >= 0:
-        return DispersionPoint(xi, float(xi_abs), 0.0, alpha0, v0, 1,
-                               _converged(forms, s_min, alpha0, v0, numerics))
-    f_lo = s_min**2 + alpha0
-    if f_lo > 0:
-        raise NoSignChange(
-            f"alpha({s_min}) = {alpha0} < 0 but f(s_min) = {f_lo} > 0 at |xi| = {xi_abs}")
     delta = numerics.root_tol * s_max
-    lam, v, count = _rf_iterate(forms, v0, s_min, s_max, delta)
-    iters = 1 + count  # the probe and the factorizations of T so far
-    if math.isfinite(lam):
+    xi = (float(xi_abs), 0.0)
+    lam, iters = math.nan, 0  # iters: eigensolves and factorizations of T
+    if start is not None:
         iters += 1
-        if _definite(forms, lam + delta):  # lam <= lambda < lam + delta
-            v = j_normalize(forms, v)
-            e_val, j_val = evaluate_energy(forms, v, lam)
-            alpha = e_val / j_val
-            return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters,
-                                   _converged(forms, lam, alpha, v, numerics))
+        if not _definite(forms, s_min):  # s_min < lambda: a growing frequency
+            lam, v, count = _certified_root(forms, start, s_min, s_max, delta)
+            iters += count
+    if not math.isfinite(lam):
+        alpha0, v0 = min_eig(forms, s_min)
+        iters += 1
+        if alpha0 >= 0:
+            return DispersionPoint(xi, float(xi_abs), 0.0, alpha0, v0, iters,
+                                   _converged(forms, s_min, alpha0, v0, numerics))
+        f_lo = s_min**2 + alpha0
+        if f_lo > 0:
+            raise NoSignChange(
+                f"alpha({s_min}) = {alpha0} < 0 but f(s_min) = {f_lo} > 0 at |xi| = {xi_abs}")
+        lam, v, count = _certified_root(forms, v0, s_min, s_max, delta)
+        iters += count
+    if math.isfinite(lam):
+        v = j_normalize(forms, v)
+        e_val, j_val = evaluate_energy(forms, v, lam)
+        alpha = e_val / j_val
+        return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters,
+                               _converged(forms, lam, alpha, v, numerics))
     iters += 1  # the Cholesky test of T(S_max)
     if not _definite(forms, s_max):
         raise NoSignChange(
@@ -270,9 +300,10 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
     Every frequency goes through growth_rate on coeffs, in ascending |xi|^2,
-    so a point gets lam = 0 only when its probe alpha(s_min) is nonnegative;
-    outside the instability window that probe is the whole solve.  Each row
-    carries its lattice representative as xi.
+    with the previous row's minimizer as start when that row grew (None
+    otherwise), so a point gets lam = 0 only when its probe alpha(s_min) is
+    nonnegative; outside the instability window that probe is the whole
+    solve.  Each row carries its lattice representative as xi.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise ValueError("cutoff must be finite and > 0")
@@ -280,9 +311,11 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     params, jump = profile.params, profile.jump
     # a stable orientation has no instability window at all
     xi_c = critical_frequency(profile) if jump > 0 else math.nan
-    curve = [replace(growth_rate(coeffs, math.sqrt(float(key)), numerics),
-                     xi=(m / params.L1, n / params.L2))
-             for key, (m, n) in _dedup_lattice(params, cutoff)]
+    curve, start = [], None
+    for key, (m, n) in _dedup_lattice(params, cutoff):
+        pt = growth_rate(coeffs, math.sqrt(float(key)), numerics, start)
+        curve.append(replace(pt, xi=(m / params.L1, n / params.L2)))
+        start = pt.minimizer if pt.lam > 0 else None
     lam_max = 0.0
     argmax = None
     for pt in curve:

@@ -253,12 +253,17 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
 
 def _rk4_down(law: PressureLaw, g: float, rho_start: float, x_start: float,
               x_end: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate drho/dx = -g rho/P'(rho) from x_start down to x_end < x_start."""
+    """Integrate drho/dx = -g rho/P'(rho) from x_start down to x_end < x_start.
+
+    Overflow is checked, not warned about: DegeneratePressure names the
+    first rho and x3 where P' is at most PRESSURE_SLOPE_TOL, or P or P' is
+    not finite."""
 
     def f(rho):
         dp = float(law.derivative(rho))
-        if dp <= PRESSURE_SLOPE_TOL:
-            raise DegeneratePressure(f"P'({rho}) = {dp} <= {PRESSURE_SLOPE_TOL}")
+        if dp <= PRESSURE_SLOPE_TOL or dp == math.inf:  # nan fails the step
+            raise DegeneratePressure(f"P'({rho}) = {dp} is not in "
+                                     f"({PRESSURE_SLOPE_TOL}, inf)")
         return -g * rho / dp
 
     xs = np.linspace(x_start, x_end, n_nodes)
@@ -266,15 +271,26 @@ def _rk4_down(law: PressureLaw, g: float, rho_start: float, x_start: float,
     rhos = np.empty(n_nodes)
     rhos[0] = rho_start
     r = rhos[0]  # a numpy scalar: P' overflows to inf instead of raising
-    for i in range(n_nodes - 1):
-        k1 = f(r)
-        k2 = f(r + 0.5 * h * k1)
-        k3 = f(r + 0.5 * h * k2)
-        k4 = f(r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if r <= 0 or not math.isfinite(r):
-            raise NonPositiveDensity(f"rho = {r} at x3 = {xs[i + 1]}")
-        rhos[i + 1] = r
+    with np.errstate(over="ignore"):
+        for i in range(n_nodes - 1):
+            try:
+                k1 = f(r)
+                k2 = f(r + 0.5 * h * k1)
+                k3 = f(r + 0.5 * h * k2)
+                k4 = f(r + h * k3)
+            except DegeneratePressure as exc:
+                raise DegeneratePressure(
+                    f"{exc} on x3 in [{xs[i + 1]}, {xs[i]}]") from None
+            r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if r <= 0 or not math.isfinite(r):
+                raise NonPositiveDensity(f"rho = {r} at x3 = {xs[i + 1]}")
+            rhos[i + 1] = r
+        p, dp = law.value(rhos), law.derivative(rhos)
+    bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(dp)))
+    if bad.size:
+        i = bad[0]
+        raise DegeneratePressure(f"P({rhos[i]}) = {p[i]}, P' = {dp[i]} at "
+                                 f"x3 = {xs[i]}: not finite")
     return xs[::-1].copy(), rhos[::-1].copy()
 
 

@@ -84,6 +84,19 @@ def test_dispersion_unstable_and_determinism(tmp_path):
     assert summary["xi_c"] == "inf"
 
 
+def test_dispersion_readme_config_is_deterministic(tmp_path):
+    # the README config: one chain of 8 growing rows, each after the first
+    # started from its predecessor's root vector
+    cfg = write_config(tmp_path / "cfg.json", n=100, cutoff=4.0, n_samples=513)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    for out in (out1, out2):
+        assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("dispersion.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    rows = (out1 / "dispersion.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8 and all(r.endswith(",true") for r in rows)
+
+
 def test_alpha_prints_value(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["alpha", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -268,6 +281,22 @@ def test_solver_error_exit_3(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "classify"])
+def test_pressure_overflow_exit_3(tmp_path, capsys, command):
+    # K rho^2.5 overflows in the lower layer of a column 1e300 deep
+    doc = json.loads(write_config(tmp_path / "base.json").read_text())
+    doc["geometry"]["b"] = 1e300
+    for side in ("plus", "minus"):
+        doc["fluids"][side]["law"] = {"kind": "polytropic", "params": [1.0, 2.5]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: P") and " x3 " in err, err
+    assert list(out.iterdir()) == []
 
 
 def test_linalg_error_exit_3(tmp_path, capsys, monkeypatch):

@@ -273,11 +273,13 @@ def test_root_above_s_max_raises(unstable_profile, mesh40, monkeypatch):
         growth_rate(form_coefficients(mesh40, unstable_profile), 1.0)
 
 
-def test_one_eigensolve_per_frequency(unstable_profile, mesh100, monkeypatch):
-    # the README scenario's sweep: each root's only eigensolve is its probe
+def test_one_eigensolve_per_chain(unstable_profile, mesh100, monkeypatch):
+    # the README scenario's sweep is one chain of growing frequencies: its
+    # first row's probe is the only eigensolve, and every later row starts
+    # from its predecessor's root vector
     calls = _count_min_eig(monkeypatch)
     summary = sweep_lattice(form_coefficients(mesh100, unstable_profile), cutoff=4.0)
-    assert len(summary.curve) == 8 and len(calls) == 8
+    assert len(summary.curve) == 8 and len(calls) == 1
     assert all(p.lam > 0 and p.converged and p.iterations <= 10
                for p in summary.curve)
 
@@ -300,16 +302,83 @@ def test_sweep_assembles_once_per_mesh(unstable_profile, mesh40, monkeypatch):
 
 
 def test_growth_rate_and_sweep_take_one_path(unstable_profile, mesh40):
-    # a single-frequency solve and the sweep's row at the same |xi| agree bit
-    # for bit
+    # a single-frequency solve given the previous row's minimizer as start,
+    # and the sweep's row at the same |xi|, agree bit for bit; the first row
+    # has no predecessor and is the solve without start
     coeffs = form_coefficients(mesh40, unit_profile(sigma_minus=0.2, sigma_plus=0.1))
-    alone = growth_rate(coeffs, 2.0)
     summary = sweep_lattice(coeffs, cutoff=3.0)
-    (row,) = [p for p in summary.curve if p.xi_abs == 2.0]
-    assert alone.lam > 0 and row.xi == (2.0, 0.0)
-    assert (row.lam, row.alpha_at_star, row.iterations, row.converged) == \
-        (alone.lam, alone.alpha_at_star, alone.iterations, alone.converged)
-    assert np.array_equal(row.minimizer, alone.minimizer)
+    i = [p.xi_abs for p in summary.curve].index(2.0)
+    prev, row = summary.curve[i - 1], summary.curve[i]
+    pairs = [(summary.curve[0], growth_rate(coeffs, summary.curve[0].xi_abs)),
+             (row, growth_rate(coeffs, 2.0, start=prev.minimizer))]
+    assert prev.lam > 0 and row.lam > 0 and row.xi == (2.0, 0.0)
+    for swept, alone in pairs:
+        assert (swept.lam, swept.alpha_at_star, swept.iterations, swept.converged) == \
+            (alone.lam, alone.alpha_at_star, alone.iterations, alone.converged)
+        assert np.array_equal(swept.minimizer, alone.minimizer)
+
+
+def test_rejected_start_takes_the_probe_path(unstable_profile, mesh100,
+                                            monkeypatch):
+    # psi(0) = 0 leaves only the nonnegative bulk energy, v^T K0 v > 0: the
+    # start has no Rayleigh functional, and the probe path gives the root
+    coeffs = form_coefficients(mesh100, unstable_profile)
+    bad = np.zeros(mesh100.ndof)
+    bad[1] = 1.0
+    assert math.isnan(dispersion._rayleigh_functional(coeffs.at(1.0), bad))
+    alone = growth_rate(coeffs, 1.0)
+    calls = _count_min_eig(monkeypatch)
+    pt = growth_rate(coeffs, 1.0, start=bad)
+    assert len(calls) == 1  # the probe
+    assert (pt.lam, pt.alpha_at_star, pt.converged) == \
+        (alone.lam, alone.alpha_at_star, alone.converged)
+    assert np.array_equal(pt.minimizer, alone.minimizer)
+    assert pt.iterations == alone.iterations + 1  # the Cholesky test of T(s_min)
+    assert pt.lam > 0 and pt.converged
+
+
+def test_chain_across_the_window_edge(mesh100, monkeypatch):
+    # sigma_minus = 0.1 puts xi_c = 3.69 inside the cutoff: the chain of
+    # growing rows ends there, and the rows above it decay by their probe
+    prof = unit_profile(sigma_minus=0.1)
+    xi_c = critical_frequency(prof)
+    coeffs = form_coefficients(mesh100, prof)
+    calls = _count_min_eig(monkeypatch)
+    curve = sweep_lattice(coeffs, cutoff=6.0).curve
+    growing = [p for p in curve if p.lam > 0]
+    decaying = [p for p in curve if p.lam == 0.0]
+    assert all(p.xi_abs < xi_c for p in growing)
+    assert all(p.xi_abs > xi_c for p in decaying) and len(decaying) >= 5
+    assert all(p.alpha_at_star >= 0 and p.converged for p in decaying)
+    # the row after the last growing one tests T(s_min), then probes
+    first = curve.index(decaying[0])
+    assert curve[first - 1].lam > 0 and curve[first].iterations == 2
+    assert all(p.iterations == 1 for p in curve[first + 1:])
+    # one probe per decaying row, one for the chain's first row, and at
+    # most one more where a start is rejected next to xi_c
+    assert len(decaying) + 1 <= len(calls) <= len(decaying) + 2
+    s_max = 1.25 * prof.params.b * prof.params.g * prof.jump / prof.params.mu_minus
+    for p in growing:
+        assert p.converged
+        assert abs(p.lam - growth_rate(coeffs, p.xi_abs).lam) <= 1e-10 * s_max
+
+
+@pytest.mark.parametrize("name", ["isothermal", "polytropic", "mu_prime"])
+def test_continued_rows_match_standalone_solves(name, unstable_profile, mesh100):
+    if name == "mu_prime":
+        prof = unit_profile(mu_prime_plus=0.3, mu_prime_minus=0.2)
+    else:
+        prof = _scenario(name, unstable_profile)[0]
+    prm = prof.params
+    s_max = 1.25 * prm.b * prm.g * prof.jump / prm.mu_minus
+    coeffs = form_coefficients(mesh100, prof)
+    curve = sweep_lattice(coeffs, cutoff=6.0).curve
+    continued = [p for prev, p in zip(curve, curve[1:]) if prev.lam > 0]
+    assert len(continued) == len(curve) - 1 >= 15
+    for p in continued:
+        alone = growth_rate(coeffs, p.xi_abs)
+        assert p.converged and alone.converged
+        assert abs(p.lam - alone.lam) <= 1e-10 * s_max
 
 
 def test_converged_flag_comes_from_the_eigen_residual(unstable_profile,

@@ -249,6 +249,17 @@ def test_degenerate_pressure_detected():
         solve_equilibrium(law, PressureLaw.isothermal(1.0), prm)
 
 
+@pytest.mark.parametrize("gamma", [2.5, 3.0])
+@pytest.mark.parametrize("b", [1e300, 1e150])
+def test_pressure_overflow_raises(gamma, b):
+    # the lower layer's density grows past the range where K rho^gamma (at
+    # b = 1e150) or its derivative (at b = 1e300) is finite; no overflow
+    # warning escapes (pytest turns warnings into errors)
+    law = PressureLaw.polytropic(1.0, gamma)
+    with pytest.raises(DegeneratePressure, match=r"^P'?\([\d.]+e\+\d+\) = .* x3 .*-[\d.]+e\+\d+"):
+        solve_equilibrium(law, law, unit_params(b=b))
+
+
 def test_tabulated_law_does_not_extrapolate(params):
     # isothermal K = 1 tabulated on rho in [0.5, 1.5]: the upper layer's
     # descent from rho = 1 would reach e = 2.72 at the interface
