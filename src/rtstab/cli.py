@@ -123,11 +123,15 @@ def cmd_oracle(cfg, out, args) -> int:
         state = evolve.interface_bump_state(ops)
         dt = cfg.numerics.dt if cfg.numerics.dt else 0.05
         t_final = cfg.numerics.t_final if cfg.numerics.t_final else 20.0
+    if round(t_final / dt) < 1:
+        raise InvalidInput(f"numerics.t_final = {t_final!r} must cover at least "
+                           f"one step of numerics.dt = {dt!r}")
     traj = evolve.advance(state, ops, dt, t_final)
     evolve.write_trajectory_csv(traj, ops, out / "trajectory.csv")
     fitted = evolve.measure_growth(traj, cfg.numerics.fit_window)
+    # the run ends at the multiple of dt nearest the requested t_final
     _write_json({"xi_abs": args.xi, "lambda_variational": pt.lam,
-                 "fitted_rate": fitted, "dt": dt, "t_final": t_final},
+                 "fitted_rate": fitted, "dt": dt, "t_final": float(traj.times[-1])},
                 out / "rate.json")
     return 0
 

@@ -36,9 +36,14 @@ order in which the step matrices are banded with half-bandwidth STEP_BAND
 (layout in EvolutionOperators), and every operator is assembled straight
 into the LAPACK band storage of variational.assemble.  It is advanced by
 the trapezoidal rule, which inherits the identity exactly at step midpoints
-(quadratic invariants are preserved) and is second order in dt: the step
-matrix is factorized once by LAPACK dgbtrf, and each step is one CSR
-product and one dgbtrs.
+(quadratic invariants are preserved) and is second order in dt.  The step
+matrix T = M - dt/2 A is factorized once.  When dpbtrf certifies its
+symmetric part positive definite (the usual case for a small forward dt),
+T has an LU factorization without row interchanges whose factors keep its
+half-bandwidth, and each step is one CSR product and two dtbsv triangular
+solves.  Otherwise (dt < 0, or a dt large enough for the boundary coupling
+to make the symmetric part indefinite) T is factorized by dgbtrf with
+partial pivoting, and each step is one CSR product and one dgbtrs.
 For a stable orientation (jump < 0) the full energy adds -1/2 jump g eta_-^2
 > 0 and is non-increasing at every step, to round-off.  Growth rates are
 measured by least squares on log|eta_-(t)| and cross-checked against the
@@ -52,14 +57,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
+from scipy.sparse.linalg import splu
 
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
 from .variational import (FormCoefficients, assemble, band_mv, check_frequency,
                           form_terms, surface_coefficients)
 
-BLOCK = 8  # states per vectorised block of the energy-balance pass
+BLOCK = 16  # states per block of the energy-balance pass (32 adds 1-2 MB of peak RSS)
 STEP_BAND = 6  # half-bandwidth of the step matrices in the node-by-node order
 
 
@@ -191,18 +198,52 @@ def _csr(ab: np.ndarray) -> sp.csr_array:
                         shape=(ab.shape[1],) * 2).tocsr()
 
 
+def _pivot_free_factors(lhs: np.ndarray):
+    """Unit lower and upper band factors (half-bandwidth STEP_BAND each, in
+    the lower and upper dtbsv band storage) of the band array lhs factorized
+    without row interchanges, or None when that is not certified safe.
+
+    The certificate is one dpbtrf of the symmetric part (T + T^T)/2 in upper
+    band storage: if it is positive definite, every leading principal minor
+    of T is nonzero, so the elimination without pivoting exists, and its
+    growth is bounded (Golub & Van Loan, Linear Algebra Appl. 28, 1979); its
+    L and U keep the band of T.  SuperLU factors T in the natural order
+    with the diagonal as every pivot, which is checked.
+    """
+    w, n = STEP_BAND, lhs.shape[1]
+    sym = np.zeros((w + 1, n), order="F")
+    for o in range(w + 1):
+        sym[w - o, o:] = 0.5 * (lhs[w - o, o:] + lhs[w + o, :n - o])
+    if dpbtrf(sym, overwrite_ab=1)[1] != 0:
+        return None
+    lu = splu(sp.dia_array((lhs, w - np.arange(2 * w + 1)), shape=(n, n)).tocsc(),
+              permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    identity = np.arange(n)
+    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+        return None
+    L, U = lu.L.tocoo(), lu.U.tocoo()
+    lower, upper = np.zeros((w + 1, n), order="F"), np.zeros((w + 1, n), order="F")
+    lower[L.row - L.col, L.col] = L.data
+    upper[w + U.row - U.col, U.col] = U.data
+    return lower, upper
+
+
 def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
             t_final: float) -> Trajectory:
     """Integrate M dy/dt = A y from the real state y0 at t = 0 by trapezoidal
     steps (M - dt/2 A) y+ = (M + dt/2 A) y.  dt may be negative (time
-    reversal), in which case t_final must be too.
+    reversal), in which case t_final must be too.  The run takes
+    round(t_final / dt) steps, so it ends at the multiple of dt nearest
+    t_final, which is times[-1].
 
-    M - dt/2 A is factorized once by dgbtrf, with STEP_BAND zero rows on top
-    of its band storage as room for the fill of the pivoting, and each step
-    is one CSR product with M + dt/2 A and one dgbtrs, written straight into
-    the (n_steps + 1, n) record.  A complex y0 raises ValueError: the
-    operators are real, so its real and imaginary parts are two separate
-    trajectories.
+    Each step is one CSR product with M + dt/2 A, then a solve with
+    M - dt/2 A written straight into the (n_steps + 1, n) record.  When the
+    symmetric part of M - dt/2 A is positive definite the solve is two
+    dtbsv calls with its pivot-free band factors (_pivot_free_factors);
+    otherwise it is one dgbtrs with the dgbtrf factors, computed with
+    STEP_BAND zero rows on top of the band storage as room for the fill of
+    the pivoting.  A complex y0 raises ValueError: the operators are real,
+    so its real and imaginary parts are two separate trajectories.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -211,17 +252,28 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final must cover at least one step of size dt")
-    lhs = np.zeros((3 * STEP_BAND + 1, ops.n), order="F")
-    lhs[STEP_BAND:] = ops.M - 0.5 * dt * ops.A
-    lu, piv, info = dgbtrf(lhs, STEP_BAND, STEP_BAND, overwrite_ab=1)
-    if info > 0:
-        raise SingularStep(f"implicit step matrix is singular (zero pivot {info})")
+    w, lhs = STEP_BAND, ops.M - 0.5 * dt * ops.A
+    factors = _pivot_free_factors(lhs)
+    if factors is not None:
+        lower, upper = factors
+
+        def solve(b):
+            b = dtbsv(w, lower, b, lower=1, diag=1, overwrite_x=1)
+            return dtbsv(w, upper, b, overwrite_x=1)
+    else:
+        pivoted = np.zeros((3 * w + 1, ops.n), order="F")
+        pivoted[w:] = lhs
+        lu, piv, info = dgbtrf(pivoted, w, w, overwrite_ab=1)
+        if info > 0:
+            raise SingularStep(f"implicit step matrix is singular (zero pivot {info})")
+
+        def solve(b):
+            return dgbtrs(lu, w, w, b, piv, overwrite_b=1)[0]
     rhs = _csr(ops.M + 0.5 * dt * ops.A)
     out = np.empty((n_steps + 1, ops.n))
     out[0] = y0
     for k in range(n_steps):
-        out[k + 1] = dgbtrs(lu, STEP_BAND, STEP_BAND, rhs @ out[k], piv,
-                            overwrite_b=1)[0]
+        out[k + 1] = solve(rhs @ out[k])
         if not np.all(np.isfinite(out[k + 1])):
             raise SingularStep(f"non-finite state at step {k + 1}")
     return Trajectory(dt * np.arange(n_steps + 1), out, dt,
@@ -246,8 +298,11 @@ def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators):
     """Per-step defect of the discrete energy identity, relative to the energy.
 
     The identity is evaluated at step midpoints, where the trapezoidal rule
-    holds it to round-off.  States are taken BLOCK at a time through CSR
-    copies of W and D, so no temporary grows with the step count.  Returns
+    holds it to round-off.  The states are read BLOCK + 1 rows at a time,
+    copied once into a contiguous block with one state per column that the
+    CSR copies of W and D multiply without a further copy, and each quadratic
+    form is a column-wise dot product, so no temporary grows with the step
+    count.  Returns
     (residual, energy, dissipation): the defect of each step and the last
     two at every state.
     """
@@ -256,11 +311,12 @@ def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators):
     energy, diss = np.empty(n_steps + 1), np.empty(n_steps + 1)
     cross = np.empty(n_steps)  # y_k^T D y_k+1
     for a in range(0, n_steps, BLOCK):
-        Y = traj.states[a:a + BLOCK + 1].T  # one state per column
+        # one contiguous copy, one state per column, that both products read
+        Y = np.ascontiguousarray(traj.states[a:a + BLOCK + 1].T)
         DY, k = D @ Y, Y.shape[1]
-        energy[a:a + k] = 0.5 * (Y * (W @ Y)).sum(axis=0)
-        diss[a:a + k] = (Y * DY).sum(axis=0)
-        cross[a:a + k - 1] = (Y[:, :-1] * DY[:, 1:]).sum(axis=0)
+        energy[a:a + k] = 0.5 * np.einsum("ji,ji->i", Y, W @ Y)
+        diss[a:a + k] = np.einsum("ji,ji->i", Y, DY)
+        cross[a:a + k - 1] = np.einsum("ji,ji->i", Y[:, :-1], DY[:, 1:])
     eta = traj.states[:, ops.eta_minus_idx]
     w = traj.states[:, ops.u3_int]
     # at the midpoint m of y_k and y_k+1, D symmetric gives

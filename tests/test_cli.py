@@ -14,7 +14,7 @@ import pytest
 import rtstab
 from bench.inputs import WORKLOADS, cli_argv
 from bench.spans import TARGETS
-from rtstab import variational
+from rtstab import evolve, variational
 from rtstab.cli import build_parser, main
 from rtstab.config import load_config
 from rtstab.errors import ConfigError
@@ -142,6 +142,46 @@ def test_oracle_artifacts(tmp_path):
     assert rate["fitted_rate"] == pytest.approx(rate["lambda_variational"], rel=0.05)
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual"
+
+
+def test_oracle_rate_reports_the_reached_time(tmp_path):
+    # round(1.0 / 0.3) = 3 steps end at t = 0.9, not at the requested 1.0
+    cfg = write_config(tmp_path / "cfg.json", dt=0.3, t_final=1.0)
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out),
+                 "--xi", "1.0"]) == 0
+    rate = json.loads((out / "rate.json").read_text())
+    last = (out / "trajectory.csv").read_text().splitlines()[-1]
+    assert rate["t_final"] == float(last.split(",")[0]) == 3 * 0.3
+    assert rate["dt"] == 0.3
+
+
+def test_oracle_too_short_names_the_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", dt=2.0, t_final=0.5)
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--xi", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "numerics.t_final" in err and "numerics.dt" in err
+
+
+def test_oracle_readme_config_steps_without_pivoting(tmp_path, monkeypatch):
+    # the README pair at 400 elements per layer (the benchmark's oracle
+    # size): the symmetric part of the step matrix is certified positive
+    # definite, so no step goes through the pivoted band LU
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+    for name in calls:
+        original = getattr(evolve, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, name, counted)
+    cfg = write_config(tmp_path / "cfg.json", n=400, cutoff=4.0, n_samples=513)
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--xi", "1.0"]) == 0
+    assert calls == {"dgbtrf": 0, "dgbtrs": 0}
 
 
 @pytest.mark.parametrize("command", ["mode", "oracle"])

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrf
 
+from rtstab import evolve
 from rtstab.dispersion import growth_rate
 from rtstab.errors import BandOverflow, SingularStep, ZeroSignal
 from rtstab.evolve import (STEP_BAND, Trajectory, advance,
@@ -179,6 +181,13 @@ def test_singular_step_raises(unstable_setup):
         advance(interface_bump_state(ops), Degenerate(), 0.1, 0.5)
 
 
+def _backward_error(ops, dt, y0, y1):
+    """Normwise backward error of one step y0 -> y1 in the real system."""
+    lhs = dense(ops.M - 0.5 * dt * ops.A)
+    r = lhs @ y1 - dense(ops.M + 0.5 * dt * ops.A) @ y0
+    return np.abs(r).max() / (abs(lhs).sum(axis=1).max() * np.abs(y1).max())
+
+
 def test_banded_step_matches_complex_lu():
     # the in-plane step against the complex packed (q | u1, u2, u3 | eta)
     # system with the full-velocity dissipation, stepped by SuperLU
@@ -194,11 +203,47 @@ def test_banded_step_matches_complex_lu():
                       embed_state(ops, y0, xi), dt)
         got = embed_state(ops, y1, xi)
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
-        # normwise backward error of the banded step in the real system
-        lhs = dense(ops.M - 0.5 * dt * ops.A)
-        r = lhs @ y1 - dense(ops.M + 0.5 * dt * ops.A) @ y0
-        scale = abs(lhs).sum(axis=1).max() * np.abs(y1).max()
-        assert np.abs(r).max() <= 1e-14 * scale
+        assert _backward_error(ops, dt, y0, y1) <= 1e-14
+
+
+@pytest.mark.parametrize("dt, xi, pivoted", [(5.0, (1.02, 1.36), False),
+                                             (5.0, (0.6, 0.8), True),
+                                             (-0.1, (1.02, 1.36), True)])
+def test_both_step_paths_hold_the_backward_error(monkeypatch, dt, xi, pivoted):
+    # the pivot-free factors serve when the symmetric part of M - dt/2 A is
+    # positive definite, as at dt = 5 and |xi| = 1.7; a negative dt, or dt = 5
+    # at |xi| = 1, makes it indefinite and the step falls back to dgbtrf.
+    # Either path holds the bounds of test_banded_step_matches_complex_lu
+    prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
+                        sigma_minus=0.1)
+    mesh = build_mesh(1.0, 1.0, 40, 40)
+    ops = semidiscretize(form_coefficients(mesh, prof), math.hypot(*xi))
+    calls = []
+    monkeypatch.setattr(evolve, "dgbtrf",
+                        lambda *args, **kwargs: calls.append(1) or dgbtrf(*args, **kwargs))
+    y0 = random_state(ops, seed=3)
+    y1 = advance(y0, ops, dt, dt).states[1]
+    assert len(calls) == pivoted
+    ref = lu_step(*complex_operators(prof, mesh, xi), embed_state(ops, y0, xi), dt)
+    assert np.linalg.norm(embed_state(ops, y1, xi) - ref) <= 1e-11 * np.linalg.norm(ref)
+    assert _backward_error(ops, dt, y0, y1) <= 1e-14
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.5, 2.0])
+def test_pivot_free_factors_reproduce_the_step_band(unstable_setup, dt):
+    # without row interchanges L and U keep STEP_BAND, and L U is M - dt/2 A
+    # to round-off (a factor entry outside the band would break it); padding
+    # each factor to 2 STEP_BAND + 1 rows gives the general band storage
+    # that dense reads
+    _mesh, _pt, _mode, ops = unstable_setup
+    lhs = ops.M - 0.5 * dt * ops.A
+    lower, upper = evolve._pivot_free_factors(lhs)
+    pad = np.zeros((STEP_BAND, ops.n))
+    L, U = dense(np.vstack([pad, lower])), dense(np.vstack([upper, pad]))
+    np.fill_diagonal(L, 1.0)  # dtbsv reads L as unit lower
+    T = dense(lhs)
+    bound = 8 * np.finfo(float).eps * (np.abs(L) @ np.abs(U)).max()
+    assert np.abs(L @ U - T).max() <= bound
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 40])
