@@ -17,8 +17,10 @@ downward extension at the interface, so the two-sided interface extension is
 C^m across x3 = 0.  The lambda_j are otherwise free; lambda_j = j + 1 is the
 documented default, for orders m = 0 to 12.
 
-Grid fields are transformed with the FFT; evaluators return values on the
-same horizontal grid at any requested height, with analytic x3-derivatives.
+A grid field is transformed once: PeriodicField.spectrum caches its FFT
+coefficients and |xi|, and every evaluator, both halves of an interface
+extension included, synthesizes from that one spectrum the values on the same
+horizontal grid at any requested height, with analytic x3-derivatives.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,26 +44,44 @@ class PeriodicField:
     L2: float
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        v = np.array(self.values)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
             raise ValueError("values must be a 2d grid with sizes >= 2")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must all be finite numbers")
         if not (0 < self.L1 < np.inf and 0 < self.L2 < np.inf):
             raise ValueError(f"periodicity lengths must be finite and > 0, "
                              f"got L1 = {self.L1}, L2 = {self.L2}")
+        v.flags.writeable = False  # a private read-only copy: spectrum stays valid
         object.__setattr__(self, "values", v)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def xi_grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(xi1, xi2, |xi|) arrays matching the FFT coefficient layout."""
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(fft2 coefficients, |xi|), both in the FFT coefficient layout."""
         n1, n2 = self.shape
-        m = np.fft.fftfreq(n1, d=1.0 / n1)
-        n = np.fft.fftfreq(n2, d=1.0 / n2)
-        xi1 = m[:, None] / self.L1
-        xi2 = n[None, :] / self.L2
-        return xi1, xi2, np.hypot(xi1, xi2)
+        xi1 = np.fft.fftfreq(n1, d=1.0 / n1)[:, None] / self.L1
+        xi2 = np.fft.fftfreq(n2, d=1.0 / n2)[None, :] / self.L2
+        return np.fft.fft2(self.values), np.hypot(xi1, xi2)
+
+    def synthesize(self, multiplier: np.ndarray) -> np.ndarray:
+        """Grid values of the spectrum times multiplier; real for real input."""
+        out = np.fft.ifft2(self.spectrum[0] * multiplier)
+        return out.real if np.isrealobj(self.values) else out
+
+
+def _check_nodes(lam: np.ndarray) -> None:
+    """Refuse nodes that are not finite, positive and strictly increasing.
+    Finiteness is tested first and the comparisons fail on NaN, so bad nodes
+    raise before any arithmetic on them."""
+    if lam.ndim != 1 or lam.size == 0:
+        raise ValueError("lambdas must be a nonempty 1d sequence")
+    if not (np.all(np.isfinite(lam)) and lam[0] > 0 and np.all(np.diff(lam) > 0)):
+        raise ValueError(f"lambdas must be finite, positive and strictly "
+                         f"increasing, got {lam}")
 
 
 def vandermonde_coeffs(lambdas) -> np.ndarray:
@@ -75,10 +96,7 @@ def vandermonde_coeffs(lambdas) -> np.ndarray:
     checked; clustered lambdas blow up |alpha| and fail the check.
     """
     lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("lambdas must be a nonempty 1d sequence")
-    if lam[0] <= 0 or np.any(np.diff(lam) <= 0):
-        raise ValueError("lambdas must be strictly increasing and positive")
+    _check_nodes(lam)
     lam_q = [Fraction(x) for x in lam]
     alphas = np.array([float(math.prod((1 + lk) / (lk - lj)
                                        for k, lk in enumerate(lam_q) if k != j))
@@ -104,11 +122,12 @@ class ExtensionParams:
         al = np.asarray(self.alphas, float)
         if lam.shape != al.shape:
             raise ValueError("lambdas and alphas must have equal length")
-        if lam[0] <= 0 or np.any(np.diff(lam) <= 0):
-            raise ValueError("lambdas must be strictly increasing and positive")
+        _check_nodes(lam)
+        if not np.all(np.isfinite(al)):
+            raise ValueError(f"alphas must be finite, got {al}")
         for ell in range(lam.size):
             moment = np.sum(al * (-lam) ** ell)
-            if abs(moment - 1.0) > 1e-10:
+            if not abs(moment - 1.0) <= 1e-10:
                 raise ValueError(f"moment condition l={ell} violated: {moment}")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "alphas", al)
@@ -130,60 +149,50 @@ class ExtensionParams:
         return cls.from_lambdas(np.arange(1.0, m + 2.0))
 
 
-class _SpectralExtension:
-    """Shared FFT plumbing: holds coefficients and synthesizes grid values."""
-
-    def __init__(self, field: PeriodicField):
-        self.field = field
-        self.coeffs = np.fft.fft2(field.values)
-        self.xi1, self.xi2, self.xi_abs = field.xi_grids()
-        self.real_input = np.isrealobj(field.values)
-
-    def _synthesize(self, multiplier: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft2(self.coeffs * multiplier)
-        return out.real if self.real_input else out
-
-
-class DownwardExtension(_SpectralExtension):
+class DownwardExtension:
     """Harmonic extension below the level x3 = level: modes damp as
     e^{|xi| (x3 - level)}."""
 
     def __init__(self, field: PeriodicField, level: float):
-        super().__init__(field)
+        self.field = field
         self.level = float(level)
+        if not -np.inf < self.level < np.inf:
+            raise ValueError(f"extension level must be finite, got {level}")
 
     def evaluate(self, x3: float, deriv: int = 0) -> np.ndarray:
-        if x3 > self.level + 1e-12:
-            raise ValueError(f"x3 = {x3} above the extension level {self.level}")
-        mult = self.xi_abs ** deriv * np.exp(self.xi_abs * (x3 - self.level))
-        return self._synthesize(mult)
+        if not -np.inf < x3 <= self.level + 1e-12:
+            raise ValueError(f"x3 = {x3} is not a finite height at or below the "
+                             f"extension level {self.level}")
+        xi_abs = self.field.spectrum[1]
+        return self.field.synthesize(xi_abs ** deriv * np.exp(xi_abs * (x3 - self.level)))
 
 
-class UpwardExtension(_SpectralExtension):
+class UpwardExtension:
     """Specialized extension above x3 = 0 with order-m derivative matching."""
 
     def __init__(self, field: PeriodicField, params: ExtensionParams):
-        super().__init__(field)
+        self.field = field
         self.params = params
 
     def evaluate(self, x3: float, deriv: int = 0) -> np.ndarray:
-        if x3 < -1e-12:
-            raise ValueError(f"x3 = {x3} below the upward extension domain")
-        mult = np.zeros_like(self.xi_abs)
+        if not -1e-12 <= x3 < np.inf:
+            raise ValueError(f"x3 = {x3} is not a finite height in the upward "
+                             f"extension domain x3 >= 0")
+        xi_abs = self.field.spectrum[1]
+        mult = np.zeros_like(xi_abs)
         for lam, al in zip(self.params.lambdas, self.params.alphas):
-            mult = mult + al * (-lam * self.xi_abs) ** deriv \
-                * np.exp(-lam * self.xi_abs * x3)
-        return self._synthesize(mult)
+            mult = mult + al * (-lam * xi_abs) ** deriv * np.exp(-lam * xi_abs * x3)
+        return self.field.synthesize(mult)
 
 
 class InterfaceExtension:
     """Two-sided extension of interface data: downward harmonic below zero,
-    specialized upward sum above; vertical derivatives match through order m."""
+    specialized upward sum above; vertical derivatives match through order m.
+    Both halves synthesize from the field's one spectrum."""
 
     def __init__(self, field: PeriodicField, params: ExtensionParams):
         self.down = DownwardExtension(field, 0.0)
         self.up = UpwardExtension(field, params)
-        self.params = params
 
     def evaluate(self, x3: float, deriv: int = 0) -> np.ndarray:
         if x3 > 0:
@@ -192,7 +201,10 @@ class InterfaceExtension:
 
 
 def write_field_csv(field: PeriodicField, path) -> None:
-    """Row-major CSV with a two-line header carrying N1, N2, L1, L2."""
+    """Row-major CSV with a two-line header carrying N1, N2, L1, L2.  The
+    format holds real values, so a complex grid raises ValueError."""
+    if np.iscomplexobj(field.values):
+        raise ValueError("the field CSV format holds real values; got a complex grid")
     n1, n2 = field.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("N1,N2,L1,L2\n")
@@ -230,4 +242,7 @@ def read_field_csv(path) -> PeriodicField:
         except (IndexError, ValueError):
             raise bad(lineno, f"grid row {lineno - 2} of {n1}: "
                               f"{n2} comma-separated finite numbers") from None
+    for lineno in range(3 + n1, len(lines) + 1):
+        if lines[lineno - 1]:
+            raise bad(lineno, f"the end of the file after {n1} grid rows")
     return PeriodicField(np.array(rows), L1, L2)

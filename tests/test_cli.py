@@ -258,6 +258,8 @@ def test_extend_order_flag(tmp_path, capsys, order, code):
     pytest.param("2,2,1,1\n0.5,abc\n1.0,2.0\n", "line 3", id="not_a_number"),
     pytest.param("2,2,1,1\n0.5,1.5\n1.0,nan\n", "line 4", id="not_finite"),
     pytest.param("3,2,1,1\n0.5,1.5\n1.0,2.0\n", "line 5", id="fewer_rows_than_n1"),
+    pytest.param("2,2,1,1\n0.5,1.5\n1.0,2.0\n\n3.0,4.0\n", "line 6",
+                 id="rows_past_n1"),
     pytest.param("2,2,1,1\n0.5\n1.0,2.0\n", "line 3", id="short_row"),
     pytest.param("2,2,1,1\n0.5,1.5\n1.0,2.0,3.0\n", "line 4", id="long_row"),
     pytest.param("2,x,1,1\n0.5,1.5\n1.0,2.0\n", "line 2", id="n2_not_an_integer"),

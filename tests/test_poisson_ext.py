@@ -1,9 +1,14 @@
 """Vandermonde coefficients and spectral extensions of periodic data."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rtstab.errors import IllConditioned
 from rtstab.poisson_ext import (DownwardExtension, ExtensionParams,
@@ -180,3 +185,103 @@ def test_periodic_field_rejects_bad_period(period):
     for lengths in ((period, 1.0), (1.0, period)):
         with pytest.raises(ValueError, match="finite and > 0"):
             PeriodicField(np.zeros((2, 2)), *lengths)
+
+
+def test_read_field_csv_refuses_rows_past_n1(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("N1,N2,L1,L2\n2,2,1,1\n0.5,1.5\n1.0,2.0\n\n  \n")
+    assert read_field_csv(path).shape == (2, 2)  # blank trailing lines pass
+    path.write_text("N1,N2,L1,L2\n2,2,1,1\n0.5,1.5\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ValueError, match=r"grid.csv, line 5: expected the end of "
+                                         r"the file after 2 grid rows, got '3.0,4.0'"):
+        read_field_csv(path)
+
+
+def test_write_field_csv_refuses_complex_grid(tmp_path):
+    f = PeriodicField(np.array([[1 + 2j, 2.0], [0.5, 1.0]]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="real values"):
+        write_field_csv(f, tmp_path / "grid.csv")
+    assert not (tmp_path / "grid.csv").exists()
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+periods = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(2, 5)),
+                     elements=finite_floats),
+       L1=periods, L2=periods)
+def test_field_csv_round_trip_is_bit_exact(values, L1, L2):
+    f = PeriodicField(values, L1, L2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        write_field_csv(f, path)
+        g = read_field_csv(path)
+    assert (g.L1, g.L2) == (L1, L2)
+    assert g.values.dtype == f.values.dtype
+    assert g.values.tobytes() == f.values.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("lambdas, alphas", [([math.nan, 1.0], [1.0, 0.0]),
+                                             ([1.0, math.inf], [1.0, 0.0]),
+                                             ([1.0, 2.0], [math.nan, 0.0])])
+def test_extension_params_refuse_non_finite_input(lambdas, alphas):
+    # warnings are errors here: the checks must run before any moment sum
+    with pytest.raises(ValueError, match="must be finite"):
+        ExtensionParams(lambdas, alphas)
+
+
+@pytest.mark.parametrize("lambdas", [[1.0, math.inf], [math.nan, 1.0], [math.inf]])
+def test_vandermonde_refuses_non_finite_nodes(lambdas):
+    with pytest.raises(ValueError, match="must be finite"):
+        vandermonde_coeffs(lambdas)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+def test_periodic_field_rejects_non_finite_values(bad):
+    values = np.zeros((3, 3), dtype=type(bad))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="values must all be finite"):
+        PeriodicField(values, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("x3", [math.nan, -math.inf])
+def test_downward_extension_refuses_non_finite_heights(x3):
+    f = band_limited(n1=4, n2=4)
+    with pytest.raises(ValueError, match="extension level must be finite"):
+        DownwardExtension(f, x3)
+    with pytest.raises(ValueError, match="not a finite height"):
+        DownwardExtension(f, 0.0).evaluate(x3)
+    with pytest.raises(ValueError, match="not a finite height"):
+        InterfaceExtension(f, ExtensionParams.default(1)).evaluate(x3)
+
+
+@pytest.mark.parametrize("x3", [math.nan, math.inf])
+def test_upward_extension_refuses_non_finite_heights(x3):
+    f = band_limited(n1=4, n2=4)
+    with pytest.raises(ValueError, match="not a finite height"):
+        UpwardExtension(f, ExtensionParams.default(1)).evaluate(x3)
+
+
+def test_interface_extension_transforms_once(monkeypatch):
+    calls = []
+    fft2 = np.fft.fft2
+    monkeypatch.setattr(np.fft, "fft2", lambda a: calls.append(a) or fft2(a))
+    two = InterfaceExtension(band_limited(seed=6), ExtensionParams.default(2))
+    for x3 in (0.5, -0.5):
+        two.evaluate(x3)
+        two.evaluate(x3, deriv=1)
+    assert len(calls) == 1
+    assert two.up.field.spectrum is two.down.field.spectrum
+
+
+def test_periodic_field_keeps_a_read_only_copy():
+    values = np.ones((4, 4))
+    f = PeriodicField(values, 1.0, 1.0)
+    before = f.spectrum[0].copy()
+    values[0, 0] = 5.0  # the caller's array stays the caller's
+    assert np.array_equal(f.values, np.ones((4, 4)))
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0, 0] = 5.0
+    assert np.array_equal(f.spectrum[0], before)
