@@ -3,13 +3,12 @@
 Computes hydrostatic equilibrium profiles, the growth-rate dispersion curve
 lambda(|xi|) via a constrained variational eigenvalue problem, the sharp rate
 over the frequency lattice, the critical surface tension, and the stability
-regime, with an independent time-evolution oracle validating every rate.
+regime, with a time-evolution oracle checking every rate.
 """
 
 from .classify import RegimeLabel, classify_regime, regime_report
 from .dispersion import (DispersionPoint, GrowthSummary, critical_frequency,
-                         critical_tension, growth_rate, psi_bump,
-                         psi_bump_norm_sq, sweep_lattice)
+                         critical_tension, growth_rate, sweep_lattice)
 from .equilibrium import (EquilibriumProfile, PhysicalParams, PressureLaw,
                           check_admissibility, solve_equilibrium)
 from .evolve import (Trajectory, advance, energy_balance_residual,

@@ -130,9 +130,10 @@ def cmd_oracle(cfg, out, args) -> int:
     evolve.write_trajectory_csv(traj, ops, out / "trajectory.csv")
     fitted = evolve.measure_growth(traj, cfg.numerics.fit_window)
     # the run ends at the multiple of dt nearest the requested t_final
+    gap = abs(fitted - pt.lam) / pt.lam if pt.lam > 0 else None
     _write_json({"xi_abs": args.xi, "lambda_variational": pt.lam,
-                 "fitted_rate": fitted, "dt": dt, "t_final": float(traj.times[-1])},
-                out / "rate.json")
+                 "fitted_rate": fitted, "relative_gap": gap, "dt": dt,
+                 "t_final": float(traj.times[-1])}, out / "rate.json")
     return 0
 
 

@@ -327,23 +327,6 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
                          critical_tension(profile), xi_c)
 
 
-def psi_bump(x3, b: float, ell: float, exponent: float):
-    """Compactly supported candidate profile ((1 - x3^2/d^2))^(exponent/2)
-    with d = ell above and d = b below the interface; vanishes with its slope
-    at both outer boundaries for exponent >= 5 and equals 1 at the interface."""
-    x = np.asarray(x3, dtype=float)
-    d = np.where(x >= 0, ell, b)
-    base = np.clip(1.0 - (x / d) ** 2, 0.0, None)
-    return base ** (exponent / 2.0)
-
-
-def psi_bump_norm_sq(b: float, ell: float, exponent: float) -> float:
-    """Closed form of int psi_bump^2 over (-b, ell):
-    sqrt(pi) (b + ell) Gamma(a+1) / (2 Gamma(a + 3/2)) for a = exponent."""
-    a = float(exponent)
-    return math.sqrt(math.pi) * (b + ell) * math.gamma(a + 1.0) / (2.0 * math.gamma(a + 1.5))
-
-
 def write_dispersion_csv(curve, path) -> None:
     """Curve CSV: xi1,xi2,xi_abs,lambda,alpha_at_star,iterations,converged."""
     with open(path, "w", encoding="utf-8") as fh:

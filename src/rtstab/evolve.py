@@ -18,34 +18,44 @@ The horizontal velocity splits into its components along and across xi.
 The across part is a shear that decouples from everything else, and the
 normal modes carry none of it, so the oracle steps the in-plane system: the
 velocity u_h = -i v xi/|xi|, u3 = w, with q, v, w and eta+- real.  In these
-unknowns every coefficient is real and depends on xi only through |xi|: the
-velocity mass, the dissipation and the divergence row are 2 J, 2 E1 and the
-E0 divergence row of the variational forms (variational.form_terms of the
-FormCoefficients' fields), and the boundary coefficients are twice the
-variational point masses (variational.surface_coefficients).  v and w
-live in continuous P1 (essential zero at the bottom); q lives in P1 broken
-at the interface with an h'(rho)-weighted projection of the continuity
-equation, which makes the semidiscrete energy identity
+unknowns every coefficient is real and depends on xi only through |xi|.
+The velocity u = (v, w) is the two-field unknown of the variational forms,
+in their dof order (continuous P1, zero at the bottom), and its mass and
+dissipation are the forms' own 2 M and 2 K1 at |xi|.  The density
+perturbation q has one value q_e per element, and the continuity equation
+is the h'(rho)-weighted element mean of the E0 divergence row
+(variational.form_terms):
 
-    d/dt E + y^T D y = jump * g * eta_- w(0)
-    E = 1/2 y^T W y = 1/2 int rho (v^2 + w^2) + 1/2 int h'(rho) q^2
-      + 1/2 (rho1 g + sigma_+ |xi|^2) eta_+^2 + 1/2 sigma_- |xi|^2 eta_-^2
+    H_e dq_e/dt = -r_e . u,   H_e = int_e h'(rho),   r_e = int_e h'(rho) div,
 
-hold exactly.  A state is one real vector y, listed node by node in the
-order in which the step matrices are banded with half-bandwidth STEP_BAND
-(layout in EvolutionOperators), and every operator is assembled straight
-into the LAPACK band storage of variational.assemble.  It is advanced by
-the trapezoidal rule, which inherits the identity exactly at step midpoints
-(quadratic invariants are preserved) and is second order in dt.  The step
-matrix T = M - dt/2 A is factorized once.  When dpbtrf certifies its
-symmetric part positive definite (the usual case for a small forward dt),
-T has an LU factorization without row interchanges whose factors keep its
-half-bandwidth, and each step is one CSR product and two dtbsv triangular
-solves.  Otherwise (dt < 0, or a dt large enough for the boundary coupling
-to make the symmetric part indefinite) T is factorized by dgbtrf with
-partial pivoting, and each step is one CSR product and one dgbtrs.
-For a stable orientation (jump < 0) the full energy adds -1/2 jump g eta_-^2
-> 0 and is non-increasing at every step, to round-off.  Growth rates are
+with B the (E x ndof) matrix of the rows r_e.  The boundary coefficients c
+are twice the variational point masses (variational.surface_coefficients).
+With z = (q, eta_-, eta_+) the system is
+
+    Mu du/dt = -Du u + F z,    dz/dt = G u,
+
+where G stacks -H^-1 B and the picks of w at the interface and the top,
+and F stacks B^T and the forces -c eta on those two w rows.  Its energy
+identity holds exactly:
+
+    d/dt E + u^T Du u = jump * g * eta_- w(0)
+    E = 1/2 u^T Mu u + 1/2 sum_e H_e q_e^2
+      + 1/2 (rho1 g + sigma_+ |xi|^2) eta_+^2 + 1/2 sigma_- |xi|^2 eta_-^2.
+
+A state is one real vector y = (u, z).  It is advanced by the trapezoidal
+rule, which inherits the identity exactly at step midpoints (quadratic
+invariants are preserved) and is second order in dt.  The masses of q and
+eta are diagonal, so each step eliminates z and solves for the velocity
+alone with the symmetric band matrix
+
+    L = Mu + dt/2 Du + dt^2/4 S,   S = -F G = B^T H^-1 B + diag(c),
+
+of the forms' half-bandwidth BAND, factorized once per run: by dpbtrf when
+L is positive definite (the usual case for a small forward dt), whose
+success is the certificate, else by dgbtrf with partial pivoting (dt < 0,
+or a dt large enough for a negative interface coefficient to win).  For a
+stable orientation (jump < 0) the full energy adds -1/2 jump g eta_-^2 > 0
+and is non-increasing at every step, to round-off.  Growth rates are
 measured by least squares on log|eta_-(t)| and cross-checked against the
 variational fixed point.
 """
@@ -57,112 +67,95 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
-from .variational import (FormCoefficients, assemble, band_mv, check_frequency,
-                          form_terms, surface_coefficients)
+from .variational import (BAND, FormCoefficients, band_mv, check_frequency,
+                          form_terms, scatter, surface_coefficients)
 
 BLOCK = 16  # states per block of the energy-balance pass (32 adds 1-2 MB of peak RSS)
-STEP_BAND = 6  # half-bandwidth of the step matrices in the node-by-node order
 
 
 class EvolutionOperators:
-    """Assembled semidiscrete system M dy/dt = A y with energy functionals.
+    """The semidiscrete system Mu du/dt = -Du u + F z, dz/dt = G u at one
+    frequency magnitude (module docstring).
 
-    State layout, node by node: q at the bottom node, then (q, v, w) at
-    each other node; the interface node's triple holds the lower q and is
-    followed by the upper q and eta_-, and eta_+ comes last.  The index
-    arrays q (the lower layer's nodes, then the upper layer's), v and w
-    (nodes 1 .. n_nodes - 1) give each field's place in y.  M, A, the
-    energy matrix W and the dissipation D are in the band storage of
-    variational.assemble with half-bandwidth STEP_BAND.
+    State layout: the velocity u in the forms' order (v_1, w_1, v_2, w_2,
+    ...) over nodes 1 .. n_nodes - 1, then z = (q_1 .. q_E, eta_-, eta_+).
+    The index arrays v, w and q give each field's place in y.  Mu, Du and S
+    are band storage of half-bandwidth BAND over the velocity, and the
+    energy and dissipation matrices W and D over the whole state; F and G
+    are CSR.
     """
 
     def __init__(self, coeffs: FormCoefficients, xi_abs: float):
         self.coeffs = coeffs
         self.mesh = mesh = coeffs.mesh
         self.xi_abs = check_frequency(xi_abs)
+        forms = coeffs.at(self.xi_abs)
         xi_sq = self.xi_abs * self.xi_abs
         A, C = surface_coefficients(coeffs.profile)
-        self.sigma_int_coef, self.sigma_top_coef = A + xi_sq * C
+        c = A + xi_sq * C
+        self.sigma_int_coef, self.sigma_top_coef = c
         self.interface_gravity = A[0]  # -jump g, the part without sigma_-
-        i0, node = mesh.interface_index, np.arange(mesh.n_nodes)
-        at = 3 * node - 2 + 2 * (node > i0)  # place of node k's (lower) q, k >= 1
-        self.n = 3 * mesh.n_nodes + 1
-        self.q = np.concatenate([[0], at[1:i0 + 1], [at[i0] + 3], at[i0 + 1:]])
-        self.v, self.w = at[1:] + 1, at[1:] + 2
-        self.eta_minus_idx, self.eta_plus_idx = at[i0] + 4, self.n - 1
-        self.u3_int, self.u3_top = at[i0] + 2, at[-1] + 2
+        nu, ne = mesh.ndof, mesh.n_elements
+        self.n = nu + ne + 2
+        self.v, self.w = np.arange(0, nu, 2), np.arange(1, nu, 2)
+        self.q = nu + np.arange(ne)
+        self.eta_minus_idx, self.eta_plus_idx = nu + ne, nu + ne + 1
+        self.u3_int, self.u3_top = forms.psi_interface_dof, nu - 1
 
-        e = np.arange(mesh.n_elements)[:, None]
-        qdofs = self.q[e + [0, 1] + (e >= i0)]
-        udofs = mesh.dofs(2)  # (v, w) node by node
-        udofs = np.where(udofs >= 0, (at[1:, None] + [1, 2]).ravel()[udofs], -1)
-        (c, div), visc, mass = form_terms(mesh, coeffs.fields, self.xi_abs)
-        N = mesh.quad[2]
-        n, band = self.n, STEP_BAND
-        # h'(rho) = 2 c weighs the q rows: the q mass, and B, the divergence
-        # of rho u tested with q; B^T swaps B's two rows and two dof maps
-        B = assemble(mesh, [(2.0 * c, N, div)], qdofs, udofs, n, band)
-        BT = assemble(mesh, [(2.0 * c, div, N)], udofs, qdofs, n, band)
-        fields = (assemble(mesh, [(2.0 * c, N)], qdofs, qdofs, n, band)
-                  + 2.0 * assemble(mesh, mass, udofs, udofs, n, band))
-        self.D = 2.0 * assemble(mesh, visc, udofs, udofs, n, band)
-        i, j, top, mid = self.eta_plus_idx, self.eta_minus_idx, self.u3_top, self.u3_int
-        self.M, self.W = fields.copy(order="F"), fields
-        self.M[band, [i, j]] = 1.0
-        self.W[band, [i, j]] = self.sigma_top_coef, xi_sq * C[0]
-        # A rows: q gets -B u; u gets +B^T q - D u; eta gets deta/dt = w, and
-        # w the boundary forces
-        self.A = BT - B - self.D
-        rows, cols = np.array([i, j, top, mid]), np.array([top, mid, i, j])
-        self.A[band + rows - cols, cols] = (1.0, 1.0, -self.sigma_top_coef,
-                                            -self.sigma_int_coef)
+        (half_hp, div), _visc, _mass = form_terms(mesh, coeffs.fields, self.xi_abs)
+        hw = 2.0 * half_hp * mesh.quad[1]  # h'(rho) times the Gauss weights
+        H, r = np.einsum("eq->e", hw), np.einsum("eq,eqi->ei", hw, div)
+        dofs = mesh.dofs(2)
+        keep = dofs >= 0
+        B = sp.csr_array((r[keep], (np.nonzero(keep)[0], dofs[keep])), shape=(ne, nu))
+        surface = [self.u3_int, self.u3_top]
+        pick = sp.csr_array(([1.0, 1.0], ([0, 1], surface)), shape=(2, nu))
+        self.G = sp.vstack([sp.diags_array(-1.0 / H) @ B, pick], format="csr")
+        self.F = sp.hstack([B.T, pick.T @ sp.diags_array(-c)], format="csr")
+        self.S = scatter(r[:, :, None] * r[:, None, :] / H[:, None, None], dofs, dofs, nu, BAND)
+        self.S[BAND, surface] += c
+        self.W = np.zeros((2 * BAND + 1, self.n), order="F")
+        self.D = np.zeros_like(self.W)
+        self.W[:, :nu], self.D[:, :nu] = 2.0 * forms.M, 2.0 * forms.K1
+        self.W[BAND, nu:] = np.concatenate([H, [xi_sq * C[0], self.sigma_top_coef]])
+        self.Mu, self.Du = self.W[:, :nu], self.D[:, :nu]
 
     # -- quadratic functionals of one state (n,) --------------------------
     def energy(self, y: np.ndarray) -> float:
         return 0.5 * float(y @ band_mv(self.W, y))
-
-    def full_energy(self, y: np.ndarray) -> float:
-        """Energy plus the interface term -1/2 jump g eta_-^2 (positive when
-        the orientation is stable); non-increasing along exact dynamics."""
-        return self.energy(y) + 0.5 * self.interface_gravity * y[self.eta_minus_idx] ** 2
 
     def dissipation(self, y: np.ndarray) -> float:
         return float(y @ band_mv(self.D, y))
 
 
 def semidiscretize(coeffs: FormCoefficients, xi_abs: float) -> EvolutionOperators:
-    """Assemble the in-plane semidiscrete operators (mass, dynamics) at the
-    frequency magnitude xi_abs from the fields and surface coefficients of
-    coeffs."""
+    """The in-plane semidiscrete operators at the frequency magnitude xi_abs,
+    from the forms, fields and surface coefficients of coeffs."""
     return EvolutionOperators(coeffs, xi_abs)
 
 
 def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> np.ndarray:
     """Growing-mode initial data: v = phi, w = psi (u = (-i phi, 0, psi)),
-    q = q_tilde, eta = eta_tilde; an approximate eigenvector of the
-    semidiscrete system.  Raises ValueError if the mode has a nonzero theta
-    (its velocity is not along (1, 0), e.g. after rotate_mode), if its
-    velocity does not vanish at the bottom, or if it lives on another mesh
-    than ops (other nodes or another layer split)."""
+    and z = G u / lam from the oracle's own dz/dt = G u, so q = -B u /
+    (lam H) and eta = w / lam at the interface and the top; an approximate
+    eigenvector of the semidiscrete system.  Raises ValueError if the mode
+    has a nonzero theta (its velocity is not along (1, 0), e.g. after
+    rotate_mode), if its velocity does not vanish at the bottom, or if it
+    lives on another mesh than ops (other nodes or another layer split)."""
     if np.any(mode.theta != 0):
         raise ValueError("mode must have theta = 0 (frequency along x1)")
     if mode.mesh.n_minus != ops.mesh.n_minus \
             or not np.array_equal(mode.mesh.nodes, ops.mesh.nodes):
         raise ValueError("mode lives on another mesh than the operators")
-    u = np.stack([mode.phi, mode.psi])
-    if np.abs(u[:, 0]).max() > 1e-13 * max(1.0, np.abs(u).max()):
+    u = np.stack([mode.phi, mode.psi], axis=1)
+    if np.abs(u[0]).max() > 1e-13 * max(1.0, np.abs(u).max()):
         raise ValueError("mode velocity must vanish at the bottom node")
-    q = np.concatenate([mode.q_tilde_minus, mode.q_tilde_plus])
-    y = np.empty(ops.n)
-    y[ops.q], y[ops.v], y[ops.w] = q, u[0, 1:], u[1, 1:]
-    y[ops.eta_plus_idx], y[ops.eta_minus_idx] = mode.eta_tilde_plus, mode.eta_tilde_minus
-    return y
+    u = u[1:].ravel()
+    return np.concatenate([u, ops.G @ u / mode.lam])
 
 
 def interface_bump_state(ops: EvolutionOperators) -> np.ndarray:
@@ -192,58 +185,30 @@ class Trajectory:
 
 
 def _csr(ab: np.ndarray) -> sp.csr_array:
-    """CSR copy of a band array of half-bandwidth STEP_BAND, through a
-    zero-copy DIA view, for repeated and block products."""
-    return sp.dia_array((ab, STEP_BAND - np.arange(2 * STEP_BAND + 1)),
+    """CSR copy of a band array of half-bandwidth BAND, through a zero-copy
+    DIA view, for repeated and block products."""
+    return sp.dia_array((ab, BAND - np.arange(2 * BAND + 1)),
                         shape=(ab.shape[1],) * 2).tocsr()
-
-
-def _pivot_free_factors(lhs: np.ndarray):
-    """Unit lower and upper band factors (half-bandwidth STEP_BAND each, in
-    the lower and upper dtbsv band storage) of the band array lhs factorized
-    without row interchanges, or None when that is not certified safe.
-
-    The certificate is one dpbtrf of the symmetric part (T + T^T)/2 in upper
-    band storage: if it is positive definite, every leading principal minor
-    of T is nonzero, so the elimination without pivoting exists, and its
-    growth is bounded (Golub & Van Loan, Linear Algebra Appl. 28, 1979); its
-    L and U keep the band of T.  SuperLU factors T in the natural order
-    with the diagonal as every pivot, which is checked.
-    """
-    w, n = STEP_BAND, lhs.shape[1]
-    sym = np.zeros((w + 1, n), order="F")
-    for o in range(w + 1):
-        sym[w - o, o:] = 0.5 * (lhs[w - o, o:] + lhs[w + o, :n - o])
-    if dpbtrf(sym, overwrite_ab=1)[1] != 0:
-        return None
-    lu = splu(sp.dia_array((lhs, w - np.arange(2 * w + 1)), shape=(n, n)).tocsc(),
-              permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    identity = np.arange(n)
-    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
-        return None
-    L, U = lu.L.tocoo(), lu.U.tocoo()
-    lower, upper = np.zeros((w + 1, n), order="F"), np.zeros((w + 1, n), order="F")
-    lower[L.row - L.col, L.col] = L.data
-    upper[w + U.row - U.col, U.col] = U.data
-    return lower, upper
 
 
 def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
             t_final: float) -> Trajectory:
-    """Integrate M dy/dt = A y from the real state y0 at t = 0 by trapezoidal
-    steps (M - dt/2 A) y+ = (M + dt/2 A) y.  dt may be negative (time
-    reversal), in which case t_final must be too.  The run takes
-    round(t_final / dt) steps, so it ends at the multiple of dt nearest
-    t_final, which is times[-1].
+    """Integrate the semidiscrete system from the real state y0 at t = 0 by
+    trapezoidal steps.  dt may be negative (time reversal), in which case
+    t_final must be too.  The run takes round(t_final / dt) steps, so it
+    ends at the multiple of dt nearest t_final, which is times[-1].
 
-    Each step is one CSR product with M + dt/2 A, then a solve with
-    M - dt/2 A written straight into the (n_steps + 1, n) record.  When the
-    symmetric part of M - dt/2 A is positive definite the solve is two
-    dtbsv calls with its pivot-free band factors (_pivot_free_factors);
-    otherwise it is one dgbtrs with the dgbtrf factors, computed with
-    STEP_BAND zero rows on top of the band storage as room for the fill of
-    the pivoting.  A complex y0 raises ValueError: the operators are real,
-    so its real and imaginary parts are two separate trajectories.
+    With z+ = z + dt/2 G (u + u+) substituted, the step for the velocity is
+
+        L u+ = (2 Mu - L) u + dt F z,   L = Mu + dt/2 Du + dt^2/4 S,
+
+    one CSR product and one band solve written straight into the
+    (n_steps + 1, n) record, and then z+ is one CSR product more.  L is
+    factorized once: by dpbtrf, and each solve is one dpbtrs, when L is
+    positive definite; otherwise by dgbtrf with BAND zero rows on top of the
+    band storage as room for the fill of the pivoting, and each solve is one
+    dgbtrs.  A complex y0 raises ValueError: the operators are real, so its
+    real and imaginary parts are two separate trajectories.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -252,29 +217,31 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final must cover at least one step of size dt")
-    w, lhs = STEP_BAND, ops.M - 0.5 * dt * ops.A
-    factors = _pivot_free_factors(lhs)
-    if factors is not None:
-        lower, upper = factors
-
+    h, nu = 0.5 * dt, ops.Mu.shape[1]
+    lhs = ops.Mu + h * ops.Du + (h * h) * ops.S
+    factor, info = dpbtrf(lhs[:BAND + 1])
+    if info == 0:
         def solve(b):
-            b = dtbsv(w, lower, b, lower=1, diag=1, overwrite_x=1)
-            return dtbsv(w, upper, b, overwrite_x=1)
+            return dpbtrs(factor, b, overwrite_b=1)[0]
     else:
-        pivoted = np.zeros((3 * w + 1, ops.n), order="F")
-        pivoted[w:] = lhs
-        lu, piv, info = dgbtrf(pivoted, w, w, overwrite_ab=1)
+        pivoted = np.zeros((3 * BAND + 1, nu), order="F")
+        pivoted[BAND:] = lhs
+        lu, piv, info = dgbtrf(pivoted, BAND, BAND, overwrite_ab=1)
         if info > 0:
             raise SingularStep(f"implicit step matrix is singular (zero pivot {info})")
 
         def solve(b):
-            return dgbtrs(lu, w, w, b, piv, overwrite_b=1)[0]
-    rhs = _csr(ops.M + 0.5 * dt * ops.A)
+            return dgbtrs(lu, BAND, BAND, b, piv, overwrite_b=1)[0]
+    rhs = sp.hstack([_csr(ops.Mu - h * ops.Du - (h * h) * ops.S), dt * ops.F],
+                    format="csr")
+    update = h * ops.G
     out = np.empty((n_steps + 1, ops.n))
     out[0] = y0
     for k in range(n_steps):
-        out[k + 1] = solve(rhs @ out[k])
-        if not np.all(np.isfinite(out[k + 1])):
+        y, nxt = out[k], out[k + 1]
+        nxt[:nu] = solve(rhs @ y)
+        nxt[nu:] = y[nu:] + update @ (y[:nu] + nxt[:nu])
+        if not np.all(np.isfinite(nxt)):
             raise SingularStep(f"non-finite state at step {k + 1}")
     return Trajectory(dt * np.arange(n_steps + 1), out, dt,
                       ops.eta_plus_idx, ops.eta_minus_idx)

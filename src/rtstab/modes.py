@@ -136,9 +136,6 @@ class OdeResidualReport:
     bottom_phi: float
     bottom_psi: float
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def _flux_slope(mesh: Mesh1D, f_mid: np.ndarray) -> np.ndarray:
     """d/dx3 of a per-element flux at element midpoints, per layer.

@@ -26,6 +26,7 @@ horizontal grid at any requested height, with analytic x3-derivatives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -149,6 +150,13 @@ class ExtensionParams:
         return cls.from_lambdas(np.arange(1.0, m + 2.0))
 
 
+def _check_deriv(deriv) -> None:
+    """ValueError unless deriv, the order of the x3-derivative, is an
+    integer >= 0 (a bool is refused, not read as 0 or 1)."""
+    if isinstance(deriv, bool) or not isinstance(deriv, numbers.Integral) or deriv < 0:
+        raise ValueError(f"deriv must be an integer >= 0, got {deriv!r}")
+
+
 class DownwardExtension:
     """Harmonic extension below the level x3 = level: modes damp as
     e^{|xi| (x3 - level)}."""
@@ -160,6 +168,7 @@ class DownwardExtension:
             raise ValueError(f"extension level must be finite, got {level}")
 
     def evaluate(self, x3: float, deriv: int = 0) -> np.ndarray:
+        _check_deriv(deriv)
         if not -np.inf < x3 <= self.level + 1e-12:
             raise ValueError(f"x3 = {x3} is not a finite height at or below the "
                              f"extension level {self.level}")
@@ -175,6 +184,7 @@ class UpwardExtension:
         self.params = params
 
     def evaluate(self, x3: float, deriv: int = 0) -> np.ndarray:
+        _check_deriv(deriv)
         if not -1e-12 <= x3 < np.inf:
             raise ValueError(f"x3 = {x3} is not a finite height in the upward "
                              f"extension domain x3 >= 0")

@@ -31,11 +31,11 @@ where M = U^T U, with banded Cholesky factorizations only: a shift is
 certified below the spectrum exactly when the Cholesky factorization of
 K - shift M succeeds.
 
-Every matrix here, the evolution oracle's (M, A) and both P1 projections
-come from one vectorised element kernel, `assemble`: a list of terms
-(c, B[, C]) of quadrature-point coefficients and linear-functional rows,
-summed as w c conj(B)^T C over all elements and points at once and
-scattered through a dof map such as `Mesh1D.dofs` into the LAPACK general
+Every matrix here and both P1 projections come from one vectorised element
+kernel, `assemble`: a list of terms (c, B[, C]) of quadrature-point
+coefficients and linear-functional rows, summed as w c conj(B)^T C over all
+elements and points at once, and handed to `scatter`, which sums element
+matrices through a dof map such as `Mesh1D.dofs` into the LAPACK general
 band storage that every solver reads.
 
 xi enters the bulk integrands only through rows affine in xi, and the
@@ -45,7 +45,8 @@ profile fields at the quadrature points and assembles these coefficients
 once per mesh and profile, whose params are the only physical parameters
 read here; the sweep and every command take their forms from
 FormCoefficients.at(xi), one band combination per frequency, and the
-growing mode and the evolution oracle read its fields.
+growing mode and the evolution oracle read its fields (the oracle also
+its M and K1).
 """
 
 from __future__ import annotations
@@ -177,15 +178,7 @@ def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
     functionals of the element's local dofs.  Each outer product is formed
     before it is weighted and the points are summed in order, so a term with
     C = B gives an exactly symmetric matrix.  The (E, I, J) element matrices
-    are scattered once through the (E, I) and (E, J) global dof maps into
-    LAPACK general band storage of half-bandwidth w,
-
-        ab[w + i - j, j] = A[i, j],   ab of shape (2 w + 1, n),
-
-    so that ab[:w + 1] is the upper band storage of a symmetric A.  A dof of
-    -1 is dropped; an entry more than w off the diagonal raises BandOverflow.
-    ab is returned as the transpose of an (n, 2 w + 1) array, so it is
-    Fortran-ordered and BLAS/LAPACK read it without a copy.
+    go through scatter once.
     """
     local = 0.0
     for c, B, *C in terms:
@@ -194,6 +187,22 @@ def assemble(mesh: Mesh1D, terms, row_dofs: np.ndarray, col_dofs: np.ndarray,
         B = np.conj(B)
         for q in range(wc.shape[1]):
             local = local + wc[:, q, None, None] * (B[:, q, :, None] * C[:, q, None, :])
+    return scatter(local, row_dofs, col_dofs, n, w)
+
+
+def scatter(local: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray,
+            n: int, w: int) -> np.ndarray:
+    """The n x n matrix A summed from the (E, I, J) element matrices local
+    through the (E, I) and (E, J) global dof maps, in LAPACK general band
+    storage of half-bandwidth w,
+
+        ab[w + i - j, j] = A[i, j],   ab of shape (2 w + 1, n),
+
+    so that ab[:w + 1] is the upper band storage of a symmetric A.  A dof of
+    -1 is dropped; an entry more than w off the diagonal raises BandOverflow.
+    ab is returned as the transpose of an (n, 2 w + 1) array, so it is
+    Fortran-ordered and BLAS/LAPACK read it without a copy.
+    """
     n_i, n_j = row_dofs.shape[1], col_dofs.shape[1]
     rows = np.repeat(row_dofs, n_j, axis=1)
     cols = np.tile(col_dofs, (1, n_i))
@@ -260,9 +269,8 @@ def form_terms(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
     magnitude xi_abs, in the (phi, psi) rows of field_rows(mesh, 2), from the
     layer_fields at the quadrature points: div is E0's one term (h'(rho)/2,
     (rho psi)' + rho xi phi), visc the three of E1 and mass the two of J.
-    The evolution oracle reads the same lists for its velocity (v, w) =
-    (i u_parallel, u3), whose mass, dissipation and divergence are 2 J, 2 E1
-    and the row of div."""
+    The evolution oracle reads the row of div for the continuity equation of
+    its velocity (v, w) = (i u_parallel, u3)."""
     xi = float(xi_abs)
     rho, drho, dp, mu, mu_p = fields
     (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)

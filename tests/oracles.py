@@ -1,11 +1,13 @@
 """Independent references that tests compare the solver with, and helpers
 only tests use: dense and CSR copies of band storage, the kernel assembly
 of the forms at one frequency, a dense per-element assembly of the forms and
-an alternate one of E0, the bump-candidate negativity probe, a dense
-full-spectrum eigensolve, the viscous dissipation of a full 3-component
-velocity, the three-field pencil, a layer-checked enthalpy weight, random
-oracle states, the complex evolution operators at a frequency vector with
-their sparse-LU time step, and a mode CSV reader."""
+an alternate one of E0, the bump candidate and the negativity probe built on
+it, a dense full-spectrum eigensolve, the viscous dissipation of a full
+3-component velocity, the three-field pencil, a layer-checked enthalpy
+weight, random oracle states and the oracle's full energy, the complex
+evolution operators at a frequency vector with their sparse-LU time step,
+the dense pencil of the oracle's normal modes with its root, and a mode
+CSV reader."""
 
 import math
 from dataclasses import dataclass
@@ -15,7 +17,6 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from rtstab.dispersion import psi_bump
 from rtstab.equilibrium import EquilibriumProfile, PressureLaw
 from rtstab.evolve import EvolutionOperators
 from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
@@ -76,6 +77,23 @@ def assemble_forms(mesh: Mesh1D, profile: EquilibriumProfile,
     K0[BAND, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
     K0[BAND, psiL] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
     return QuadraticForms(K0, K1, M, xi, params.g, psi0)
+
+
+def psi_bump(x3, b: float, ell: float, exponent: float):
+    """Compactly supported candidate profile ((1 - x3^2/d^2))^(exponent/2)
+    with d = ell above and d = b below the interface; vanishes with its slope
+    at both outer boundaries for exponent >= 5 and equals 1 at the interface."""
+    x = np.asarray(x3, dtype=float)
+    d = np.where(x >= 0, ell, b)
+    base = np.clip(1.0 - (x / d) ** 2, 0.0, None)
+    return base ** (exponent / 2.0)
+
+
+def psi_bump_norm_sq(b: float, ell: float, exponent: float) -> float:
+    """Closed form of int psi_bump^2 over (-b, ell):
+    sqrt(pi) (b + ell) Gamma(a+1) / (2 Gamma(a + 3/2)) for a = exponent."""
+    a = float(exponent)
+    return math.sqrt(math.pi) * (b + ell) * math.gamma(a + 1.0) / (2.0 * math.gamma(a + 1.5))
 
 
 def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
@@ -278,7 +296,7 @@ def min_eig_3field(forms: Forms3Field, s: float) -> tuple[float, np.ndarray]:
 
 
 def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> np.ndarray:
-    """Random real in-plane state (q, v, w, eta+-); the bottom velocity node
+    """Random real in-plane state (v, w, q, eta+-); the bottom velocity node
     is drawn and dropped, so the essential constraint holds."""
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(ops.q.size)
@@ -289,25 +307,32 @@ def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> 
     return scale * y
 
 
+def full_energy(ops: EvolutionOperators, y: np.ndarray) -> float:
+    """The oracle's energy plus the interface term -1/2 jump g eta_-^2
+    (positive when the orientation is stable); non-increasing along exact
+    dynamics."""
+    return ops.energy(y) + 0.5 * ops.interface_gravity * y[ops.eta_minus_idx] ** 2
+
+
 def complex_operators(profile: EquilibriumProfile, mesh: Mesh1D,
                       xi: tuple[float, float]):
     """(M, A) of the complex packed system M dy/dt = A y at a frequency
-    vector xi, y = [q (nq) | (u1, u2, u3) node by node | eta_+, eta_-],
-    with the dissipation from viscous_terms of the full velocity at
-    k = i xi: the reference for the in-plane operators, built without
-    variational.form_terms.  The kernel assembles at half-bandwidth n - 1,
-    wide enough for any coupling, and the blocks are combined as CSR."""
+    vector xi, y = [q (one per element) | (u1, u2, u3) node by node |
+    eta_+, eta_-], with the dissipation from viscous_terms of the full
+    velocity at k = i xi: the reference for the in-plane operators, built
+    without variational.form_terms and stepped without eliminating q and
+    eta.  The kernel assembles at half-bandwidth n - 1, wide enough for any
+    coupling, and the blocks are combined as CSR."""
     xi1, xi2 = float(xi[0]), float(xi[1])
     xi_sq = xi1 * xi1 + xi2 * xi2
     nf, params = mesh.n_free, profile.params
-    nq = mesh.n_nodes + 1  # broken at the interface
+    nq = mesh.n_elements
     n = nq + 3 * nf + 2
-    e = np.arange(mesh.n_elements)[:, None]
-    qdofs = e + [0, 1] + (e >= mesh.interface_index)
+    qdofs = np.arange(nq)[:, None]
     udofs = mesh.dofs(3)
     udofs[udofs >= 0] += nq
     rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, mesh.quad[0])
-    N = mesh.quad[2]
+    N = np.ones((*rho.shape, 1))
     u, du = field_rows(mesh, 3)
     r = rho[..., None]
     w = n - 1
@@ -345,6 +370,52 @@ def lu_step(M: sp.csr_array, A: sp.csr_array, y: np.ndarray, dt: float) -> np.nd
     """One trapezoidal step (M - dt/2 A) y+ = (M + dt/2 A) y of a complex
     packed state by SuperLU."""
     return splu((M - 0.5 * dt * A).tocsc()).solve((M + 0.5 * dt * A) @ y)
+
+
+def oracle_pencil(coeffs, xi_abs: float):
+    """Dense (K0, K1, M) whose T(s) = K0 + s K1 + s^2 M is singular exactly
+    at the oracle's normal-mode rates: with z = G u / s eliminated, the
+    oracle's modes solve (s^2 Mu + s Du + S) u = 0, and halved that is
+    K0 = S/2 = B^T H^-1 B / 2 plus E0's surface terms, with K1 and M of the
+    forms.  B and H are integrated here from the layer fields and the
+    field rows, without variational.form_terms."""
+    mesh, profile = coeffs.mesh, coeffs.profile
+    params, xi = profile.params, float(xi_abs)
+    rho, drho, dp, _mu, _mu_p = layer_fields(mesh, profile, mesh.quad[0])
+    (phi, psi), (_dphi, dpsi) = field_rows(mesh, 2)
+    r = rho[..., None]
+    hw = mesh.quad[1] * dp / rho  # h'(rho) times the Gauss weights
+    rows = np.einsum("eq,eqi->ei", hw, drho[..., None] * psi + r * dpsi + r * xi * phi)
+    B = np.zeros((mesh.n_elements, mesh.ndof))
+    for e, (dofs, row) in enumerate(zip(mesh.dofs(2), rows)):
+        B[e, dofs[dofs >= 0]] += row[dofs >= 0]
+    K0 = 0.5 * B.T @ (B / hw.sum(axis=1)[:, None])
+    psi0 = 2 * mesh.interface_index - 1
+    K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
+    K0[-1, -1] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)
+    forms = coeffs.at(xi)
+    return K0, dense(forms.K1), dense(forms.M)
+
+
+def pencil_root(K0: np.ndarray, K1: np.ndarray, M: np.ndarray, hi: float,
+                steps: int = 60) -> float:
+    """The s in (0, hi) where T(s) = K0 + s K1 + s^2 M turns positive
+    definite, by bisection on the success of np.linalg.cholesky; T(0) must
+    be indefinite and T(hi) definite."""
+
+    def definite(s):
+        try:
+            np.linalg.cholesky(K0 + s * K1 + s * s * M)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    lo = 0.0
+    assert not definite(lo) and definite(hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if definite(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def import_mode_csv(csv_path) -> dict[str, np.ndarray]:

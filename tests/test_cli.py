@@ -144,6 +144,21 @@ def test_oracle_artifacts(tmp_path):
     assert header == "t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual"
 
 
+def test_oracle_rate_reports_the_relative_gap(tmp_path):
+    # |fitted - lambda| / lambda for a growing mode, null when lambda is 0
+    for name, k_plus, k_minus in (("grow", 1.0, 2.0), ("stable", 2.0, 1.0)):
+        cfg = write_config(tmp_path / f"{name}.json", k_plus=k_plus, k_minus=k_minus)
+        out = tmp_path / name
+        assert main(["oracle", "--config", str(cfg), "--out", str(out),
+                     "--xi", "1.0"]) == 0
+        rate = json.loads((out / "rate.json").read_text())
+        lam, fitted = rate["lambda_variational"], rate["fitted_rate"]
+        if name == "grow":
+            assert lam > 0 and rate["relative_gap"] == abs(fitted - lam) / lam
+        else:
+            assert lam == 0.0 and rate["relative_gap"] is None
+
+
 def test_oracle_rate_reports_the_reached_time(tmp_path):
     # round(1.0 / 0.3) = 3 steps end at t = 0.9, not at the requested 1.0
     cfg = write_config(tmp_path / "cfg.json", dt=0.3, t_final=1.0)
@@ -167,8 +182,8 @@ def test_oracle_too_short_names_the_keys(tmp_path, capsys):
 
 def test_oracle_readme_config_steps_without_pivoting(tmp_path, monkeypatch):
     # the README pair at 400 elements per layer (the benchmark's oracle
-    # size): the symmetric part of the step matrix is certified positive
-    # definite, so no step goes through the pivoted band LU
+    # size): the velocity step matrix L is positive definite, so dpbtrf
+    # factors it and no step goes through the pivoted band LU
     calls = {"dgbtrf": 0, "dgbtrs": 0}
     for name in calls:
         original = getattr(evolve, name)

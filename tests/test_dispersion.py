@@ -9,15 +9,15 @@ from rtstab import dispersion, variational
 from rtstab.config import NumericsConfig
 from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
                                critical_frequency, critical_tension,
-                               growth_rate, psi_bump, psi_bump_norm_sq,
-                               sweep_lattice, write_dispersion_csv)
+                               growth_rate, sweep_lattice,
+                               write_dispersion_csv)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from rtstab.evolve import EvolutionOperators, semidiscretize
 from rtstab.variational import (build_mesh, eig_residual, form_coefficients,
                                 min_eig)
 from tests.conftest import unit_params, unit_profile
-from tests.oracles import negativity_probe
+from tests.oracles import negativity_probe, psi_bump, psi_bump_norm_sq
 
 
 def test_critical_tension_examples(unstable_profile):

@@ -8,18 +8,19 @@ import pytest
 from scipy.linalg.lapack import dgbtrf
 
 from rtstab import evolve
+from rtstab.config import NumericsConfig
 from rtstab.dispersion import growth_rate
-from rtstab.errors import BandOverflow, SingularStep, ZeroSignal
-from rtstab.evolve import (STEP_BAND, Trajectory, advance,
-                           energy_balance_residual, interface_bump_state,
-                           measure_growth, semidiscretize, state_from_mode,
+from rtstab.equilibrium import PressureLaw, solve_equilibrium
+from rtstab.errors import SingularStep, ZeroSignal
+from rtstab.evolve import (Trajectory, advance, energy_balance_residual,
+                           interface_bump_state, measure_growth,
+                           semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode, rotate_mode
-from rtstab.variational import (BAND, assemble, build_mesh, form_coefficients,
-                                form_terms)
-from tests.conftest import unit_profile
-from tests.oracles import (complex_operators, dense, embed_state, lu_step,
-                           random_state)
+from rtstab.variational import BAND, build_mesh, form_coefficients
+from tests.conftest import unit_params, unit_profile
+from tests.oracles import (complex_operators, dense, embed_state, full_energy,
+                           lu_step, oracle_pencil, pencil_root, random_state)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +121,7 @@ def test_stable_full_energy_monotone(stable_profile):
     mesh = build_mesh(1.0, 1.0, 40, 40)
     ops = semidiscretize(form_coefficients(mesh, stable_profile), 1.0)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
-    fe = np.array([ops.full_energy(y) for y in traj.states])
+    fe = np.array([full_energy(ops, y) for y in traj.states])
     assert np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300))
     # interface amplitude never exceeds its running maximum
     em = traj.eta_minus_abs
@@ -170,121 +171,79 @@ def test_zero_signal_raises():
 
 
 def test_singular_step_raises(unstable_setup):
+    # a step matrix L that is zero fails dpbtrf and then dgbtrf
     _mesh, _pt, _mode, ops = unstable_setup
 
     class Degenerate:
-        M = ops.M * 0.0
-        A = ops.A * 0.0
-        n = ops.n
+        Mu = Du = S = ops.Mu * 0.0
+        F, G, n = ops.F, ops.G, ops.n
 
     with pytest.raises(SingularStep):
         advance(interface_bump_state(ops), Degenerate(), 0.1, 0.5)
 
 
-def _backward_error(ops, dt, y0, y1):
-    """Normwise backward error of one step y0 -> y1 in the real system."""
-    lhs = dense(ops.M - 0.5 * dt * ops.A)
-    r = lhs @ y1 - dense(ops.M + 0.5 * dt * ops.A) @ y0
-    return np.abs(r).max() / (abs(lhs).sum(axis=1).max() * np.abs(y1).max())
+def _step_against_complex_lu(prof, mesh, xi, dt):
+    """One in-plane step y0 -> y1 of the oracle against the complex packed
+    (q | u1, u2, u3 | eta) system with the full-velocity dissipation and
+    one q per element, stepped by SuperLU without eliminating q and eta:
+    the relative error of the step, and its normwise backward error in the
+    reference's matrices."""
+    ops = semidiscretize(form_coefficients(mesh, prof), math.hypot(*xi))
+    y0 = random_state(ops, seed=3)
+    y1 = advance(y0, ops, dt, dt).states[1]
+    M, A = complex_operators(prof, mesh, xi)
+    x0, x1 = embed_state(ops, y0, xi), embed_state(ops, y1, xi)
+    ref = lu_step(M, A, x0, dt)
+    lhs = M - 0.5 * dt * A
+    r = lhs @ x1 - (M + 0.5 * dt * A) @ x0
+    backward = np.abs(r).max() / (abs(lhs).sum(axis=1).max() * np.abs(x1).max())
+    return np.linalg.norm(x1 - ref) / np.linalg.norm(ref), backward
 
 
 def test_banded_step_matches_complex_lu():
-    # the in-plane step against the complex packed (q | u1, u2, u3 | eta)
-    # system with the full-velocity dissipation, stepped by SuperLU
-    prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
-                        sigma_minus=0.1)
-    mesh, dt = build_mesh(1.0, 1.0, 40, 40), 0.1
-    coeffs = form_coefficients(mesh, prof)
-    for xi in ((0.6, 0.8), (1.02, 1.36)):
-        ops = semidiscretize(coeffs, math.hypot(*xi))
-        y0 = random_state(ops, seed=3)
-        y1 = advance(y0, ops, dt, dt).states[1]
-        ref = lu_step(*complex_operators(prof, mesh, xi),
-                      embed_state(ops, y0, xi), dt)
-        got = embed_state(ops, y1, xi)
-        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
-        assert _backward_error(ops, dt, y0, y1) <= 1e-14
-
-
-@pytest.mark.parametrize("dt, xi, pivoted", [(5.0, (1.02, 1.36), False),
-                                             (5.0, (0.6, 0.8), True),
-                                             (-0.1, (1.02, 1.36), True)])
-def test_both_step_paths_hold_the_backward_error(monkeypatch, dt, xi, pivoted):
-    # the pivot-free factors serve when the symmetric part of M - dt/2 A is
-    # positive definite, as at dt = 5 and |xi| = 1.7; a negative dt, or dt = 5
-    # at |xi| = 1, makes it indefinite and the step falls back to dgbtrf.
-    # Either path holds the bounds of test_banded_step_matches_complex_lu
     prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
                         sigma_minus=0.1)
     mesh = build_mesh(1.0, 1.0, 40, 40)
-    ops = semidiscretize(form_coefficients(mesh, prof), math.hypot(*xi))
+    for xi in ((0.6, 0.8), (1.02, 1.36)):
+        rel, backward = _step_against_complex_lu(prof, mesh, xi, 0.1)
+        assert rel <= 1e-11
+        assert backward <= 1e-14
+
+
+@pytest.mark.parametrize("dt, xi, pivoted", [(5.0, (1.02, 1.36), False),
+                                             (5.0, (0.6, 0.8), False),
+                                             (-0.1, (1.02, 1.36), True),
+                                             (40.0, (0.6, 0.8), True)])
+def test_both_step_paths_hold_the_backward_error(monkeypatch, dt, xi, pivoted):
+    # the Cholesky factors serve when L = Mu + dt/2 Du + dt^2/4 S is
+    # positive definite, as at dt = 5; a negative dt, or dt = 40 at |xi| = 1,
+    # where the negative interface coefficient wins, makes it indefinite and
+    # the step falls back to dgbtrf.  Either path holds the bounds of
+    # test_banded_step_matches_complex_lu
+    prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
+                        sigma_minus=0.1)
     calls = []
     monkeypatch.setattr(evolve, "dgbtrf",
                         lambda *args, **kwargs: calls.append(1) or dgbtrf(*args, **kwargs))
-    y0 = random_state(ops, seed=3)
-    y1 = advance(y0, ops, dt, dt).states[1]
+    rel, backward = _step_against_complex_lu(prof, build_mesh(1.0, 1.0, 40, 40), xi, dt)
     assert len(calls) == pivoted
-    ref = lu_step(*complex_operators(prof, mesh, xi), embed_state(ops, y0, xi), dt)
-    assert np.linalg.norm(embed_state(ops, y1, xi) - ref) <= 1e-11 * np.linalg.norm(ref)
-    assert _backward_error(ops, dt, y0, y1) <= 1e-14
-
-
-@pytest.mark.parametrize("dt", [0.01, 0.5, 2.0])
-def test_pivot_free_factors_reproduce_the_step_band(unstable_setup, dt):
-    # without row interchanges L and U keep STEP_BAND, and L U is M - dt/2 A
-    # to round-off (a factor entry outside the band would break it); padding
-    # each factor to 2 STEP_BAND + 1 rows gives the general band storage
-    # that dense reads
-    _mesh, _pt, _mode, ops = unstable_setup
-    lhs = ops.M - 0.5 * dt * ops.A
-    lower, upper = evolve._pivot_free_factors(lhs)
-    pad = np.zeros((STEP_BAND, ops.n))
-    L, U = dense(np.vstack([pad, lower])), dense(np.vstack([upper, pad]))
-    np.fill_diagonal(L, 1.0)  # dtbsv reads L as unit lower
-    T = dense(lhs)
-    bound = 8 * np.finfo(float).eps * (np.abs(L) @ np.abs(U)).max()
-    assert np.abs(L @ U - T).max() <= bound
+    assert rel <= 1e-11
+    assert backward <= 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 40])
 def test_phased_step_matrices_real_and_banded(unstable_profile, n):
-    # in the unknowns (q, v = i u_parallel, w = u3) the step matrices are
-    # real, and node by node their half-bandwidth is STEP_BAND at every n
-    ops = semidiscretize(
-        form_coefficients(build_mesh(1.0, 1.0, n, n + 1), unstable_profile), 1.0)
-    layout = np.concatenate([ops.q, ops.v, ops.w, [ops.eta_plus_idx, ops.eta_minus_idx]])
+    # in the unknowns (v = i u_parallel, w = u3) the velocity is the forms'
+    # two-field unknown in their dof order, so its mass and dissipation are
+    # the real band arrays 2 M and 2 K1 bit for bit, and the fields' index
+    # arrays lay out the state without gaps or overlaps
+    coeffs = form_coefficients(build_mesh(1.0, 1.0, n, n + 1), unstable_profile)
+    ops, forms = semidiscretize(coeffs, 1.0), coeffs.at(1.0)
+    assert ops.Mu.dtype == np.float64 and ops.Mu.shape == (2 * BAND + 1, forms.M.shape[1])
+    assert np.array_equal(ops.Mu, 2.0 * forms.M)
+    assert np.array_equal(ops.Du, 2.0 * forms.K1)
+    layout = np.concatenate([ops.v, ops.w, ops.q, [ops.eta_minus_idx, ops.eta_plus_idx]])
     assert np.array_equal(np.sort(layout), np.arange(ops.n))
-    step = ops.M - 0.05 * ops.A
-    assert step.dtype == np.float64 and step.shape == (2 * STEP_BAND + 1, ops.n)
-    i, j = np.nonzero(dense(step))
-    assert np.abs(i - j).max() == STEP_BAND
-
-
-def test_wide_step_raises(unstable_profile, mesh40):
-    # the oracle's divergence in the field-by-field layout
-    # [q (broken at the interface) | v | w | eta] is far wider than STEP_BAND
-    (c, div), _visc, _mass = form_terms(
-        mesh40, form_coefficients(mesh40, unstable_profile).fields, 1.0)
-    nf, nq = mesh40.n_free, mesh40.n_nodes + 1
-    e = np.arange(mesh40.n_elements)[:, None]
-    qdofs = e + [0, 1] + (e >= mesh40.interface_index)
-    udofs = e - 1 + np.array([0, 1, nf, nf + 1])
-    udofs[0, 0::2] = -1
-    udofs = np.where(udofs >= 0, nq + udofs, -1)
-    with pytest.raises(BandOverflow):
-        assemble(mesh40, [(2.0 * c, mesh40.quad[2], div)], qdofs, udofs,
-                 nq + mesh40.ndof + 2, STEP_BAND)
-
-
-def test_swapped_assembly_is_the_transpose():
-    # A holds -B in its (q, u) block and B^T, assembled by swapping the
-    # term's rows and dof maps, in its (u, q) block: exact transposes
-    prof = unit_profile(mu_prime_minus=0.3, sigma_plus=0.2, sigma_minus=0.1)
-    ops = semidiscretize(form_coefficients(build_mesh(1.0, 1.0, 20, 23), prof), 1.3)
-    A, u = dense(ops.A), np.concatenate([ops.v, ops.w])
-    BT = A[np.ix_(u, ops.q)]
-    assert np.count_nonzero(BT) > 0
-    assert np.array_equal(BT, -A[np.ix_(ops.q, u)].T)
 
 
 def test_advance_rejects_complex_state(unstable_setup):
@@ -337,3 +296,24 @@ def test_state_from_mode_rejects_nonzero_theta(unstable_setup):
     R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
     with pytest.raises(ValueError, match="theta"):
         state_from_mode(ops, rotate_mode(mode, R))
+
+
+@pytest.mark.parametrize("k_plus, k_minus, p_atm", [(1.0, 2.0, 1.0), (400.0, 800.0, 400.0)])
+@pytest.mark.parametrize("xi_abs", [1.0, 4.0])
+def test_oracle_rate_is_the_root_of_its_own_pencil(k_plus, k_minus, p_atm, xi_abs):
+    # run as `rtstab oracle` does, at 100 elements per layer, the fitted rate
+    # is the root of the oracle's own normal-mode pencil up to the fit and
+    # the trapezoidal error, on the README pair and on a stiff (nearly
+    # incompressible) pair.  The locked lambda_variational of the root solve
+    # stays 9.57% (|xi| = 1) and 20.1% (|xi| = 4) away on the stiff pair
+    # until the E0 bulk term is projected the same way (ROADMAP item 1)
+    prof = solve_equilibrium(PressureLaw.isothermal(k_plus), PressureLaw.isothermal(k_minus),
+                             unit_params(p_atm=p_atm))
+    coeffs = form_coefficients(build_mesh(1.0, 1.0, 100, 100), prof)
+    pt = growth_rate(coeffs, xi_abs)
+    ops = semidiscretize(coeffs, xi_abs)
+    traj = advance(state_from_mode(ops, assemble_mode(pt, coeffs)), ops,
+                   0.01 / pt.lam, 6.0 / pt.lam)
+    fitted = measure_growth(traj, NumericsConfig().fit_window)
+    root = pencil_root(*oracle_pencil(coeffs, xi_abs), hi=2.0 * pt.lam)
+    assert abs(fitted - root) <= 1e-4 * root

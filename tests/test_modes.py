@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_residual_decay_under_refinement(unstable_profile):
         mesh = build_mesh(1.0, 1.0, n, n)
         coeffs = form_coefficients(mesh, unstable_profile)
         mode_n = assemble_mode(growth_rate(coeffs, 1.0), coeffs)
-        rep = ode_residual(mode_n, unstable_profile).as_dict()
+        rep = asdict(ode_residual(mode_n, unstable_profile))
         worst.append(max(rep.values()))
     order = math.log2(worst[0] / worst[1]) if worst[1] else 2.0
     order2 = math.log2(worst[1] / worst[2]) if worst[2] else 2.0
@@ -127,10 +128,10 @@ def test_residual_decay_under_refinement(unstable_profile):
 
 
 def test_residual_rotation_invariant(mode, unstable_profile):
-    base = ode_residual(mode, unstable_profile).as_dict()
+    base = asdict(ode_residual(mode, unstable_profile))
     t = 1.1
     R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    rot = ode_residual(rotate_mode(mode, R), unstable_profile).as_dict()
+    rot = asdict(ode_residual(rotate_mode(mode, R), unstable_profile))
     for key, val in base.items():
         assert rot[key] == pytest.approx(val, abs=1e-12)
 

@@ -285,3 +285,17 @@ def test_periodic_field_keeps_a_read_only_copy():
     with pytest.raises(ValueError, match="read-only"):
         f.values[0, 0] = 5.0
     assert np.array_equal(f.spectrum[0], before)
+
+
+@pytest.mark.parametrize("deriv", [-1, 1.5, True])
+@pytest.mark.parametrize("x3", [-0.5, 0.5])
+def test_extensions_refuse_a_bad_derivative_order(deriv, x3):
+    # -1 divided by the zero mode and 1.5 gave NaN above the interface;
+    # True passed as 1.  Each is refused before the field is transformed
+    f = band_limited(n1=4, n2=4)
+    ext = DownwardExtension(f, 0.0) if x3 < 0 else UpwardExtension(f, ExtensionParams.default(1))
+    for evaluator in (ext, InterfaceExtension(f, ExtensionParams.default(1))):
+        with pytest.raises(ValueError, match="deriv must be an integer >= 0"):
+            evaluator.evaluate(x3, deriv)
+    assert "spectrum" not in f.__dict__
+    assert np.all(np.isfinite(ext.evaluate(x3, np.int64(2))))
