@@ -2,7 +2,7 @@
 
 Subcommands:
     equilibrium   profile.csv
-    alpha         print alpha(s) for --xi, --s
+    alpha         print alpha(s) for --xi, --s, once certified smallest
     dispersion    dispersion.csv + summary.json (lattice sweep up to cutoff)
     growth        growth.json for a single --xi
     classify      regime.json
@@ -32,9 +32,9 @@ from . import evolve
 from . import modes as modes_mod
 from .config import RunConfig, load_config
 from .equilibrium import export_profile_csv, solve_equilibrium
-from .errors import AnalyzerError, ConfigError, InvalidInput
+from .errors import AnalyzerError, ConfigError, InvalidInput, SolverDivergence
 from .poisson_ext import ExtensionParams, InterfaceExtension, read_field_csv
-from .variational import build_mesh, form_coefficients, min_eig
+from .variational import build_mesh, form_coefficients, is_min_eigenpair, min_eig
 
 
 def _write_json(obj, path) -> None:
@@ -73,7 +73,12 @@ def cmd_equilibrium(cfg, out, args) -> int:
 
 
 def cmd_alpha(cfg, out, args) -> int:
-    alpha, _v = min_eig(_form_coefficients(cfg).at(args.xi), args.s)
+    forms = _form_coefficients(cfg).at(args.xi)
+    alpha, v = min_eig(forms, args.s)
+    if not is_min_eigenpair(forms, args.s, alpha, v, cfg.numerics.eig_tol):
+        raise SolverDivergence(
+            f"alpha({args.s}) = {alpha!r} at |xi| = {args.xi} failed the "
+            "smallest-eigenvalue certificate or the eig_tol residual test")
     print(f"{alpha:.17g}")
     return 0
 

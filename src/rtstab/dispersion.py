@@ -43,11 +43,17 @@ forms' quadratic coefficients in |xi| (variational.form_coefficients) and
 reads every physical parameter from their profile.  It is one serial pass
 of growth_rate in ascending |xi|^2, which takes the forms at each point
 from the coefficients, one band combination each.  It continues along the
-lattice: a row after a growing row starts the iteration from that row's
-root vector once a Cholesky test of T(s_min) shows growth, so a chain of
-growing frequencies takes one probe eigensolve, at its first row.  A
-decaying row, and a start the iteration or the certificate rejects, takes
-the probe path; outside the window that ends at a nonnegative alpha probe.
+lattice: every row after the first starts from its predecessor's vector,
+and a Cholesky test of T(s_min) picks the path.  When it fails (growth),
+that vector starts the Rayleigh-functional iteration.  When it succeeds
+(decay below s_min), the probe alpha(s_min) is continued instead: one
+inverse-iteration step with that Cholesky factor, Rayleigh-quotient steps
+on K0 + s_min K1 against M by band LU, and a Cholesky certificate that no
+eigenvalue lies below the settled quotient minus a round-off margin.  So a
+chain of growing or decaying frequencies takes one probe eigensolve, at its
+first row.  A start the iteration or a certificate rejects takes the probe
+path, whose cost is counted on top; outside the window that ends at a
+nonnegative alpha probe.
 """
 
 from __future__ import annotations
@@ -57,18 +63,20 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from .variational import (BAND, FormCoefficients, QuadraticForms, band_mv,
-                          eig_residual, evaluate_energy, j_normalize, min_eig)
+                          below_spectrum, certificate_eps, eig_residual,
+                          evaluate_energy, is_min_eigenpair, j_normalize, min_eig)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
 MAX_ITER = 200  # bisection steps before SolverDivergence
 RF_MAX_ITER = 30  # Rayleigh-functional steps before the bisection takes over
+RQ_MAX_ITER = 8  # Rayleigh-quotient steps before a continued probe takes min_eig
 
 
 @dataclass(frozen=True)
@@ -79,11 +87,14 @@ class DispersionPoint:
     frequency); alpha_at_star is the Rayleigh quotient of K0 + lam K1 at the
     minimizer, alpha(lam) (for lam = 0 it is the stability probe
     alpha(s_min) >= 0); iterations counts the eigensolves and every
-    factorization of T(s) (growth_rate), so a row continued from its
+    factorization of the solve (growth_rate), so a row continued from its
     predecessor counts the Cholesky test of T(s_min), the LU steps and the
-    certificate, with no probe; converged says that a growing
-    rate's enclosure was certified and, for every point, that the
-    minimizer's relative eigen-residual is within eig_tol.  The minimizer
+    certificate of the root or of the probe, with no eigensolve, and the
+    certificate behind converged is not counted; converged says that a
+    growing rate's enclosure was certified and, for every point, that the
+    minimizer's relative eigen-residual is within eig_tol and that a
+    Cholesky factorization certifies alpha_at_star as the smallest
+    eigenvalue to variational.certificate_eps.  The minimizer
     lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2, ...), in the
     dof order of Mesh1D.dofs.
     """
@@ -162,10 +173,17 @@ def _pencil(forms: QuadraticForms, s: float) -> np.ndarray:
     return forms.K0 + s * forms.K1 + (s * s) * forms.M
 
 
+def _cholesky(forms: QuadraticForms, s: float) -> np.ndarray | None:
+    """The upper band Cholesky factor of T(s), or None when the
+    factorization fails, which happens exactly when s <= lambda."""
+    U, info = dpbtrf(_pencil(forms, s)[:BAND + 1])
+    return U if info == 0 else None
+
+
 def _definite(forms: QuadraticForms, s: float) -> bool:
     """Whether the banded Cholesky factorization of T(s) succeeds, which
     holds exactly when s > lambda."""
-    return dpbtrf(_pencil(forms, s)[:BAND + 1])[1] == 0
+    return _cholesky(forms, s) is not None
 
 
 def _rayleigh_functional(forms: QuadraticForms, v: np.ndarray) -> float:
@@ -176,30 +194,62 @@ def _rayleigh_functional(forms: QuadraticForms, v: np.ndarray) -> float:
     return -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))  # no cancellation
 
 
-def _rf_iterate(forms: QuadraticForms, v: np.ndarray, s_min: float,
-                s_max: float, delta: float) -> tuple[float, np.ndarray, int]:
-    """Rayleigh-functional iteration from v: (rho, v, factorizations), where
-    the last step moved rho by at most delta.  rho is nan when an iterate
-    leaves [s_min, s_max] (v^T K0 v >= 0 included), T(rho) is exactly
-    singular or RF_MAX_ITER steps do not settle."""
+def _shifted_iterate(shifted, functional, v: np.ndarray, M: np.ndarray, tol: float,
+                     max_iter: int, lo: float = -math.inf,
+                     hi: float = math.inf) -> tuple[float, np.ndarray, int]:
+    """Inverse iteration with a moving shift from v: rho = functional(v),
+    then v <- shifted(rho)^-1 M v by one band LU factorization per step and
+    rho = functional(v) again.  Returns (rho, v, factorizations), where the
+    last step moved rho by at most tol; rho is nan when it leaves [lo, hi]
+    (nan included), shifted(rho) is exactly singular or max_iter steps do
+    not settle."""
     lu = np.zeros((3 * BAND + 1, v.size), order="F")  # BAND rows for the fill
-    rho, step, count = _rayleigh_functional(forms, v), math.inf, 0
-    while count < RF_MAX_ITER and s_min <= rho <= s_max and abs(rho - step) > delta:
-        lu[BAND:] = _pencil(forms, rho)
+    rho, step, count = functional(v), math.inf, 0
+    while count < max_iter and lo <= rho <= hi and abs(rho - step) > tol:
+        lu[BAND:] = shifted(rho)
         factor, piv, info = dgbtrf(lu, BAND, BAND)
         count += 1
         if info != 0:
             return math.nan, v, count
-        v = dgbtrs(factor, BAND, BAND, band_mv(forms.M, v), piv)[0]
+        v = dgbtrs(factor, BAND, BAND, band_mv(M, v), piv)[0]
         v /= np.abs(v).max()
-        step, rho = rho, _rayleigh_functional(forms, v)
-    settled = s_min <= rho <= s_max and abs(rho - step) <= delta
+        step, rho = rho, functional(v)
+    settled = lo <= rho <= hi and abs(rho - step) <= tol
     return (rho if settled else math.nan), v, count
 
 
-def _converged(forms: QuadraticForms, s: float, alpha: float, v: np.ndarray,
-               numerics: NumericsConfig) -> bool:
-    return eig_residual(forms, s, alpha, v) <= numerics.eig_tol
+def _rf_iterate(forms: QuadraticForms, v: np.ndarray, s_min: float,
+                s_max: float, delta: float) -> tuple[float, np.ndarray, int]:
+    """Rayleigh-functional iteration from v on T(rho) (_shifted_iterate) in
+    [s_min, s_max], to a step of at most delta and RF_MAX_ITER steps."""
+    return _shifted_iterate(lambda rho: _pencil(forms, rho),
+                            lambda u: _rayleigh_functional(forms, u), v, forms.M,
+                            delta, RF_MAX_ITER, s_min, s_max)
+
+
+def _continued_probe(forms: QuadraticForms, s: float, U: np.ndarray,
+                     v: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """The probe alpha(s) from v: (alpha, v, factorizations), given the
+    Cholesky factor U of T(s) = K + s^2 M, K = K0 + s K1.  One inverse
+    iteration step v <- T(s)^-1 M v (its shift -s^2 lies below the spectrum,
+    so it damps the components of v along the higher eigenvectors), then
+    Rayleigh-quotient iteration: rho = v^T K v / v^T M v, each step by the
+    band LU of K - rho M, until rho moves by at most eps = certificate_eps(K,
+    M) or RQ_MAX_ITER steps pass.  Last, the Cholesky factorization of
+    K - (rho - eps) M (below_spectrum) must certify rho as the smallest
+    eigenvalue to eps.  alpha is nan when a factorization is singular, the
+    iteration does not settle or the certificate fails."""
+    K, M = forms.K0 + s * forms.K1, forms.M
+    eps = certificate_eps(K, M)
+    alpha, v, count = _shifted_iterate(
+        lambda rho: K - rho * M,
+        lambda u: float(u @ band_mv(K, u)) / float(u @ band_mv(M, u)),
+        dpbtrs(U, band_mv(M, v))[0], M, eps, RQ_MAX_ITER)
+    if math.isfinite(alpha):
+        count += 1
+        if not below_spectrum(K, M, alpha):
+            alpha = math.nan
+    return alpha, v, count
 
 
 def _certified_root(forms: QuadraticForms, v: np.ndarray, s_min: float,
@@ -223,8 +273,10 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
 
     Given a start vector, a failed Cholesky factorization of T(s_min) (s_min
     < lambda) runs the certified Rayleigh-functional iteration of the module
-    docstring from start, with delta = root_tol S_max.  Otherwise, or when
-    that is rejected, the probe path runs: if the probe alpha(s_min) is
+    docstring from start, with delta = root_tol S_max; a successful one
+    continues the probe from start (_continued_probe), and a certified
+    alpha(s_min) >= 0 returns lam = 0 with no eigensolve.  Otherwise, or
+    when either is rejected, the probe path runs: if the probe alpha(s_min) is
     nonnegative there is no growing mode and lam = 0 is returned with the
     probe value; a negative probe with s_min^2 + alpha(s_min) > 0 raises
     NoSignChange.  Otherwise the certified iteration runs from the probe's
@@ -239,10 +291,20 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
     s_min, s_max = _bracket(coeffs.profile, numerics)
     delta = numerics.root_tol * s_max
     xi = (float(xi_abs), 0.0)
-    lam, iters = math.nan, 0  # iters: eigensolves and factorizations of T
+    lam, iters = math.nan, 0  # iters: eigensolves and factorizations
+    eig_tol = numerics.eig_tol
     if start is not None:
         iters += 1
-        if not _definite(forms, s_min):  # s_min < lambda: a growing frequency
+        U = _cholesky(forms, s_min)
+        if U is not None:  # lambda < s_min: continue the probe
+            alpha0, v0, count = _continued_probe(forms, s_min, U, start)
+            iters += count
+            if alpha0 >= 0:  # certified, so only the residual is left to test
+                v0 = j_normalize(forms, v0)
+                return DispersionPoint(
+                    xi, float(xi_abs), 0.0, alpha0, v0, iters,
+                    eig_residual(forms, s_min, alpha0, v0) <= eig_tol)
+        else:  # s_min < lambda: a growing frequency
             lam, v, count = _certified_root(forms, start, s_min, s_max, delta)
             iters += count
     if not math.isfinite(lam):
@@ -250,7 +312,7 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
         iters += 1
         if alpha0 >= 0:
             return DispersionPoint(xi, float(xi_abs), 0.0, alpha0, v0, iters,
-                                   _converged(forms, s_min, alpha0, v0, numerics))
+                                   is_min_eigenpair(forms, s_min, alpha0, v0, eig_tol))
         f_lo = s_min**2 + alpha0
         if f_lo > 0:
             raise NoSignChange(
@@ -262,7 +324,7 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
         e_val, j_val = evaluate_energy(forms, v, lam)
         alpha = e_val / j_val
         return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters,
-                               _converged(forms, lam, alpha, v, numerics))
+                               is_min_eigenpair(forms, lam, alpha, v, eig_tol))
     iters += 1  # the Cholesky test of T(S_max)
     if not _definite(forms, s_max):
         raise NoSignChange(
@@ -271,28 +333,31 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
                               MAX_ITER)
     alpha, v = min_eig(forms, lam)
     return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters + steps + 1,
-                           _converged(forms, lam, alpha, v, numerics))
+                           is_min_eigenpair(forms, lam, alpha, v, eig_tol))
 
 
 def _dedup_lattice(params: PhysicalParams, limit: float):
     """Nonzero lattice points below `limit`, grouped by exact |xi|^2.
 
-    |xi|^2 = (m/L1)^2 + (n/L2)^2 is compared as an exact rational of the
-    float inputs, so lattice images of equal magnitude collapse to a single
+    With the float inputs as exact rationals L1 = a1/b1 and L2 = a2/b2,
+    |xi|^2 = (m/L1)^2 + (n/L2)^2 is the integer m^2 b1^2 a2^2 + n^2 b2^2 a1^2
+    over (a1 a2)^2, so lattice images of equal magnitude collapse to a single
     representative: the largest (m, n) with m, n >= 0.  Sign flips do not
-    change |xi|, so only that quadrant is walked.
+    change |xi|, so only that quadrant is walked.  Each kept |xi|^2 is
+    returned as a Fraction.
     """
-    l1sq = Fraction(params.L1) ** 2
-    l2sq = Fraction(params.L2) ** 2
+    (a1, b1), (a2, b2) = (Fraction(L).as_integer_ratio() for L in (params.L1, params.L2))
+    wm, wn, den = (b1 * a2) ** 2, (b2 * a1) ** 2, (a1 * a2) ** 2
     m_max = int(math.floor(limit * params.L1)) + 1
     n_max = int(math.floor(limit * params.L2)) + 1
-    groups: dict[Fraction, tuple[int, int]] = {}
+    groups: dict[int, tuple[int, int]] = {}
     for m in range(m_max + 1):
         for n in range(n_max + 1):
-            key = Fraction(m * m) / l1sq + Fraction(n * n) / l2sq
-            if key and float(key) < limit * limit:
-                groups[key] = (m, n)  # (m, n) ascends: the last seen is the largest
-    return sorted(groups.items(), key=lambda kv: kv[0])
+            # (m, n) ascends: the last seen is the largest
+            groups[m * m * wm + n * n * wn] = (m, n)
+    # int / int is correctly rounded, as float(Fraction) is
+    return [(Fraction(key, den), groups[key]) for key in sorted(groups)
+            if key and key / den < limit * limit]
 
 
 def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
@@ -300,10 +365,10 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
     Every frequency goes through growth_rate on coeffs, in ascending |xi|^2,
-    with the previous row's minimizer as start when that row grew (None
-    otherwise), so a point gets lam = 0 only when its probe alpha(s_min) is
-    nonnegative; outside the instability window that probe is the whole
-    solve.  Each row carries its lattice representative as xi.
+    with the previous row's minimizer as start (None for the first row), so
+    a point gets lam = 0 only when its probe alpha(s_min), cold or
+    continued, is nonnegative; outside the instability window that probe is
+    the whole solve.  Each row carries its lattice representative as xi.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise ValueError("cutoff must be finite and > 0")
@@ -315,7 +380,7 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     for key, (m, n) in _dedup_lattice(params, cutoff):
         pt = growth_rate(coeffs, math.sqrt(float(key)), numerics, start)
         curve.append(replace(pt, xi=(m / params.L1, n / params.L2)))
-        start = pt.minimizer if pt.lam > 0 else None
+        start = pt.minimizer
     lam_max = 0.0
     argmax = None
     for pt in curve:

@@ -2,7 +2,9 @@
 only tests use: dense and CSR copies of band storage, the kernel assembly
 of the forms at one frequency, a dense per-element assembly of the forms and
 an alternate one of E0, the bump candidate and the negativity probe built on
-it, a dense full-spectrum eigensolve, the viscous dissipation of a full
+it, a dense full-spectrum eigensolve (any eigenpair, for the certificate
+tests), the Fraction arithmetic of the lattice deduplication, the viscous
+dissipation of a full
 3-component velocity, the three-field pencil, a layer-checked enthalpy
 weight, random oracle states and the oracle's full energy, the complex
 evolution operators at a frequency vector with their sparse-LU time step,
@@ -11,6 +13,7 @@ CSV reader."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -206,20 +209,22 @@ def enthalpy_weight(profile: EquilibriumProfile, x3: float,
     return float(profile.law(layer).derivative(rho) / rho)
 
 
-def _dense_min(K: np.ndarray, M: np.ndarray,
-               psi_interface_dof: int) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of K v = alpha M v from the full spectrum,
-    J-normalized with the interface psi value >= 0."""
+def _dense_min(K: np.ndarray, M: np.ndarray, psi_interface_dof: int,
+               k: int = 0) -> tuple[float, np.ndarray]:
+    """Eigenpair k (0 the smallest) of K v = alpha M v from the full
+    spectrum, J-normalized with the interface psi value >= 0."""
     vals, vecs = scipy.linalg.eigh(K, M)
-    v = vecs[:, 0] / np.sqrt(vecs[:, 0] @ M @ vecs[:, 0])
-    return float(vals[0]), _fix_sign(v, psi_interface_dof)
+    v = vecs[:, k] / np.sqrt(vecs[:, k] @ M @ vecs[:, k])
+    return float(vals[k]), _fix_sign(v, psi_interface_dof)
 
 
-def min_eig_dense(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
+def min_eig_dense(forms: QuadraticForms, s: float,
+                  k: int = 0) -> tuple[float, np.ndarray]:
     """Dense reference for variational.min_eig: Cholesky reduction of M and
-    the full spectrum of the two-field pencil."""
+    the full spectrum of the two-field pencil; k = 1 gives the second
+    eigenpair, which the smallest-eigenvalue certificate must reject."""
     return _dense_min(dense(forms.K0 + s * forms.K1), dense(forms.M),
-                      forms.psi_interface_dof)
+                      forms.psi_interface_dof, k)
 
 
 def viscous_terms(mu, mu_p, u, du, k):
@@ -422,3 +427,21 @@ def import_mode_csv(csv_path) -> dict[str, np.ndarray]:
     """Re-read an exported mode CSV into column arrays (round-trip exact)."""
     data = np.genfromtxt(csv_path, delimiter=",", names=True)
     return {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+
+
+def dedup_lattice_fraction(params, limit: float):
+    """Reference for dispersion._dedup_lattice: the nonzero lattice points
+    below limit grouped by |xi|^2 = (m/L1)^2 + (n/L2)^2 in Fraction
+    arithmetic, as [(|xi|^2, largest (m, n) with m, n >= 0)] in ascending
+    |xi|^2."""
+    l1sq = Fraction(params.L1) ** 2
+    l2sq = Fraction(params.L2) ** 2
+    m_max = int(math.floor(limit * params.L1)) + 1
+    n_max = int(math.floor(limit * params.L2)) + 1
+    groups: dict[Fraction, tuple[int, int]] = {}
+    for m in range(m_max + 1):
+        for n in range(n_max + 1):
+            key = Fraction(m * m) / l1sq + Fraction(n * n) / l2sq
+            if key and float(key) < limit * limit:
+                groups[key] = (m, n)  # (m, n) ascends: the last seen is the largest
+    return sorted(groups.items(), key=lambda kv: kv[0])

@@ -18,6 +18,7 @@ from rtstab import evolve, variational
 from rtstab.cli import build_parser, main
 from rtstab.config import load_config
 from rtstab.errors import ConfigError
+from tests.oracles import min_eig_dense
 
 
 def write_config(path, *, k_plus=1.0, k_minus=2.0, sigma_plus=0.0,
@@ -103,6 +104,31 @@ def test_alpha_prints_value(tmp_path, capsys):
                  "--xi", "1.0", "--s", "0.01"]) == 0
     printed = float(capsys.readouterr().out.strip())
     assert printed < 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_alpha_prints_only_a_certified_smallest_eigenvalue(k, tmp_path, capsys,
+                                                          monkeypatch):
+    # eigenpair k of the dense reference: the second has a round-off
+    # residual, but the certificate refuses it, so nothing is printed
+    monkeypatch.setattr("rtstab.cli.min_eig",
+                        lambda forms, s: min_eig_dense(forms, s, k))
+    cfg = write_config(tmp_path / "cfg.json")
+    code = main(["alpha", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--xi", "1.0", "--s", "0.01"])
+    out, err = capsys.readouterr()
+    if k == 0:
+        assert code == 0 and float(out) < 0
+    else:
+        assert code == 3 and out == "" and err.startswith("solver error")
+
+
+def test_alpha_refuses_a_residual_above_eig_tol(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", eig_tol=1e-300)
+    assert main(["alpha", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--xi", "1.0", "--s", "0.01"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "eig_tol" in err
 
 
 def test_growth_and_mode_artifacts(tmp_path):

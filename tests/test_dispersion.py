@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtstab import dispersion, variational
 from rtstab.config import NumericsConfig
@@ -14,10 +16,12 @@ from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from rtstab.evolve import EvolutionOperators, semidiscretize
-from rtstab.variational import (build_mesh, eig_residual, form_coefficients,
-                                min_eig)
+from rtstab.variational import (band_mv, below_spectrum, build_mesh,
+                                certificate_eps, eig_residual, form_coefficients,
+                                is_min_eigenpair, min_eig)
 from tests.conftest import unit_params, unit_profile
-from tests.oracles import negativity_probe, psi_bump, psi_bump_norm_sq
+from tests.oracles import (dedup_lattice_fraction, min_eig_dense, negativity_probe,
+                           psi_bump, psi_bump_norm_sq)
 
 
 def test_critical_tension_examples(unstable_profile):
@@ -179,10 +183,11 @@ def _scenario(name, unstable_profile):
 
 
 def _count_min_eig(monkeypatch):
+    """Record the frequency of every min_eig call in dispersion."""
     calls = []
 
     def counted(forms, s):
-        calls.append(s)
+        calls.append(forms.xi_abs)
         return min_eig(forms, s)
 
     monkeypatch.setattr(dispersion, "min_eig", counted)
@@ -339,7 +344,8 @@ def test_rejected_start_takes_the_probe_path(unstable_profile, mesh100,
 
 def test_chain_across_the_window_edge(mesh100, monkeypatch):
     # sigma_minus = 0.1 puts xi_c = 3.69 inside the cutoff: the chain of
-    # growing rows ends there, and the rows above it decay by their probe
+    # growing rows ends there, and the rows above it continue the probe from
+    # their predecessor's vector, with no eigensolve
     prof = unit_profile(sigma_minus=0.1)
     xi_c = critical_frequency(prof)
     coeffs = form_coefficients(mesh100, prof)
@@ -350,14 +356,19 @@ def test_chain_across_the_window_edge(mesh100, monkeypatch):
     assert all(p.xi_abs < xi_c for p in growing)
     assert all(p.xi_abs > xi_c for p in decaying) and len(decaying) >= 5
     assert all(p.alpha_at_star >= 0 and p.converged for p in decaying)
-    # the row after the last growing one tests T(s_min), then probes
-    first = curve.index(decaying[0])
-    assert curve[first - 1].lam > 0 and curve[first].iterations == 2
-    assert all(p.iterations == 1 for p in curve[first + 1:])
-    # one probe per decaying row, one for the chain's first row, and at
-    # most one more where a start is rejected next to xi_c
-    assert len(decaying) + 1 <= len(calls) <= len(decaying) + 2
+    # each decaying row counts the Cholesky test of T(s_min), at least one
+    # LU step and the certificate, and no row falls back to the probe
+    assert all(3 <= p.iterations <= dispersion.RQ_MAX_ITER + 2 for p in decaying)
+    # one probe for the chain's first row, and at most one more where a
+    # start is rejected next to xi_c, below it
+    assert calls[0] == curve[0].xi_abs and len(calls) <= 2
+    assert all(xi < xi_c for xi in calls)
     s_max = 1.25 * prof.params.b * prof.params.g * prof.jump / prof.params.mu_minus
+    s_min = 1e-8 * s_max
+    for p in decaying:
+        forms = coeffs.at(p.xi_abs)
+        eps = certificate_eps(forms.K0 + s_min * forms.K1, forms.M)
+        assert abs(p.alpha_at_star - min_eig(forms, s_min)[0]) <= eps
     for p in growing:
         assert p.converged
         assert abs(p.lam - growth_rate(coeffs, p.xi_abs).lam) <= 1e-10 * s_max
@@ -379,6 +390,100 @@ def test_continued_rows_match_standalone_solves(name, unstable_profile, mesh100)
         alone = growth_rate(coeffs, p.xi_abs)
         assert p.converged and alone.converged
         assert abs(p.lam - alone.lam) <= 1e-10 * s_max
+
+
+def _past_sigma_c(name):
+    """A pair just past its critical tension, sigma_minus = 1.05 sigma_c
+    (g = L1 = L2 = 1) and sigma_plus = 0.1, as in the benchmark's probe
+    scan: the README pair, gamma = 1.4, mu' != 0 or the stiff pair."""
+    plus, minus, extra = {
+        "isothermal": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0), {}),
+        "polytropic": (PressureLaw.polytropic(1.0, 1.4),
+                       PressureLaw.polytropic(2.0, 1.4), {}),
+        "mu_prime": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0),
+                     {"mu_prime_plus": 0.3, "mu_prime_minus": 0.2}),
+        "stiff": (PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0),
+                  {"p_atm": 400.0}),
+    }[name]
+    jump = solve_equilibrium(plus, minus, unit_params(**extra)).jump
+    return solve_equilibrium(plus, minus,
+                             unit_params(sigma_minus=1.05 * jump, sigma_plus=0.1, **extra))
+
+
+@pytest.mark.parametrize("name, cutoff, rows", [("isothermal", 12.0, 57),
+                                                ("polytropic", 6.0, 17),
+                                                ("mu_prime", 6.0, 17),
+                                                ("stiff", 6.0, 17)])
+def test_continued_probes_match_standalone_probes(name, cutoff, rows, mesh100,
+                                                  monkeypatch):
+    # past sigma_c every row decays; after the first, each continues the
+    # probe from its predecessor's minimizer and meets min_eig to eps, so the
+    # scan takes one eigensolve (the isothermal case is the benchmark's probe
+    # scan at seed 0)
+    prof = _past_sigma_c(name)
+    coeffs = form_coefficients(mesh100, prof)
+    calls = _count_min_eig(monkeypatch)
+    curve = sweep_lattice(coeffs, cutoff).curve
+    assert len(curve) == rows and calls == [1.0]
+    s_min = dispersion._bracket(prof, NumericsConfig())[0]
+    for p in curve:
+        forms = coeffs.at(p.xi_abs)
+        alpha, v = min_eig(forms, s_min)
+        eps = certificate_eps(forms.K0 + s_min * forms.K1, forms.M)
+        assert p.lam == 0.0 and p.converged
+        assert abs(p.alpha_at_star - alpha) <= eps
+        assert abs(p.minimizer @ band_mv(forms.M, v)) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_certificate_rejects_a_planted_second_eigenvector(mesh100, monkeypatch):
+    # the second eigenvector as start: the Rayleigh-quotient iteration stays
+    # on it, the certificate refuses its eigenvalue, and the row is the cold
+    # probe's row
+    prof = _past_sigma_c("isothermal")
+    coeffs = form_coefficients(mesh100, prof)
+    forms = coeffs.at(2.0)
+    s_min = dispersion._bracket(prof, NumericsConfig())[0]
+    alpha2, v2 = min_eig_dense(forms, s_min, k=1)
+    cold = growth_rate(coeffs, 2.0)
+    asked = []
+
+    def recorded(K, M, alpha):
+        asked.append((alpha, below_spectrum(K, M, alpha)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(dispersion, "below_spectrum", recorded)
+    calls = _count_min_eig(monkeypatch)
+    pt = growth_rate(coeffs, 2.0, start=v2)
+    eps = certificate_eps(forms.K0 + s_min * forms.K1, forms.M)
+    assert len(asked) == 1 and asked[0][1] is False
+    assert abs(asked[0][0] - alpha2) <= eps and alpha2 > cold.alpha_at_star + 1e3 * eps
+    assert calls == [2.0]  # the fallback probe
+    assert (pt.lam, pt.alpha_at_star, pt.converged) == \
+        (cold.lam, cold.alpha_at_star, cold.converged)
+    assert np.array_equal(pt.minimizer, cold.minimizer) and pt.converged
+    # the Cholesky test of T(s_min), one LU step or more and the
+    # certificate, on top of the probe
+    assert pt.iterations >= cold.iterations + 3
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_converged_needs_the_smallest_eigenvalue(k, mesh40, monkeypatch):
+    # eigenpair k of the dense reference: the second passes the residual
+    # test, and the certificate below_spectrum refuses it
+    prof = unit_profile(sigma_minus=0.5)
+    coeffs = form_coefficients(mesh40, prof)
+    s_min = dispersion._bracket(prof, NumericsConfig())[0]
+    alpha, v = min_eig_dense(coeffs.at(3.0), s_min, k)
+    assert eig_residual(coeffs.at(3.0), s_min, alpha, v) <= 1e-13
+    monkeypatch.setattr(dispersion, "min_eig", lambda forms, s: min_eig_dense(forms, s, k))
+    probe = growth_rate(coeffs, 3.0)
+    assert probe.lam == 0.0 and probe.alpha_at_star == alpha
+    assert probe.converged is (k == 0)
+    # and at a growing root
+    coeffs = form_coefficients(mesh40, unit_profile())
+    root, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
+    pair = min_eig_dense(forms, root.lam, k)
+    assert is_min_eigenpair(forms, root.lam, *pair, 1e-10) is (k == 0)
 
 
 def test_converged_flag_comes_from_the_eigen_residual(unstable_profile,
@@ -404,6 +509,18 @@ def test_dedup_lattice_exact(params):
     reps = {float(k): mn for k, mn in groups}
     assert reps[1.0] == (1, 0)  # (0, +-2) deduplicated into the same class
     assert 0.25 in reps and reps[0.25] == (0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@example(L1=0.7, L2=1.3, limit=9.0)
+@example(L1=1.3, L2=0.7, limit=4.0)
+@example(L1=1.0, L2=2.0, limit=1.2)
+@example(L1=1.0, L2=1.0, limit=12.0)
+@given(L1=st.floats(0.05, 5.0), L2=st.floats(0.05, 5.0), limit=st.floats(0.1, 8.0))
+def test_dedup_lattice_matches_the_fraction_reference(L1, L2, limit):
+    # integer keys: the same rows, representatives, order and |xi|^2
+    prm = unit_params(L1=L1, L2=L2)
+    assert _dedup_lattice(prm, limit) == dedup_lattice_fraction(prm, limit)
 
 
 def test_sweep_admissible_set(unstable_profile):
