@@ -132,7 +132,7 @@ def cmd_oracle(cfg, out, args) -> int:
         raise InvalidInput(f"numerics.t_final = {t_final!r} must cover at least "
                            f"one step of numerics.dt = {dt!r}")
     traj = evolve.advance(state, ops, dt, t_final)
-    evolve.write_trajectory_csv(traj, ops, out / "trajectory.csv")
+    evolve.write_trajectory_csv(traj, out / "trajectory.csv")
     fitted = evolve.measure_growth(traj, cfg.numerics.fit_window)
     # the run ends at the multiple of dt nearest the requested t_final
     gap = abs(fitted - pt.lam) / pt.lam if pt.lam > 0 else None

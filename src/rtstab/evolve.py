@@ -55,9 +55,10 @@ L is positive definite (the usual case for a small forward dt), whose
 success is the certificate, else by dgbtrf with partial pivoting (dt < 0,
 or a dt large enough for a negative interface coefficient to win).  For a
 stable orientation (jump < 0) the full energy adds -1/2 jump g eta_-^2 > 0
-and is non-increasing at every step, to round-off.  Growth rates are
-measured by least squares on log|eta_-(t)| and cross-checked against the
-variational fixed point.
+and is non-increasing at every step, to round-off.  A run checks the
+identity on each ring of BLOCK steps and keeps no state but its last.
+Growth rates are measured by least squares on log|eta_-(t)| and
+cross-checked against the variational fixed point.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
-from .variational import (BAND, FormCoefficients, band_mv, check_frequency,
-                          form_terms, scatter, surface_coefficients)
+from .variational import (BAND, FormCoefficients, check_frequency, form_terms,
+                          scatter, surface_coefficients)
 
-BLOCK = 16  # states per block of the energy-balance pass (32 adds 1-2 MB of peak RSS)
+BLOCK = 16  # steps per ring of states in advance(); its energy balance runs per ring
 
 
 class EvolutionOperators:
@@ -85,8 +86,8 @@ class EvolutionOperators:
     ...) over nodes 1 .. n_nodes - 1, then z = (q_1 .. q_E, eta_-, eta_+).
     The index arrays v, w and q give each field's place in y.  Mu, Du and S
     are band storage of half-bandwidth BAND over the velocity, and the
-    energy and dissipation matrices W and D over the whole state; F and G
-    are CSR.
+    energy and dissipation matrices W and D over the whole state; F, G and
+    WD (W over D, for energy_balance_residual) are CSR.
     """
 
     def __init__(self, coeffs: FormCoefficients, xi_abs: float):
@@ -123,13 +124,7 @@ class EvolutionOperators:
         self.W[:, :nu], self.D[:, :nu] = 2.0 * forms.M, 2.0 * forms.K1
         self.W[BAND, nu:] = np.concatenate([H, [xi_sq * C[0], self.sigma_top_coef]])
         self.Mu, self.Du = self.W[:, :nu], self.D[:, :nu]
-
-    # -- quadratic functionals of one state (n,) --------------------------
-    def energy(self, y: np.ndarray) -> float:
-        return 0.5 * float(y @ band_mv(self.W, y))
-
-    def dissipation(self, y: np.ndarray) -> float:
-        return float(y @ band_mv(self.D, y))
+        self.WD = sp.vstack([_csr(self.W), _csr(self.D)], format="csr")
 
 
 def semidiscretize(coeffs: FormCoefficients, xi_abs: float) -> EvolutionOperators:
@@ -167,21 +162,25 @@ def interface_bump_state(ops: EvolutionOperators) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense record of an advance() run; states[k] is the step-k dof vector."""
+    """Record of an advance() run: per state its time, signed eta+-, energy
+    and dissipation; per step its balance defect; and the last state."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_steps + 1, n) real
+    eta_minus: np.ndarray
+    eta_plus: np.ndarray
+    energy: np.ndarray
+    dissipation: np.ndarray
+    balance_residual: np.ndarray  # (n_steps,)
+    final: np.ndarray  # (n,) the state at times[-1]
     dt: float
-    eta_plus_idx: int
-    eta_minus_idx: int
 
     @property
     def eta_minus_abs(self) -> np.ndarray:
-        return np.abs(self.states[:, self.eta_minus_idx])
+        return np.abs(self.eta_minus)
 
     @property
     def eta_plus_abs(self) -> np.ndarray:
-        return np.abs(self.states[:, self.eta_plus_idx])
+        return np.abs(self.eta_plus)
 
 
 def _csr(ab: np.ndarray) -> sp.csr_array:
@@ -191,6 +190,7 @@ def _csr(ab: np.ndarray) -> sp.csr_array:
                         shape=(ab.shape[1],) * 2).tocsr()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises SingularStep
 def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
             t_final: float) -> Trajectory:
     """Integrate the semidiscrete system from the real state y0 at t = 0 by
@@ -202,13 +202,16 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
 
         L u+ = (2 Mu - L) u + dt F z,   L = Mu + dt/2 Du + dt^2/4 S,
 
-    one CSR product and one band solve written straight into the
-    (n_steps + 1, n) record, and then z+ is one CSR product more.  L is
-    factorized once: by dpbtrf, and each solve is one dpbtrs, when L is
+    one CSR product and one band solve, and then z+ is one CSR product more.
+    L is factorized once: by dpbtrf, and each solve is one dpbtrs, when L is
     positive definite; otherwise by dgbtrf with BAND zero rows on top of the
     band storage as room for the fill of the pivoting, and each solve is one
-    dgbtrs.  A complex y0 raises ValueError: the operators are real, so its
-    real and imaginary parts are two separate trajectories.
+    dgbtrs.  The steps fill a ring of BLOCK + 1 states, which goes to
+    energy_balance_residual when full or at the end; its last state starts
+    the next ring.  A complex y0 raises ValueError: the operators are real,
+    so its real and imaginary parts are two separate trajectories.  A step
+    whose balance is not finite (the energy overflows once |y| > ~1e154, or
+    a state is not finite) raises SingularStep.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -235,16 +238,27 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     rhs = sp.hstack([_csr(ops.Mu - h * ops.Du - (h * h) * ops.S), dt * ops.F],
                     format="csr")
     update = h * ops.G
-    out = np.empty((n_steps + 1, ops.n))
-    out[0] = y0
-    for k in range(n_steps):
-        y, nxt = out[k], out[k + 1]
-        nxt[:nu] = solve(rhs @ y)
-        nxt[nu:] = y[nu:] + update @ (y[:nu] + nxt[:nu])
-        if not np.all(np.isfinite(nxt)):
-            raise SingularStep(f"non-finite state at step {k + 1}")
-    return Trajectory(dt * np.arange(n_steps + 1), out, dt,
-                      ops.eta_plus_idx, ops.eta_minus_idx)
+    times, resid = dt * np.arange(n_steps + 1), np.empty(n_steps)
+    eta_minus, eta_plus, energy, diss = np.empty((4, n_steps + 1))
+    ring = np.empty((BLOCK + 1, ops.n))
+    ring[0] = y0
+    for a in range(0, n_steps, BLOCK):
+        k = min(BLOCK, n_steps - a) + 1  # states in this ring, both ends
+        for j in range(k - 1):
+            y, nxt = ring[j], ring[j + 1]
+            nxt[:nu] = solve(rhs @ y)
+            nxt[nu:] = y[nu:] + update @ (y[:nu] + nxt[:nu])
+        resid[a:a + k - 1], energy[a:a + k], diss[a:a + k] = \
+            energy_balance_residual(ring[:k], ops, dt)
+        # a defect is finite only if its energies and dissipations are
+        bad = np.flatnonzero(~np.isfinite(resid[a:a + k - 1]))
+        if bad.size:
+            raise SingularStep(f"non-finite energy balance at step {a + bad[0] + 1}")
+        eta_minus[a:a + k] = ring[:k, ops.eta_minus_idx]
+        eta_plus[a:a + k] = ring[:k, ops.eta_plus_idx]
+        ring[0] = ring[k - 1]
+    return Trajectory(times, eta_minus, eta_plus, energy, diss, resid,
+                      ring[0].copy(), dt)
 
 
 def measure_growth(traj: Trajectory, fit_window: float) -> float:
@@ -261,47 +275,39 @@ def measure_growth(traj: Trajectory, fit_window: float) -> float:
     return float(np.polyfit(t, np.log(window), 1)[0])
 
 
-def energy_balance_residual(traj: Trajectory, ops: EvolutionOperators):
-    """Per-step defect of the discrete energy identity, relative to the energy.
+def energy_balance_residual(states: np.ndarray, ops: EvolutionOperators,
+                            dt: float):
+    """Defect of the discrete energy identity over the consecutive states
+    (k, n) of a run with step dt, relative to the energy.
 
     The identity is evaluated at step midpoints, where the trapezoidal rule
-    holds it to round-off.  The states are read BLOCK + 1 rows at a time,
-    copied once into a contiguous block with one state per column that the
-    CSR copies of W and D multiply without a further copy, and each quadratic
-    form is a column-wise dot product, so no temporary grows with the step
-    count.  Returns
-    (residual, energy, dissipation): the defect of each step and the last
-    two at every state.
+    holds it to round-off.  The states are copied once into a contiguous
+    block with one state per column, which one product with the CSR matrix
+    WD (W over D) reads without a further copy, and each quadratic form is a
+    column-wise dot product.  Returns (residual, energy, dissipation): the
+    defect of each of the k - 1 steps and the last two at every state.
     """
-    W, D = _csr(ops.W), _csr(ops.D)
-    n_steps = traj.states.shape[0] - 1
-    energy, diss = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    cross = np.empty(n_steps)  # y_k^T D y_k+1
-    for a in range(0, n_steps, BLOCK):
-        # one contiguous copy, one state per column, that both products read
-        Y = np.ascontiguousarray(traj.states[a:a + BLOCK + 1].T)
-        DY, k = D @ Y, Y.shape[1]
-        energy[a:a + k] = 0.5 * np.einsum("ji,ji->i", Y, W @ Y)
-        diss[a:a + k] = np.einsum("ji,ji->i", Y, DY)
-        cross[a:a + k - 1] = np.einsum("ji,ji->i", Y[:, :-1], DY[:, 1:])
-    eta = traj.states[:, ops.eta_minus_idx]
-    w = traj.states[:, ops.u3_int]
+    Y = np.ascontiguousarray(states.T)
+    WY, DY = np.split(ops.WD @ Y, 2)
+    energy = 0.5 * np.einsum("ji,ji->i", Y, WY)
+    diss = np.einsum("ji,ji->i", Y, DY)
+    cross = np.einsum("ji,ji->i", Y[:, :-1], DY[:, 1:])  # y_k^T D y_k+1
     # at the midpoint m of y_k and y_k+1, D symmetric gives
     # m^T D m = (d_k + d_k+1 + 2 y_k^T D y_k+1) / 4
     d_mid = 0.25 * (diss[:-1] + diss[1:]) + 0.5 * cross
+    eta, w = Y[ops.eta_minus_idx], Y[ops.u3_int]
     eta, w = 0.5 * (eta[:-1] + eta[1:]), 0.5 * (w[:-1] + w[1:])
     flux = -ops.interface_gravity * eta * w - d_mid
     scale = np.maximum(np.maximum(np.abs(energy[:-1]), np.abs(energy[1:])), 1e-300)
-    res = (energy[1:] - energy[:-1] - traj.dt * flux) / scale
-    return res, energy, diss
+    return (energy[1:] - energy[:-1] - dt * flux) / scale, energy, diss
 
 
-def write_trajectory_csv(traj: Trajectory, ops: EvolutionOperators, path) -> None:
-    """CSV: t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual."""
-    resid, energy, diss = energy_balance_residual(traj, ops)
-    resid = np.concatenate([[0.0], resid])
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """CSV: t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual,
+    one row per state; the first row's balance_residual is 0."""
+    resid = np.concatenate([[0.0], traj.balance_residual])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual\n")
         for row in zip(traj.times, traj.eta_minus_abs, traj.eta_plus_abs,
-                       energy, diss, resid):
+                       traj.energy, traj.dissipation, resid):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

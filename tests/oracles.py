@@ -8,8 +8,9 @@ dissipation of a full
 3-component velocity, the three-field pencil, a layer-checked enthalpy
 weight, random oracle states and the oracle's full energy, the complex
 evolution operators at a frequency vector with their sparse-LU time step,
-the dense pencil of the oracle's normal modes with its root, and a mode
-CSV reader."""
+the dense pencil of the oracle's normal modes with its root, a mode CSV
+reader, and the oracle's full-record stepping with its two-pass energy
+balance."""
 
 import math
 from dataclasses import dataclass
@@ -18,10 +19,12 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from rtstab.equilibrium import EquilibriumProfile, PressureLaw
-from rtstab.evolve import EvolutionOperators
+from rtstab.errors import SingularStep
+from rtstab.evolve import BLOCK, EvolutionOperators, _csr
 from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
                                 evaluate_energy, field_rows, form_coefficients,
                                 form_terms, layer_fields, project_p1)
@@ -312,11 +315,11 @@ def random_state(ops: EvolutionOperators, seed: int = 0, scale: float = 1.0) -> 
     return scale * y
 
 
-def full_energy(ops: EvolutionOperators, y: np.ndarray) -> float:
-    """The oracle's energy plus the interface term -1/2 jump g eta_-^2
-    (positive when the orientation is stable); non-increasing along exact
-    dynamics."""
-    return ops.energy(y) + 0.5 * ops.interface_gravity * y[ops.eta_minus_idx] ** 2
+def full_energy(ops: EvolutionOperators, traj) -> np.ndarray:
+    """The oracle's energy at every state of the record traj plus the
+    interface term -1/2 jump g eta_-^2 (positive when the orientation is
+    stable); non-increasing along exact dynamics."""
+    return traj.energy + 0.5 * ops.interface_gravity * traj.eta_minus ** 2
 
 
 def complex_operators(profile: EquilibriumProfile, mesh: Mesh1D,
@@ -445,3 +448,119 @@ def dedup_lattice_fraction(params, limit: float):
             if key and float(key) < limit * limit:
                 groups[key] = (m, n)  # (m, n) ascends: the last seen is the largest
     return sorted(groups.items(), key=lambda kv: kv[0])
+
+
+@dataclass(frozen=True)
+class DenseTrajectory:
+    """Dense record of an advance_dense() run; states[k] is the step-k dof vector."""
+
+    times: np.ndarray
+    states: np.ndarray  # (n_steps + 1, n) real
+    dt: float
+    eta_plus_idx: int
+    eta_minus_idx: int
+
+    @property
+    def eta_minus_abs(self) -> np.ndarray:
+        return np.abs(self.states[:, self.eta_minus_idx])
+
+    @property
+    def eta_plus_abs(self) -> np.ndarray:
+        return np.abs(self.states[:, self.eta_plus_idx])
+
+
+def advance_dense(y0: np.ndarray, ops: EvolutionOperators, dt: float,
+                  t_final: float) -> DenseTrajectory:
+    """The full-record advance() before it streamed, kept as its reference:
+    every state in one (n_steps + 1, n) array.
+
+    Integrate the semidiscrete system from the real state y0 at t = 0 by
+    trapezoidal steps.  dt may be negative (time reversal), in which case
+    t_final must be too.  The run takes round(t_final / dt) steps, so it
+    ends at the multiple of dt nearest t_final, which is times[-1].
+
+    With z+ = z + dt/2 G (u + u+) substituted, the step for the velocity is
+
+        L u+ = (2 Mu - L) u + dt F z,   L = Mu + dt/2 Du + dt^2/4 S,
+
+    one CSR product and one band solve written straight into the
+    (n_steps + 1, n) record, and then z+ is one CSR product more.  L is
+    factorized once: by dpbtrf, and each solve is one dpbtrs, when L is
+    positive definite; otherwise by dgbtrf with BAND zero rows on top of the
+    band storage as room for the fill of the pivoting, and each solve is one
+    dgbtrs.  A complex y0 raises ValueError: the operators are real, so its
+    real and imaginary parts are two separate trajectories.
+    """
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
+    if np.iscomplexobj(y0):
+        raise ValueError("y0 must be real; step the real and imaginary parts apart")
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1:
+        raise ValueError("t_final must cover at least one step of size dt")
+    h, nu = 0.5 * dt, ops.Mu.shape[1]
+    lhs = ops.Mu + h * ops.Du + (h * h) * ops.S
+    factor, info = dpbtrf(lhs[:BAND + 1])
+    if info == 0:
+        def solve(b):
+            return dpbtrs(factor, b, overwrite_b=1)[0]
+    else:
+        pivoted = np.zeros((3 * BAND + 1, nu), order="F")
+        pivoted[BAND:] = lhs
+        lu, piv, info = dgbtrf(pivoted, BAND, BAND, overwrite_ab=1)
+        if info > 0:
+            raise SingularStep(f"implicit step matrix is singular (zero pivot {info})")
+
+        def solve(b):
+            return dgbtrs(lu, BAND, BAND, b, piv, overwrite_b=1)[0]
+    rhs = sp.hstack([_csr(ops.Mu - h * ops.Du - (h * h) * ops.S), dt * ops.F],
+                    format="csr")
+    update = h * ops.G
+    out = np.empty((n_steps + 1, ops.n))
+    out[0] = y0
+    for k in range(n_steps):
+        y, nxt = out[k], out[k + 1]
+        nxt[:nu] = solve(rhs @ y)
+        nxt[nu:] = y[nu:] + update @ (y[:nu] + nxt[:nu])
+        if not np.all(np.isfinite(nxt)):
+            raise SingularStep(f"non-finite state at step {k + 1}")
+    return DenseTrajectory(dt * np.arange(n_steps + 1), out, dt,
+                           ops.eta_plus_idx, ops.eta_minus_idx)
+
+
+def energy_balance_two_pass(traj: DenseTrajectory, ops: EvolutionOperators):
+    """The second pass over a DenseTrajectory that energy_balance_residual
+    made before advance() streamed, kept as its reference.
+
+    Per-step defect of the discrete energy identity, relative to the energy.
+
+    The identity is evaluated at step midpoints, where the trapezoidal rule
+    holds it to round-off.  The states are read BLOCK + 1 rows at a time,
+    copied once into a contiguous block with one state per column that the
+    CSR copies of W and D multiply without a further copy, and each quadratic
+    form is a column-wise dot product, so no temporary grows with the step
+    count.  Returns
+    (residual, energy, dissipation): the defect of each step and the last
+    two at every state.
+    """
+    W, D = _csr(ops.W), _csr(ops.D)
+    n_steps = traj.states.shape[0] - 1
+    energy, diss = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    cross = np.empty(n_steps)  # y_k^T D y_k+1
+    for a in range(0, n_steps, BLOCK):
+        # one contiguous copy, one state per column, that both products read
+        Y = np.ascontiguousarray(traj.states[a:a + BLOCK + 1].T)
+        DY, k = D @ Y, Y.shape[1]
+        energy[a:a + k] = 0.5 * np.einsum("ji,ji->i", Y, W @ Y)
+        diss[a:a + k] = np.einsum("ji,ji->i", Y, DY)
+        cross[a:a + k - 1] = np.einsum("ji,ji->i", Y[:, :-1], DY[:, 1:])
+    eta = traj.states[:, ops.eta_minus_idx]
+    w = traj.states[:, ops.u3_int]
+    # at the midpoint m of y_k and y_k+1, D symmetric gives
+    # m^T D m = (d_k + d_k+1 + 2 y_k^T D y_k+1) / 4
+    d_mid = 0.25 * (diss[:-1] + diss[1:]) + 0.5 * cross
+    eta, w = 0.5 * (eta[:-1] + eta[1:]), 0.5 * (w[:-1] + w[1:])
+    flux = -ops.interface_gravity * eta * w - d_mid
+    scale = np.maximum(np.maximum(np.abs(energy[:-1]), np.abs(energy[1:])), 1e-300)
+    res = (energy[1:] - energy[:-1] - traj.dt * flux) / scale
+    return res, energy, diss

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,22 @@ def test_oracle_readme_config_steps_without_pivoting(tmp_path, monkeypatch):
     assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--xi", "1.0"]) == 0
     assert calls == {"dgbtrf": 0, "dgbtrs": 0}
+
+
+def test_oracle_overflowing_energy_exit_3(tmp_path, capsys):
+    # 6,000 steps of dt = 1 grow the mode past |y| ~ 1e154, where its
+    # quadratic energy overflows while the states stay finite: the run fails
+    # at that step, before any file is written and without a warning
+    cfg = write_config(tmp_path / "cfg.json", n=12, dt=1.0, t_final=6000.0)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["oracle", "--config", str(cfg), "--out", str(out), "--xi", "1.0"])
+    err = capsys.readouterr().err
+    assert code == 3 and caught == []
+    assert err.startswith("solver error: ") and err.count("\n") == 1, err
+    assert "energy" in err and "step" in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["mode", "oracle"])

@@ -1,6 +1,7 @@
 """Semidiscrete evolution: oracle agreement, energy identity, time stepping."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,15 +13,16 @@ from rtstab.config import NumericsConfig
 from rtstab.dispersion import growth_rate
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import SingularStep, ZeroSignal
-from rtstab.evolve import (Trajectory, advance, energy_balance_residual,
+from rtstab.evolve import (BLOCK, Trajectory, advance, energy_balance_residual,
                            interface_bump_state, measure_growth,
                            semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode, rotate_mode
 from rtstab.variational import BAND, build_mesh, form_coefficients
 from tests.conftest import unit_params, unit_profile
-from tests.oracles import (complex_operators, dense, embed_state, full_energy,
-                           lu_step, oracle_pencil, pencil_root, random_state)
+from tests.oracles import (advance_dense, complex_operators, dense, embed_state,
+                           energy_balance_two_pass, full_energy, lu_step,
+                           oracle_pencil, pencil_root, random_state)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,7 @@ def test_viscous_pairing_matches_e1(unstable_setup):
     # <D u, u> at the mode velocity equals twice the variational E1
     _mesh, _pt, mode, ops = unstable_setup
     y = state_from_mode(ops, mode)
-    duu = ops.dissipation(y)
+    duu = energy_balance_residual(y[None], ops, 1.0)[2][0]
     forms = ops.coeffs.at(1.0)
     v = np.stack([mode.phi[1:], mode.psi[1:]], axis=1).ravel()
     e1 = float(v @ dense(forms.K1) @ v)
@@ -60,15 +62,18 @@ def test_zero_state_stays_zero(unstable_setup):
     z = interface_bump_state(ops)
     z[ops.eta_minus_idx] = 0.0
     traj = advance(z, ops, 0.1, 1.0)
-    assert np.abs(traj.states).max() == 0.0
+    assert not np.any(traj.final)
+    for series in (traj.eta_minus, traj.eta_plus, traj.energy, traj.dissipation,
+                   traj.balance_residual):
+        assert not np.any(series)
 
 
 def test_one_step_amplification(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     lam = pt.lam
     dt = 0.01 / lam
-    traj = advance(state_from_mode(ops, mode), ops, dt, dt)
-    ratio = np.linalg.norm(traj.states[1]) / np.linalg.norm(traj.states[0])
+    y0 = state_from_mode(ops, mode)
+    ratio = np.linalg.norm(advance(y0, ops, dt, dt).final) / np.linalg.norm(y0)
     predicted = (1 + lam * dt / 2) / (1 - lam * dt / 2)
     # eigen-direction analysis up to O(dt^3 + h^2)
     assert ratio == pytest.approx(predicted, abs=5e-3)
@@ -78,8 +83,8 @@ def test_time_reversal_single_step(unstable_setup):
     _mesh, _pt, _mode, ops = unstable_setup
     y0 = random_state(ops, seed=5)
     fwd = advance(y0, ops, 0.01, 0.01)
-    back = advance(fwd.states[-1], ops, -0.01, -0.01)
-    rel = np.linalg.norm(back.states[-1] - y0) / np.linalg.norm(y0)
+    back = advance(fwd.final, ops, -0.01, -0.01)
+    rel = np.linalg.norm(back.final - y0) / np.linalg.norm(y0)
     assert rel <= 1e-10
 
 
@@ -102,15 +107,14 @@ def test_random_data_converges_to_dominant_rate(unstable_setup):
 def test_trapezoidal_balance_residual_machine_zero(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     traj = advance(state_from_mode(ops, mode), ops, 0.05 / pt.lam, 1.0 / pt.lam)
-    res, _energy, _diss = energy_balance_residual(traj, ops)
-    assert np.abs(res).max() <= 1e-12
+    assert np.abs(traj.balance_residual).max() <= 1e-12
 
 
 def test_energy_grows_at_twice_lambda(unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     lam = pt.lam
     traj = advance(state_from_mode(ops, mode), ops, 0.01 / lam, 6.0 / lam)
-    egy = np.array([ops.energy(y) for y in traj.states[::20]])
+    egy = traj.energy[::20]
     tt = traj.times[::20]
     half = tt.size // 2
     rate = np.polyfit(tt[half:], np.log(egy[half:]), 1)[0]
@@ -121,7 +125,7 @@ def test_stable_full_energy_monotone(stable_profile):
     mesh = build_mesh(1.0, 1.0, 40, 40)
     ops = semidiscretize(form_coefficients(mesh, stable_profile), 1.0)
     traj = advance(interface_bump_state(ops), ops, 0.05, 20.0)
-    fe = np.array([full_energy(ops, y) for y in traj.states])
+    fe = full_energy(ops, traj)
     assert np.all(np.diff(fe) <= 1e-10 * np.maximum(fe[:-1], 1e-300))
     # interface amplitude never exceeds its running maximum
     em = traj.eta_minus_abs
@@ -152,11 +156,16 @@ def test_trapezoidal_rate_error_second_order(unstable_setup):
     assert order == pytest.approx(2.0, abs=0.3)
 
 
+def _signal_record(t, eta_minus):
+    """A Trajectory whose only signal is eta_minus at the times t."""
+    zeros = np.zeros_like(t)
+    return Trajectory(t, eta_minus, zeros, zeros, zeros, zeros[1:], zeros[:2],
+                      t[1] - t[0])
+
+
 def test_measure_growth_exact_exponential():
     t = np.linspace(0.0, 3.0, 301)
-    states = np.zeros((301, 2), dtype=complex)
-    states[:, 1] = np.exp(0.7 * t)
-    traj = Trajectory(t, states, t[1] - t[0], 0, 1)
+    traj = _signal_record(t, np.exp(0.7 * t))
     assert measure_growth(traj, 0.6) == pytest.approx(0.7, abs=1e-10)
     with pytest.raises(ValueError):
         measure_growth(traj, 0.0)
@@ -164,10 +173,66 @@ def test_measure_growth_exact_exponential():
 
 def test_zero_signal_raises():
     t = np.linspace(0.0, 1.0, 11)
-    states = np.zeros((11, 2), dtype=complex)
-    traj = Trajectory(t, states, 0.1, 0, 1)
+    traj = _signal_record(t, np.zeros_like(t))
     with pytest.raises(ZeroSignal):
         measure_growth(traj, 0.5)
+
+
+@pytest.mark.parametrize("dt, n_steps, pivoted, zero", [
+    (0.1, 1, False, False), (0.1, 37, False, False), (0.1, 2 * BLOCK, False, False),
+    (0.1, 600, False, False), (-0.1, 1, True, False), (-0.1, 37, True, False),
+    (40.0, 1, True, False), (40.0, 37, True, False), (0.1, 600, False, True),
+    (-0.1, 600, True, True), (40.0, 600, True, True)])
+def test_streamed_record_equals_the_full_record(monkeypatch, dt, n_steps, pivoted, zero):
+    # the ring of BLOCK + 1 states, balanced ring by ring, does the arithmetic
+    # of the full (n_steps + 1, n) record and its second pass bit for bit, on
+    # both step paths (dt = -0.1, and dt = 40 at |xi| = 1, pivot) and for step
+    # counts below, at and off multiples of BLOCK.  Random states overflow
+    # within 600 pivoted steps, so those runs start from the zero state
+    prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
+                        sigma_minus=0.1)
+    ops = semidiscretize(form_coefficients(build_mesh(1.0, 1.0, 20, 20), prof), 1.0)
+    y0 = np.zeros(ops.n) if zero else random_state(ops, seed=3)
+    calls = []
+    monkeypatch.setattr(evolve, "dgbtrf",
+                        lambda *args, **kwargs: calls.append(1) or dgbtrf(*args, **kwargs))
+    traj = advance(y0, ops, dt, n_steps * dt)
+    assert len(calls) == pivoted
+    ref = advance_dense(y0, ops, dt, n_steps * dt)
+    res, energy, diss = energy_balance_two_pass(ref, ops)
+    pairs = {"times": (traj.times, ref.times),
+             "eta_minus": (traj.eta_minus, ref.states[:, ops.eta_minus_idx]),
+             "eta_plus": (traj.eta_plus, ref.states[:, ops.eta_plus_idx]),
+             "energy": (traj.energy, energy), "dissipation": (traj.dissipation, diss),
+             "balance_residual": (traj.balance_residual, res),
+             "final": (traj.final, ref.states[-1])}
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    assert traj.dt == dt
+    # one call on any run of states gives the same record
+    res, energy, diss = energy_balance_residual(ref.states[:BLOCK + 1], ops, dt)
+    assert np.array_equal(energy, traj.energy[:BLOCK + 1])
+    assert np.array_equal(res, traj.balance_residual[:BLOCK])
+
+
+def test_advance_memory_does_not_grow_with_the_states(stable_profile):
+    # a step adds a few scalars to the record (the time, eta+-, energy,
+    # dissipation and balance defect: 48 bytes) and no state (n = 242 here,
+    # 1,936 bytes), so 1,800 more steps may add less than 64 bytes each
+    ops = semidiscretize(form_coefficients(build_mesh(1.0, 1.0, 40, 40), stable_profile), 1.0)
+    y0 = interface_bump_state(ops)
+    advance(y0, ops, 0.05, 0.05)  # lazy set-up in scipy stays out of the peaks
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            advance(y0, ops, 0.05, 0.05 * n_steps)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(200) < 1800 * 64
 
 
 def test_singular_step_raises(unstable_setup):
@@ -190,7 +255,7 @@ def _step_against_complex_lu(prof, mesh, xi, dt):
     reference's matrices."""
     ops = semidiscretize(form_coefficients(mesh, prof), math.hypot(*xi))
     y0 = random_state(ops, seed=3)
-    y1 = advance(y0, ops, dt, dt).states[1]
+    y1 = advance(y0, ops, dt, dt).final
     M, A = complex_operators(prof, mesh, xi)
     x0, x1 = embed_state(ops, y0, xi), embed_state(ops, y1, xi)
     ref = lu_step(M, A, x0, dt)
@@ -258,7 +323,7 @@ def test_trajectory_csv(tmp_path, unstable_setup):
     _mesh, pt, mode, ops = unstable_setup
     traj = advance(state_from_mode(ops, mode), ops, 0.2 / pt.lam, 1.0 / pt.lam)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, ops, path)
+    write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual"
     assert len(lines) == traj.times.size + 1
