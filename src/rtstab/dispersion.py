@@ -63,18 +63,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
+from ._kernels import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from .variational import (BAND, FormCoefficients, QuadraticForms, band_mv,
-                          below_spectrum, certificate_eps, eig_residual,
+                          below_spectrum, bisect_root, certificate_eps, eig_residual,
                           evaluate_energy, is_min_eigenpair, j_normalize, min_eig)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
-MAX_ITER = 200  # bisection steps before SolverDivergence
 RF_MAX_ITER = 30  # Rayleigh-functional steps before the bisection takes over
 RQ_MAX_ITER = 8  # Rayleigh-quotient steps before a continued probe takes min_eig
 
@@ -140,23 +139,6 @@ def critical_frequency(profile: EquilibriumProfile) -> float:
     if params.sigma_minus == 0:
         return math.inf
     return math.sqrt(profile.jump * params.g / params.sigma_minus)
-
-
-def _bisect_root(above, lo: float, hi: float, wtol: float, max_iter: int):
-    """Bisection of the bracket [lo, hi] of a root r, where above(s) says
-    whether s > r, until it is at most wtol wide.  Returns (midpoint of the
-    last bracket, calls of above)."""
-    calls = 0
-    while hi - lo > wtol:
-        if calls == max_iter:
-            raise SolverDivergence(f"root solve exceeded {max_iter} iterations")
-        s = 0.5 * (lo + hi)
-        calls += 1
-        if above(s):
-            hi = s
-        else:
-            lo = s
-    return 0.5 * (lo + hi), calls
 
 
 def _bracket(profile: EquilibriumProfile, numerics: NumericsConfig) -> tuple[float, float]:
@@ -329,8 +311,7 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
     if not _definite(forms, s_max):
         raise NoSignChange(
             f"T(S_max) is not definite at |xi| = {xi_abs}; root exceeds the growth bound")
-    lam, steps = _bisect_root(lambda s: _definite(forms, s), s_min, s_max, delta,
-                              MAX_ITER)
+    lam, steps = bisect_root(lambda s: _definite(forms, s), s_min, s_max, delta)
     alpha, v = min_eig(forms, lam)
     return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters + steps + 1,
                            is_min_eigenpair(forms, lam, alpha, v, eig_tol))

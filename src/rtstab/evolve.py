@@ -67,9 +67,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
+from ._kernels import csr_matvec, csr_matvecs, dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
 from .variational import (BAND, FormCoefficients, check_frequency, form_terms,
@@ -87,7 +86,7 @@ class EvolutionOperators:
     The index arrays v, w and q give each field's place in y.  Mu, Du and S
     are band storage of half-bandwidth BAND over the velocity, and the
     energy and dissipation matrices W and D over the whole state; F, G and
-    WD (W over D, for energy_balance_residual) are CSR.
+    WD (W over D, for energy_balance_residual) are CSR triples for csr_product.
     """
 
     def __init__(self, coeffs: FormCoefficients, xi_abs: float):
@@ -112,11 +111,12 @@ class EvolutionOperators:
         H, r = np.einsum("eq->e", hw), np.einsum("eq,eqi->ei", hw, div)
         dofs = mesh.dofs(2)
         keep = dofs >= 0
-        B = sp.csr_array((r[keep], (np.nonzero(keep)[0], dofs[keep])), shape=(ne, nu))
-        surface = [self.u3_int, self.u3_top]
-        pick = sp.csr_array(([1.0, 1.0], ([0, 1], surface)), shape=(2, nu))
-        self.G = sp.vstack([sp.diags_array(-1.0 / H) @ B, pick], format="csr")
-        self.F = sp.hstack([B.T, pick.T @ sp.diags_array(-c)], format="csr")
+        e, surface = np.nonzero(keep)[0], [self.u3_int, self.u3_top]
+        # G's rows of -H^-1 B run from the last column to the first, the
+        # order of scipy's sparse product diag(-1/H) @ B, so each sums alike
+        self.G = _csr(ne + 2, (e, dofs[keep], (-1.0 / H)[e] * r[keep]),
+                      ([ne, ne + 1], surface, [1.0, 1.0]), reverse=True)
+        self.F = _csr(nu, (dofs[keep], e, r[keep]), (surface, [ne, ne + 1], -c))
         self.S = scatter(r[:, :, None] * r[:, None, :] / H[:, None, None], dofs, dofs, nu, BAND)
         self.S[BAND, surface] += c
         self.W = np.zeros((2 * BAND + 1, self.n), order="F")
@@ -124,7 +124,7 @@ class EvolutionOperators:
         self.W[:, :nu], self.D[:, :nu] = 2.0 * forms.M, 2.0 * forms.K1
         self.W[BAND, nu:] = np.concatenate([H, [xi_sq * C[0], self.sigma_top_coef]])
         self.Mu, self.Du = self.W[:, :nu], self.D[:, :nu]
-        self.WD = sp.vstack([_csr(self.W), _csr(self.D)], format="csr")
+        self.WD = _csr(2 * self.n, _band_entries(self.W), _band_entries(self.D, self.n))
 
 
 def semidiscretize(coeffs: FormCoefficients, xi_abs: float) -> EvolutionOperators:
@@ -150,7 +150,7 @@ def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> np.ndarray:
     if np.abs(u[0]).max() > 1e-13 * max(1.0, np.abs(u).max()):
         raise ValueError("mode velocity must vanish at the bottom node")
     u = u[1:].ravel()
-    return np.concatenate([u, ops.G @ u / mode.lam])
+    return np.concatenate([u, csr_product(ops.G, u) / mode.lam])
 
 
 def interface_bump_state(ops: EvolutionOperators) -> np.ndarray:
@@ -183,11 +183,38 @@ class Trajectory:
         return np.abs(self.eta_plus)
 
 
-def _csr(ab: np.ndarray) -> sp.csr_array:
-    """CSR copy of a band array of half-bandwidth BAND, through a zero-copy
-    DIA view, for repeated and block products."""
-    return sp.dia_array((ab, BAND - np.arange(2 * BAND + 1)),
-                        shape=(ab.shape[1],) * 2).tocsr()
+def _band_entries(ab: np.ndarray, row0: int = 0):
+    """(rows, columns, values) of the nonzero entries of the n x n matrix in
+    the band storage ab of half-bandwidth BAND, its rows numbered from row0."""
+    k, j = np.nonzero(ab)
+    i = j + k - BAND
+    inside = (0 <= i) & (i < ab.shape[1])
+    return i[inside] + row0, j[inside], ab[k[inside], j[inside]]
+
+
+def _csr(n_rows: int, *blocks, reverse: bool = False):
+    """CSR (indptr, indices, data) of the blocks' (rows, columns, values), by row
+    and then column (descending if reverse) and without exact zeros, as in
+    scipy's dia_array.tocsr."""
+    rows, cols, values = (np.concatenate(part) for part in zip(*blocks))
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep].astype(np.intc), values[keep]
+    order = np.lexsort((-cols if reverse else cols, rows))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_rows))].astype(np.intc)
+    return indptr, cols[order], values[order]
+
+
+def csr_product(A, x: np.ndarray) -> np.ndarray:
+    """A x for a CSR triple A and a vector or (n, k) block x, into a zeroed
+    output by the kernels of scipy's csr_array product, without its checks."""
+    indptr, indices, data = A
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.zeros((indptr.size - 1, *x.shape[1:]))
+    if x.ndim == 1:
+        csr_matvec(out.shape[0], x.size, indptr, indices, data, x, out)
+    else:
+        csr_matvecs(out.shape[0], *x.shape, indptr, indices, data, x.ravel(), out.ravel())
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises SingularStep
@@ -235,9 +262,10 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
 
         def solve(b):
             return dgbtrs(lu, BAND, BAND, b, piv, overwrite_b=1)[0]
-    rhs = sp.hstack([_csr(ops.Mu - h * ops.Du - (h * h) * ops.S), dt * ops.F],
-                    format="csr")
-    update = h * ops.G
+    indptr, cols, values = ops.F
+    rhs = _csr(nu, _band_entries(ops.Mu - h * ops.Du - (h * h) * ops.S),
+               (np.repeat(np.arange(nu), np.diff(indptr)), cols + nu, dt * values))
+    update = (*ops.G[:2], h * ops.G[2])
     times, resid = dt * np.arange(n_steps + 1), np.empty(n_steps)
     eta_minus, eta_plus, energy, diss = np.empty((4, n_steps + 1))
     ring = np.empty((BLOCK + 1, ops.n))
@@ -246,8 +274,8 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
         k = min(BLOCK, n_steps - a) + 1  # states in this ring, both ends
         for j in range(k - 1):
             y, nxt = ring[j], ring[j + 1]
-            nxt[:nu] = solve(rhs @ y)
-            nxt[nu:] = y[nu:] + update @ (y[:nu] + nxt[:nu])
+            nxt[:nu] = solve(csr_product(rhs, y))
+            nxt[nu:] = y[nu:] + csr_product(update, y[:nu] + nxt[:nu])
         resid[a:a + k - 1], energy[a:a + k], diss[a:a + k] = \
             energy_balance_residual(ring[:k], ops, dt)
         # a defect is finite only if its energies and dissipations are
@@ -288,7 +316,7 @@ def energy_balance_residual(states: np.ndarray, ops: EvolutionOperators,
     defect of each of the k - 1 steps and the last two at every state.
     """
     Y = np.ascontiguousarray(states.T)
-    WY, DY = np.split(ops.WD @ Y, 2)
+    WY, DY = np.split(csr_product(ops.WD, Y), 2)
     energy = 0.5 * np.einsum("ji,ji->i", Y, WY)
     diss = np.einsum("ji,ji->i", Y, DY)
     cross = np.einsum("ji,ji->i", Y[:, :-1], DY[:, 1:])  # y_k^T D y_k+1

@@ -26,13 +26,14 @@ well-posed regardless.  The matrices are sparse: each dof couples only to
 its own node and the two neighbouring nodes, so in the node-by-node order
 (phi_1, psi_1, phi_2, psi_2, ...) of Mesh1D.dofs they are banded with
 half-bandwidth 3 and are assembled straight into LAPACK band storage.
-min_eig finds the smallest eigenpair by Lanczos on U (K - shift M)^-1 U^T,
-where M = U^T U, with banded Cholesky factorizations only: a shift is
-certified below the spectrum exactly when the Cholesky factorization of
-K - shift M succeeds.  below_spectrum makes that test at a computed
-eigenvalue minus a round-off margin (certificate_eps), which certifies it as
-the smallest eigenvalue, and is_min_eigenpair adds the residual test: the
-two checks behind every `converged` flag and `rtstab alpha`.
+A shift lies below the spectrum exactly when the banded Cholesky
+factorization of K - shift M succeeds: min_eig bisects on that test
+(Barth, Martin and Wilkinson, Numer. Math. 9, 1967) to a round-off margin
+(certificate_eps) and takes the vector by inverse iteration.
+below_spectrum makes the test at a computed eigenvalue minus that margin,
+which certifies it as the smallest eigenvalue, and is_min_eigenpair adds
+the residual test: the two checks behind every `converged` flag and
+`rtstab alpha`.
 
 Every matrix here and both P1 projections come from one vectorised element
 kernel, `assemble`: a list of terms (c, B[, C]) of quadrature-point
@@ -59,16 +60,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dtbmv, dtbsv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+from ._kernels import dgbmv, dpbtrf, dpbtrs, dptsv
 from .equilibrium import EquilibriumProfile
 from .errors import BandOverflow, SolverDivergence
 
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(4)
 BAND = 3  # half-bandwidth of the two-field pencil in node-by-node order
 CERT_ULPS = 128  # certificate_eps in unit roundoffs of ||K||_1 / ||M||_1
+MAX_BISECT = 200  # bisection steps before SolverDivergence
+INV_MAX_ITER = 8  # inverse-iteration steps of min_eig before SolverDivergence
 
 
 @dataclass(frozen=True)
@@ -259,14 +260,6 @@ class QuadraticForms:
     g: float
     psi_interface_dof: int
 
-    @cached_property
-    def m_factor(self) -> np.ndarray:
-        """Upper band Cholesky factor U of M = U^T U."""
-        U, info = dpbtrf(self.M[:BAND + 1])
-        if info != 0:
-            raise SolverDivergence(f"mass matrix is not positive definite (info {info})")
-        return U
-
 
 def form_terms(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
     """The bulk kernel terms (div, visc, mass) of E0, E1 and J at frequency
@@ -382,46 +375,56 @@ def j_normalize(forms: QuadraticForms, v: np.ndarray) -> np.ndarray:
     return _fix_sign(v / np.sqrt(v @ band_mv(forms.M, v)), forms.psi_interface_dof)
 
 
-def _shift_invert_min(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair from the largest eigenvalue theta = 1/(alpha -
-    shift) of U (K - shift M)^-1 U^T, M = U^T U, and its vector w = U v."""
-    K = forms.K0[:BAND + 1] + s * forms.K1[:BAND + 1]
-    M = forms.M[:BAND + 1]
-    for shift in (0.0, -1.1 * forms.g * forms.xi_abs - 1.0):
-        F, info = dpbtrf(K - shift * M)
-        if info == 0:
-            break
-    else:
-        raise SolverDivergence("no shift-invert shift is below the spectrum")
-    U = forms.m_factor
-
-    def apply(x):
-        return dtbmv(BAND, U, dpbtrs(F, dtbmv(BAND, U, x, trans=1))[0])
-
-    n = K.shape[1]
-    rng = np.random.default_rng(0)
-    try:
-        theta, w = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=1,
-                         which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng)
-    except ArpackError as exc:
-        raise SolverDivergence(f"shift-invert eigensolve failed: {exc}") from exc
-    return shift + 1.0 / float(theta[0]), dtbsv(BAND, U, w[:, 0])
+def bisect_root(above, lo: float, hi: float, wtol: float, max_iter: int = MAX_BISECT):
+    """Bisection of the bracket [lo, hi] of a root r, where above(s) says
+    whether s > r, until it is at most wtol wide.  Returns (midpoint of the
+    last bracket, calls of above)."""
+    calls = 0
+    while hi - lo > wtol:
+        if calls == max_iter:
+            raise SolverDivergence(f"bisection exceeded {max_iter} steps")
+        s, calls = 0.5 * (lo + hi), calls + 1
+        lo, hi = (lo, s) if above(s) else (s, hi)
+    return 0.5 * (lo + hi), calls
 
 
 def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K0 + s K1) v = alpha M v.
 
     The minimizer is returned J-normalized (v^T M v = 1) with the interface
-    psi value >= 0, by j_normalize.  The solve is the banded
-    shift-invert Lanczos of the module docstring, at the first of 0 and the
-    proven bound -1.1 g|xi| - 1 < -g|xi| <= alpha whose Cholesky
-    factorization certifies it below the spectrum.  Lanczos starts from a
-    fixed vector, so equal inputs give bit-identical results.
+    psi value >= 0, by j_normalize.  The bisection of the module docstring
+    starts at the first of 0 and the proven bound -1.1 g|xi| - 1 < -g|xi| <=
+    alpha that the Cholesky test puts below the spectrum, and at the
+    Rayleigh quotient of one inverse-iteration step from the vector of ones
+    there, an upper bound.  It stops at eps = certificate_eps(K, M) wide;
+    inverse iteration with the factor at its lower end then runs until
+    alpha, the Rayleigh quotient, moves by at most eps.  Nothing is random,
+    so equal inputs give bit-identical results.  SolverDivergence when no
+    start is certified or nothing settles.
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"modified-problem parameter s must be finite and > 0, got {s}")
-    alpha, v = _shift_invert_min(forms, s)
-    return alpha, j_normalize(forms, v)
+    K, M = forms.K0 + s * forms.K1, forms.M
+    eps, factor = certificate_eps(K, M), []  # the factor at the lower end
+
+    def above(shift: float) -> bool:
+        F, info = dpbtrf(K[:BAND + 1] - shift * M[:BAND + 1])
+        if info == 0:
+            factor[:] = [F]
+        return info != 0
+
+    lo = next((t for t in (0.0, -1.1 * forms.g * forms.xi_abs - 1.0) if not above(t)), None)
+    if lo is None:
+        raise SolverDivergence("no shift is below the spectrum")
+    v, alpha = dpbtrs(factor[0], band_mv(M, np.ones(K.shape[1])))[0], math.inf
+    bisect_root(above, lo, float(v @ band_mv(K, v)) / float(v @ band_mv(M, v)), eps)
+    for _step in range(INV_MAX_ITER):
+        v = dpbtrs(factor[0], band_mv(M, v))[0]
+        v /= np.abs(v).max()
+        prev, alpha = alpha, float(v @ band_mv(K, v)) / float(v @ band_mv(M, v))
+        if abs(alpha - prev) <= eps:
+            return alpha, j_normalize(forms, v)
+    raise SolverDivergence(f"inverse iteration did not settle in {INV_MAX_ITER} steps")
 
 
 def _norm1(ab: np.ndarray) -> float:

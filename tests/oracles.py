@@ -1,5 +1,6 @@
 """Independent references that tests compare the solver with, and helpers
-only tests use: dense and CSR copies of band storage, the kernel assembly
+only tests use: dense and CSR copies of band storage, csr_array views of
+the oracle's CSR triples, the kernel assembly
 of the forms at one frequency, a dense per-element assembly of the forms and
 an alternate one of E0, the bump candidate and the negativity probe built on
 it, a dense full-spectrum eigensolve (any eigenpair, for the certificate
@@ -24,7 +25,7 @@ from scipy.sparse.linalg import splu
 
 from rtstab.equilibrium import EquilibriumProfile, PressureLaw
 from rtstab.errors import SingularStep
-from rtstab.evolve import BLOCK, EvolutionOperators, _csr
+from rtstab.evolve import BLOCK, EvolutionOperators
 from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
                                 evaluate_energy, field_rows, form_coefficients,
                                 form_terms, layer_fields, project_p1)
@@ -45,6 +46,13 @@ def csr(ab: np.ndarray) -> sp.csr_array:
     """The same matrix as a CSR array, through a zero-copy DIA view."""
     w, n = ab.shape[0] // 2, ab.shape[1]
     return sp.dia_array((ab, w - np.arange(2 * w + 1)), shape=(n, n)).tocsr()
+
+
+def csr_view(A, n_cols: int) -> sp.csr_array:
+    """The CSR triple (indptr, indices, data) of an evolve operator as a
+    csr_array with n_cols columns, sharing its arrays."""
+    indptr, indices, data = A
+    return sp.csr_array((data, indices, indptr), shape=(indptr.size - 1, n_cols))
 
 
 def element_layer(mesh: Mesh1D, e: int) -> str:
@@ -513,9 +521,9 @@ def advance_dense(y0: np.ndarray, ops: EvolutionOperators, dt: float,
 
         def solve(b):
             return dgbtrs(lu, BAND, BAND, b, piv, overwrite_b=1)[0]
-    rhs = sp.hstack([_csr(ops.Mu - h * ops.Du - (h * h) * ops.S), dt * ops.F],
-                    format="csr")
-    update = h * ops.G
+    rhs = sp.hstack([csr(ops.Mu - h * ops.Du - (h * h) * ops.S),
+                     dt * csr_view(ops.F, ops.n - nu)], format="csr")
+    update = h * csr_view(ops.G, nu)
     out = np.empty((n_steps + 1, ops.n))
     out[0] = y0
     for k in range(n_steps):
@@ -543,7 +551,7 @@ def energy_balance_two_pass(traj: DenseTrajectory, ops: EvolutionOperators):
     (residual, energy, dissipation): the defect of each step and the last
     two at every state.
     """
-    W, D = _csr(ops.W), _csr(ops.D)
+    W, D = csr(ops.W), csr(ops.D)
     n_steps = traj.states.shape[0] - 1
     energy, diss = np.empty(n_steps + 1), np.empty(n_steps + 1)
     cross = np.empty(n_steps)  # y_k^T D y_k+1

@@ -184,7 +184,7 @@ def test_criterion_07_eigensolver_oracle(params):
         a_iter, _ = min_eig(forms, s)
         worst = max(worst, abs(a_dense - a_iter))
     elapsed = time.time() - t0
-    report(7, "dense and shift-invert eigensolves agree to 1e-9 on 50 triples",
+    report(7, "dense and banded bisection eigensolves agree to 1e-9 on 50 triples",
            worst <= 1e-9 and elapsed < 60.0, f"max |diff| {worst:.2e}, {elapsed:.1f}s")
 
 

@@ -448,6 +448,29 @@ def test_default_run_skips_interpolate_and_optimize(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_startup_loads_no_scipy_subpackage(tmp_path):
+    # scipy.linalg and scipy.sparse load scipy._lib._util, whose array-API
+    # layer imports numpy.f2py and numpy.testing: most of a bare start-up.
+    # Neither the import nor a dispersion and an oracle run may load them
+    cfg = write_config(tmp_path / "cfg.json", n=12)
+    heavy = ("scipy.linalg", "scipy.sparse", "scipy._lib._util", "numpy.f2py",
+             "numpy.testing")
+    code = ("import sys\n"
+            "import rtstab.cli\n"
+            f"heavy = {heavy!r}\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            f"base = ['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]\n"
+            "assert rtstab.cli.main(['dispersion'] + base) == 0\n"
+            "assert rtstab.cli.main(['oracle', '--xi', '1.0'] + base) == 0\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n")
+    src = str(Path(rtstab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    assert (tmp_path / "o" / "trajectory.csv").is_file()
+
+
 def test_load_config_validates(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     rc = load_config(cfg)

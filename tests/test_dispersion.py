@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from rtstab import dispersion, variational
 from rtstab.config import NumericsConfig
-from rtstab.dispersion import (DispersionPoint, _bisect_root, _dedup_lattice,
+from rtstab.dispersion import (DispersionPoint, _dedup_lattice,
                                critical_frequency, critical_tension,
                                growth_rate, sweep_lattice,
                                write_dispersion_csv)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from rtstab.evolve import EvolutionOperators, semidiscretize
-from rtstab.variational import (band_mv, below_spectrum, build_mesh,
+from rtstab.variational import (band_mv, below_spectrum, bisect_root, build_mesh,
                                 certificate_eps, eig_residual, form_coefficients,
                                 is_min_eigenpair, min_eig)
 from tests.conftest import unit_params, unit_profile
@@ -136,14 +136,14 @@ def test_bisect_root_contracts():
         calls.append(s)
         return s > 2.0
 
-    root, iters = _bisect_root(above, 0.0, 10.0, 1e-12, 200)
+    root, iters = bisect_root(above, 0.0, 10.0, 1e-12, 200)
     assert root == pytest.approx(2.0, abs=1e-12) and iters == len(calls)
     # the width is tested before each halving: 10 / 2^44 is the first
     # bracket at most 1e-12 wide, and no call is spent past it
     assert iters == 44 == math.ceil(math.log2(10.0 / 1e-12))
-    assert _bisect_root(above, 1.0, 1.5, 1.0, 200) == (1.25, 0)
+    assert bisect_root(above, 1.0, 1.5, 1.0, 200) == (1.25, 0)
     with pytest.raises(SolverDivergence):
-        _bisect_root(above, 0.0, 10.0, 1e-12, 10)
+        bisect_root(above, 0.0, 10.0, 1e-12, 10)
 
 
 def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
@@ -152,8 +152,8 @@ def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
     assert pt.converged and pt.iterations <= 12
     # the same root by plain bisection on the sign of s^2 + alpha(s)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
-    root, _ = _bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
-                           1e-8 * s_max, s_max, 1e-10 * s_max, 200)
+    root, _ = bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
+                          1e-8 * s_max, s_max, 1e-10 * s_max, 200)
     assert abs(pt.lam - root) <= 10 * 1e-10 * s_max
     assert abs(pt.lam ** 2 + pt.alpha_at_star) <= 10 * 1e-10 * s_max ** 2
 
@@ -161,8 +161,8 @@ def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
 def _tight_root(forms, s_max):
     """Reference root: bisection on the sign of s^2 + alpha(s) from min_eig,
     to a bracket of 1e-13 S_max."""
-    return _bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
-                        1e-8 * s_max, s_max, 1e-13 * s_max, 200)[0]
+    return bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
+                       1e-8 * s_max, s_max, 1e-13 * s_max, 200)[0]
 
 
 def _scenario(name, unstable_profile):

@@ -1,5 +1,6 @@
 """Assembly contracts, eigensolver agreement, and variational structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 from scipy.linalg.lapack import dpbtrf
 
+from rtstab import variational
 from rtstab.variational import (BAND, assemble, band_mv, build_mesh, eig_residual,
                                 evaluate_energy, form_coefficients, form_terms,
-                                min_eig, project_p1)
+                                is_min_eigenpair, min_eig, project_p1)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
-from rtstab.errors import BandOverflow
+from rtstab.errors import BandOverflow, SolverDivergence
 from rtstab.evolve import semidiscretize
 from tests.conftest import unit_params, unit_profile
 from tests.oracles import (add_element, assemble_forms, assemble_forms_3field,
@@ -83,21 +85,31 @@ def test_alpha_respects_lower_bound(unstable_profile, params, mesh40):
         assert alpha >= -params.g * xi - 1e-10
 
 
-def test_dense_vs_iterative(unstable_profile):
-    mesh = build_mesh(1.0, 1.0, 20, 20)
+def test_dense_vs_iterative(unstable_profile, stable_profile):
+    # the README pair at 20 elements per layer, then at 40 the gamma = 1.4
+    # pair, the stiff isothermal pair and the stable orientation (alpha > 0)
+    poly = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
+                             PressureLaw.polytropic(2.0, 1.4), unit_params())
+    stiff = solve_equilibrium(PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0),
+                              unit_params(p_atm=400.0))
     rng = np.random.default_rng(3)
-    coeffs = form_coefficients(mesh, unstable_profile)
-    for _ in range(10):
-        xi = float(rng.uniform(0.3, 3.0))
-        s = float(rng.uniform(1e-4, 1.5))
-        forms = coeffs.at(xi)
-        a_dense, _ = min_eig_dense(forms, s)
-        a_iter, _ = min_eig(forms, s)
-        assert abs(a_dense - a_iter) <= 1e-9
+    for prof, n in ((unstable_profile, 20), (poly, 40), (stiff, 40), (stable_profile, 40)):
+        coeffs = form_coefficients(build_mesh(1.0, 1.0, n, n), prof)
+        for _ in range(10):
+            xi = float(rng.uniform(0.3, 3.0))
+            s = float(rng.uniform(1e-4, 1.5))
+            forms = coeffs.at(xi)
+            a_dense, _ = min_eig_dense(forms, s)
+            a_iter, v = min_eig(forms, s)
+            assert abs(a_dense - a_iter) <= 1e-9
+            assert is_min_eigenpair(forms, s, a_iter, v, 1e-12)
+            if prof is stable_profile:
+                assert a_iter > 0
 
 
 def test_shift_invert_is_deterministic(unstable_profile, mesh100):
-    # the Lanczos start vector is fixed, so repeated solves are bit-identical
+    # min_eig draws nothing at random (a fixed bracket and start vector), so
+    # repeated solves are bit-identical
     for s in (1e-6, 0.5):
         runs = [min_eig(form_coefficients(mesh100, unstable_profile).at(1.0), s)
                 for _ in range(2)]
@@ -106,6 +118,17 @@ def test_shift_invert_is_deterministic(unstable_profile, mesh100):
         for alpha, v in runs[1:]:
             assert alpha == runs[0][0]
             assert np.array_equal(v, runs[0][1])
+
+
+def test_min_eig_refuses_what_it_cannot_certify(unstable_profile, mesh40, monkeypatch):
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
+    # with g < 0 the bound -1.1 g|xi| - 1 lies above the spectrum, as does 0
+    with pytest.raises(SolverDivergence, match="below the spectrum"):
+        min_eig(dataclasses.replace(forms, g=-10.0), 1e-6)
+    # one inverse-iteration step cannot show that the quotient settled
+    monkeypatch.setattr(variational, "INV_MAX_ITER", 1)
+    with pytest.raises(SolverDivergence, match="did not settle"):
+        min_eig(forms, 1e-6)
 
 
 def test_sparse_matches_dense_past_sigma_c(unstable_profile):
