@@ -33,6 +33,6 @@ def _load(package: str, name: str):
 
 _flapack, _fblas, _sparsetools = (_load("linalg", "_flapack"), _load("linalg", "_fblas"),
                                   _load("sparse", "_sparsetools"))
-dgbtrf, dgbtrs, dpbtrf, dpbtrs, dptsv = (getattr(_flapack, name) for name in
-                                         ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs", "dptsv"))
+dgbtrf, dgbtrs, dpbtrf, dpbtrs = (getattr(_flapack, name) for name in
+                                  ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"))
 dgbmv, csr_matvec, csr_matvecs = _fblas.dgbmv, _sparsetools.csr_matvec, _sparsetools.csr_matvecs

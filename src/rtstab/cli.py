@@ -106,9 +106,19 @@ def cmd_classify(cfg, out, args) -> int:
     return 0
 
 
-def cmd_mode(cfg, out, args) -> int:
+def _converged_point(cfg, xi):
+    """The run's FormCoefficients and its growth_rate point at |xi| = xi,
+    or SolverDivergence unless the point is converged."""
     coeffs = _form_coefficients(cfg)
-    pt = disp.growth_rate(coeffs, args.xi, cfg.numerics)
+    pt = disp.growth_rate(coeffs, xi, cfg.numerics)
+    if not pt.converged:
+        raise SolverDivergence(f"the point at |xi| = {xi} failed the smallest-eigenvalue "
+                               "certificate or the eig_tol residual test")
+    return coeffs, pt
+
+
+def cmd_mode(cfg, out, args) -> int:
+    coeffs, pt = _converged_point(cfg, args.xi)
     if pt.lam <= 0:
         raise InvalidInput(f"no growing mode at |xi| = {args.xi} (lambda = 0)")
     mode = modes_mod.assemble_mode(pt, coeffs)
@@ -117,8 +127,7 @@ def cmd_mode(cfg, out, args) -> int:
 
 
 def cmd_oracle(cfg, out, args) -> int:
-    coeffs = _form_coefficients(cfg)
-    pt = disp.growth_rate(coeffs, args.xi, cfg.numerics)
+    coeffs, pt = _converged_point(cfg, args.xi)
     ops = evolve.semidiscretize(coeffs, args.xi)
     if pt.lam > 0:
         state = evolve.state_from_mode(ops, modes_mod.assemble_mode(pt, coeffs))

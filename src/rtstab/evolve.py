@@ -23,8 +23,8 @@ The velocity u = (v, w) is the two-field unknown of the variational forms,
 in their dof order (continuous P1, zero at the bottom), and its mass and
 dissipation are the forms' own 2 M and 2 K1 at |xi|.  The density
 perturbation q has one value q_e per element, and the continuity equation
-is the h'(rho)-weighted element mean of the E0 divergence row
-(variational.form_terms):
+is the h'(rho)-weighted element mean of the E0 divergence row, with the
+rows (H, r) of FormCoefficients.continuity:
 
     H_e dq_e/dt = -r_e . u,   H_e = int_e h'(rho),   r_e = int_e h'(rho) div,
 
@@ -71,8 +71,8 @@ import numpy as np
 from ._kernels import csr_matvec, csr_matvecs, dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
-from .variational import (BAND, FormCoefficients, check_frequency, form_terms,
-                          scatter, surface_coefficients)
+from .variational import (BAND, FormCoefficients, check_frequency, scatter,
+                          surface_coefficients)
 
 BLOCK = 16  # steps per ring of states in advance(); its energy balance runs per ring
 
@@ -106,16 +106,12 @@ class EvolutionOperators:
         self.eta_minus_idx, self.eta_plus_idx = nu + ne, nu + ne + 1
         self.u3_int, self.u3_top = forms.psi_interface_dof, nu - 1
 
-        (half_hp, div), _visc, _mass = form_terms(mesh, coeffs.fields, self.xi_abs)
-        hw = 2.0 * half_hp * mesh.quad[1]  # h'(rho) times the Gauss weights
-        H, r = np.einsum("eq->e", hw), np.einsum("eq,eqi->ei", hw, div)
+        H, r = coeffs.continuity(self.xi_abs)
         dofs = mesh.dofs(2)
         keep = dofs >= 0
         e, surface = np.nonzero(keep)[0], [self.u3_int, self.u3_top]
-        # G's rows of -H^-1 B run from the last column to the first, the
-        # order of scipy's sparse product diag(-1/H) @ B, so each sums alike
         self.G = _csr(ne + 2, (e, dofs[keep], (-1.0 / H)[e] * r[keep]),
-                      ([ne, ne + 1], surface, [1.0, 1.0]), reverse=True)
+                      ([ne, ne + 1], surface, [1.0, 1.0]))
         self.F = _csr(nu, (dofs[keep], e, r[keep]), (surface, [ne, ne + 1], -c))
         self.S = scatter(r[:, :, None] * r[:, None, :] / H[:, None, None], dofs, dofs, nu, BAND)
         self.S[BAND, surface] += c
@@ -135,22 +131,25 @@ def semidiscretize(coeffs: FormCoefficients, xi_abs: float) -> EvolutionOperator
 
 def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> np.ndarray:
     """Growing-mode initial data: v = phi, w = psi (u = (-i phi, 0, psi)),
-    and z = G u / lam from the oracle's own dz/dt = G u, so q = -B u /
-    (lam H) and eta = w / lam at the interface and the top; an approximate
-    eigenvector of the semidiscrete system.  Raises ValueError if the mode
-    has a nonzero theta (its velocity is not along (1, 0), e.g. after
-    rotate_mode), if its velocity does not vanish at the bottom, or if it
-    lives on another mesh than ops (other nodes or another layer split)."""
+    and z = (q_tilde, eta_tilde_-, eta_tilde_+), which assemble_mode builds
+    from the continuity rows that G reads, so z = G u / lam up to round-off;
+    an approximate eigenvector of the semidiscrete system.  Raises
+    ValueError if the mode has a nonzero theta (its velocity is not along
+    (1, 0), e.g. after rotate_mode), if its |xi| is not ops.xi_abs, if its
+    velocity does not vanish at the bottom, or if it lives on another mesh
+    than ops (other nodes or another layer split)."""
     if np.any(mode.theta != 0):
         raise ValueError("mode must have theta = 0 (frequency along x1)")
+    if math.hypot(*mode.xi) != ops.xi_abs:
+        raise ValueError(f"mode |xi| = {math.hypot(*mode.xi)} is not {ops.xi_abs}")
     if mode.mesh.n_minus != ops.mesh.n_minus \
             or not np.array_equal(mode.mesh.nodes, ops.mesh.nodes):
         raise ValueError("mode lives on another mesh than the operators")
     u = np.stack([mode.phi, mode.psi], axis=1)
     if np.abs(u[0]).max() > 1e-13 * max(1.0, np.abs(u).max()):
         raise ValueError("mode velocity must vanish at the bottom node")
-    u = u[1:].ravel()
-    return np.concatenate([u, csr_product(ops.G, u) / mode.lam])
+    return np.concatenate([u[1:].ravel(), mode.q_tilde,
+                           [mode.eta_tilde_minus, mode.eta_tilde_plus]])
 
 
 def interface_bump_state(ops: EvolutionOperators) -> np.ndarray:
@@ -192,14 +191,13 @@ def _band_entries(ab: np.ndarray, row0: int = 0):
     return i[inside] + row0, j[inside], ab[k[inside], j[inside]]
 
 
-def _csr(n_rows: int, *blocks, reverse: bool = False):
+def _csr(n_rows: int, *blocks):
     """CSR (indptr, indices, data) of the blocks' (rows, columns, values), by row
-    and then column (descending if reverse) and without exact zeros, as in
-    scipy's dia_array.tocsr."""
+    and then column and without exact zeros, as in scipy's dia_array.tocsr."""
     rows, cols, values = (np.concatenate(part) for part in zip(*blocks))
     keep = values != 0
     rows, cols, values = rows[keep], cols[keep].astype(np.intc), values[keep]
-    order = np.lexsort((-cols if reverse else cols, rows))
+    order = np.lexsort((cols, rows))
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_rows))].astype(np.intc)
     return indptr, cols[order], values[order]
 

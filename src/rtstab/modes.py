@@ -10,8 +10,11 @@ from the mode ansatz: with xi = (|xi|, 0) and theta = 0,
 
 normalized so the interface displacement has unit L2 norm over the periodic
 cell: |eta_tilde_minus| * 2 pi sqrt(L1 L2) = 1 (single-Fourier-mode
-convention).  q_tilde generally jumps at the interface, so it is stored
-broken, with the elementwise expression L2-projected onto per-layer P1.
+convention).  q_tilde has one value per element, the one the evolution
+oracle steps: lam H_e q_e = -r_e . u_e with the continuity rows (H, r) of
+FormCoefficients.continuity, the h'(rho)-weighted element mean of the
+expression above.  So it jumps at the interface like the exact density
+perturbation.
 
 Rotating the frequency maps (phi, theta) by the same rotation and leaves
 psi, lam, q_tilde unchanged.
@@ -35,18 +38,13 @@ import numpy as np
 from .dispersion import DispersionPoint
 from .equilibrium import EquilibriumProfile
 from .errors import DegenerateMode, NotARotation
-from .variational import (FormCoefficients, Mesh1D, layer_fields, project_p1,
-                          surface_coefficients)
+from .variational import FormCoefficients, Mesh1D, layer_fields, surface_coefficients
 
 
 @dataclass(frozen=True)
 class GrowingMode:
-    """Assembled normal-mode profiles on the mesh nodes.
-
-    phi, theta, psi are full nodal arrays (bottom value 0); q_tilde_minus
-    and q_tilde_plus are per-layer nodal arrays sharing the interface
-    coordinate but not the value.
-    """
+    """Normal-mode profiles: phi, theta, psi at the mesh nodes (bottom value
+    0) and q_tilde, one value per element."""
 
     xi: tuple[float, float]
     lam: float
@@ -54,30 +52,9 @@ class GrowingMode:
     phi: np.ndarray
     theta: np.ndarray
     psi: np.ndarray
-    q_tilde_minus: np.ndarray
-    q_tilde_plus: np.ndarray
+    q_tilde: np.ndarray
     eta_tilde_plus: float
     eta_tilde_minus: float
-
-
-def project_q_tilde(coeffs: FormCoefficients, phi: np.ndarray, theta: np.ndarray,
-                    psi: np.ndarray, xi: tuple[float, float],
-                    lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Broken P1 projection of -(1/lam)[(rho psi)' + rho (xi1 phi + xi2 theta)]
-    on the mesh of coeffs, with rho and rho' from its quadrature-point fields."""
-    mesh = coeffs.mesh
-    rho, drho, *_ = coeffs.fields
-    N = mesh.quad[2]
-
-    def at_points(f):
-        return N[..., 0] * f[:-1, None] + N[..., 1] * f[1:, None]
-
-    dpsi = (np.diff(psi) / np.diff(mesh.nodes))[:, None]
-    horiz = xi[0] * at_points(phi) + xi[1] * at_points(theta)
-    raw = -(drho * at_points(psi) + rho * dpsi + rho * horiz) / lam
-    i0 = mesh.interface_index
-    return (project_p1(mesh, raw, 0, i0),
-            project_p1(mesh, raw, i0, mesh.n_elements))
 
 
 def assemble_mode(point: DispersionPoint, coeffs: FormCoefficients) -> GrowingMode:
@@ -100,11 +77,11 @@ def assemble_mode(point: DispersionPoint, coeffs: FormCoefficients) -> GrowingMo
     scale = 1.0 / (abs(eta_minus_raw) * 2.0 * math.pi * math.sqrt(params.L1 * params.L2))
     phi *= scale
     psi *= scale
-    theta = np.zeros_like(phi)
-    xi = (point.xi_abs, 0.0)
-    q_minus, q_plus = project_q_tilde(coeffs, phi, theta, psi, xi, lam)
-    return GrowingMode(xi, lam, mesh, phi, theta, psi, q_minus, q_plus,
-                       eta_tilde_plus=psi[-1] / lam,
+    H, r = coeffs.continuity(point.xi_abs)
+    u = np.stack([phi[:-1], phi[1:], psi[:-1], psi[1:]], axis=1)  # mesh.dofs(2) order
+    q_tilde = -np.einsum("ei,ei->e", r, u) / (lam * H)
+    return GrowingMode((point.xi_abs, 0.0), lam, mesh, phi, np.zeros_like(phi), psi,
+                       q_tilde, eta_tilde_plus=psi[-1] / lam,
                        eta_tilde_minus=psi[mesh.interface_index] / lam)
 
 
@@ -242,18 +219,15 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile) -> OdeResidualR
 def export_mode(mode: GrowingMode, csv_path, json_path) -> None:
     """Write the mode profiles (CSV) and a JSON sidecar with xi, lam, eta.
 
-    The interface row appears once per layer because q_tilde jumps there.
+    The CSV has one row per element: the ends of its x3 interval and the
+    values of phi, theta and psi there, then its one q_tilde.
     """
-    mesh = mode.mesh
-    i0 = mesh.interface_index
+    cols = [np.stack([f[:-1], f[1:]], axis=1)
+            for f in (mode.mesh.nodes, mode.phi, mode.theta, mode.psi)]
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("x3,phi,theta,psi,q_tilde\n")
-        for k in range(i0 + 1):
-            fh.write(f"{mesh.nodes[k]:.17g},{mode.phi[k]:.17g},{mode.theta[k]:.17g},"
-                     f"{mode.psi[k]:.17g},{mode.q_tilde_minus[k]:.17g}\n")
-        for k in range(i0, mesh.n_nodes):
-            fh.write(f"{mesh.nodes[k]:.17g},{mode.phi[k]:.17g},{mode.theta[k]:.17g},"
-                     f"{mode.psi[k]:.17g},{mode.q_tilde_plus[k - i0]:.17g}\n")
+        fh.write("x3_lo,x3_hi,phi_lo,phi_hi,theta_lo,theta_hi,psi_lo,psi_hi,q_tilde\n")
+        for row in np.column_stack([*cols, mode.q_tilde]):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     sidecar = {"xi": [mode.xi[0], mode.xi[1]], "lambda": mode.lam,
                "eta_plus": mode.eta_tilde_plus, "eta_minus": mode.eta_tilde_minus}
     with open(json_path, "w", encoding="utf-8") as fh:

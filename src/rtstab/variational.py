@@ -35,12 +35,12 @@ which certifies it as the smallest eigenvalue, and is_min_eigenpair adds
 the residual test: the two checks behind every `converged` flag and
 `rtstab alpha`.
 
-Every matrix here and both P1 projections come from one vectorised element
-kernel, `assemble`: a list of terms (c, B[, C]) of quadrature-point
-coefficients and linear-functional rows, summed as w c conj(B)^T C over all
-elements and points at once, and handed to `scatter`, which sums element
-matrices through a dof map such as `Mesh1D.dofs` into the LAPACK general
-band storage that every solver reads.
+Every matrix here comes from one vectorised element kernel, `assemble`: a
+list of terms (c, B[, C]) of quadrature-point coefficients and
+linear-functional rows, summed as w c conj(B)^T C over all elements and
+points at once, and handed to `scatter`, which sums element matrices
+through a dof map such as `Mesh1D.dofs` into the LAPACK general band
+storage that every solver reads.
 
 xi enters the bulk integrands only through rows affine in xi, and the
 boundary terms through sigma_± xi^2, so K0(xi) = A0 + xi B0 + xi^2 C0,
@@ -48,9 +48,10 @@ likewise K1, and M does not depend on xi.  form_coefficients evaluates the
 profile fields at the quadrature points and assembles these coefficients
 once per mesh and profile, whose params are the only physical parameters
 read here; the sweep and every command take their forms from
-FormCoefficients.at(xi), one band combination per frequency, and the
-growing mode and the evolution oracle read its fields (the oracle also
-its M and K1).
+FormCoefficients.at(xi), one band combination per frequency.  The growing
+mode and the evolution oracle take one density perturbation per element
+from FormCoefficients.continuity(xi), the h'(rho)-weighted element
+integrals of E0's divergence row, and the oracle also its M and K1.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import dgbmv, dpbtrf, dpbtrs, dptsv
+from ._kernels import dgbmv, dpbtrf, dpbtrs
 from .equilibrium import EquilibriumProfile
 from .errors import BandOverflow, SolverDivergence
 
@@ -228,23 +229,6 @@ def band_mv(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dgbmv(n, n, w, w, 1.0, ab, x)
 
 
-def project_p1(mesh: Mesh1D, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """L2 projection of quadrature-point samples (E, Q) onto continuous P1 on
-    elements lo..hi-1; returns the values at nodes lo..hi.  The P1 mass is
-    SPD tridiagonal and is solved from its two diagonals by dptsv."""
-    N = mesh.quad[2]
-    e = np.arange(mesh.n_elements)[:, None]
-    dofs = np.where((lo <= e) & (e < hi), e - lo + [0, 1], -1)
-    n = hi - lo + 1
-    mass = assemble(mesh, [(1.0, N)], dofs, dofs, n, 1)
-    load = ((mesh.quad[1] * values)[..., None] * N).sum(axis=1)  # int f N_i
-    keep = dofs >= 0
-    _d, _e, x, info = dptsv(mass[1], mass[0, 1:], np.bincount(dofs[keep], load[keep], n))
-    if info != 0:
-        raise SolverDivergence(f"P1 mass matrix is not positive definite (info {info})")
-    return x
-
-
 @dataclass(frozen=True)
 class QuadraticForms:
     """Symmetric matrices with v^T K0 v = E0(v), v^T K1 v = E1(v),
@@ -266,8 +250,7 @@ def form_terms(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
     magnitude xi_abs, in the (phi, psi) rows of field_rows(mesh, 2), from the
     layer_fields at the quadrature points: div is E0's one term (h'(rho)/2,
     (rho psi)' + rho xi phi), visc the three of E1 and mass the two of J.
-    The evolution oracle reads the row of div for the continuity equation of
-    its velocity (v, w) = (i u_parallel, u3)."""
+    FormCoefficients.continuity integrates the row of div per element."""
     xi = float(xi_abs)
     rho, drho, dp, mu, mu_p = fields
     (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
@@ -318,6 +301,16 @@ class FormCoefficients:
         K0, K1 = (A + xi * B + (xi * xi) * C for A, B, C in (self.K0, self.K1))
         return QuadraticForms(K0, K1, self.M, xi, self.profile.params.g,
                               2 * self.mesh.interface_index - 1)
+
+    def continuity(self, xi_abs: float) -> tuple[np.ndarray, np.ndarray]:
+        """(H, r) of the continuity equation H_e dq_e/dt = -r_e . u of one
+        density value per element at |xi| = xi_abs, from the fields: H_e =
+        int_e h'(rho) of shape (E,), r_e = int_e h'(rho) ((rho psi)' + rho xi
+        phi) of shape (E, 4) in the local dofs of mesh.dofs(2)."""
+        (half_hp, div), _visc, _mass = form_terms(self.mesh, self.fields,
+                                                  check_frequency(xi_abs))
+        hw = 2.0 * half_hp * self.mesh.quad[1]  # h'(rho) times the Gauss weights
+        return np.einsum("eq->e", hw), np.einsum("eq,eqi->ei", hw, div)
 
 
 def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile) -> FormCoefficients:

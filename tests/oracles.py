@@ -1,17 +1,17 @@
 """Independent references that tests compare the solver with, and helpers
 only tests use: dense and CSR copies of band storage, csr_array views of
-the oracle's CSR triples, the kernel assembly
-of the forms at one frequency, a dense per-element assembly of the forms and
-an alternate one of E0, the bump candidate and the negativity probe built on
-it, a dense full-spectrum eigensolve (any eigenpair, for the certificate
-tests), the Fraction arithmetic of the lattice deduplication, the viscous
-dissipation of a full
-3-component velocity, the three-field pencil, a layer-checked enthalpy
-weight, random oracle states and the oracle's full energy, the complex
-evolution operators at a frequency vector with their sparse-LU time step,
-the dense pencil of the oracle's normal modes with its root, a mode CSV
-reader, and the oracle's full-record stepping with its two-pass energy
-balance."""
+the oracle's CSR triples, the kernel assembly of the forms at one
+frequency, a dense per-element assembly of the forms and an alternate one
+of E0, the bump candidate and the negativity probe built on it with its
+dense P1 projection, a dense full-spectrum eigensolve (any eigenpair, for
+the certificate tests), the Fraction arithmetic of the lattice
+deduplication, the viscous dissipation of a full 3-component velocity, the
+three-field pencil, a layer-checked enthalpy weight, random oracle states
+and the oracle's full energy, the complex evolution operators at a
+frequency vector with their sparse-LU time step, the element continuity
+rows and the dense pencil of the oracle's normal modes with its root, a
+mode CSV reader, and the oracle's full-record stepping with its two-pass
+energy balance."""
 
 import math
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from rtstab.errors import SingularStep
 from rtstab.evolve import BLOCK, EvolutionOperators
 from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
                                 evaluate_energy, field_rows, form_coefficients,
-                                form_terms, layer_fields, project_p1)
+                                form_terms, layer_fields)
 
 
 def dense(ab: np.ndarray) -> np.ndarray:
@@ -110,6 +110,18 @@ def psi_bump_norm_sq(b: float, ell: float, exponent: float) -> float:
     return math.sqrt(math.pi) * (b + ell) * math.gamma(a + 1.0) / (2.0 * math.gamma(a + 1.5))
 
 
+def p1_projection(mesh: Mesh1D, f: np.ndarray) -> np.ndarray:
+    """Nodal values of the L2 projection of the element constants f onto
+    continuous P1 on the whole mesh: the P1 mass, h/6 [[2, 1], [1, 2]] per
+    element, against the load int_e f N_i = f_e h/2, by a dense solve."""
+    h, n = np.diff(mesh.nodes), mesh.n_nodes
+    mass, load = np.zeros((n, n)), np.zeros(n)
+    for e in range(mesh.n_elements):
+        mass[e:e + 2, e:e + 2] += h[e] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        load[e:e + 2] += 0.5 * f[e] * h[e]
+    return np.linalg.solve(mass, load)
+
+
 def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
                      mesh: Mesh1D, exponent: float = 5.0) -> float:
     """Energy E(.; s) at the interpolated bump candidate with phi = -psi'/|xi|.
@@ -117,7 +129,7 @@ def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
     E < 0 certifies alpha(s) < 0 without an eigensolve (the candidate is an
     upper bound for the constrained infimum after J-normalization).  psi' is
     the elementwise derivative of the nodal interpolant, L2-projected back to
-    the nodes; the essential value at -b is then enforced.
+    the nodes (p1_projection); the essential value at -b is then enforced.
     """
     if xi_abs <= 0:
         raise ValueError("xi_abs must be > 0")
@@ -126,8 +138,7 @@ def negativity_probe(profile: EquilibriumProfile, xi_abs: float, s: float,
     psi_nodes = psi_bump(mesh.nodes, profile.params.b, profile.params.ell, exponent)
     dpsi_elem = np.diff(psi_nodes) / np.diff(mesh.nodes)
 
-    phi_nodes = project_p1(mesh, np.broadcast_to(-dpsi_elem[:, None] / xi_abs,
-                                                 mesh.quad[0].shape), 0, mesh.n_elements)
+    phi_nodes = p1_projection(mesh, -dpsi_elem / xi_abs)
     phi_nodes[0] = 0.0
     v = np.empty(mesh.ndof)
     v[0::2], v[1::2] = phi_nodes[1:], psi_nodes[1:]
@@ -388,24 +399,33 @@ def lu_step(M: sp.csr_array, A: sp.csr_array, y: np.ndarray, dt: float) -> np.nd
     return splu((M - 0.5 * dt * A).tocsc()).solve((M + 0.5 * dt * A) @ y)
 
 
+def continuity_rows(coeffs, xi_abs: float):
+    """(H, r) of FormCoefficients.continuity, integrated here from the layer
+    fields and the field rows, without variational.form_terms: H_e =
+    int_e h'(rho) and r_e = int_e h'(rho) ((rho psi)' + rho xi phi) in the
+    local dofs of mesh.dofs(2)."""
+    mesh, profile = coeffs.mesh, coeffs.profile
+    rho, drho, dp, _mu, _mu_p = layer_fields(mesh, profile, mesh.quad[0])
+    (phi, psi), (_dphi, dpsi) = field_rows(mesh, 2)
+    r = rho[..., None]
+    hw = mesh.quad[1] * dp / rho  # h'(rho) times the Gauss weights
+    return hw.sum(axis=1), np.einsum("eq,eqi->ei", hw, drho[..., None] * psi + r * dpsi
+                                     + r * float(xi_abs) * phi)
+
+
 def oracle_pencil(coeffs, xi_abs: float):
     """Dense (K0, K1, M) whose T(s) = K0 + s K1 + s^2 M is singular exactly
     at the oracle's normal-mode rates: with z = G u / s eliminated, the
     oracle's modes solve (s^2 Mu + s Du + S) u = 0, and halved that is
     K0 = S/2 = B^T H^-1 B / 2 plus E0's surface terms, with K1 and M of the
-    forms.  B and H are integrated here from the layer fields and the
-    field rows, without variational.form_terms."""
+    forms.  B and H are continuity_rows."""
     mesh, profile = coeffs.mesh, coeffs.profile
     params, xi = profile.params, float(xi_abs)
-    rho, drho, dp, _mu, _mu_p = layer_fields(mesh, profile, mesh.quad[0])
-    (phi, psi), (_dphi, dpsi) = field_rows(mesh, 2)
-    r = rho[..., None]
-    hw = mesh.quad[1] * dp / rho  # h'(rho) times the Gauss weights
-    rows = np.einsum("eq,eqi->ei", hw, drho[..., None] * psi + r * dpsi + r * xi * phi)
+    H, rows = continuity_rows(coeffs, xi)
     B = np.zeros((mesh.n_elements, mesh.ndof))
     for e, (dofs, row) in enumerate(zip(mesh.dofs(2), rows)):
         B[e, dofs[dofs >= 0]] += row[dofs >= 0]
-    K0 = 0.5 * B.T @ (B / hw.sum(axis=1)[:, None])
+    K0 = 0.5 * B.T @ (B / H[:, None])
     psi0 = 2 * mesh.interface_index - 1
     K0[psi0, psi0] += 0.5 * (params.sigma_minus * xi**2 - profile.jump * params.g)
     K0[-1, -1] += 0.5 * (params.sigma_plus * xi**2 + profile.rho1 * params.g)

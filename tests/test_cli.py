@@ -132,6 +132,17 @@ def test_alpha_refuses_a_residual_above_eig_tol(tmp_path, capsys):
     assert out == "" and "eig_tol" in err
 
 
+@pytest.mark.parametrize("command, artifact", [("mode", "mode.csv"),
+                                               ("oracle", "rate.json")])
+def test_mode_and_oracle_refuse_a_root_that_is_not_converged(tmp_path, capsys,
+                                                             command, artifact):
+    cfg = write_config(tmp_path / "cfg.json", eig_tol=1e-300)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--xi", "1.0"]) == 3
+    assert "eig_tol" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
 def test_growth_and_mode_artifacts(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "o"
@@ -451,7 +462,7 @@ def test_default_run_skips_interpolate_and_optimize(tmp_path):
 def test_startup_loads_no_scipy_subpackage(tmp_path):
     # scipy.linalg and scipy.sparse load scipy._lib._util, whose array-API
     # layer imports numpy.f2py and numpy.testing: most of a bare start-up.
-    # Neither the import nor a dispersion and an oracle run may load them
+    # Neither the import nor a dispersion, a mode and an oracle run may load them
     cfg = write_config(tmp_path / "cfg.json", n=12)
     heavy = ("scipy.linalg", "scipy.sparse", "scipy._lib._util", "numpy.f2py",
              "numpy.testing")
@@ -461,6 +472,7 @@ def test_startup_loads_no_scipy_subpackage(tmp_path):
             "print(sorted(m for m in heavy if m in sys.modules))\n"
             f"base = ['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]\n"
             "assert rtstab.cli.main(['dispersion'] + base) == 0\n"
+            "assert rtstab.cli.main(['mode', '--xi', '1.0'] + base) == 0\n"
             "assert rtstab.cli.main(['oracle', '--xi', '1.0'] + base) == 0\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n")
     src = str(Path(rtstab.__file__).resolve().parents[1])
@@ -468,6 +480,7 @@ def test_startup_loads_no_scipy_subpackage(tmp_path):
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    assert (tmp_path / "o" / "mode.csv").is_file()
     assert (tmp_path / "o" / "trajectory.csv").is_file()
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from rtstab.dispersion import growth_rate
 from rtstab.errors import DegenerateMode, NotARotation
+from rtstab.evolve import csr_product, semidiscretize, state_from_mode
 from rtstab.modes import assemble_mode, export_mode, ode_residual, rotate_mode
 from rtstab.variational import build_mesh, form_coefficients
 from tests.oracles import import_mode_csv
@@ -42,27 +43,36 @@ def test_kinematic_identities(mode, mesh40):
     assert mode.lam * mode.eta_tilde_plus == pytest.approx(mode.psi[-1], rel=1e-14)
 
 
-def test_continuity_identity_at_quadrature(mode, coeffs40, mesh40):
-    # lam q + Proj[(rho psi)' + rho xi1 phi] = 0 with the stored projection
-    from rtstab.modes import project_q_tilde
-    qm, qp = project_q_tilde(coeffs40, mode.phi, mode.theta, mode.psi, mode.xi,
-                             mode.lam)
-    i0 = mesh40.interface_index
-    scale = max(np.abs(qm).max(), np.abs(qp).max())
-    for e in range(mesh40.n_elements):
-        N = mesh40.quad[2][e]
-        if e < i0:
-            qvals = N[:, 0] * qm[e] + N[:, 1] * qm[e + 1]
-            stored = N[:, 0] * mode.q_tilde_minus[e] + N[:, 1] * mode.q_tilde_minus[e + 1]
-        else:
-            qvals = N[:, 0] * qp[e - i0] + N[:, 1] * qp[e - i0 + 1]
-            stored = N[:, 0] * mode.q_tilde_plus[e - i0] + N[:, 1] * mode.q_tilde_plus[e - i0 + 1]
-        assert np.abs(qvals - stored).max() <= 1e-10 * scale
+def test_continuity_identity_per_element(mode, coeffs40):
+    # lam H_e q_e + r_e . u_e = 0 with the rows the oracle steps
+    H, r = coeffs40.continuity(1.0)
+    u = np.stack([mode.phi[:-1], mode.phi[1:], mode.psi[:-1], mode.psi[1:]], axis=1)
+    flux = np.einsum("ei,ei->e", r, u)
+    assert mode.q_tilde.shape == (coeffs40.mesh.n_elements,)
+    assert np.abs(mode.lam * H * mode.q_tilde + flux).max() <= 1e-14 * np.abs(flux).max()
 
 
-def test_q_tilde_jumps_at_interface(mode):
+def test_q_tilde_jumps_at_interface(mode, mesh40):
     # compressible two-layer: the density perturbation is discontinuous
-    assert mode.q_tilde_minus[-1] != pytest.approx(mode.q_tilde_plus[0], abs=1e-6)
+    i0 = mesh40.interface_index
+    assert mode.q_tilde[i0 - 1] != pytest.approx(mode.q_tilde[i0], abs=1e-6)
+
+
+def test_state_from_mode_is_the_oracles_own_z(mode, coeffs40):
+    # q and eta of the mode are G u / lam of the oracle's dz/dt = G u, each
+    # to round-off in the sum of its terms' magnitudes (q_e is a cancelling
+    # sum, up to about 300 times smaller than its terms here)
+    ops = semidiscretize(coeffs40, 1.0)
+    u = np.stack([mode.phi[1:], mode.psi[1:]], axis=1).ravel()
+    want = np.concatenate([u, csr_product(ops.G, u) / mode.lam])
+    indptr, indices, data = ops.G
+    terms = np.concatenate([np.abs(u), csr_product((indptr, indices, np.abs(data)),
+                                                   np.abs(u)) / mode.lam])
+    got = state_from_mode(ops, mode)
+    assert np.all(np.abs(got - want) <= 1e-14 * terms)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="xi"):
+        state_from_mode(semidiscretize(coeffs40, 2.0), mode)
 
 
 def test_rotate_identity_bit_for_bit(mode):
@@ -140,13 +150,14 @@ def test_export_round_trip(tmp_path, mode):
     csv_path = tmp_path / "mode.csv"
     export_mode(mode, csv_path, tmp_path / "mode.json")
     cols = import_mode_csv(csv_path)
-    i0 = mode.mesh.interface_index
-    n = mode.mesh.n_nodes
-    assert cols["x3"].size == n + 1  # interface row per layer
-    assert np.array_equal(cols["phi"][:i0 + 1], mode.phi[:i0 + 1])
-    assert np.array_equal(cols["psi"][i0 + 1:], mode.psi[i0:])
-    assert np.array_equal(cols["q_tilde"][:i0 + 1], mode.q_tilde_minus)
-    assert np.array_equal(cols["q_tilde"][i0 + 1:], mode.q_tilde_plus)
+    assert list(cols) == ["x3_lo", "x3_hi", "phi_lo", "phi_hi", "theta_lo",
+                          "theta_hi", "psi_lo", "psi_hi", "q_tilde"]
+    assert cols["x3_lo"].size == mode.mesh.n_elements  # one row per element
+    for name, f in (("x3", mode.mesh.nodes), ("phi", mode.phi),
+                    ("theta", mode.theta), ("psi", mode.psi)):
+        assert np.array_equal(cols[f"{name}_lo"], f[:-1])
+        assert np.array_equal(cols[f"{name}_hi"], f[1:])
+    assert np.array_equal(cols["q_tilde"], mode.q_tilde)
     sidecar = json.loads((tmp_path / "mode.json").read_text())
     assert sidecar["lambda"] == mode.lam
     assert sidecar["eta_minus"] == mode.eta_tilde_minus

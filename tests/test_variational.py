@@ -11,14 +11,14 @@ from scipy.linalg.lapack import dpbtrf
 from rtstab import variational
 from rtstab.variational import (BAND, assemble, band_mv, build_mesh, eig_residual,
                                 evaluate_energy, form_coefficients, form_terms,
-                                is_min_eigenpair, min_eig, project_p1)
+                                is_min_eigenpair, min_eig)
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import BandOverflow, SolverDivergence
 from rtstab.evolve import semidiscretize
 from tests.conftest import unit_params, unit_profile
 from tests.oracles import (add_element, assemble_forms, assemble_forms_3field,
-                           assemble_forms_alt, dense, dense_forms, element_layer,
-                           min_eig_3field, min_eig_dense)
+                           assemble_forms_alt, continuity_rows, dense, dense_forms,
+                           element_layer, min_eig_3field, min_eig_dense)
 
 
 def test_build_mesh_examples():
@@ -382,25 +382,15 @@ def test_k1_and_m_match_closed_form_p1_elements():
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_project_p1_reproduces_p1_interpolants():
-    mesh = build_mesh(0.8, 1.3, 6, 9)
-    rng = np.random.default_rng(7)
-    lower, upper = rng.standard_normal((2, mesh.n_nodes))
-    N = mesh.quad[2]
-
-    def at_points(f):
-        return N[..., 0] * f[:-1, None] + N[..., 1] * f[1:, None]
-
-    whole = project_p1(mesh, at_points(lower), 0, mesh.n_elements)
-    assert np.abs(whole - lower).max() <= 1e-13 * np.abs(lower).max()
-    # a field broken at the interface: each layer sees only its own part
-    i0 = mesh.interface_index
-    broken = np.where(np.arange(mesh.n_elements)[:, None] < i0,
-                      at_points(lower), at_points(upper))
-    assert np.abs(project_p1(mesh, broken, 0, i0) - lower[:i0 + 1]).max() \
-        <= 1e-13 * np.abs(lower).max()
-    assert np.abs(project_p1(mesh, broken, i0, mesh.n_elements) - upper[i0:]).max() \
-        <= 1e-13 * np.abs(upper).max()
+def test_continuity_rows_are_the_weighted_divergence_row(unstable_profile, mesh40):
+    coeffs = form_coefficients(mesh40, unstable_profile)
+    for xi in (0.5, 3.0):
+        (H, r), (H_ref, r_ref) = coeffs.continuity(xi), continuity_rows(coeffs, xi)
+        assert H.shape == (mesh40.n_elements,) and r.shape == (mesh40.n_elements, 4)
+        assert np.abs(H - H_ref).max() <= 1e-14 * np.abs(H_ref).max()
+        assert np.abs(r - r_ref).max() <= 1e-14 * np.abs(r_ref).max()
+    with pytest.raises(ValueError):
+        coeffs.continuity(0.0)
 
 
 def test_theta_decouples_at_negative_alpha(unstable_profile, mesh40):
