@@ -15,6 +15,10 @@ and ignored: every command runs serially; the flag stays only while the
 benchmark passes it).  Exit codes: 0 success, 2 configuration/contract or
 I/O error, 3 solver failure.  Artifacts are deterministic: CSV floats print
 with %.17g, JSON uses sorted keys and round-trip float repr.
+
+Start-up loads only what dispersion, growth, mode and oracle run: classify
+and extend import their modules when they run, and main builds the parser of
+the one command it was given (all of them for -h or an unknown command).
 """
 
 from __future__ import annotations
@@ -26,14 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify as classify_mod
 from . import dispersion as disp
 from . import evolve
 from . import modes as modes_mod
 from .config import RunConfig, load_config
 from .equilibrium import export_profile_csv, solve_equilibrium
 from .errors import AnalyzerError, ConfigError, InvalidInput, SolverDivergence
-from .poisson_ext import ExtensionParams, InterfaceExtension, read_field_csv
 from .variational import build_mesh, form_coefficients, is_min_eigenpair, min_eig
 
 
@@ -100,7 +102,8 @@ def cmd_growth(cfg, out, args) -> int:
 
 
 def cmd_classify(cfg, out, args) -> int:
-    report = classify_mod.regime_report(
+    from .classify import regime_report
+    report = regime_report(
         *_rounded_regime_inputs(_profile(cfg), cfg.numerics.zero_epsilon))
     _write_json(report, out / "regime.json")
     return 0
@@ -152,6 +155,7 @@ def cmd_oracle(cfg, out, args) -> int:
 
 
 def cmd_extend(cfg, out, args) -> int:
+    from .poisson_ext import ExtensionParams, InterfaceExtension, read_field_csv
     field = read_field_csv(args.input)
     try:
         params = ExtensionParams.default(args.m)
@@ -181,12 +185,14 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the sub-parser of `command` alone, or of every
+    command when command is None or unknown, so that -h lists them all."""
     ap = argparse.ArgumentParser(prog="rtstab",
                                  description="Two-layer compressible viscous "
                                              "stability analyzer")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in [command] if command in COMMANDS else COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--out", default="out", help="output directory")
@@ -208,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         for flag in ("xi", "s", "threads", "levels"):
             value = getattr(args, flag, None)

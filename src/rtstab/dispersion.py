@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,7 +68,7 @@ from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from .variational import (BAND, FormCoefficients, QuadraticForms, band_mv,
-                          below_spectrum, bisect_root, certificate_eps, eig_residual,
+                          below_spectrum, bisect_root, eig_residual,
                           evaluate_energy, is_min_eigenpair, j_normalize, min_eig)
 
 
@@ -93,7 +92,7 @@ class DispersionPoint:
     growing rate's enclosure was certified and, for every point, that the
     minimizer's relative eigen-residual is within eig_tol and that a
     Cholesky factorization certifies alpha_at_star as the smallest
-    eigenvalue to variational.certificate_eps.  The minimizer
+    eigenvalue to QuadraticForms.certificate_eps.  The minimizer
     lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2, ...), in the
     dof order of Mesh1D.dofs.
     """
@@ -216,20 +215,19 @@ def _continued_probe(forms: QuadraticForms, s: float, U: np.ndarray,
     iteration step v <- T(s)^-1 M v (its shift -s^2 lies below the spectrum,
     so it damps the components of v along the higher eigenvectors), then
     Rayleigh-quotient iteration: rho = v^T K v / v^T M v, each step by the
-    band LU of K - rho M, until rho moves by at most eps = certificate_eps(K,
-    M) or RQ_MAX_ITER steps pass.  Last, the Cholesky factorization of
+    band LU of K - rho M, until rho moves by at most eps = forms.certificate_eps(s)
+    or RQ_MAX_ITER steps pass.  Last, the Cholesky factorization of
     K - (rho - eps) M (below_spectrum) must certify rho as the smallest
     eigenvalue to eps.  alpha is nan when a factorization is singular, the
     iteration does not settle or the certificate fails."""
-    K, M = forms.K0 + s * forms.K1, forms.M
-    eps = certificate_eps(K, M)
+    K, M, eps = forms.stiffness(s)[0], forms.M, forms.certificate_eps(s)
     alpha, v, count = _shifted_iterate(
         lambda rho: K - rho * M,
         lambda u: float(u @ band_mv(K, u)) / float(u @ band_mv(M, u)),
         dpbtrs(U, band_mv(M, v))[0], M, eps, RQ_MAX_ITER)
     if math.isfinite(alpha):
         count += 1
-        if not below_spectrum(K, M, alpha):
+        if not below_spectrum(forms, s, alpha):
             alpha = math.nan
     return alpha, v, count
 
@@ -325,9 +323,9 @@ def _dedup_lattice(params: PhysicalParams, limit: float):
     over (a1 a2)^2, so lattice images of equal magnitude collapse to a single
     representative: the largest (m, n) with m, n >= 0.  Sign flips do not
     change |xi|, so only that quadrant is walked.  Each kept |xi|^2 is
-    returned as a Fraction.
+    returned as the float nearest that ratio.
     """
-    (a1, b1), (a2, b2) = (Fraction(L).as_integer_ratio() for L in (params.L1, params.L2))
+    (a1, b1), (a2, b2) = (float(L).as_integer_ratio() for L in (params.L1, params.L2))
     wm, wn, den = (b1 * a2) ** 2, (b2 * a1) ** 2, (a1 * a2) ** 2
     m_max = int(math.floor(limit * params.L1)) + 1
     n_max = int(math.floor(limit * params.L2)) + 1
@@ -336,8 +334,8 @@ def _dedup_lattice(params: PhysicalParams, limit: float):
         for n in range(n_max + 1):
             # (m, n) ascends: the last seen is the largest
             groups[m * m * wm + n * n * wn] = (m, n)
-    # int / int is correctly rounded, as float(Fraction) is
-    return [(Fraction(key, den), groups[key]) for key in sorted(groups)
+    # int / int is correctly rounded
+    return [(key / den, groups[key]) for key in sorted(groups)
             if key and key / den < limit * limit]
 
 
@@ -359,7 +357,7 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     xi_c = critical_frequency(profile) if jump > 0 else math.nan
     curve, start = [], None
     for key, (m, n) in _dedup_lattice(params, cutoff):
-        pt = growth_rate(coeffs, math.sqrt(float(key)), numerics, start)
+        pt = growth_rate(coeffs, math.sqrt(key), numerics, start)
         curve.append(replace(pt, xi=(m / params.L1, n / params.L2)))
         start = pt.minimizer
     lam_max = 0.0

@@ -19,9 +19,11 @@ Profiles are integrated top-down with classical fixed-step RK4 and stored as
 dense samples with a cubic Hermite interpolant per layer whose node slopes are
 the exact hydrostatic -g rho_i / P'(rho_i), so interpolation error stays at
 the integrator's O(h^4) node error.  A law is closed-form, P = K rho^gamma
-(isothermal is gamma = 1), or tabulated; only tabulated laws import
-scipy.interpolate.  Closed-form profiles (gamma = 1 and 2) serve as test
-oracles only; the solver path is always the integrator.
+(isothermal is gamma = 1), or tabulated: the monotone PCHIP cubic through
+its samples, with scipy's PchipInterpolator slopes, evaluated by the same
+Hermite interpolant as the profile and inverted by bisection, in numpy
+alone.  Closed-form profiles (gamma = 1 and 2) serve as test oracles only;
+the solver path is always the integrator.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ PRESSURE_SLOPE_TOL = 1e-12
 # pressure mismatch at the interface and against p_atm at the top.
 HYDRO_TOL = 1e-6
 MATCH_TOL = 1e-9
+# a tabulated law's inverse stops once its bracket is at most
+# INVERSE_TOL (1 + |rho|) wide: scipy's brentq at xtol = rtol = 1e-15
+INVERSE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -77,15 +82,13 @@ class PressureLaw:
                 raise ValueError("tabulated law must be strictly increasing in rho and P")
             if rho[0] <= 0 or p[0] <= 0:
                 raise ValueError("tabulated law must have positive rho and P")
-            from scipy.interpolate import PchipInterpolator
-            interp = PchipInterpolator(rho, p)
+            interp = _hermite(rho, p, _pchip_slopes(rho, p))
             # Monotone data + pchip give dP/drho >= 0; verify strictness away
             # from the nodes so DegeneratePressure can surface early.
             probe = np.linspace(rho[0], rho[-1], 8 * rho.size)
-            if np.any(interp.derivative()(probe) < 0):
+            if np.any(interp(probe, 1) < 0):
                 raise ValueError("tabulated interpolant lost monotonicity")
             object.__setattr__(self, "_interp", interp)
-            object.__setattr__(self, "_dinterp", interp.derivative())
             object.__setattr__(self, "rho_table", rho)
             object.__setattr__(self, "p_table", p)
         else:
@@ -116,7 +119,7 @@ class PressureLaw:
         if self.kind == "polytropic":
             k, gamma = self.params
             return k * gamma * rho ** (gamma - 1.0)
-        return self._dinterp(self._in_table(rho))
+        return self._interp(self._in_table(rho), 1)
 
     def _in_table(self, rho):
         r = np.asarray(rho, float)
@@ -127,7 +130,8 @@ class PressureLaw:
         return r
 
     def inverse(self, p: float) -> float:
-        """rho with P(rho) = p, to relative tolerance 1e-12."""
+        """rho with P(rho) = p, to relative tolerance 1e-12: a tabulated
+        law bisects its increasing interpolant to INVERSE_TOL."""
         if self.kind == "polytropic":
             if p <= 0:
                 raise InverseFailure(f"pressure-law inverse undefined for p = {p}")
@@ -136,11 +140,15 @@ class PressureLaw:
         lo, hi = float(self.p_table[0]), float(self.p_table[-1])
         if not (lo <= p <= hi):
             raise InverseFailure(f"pressure {p} outside table range [{lo}, {hi}]")
-        from scipy.optimize import brentq
-        root = brentq(lambda r: float(self._interp(r)) - p,
-                      float(self.rho_table[0]), float(self.rho_table[-1]),
-                      xtol=1e-15, rtol=1e-15)
-        return float(root)
+        a, b = float(self.rho_table[0]), float(self.rho_table[-1])
+        while True:
+            mid = 0.5 * (a + b)
+            if b - a <= INVERSE_TOL * (1.0 + abs(mid)) or mid in (a, b):
+                return mid
+            value = float(self._interp(mid))
+            if value == p:
+                return mid
+            a, b = (mid, b) if value < p else (a, mid)
 
 
 @dataclass(frozen=True)
@@ -249,6 +257,25 @@ def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
         return (c1[i] + s * (2.0 * c2[i] + 3.0 * s * c3[i])) / h[i]
 
     return f
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone PCHIP cubic through strictly increasing
+    data (Fritsch and Butland, SIAM J. Sci. Stat. Comput. 5, 1984), with the
+    operations of scipy's PchipInterpolator: inside, the weighted harmonic
+    mean of the two neighbouring secants; at each end, the one-sided
+    three-point estimate, or 0 where it is not positive.  scipy's other end
+    rule, 3 times the end secant, needs secants of both signs."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.empty(y.size)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                (-1, h[-1], h[-2], m[-1], m[-2])):
+        estimate = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d[end] = estimate if estimate > 0 else 0.0
+    return d
 
 
 def _rk4_down(law: PressureLaw, g: float, rho_start: float, x_start: float,

@@ -331,9 +331,9 @@ def energy_balance_residual(states: np.ndarray, ops: EvolutionOperators,
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV: t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual,
     one row per state; the first row's balance_residual is 0."""
-    resid = np.concatenate([[0.0], traj.balance_residual])
+    columns = (traj.times, traj.eta_minus_abs, traj.eta_plus_abs, traj.energy,
+               traj.dissipation, np.concatenate([[0.0], traj.balance_residual]))
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    text = "".join("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual\n")
-        for row in zip(traj.times, traj.eta_minus_abs, traj.eta_plus_abs,
-                       traj.energy, traj.dissipation, resid):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual\n" + text)

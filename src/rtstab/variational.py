@@ -27,13 +27,14 @@ its own node and the two neighbouring nodes, so in the node-by-node order
 (phi_1, psi_1, phi_2, psi_2, ...) of Mesh1D.dofs they are banded with
 half-bandwidth 3 and are assembled straight into LAPACK band storage.
 A shift lies below the spectrum exactly when the banded Cholesky
-factorization of K - shift M succeeds: min_eig bisects on that test
-(Barth, Martin and Wilkinson, Numer. Math. 9, 1967) to a round-off margin
-(certificate_eps) and takes the vector by inverse iteration.
-below_spectrum makes the test at a computed eigenvalue minus that margin,
-which certifies it as the smallest eigenvalue, and is_min_eigenpair adds
-the residual test: the two checks behind every `converged` flag and
-`rtstab alpha`.
+factorization of K - shift M succeeds: min_eig runs inverse iteration
+from the lower end of a bracket that it bisects on that test (Barth,
+Martin and Wilkinson, Numer. Math. 9, 1967) until the Rayleigh quotient
+settles to a round-off margin (QuadraticForms.certificate_eps).  below_spectrum makes the
+test at a computed eigenvalue minus that margin, which certifies it as the
+smallest eigenvalue, and is_min_eigenpair adds the residual test: the two
+checks behind every `converged` flag and `rtstab alpha`.  The norms behind
+the margin and the residual are measured once per QuadraticForms and s.
 
 Every matrix here comes from one vectorised element kernel, `assemble`: a
 list of terms (c, B[, C]) of quadrature-point coefficients and
@@ -66,11 +67,18 @@ from ._kernels import dgbmv, dpbtrf, dpbtrs
 from .equilibrium import EquilibriumProfile
 from .errors import BandOverflow, SolverDivergence
 
-GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(4)
+# numpy.polynomial.legendre.leggauss(4) as round-trip literals, which spares
+# start-up the import of numpy.polynomial
+GAUSS_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                    0.33998104358485626, 0.8611363115940526])
+GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
+                    0.6521451548625464, 0.34785484513745357])
 BAND = 3  # half-bandwidth of the two-field pencil in node-by-node order
-CERT_ULPS = 128  # certificate_eps in unit roundoffs of ||K||_1 / ||M||_1
-MAX_BISECT = 200  # bisection steps before SolverDivergence
-INV_MAX_ITER = 8  # inverse-iteration steps of min_eig before SolverDivergence
+CERT_ULPS = 128  # QuadraticForms.certificate_eps in unit roundoffs of ||K||_1 / ||M||_1
+MAX_BISECT = 200  # bisection steps (factorizations in min_eig) before SolverDivergence
+INV_MAX_ITER = 8  # inverse-iteration steps of one round of min_eig
+INV_CONTRACTION = 0.25  # a round of min_eig ends at a step that moves alpha more than this
+#                         fraction of the previous step's move
 
 
 @dataclass(frozen=True)
@@ -244,6 +252,27 @@ class QuadraticForms:
     g: float
     psi_interface_dof: int
 
+    @cached_property
+    def m_norm1(self) -> float:
+        """||M||_1, measured once per forms."""
+        return _norm1(self.M)
+
+    def stiffness(self, s: float) -> tuple[np.ndarray, float]:
+        """(K, ||K||_1) for K = K0 + s K1, formed and measured once per s:
+        min_eig, its certificate and the residual test share them."""
+        memo = self.__dict__.setdefault("_stiffness", {})
+        if s not in memo:
+            K = self.K0 + s * self.K1
+            K.flags.writeable = False  # shared by every later caller at s
+            memo[s] = K, _norm1(K)
+        return memo[s]
+
+    def certificate_eps(self, s: float) -> float:
+        """eps = CERT_ULPS u ||K||_1 / ||M||_1 for K = K0 + s K1 (u the unit
+        roundoff), the round-off scale of the eigenvalues of (K, M) and the
+        margin of below_spectrum."""
+        return CERT_ULPS * np.finfo(float).eps / 2 * self.stiffness(s)[1] / self.m_norm1
+
 
 def form_terms(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
     """The bulk kernel terms (div, visc, mass) of E0, E1 and J at frequency
@@ -385,39 +414,69 @@ def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K0 + s K1) v = alpha M v.
 
     The minimizer is returned J-normalized (v^T M v = 1) with the interface
-    psi value >= 0, by j_normalize.  The bisection of the module docstring
-    starts at the first of 0 and the proven bound -1.1 g|xi| - 1 < -g|xi| <=
-    alpha that the Cholesky test puts below the spectrum, and at the
-    Rayleigh quotient of one inverse-iteration step from the vector of ones
-    there, an upper bound.  It stops at eps = certificate_eps(K, M) wide;
-    inverse iteration with the factor at its lower end then runs until
-    alpha, the Rayleigh quotient, moves by at most eps.  Nothing is random,
-    so equal inputs give bit-identical results.  SolverDivergence when no
-    start is certified or nothing settles.
+    psi value >= 0, by j_normalize.  The lower end lo of a bracket of the
+    smallest eigenvalue starts at the first of 0 and the proven bound
+    -1.1 g|xi| - 1 < -g|xi| <= alpha that the Cholesky test puts below the
+    spectrum, and v at the vector of ones.  Each round runs inverse
+    iteration with the factor at lo until alpha, the Rayleigh quotient and
+    an upper end of the bracket, moves by at most eps =
+    forms.certificate_eps(s), or a step shrinks the move by less than
+    INV_CONTRACTION, or INV_MAX_ITER steps pass.  A settled alpha is
+    returned once lo >= alpha - eps; otherwise the factorization of
+    below_spectrum at alpha - eps, when it succeeds, makes that shift lo, so
+    the next round refines v with a shift within eps of the spectrum.  A
+    round that does not settle, or a failed certificate, takes one
+    bisection step of the bracket (Cholesky test at its midpoint).  Nothing
+    is random, so equal inputs give bit-identical results.
+    SolverDivergence when no start is certified, inverse iteration does not
+    settle in a bracket eps wide, or MAX_BISECT factorizations pass.
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"modified-problem parameter s must be finite and > 0, got {s}")
-    K, M = forms.K0 + s * forms.K1, forms.M
-    eps, factor = certificate_eps(K, M), []  # the factor at the lower end
+    K, M, eps = forms.stiffness(s)[0], forms.M, forms.certificate_eps(s)
+    factorizations = 0
 
-    def above(shift: float) -> bool:
+    def factor(shift: float) -> np.ndarray | None:
+        """The Cholesky factor of K - shift M, None when shift is not below
+        the spectrum."""
+        nonlocal factorizations
+        if factorizations == MAX_BISECT:
+            raise SolverDivergence(f"bisection exceeded {MAX_BISECT} steps")
+        factorizations += 1
         F, info = dpbtrf(K[:BAND + 1] - shift * M[:BAND + 1])
-        if info == 0:
-            factor[:] = [F]
-        return info != 0
+        return F if info == 0 else None
 
-    lo = next((t for t in (0.0, -1.1 * forms.g * forms.xi_abs - 1.0) if not above(t)), None)
-    if lo is None:
+    lo, F = next(((t, F) for t in (0.0, -1.1 * forms.g * forms.xi_abs - 1.0)
+                  if (F := factor(t)) is not None), (None, None))
+    if F is None:
         raise SolverDivergence("no shift is below the spectrum")
-    v, alpha = dpbtrs(factor[0], band_mv(M, np.ones(K.shape[1])))[0], math.inf
-    bisect_root(above, lo, float(v @ band_mv(K, v)) / float(v @ band_mv(M, v)), eps)
-    for _step in range(INV_MAX_ITER):
-        v = dpbtrs(factor[0], band_mv(M, v))[0]
-        v /= np.abs(v).max()
-        prev, alpha = alpha, float(v @ band_mv(K, v)) / float(v @ band_mv(M, v))
-        if abs(alpha - prev) <= eps:
-            return alpha, j_normalize(forms, v)
-    raise SolverDivergence(f"inverse iteration did not settle in {INV_MAX_ITER} steps")
+    v, hi = np.ones(K.shape[1]), math.inf
+    while True:
+        alpha, move = math.inf, math.inf
+        for _step in range(INV_MAX_ITER):
+            v = dpbtrs(F, band_mv(M, v))[0]
+            v /= np.abs(v).max()
+            prev, alpha = alpha, float(v @ band_mv(K, v)) / float(v @ band_mv(M, v))
+            move, last = abs(alpha - prev), move
+            if move <= eps or move > INV_CONTRACTION * last:
+                break
+        hi = min(hi, alpha)
+        if move <= eps:
+            if alpha - eps <= lo:  # lo < alpha_1 <= alpha: certified
+                return alpha, j_normalize(forms, v)
+            cert = factor(alpha - eps)
+            if cert is not None:
+                lo, F = alpha - eps, cert
+                continue
+            hi = min(hi, alpha - eps)
+        if hi - lo <= eps:
+            raise SolverDivergence(f"inverse iteration did not settle in {INV_MAX_ITER} steps")
+        mid = 0.5 * (lo + hi)
+        below = factor(mid)
+        if below is None:
+            hi = mid
+        else:
+            lo, F = mid, below
 
 
 def _norm1(ab: np.ndarray) -> float:
@@ -431,26 +490,21 @@ def eig_residual(forms: QuadraticForms, s: float, alpha: float,
                  v: np.ndarray) -> float:
     """Normwise relative residual of an eigenpair of K = K0 + s K1:
     ||(K - alpha M) v|| / ((||K||_1 + |alpha| ||M||_1) ||v||)."""
-    K = forms.K0 + s * forms.K1
+    K, k_norm = forms.stiffness(s)
     r = band_mv(K, v) - alpha * band_mv(forms.M, v)
-    scale = (_norm1(K) + abs(alpha) * _norm1(forms.M)) * np.linalg.norm(v)
+    scale = (k_norm + abs(alpha) * forms.m_norm1) * np.linalg.norm(v)
     return float(np.linalg.norm(r) / scale)
 
 
-def certificate_eps(K: np.ndarray, M: np.ndarray) -> float:
-    """eps = CERT_ULPS u ||K||_1 / ||M||_1 (u the unit roundoff), the
-    round-off scale of the eigenvalues of (K, M) and the margin of
-    below_spectrum."""
-    return CERT_ULPS * np.finfo(float).eps / 2 * _norm1(K) / _norm1(M)
-
-
-def below_spectrum(K: np.ndarray, M: np.ndarray, alpha: float) -> bool:
+def below_spectrum(forms: QuadraticForms, s: float, alpha: float) -> bool:
     """Whether the banded Cholesky factorization of K - (alpha - eps) M
-    succeeds, eps = certificate_eps(K, M), which proves that every
-    eigenvalue of K v = alpha M v exceeds alpha - eps.  A Rayleigh quotient
-    alpha of K is at least the smallest eigenvalue, so success certifies
-    alpha as that eigenvalue to eps; a higher eigenvalue fails."""
-    shift = alpha - certificate_eps(K, M)
+    succeeds, K = K0 + s K1 and eps = forms.certificate_eps(s), which proves
+    that every eigenvalue of K v = alpha M v exceeds alpha - eps.  A
+    Rayleigh quotient alpha of K is at least the smallest eigenvalue, so
+    success certifies alpha as that eigenvalue to eps; a higher eigenvalue
+    fails."""
+    K, M = forms.stiffness(s)[0], forms.M
+    shift = alpha - forms.certificate_eps(s)
     return dpbtrf(K[:BAND + 1] - shift * M[:BAND + 1])[1] == 0
 
 
@@ -460,7 +514,7 @@ def is_min_eigenpair(forms: QuadraticForms, s: float, alpha: float,
     K0 + s K1 to the relative residual eig_tol (eig_residual) and alpha its
     smallest eigenvalue to eps (below_spectrum)."""
     return (eig_residual(forms, s, alpha, v) <= eig_tol
-            and below_spectrum(forms.K0 + s * forms.K1, forms.M, alpha))
+            and below_spectrum(forms, s, alpha))
 
 
 def evaluate_energy(forms: QuadraticForms, v: np.ndarray, s: float) -> tuple[float, float]:

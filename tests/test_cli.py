@@ -16,7 +16,7 @@ import rtstab
 from bench.inputs import WORKLOADS, cli_argv
 from bench.spans import TARGETS
 from rtstab import evolve, variational
-from rtstab.cli import build_parser, main
+from rtstab.cli import COMMANDS, build_parser, main
 from rtstab.config import load_config
 from rtstab.errors import ConfigError
 from tests.oracles import min_eig_dense
@@ -443,45 +443,73 @@ def test_nonpositive_or_nonfinite_flag_exit_2(tmp_path, capsys, command, flag, v
     assert err.count("\n") == 1 and f"{flag} must be finite and > 0" in err
 
 
-def test_default_run_skips_interpolate_and_optimize(tmp_path):
-    # the isothermal path needs neither; only a tabulated law imports them
-    cfg = write_config(tmp_path / "cfg.json", n=12, cutoff=1.2)
-    code = ("import sys\n"
-            "from rtstab.cli import main\n"
-            f"assert main(['dispersion', '--config', {str(cfg)!r}, "
-            f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.special', "
-            "'scipy.optimize') if m in sys.modules))\n")
+# what no command of the benchmark may load: any scipy module (its package
+# init included), numpy.polynomial, fractions, and the modules of classify
+# and extend
+UNLOADED = ("import sys\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith("
+            "('scipy.', 'numpy.polynomial')) or m in ('fractions', 'decimal', "
+            "'rtstab.classify', 'rtstab.poisson_ext')))\n")
+
+
+def _run_fresh(code: str) -> list[str]:
+    """The lines that code prints in a fresh interpreter importing rtstab
+    from this checkout."""
     src = str(Path(rtstab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
+
+
+def test_default_run_skips_interpolate_and_optimize(tmp_path):
+    # neither the isothermal path nor a tabulated law, whose PCHIP and
+    # inverse are rtstab's own, loads any scipy module
+    cfg = write_config(tmp_path / "cfg.json", n=12, cutoff=1.2)
+    doc = json.loads(cfg.read_text())
+    rho = np.linspace(0.5, 3.0, 60).tolist()
+    doc["fluids"]["plus"]["law"] = {"kind": "tabulated", "rho": rho, "p": rho}
+    tabulated = tmp_path / "tabulated.json"
+    tabulated.write_text(json.dumps(doc))
+    for config in (cfg, tabulated):
+        out = tmp_path / config.stem
+        code = ("from rtstab.cli import main\n"
+                f"assert main(['dispersion', '--config', {str(config)!r}, "
+                f"'--out', {str(out)!r}]) == 0\n" + UNLOADED)
+        assert _run_fresh(code) == ["[]"]
+        assert (out / "dispersion.csv").is_file()
 
 
 def test_startup_loads_no_scipy_subpackage(tmp_path):
     # scipy.linalg and scipy.sparse load scipy._lib._util, whose array-API
     # layer imports numpy.f2py and numpy.testing: most of a bare start-up.
-    # Neither the import nor a dispersion, a mode and an oracle run may load them
+    # Neither the import nor a dispersion, a mode and an oracle run may load
+    # them, nor anything else of UNLOADED
     cfg = write_config(tmp_path / "cfg.json", n=12)
-    heavy = ("scipy.linalg", "scipy.sparse", "scipy._lib._util", "numpy.f2py",
-             "numpy.testing")
+    heavy = ("numpy.f2py", "numpy.testing")
     code = ("import sys\n"
             "import rtstab.cli\n"
             f"heavy = {heavy!r}\n"
-            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n" + UNLOADED +
             f"base = ['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]\n"
             "assert rtstab.cli.main(['dispersion'] + base) == 0\n"
             "assert rtstab.cli.main(['mode', '--xi', '1.0'] + base) == 0\n"
             "assert rtstab.cli.main(['oracle', '--xi', '1.0'] + base) == 0\n"
-            "print(sorted(m for m in heavy if m in sys.modules))\n")
-    src = str(Path(rtstab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+            "print(sorted(m for m in heavy if m in sys.modules))\n" + UNLOADED)
+    assert _run_fresh(code) == ["[]"] * 4
     assert (tmp_path / "o" / "mode.csv").is_file()
     assert (tmp_path / "o" / "trajectory.csv").is_file()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["rayleigh"], []])
+def test_help_lists_every_command(argv, capsys):
+    # main builds the parser of the one command it runs; help, an unknown
+    # command and none at all still name every command
+    with pytest.raises(SystemExit):
+        main(argv)
+    captured = capsys.readouterr()
+    assert len(COMMANDS) == 8
+    assert "{" + ",".join(COMMANDS) + "}" in captured.out + captured.err
 
 
 def test_load_config_validates(tmp_path):

@@ -17,7 +17,7 @@ from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from rtstab.evolve import EvolutionOperators, semidiscretize
 from rtstab.variational import (band_mv, below_spectrum, bisect_root, build_mesh,
-                                certificate_eps, eig_residual, form_coefficients,
+                                eig_residual, form_coefficients,
                                 is_min_eigenpair, min_eig)
 from tests.conftest import unit_params, unit_profile
 from tests.oracles import (dedup_lattice_fraction, min_eig_dense, negativity_probe,
@@ -367,7 +367,7 @@ def test_chain_across_the_window_edge(mesh100, monkeypatch):
     s_min = 1e-8 * s_max
     for p in decaying:
         forms = coeffs.at(p.xi_abs)
-        eps = certificate_eps(forms.K0 + s_min * forms.K1, forms.M)
+        eps = forms.certificate_eps(s_min)
         assert abs(p.alpha_at_star - min_eig(forms, s_min)[0]) <= eps
     for p in growing:
         assert p.converged
@@ -429,7 +429,7 @@ def test_continued_probes_match_standalone_probes(name, cutoff, rows, mesh100,
     for p in curve:
         forms = coeffs.at(p.xi_abs)
         alpha, v = min_eig(forms, s_min)
-        eps = certificate_eps(forms.K0 + s_min * forms.K1, forms.M)
+        eps = forms.certificate_eps(s_min)
         assert p.lam == 0.0 and p.converged
         assert abs(p.alpha_at_star - alpha) <= eps
         assert abs(p.minimizer @ band_mv(forms.M, v)) == pytest.approx(1.0, abs=1e-6)
@@ -454,7 +454,7 @@ def test_certificate_rejects_a_planted_second_eigenvector(mesh100, monkeypatch):
     monkeypatch.setattr(dispersion, "below_spectrum", recorded)
     calls = _count_min_eig(monkeypatch)
     pt = growth_rate(coeffs, 2.0, start=v2)
-    eps = certificate_eps(forms.K0 + s_min * forms.K1, forms.M)
+    eps = forms.certificate_eps(s_min)
     assert len(asked) == 1 and asked[0][1] is False
     assert abs(asked[0][0] - alpha2) <= eps and alpha2 > cold.alpha_at_star + 1e3 * eps
     assert calls == [2.0]  # the fallback probe
@@ -518,9 +518,11 @@ def test_dedup_lattice_exact(params):
 @example(L1=1.0, L2=1.0, limit=12.0)
 @given(L1=st.floats(0.05, 5.0), L2=st.floats(0.05, 5.0), limit=st.floats(0.1, 8.0))
 def test_dedup_lattice_matches_the_fraction_reference(L1, L2, limit):
-    # integer keys: the same rows, representatives, order and |xi|^2
+    # integer keys: the same rows, representatives, order and |xi|^2, which
+    # comes as the float nearest the exact ratio
     prm = unit_params(L1=L1, L2=L2)
-    assert _dedup_lattice(prm, limit) == dedup_lattice_fraction(prm, limit)
+    assert _dedup_lattice(prm, limit) == [(float(key), mn) for key, mn
+                                          in dedup_lattice_fraction(prm, limit)]
 
 
 def test_sweep_admissible_set(unstable_profile):

@@ -131,6 +131,33 @@ def test_min_eig_refuses_what_it_cannot_certify(unstable_profile, mesh40, monkey
         min_eig(forms, 1e-6)
 
 
+@pytest.mark.parametrize("s", [1e-6, 0.3, 1.0])
+def test_min_eig_bisects_on_after_a_failed_certificate(unstable_profile, mesh40,
+                                                       monkeypatch, s):
+    # refuse the first certificate, the one Cholesky shift within 2 eps of
+    # the smallest eigenvalue (every bracket shift lies millions of eps
+    # away): min_eig must bisect on and certify the same eigenvalue
+    forms = form_coefficients(mesh40, unstable_profile).at(1.0)
+    a_dense, _ = min_eig_dense(forms, s)
+    K, M, eps = forms.stiffness(s)[0], forms.M, forms.certificate_eps(s)
+    j = int(np.argmax(M[BAND]))
+    refused = []
+
+    def refuse_first_certificate(ab):
+        shift = (K[BAND, j] - ab[BAND, j]) / M[BAND, j]
+        if not refused and abs(shift - a_dense) <= 2 * eps:
+            refused.append(shift)
+            return ab, 1
+        return dpbtrf(ab)
+
+    monkeypatch.setattr(variational, "dpbtrf", refuse_first_certificate)
+    alpha, v = min_eig(forms, s)
+    assert len(refused) == 1
+    assert abs(alpha - a_dense) <= 1e-9
+    monkeypatch.undo()
+    assert is_min_eigenpair(forms, s, alpha, v, 1e-12)
+
+
 def test_sparse_matches_dense_past_sigma_c(unstable_profile):
     # supercritical tension: at s = 1e-8 S_max the lowest eigenvalues are
     # small, positive and clustered, so the certified shift 0 is used
@@ -429,3 +456,9 @@ def test_min_eig_requires_positive_s(unstable_profile, mesh40):
     forms = form_coefficients(mesh40, unstable_profile).at(1.0)
     with pytest.raises(ValueError):
         min_eig(forms, 0.0)
+
+
+def test_gauss_rule_is_leggauss():
+    # the literals spare start-up numpy.polynomial; they are its rule to the bit
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert np.array_equal(variational.GAUSS_X, x) and np.array_equal(variational.GAUSS_W, w)
