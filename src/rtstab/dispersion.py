@@ -63,13 +63,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from .variational import (BAND, FormCoefficients, QuadraticForms, band_mv,
-                          below_spectrum, bisect_root, eig_residual,
-                          evaluate_energy, is_min_eigenpair, j_normalize, min_eig)
+from .variational import (FACTORIZATIONS, FormCoefficients, QuadraticForms, band_mv,
+                          below_spectrum, bisect_root, cholesky, eig_residual,
+                          evaluate_energy, is_min_eigenpair, j_normalize, lu, min_eig)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
@@ -84,15 +83,12 @@ class DispersionPoint:
     lam is the fixed-point rate (0 when no growing mode exists at this
     frequency); alpha_at_star is the Rayleigh quotient of K0 + lam K1 at the
     minimizer, alpha(lam) (for lam = 0 it is the stability probe
-    alpha(s_min) >= 0); iterations counts the eigensolves and every
-    factorization of the solve (growth_rate), so a row continued from its
-    predecessor counts the Cholesky test of T(s_min), the LU steps and the
-    certificate of the root or of the probe, with no eigensolve, and the
-    certificate behind converged is not counted; converged says that a
-    growing rate's enclosure was certified and, for every point, that the
-    minimizer's relative eigen-residual is within eig_tol and that a
-    Cholesky factorization certifies alpha_at_star as the smallest
-    eigenvalue to QuadraticForms.certificate_eps.  The minimizer
+    alpha(s_min) >= 0); iterations counts every band factorization made
+    for the row, the certificates behind converged included; converged
+    says that a growing rate's enclosure was certified and, for every
+    point, that the minimizer's relative eigen-residual is within eig_tol
+    and that a Cholesky factorization certifies alpha_at_star as the
+    smallest eigenvalue to QuadraticForms.certificate_eps.  The minimizer
     lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2, ...), in the
     dof order of Mesh1D.dofs.
     """
@@ -154,17 +150,10 @@ def _pencil(forms: QuadraticForms, s: float) -> np.ndarray:
     return forms.K0 + s * forms.K1 + (s * s) * forms.M
 
 
-def _cholesky(forms: QuadraticForms, s: float) -> np.ndarray | None:
-    """The upper band Cholesky factor of T(s), or None when the
-    factorization fails, which happens exactly when s <= lambda."""
-    U, info = dpbtrf(_pencil(forms, s)[:BAND + 1])
-    return U if info == 0 else None
-
-
 def _definite(forms: QuadraticForms, s: float) -> bool:
     """Whether the banded Cholesky factorization of T(s) succeeds, which
     holds exactly when s > lambda."""
-    return _cholesky(forms, s) is not None
+    return cholesky(_pencil(forms, s)) is not None
 
 
 def _rayleigh_functional(forms: QuadraticForms, v: np.ndarray) -> float:
@@ -177,30 +166,29 @@ def _rayleigh_functional(forms: QuadraticForms, v: np.ndarray) -> float:
 
 def _shifted_iterate(shifted, functional, v: np.ndarray, M: np.ndarray, tol: float,
                      max_iter: int, lo: float = -math.inf,
-                     hi: float = math.inf) -> tuple[float, np.ndarray, int]:
+                     hi: float = math.inf) -> tuple[float, np.ndarray]:
     """Inverse iteration with a moving shift from v: rho = functional(v),
-    then v <- shifted(rho)^-1 M v by one band LU factorization per step and
-    rho = functional(v) again.  Returns (rho, v, factorizations), where the
-    last step moved rho by at most tol; rho is nan when it leaves [lo, hi]
-    (nan included), shifted(rho) is exactly singular or max_iter steps do
-    not settle."""
-    lu = np.zeros((3 * BAND + 1, v.size), order="F")  # BAND rows for the fill
-    rho, step, count = functional(v), math.inf, 0
-    while count < max_iter and lo <= rho <= hi and abs(rho - step) > tol:
-        lu[BAND:] = shifted(rho)
-        factor, piv, info = dgbtrf(lu, BAND, BAND)
-        count += 1
-        if info != 0:
-            return math.nan, v, count
-        v = dgbtrs(factor, BAND, BAND, band_mv(M, v), piv)[0]
+    then v <- shifted(rho)^-1 M v by one band LU factorization (lu) per
+    step and rho = functional(v) again.  Returns (rho, v), where the last
+    step moved rho by at most tol; rho is nan when it leaves [lo, hi] (nan
+    included), shifted(rho) is exactly singular or max_iter steps do not
+    settle."""
+    rho, step = functional(v), math.inf
+    for _step in range(max_iter):
+        if not (lo <= rho <= hi and abs(rho - step) > tol):
+            break
+        solve = lu(shifted(rho))
+        if solve is None:
+            return math.nan, v
+        v = solve(band_mv(M, v))
         v /= np.abs(v).max()
         step, rho = rho, functional(v)
     settled = lo <= rho <= hi and abs(rho - step) <= tol
-    return (rho if settled else math.nan), v, count
+    return (rho if settled else math.nan), v
 
 
 def _rf_iterate(forms: QuadraticForms, v: np.ndarray, s_min: float,
-                s_max: float, delta: float) -> tuple[float, np.ndarray, int]:
+                s_max: float, delta: float) -> tuple[float, np.ndarray]:
     """Rayleigh-functional iteration from v on T(rho) (_shifted_iterate) in
     [s_min, s_max], to a step of at most delta and RF_MAX_ITER steps."""
     return _shifted_iterate(lambda rho: _pencil(forms, rho),
@@ -208,10 +196,10 @@ def _rf_iterate(forms: QuadraticForms, v: np.ndarray, s_min: float,
                             delta, RF_MAX_ITER, s_min, s_max)
 
 
-def _continued_probe(forms: QuadraticForms, s: float, U: np.ndarray,
-                     v: np.ndarray) -> tuple[float, np.ndarray, int]:
-    """The probe alpha(s) from v: (alpha, v, factorizations), given the
-    Cholesky factor U of T(s) = K + s^2 M, K = K0 + s K1.  One inverse
+def _continued_probe(forms: QuadraticForms, s: float, solve,
+                     v: np.ndarray) -> tuple[float, np.ndarray]:
+    """The probe alpha(s) from v: (alpha, v), given the Cholesky solve of
+    T(s) = K + s^2 M, K = K0 + s K1 (cholesky).  One inverse
     iteration step v <- T(s)^-1 M v (its shift -s^2 lies below the spectrum,
     so it damps the components of v along the higher eigenvectors), then
     Rayleigh-quotient iteration: rho = v^T K v / v^T M v, each step by the
@@ -221,28 +209,24 @@ def _continued_probe(forms: QuadraticForms, s: float, U: np.ndarray,
     eigenvalue to eps.  alpha is nan when a factorization is singular, the
     iteration does not settle or the certificate fails."""
     K, M, eps = forms.stiffness(s)[0], forms.M, forms.certificate_eps(s)
-    alpha, v, count = _shifted_iterate(
+    alpha, v = _shifted_iterate(
         lambda rho: K - rho * M,
         lambda u: float(u @ band_mv(K, u)) / float(u @ band_mv(M, u)),
-        dpbtrs(U, band_mv(M, v))[0], M, eps, RQ_MAX_ITER)
-    if math.isfinite(alpha):
-        count += 1
-        if not below_spectrum(forms, s, alpha):
-            alpha = math.nan
-    return alpha, v, count
+        solve(band_mv(M, v)), M, eps, RQ_MAX_ITER)
+    if math.isfinite(alpha) and not below_spectrum(forms, s, alpha):
+        alpha = math.nan
+    return alpha, v
 
 
 def _certified_root(forms: QuadraticForms, v: np.ndarray, s_min: float,
-                    s_max: float, delta: float) -> tuple[float, np.ndarray, int]:
-    """_rf_iterate from v, then the certificate: (lam, v, factorizations),
-    where lam is nan unless the Cholesky factorization of T(lam + delta)
-    succeeded, which proves lam <= lambda < lam + delta."""
-    lam, v, count = _rf_iterate(forms, v, s_min, s_max, delta)
-    if math.isfinite(lam):
-        count += 1
-        if not _definite(forms, lam + delta):
-            lam = math.nan
-    return lam, v, count
+                    s_max: float, delta: float) -> tuple[float, np.ndarray]:
+    """_rf_iterate from v, then the certificate: (lam, v), where lam is nan
+    unless the Cholesky factorization of T(lam + delta) succeeded, which
+    proves lam <= lambda < lam + delta."""
+    lam, v = _rf_iterate(forms, v, s_min, s_max, delta)
+    if math.isfinite(lam) and not _definite(forms, lam + delta):
+        lam = math.nan
+    return lam, v
 
 
 def growth_rate(coeffs: FormCoefficients, xi_abs: float,
@@ -263,56 +247,52 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
     minimizer.  If the certificate fails, v^T K0 v >= 0, an iterate leaves
     [s_min, S_max] or the iteration does not settle, the root comes from the
     Cholesky-sign bisection on [s_min, S_max] (NoSignChange if T(S_max) is
-    not definite) and one eigensolve there.  numerics supplies s_max_factor,
-    root_tol and eig_tol.  xi_abs must be finite and > 0 (ValueError from
-    coeffs.at).
+    not definite) and one eigensolve there.  The point's iterations is the
+    rise of variational.FACTORIZATIONS during the call.  numerics supplies
+    s_max_factor, root_tol and eig_tol.  xi_abs must be finite and > 0
+    (ValueError from coeffs.at).
     """
     forms = coeffs.at(xi_abs)
     s_min, s_max = _bracket(coeffs.profile, numerics)
-    delta = numerics.root_tol * s_max
-    xi = (float(xi_abs), 0.0)
-    lam, iters = math.nan, 0  # iters: eigensolves and factorizations
-    eig_tol = numerics.eig_tol
+    delta, eig_tol = numerics.root_tol * s_max, numerics.eig_tol
+    first, lam = FACTORIZATIONS[0], math.nan
+
+    def point(rate, alpha, v, converged):
+        # converged is evaluated first, so its certificate is counted too
+        return DispersionPoint((float(xi_abs), 0.0), float(xi_abs), rate, alpha, v,
+                               FACTORIZATIONS[0] - first, converged)
+
     if start is not None:
-        iters += 1
-        U = _cholesky(forms, s_min)
-        if U is not None:  # lambda < s_min: continue the probe
-            alpha0, v0, count = _continued_probe(forms, s_min, U, start)
-            iters += count
+        solve = cholesky(_pencil(forms, s_min))
+        if solve is not None:  # lambda < s_min: continue the probe
+            alpha0, v0 = _continued_probe(forms, s_min, solve, start)
             if alpha0 >= 0:  # certified, so only the residual is left to test
                 v0 = j_normalize(forms, v0)
-                return DispersionPoint(
-                    xi, float(xi_abs), 0.0, alpha0, v0, iters,
-                    eig_residual(forms, s_min, alpha0, v0) <= eig_tol)
+                return point(0.0, alpha0, v0,
+                             eig_residual(forms, s_min, alpha0, v0) <= eig_tol)
         else:  # s_min < lambda: a growing frequency
-            lam, v, count = _certified_root(forms, start, s_min, s_max, delta)
-            iters += count
+            lam, v = _certified_root(forms, start, s_min, s_max, delta)
     if not math.isfinite(lam):
         alpha0, v0 = min_eig(forms, s_min)
-        iters += 1
         if alpha0 >= 0:
-            return DispersionPoint(xi, float(xi_abs), 0.0, alpha0, v0, iters,
-                                   is_min_eigenpair(forms, s_min, alpha0, v0, eig_tol))
+            return point(0.0, alpha0, v0,
+                         is_min_eigenpair(forms, s_min, alpha0, v0, eig_tol))
         f_lo = s_min**2 + alpha0
         if f_lo > 0:
             raise NoSignChange(
                 f"alpha({s_min}) = {alpha0} < 0 but f(s_min) = {f_lo} > 0 at |xi| = {xi_abs}")
-        lam, v, count = _certified_root(forms, v0, s_min, s_max, delta)
-        iters += count
+        lam, v = _certified_root(forms, v0, s_min, s_max, delta)
     if math.isfinite(lam):
         v = j_normalize(forms, v)
         e_val, j_val = evaluate_energy(forms, v, lam)
         alpha = e_val / j_val
-        return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters,
-                               is_min_eigenpair(forms, lam, alpha, v, eig_tol))
-    iters += 1  # the Cholesky test of T(S_max)
+        return point(lam, alpha, v, is_min_eigenpair(forms, lam, alpha, v, eig_tol))
     if not _definite(forms, s_max):
         raise NoSignChange(
             f"T(S_max) is not definite at |xi| = {xi_abs}; root exceeds the growth bound")
-    lam, steps = bisect_root(lambda s: _definite(forms, s), s_min, s_max, delta)
+    lam = bisect_root(lambda s: _definite(forms, s), s_min, s_max, delta)[0]
     alpha, v = min_eig(forms, lam)
-    return DispersionPoint(xi, float(xi_abs), lam, alpha, v, iters + steps + 1,
-                           is_min_eigenpair(forms, lam, alpha, v, eig_tol))
+    return point(lam, alpha, v, is_min_eigenpair(forms, lam, alpha, v, eig_tol))
 
 
 def _dedup_lattice(params: PhysicalParams, limit: float):

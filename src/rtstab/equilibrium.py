@@ -82,13 +82,8 @@ class PressureLaw:
                 raise ValueError("tabulated law must be strictly increasing in rho and P")
             if rho[0] <= 0 or p[0] <= 0:
                 raise ValueError("tabulated law must have positive rho and P")
-            interp = _hermite(rho, p, _pchip_slopes(rho, p))
-            # Monotone data + pchip give dP/drho >= 0; verify strictness away
-            # from the nodes so DegeneratePressure can surface early.
-            probe = np.linspace(rho[0], rho[-1], 8 * rho.size)
-            if np.any(interp(probe, 1) < 0):
-                raise ValueError("tabulated interpolant lost monotonicity")
-            object.__setattr__(self, "_interp", interp)
+            # strictly increasing data give a monotone PCHIP cubic
+            object.__setattr__(self, "_interp", _hermite(rho, p, _pchip_slopes(rho, p)))
             object.__setattr__(self, "rho_table", rho)
             object.__setattr__(self, "p_table", p)
         else:
@@ -131,13 +126,16 @@ class PressureLaw:
 
     def inverse(self, p: float) -> float:
         """rho with P(rho) = p, to relative tolerance 1e-12: a tabulated
-        law bisects its increasing interpolant to INVERSE_TOL."""
+        law bisects its increasing interpolant to INVERSE_TOL, up to the
+        larger of p_table[-1] and its value at rho_table[-1], which the last
+        cubic can round above p_table[-1]."""
         if self.kind == "polytropic":
             if p <= 0:
                 raise InverseFailure(f"pressure-law inverse undefined for p = {p}")
             k, gamma = self.params
             return (p / k) ** (1.0 / gamma)
-        lo, hi = float(self.p_table[0]), float(self.p_table[-1])
+        lo = float(self.p_table[0])
+        hi = max(float(self.p_table[-1]), float(self._interp(self.rho_table[-1])))
         if not (lo <= p <= hi):
             raise InverseFailure(f"pressure {p} outside table range [{lo}, {hi}]")
         a, b = float(self.rho_table[0]), float(self.rho_table[-1])

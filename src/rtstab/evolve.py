@@ -50,12 +50,13 @@ alone with the symmetric band matrix
 
     L = Mu + dt/2 Du + dt^2/4 S,   S = -F G = B^T H^-1 B + diag(c),
 
-of the forms' half-bandwidth BAND, factorized once per run: by dpbtrf when
-L is positive definite (the usual case for a small forward dt), whose
-success is the certificate, else by dgbtrf with partial pivoting (dt < 0,
-or a dt large enough for a negative interface coefficient to win).  For a
-stable orientation (jump < 0) the full energy adds -1/2 jump g eta_-^2 > 0
-and is non-increasing at every step, to round-off.  A run checks the
+of the forms' half-bandwidth BAND, factorized once per run by
+variational.cholesky when L is positive definite (the usual case for a
+small forward dt), whose success is the certificate, else by
+variational.lu with partial pivoting (dt < 0, or a dt large enough for a
+negative interface coefficient to win).  For a stable orientation (jump <
+0) the full energy adds -1/2 jump g eta_-^2 > 0 and is non-increasing at
+every step, to round-off.  A run checks the
 identity on each ring of BLOCK steps and keeps no state but its last.
 Growth rates are measured by least squares on log|eta_-(t)| and
 cross-checked against the variational fixed point.
@@ -68,11 +69,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import csr_matvec, csr_matvecs, dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from ._kernels import csr_matvec, csr_matvecs
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
-from .variational import (BAND, FormCoefficients, check_frequency, scatter,
-                          surface_coefficients)
+from .variational import (BAND, FormCoefficients, check_frequency, cholesky, lu,
+                          scatter, surface_coefficients)
 
 BLOCK = 16  # steps per ring of states in advance(); its energy balance runs per ring
 
@@ -228,15 +229,13 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
         L u+ = (2 Mu - L) u + dt F z,   L = Mu + dt/2 Du + dt^2/4 S,
 
     one CSR product and one band solve, and then z+ is one CSR product more.
-    L is factorized once: by dpbtrf, and each solve is one dpbtrs, when L is
-    positive definite; otherwise by dgbtrf with BAND zero rows on top of the
-    band storage as room for the fill of the pivoting, and each solve is one
-    dgbtrs.  The steps fill a ring of BLOCK + 1 states, which goes to
-    energy_balance_residual when full or at the end; its last state starts
-    the next ring.  A complex y0 raises ValueError: the operators are real,
-    so its real and imaginary parts are two separate trajectories.  A step
-    whose balance is not finite (the energy overflows once |y| > ~1e154, or
-    a state is not finite) raises SingularStep.
+    L is factorized once: by cholesky when L is positive definite, otherwise
+    by the pivoted lu.  The steps fill a ring of BLOCK + 1 states, which
+    goes to energy_balance_residual when full or at the end; its last state
+    starts the next ring.  A complex y0 raises ValueError: the operators are
+    real, so its real and imaginary parts are two separate trajectories.  A
+    step whose balance is not finite (the energy overflows once |y| >
+    ~1e154, or a state is not finite) raises SingularStep.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -247,19 +246,9 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
         raise ValueError("t_final must cover at least one step of size dt")
     h, nu = 0.5 * dt, ops.Mu.shape[1]
     lhs = ops.Mu + h * ops.Du + (h * h) * ops.S
-    factor, info = dpbtrf(lhs[:BAND + 1])
-    if info == 0:
-        def solve(b):
-            return dpbtrs(factor, b, overwrite_b=1)[0]
-    else:
-        pivoted = np.zeros((3 * BAND + 1, nu), order="F")
-        pivoted[BAND:] = lhs
-        lu, piv, info = dgbtrf(pivoted, BAND, BAND, overwrite_ab=1)
-        if info > 0:
-            raise SingularStep(f"implicit step matrix is singular (zero pivot {info})")
-
-        def solve(b):
-            return dgbtrs(lu, BAND, BAND, b, piv, overwrite_b=1)[0]
+    solve = cholesky(lhs) or lu(lhs)
+    if solve is None:
+        raise SingularStep("implicit step matrix is singular")
     indptr, cols, values = ops.F
     rhs = _csr(nu, _band_entries(ops.Mu - h * ops.Du - (h * h) * ops.S),
                (np.repeat(np.arange(nu), np.diff(indptr)), cols + nu, dt * values))

@@ -26,8 +26,10 @@ well-posed regardless.  The matrices are sparse: each dof couples only to
 its own node and the two neighbouring nodes, so in the node-by-node order
 (phi_1, psi_1, phi_2, psi_2, ...) of Mesh1D.dofs they are banded with
 half-bandwidth 3 and are assembled straight into LAPACK band storage.
-A shift lies below the spectrum exactly when the banded Cholesky
-factorization of K - shift M succeeds: min_eig runs inverse iteration
+Every factorization of that storage, here, in dispersion and in evolve, is
+a call of cholesky or lu, which return a solve and add one to the count
+FACTORIZATIONS.  A shift lies below the spectrum exactly when the banded
+Cholesky factorization of K - shift M succeeds: min_eig runs inverse iteration
 from the lower end of a bracket that it bisects on that test (Barth,
 Martin and Wilkinson, Numer. Math. 9, 1967) until the Rayleigh quotient
 settles to a round-off margin (QuadraticForms.certificate_eps).  below_spectrum makes the
@@ -63,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import dgbmv, dpbtrf, dpbtrs
+from ._kernels import dgbmv, dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .equilibrium import EquilibriumProfile
 from .errors import BandOverflow, SolverDivergence
 
@@ -76,6 +78,7 @@ GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
 BAND = 3  # half-bandwidth of the two-field pencil in node-by-node order
 CERT_ULPS = 128  # QuadraticForms.certificate_eps in unit roundoffs of ||K||_1 / ||M||_1
 MAX_BISECT = 200  # bisection steps (factorizations in min_eig) before SolverDivergence
+FACTORIZATIONS = [0]  # band factorizations by cholesky and lu since import; read its rise
 INV_MAX_ITER = 8  # inverse-iteration steps of one round of min_eig
 INV_CONTRACTION = 0.25  # a round of min_eig ends at a step that moves alpha more than this
 #                         fraction of the previous step's move
@@ -235,6 +238,33 @@ def band_mv(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for one vector x and A in the band storage of assemble."""
     w, n = ab.shape[0] // 2, ab.shape[1]
     return dgbmv(n, n, w, w, 1.0, ab, x)
+
+
+def cholesky(ab: np.ndarray):
+    """solve(b) = A^-1 b by the banded Cholesky factorization of the
+    symmetric A in the band storage of assemble with half-bandwidth BAND,
+    of which dpbtrf reads rows :BAND + 1 only (a caller may pass just
+    those), or None when the factorization fails, which happens exactly
+    when A is not positive definite.  solve may overwrite b."""
+    FACTORIZATIONS[0] += 1
+    U, info = dpbtrf(ab[:BAND + 1])
+    if info != 0:
+        return None
+    return lambda b: dpbtrs(U, b, overwrite_b=1)[0]
+
+
+def lu(ab: np.ndarray):
+    """solve(b) = A^-1 b by the band LU factorization with partial pivoting
+    of A in the band storage of assemble with half-bandwidth BAND, which
+    dgbtrf reads below BAND zero rows of room for the fill, or None when
+    A is exactly singular.  solve may overwrite b."""
+    FACTORIZATIONS[0] += 1
+    fill = np.zeros((3 * BAND + 1, ab.shape[1]), order="F")
+    fill[BAND:] = ab
+    factor, piv, info = dgbtrf(fill, BAND, BAND, overwrite_ab=1)
+    if info != 0:
+        return None
+    return lambda b: dgbtrs(factor, BAND, BAND, b, piv, overwrite_b=1)[0]
 
 
 @dataclass(frozen=True)
@@ -434,27 +464,24 @@ def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     if not 0.0 < s < math.inf:
         raise ValueError(f"modified-problem parameter s must be finite and > 0, got {s}")
     K, M, eps = forms.stiffness(s)[0], forms.M, forms.certificate_eps(s)
-    factorizations = 0
+    first = FACTORIZATIONS[0]
 
-    def factor(shift: float) -> np.ndarray | None:
-        """The Cholesky factor of K - shift M, None when shift is not below
+    def factor(shift: float):
+        """The Cholesky solve of K - shift M, None when shift is not below
         the spectrum."""
-        nonlocal factorizations
-        if factorizations == MAX_BISECT:
+        if FACTORIZATIONS[0] - first == MAX_BISECT:
             raise SolverDivergence(f"bisection exceeded {MAX_BISECT} steps")
-        factorizations += 1
-        F, info = dpbtrf(K[:BAND + 1] - shift * M[:BAND + 1])
-        return F if info == 0 else None
+        return cholesky(K[:BAND + 1] - shift * M[:BAND + 1])
 
-    lo, F = next(((t, F) for t in (0.0, -1.1 * forms.g * forms.xi_abs - 1.0)
-                  if (F := factor(t)) is not None), (None, None))
-    if F is None:
+    lo, solve = next(((t, f) for t in (0.0, -1.1 * forms.g * forms.xi_abs - 1.0)
+                      if (f := factor(t)) is not None), (None, None))
+    if solve is None:
         raise SolverDivergence("no shift is below the spectrum")
     v, hi = np.ones(K.shape[1]), math.inf
     while True:
         alpha, move = math.inf, math.inf
         for _step in range(INV_MAX_ITER):
-            v = dpbtrs(F, band_mv(M, v))[0]
+            v = solve(band_mv(M, v))
             v /= np.abs(v).max()
             prev, alpha = alpha, float(v @ band_mv(K, v)) / float(v @ band_mv(M, v))
             move, last = abs(alpha - prev), move
@@ -466,7 +493,7 @@ def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
                 return alpha, j_normalize(forms, v)
             cert = factor(alpha - eps)
             if cert is not None:
-                lo, F = alpha - eps, cert
+                lo, solve = alpha - eps, cert
                 continue
             hi = min(hi, alpha - eps)
         if hi - lo <= eps:
@@ -476,7 +503,7 @@ def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
         if below is None:
             hi = mid
         else:
-            lo, F = mid, below
+            lo, solve = mid, below
 
 
 def _norm1(ab: np.ndarray) -> float:
@@ -505,7 +532,7 @@ def below_spectrum(forms: QuadraticForms, s: float, alpha: float) -> bool:
     fails."""
     K, M = forms.stiffness(s)[0], forms.M
     shift = alpha - forms.certificate_eps(s)
-    return dpbtrf(K[:BAND + 1] - shift * M[:BAND + 1])[1] == 0
+    return cholesky(K[:BAND + 1] - shift * M[:BAND + 1]) is not None
 
 
 def is_min_eigenpair(forms: QuadraticForms, s: float, alpha: float,

@@ -220,21 +220,14 @@ def test_oracle_too_short_names_the_keys(tmp_path, capsys):
 
 def test_oracle_readme_config_steps_without_pivoting(tmp_path, monkeypatch):
     # the README pair at 400 elements per layer (the benchmark's oracle
-    # size): the velocity step matrix L is positive definite, so dpbtrf
+    # size): the velocity step matrix L is positive definite, so cholesky
     # factors it and no step goes through the pivoted band LU
-    calls = {"dgbtrf": 0, "dgbtrs": 0}
-    for name in calls:
-        original = getattr(evolve, name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(evolve, name, counted)
+    calls, lu = [], evolve.lu
+    monkeypatch.setattr(evolve, "lu", lambda ab: calls.append(1) or lu(ab))
     cfg = write_config(tmp_path / "cfg.json", n=400, cutoff=4.0, n_samples=513)
     assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--xi", "1.0"]) == 0
-    assert calls == {"dgbtrf": 0, "dgbtrs": 0}
+    assert calls == []
 
 
 def test_oracle_overflowing_energy_exit_3(tmp_path, capsys):

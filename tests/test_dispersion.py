@@ -18,7 +18,7 @@ from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from rtstab.evolve import EvolutionOperators, semidiscretize
 from rtstab.variational import (band_mv, below_spectrum, bisect_root, build_mesh,
                                 eig_residual, form_coefficients,
-                                is_min_eigenpair, min_eig)
+                                is_min_eigenpair, lu, min_eig)
 from tests.conftest import unit_params, unit_profile
 from tests.oracles import (dedup_lattice_fraction, min_eig_dense, negativity_probe,
                            psi_bump, psi_bump_norm_sq)
@@ -146,10 +146,14 @@ def test_bisect_root_contracts():
         bisect_root(above, 0.0, 10.0, 1e-12, 10)
 
 
-def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100):
+def test_growth_rate_newton_readme_scenario(unstable_profile, params, mesh100,
+                                            monkeypatch):
     coeffs = form_coefficients(mesh100, unstable_profile)
+    lu_calls = _count_lu(monkeypatch)
     pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
-    assert pt.converged and pt.iterations <= 12
+    # at most 10 Rayleigh-functional steps: 12 factorizations and eigensolves
+    # less the probe and the certificate
+    assert pt.converged and len(lu_calls) <= 10
     # the same root by plain bisection on the sign of s^2 + alpha(s)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     root, _ = bisect_root(lambda s: s * s + min_eig(forms, s)[0] > 0,
@@ -194,15 +198,24 @@ def _count_min_eig(monkeypatch):
     return calls
 
 
+def _count_lu(monkeypatch):
+    """Record every band LU factorization that dispersion makes: the steps
+    of the Rayleigh-functional and Rayleigh-quotient iterations."""
+    calls = []
+    monkeypatch.setattr(dispersion, "lu", lambda ab: calls.append(1) or lu(ab))
+    return calls
+
+
 @pytest.mark.parametrize("name", ["isothermal", "polytropic", "0.5", "0.99", "0.999"])
 def test_rayleigh_functional_encloses_the_root(name, unstable_profile, mesh100,
                                                monkeypatch):
     prof, xi, s_max = _scenario(name, unstable_profile)
-    calls = _count_min_eig(monkeypatch)
+    calls, lu_calls = _count_min_eig(monkeypatch), _count_lu(monkeypatch)
     coeffs = form_coefficients(mesh100, prof)
     pt = growth_rate(coeffs, xi)
     assert len(calls) == 1  # the probe: the root took factorizations only
-    assert pt.converged and pt.lam > 0 and pt.iterations <= 10
+    # 10 eigensolves and factorizations less the probe and the certificate
+    assert pt.converged and pt.lam > 0 and len(lu_calls) <= 8
     delta = 1e-10 * s_max
     forms = coeffs.at(xi)
     assert pt.lam - delta <= _tight_root(forms, s_max) <= pt.lam + delta
@@ -213,16 +226,49 @@ def test_rayleigh_functional_encloses_the_root(name, unstable_profile, mesh100,
 def test_forced_fallback_bisects_to_the_root(unstable_profile, params, mesh100,
                                              monkeypatch):
     monkeypatch.setattr(dispersion, "_rf_iterate",
-                        lambda forms, v, s_min, s_max, delta: (math.nan, v, 0))
-    calls = _count_min_eig(monkeypatch)
+                        lambda forms, v, s_min, s_max, delta: (math.nan, v))
+    calls, tests = _count_min_eig(monkeypatch), []
+    definite = dispersion._definite
+    monkeypatch.setattr(dispersion, "_definite",
+                        lambda forms, s: tests.append(s) or definite(forms, s))
     coeffs = form_coefficients(mesh100, unstable_profile)
     pt, forms = growth_rate(coeffs, 1.0), coeffs.at(1.0)
     s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * 1e-10 * s_max
     assert pt.converged and len(calls) == 2  # the probe and one at the root
-    # the probe, the Cholesky test of T(S_max), 34 sign tests that halve
-    # [s_min, S_max] below 1e-10 S_max, and the eigensolve at the root
-    assert pt.iterations == 37
+    # the Cholesky test of T(S_max) and 34 sign tests that halve
+    # [s_min, S_max] below 1e-10 S_max
+    assert tests[0] == s_max and len(tests) == 35
+
+
+def test_iterations_count_every_band_factorization(unstable_profile, mesh100,
+                                                   monkeypatch):
+    # on every kind of row, iterations is the number of dpbtrf and dgbtrf
+    # calls made for it, the certificates behind converged included
+    growing = form_coefficients(mesh100, unstable_profile)
+    decaying = form_coefficients(mesh100, _past_sigma_c("isothermal"))
+    start_g, start_d = (growth_rate(c, 1.0).minimizer for c in (growing, decaying))
+    factorizations = []
+    for name in ("dpbtrf", "dgbtrf"):
+        monkeypatch.setattr(variational, name,
+                            lambda *a, _fn=getattr(variational, name), **k:
+                            factorizations.append(1) or _fn(*a, **k))
+    eigensolves = _count_min_eig(monkeypatch)
+
+    def row(coeffs, start=None):
+        """(growing, eigensolves) of the row at the sweep's second |xi|."""
+        factorizations.clear(), eigensolves.clear()
+        pt = growth_rate(coeffs, math.sqrt(2.0), start=start)
+        assert pt.converged and pt.iterations == len(factorizations)
+        return pt.lam > 0, len(eigensolves)
+
+    assert row(growing) == (True, 1)  # cold: the probe
+    assert row(growing, start_g) == (True, 0)  # continued
+    assert row(decaying) == (False, 1)
+    assert row(decaying, start_d) == (False, 0)
+    monkeypatch.setattr(dispersion, "_rf_iterate",
+                        lambda forms, v, s_min, s_max, delta: (math.nan, v))
+    assert row(growing) == (True, 2)  # the forced fallback: the probe and the root
 
 
 @pytest.mark.parametrize("plant", ["probe_start", "below_root"])
@@ -241,7 +287,7 @@ def test_certificate_rejects_a_planted_wrong_root(plant, unstable_profile, param
         rho = (dispersion._rayleigh_functional(forms, v) if plant == "probe_start"
                else root - 100 * delta)
         planted.append(rho)
-        return rho, v, 1
+        return rho, v
 
     monkeypatch.setattr(dispersion, "_rf_iterate", plant_iterate)
     pt = growth_rate(coeffs, 1.0)
@@ -259,13 +305,14 @@ def test_rayleigh_functional_iteration_gives_up(unstable_profile, params, mesh10
     # psi(0) = 0 leaves only the nonnegative bulk energy: v^T K0 v > 0
     v = np.zeros(mesh100.ndof)
     v[1] = 1.0
-    lam, _v, count = dispersion._rf_iterate(forms, v, *args)
-    assert math.isnan(lam) and count == 0
+    lu_calls = _count_lu(monkeypatch)
+    lam, _v = dispersion._rf_iterate(forms, v, *args)
+    assert math.isnan(lam) and lu_calls == []
     # a cap of one step cannot settle from the probe vector
     _alpha, v0 = min_eig(forms, args[0])
     monkeypatch.setattr(dispersion, "RF_MAX_ITER", 1)
-    lam, _v, count = dispersion._rf_iterate(forms, v0, *args)
-    assert math.isnan(lam) and count == 1
+    lam, _v = dispersion._rf_iterate(forms, v0, *args)
+    assert math.isnan(lam) and len(lu_calls) == 1
     pt = growth_rate(coeffs, 1.0)
     assert abs(pt.lam - _tight_root(forms, s_max)) <= 10 * args[2] and pt.converged
 
@@ -282,11 +329,23 @@ def test_one_eigensolve_per_chain(unstable_profile, mesh100, monkeypatch):
     # the README scenario's sweep is one chain of growing frequencies: its
     # first row's probe is the only eigensolve, and every later row starts
     # from its predecessor's root vector
-    calls = _count_min_eig(monkeypatch)
+    calls, lu_calls, rows = _count_min_eig(monkeypatch), _count_lu(monkeypatch), []
+    solve = dispersion.growth_rate
+
+    def counted(*args, **kwargs):
+        lu_calls.clear()
+        pt = solve(*args, **kwargs)
+        rows.append(len(lu_calls))
+        return pt
+
+    monkeypatch.setattr(dispersion, "growth_rate", counted)
     summary = sweep_lattice(form_coefficients(mesh100, unstable_profile), cutoff=4.0)
     assert len(summary.curve) == 8 and len(calls) == 1
-    assert all(p.lam > 0 and p.converged and p.iterations <= 10
-               for p in summary.curve)
+    assert all(p.lam > 0 and p.converged for p in summary.curve)
+    # at most 8 Rayleigh-functional steps per row: 10 eigensolves and
+    # factorizations less the probe or the Cholesky test of T(s_min), and
+    # the certificate
+    assert len(rows) == 8 and max(rows) <= 8
 
 
 def test_sweep_assembles_once_per_mesh(unstable_profile, mesh40, monkeypatch):

@@ -233,6 +233,32 @@ def test_tabulated_law_rejects_nonmonotone():
         PressureLaw.tabulated(rho, np.array([1.0, 2.0, 1.5, 4.0]))
 
 
+def test_tabulated_law_accepts_an_end_slope_rounded_below_zero():
+    # the last cubic's derivative at rho_table[-1] rounds to about -3e-14
+    # instead of its zero end slope; the table is strictly increasing, so
+    # the law is accepted and P' there is zero to round-off
+    rho = np.array([1.2252379256545407, 1.5359686108064539, 1.6476694027681293,
+                    3.3022236786886285])
+    p = np.array([0.016468385496857148, 0.12448837538087693, 47.884107620756716,
+                  87.86872864066004])
+    law = PressureLaw.tabulated(rho, p)
+    assert abs(float(law.derivative(rho[-1]))) <= 1e-12
+
+
+def test_tabulated_inverse_reaches_the_top_of_its_interpolant():
+    # value(rho[-1]) rounds 2.8e-14 above p[-1]: the inverse of either
+    # pressure is rho[-1]
+    rho = np.array([0.11730780875088981, 1.6882639772654038, 3.6219312106973183,
+                    3.9234828236666504, 4.299079239204389, 5.041039490288388])
+    p = np.array([47.35446385158705, 47.75230928123166, 80.87462367195755,
+                  91.69499370172743, 91.73564667540741, 136.8920851514969])
+    law = PressureLaw.tabulated(rho, p)
+    top = float(law.value(rho[-1]))
+    assert top > p[-1]
+    for q in (top, p[-1]):
+        assert abs(law.inverse(q) - rho[-1]) <= INVERSE_TOL * (1.0 + rho[-1])
+
+
 def test_inverse_failure_outside_table(params):
     rho = np.linspace(1.0, 2.0, 16)
     law = PressureLaw.tabulated(rho, 0.1 * rho)  # table max pressure 0.2 < p_atm

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgbtrf
 
 from rtstab import evolve
 from rtstab.config import NumericsConfig
@@ -18,7 +17,7 @@ from rtstab.evolve import (BLOCK, Trajectory, advance, energy_balance_residual,
                            semidiscretize, state_from_mode,
                            write_trajectory_csv)
 from rtstab.modes import assemble_mode, rotate_mode
-from rtstab.variational import BAND, build_mesh, form_coefficients
+from rtstab.variational import BAND, build_mesh, form_coefficients, lu
 from tests.conftest import unit_params, unit_profile
 from tests.oracles import (advance_dense, complex_operators, dense, embed_state,
                            energy_balance_two_pass, full_energy, lu_step,
@@ -194,8 +193,7 @@ def test_streamed_record_equals_the_full_record(monkeypatch, dt, n_steps, pivote
     ops = semidiscretize(form_coefficients(build_mesh(1.0, 1.0, 20, 20), prof), 1.0)
     y0 = np.zeros(ops.n) if zero else random_state(ops, seed=3)
     calls = []
-    monkeypatch.setattr(evolve, "dgbtrf",
-                        lambda *args, **kwargs: calls.append(1) or dgbtrf(*args, **kwargs))
+    monkeypatch.setattr(evolve, "lu", lambda ab: calls.append(1) or lu(ab))
     traj = advance(y0, ops, dt, n_steps * dt)
     assert len(calls) == pivoted
     ref = advance_dense(y0, ops, dt, n_steps * dt)
@@ -236,7 +234,7 @@ def test_advance_memory_does_not_grow_with_the_states(stable_profile):
 
 
 def test_singular_step_raises(unstable_setup):
-    # a step matrix L that is zero fails dpbtrf and then dgbtrf
+    # a step matrix L that is zero fails cholesky and then lu
     _mesh, _pt, _mode, ops = unstable_setup
 
     class Degenerate:
@@ -283,13 +281,12 @@ def test_both_step_paths_hold_the_backward_error(monkeypatch, dt, xi, pivoted):
     # the Cholesky factors serve when L = Mu + dt/2 Du + dt^2/4 S is
     # positive definite, as at dt = 5; a negative dt, or dt = 40 at |xi| = 1,
     # where the negative interface coefficient wins, makes it indefinite and
-    # the step falls back to dgbtrf.  Either path holds the bounds of
+    # the step falls back to the pivoted lu.  Either path holds the bounds of
     # test_banded_step_matches_complex_lu
     prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
                         sigma_minus=0.1)
     calls = []
-    monkeypatch.setattr(evolve, "dgbtrf",
-                        lambda *args, **kwargs: calls.append(1) or dgbtrf(*args, **kwargs))
+    monkeypatch.setattr(evolve, "lu", lambda ab: calls.append(1) or lu(ab))
     rel, backward = _step_against_complex_lu(prof, build_mesh(1.0, 1.0, 40, 40), xi, dt)
     assert len(calls) == pivoted
     assert rel <= 1e-11

@@ -1,6 +1,8 @@
 """The compiled kernels rtstab loads by path against scipy's own packages."""
 
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -75,3 +77,19 @@ def test_csr_products_are_bit_identical():
     _kernels.csr_matvec(N, 2 * N, A.indptr, A.indices, A.data, x, y)
     _kernels.csr_matvecs(N, 2 * N, 5, A.indptr, A.indices, A.data, X.ravel(), Y.ravel())
     _identical([y, Y], [A @ x, A @ X])
+
+
+def test_band_factorizations_have_one_home():
+    # every LAPACK band factorization and solve goes through
+    # variational.cholesky and variational.lu: no other module of the
+    # package names the routines, as a name, an attribute or an import
+    routines = {"dpbtrf", "dpbtrs", "dgbtrf", "dgbtrs"}
+    naming = set()
+    for path in Path(_kernels.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names |= {node.name, node.asname}
+            if names & routines:
+                naming.add(path.name)
+    assert naming == {"_kernels.py", "variational.py"}
