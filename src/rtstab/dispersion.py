@@ -42,18 +42,18 @@ window.  The sweep enumerates xi in (1/L1)Z x (1/L2)Z and deduplicates by
 forms' quadratic coefficients in |xi| (variational.form_coefficients) and
 reads every physical parameter from their profile.  It is one serial pass
 of growth_rate in ascending |xi|^2, which takes the forms at each point
-from the coefficients, one band combination each.  It continues along the
-lattice: every row after the first starts from its predecessor's vector,
-and a Cholesky test of T(s_min) picks the path.  When it fails (growth),
-that vector starts the Rayleigh-functional iteration.  When it succeeds
-(decay below s_min), the probe alpha(s_min) is continued instead: one
-inverse-iteration step with that Cholesky factor, Rayleigh-quotient steps
-on K0 + s_min K1 against M by band LU, and a Cholesky certificate that no
-eigenvalue lies below the settled quotient minus a round-off margin.  So a
-chain of growing or decaying frequencies takes one probe eigensolve, at its
-first row.  A start the iteration or a certificate rejects takes the probe
-path, whose cost is counted on top; outside the window that ends at a
-nonnegative alpha probe.
+from the coefficients, one band combination each.  One Cholesky test of
+T(s_min) decides every row.  When it fails (growth), the row's start vector
+starts the Rayleigh-functional iteration; when it succeeds (lambda <
+s_min), the probe alpha(s_min) is continued from the start: one
+inverse-iteration step with that factor, Rayleigh-quotient steps on K0 +
+s_min K1 against M by band LU, and a Cholesky certificate that no
+eigenvalue lies below the settled quotient minus a round-off margin.  Every
+row after the first starts from its predecessor's vector, its phi dofs
+scaled by |xi_prev| / |xi| to keep the divergence (rho psi)' + rho xi phi,
+so a chain of growing or decaying frequencies takes one probe eigensolve,
+at its first row.  A start the iteration or a certificate rejects takes the
+probe path, whose cost is counted on top.
 """
 
 from __future__ import annotations
@@ -80,17 +80,17 @@ RQ_MAX_ITER = 8  # Rayleigh-quotient steps before a continued probe takes min_ei
 class DispersionPoint:
     """One lattice frequency with its growth rate and solve metadata.
 
-    lam is the fixed-point rate (0 when no growing mode exists at this
-    frequency); alpha_at_star is the Rayleigh quotient of K0 + lam K1 at the
-    minimizer, alpha(lam) (for lam = 0 it is the stability probe
-    alpha(s_min) >= 0); iterations counts every band factorization made
-    for the row, the certificates behind converged included; converged
-    says that a growing rate's enclosure was certified and, for every
-    point, that the minimizer's relative eigen-residual is within eig_tol
-    and that a Cholesky factorization certifies alpha_at_star as the
-    smallest eigenvalue to QuadraticForms.certificate_eps.  The minimizer
-    lists (phi, psi) node by node, (phi_1, psi_1, phi_2, psi_2, ...), in the
-    dof order of Mesh1D.dofs.
+    lam is the fixed-point rate (0 when T(s_min) is positive definite, so
+    that no growing mode exists at this frequency); alpha_at_star is the
+    Rayleigh quotient of K0 + lam K1 at the minimizer, alpha(lam) (for lam =
+    0 it is the stability probe alpha(s_min) > -s_min^2); iterations counts
+    every band factorization made for the row, the certificates behind
+    converged included; converged says that a growing rate's enclosure was
+    certified and, for every point, that the minimizer's relative
+    eigen-residual is within eig_tol and that a Cholesky factorization
+    certifies alpha_at_star as the smallest eigenvalue to
+    QuadraticForms.certificate_eps.  The minimizer lists (phi, psi) node by
+    node, (phi_1, psi_1, phi_2, psi_2, ...), in the dof order of Mesh1D.dofs.
     """
 
     xi: tuple[float, float]
@@ -235,16 +235,14 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
     """Solve s^2 + alpha(s) = 0 at one frequency magnitude, on the forms
     coeffs.at(xi_abs) of the mesh and profile coeffs was built from.
 
-    Given a start vector, a failed Cholesky factorization of T(s_min) (s_min
-    < lambda) runs the certified Rayleigh-functional iteration of the module
-    docstring from start, with delta = root_tol S_max; a successful one
-    continues the probe from start (_continued_probe), and a certified
-    alpha(s_min) >= 0 returns lam = 0 with no eigensolve.  Otherwise, or
-    when either is rejected, the probe path runs: if the probe alpha(s_min) is
-    nonnegative there is no growing mode and lam = 0 is returned with the
-    probe value; a negative probe with s_min^2 + alpha(s_min) > 0 raises
-    NoSignChange.  Otherwise the certified iteration runs from the probe's
-    minimizer.  If the certificate fails, v^T K0 v >= 0, an iterate leaves
+    One Cholesky factorization of T(s_min) decides the row before any
+    eigensolve.  When it succeeds (lambda < s_min), lam = 0 is returned with
+    the probe alpha(s_min), continued from start with that factor
+    (_continued_probe) or, without a start or when that is rejected, by
+    min_eig.  When it fails, the certified Rayleigh-functional iteration of
+    the module docstring runs from start, with delta = root_tol S_max, and,
+    without a start or when that is rejected, from the probe's minimizer.
+    If the certificate fails, v^T K0 v >= 0, an iterate leaves
     [s_min, S_max] or the iteration does not settle, the root comes from the
     Cholesky-sign bisection on [s_min, S_max] (NoSignChange if T(S_max) is
     not definite) and one eigensolve there.  The point's iterations is the
@@ -255,33 +253,28 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
     forms = coeffs.at(xi_abs)
     s_min, s_max = _bracket(coeffs.profile, numerics)
     delta, eig_tol = numerics.root_tol * s_max, numerics.eig_tol
-    first, lam = FACTORIZATIONS[0], math.nan
+    first = FACTORIZATIONS[0]
 
     def point(rate, alpha, v, converged):
         # converged is evaluated first, so its certificate is counted too
         return DispersionPoint((float(xi_abs), 0.0), float(xi_abs), rate, alpha, v,
                                FACTORIZATIONS[0] - first, converged)
 
+    solve = cholesky(_pencil(forms, s_min))
+    if solve is not None:  # lambda < s_min: the row decays
+        alpha = math.nan
+        if start is not None:
+            alpha, v = _continued_probe(forms, s_min, solve, start)
+        if math.isfinite(alpha):  # certified, so only the residual is left to test
+            v = j_normalize(forms, v)
+            return point(0.0, alpha, v, eig_residual(forms, s_min, alpha, v) <= eig_tol)
+        alpha, v = min_eig(forms, s_min)
+        return point(0.0, alpha, v, is_min_eigenpair(forms, s_min, alpha, v, eig_tol))
+    lam = math.nan  # s_min < lambda: a growing frequency
     if start is not None:
-        solve = cholesky(_pencil(forms, s_min))
-        if solve is not None:  # lambda < s_min: continue the probe
-            alpha0, v0 = _continued_probe(forms, s_min, solve, start)
-            if alpha0 >= 0:  # certified, so only the residual is left to test
-                v0 = j_normalize(forms, v0)
-                return point(0.0, alpha0, v0,
-                             eig_residual(forms, s_min, alpha0, v0) <= eig_tol)
-        else:  # s_min < lambda: a growing frequency
-            lam, v = _certified_root(forms, start, s_min, s_max, delta)
+        lam, v = _certified_root(forms, start, s_min, s_max, delta)
     if not math.isfinite(lam):
-        alpha0, v0 = min_eig(forms, s_min)
-        if alpha0 >= 0:
-            return point(0.0, alpha0, v0,
-                         is_min_eigenpair(forms, s_min, alpha0, v0, eig_tol))
-        f_lo = s_min**2 + alpha0
-        if f_lo > 0:
-            raise NoSignChange(
-                f"alpha({s_min}) = {alpha0} < 0 but f(s_min) = {f_lo} > 0 at |xi| = {xi_abs}")
-        lam, v = _certified_root(forms, v0, s_min, s_max, delta)
+        lam, v = _certified_root(forms, min_eig(forms, s_min)[1], s_min, s_max, delta)
     if math.isfinite(lam):
         v = j_normalize(forms, v)
         e_val, j_val = evaluate_energy(forms, v, lam)
@@ -324,10 +317,11 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     """Scan lattice frequencies 0 < |xi| < cutoff and maximize the rate.
 
     Every frequency goes through growth_rate on coeffs, in ascending |xi|^2,
-    with the previous row's minimizer as start (None for the first row), so
-    a point gets lam = 0 only when its probe alpha(s_min), cold or
-    continued, is nonnegative; outside the instability window that probe is
-    the whole solve.  Each row carries its lattice representative as xi.
+    with the previous row's minimizer, its phi dofs scaled by |xi_prev| /
+    |xi|, as start (None for the first row), so a point gets lam = 0 exactly
+    when T(s_min) is positive definite; outside the instability window the
+    continued probe is the whole solve.  Each row carries its lattice
+    representative as xi.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise ValueError("cutoff must be finite and > 0")
@@ -337,9 +331,12 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     xi_c = critical_frequency(profile) if jump > 0 else math.nan
     curve, start = [], None
     for key, (m, n) in _dedup_lattice(params, cutoff):
-        pt = growth_rate(coeffs, math.sqrt(key), numerics, start)
+        xi_abs = math.sqrt(key)
+        if curve:  # phi scaled by |xi_prev| / |xi| keeps (rho psi)' + rho xi phi
+            start = curve[-1].minimizer.copy()
+            start[0::2] *= curve[-1].xi_abs / xi_abs
+        pt = growth_rate(coeffs, xi_abs, numerics, start)
         curve.append(replace(pt, xi=(m / params.L1, n / params.L2)))
-        start = pt.minimizer
     lam_max = 0.0
     argmax = None
     for pt in curve:

@@ -42,7 +42,8 @@ class SolverDivergence(AnalyzerError):
 
 
 class NoSignChange(AnalyzerError):
-    """Growth-rate root solve could not bracket a root despite alpha < 0."""
+    """Growth-rate root solve could not bracket a root: T(S_max) is not
+    positive definite."""
 
 
 class NotUnstableOrientation(AnalyzerError):

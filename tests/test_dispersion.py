@@ -366,15 +366,18 @@ def test_sweep_assembles_once_per_mesh(unstable_profile, mesh40, monkeypatch):
 
 
 def test_growth_rate_and_sweep_take_one_path(unstable_profile, mesh40):
-    # a single-frequency solve given the previous row's minimizer as start,
-    # and the sweep's row at the same |xi|, agree bit for bit; the first row
-    # has no predecessor and is the solve without start
+    # a single-frequency solve given the previous row's minimizer, its phi
+    # dofs scaled by |xi_prev| / |xi|, as start, and the sweep's row at the
+    # same |xi|, agree bit for bit; the first row has no predecessor and is
+    # the solve without start
     coeffs = form_coefficients(mesh40, unit_profile(sigma_minus=0.2, sigma_plus=0.1))
     summary = sweep_lattice(coeffs, cutoff=3.0)
     i = [p.xi_abs for p in summary.curve].index(2.0)
     prev, row = summary.curve[i - 1], summary.curve[i]
+    start = prev.minimizer.copy()
+    start[0::2] *= prev.xi_abs / 2.0
     pairs = [(summary.curve[0], growth_rate(coeffs, summary.curve[0].xi_abs)),
-             (row, growth_rate(coeffs, 2.0, start=prev.minimizer))]
+             (row, growth_rate(coeffs, 2.0, start=start))]
     assert prev.lam > 0 and row.lam > 0 and row.xi == (2.0, 0.0)
     for swept, alone in pairs:
         assert (swept.lam, swept.alpha_at_star, swept.iterations, swept.converged) == \
@@ -397,7 +400,7 @@ def test_rejected_start_takes_the_probe_path(unstable_profile, mesh100,
     assert (pt.lam, pt.alpha_at_star, pt.converged) == \
         (alone.lam, alone.alpha_at_star, alone.converged)
     assert np.array_equal(pt.minimizer, alone.minimizer)
-    assert pt.iterations == alone.iterations + 1  # the Cholesky test of T(s_min)
+    assert pt.iterations == alone.iterations  # both test T(s_min) once
     assert pt.lam > 0 and pt.converged
 
 
@@ -520,9 +523,73 @@ def test_certificate_rejects_a_planted_second_eigenvector(mesh100, monkeypatch):
     assert (pt.lam, pt.alpha_at_star, pt.converged) == \
         (cold.lam, cold.alpha_at_star, cold.converged)
     assert np.array_equal(pt.minimizer, cold.minimizer) and pt.converged
-    # the Cholesky test of T(s_min), one LU step or more and the
-    # certificate, on top of the probe
-    assert pt.iterations >= cold.iterations + 3
+    # one LU step or more and the certificate on top of the cold row, which
+    # makes the same Cholesky test of T(s_min)
+    assert pt.iterations >= cold.iterations + 2
+
+
+def test_stiff_sweep_continues_its_starts(mesh100, monkeypatch):
+    # on the stiff pair the previous row's minimizer, carried with its phi
+    # dofs scaled by |xi_prev| / |xi|, keeps v^T K0 v < 0 at the next |xi|:
+    # the chain takes the first row's probe and at most one more where a
+    # start is rejected (unscaled, every row's start was rejected: 16 probes)
+    prof = solve_equilibrium(PressureLaw.isothermal(400.0),
+                             PressureLaw.isothermal(800.0), unit_params(p_atm=400.0))
+    calls = _count_min_eig(monkeypatch)
+    curve = sweep_lattice(form_coefficients(mesh100, prof), cutoff=6.0).curve
+    assert len(curve) == 17 and all(p.lam > 0 and p.converged for p in curve)
+    assert calls[0] == curve[0].xi_abs and len(calls) <= 2
+
+
+def test_growing_row_ignores_a_planted_nonnegative_probe(unstable_profile, mesh40,
+                                                         monkeypatch):
+    # T(s_min) is not definite, so the row grows whatever the sign of the
+    # probe: a probe value of +1e-12 with the true minimizer starts the root
+    coeffs = form_coefficients(mesh40, unstable_profile)
+    true = growth_rate(coeffs, 1.0)
+    s_min = dispersion._bracket(unstable_profile, NumericsConfig())[0]
+    monkeypatch.setattr(dispersion, "min_eig", lambda forms, s: (
+        (1e-12, min_eig(forms, s)[1]) if s == s_min else min_eig(forms, s)))
+    pt = growth_rate(coeffs, 1.0)
+    assert pt.lam == true.lam == pytest.approx(0.0750890777386107, rel=1e-12)
+    assert pt.converged
+
+
+def test_decaying_row_reports_a_planted_sliver_probe(mesh40, monkeypatch):
+    # T(s_min) is definite, so the row decays: a probe value of -s_min^2 / 2,
+    # negative but above -s_min^2, is reported as it is, and the residual
+    # test refuses it
+    prof = unit_profile(sigma_minus=0.5)
+    s_min = dispersion._bracket(prof, NumericsConfig())[0]
+    monkeypatch.setattr(dispersion, "min_eig",
+                        lambda forms, s: (-s_min ** 2 / 2, min_eig(forms, s)[1]))
+    pt = growth_rate(form_coefficients(mesh40, prof), 3.0)
+    assert pt.lam == 0.0 and pt.alpha_at_star == -s_min ** 2 / 2
+    assert not pt.converged
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(k=st.floats(0.5, 1000.0), gamma=st.floats(1.0, 2.0),
+       tension=st.floats(0.0, 1.5))
+def test_cholesky_of_t_s_min_decides_every_row(k, gamma, tension):
+    # the pair P = K rho^gamma over P = 2 K rho^gamma under p_atm = K, at
+    # sigma_minus = tension * sigma_c: a row grows exactly when T(s_min) is
+    # not positive definite, swept and cold solves agree, every row is
+    # converged, and no rate exceeds b g [rho] / mu_minus
+    plus, minus = PressureLaw.polytropic(k, gamma), PressureLaw.polytropic(2 * k, gamma)
+    jump = solve_equilibrium(plus, minus, unit_params(p_atm=k)).jump
+    prof = solve_equilibrium(plus, minus,
+                             unit_params(p_atm=k, sigma_minus=tension * jump))
+    prm = prof.params
+    bound = prm.b * prm.g * prof.jump / prm.mu_minus
+    s_max, s_min = 1.25 * bound, 1.25e-8 * bound
+    coeffs = form_coefficients(build_mesh(1.0, 1.0, 40, 40), prof)
+    for p in sweep_lattice(coeffs, cutoff=4.0).curve:
+        forms = coeffs.at(p.xi_abs)
+        pencil = forms.K0 + s_min * forms.K1 + s_min ** 2 * forms.M
+        assert (p.lam > 0) is (variational.cholesky(pencil) is None)
+        assert abs(p.lam - growth_rate(coeffs, p.xi_abs).lam) <= 1e-10 * s_max
+        assert p.converged and p.lam <= bound
 
 
 @pytest.mark.parametrize("k", [0, 1])
