@@ -13,8 +13,8 @@ Subcommands:
 Shared flags: --config PATH (required), --out DIR, --threads N (accepted
 and ignored: every command runs serially; the flag stays only while the
 benchmark passes it).  Exit codes: 0 success, 2 configuration/contract or
-I/O error, 3 solver failure.  Artifacts are deterministic: CSV floats print
-with %.17g, JSON uses sorted keys and round-trip float repr.
+I/O error, 3 solver failure.  Artifacts are deterministic: rtstab.artifacts
+writes them all, CSV floats with %.17g and JSON with sorted keys.
 
 Start-up loads only what dispersion, growth, mode and oracle run: classify
 and extend import their modules when they run, and main builds the parser of
@@ -24,7 +24,6 @@ the one command it was given (all of them for -h or an unknown command).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -33,16 +32,12 @@ import numpy as np
 from . import dispersion as disp
 from . import evolve
 from . import modes as modes_mod
+from .artifacts import write_csv
+from .artifacts import write_json as _write_json  # the name a tracer wraps
 from .config import RunConfig, load_config
 from .equilibrium import export_profile_csv, solve_equilibrium
 from .errors import AnalyzerError, ConfigError, InvalidInput, SolverDivergence
 from .variational import build_mesh, form_coefficients, is_min_eigenpair, min_eig
-
-
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _profile(cfg: RunConfig):
@@ -103,9 +98,8 @@ def cmd_growth(cfg, out, args) -> int:
 
 def cmd_classify(cfg, out, args) -> int:
     from .classify import regime_report
-    report = regime_report(
-        *_rounded_regime_inputs(_profile(cfg), cfg.numerics.zero_epsilon))
-    _write_json(report, out / "regime.json")
+    inputs = _rounded_regime_inputs(_profile(cfg), cfg.numerics.zero_epsilon)
+    _write_json(regime_report(*inputs), out / "regime.json")
     return 0
 
 
@@ -163,13 +157,11 @@ def cmd_extend(cfg, out, args) -> int:
         raise InvalidInput(f"--m {args.m} is not a supported matching order: {exc}") from exc
     ext = InterfaceExtension(field, params)
     levels = np.linspace(-cfg.params.b, cfg.params.ell, args.levels)
-    with open(out / "extension.csv", "w", encoding="utf-8") as fh:
-        fh.write("x3,i1,i2,value\n")
-        for x3 in levels:
-            grid = np.real(ext.evaluate(float(x3)))
-            for i in range(grid.shape[0]):
-                for j in range(grid.shape[1]):
-                    fh.write(f"{x3:.17g},{i},{j},{grid[i, j]:.17g}\n")
+    grids = [np.real(ext.evaluate(float(x3))) for x3 in levels]
+    i, j = np.indices(grids[0].shape).reshape(2, -1)
+    write_csv(out / "extension.csv", "x3,i1,i2,value",
+              [np.repeat(levels, i.size), np.tile(i, len(levels)),
+               np.tile(j, len(levels)), np.concatenate([g.ravel() for g in grids])])
     return 0
 
 

@@ -26,8 +26,9 @@ vector (the stability probe's minimizer, or a neighbouring root's vector),
 each step sets v <- T(rho)^-1 M v by one band LU factorization and takes
 the new rho(v); once rho moves by at most delta = root_tol S_max, a
 successful Cholesky factorization of T(rho + delta) proves lambda < rho +
-delta, so [rho, rho + delta] encloses the root.  When that certificate
-fails, or the iteration cannot proceed, a bisection on the sign of the
+delta, so [rho, rho + delta] encloses the root; when it fails, a successful
+one of T(rho + 2 delta) encloses it in [rho + delta, rho + 2 delta).  When
+both fail, or the iteration cannot proceed, a bisection on the sign of the
 Cholesky test of T(s) takes over.
 
 Instability is confined to the frequency window 0 < |xi| < xi_c with
@@ -63,6 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import write_csv
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
 from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
@@ -220,12 +222,12 @@ def _continued_probe(forms: QuadraticForms, s: float, solve,
 
 def _certified_root(forms: QuadraticForms, v: np.ndarray, s_min: float,
                     s_max: float, delta: float) -> tuple[float, np.ndarray]:
-    """_rf_iterate from v, then the certificate: (lam, v), where lam is nan
-    unless the Cholesky factorization of T(lam + delta) succeeded, which
-    proves lam <= lambda < lam + delta."""
+    """_rf_iterate from v to rho, then the certificate: (lam, v) with lam = rho
+    if the Cholesky test of T(rho + delta) succeeds, else rho + delta if that
+    of T(rho + 2 delta) does, else nan; either proves lam <= lambda < lam + delta."""
     lam, v = _rf_iterate(forms, v, s_min, s_max, delta)
     if math.isfinite(lam) and not _definite(forms, lam + delta):
-        lam = math.nan
+        lam = lam + delta if _definite(forms, lam + 2 * delta) else math.nan
     return lam, v
 
 
@@ -350,12 +352,9 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
 
 def write_dispersion_csv(curve, path) -> None:
     """Curve CSV: xi1,xi2,xi_abs,lambda,alpha_at_star,iterations,converged."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("xi1,xi2,xi_abs,lambda,alpha_at_star,iterations,converged\n")
-        for pt in curve:
-            fh.write(f"{pt.xi[0]:.17g},{pt.xi[1]:.17g},{pt.xi_abs:.17g},"
-                     f"{pt.lam:.17g},{pt.alpha_at_star:.17g},{pt.iterations},"
-                     f"{'true' if pt.converged else 'false'}\n")
+    write_csv(path, "xi1,xi2,xi_abs,lambda,alpha_at_star,iterations,converged",
+              zip(*[(*pt.xi, pt.xi_abs, pt.lam, pt.alpha_at_star, pt.iterations,
+                     pt.converged) for pt in curve]))
 
 
 def summary_dict(summary: GrowthSummary) -> dict:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import (DegeneratePressure, InverseFailure, NonPositiveDensity,
                      OutsideTable)
 
@@ -408,12 +409,10 @@ def check_admissibility(profile: EquilibriumProfile) -> AdmissibilityReport:
 
 def export_profile_csv(profile: EquilibriumProfile, path) -> None:
     """Write the sampled profile as CSV: x3,rho,pressure,h_prime,layer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x3,rho,pressure,h_prime,layer\n")
-        for layer, xs, rhos in (("minus", profile.x_minus, profile.rho_minus_samples),
-                                ("plus", profile.x_plus, profile.rho_plus_samples)):
-            law = profile.law(layer)
-            pres = law.value(rhos)
-            hp = law.derivative(rhos) / rhos
-            for x, r, pr, h in zip(xs, rhos, pres, hp):
-                fh.write(f"{x:.17g},{r:.17g},{pr:.17g},{h:.17g},{layer}\n")
+    parts = []
+    for layer, xs, rhos in (("minus", profile.x_minus, profile.rho_minus_samples),
+                            ("plus", profile.x_plus, profile.rho_plus_samples)):
+        law = profile.law(layer)
+        parts.append((xs, rhos, law.value(rhos), law.derivative(rhos) / rhos,
+                      [layer] * len(xs)))
+    write_csv(path, "x3,rho,pressure,h_prime,layer", map(np.concatenate, zip(*parts)))

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import csr_matvec, csr_matvecs
+from .artifacts import write_csv
 from .errors import SingularStep, ZeroSignal
 from .modes import GrowingMode
 from .variational import (BAND, FormCoefficients, check_frequency, cholesky, lu,
@@ -318,11 +319,7 @@ def energy_balance_residual(states: np.ndarray, ops: EvolutionOperators,
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV: t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual,
-    one row per state; the first row's balance_residual is 0."""
-    columns = (traj.times, traj.eta_minus_abs, traj.eta_plus_abs, traj.energy,
-               traj.dissipation, np.concatenate([[0.0], traj.balance_residual]))
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    text = "".join("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual\n" + text)
+    """One CSV row per state; the first row's balance_residual is 0."""
+    write_csv(path, "t,abs_eta_minus,abs_eta_plus,energy,dissipation,balance_residual",
+              (traj.times, traj.eta_minus_abs, traj.eta_plus_abs, traj.energy,
+               traj.dissipation, np.concatenate([[0.0], traj.balance_residual])))

@@ -29,12 +29,12 @@ refinement for a converged eigenmode.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .dispersion import DispersionPoint
 from .equilibrium import EquilibriumProfile
 from .errors import DegenerateMode, NotARotation
@@ -217,20 +217,11 @@ def ode_residual(mode: GrowingMode, profile: EquilibriumProfile) -> OdeResidualR
 
 
 def export_mode(mode: GrowingMode, csv_path, json_path) -> None:
-    """Write the mode profiles (CSV) and a JSON sidecar with xi, lam, eta.
-
-    The CSV has one row per element: the ends of its x3 interval and the
-    values of phi, theta and psi there, then its one q_tilde.
-    """
-    cols = [np.stack([f[:-1], f[1:]], axis=1)
-            for f in (mode.mesh.nodes, mode.phi, mode.theta, mode.psi)]
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("x3_lo,x3_hi,phi_lo,phi_hi,theta_lo,theta_hi,psi_lo,psi_hi,q_tilde\n")
-        for row in np.column_stack([*cols, mode.q_tilde]):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    sidecar = {"xi": [mode.xi[0], mode.xi[1]], "lambda": mode.lam,
-               "eta_plus": mode.eta_tilde_plus, "eta_minus": mode.eta_tilde_minus}
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    """Write the mode's CSV, one row per element (its x3 ends, phi, theta and
+    psi there, then its one q_tilde), and a JSON sidecar with xi, lam, eta."""
+    write_csv(csv_path, "x3_lo,x3_hi,phi_lo,phi_hi,theta_lo,theta_hi,psi_lo,psi_hi,q_tilde",
+              [end for f in (mode.mesh.nodes, mode.phi, mode.theta, mode.psi)
+               for end in (f[:-1], f[1:])] + [mode.q_tilde])
+    write_json({"xi": [mode.xi[0], mode.xi[1]], "lambda": mode.lam,
+                "eta_plus": mode.eta_tilde_plus, "eta_minus": mode.eta_tilde_minus},
+               json_path)

@@ -33,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import IllConditioned
 
 
@@ -216,12 +217,8 @@ def write_field_csv(field: PeriodicField, path) -> None:
     if np.iscomplexobj(field.values):
         raise ValueError("the field CSV format holds real values; got a complex grid")
     n1, n2 = field.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("N1,N2,L1,L2\n")
-        fh.write(f"{n1},{n2},{field.L1:.17g},{field.L2:.17g}\n")
-        for i in range(n1):
-            fh.write(",".join(f"{field.values[i, j]:.17g}" for j in range(n2)))
-            fh.write("\n")
+    write_csv(path, f"N1,N2,L1,L2\n{n1},{n2},{field.L1:.17g},{field.L2:.17g}",
+              field.values.T)
 
 
 def read_field_csv(path) -> PeriodicField:

@@ -528,17 +528,38 @@ def test_certificate_rejects_a_planted_second_eigenvector(mesh100, monkeypatch):
     assert pt.iterations >= cold.iterations + 2
 
 
-def test_stiff_sweep_continues_its_starts(mesh100, monkeypatch):
+@pytest.mark.parametrize("n_samples", [257, 513, 1025, 2049])
+def test_stiff_sweep_continues_its_starts(n_samples, mesh100, monkeypatch):
     # on the stiff pair the previous row's minimizer, carried with its phi
-    # dofs scaled by |xi_prev| / |xi|, keeps v^T K0 v < 0 at the next |xi|:
-    # the chain takes the first row's probe and at most one more where a
-    # start is rejected (unscaled, every row's start was rejected: 16 probes)
-    prof = solve_equilibrium(PressureLaw.isothermal(400.0),
-                             PressureLaw.isothermal(800.0), unit_params(p_atm=400.0))
+    # dofs scaled by |xi_prev| / |xi|, keeps v^T K0 v < 0 at the next |xi|
+    # (unscaled, every row's start was rejected: 16 probes), and an iterate
+    # whose T(rho + delta) fails the Cholesky test at round-off is certified
+    # by T(rho + 2 delta): the chain takes the first row's probe alone
+    prof = solve_equilibrium(PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0),
+                             unit_params(p_atm=400.0), n_samples)
     calls = _count_min_eig(monkeypatch)
     curve = sweep_lattice(form_coefficients(mesh100, prof), cutoff=6.0).curve
     assert len(curve) == 17 and all(p.lam > 0 and p.converged for p in curve)
-    assert calls[0] == curve[0].xi_abs and len(calls) <= 2
+    assert calls == [curve[0].xi_abs]
+
+
+def test_certificate_steps_once_past_a_short_iterate(unstable_profile, params, mesh100,
+                                                     monkeypatch):
+    # an iterate 1.5 delta short of the root: T(rho + delta) is not definite
+    # and T(rho + 2 delta) is, so [rho + delta, rho + 2 delta) encloses the
+    # root and the row needs no fallback eigensolve
+    s_max = 1.25 * params.b * params.g * unstable_profile.jump / params.mu_minus
+    delta = 1e-10 * s_max
+    coeffs = form_coefficients(mesh100, unstable_profile)
+    forms = coeffs.at(1.0)
+    root = _tight_root(forms, s_max)
+    rho, v = root - 1.5 * delta, min_eig(forms, root)[1]
+    monkeypatch.setattr(dispersion, "_rf_iterate",
+                        lambda forms, _v, s_min, s_max, delta: (rho, v))
+    calls = _count_min_eig(monkeypatch)
+    pt = growth_rate(coeffs, 1.0)
+    assert not dispersion._definite(forms, rho + delta)
+    assert pt.lam == rho + delta and pt.converged and len(calls) == 1
 
 
 def test_growing_row_ignores_a_planted_nonnegative_probe(unstable_profile, mesh40,
