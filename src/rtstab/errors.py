@@ -54,10 +54,6 @@ class DegenerateMode(AnalyzerError):
     """Minimizer has (numerically) vanishing interface displacement."""
 
 
-class NotARotation(AnalyzerError):
-    """Matrix is not a proper rotation to tolerance."""
-
-
 class IllConditioned(AnalyzerError):
     """Linear solve residual too large (e.g. clustered Vandermonde nodes)."""
 

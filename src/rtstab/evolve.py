@@ -106,7 +106,7 @@ class EvolutionOperators:
         self.v, self.w = np.arange(0, nu, 2), np.arange(1, nu, 2)
         self.q = nu + np.arange(ne)
         self.eta_minus_idx, self.eta_plus_idx = nu + ne, nu + ne + 1
-        self.u3_int, self.u3_top = forms.psi_interface_dof, nu - 1
+        self.u3_int, self.u3_top = mesh.surface_dofs
 
         H, r = coeffs.continuity(self.xi_abs)
         dofs = mesh.dofs(2)
@@ -137,9 +137,9 @@ def state_from_mode(ops: EvolutionOperators, mode: GrowingMode) -> np.ndarray:
     from the continuity rows that G reads, so z = G u / lam up to round-off;
     an approximate eigenvector of the semidiscrete system.  Raises
     ValueError if the mode has a nonzero theta (its velocity is not along
-    (1, 0), e.g. after rotate_mode), if its |xi| is not ops.xi_abs, if its
-    velocity does not vanish at the bottom, or if it lives on another mesh
-    than ops (other nodes or another layer split)."""
+    (1, 0)), if its |xi| is not ops.xi_abs, if its velocity does not vanish
+    at the bottom, or if it lives on another mesh than ops (other nodes or
+    another layer split)."""
     if np.any(mode.theta != 0):
         raise ValueError("mode must have theta = 0 (frequency along x1)")
     if math.hypot(*mode.xi) != ops.xi_abs:

@@ -120,6 +120,12 @@ class Mesh1D:
         """Two-field (phi, psi) dof count."""
         return 2 * self.n_free
 
+    @property
+    def surface_dofs(self) -> tuple[int, int]:
+        """The two-field dofs (interface psi, top psi) of the surface terms:
+        node m's psi is dof 2m - 1."""
+        return 2 * self.interface_index - 1, self.ndof - 1
+
     @cached_property
     def quad(self):
         """(xq, wq, N, dN) on every element: Gauss points and weights of shape
@@ -359,7 +365,7 @@ class FormCoefficients:
         xi = check_frequency(xi_abs)
         K0, K1 = (A + xi * B + (xi * xi) * C for A, B, C in (self.K0, self.K1))
         return QuadraticForms(K0, K1, self.M, xi, self.profile.params.g,
-                              2 * self.mesh.interface_index - 1)
+                              self.mesh.surface_dofs[0])
 
     def continuity(self, xi_abs: float) -> tuple[np.ndarray, np.ndarray]:
         """(H, r) of the continuity equation H_e dq_e/dt = -r_e . u of one
@@ -404,7 +410,7 @@ def form_coefficients(mesh: Mesh1D, profile: EquilibriumProfile) -> FormCoeffici
 
     (A0, B0, C0), K1 = coefficients([div0], [div1]), coefficients(visc0, visc1)
     M = assemble(mesh, mass, dofs, dofs, mesh.ndof, BAND)
-    surface = [2 * mesh.interface_index - 1, mesh.ndof - 1]
+    surface = list(mesh.surface_dofs)
     A, C = surface_coefficients(profile)
     A0[BAND, surface] += 0.5 * A
     C0[BAND, surface] += 0.5 * C

@@ -10,11 +10,14 @@ three-field pencil, a layer-checked enthalpy weight, random oracle states
 and the oracle's full energy, the complex evolution operators at a
 frequency vector with their sparse-LU time step, the element continuity
 rows and the dense pencil of the oracle's normal modes with its root, a
-mode CSV reader, and the oracle's full-record stepping with its two-pass
+mode CSV reader, the rotation of a growing mode to another frequency
+direction (rotate_mode, which raises NotARotation), the strong-form
+residuals of a growing mode's ODE system from recovered fluxes
+(ode_residual), and the oracle's full-record stepping with its two-pass
 energy balance."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +27,12 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from rtstab.equilibrium import EquilibriumProfile, PressureLaw
-from rtstab.errors import SingularStep
+from rtstab.errors import AnalyzerError, SingularStep
 from rtstab.evolve import BLOCK, EvolutionOperators
+from rtstab.modes import GrowingMode
 from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
                                 evaluate_energy, field_rows, form_coefficients,
-                                form_terms, layer_fields)
+                                form_terms, layer_fields, surface_coefficients)
 
 
 def dense(ab: np.ndarray) -> np.ndarray:
@@ -458,6 +462,141 @@ def import_mode_csv(csv_path) -> dict[str, np.ndarray]:
     """Re-read an exported mode CSV into column arrays (round-trip exact)."""
     data = np.genfromtxt(csv_path, delimiter=",", names=True)
     return {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+
+
+class NotARotation(AnalyzerError):
+    """Matrix is not a proper rotation to tolerance."""
+
+
+def rotate_mode(mode: GrowingMode, R: np.ndarray) -> GrowingMode:
+    """Map the mode to the rotated frequency R xi; psi and lam are unchanged
+    while (phi, theta) rotate by R."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (2, 2) or np.abs(R.T @ R - np.eye(2)).max() > 1e-12 \
+            or abs(np.linalg.det(R) - 1.0) > 1e-12:
+        raise NotARotation("R must be a 2x2 proper rotation to 1e-12")
+    xi_new = tuple(R @ np.asarray(mode.xi))
+    phi_new = R[0, 0] * mode.phi + R[0, 1] * mode.theta
+    theta_new = R[1, 0] * mode.phi + R[1, 1] * mode.theta
+    return replace(mode, xi=(float(xi_new[0]), float(xi_new[1])),
+                   phi=phi_new, theta=theta_new)
+
+
+@dataclass(frozen=True)
+class OdeResidualReport:
+    """Max-abs strong-form residuals, one entry per equation/condition."""
+
+    phi_interior: float
+    psi_interior: float
+    theta_interior: float
+    top_shear: float
+    top_stress: float
+    jump_shear: float
+    jump_stress: float
+    bottom_phi: float
+    bottom_psi: float
+
+
+def _flux_slope(mesh: Mesh1D, f_mid: np.ndarray) -> np.ndarray:
+    """d/dx3 of a per-element flux at element midpoints, per layer.
+
+    One np.gradient per layer: central differences in the layer interior,
+    one-sided at the first/last element of each layer (consistent, O(h)).
+    build_mesh gives every layer the two elements np.gradient needs.
+    """
+    mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+    i0 = mesh.interface_index
+    return np.concatenate([np.gradient(f_mid[:i0], mids[:i0]),
+                           np.gradient(f_mid[i0:], mids[i0:])])
+
+
+def _flux_ends(mesh: Mesh1D, f_mid: np.ndarray) -> dict[str, float]:
+    """Linear extrapolation of midpoint flux samples to the layer end nodes."""
+    i0 = mesh.interface_index
+    f_lo, f_hi = f_mid[:i0], f_mid[i0:]
+    return {
+        "bottom": 1.5 * f_lo[0] - 0.5 * f_lo[1],
+        "int_minus": 1.5 * f_lo[-1] - 0.5 * f_lo[-2],
+        "int_plus": 1.5 * f_hi[0] - 0.5 * f_hi[1],
+        "top": 1.5 * f_hi[-1] - 0.5 * f_hi[-2],
+    }
+
+
+def ode_residual(mode: GrowingMode, profile: EquilibriumProfile) -> OdeResidualReport:
+    """Strong-form residuals of the reduced normal-mode ODE system.
+
+    The in-plane component (xi1 phi + xi2 theta)/|xi| feeds the phi equation;
+    the transverse component feeds the decoupled theta equation (identically
+    zero for modes built here).  Interior residuals are evaluated at element
+    midpoints with recovered fluxes; boundary and jump rows use the recovered
+    one-sided flux values at the end nodes.
+    """
+    mesh = mode.mesh
+    lam = mode.lam
+    xi_abs = math.hypot(*mode.xi)
+    if xi_abs == 0:
+        raise ValueError("mode frequency must be nonzero")
+    phi_par = (mode.xi[0] * mode.phi + mode.xi[1] * mode.theta) / xi_abs
+    phi_perp = (-mode.xi[1] * mode.phi + mode.xi[0] * mode.theta) / xi_abs
+    psi = mode.psi
+    nodes = mesh.nodes
+    h = np.diff(nodes)
+    dphi = np.diff(phi_par) / h
+    dperp = np.diff(phi_perp) / h
+    dpsi = np.diff(psi) / h
+    i0 = mesh.interface_index
+
+    # Midpoint flux samples.  flux_phi = lam mu phi'; flux_perp likewise for
+    # the transverse field; flux_v = (4 lam mu/3 + lam mu') psi'
+    #                              + (lam mu' + lam mu/3) |xi| phi;
+    # flux_p = h'(rho) [ (rho psi)' + rho |xi| phi ]  (note P' = rho h').
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    rho, drho, dp, mu, mu_p = layer_fields(mesh, profile, mids)
+    phi_mid = 0.5 * (phi_par[:-1] + phi_par[1:])
+    psi_mid = 0.5 * (psi[:-1] + psi[1:])
+    perp_mid = 0.5 * (phi_perp[:-1] + phi_perp[1:])
+    f_phi = lam * mu * dphi
+    f_perp = lam * mu * dperp
+    f_v = (4 * lam * mu / 3 + lam * mu_p) * dpsi \
+        + (lam * mu_p + lam * mu / 3) * xi_abs * phi_mid
+    f_p = (dp / rho) * (drho * psi_mid + rho * dpsi + rho * xi_abs * phi_mid)
+    df_phi, df_perp, df_v, df_p = (_flux_slope(mesh, f)
+                                   for f in (f_phi, f_perp, f_v, f_p))
+
+    a_coef = lam**2 * rho + lam * mu * xi_abs**2 \
+        + xi_abs**2 * (lam * mu_p + lam * mu / 3 + dp * rho)
+    b_term = xi_abs * ((lam * mu_p + lam * mu / 3) * dpsi
+                       + dp * (drho * psi_mid + rho * dpsi))
+    inertia = lam**2 * rho + lam * mu * xi_abs**2
+    r_phi = float(np.abs(-df_phi + a_coef * phi_mid + b_term).max())
+    r_psi = float(np.abs(-df_v - rho * df_p + inertia * psi_mid).max())
+    r_perp = float(np.abs(-df_perp + inertia * perp_mid).max())
+
+    # Boundary and jump rows from layer-end extrapolated fluxes.
+    mu_pl = profile.params.mu_plus
+    mu_mi = profile.params.mu_minus
+    ends_v = _flux_ends(mesh, f_v)
+    ends_p = _flux_ends(mesh, f_p)
+    ends_dphi = _flux_ends(mesh, dphi)
+    top_shear = abs(mu_pl * lam * (xi_abs * psi[-1] - ends_dphi["top"]))
+    A, C = surface_coefficients(profile)
+    interface_coef, top_coef = A + xi_abs**2 * C
+    # normal stress at the top: -flux_v + lam mu |xi| phi - rho1 flux_p
+    #                           = (rho1 g + sigma_+ |xi|^2) psi
+    top_stress = abs(-ends_v["top"] + lam * mu_pl * xi_abs * phi_par[-1]
+                     - profile.rho1 * ends_p["top"] - top_coef * psi[-1])
+    jump_shear = abs(mu_pl * lam * (xi_abs * psi[i0] - ends_dphi["int_plus"])
+                     - mu_mi * lam * (xi_abs * psi[i0] - ends_dphi["int_minus"]))
+    # jump of (flux_v - lam mu |xi| phi + rho flux_p) balances
+    # -(jump g - sigma_- |xi|^2) psi(0)
+    jump_stress = abs((ends_v["int_plus"] - lam * mu_pl * xi_abs * phi_par[i0]
+                       + profile.rho_top_interface * ends_p["int_plus"])
+                      - (ends_v["int_minus"] - lam * mu_mi * xi_abs * phi_par[i0]
+                         + profile.rho_bot_interface * ends_p["int_minus"])
+                      - interface_coef * psi[i0])
+    return OdeResidualReport(r_phi, r_psi, r_perp, top_shear, top_stress,
+                             jump_shear, jump_stress,
+                             abs(phi_par[0]), abs(psi[0]))
 
 
 def dedup_lattice_fraction(params, limit: float):

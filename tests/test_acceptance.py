@@ -17,13 +17,13 @@ from rtstab.dispersion import critical_tension, growth_rate, sweep_lattice
 from rtstab.equilibrium import PressureLaw, solve_equilibrium
 from rtstab.evolve import (advance, interface_bump_state, measure_growth,
                            semidiscretize, state_from_mode)
-from rtstab.modes import assemble_mode, rotate_mode
+from rtstab.modes import assemble_mode
 from rtstab.variational import (build_mesh, evaluate_energy, form_coefficients,
                                 min_eig)
 from tests.conftest import unit_params, unit_profile
 from tests.oracles import (assemble_forms_3field, dense, full_energy,
                            min_eig_3field, min_eig_dense, psi_bump,
-                           psi_bump_norm_sq)
+                           psi_bump_norm_sq, rotate_mode)
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:

@@ -1,4 +1,5 @@
-"""The one writer of CSV and JSON artifacts, and that no other module writes."""
+"""The one writer of CSV and JSON artifacts, that no other module writes,
+and that the package defines only what its own code names."""
 
 import ast
 import json
@@ -65,3 +66,24 @@ def test_only_artifacts_writes_files():
     writing = {path.name for path in Path(artifacts.__file__).parent.glob("*.py")
                if any(map(_writes, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))}
     assert writing == {"artifacts.py"}
+
+
+# module-level names of the package that no package code names, each a
+# library entry point kept for its reason
+ENTRY_POINTS = {
+    "check_admissibility": "the admissibility report that run.json is to carry",
+    "write_field_csv": "the writer half of the field CSV format that extend reads",
+}
+
+
+def test_every_definition_is_named_in_package_code():
+    # a module-level function or class that no code of the package names (a
+    # docstring mention does not count) serves tests only: it belongs in tests/
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(artifacts.__file__).parent.glob("*.py")]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert defined - named == set(ENTRY_POINTS)

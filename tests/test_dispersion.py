@@ -613,6 +613,46 @@ def test_cholesky_of_t_s_min_decides_every_row(k, gamma, tension):
         assert p.converged and p.lam <= bound
 
 
+_PAIRS = {  # the README pair, gamma = 1.4 (K = 0.5 over 1) and the stiff pair
+    "isothermal": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0), {}),
+    "polytropic": (PressureLaw.polytropic(0.5, 1.4), PressureLaw.polytropic(1.0, 1.4), {}),
+    "stiff": (PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0), {"p_atm": 400.0}),
+}
+
+
+def _rates_by_viscosity(name, xi_abs):
+    """lam at |xi| = xi_abs with mu_+ = mu_- = 2, 1, 0.5, 0.25 (mu' = 0), 40
+    elements per layer, and sqrt(-alpha(0)) by the dense reference (alpha(0)
+    = min E0 / J reads no viscosity)."""
+    plus, minus, extra = _PAIRS[name]
+    mesh, rates = build_mesh(1.0, 1.0, 40, 40), []
+    for mu in (2.0, 1.0, 0.5, 0.25):
+        prof = solve_equilibrium(plus, minus, unit_params(mu_plus=mu, mu_minus=mu, **extra))
+        coeffs = form_coefficients(mesh, prof)
+        p = growth_rate(coeffs, xi_abs)
+        assert p.converged
+        rates.append(p.lam)
+    return rates, math.sqrt(-min_eig_dense(coeffs.at(xi_abs), 0.0)[0])
+
+
+@pytest.mark.parametrize("xi_abs", [1.0, 4.0])
+@pytest.mark.parametrize("name", list(_PAIRS))
+def test_rate_is_below_the_inviscid_root(name, xi_abs):
+    # E1 >= 0, so alpha(s) >= alpha(0) and the root of s^2 + alpha(s) = 0 is
+    # at most sqrt(-alpha(0)), the rate without viscosity, at every mu
+    rates, inviscid = _rates_by_viscosity(name, xi_abs)
+    assert all(0.0 < lam <= inviscid for lam in rates)
+
+
+@pytest.mark.parametrize("xi_abs", [1.0, 4.0])
+@pytest.mark.parametrize("name", list(_PAIRS))
+def test_rate_rises_as_both_viscosities_fall(name, xi_abs):
+    # scaling mu_+ = mu_- by c scales E1 by c and leaves E0 and J alone, so a
+    # smaller c lowers alpha(s) at every s > 0 and raises the root
+    rates, _inviscid = _rates_by_viscosity(name, xi_abs)
+    assert all(a < b for a, b in zip(rates, rates[1:]))
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_converged_needs_the_smallest_eigenvalue(k, mesh40, monkeypatch):
     # eigenpair k of the dense reference: the second passes the residual

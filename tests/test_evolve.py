@@ -16,12 +16,12 @@ from rtstab.evolve import (BLOCK, Trajectory, advance, energy_balance_residual,
                            interface_bump_state, measure_growth,
                            semidiscretize, state_from_mode,
                            write_trajectory_csv)
-from rtstab.modes import assemble_mode, rotate_mode
+from rtstab.modes import assemble_mode
 from rtstab.variational import BAND, build_mesh, form_coefficients, lu
 from tests.conftest import unit_params, unit_profile
 from tests.oracles import (advance_dense, complex_operators, dense, embed_state,
                            energy_balance_two_pass, full_energy, lu_step,
-                           oracle_pencil, pencil_root, random_state)
+                           oracle_pencil, pencil_root, random_state, rotate_mode)
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from rtstab.dispersion import growth_rate
-from rtstab.errors import DegenerateMode, NotARotation
+from rtstab.errors import DegenerateMode
 from rtstab.evolve import csr_product, semidiscretize, state_from_mode
-from rtstab.modes import assemble_mode, export_mode, ode_residual, rotate_mode
+from rtstab.modes import assemble_mode, export_mode
 from rtstab.variational import build_mesh, form_coefficients
-from tests.oracles import import_mode_csv
+from tests.oracles import NotARotation, import_mode_csv, ode_residual, rotate_mode
 
 
 @pytest.fixture(scope="module")
