@@ -17,15 +17,19 @@ I/O error, 3 solver failure.  Artifacts are deterministic: rtstab.artifacts
 writes them all, CSV floats with %.17g and JSON with sorted keys.
 
 Start-up loads only what dispersion, growth, mode and oracle run: classify
-and extend import their modules when they run, and main builds the parser of
-the one command it was given (all of them for -h or an unknown command).
+and extend import their modules when they run, and parse_args reads argv
+from the FLAGS table without argparse, whose import and first parse (it
+loads gettext and locale) cost about 3 ms per run.  A flag is
+`--name value` or `--name=value`, with no abbreviations; a usage error
+prints the usage line and exits 2, and -h prints it and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 import numpy as np
 
@@ -176,38 +180,82 @@ COMMANDS = {
     "extend": cmd_extend,
 }
 
+# each command's flags, name -> (type, default); a default of None marks a
+# required flag
+_SHARED = {"config": (str, None), "out": (str, "out"), "threads": (int, 1)}
+_XI = {"xi": (float, None)}
+FLAGS = {
+    "equilibrium": _SHARED,
+    "alpha": {**_SHARED, **_XI, "s": (float, None)},
+    "dispersion": _SHARED,
+    "growth": {**_SHARED, **_XI},
+    "classify": _SHARED,
+    "mode": {**_SHARED, **_XI},
+    "oracle": {**_SHARED, **_XI},
+    "extend": {**_SHARED, "input": (str, None), "m": (int, 2), "levels": (int, 9)},
+}
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the sub-parser of `command` alone, or of every
-    command when command is None or unknown, so that -h lists them all."""
-    ap = argparse.ArgumentParser(prog="rtstab",
-                                 description="Two-layer compressible viscous "
-                                             "stability analyzer")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored; kept only while the "
-                            "benchmark passes it")
-        if name in ("alpha", "growth", "mode", "oracle"):
-            p.add_argument("--xi", type=float, required=True,
-                           help="frequency magnitude |xi|")
-        if name == "alpha":
-            p.add_argument("--s", type=float, required=True,
-                           help="modified-problem parameter s")
-        if name == "extend":
-            p.add_argument("--input", required=True, help="grid field CSV")
-            p.add_argument("--m", type=int, default=2, help="matching order, 0 to 12")
-            p.add_argument("--levels", type=int, default=9,
-                           help="number of x3 evaluation levels")
-    return ap
+
+def _usage(command: str | None) -> str:
+    """The usage line of `command`, or of rtstab when it is None."""
+    if command is None:
+        return f"usage: rtstab [-h] {{{','.join(COMMANDS)}}} ..."
+    flags = [f"--{name} {name.upper()}" if default is None
+             else f"[--{name} {name.upper()}]"
+             for name, (_type, default) in FLAGS[command].items()]
+    return f"usage: rtstab {command} [-h] {' '.join(flags)}"
+
+
+def _print_usage(command: str | None) -> NoReturn:
+    print(_usage(command))
+    raise SystemExit(0)
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    print(f"{_usage(command)}\nrtstab: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its flags from argv, `--name value` or `--name=value`
+    (the last of a repeated flag wins), as a namespace of command and flag
+    names.  -h prints the usage line and exits 0; a usage error prints it
+    with the error and exits 2."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _print_usage(None)
+    if command not in COMMANDS:
+        _usage_error(None, "a command is required" if command is None else
+                     f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    flags, tokens = FLAGS[command], iter(argv[1:])
+    values = {name: default for name, (_type, default) in flags.items()}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _print_usage(command)
+        name, eq, text = token.partition("=")
+        if not name.startswith("--") or name[2:] not in flags:
+            _usage_error(command, f"unrecognized argument {token!r}")
+        name = name[2:]
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                _usage_error(command, f"argument --{name}: expected one argument")
+        type_ = flags[name][0]
+        try:
+            values[name] = type_(text)
+        except ValueError:
+            _usage_error(command, f"argument --{name}: invalid {type_.__name__} "
+                                  f"value: {text!r}")
+    missing = [f"--{name}" for name, value in values.items() if value is None]
+    if missing:
+        _usage_error(command, "the following arguments are required: "
+                              + ", ".join(missing))
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         for flag in ("xi", "s", "threads", "levels"):
             value = getattr(args, flag, None)

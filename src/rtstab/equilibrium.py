@@ -286,17 +286,19 @@ def _rk4_down(law: PressureLaw, g: float, rho_start: float, x_start: float,
     not finite."""
 
     def f(rho):
-        dp = float(law.derivative(rho))
+        try:
+            dp = float(law.derivative(rho))
+        except OverflowError:  # a float's ** raises where numpy gives inf
+            dp = math.inf
         if dp <= PRESSURE_SLOPE_TOL or dp == math.inf:  # nan fails the step
             raise DegeneratePressure(f"P'({rho}) = {dp} is not in "
                                      f"({PRESSURE_SLOPE_TOL}, inf)")
         return -g * rho / dp
 
     xs = np.linspace(x_start, x_end, n_nodes)
-    h = xs[1] - xs[0]  # negative
+    h = float(xs[1] - xs[0])  # negative
     rhos = np.empty(n_nodes)
-    rhos[0] = rho_start
-    r = rhos[0]  # a numpy scalar: P' overflows to inf instead of raising
+    rhos[0] = r = float(rho_start)
     with np.errstate(over="ignore"):
         for i in range(n_nodes - 1):
             try:

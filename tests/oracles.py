@@ -6,7 +6,8 @@ of E0, the bump candidate and the negativity probe built on it with its
 dense P1 projection, a dense full-spectrum eigensolve (any eigenpair, for
 the certificate tests), the Fraction arithmetic of the lattice
 deduplication, the viscous dissipation of a full 3-component velocity, the
-three-field pencil, a layer-checked enthalpy weight, random oracle states
+three-field pencil, a layer-checked enthalpy weight, the hydrostatic RK4
+on numpy scalars (rk4_down_numpy), random oracle states
 and the oracle's full energy, the complex evolution operators at a
 frequency vector with their sparse-LU time step, the element continuity
 rows and the dense pencil of the oracle's normal modes with its root, a
@@ -26,8 +27,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
-from rtstab.equilibrium import EquilibriumProfile, PressureLaw
-from rtstab.errors import AnalyzerError, SingularStep
+from rtstab.equilibrium import PRESSURE_SLOPE_TOL, EquilibriumProfile, PressureLaw
+from rtstab.errors import AnalyzerError, DegeneratePressure, NonPositiveDensity, SingularStep
 from rtstab.evolve import BLOCK, EvolutionOperators
 from rtstab.modes import GrowingMode
 from rtstab.variational import (BAND, Mesh1D, QuadraticForms, _fix_sign, assemble,
@@ -233,6 +234,52 @@ def enthalpy_weight(profile: EquilibriumProfile, x3: float,
         raise ValueError(f"x3 = {x3} not in the lower layer")
     rho = profile.rho(x3, layer)
     return float(profile.law(layer).derivative(rho) / rho)
+
+
+def rk4_down_numpy(law: PressureLaw, g: float, rho_start: float, x_start: float,
+                   x_end: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hydrostatic RK4 of equilibrium._rk4_down as it stepped numpy
+    scalars before it stepped Python floats, kept as its reference.
+
+    Integrate drho/dx = -g rho/P'(rho) from x_start down to x_end < x_start.
+
+    Overflow is checked, not warned about: DegeneratePressure names the
+    first rho and x3 where P' is at most PRESSURE_SLOPE_TOL, or P or P' is
+    not finite."""
+
+    def f(rho):
+        dp = float(law.derivative(rho))
+        if dp <= PRESSURE_SLOPE_TOL or dp == math.inf:  # nan fails the step
+            raise DegeneratePressure(f"P'({rho}) = {dp} is not in "
+                                     f"({PRESSURE_SLOPE_TOL}, inf)")
+        return -g * rho / dp
+
+    xs = np.linspace(x_start, x_end, n_nodes)
+    h = xs[1] - xs[0]  # negative
+    rhos = np.empty(n_nodes)
+    rhos[0] = rho_start
+    r = rhos[0]  # a numpy scalar: P' overflows to inf instead of raising
+    with np.errstate(over="ignore"):
+        for i in range(n_nodes - 1):
+            try:
+                k1 = f(r)
+                k2 = f(r + 0.5 * h * k1)
+                k3 = f(r + 0.5 * h * k2)
+                k4 = f(r + h * k3)
+            except DegeneratePressure as exc:
+                raise DegeneratePressure(
+                    f"{exc} on x3 in [{xs[i + 1]}, {xs[i]}]") from None
+            r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if r <= 0 or not math.isfinite(r):
+                raise NonPositiveDensity(f"rho = {r} at x3 = {xs[i + 1]}")
+            rhos[i + 1] = r
+        p, dp = law.value(rhos), law.derivative(rhos)
+    bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(dp)))
+    if bad.size:
+        i = bad[0]
+        raise DegeneratePressure(f"P({rhos[i]}) = {p[i]}, P' = {dp[i]} at "
+                                 f"x3 = {xs[i]}: not finite")
+    return xs[::-1].copy(), rhos[::-1].copy()
 
 
 def _dense_min(K: np.ndarray, M: np.ndarray, psi_interface_dof: int,

@@ -16,7 +16,7 @@ import rtstab
 from bench.inputs import WORKLOADS, cli_argv
 from bench.spans import TARGETS
 from rtstab import evolve, variational
-from rtstab.cli import COMMANDS, build_parser, main
+from rtstab.cli import COMMANDS, main, parse_args
 from rtstab.config import load_config
 from rtstab.errors import ConfigError
 from tests.oracles import min_eig_dense
@@ -360,7 +360,7 @@ def test_bench_argv_parses():
     # the benchmark passes --threads, so the flag must stay accepted until
     # its argv stops passing it
     for workload in WORKLOADS:
-        args = build_parser().parse_args(cli_argv(workload, "cfg.json", "out"))
+        args = parse_args(cli_argv(workload, "cfg.json", "out"))
         assert args.command == WORKLOADS[workload][0] and args.threads == 1
 
 
@@ -437,12 +437,13 @@ def test_nonpositive_or_nonfinite_flag_exit_2(tmp_path, capsys, command, flag, v
 
 
 # what no command of the benchmark may load: any scipy module (its package
-# init included), numpy.polynomial, fractions, and the modules of classify
-# and extend
+# init included), numpy.polynomial, fractions, the modules of classify and
+# extend, and argparse with the gettext and locale of its first parse
 UNLOADED = ("import sys\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith("
             "('scipy.', 'numpy.polynomial')) or m in ('fractions', 'decimal', "
-            "'rtstab.classify', 'rtstab.poisson_ext')))\n")
+            "'rtstab.classify', 'rtstab.poisson_ext', 'argparse', 'gettext', "
+            "'locale')))\n")
 
 
 def _run_fresh(code: str) -> list[str]:
@@ -503,6 +504,29 @@ def test_help_lists_every_command(argv, capsys):
     captured = capsys.readouterr()
     assert len(COMMANDS) == 8
     assert "{" + ",".join(COMMANDS) + "}" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["growth", "--config", "c", "--xi", "1", "--tau", "2"], 2),  # unknown flag
+    (["dispersion", "--config", "c", "--xi", "1"], 2),  # a flag dispersion lacks
+    (["growth", "--config", "c", "--xi"], 2),  # no value
+    (["growth", "--config", "c", "--xi", "abc"], 2),  # not a float
+    (["growth", "--xi", "1"], 2),  # no --config
+    (["oracle", "-h"], 0),
+])
+def test_parse_args_syntax_and_usage_errors(argv, code, capsys):
+    # both flag spellings give one namespace; a usage error exits 2 with the
+    # usage line and an error on stderr, and -h exits 0 naming the flags
+    assert (parse_args(["growth", "--config", "c", "--xi", "1.0"])
+            == parse_args(["growth", "--config=c", "--xi=1.0"]))
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    if code:
+        assert "rtstab: error: " in captured.err and captured.out == ""
+    else:
+        assert "--xi XI" in captured.out and captured.err == ""
 
 
 def test_load_config_validates(tmp_path):

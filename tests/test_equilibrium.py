@@ -12,7 +12,7 @@ from rtstab.equilibrium import (INVERSE_TOL, EquilibriumProfile, PressureLaw,
                                 export_profile_csv, solve_equilibrium)
 from rtstab.errors import DegeneratePressure, InverseFailure, OutsideTable
 from tests.conftest import unit_params
-from tests.oracles import enthalpy_weight
+from tests.oracles import enthalpy_weight, rk4_down_numpy
 
 
 def test_isothermal_matches_closed_form(unstable_profile):
@@ -286,6 +286,32 @@ def test_pressure_overflow_raises(gamma, b):
     law = PressureLaw.polytropic(1.0, gamma)
     with pytest.raises(DegeneratePressure, match=r"^P'?\([\d.]+e\+\d+\) = .* x3 .*-[\d.]+e\+\d+"):
         solve_equilibrium(law, law, unit_params(b=b))
+
+
+_TABLE = np.linspace(0.5, 3.0, 60)
+_RK4_PAIRS = {  # the README pair, gamma = 1.4 (K = 0.5 over 1), the stiff pair
+    # and the README pair tabulated
+    "readme": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0), {}),
+    "polytropic": (PressureLaw.polytropic(0.5, 1.4), PressureLaw.polytropic(1.0, 1.4), {}),
+    "stiff": (PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0), {"p_atm": 400.0}),
+    "tabulated": (PressureLaw.tabulated(_TABLE, _TABLE),
+                  PressureLaw.tabulated(_TABLE, 2.0 * _TABLE), {}),
+}
+
+
+@pytest.mark.parametrize("name", list(_RK4_PAIRS))
+def test_rk4_on_floats_matches_numpy_scalars_bitwise(name):
+    # the same IEEE operations on Python floats and on numpy scalars, so
+    # the samples of both layers agree to the bit
+    plus, minus, extra = _RK4_PAIRS[name]
+    prm = unit_params(**extra)
+    prof = solve_equilibrium(plus, minus, prm, 513)
+    for law, rho_start, x_start, x_end, x, rho in (
+            (plus, prof.rho1, prm.ell, 0.0, prof.x_plus, prof.rho_plus_samples),
+            (minus, prof.rho_bot_interface, 0.0, -prm.b, prof.x_minus,
+             prof.rho_minus_samples)):
+        ref_x, ref_rho = rk4_down_numpy(law, prm.g, rho_start, x_start, x_end, 513)
+        assert np.array_equal(x, ref_x) and np.array_equal(rho, ref_rho)
 
 
 def test_tabulated_law_does_not_extrapolate(params):
