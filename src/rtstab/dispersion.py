@@ -46,15 +46,13 @@ of growth_rate in ascending |xi|^2, which takes the forms at each point
 from the coefficients, one band combination each.  One Cholesky test of
 T(s_min) decides every row.  When it fails (growth), the row's start vector
 starts the Rayleigh-functional iteration; when it succeeds (lambda <
-s_min), the probe alpha(s_min) is continued from the start: one
-inverse-iteration step with that factor, Rayleigh-quotient steps on K0 +
-s_min K1 against M by band LU, and a Cholesky certificate that no
-eigenvalue lies below the settled quotient minus a round-off margin.  Every
-row after the first starts from its predecessor's vector, its phi dofs
-scaled by |xi_prev| / |xi| to keep the divergence (rho psi)' + rho xi phi,
-so a chain of growing or decaying frequencies takes one probe eigensolve,
-at its first row.  A start the iteration or a certificate rejects takes the
-probe path, whose cost is counted on top.
+s_min), the probe alpha(s_min) is min_eig's started round from the start
+and that factor, and is_min_eigenpair tests it like every other pair.
+Every row after the first starts from its predecessor's vector, its phi
+dofs scaled by |xi_prev| / |xi| to keep the divergence (rho psi)' + rho xi
+phi, so a chain of growing or decaying frequencies takes one cold
+eigensolve, at its first row.  A start the iteration or the test rejects
+takes the cold probe, whose cost is counted on top.
 """
 
 from __future__ import annotations
@@ -67,15 +65,14 @@ import numpy as np
 from .artifacts import write_csv
 from .config import NumericsConfig
 from .equilibrium import EquilibriumProfile, PhysicalParams
-from .errors import NoSignChange, NotUnstableOrientation, SolverDivergence
-from .variational import (FACTORIZATIONS, FormCoefficients, QuadraticForms, band_mv,
-                          below_spectrum, bisect_root, cholesky, eig_residual,
-                          evaluate_energy, is_min_eigenpair, j_normalize, lu, min_eig)
+from .errors import NoSignChange, NotUnstableOrientation
+from .variational import (FACTORIZATIONS, FormCoefficients, QuadraticForms,
+                          _shifted_iterate, band_mv, bisect_root, cholesky,
+                          evaluate_energy, is_min_eigenpair, j_normalize, min_eig)
 
 
 S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
 RF_MAX_ITER = 30  # Rayleigh-functional steps before the bisection takes over
-RQ_MAX_ITER = 8  # Rayleigh-quotient steps before a continued probe takes min_eig
 
 
 @dataclass(frozen=True)
@@ -166,29 +163,6 @@ def _rayleigh_functional(forms: QuadraticForms, v: np.ndarray) -> float:
     return -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))  # no cancellation
 
 
-def _shifted_iterate(shifted, functional, v: np.ndarray, M: np.ndarray, tol: float,
-                     max_iter: int, lo: float = -math.inf,
-                     hi: float = math.inf) -> tuple[float, np.ndarray]:
-    """Inverse iteration with a moving shift from v: rho = functional(v),
-    then v <- shifted(rho)^-1 M v by one band LU factorization (lu) per
-    step and rho = functional(v) again.  Returns (rho, v), where the last
-    step moved rho by at most tol; rho is nan when it leaves [lo, hi] (nan
-    included), shifted(rho) is exactly singular or max_iter steps do not
-    settle."""
-    rho, step = functional(v), math.inf
-    for _step in range(max_iter):
-        if not (lo <= rho <= hi and abs(rho - step) > tol):
-            break
-        solve = lu(shifted(rho))
-        if solve is None:
-            return math.nan, v
-        v = solve(band_mv(M, v))
-        v /= np.abs(v).max()
-        step, rho = rho, functional(v)
-    settled = lo <= rho <= hi and abs(rho - step) <= tol
-    return (rho if settled else math.nan), v
-
-
 def _rf_iterate(forms: QuadraticForms, v: np.ndarray, s_min: float,
                 s_max: float, delta: float) -> tuple[float, np.ndarray]:
     """Rayleigh-functional iteration from v on T(rho) (_shifted_iterate) in
@@ -196,28 +170,6 @@ def _rf_iterate(forms: QuadraticForms, v: np.ndarray, s_min: float,
     return _shifted_iterate(lambda rho: _pencil(forms, rho),
                             lambda u: _rayleigh_functional(forms, u), v, forms.M,
                             delta, RF_MAX_ITER, s_min, s_max)
-
-
-def _continued_probe(forms: QuadraticForms, s: float, solve,
-                     v: np.ndarray) -> tuple[float, np.ndarray]:
-    """The probe alpha(s) from v: (alpha, v), given the Cholesky solve of
-    T(s) = K + s^2 M, K = K0 + s K1 (cholesky).  One inverse
-    iteration step v <- T(s)^-1 M v (its shift -s^2 lies below the spectrum,
-    so it damps the components of v along the higher eigenvectors), then
-    Rayleigh-quotient iteration: rho = v^T K v / v^T M v, each step by the
-    band LU of K - rho M, until rho moves by at most eps = forms.certificate_eps(s)
-    or RQ_MAX_ITER steps pass.  Last, the Cholesky factorization of
-    K - (rho - eps) M (below_spectrum) must certify rho as the smallest
-    eigenvalue to eps.  alpha is nan when a factorization is singular, the
-    iteration does not settle or the certificate fails."""
-    K, M, eps = forms.stiffness(s)[0], forms.M, forms.certificate_eps(s)
-    alpha, v = _shifted_iterate(
-        lambda rho: K - rho * M,
-        lambda u: float(u @ band_mv(K, u)) / float(u @ band_mv(M, u)),
-        solve(band_mv(M, v)), M, eps, RQ_MAX_ITER)
-    if math.isfinite(alpha) and not below_spectrum(forms, s, alpha):
-        alpha = math.nan
-    return alpha, v
 
 
 def _certified_root(forms: QuadraticForms, v: np.ndarray, s_min: float,
@@ -239,16 +191,18 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
 
     One Cholesky factorization of T(s_min) decides the row before any
     eigensolve.  When it succeeds (lambda < s_min), lam = 0 is returned with
-    the probe alpha(s_min), continued from start with that factor
-    (_continued_probe) or, without a start or when that is rejected, by
-    min_eig.  When it fails, the certified Rayleigh-functional iteration of
-    the module docstring runs from start, with delta = root_tol S_max, and,
-    without a start or when that is rejected, from the probe's minimizer.
-    If the certificate fails, v^T K0 v >= 0, an iterate leaves
-    [s_min, S_max] or the iteration does not settle, the root comes from the
-    Cholesky-sign bisection on [s_min, S_max] (NoSignChange if T(S_max) is
-    not definite) and one eigensolve there.  The point's iterations is the
-    rise of variational.FACTORIZATIONS during the call.  numerics supplies
+    the probe alpha(s_min): min_eig's started round from start and that
+    factor, or, without a start or when is_min_eigenpair refuses the
+    started pair, the cold min_eig; converged is is_min_eigenpair of the
+    pair returned.  When it fails, the certified Rayleigh-functional
+    iteration of the module docstring runs from start, with delta =
+    root_tol S_max, and, without a start or when that is rejected, from the
+    probe's minimizer.  If the certificate fails, v^T K0 v >= 0, an iterate
+    leaves [s_min, S_max] or the iteration does not settle, the root comes
+    from the Cholesky-sign bisection on [s_min, S_max] (NoSignChange if
+    T(S_max) is not definite) and one eigensolve there.  The point's
+    iterations is the rise of variational.FACTORIZATIONS during the call,
+    the started round's factorizations included.  numerics supplies
     s_max_factor, root_tol and eig_tol.  xi_abs must be finite and > 0
     (ValueError from coeffs.at).
     """
@@ -264,12 +218,10 @@ def growth_rate(coeffs: FormCoefficients, xi_abs: float,
 
     solve = cholesky(_pencil(forms, s_min))
     if solve is not None:  # lambda < s_min: the row decays
-        alpha = math.nan
         if start is not None:
-            alpha, v = _continued_probe(forms, s_min, solve, start)
-        if math.isfinite(alpha):  # certified, so only the residual is left to test
-            v = j_normalize(forms, v)
-            return point(0.0, alpha, v, eig_residual(forms, s_min, alpha, v) <= eig_tol)
+            alpha, v = min_eig(forms, s_min, (start, solve))
+            if is_min_eigenpair(forms, s_min, alpha, v, eig_tol):
+                return point(0.0, alpha, v, True)
         alpha, v = min_eig(forms, s_min)
         return point(0.0, alpha, v, is_min_eigenpair(forms, s_min, alpha, v, eig_tol))
     lam = math.nan  # s_min < lambda: a growing frequency
@@ -321,8 +273,8 @@ def sweep_lattice(coeffs: FormCoefficients, cutoff: float,
     Every frequency goes through growth_rate on coeffs, in ascending |xi|^2,
     with the previous row's minimizer, its phi dofs scaled by |xi_prev| /
     |xi|, as start (None for the first row), so a point gets lam = 0 exactly
-    when T(s_min) is positive definite; outside the instability window the
-    continued probe is the whole solve.  Each row carries its lattice
+    when T(s_min) is positive definite; outside the instability window
+    min_eig's started round is the whole solve.  Each row carries its lattice
     representative as xi.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:

@@ -67,7 +67,7 @@ def assemble_mode(point: DispersionPoint, coeffs: FormCoefficients) -> GrowingMo
     phi *= scale
     psi *= scale
     H, r = coeffs.continuity(point.xi_abs)
-    u = np.stack([phi[:-1], phi[1:], psi[:-1], psi[1:]], axis=1)  # mesh.dofs(2) order
+    u = np.append(scale * point.minimizer, 0.0)[mesh.dofs(2)]  # dof -1 reads the pad
     q_tilde = -np.einsum("ei,ei->e", r, u) / (lam * H)
     return GrowingMode((point.xi_abs, 0.0), lam, mesh, phi, np.zeros_like(phi), psi,
                        q_tilde, eta_tilde_plus=psi[-1] / lam,

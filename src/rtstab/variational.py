@@ -29,14 +29,16 @@ half-bandwidth 3 and are assembled straight into LAPACK band storage.
 Every factorization of that storage, here, in dispersion and in evolve, is
 a call of cholesky or lu, which return a solve and add one to the count
 FACTORIZATIONS.  A shift lies below the spectrum exactly when the banded
-Cholesky factorization of K - shift M succeeds: min_eig runs inverse iteration
-from the lower end of a bracket that it bisects on that test (Barth,
-Martin and Wilkinson, Numer. Math. 9, 1967) until the Rayleigh quotient
-settles to a round-off margin (QuadraticForms.certificate_eps).  below_spectrum makes the
-test at a computed eigenvalue minus that margin, which certifies it as the
-smallest eigenvalue, and is_min_eigenpair adds the residual test: the two
-checks behind every `converged` flag and `rtstab alpha`.  The norms behind
-the margin and the residual are measured once per QuadraticForms and s.
+Cholesky factorization of K - shift M succeeds: min_eig runs inverse
+iteration from the lower end of a bracket that it bisects on that test
+(Barth, Martin and Wilkinson, Numer. Math. 9, 1967) until the Rayleigh
+quotient settles to a round-off margin (QuadraticForms.certificate_eps),
+or, given a start, runs Rayleigh-quotient steps from it (_shifted_iterate,
+which dispersion's root solve shares).  below_spectrum makes the test at a
+computed eigenvalue minus that margin, which certifies it as the smallest
+eigenvalue, and is_min_eigenpair adds the residual test: the two checks
+behind every `converged` flag and `rtstab alpha`.  The norms behind the
+margin and the residual are measured once per QuadraticForms and s.
 
 Every matrix here comes from one vectorised element kernel, `assemble`: a
 list of terms (c, B[, C]) of quadrature-point coefficients and
@@ -82,6 +84,7 @@ FACTORIZATIONS = [0]  # band factorizations by cholesky and lu since import; rea
 INV_MAX_ITER = 8  # inverse-iteration steps of one round of min_eig
 INV_CONTRACTION = 0.25  # a round of min_eig ends at a step that moves alpha more than this
 #                         fraction of the previous step's move
+RQ_MAX_ITER = 8  # Rayleigh-quotient steps of min_eig's started round
 
 
 @dataclass(frozen=True)
@@ -446,7 +449,31 @@ def bisect_root(above, lo: float, hi: float, wtol: float, max_iter: int = MAX_BI
     return 0.5 * (lo + hi), calls
 
 
-def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
+def _shifted_iterate(shifted, functional, v: np.ndarray, M: np.ndarray, tol: float,
+                     max_iter: int, lo: float = -math.inf,
+                     hi: float = math.inf) -> tuple[float, np.ndarray]:
+    """Inverse iteration with a moving shift from v: rho = functional(v),
+    then v <- shifted(rho)^-1 M v by one band LU factorization (lu) per
+    step and rho = functional(v) again.  Returns (rho, v), where the last
+    step moved rho by at most tol; rho is nan when it leaves [lo, hi] (nan
+    included), shifted(rho) is exactly singular or max_iter steps do not
+    settle."""
+    rho, step = functional(v), math.inf
+    for _step in range(max_iter):
+        if not (lo <= rho <= hi and abs(rho - step) > tol):
+            break
+        solve = lu(shifted(rho))
+        if solve is None:
+            return math.nan, v
+        v = solve(band_mv(M, v))
+        v /= np.abs(v).max()
+        step, rho = rho, functional(v)
+    settled = lo <= rho <= hi and abs(rho - step) <= tol
+    return (rho if settled else math.nan), v
+
+
+def min_eig(forms: QuadraticForms, s: float,
+            start: tuple | None = None) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K0 + s K1) v = alpha M v.
 
     The minimizer is returned J-normalized (v^T M v = 1) with the interface
@@ -464,12 +491,29 @@ def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
     round that does not settle, or a failed certificate, takes one
     bisection step of the bracket (Cholesky test at its midpoint).  Nothing
     is random, so equal inputs give bit-identical results.
-    SolverDivergence when no start is certified, inverse iteration does not
-    settle in a bracket eps wide, or MAX_BISECT factorizations pass.
+    SolverDivergence when no first shift is certified, inverse iteration
+    does not settle in a bracket eps wide, or MAX_BISECT factorizations pass.
+
+    start = (u, solve), solve the Cholesky solve of T(s) = K + s^2 M, runs
+    the started round instead: v <- T(s)^-1 M u (the shift -s^2 lies below
+    the spectrum, so this damps the higher eigenvectors), then
+    Rayleigh-quotient steps by the band LU of K - alpha M (_shifted_iterate)
+    until alpha moves by at most eps or RQ_MAX_ITER steps pass.  Its pair is
+    not certified (is_min_eigenpair tests it); alpha is nan when a
+    factorization is singular or the iteration does not settle.
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"modified-problem parameter s must be finite and > 0, got {s}")
     K, M, eps = forms.stiffness(s)[0], forms.M, forms.certificate_eps(s)
+
+    def quotient(u: np.ndarray) -> float:
+        return float(u @ band_mv(K, u)) / float(u @ band_mv(M, u))
+
+    if start is not None:
+        u, solve = start
+        alpha, v = _shifted_iterate(lambda rho: K - rho * M, quotient,
+                                    solve(band_mv(M, u)), M, eps, RQ_MAX_ITER)
+        return alpha, j_normalize(forms, v)
     first = FACTORIZATIONS[0]
 
     def factor(shift: float):
@@ -489,7 +533,7 @@ def min_eig(forms: QuadraticForms, s: float) -> tuple[float, np.ndarray]:
         for _step in range(INV_MAX_ITER):
             v = solve(band_mv(M, v))
             v /= np.abs(v).max()
-            prev, alpha = alpha, float(v @ band_mv(K, v)) / float(v @ band_mv(M, v))
+            prev, alpha = alpha, quotient(v)
             move, last = abs(alpha - prev), move
             if move <= eps or move > INV_CONTRACTION * last:
                 break

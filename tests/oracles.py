@@ -10,7 +10,8 @@ three-field pencil, a layer-checked enthalpy weight, the hydrostatic RK4
 on numpy scalars (rk4_down_numpy), random oracle states
 and the oracle's full energy, the complex evolution operators at a
 frequency vector with their sparse-LU time step, the element continuity
-rows and the dense pencil of the oracle's normal modes with its root, a
+rows and the dense pencil of the oracle's normal modes with its root, the
+continuum rate of the same forms in a p-version basis (continuum_rate), a
 mode CSV reader, the rotation of a growing mode to another frequency
 direction (rotate_mode, which raises NotARotation), the strong-form
 residuals of a growing mode's ODE system from recovered fluxes
@@ -503,6 +504,61 @@ def pencil_root(K0: np.ndarray, K1: np.ndarray, M: np.ndarray, hi: float,
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if definite(mid) else (mid, hi)
     return 0.5 * (lo + hi)
+
+
+def continuum_rate(profile: EquilibriumProfile, xi_abs: float, p: int) -> float:
+    """Continuum reference for growth_rate: the root of s^2 + alpha(s) = 0
+    for the forms E0, E1 and J in the p-version basis of Szabo and Babuska
+    (Finite Element Analysis, 1991), one element per layer.
+
+    On each layer, mapped to t in [-1, 1], phi and psi take the two hats
+    (1 -+ t) / 2 and the integrated Legendre bubbles (P_k - P_{k-2}) /
+    sqrt(2 (2k - 1)), k = 2..p, whose slope is sqrt((2k - 1) / 2) P_{k-1}.
+    Both fields vanish at the bottom and are continuous at the interface.
+    The integrands are those of form_terms, evaluated by Gauss-Legendre
+    with p + 40 points on the profile's own fields (layer_fields), and
+    surface_coefficients gives E0's surface terms, with no P1 interpolation
+    anywhere.  The root is the bisection of pencil_root on the dense
+    pencil, bracketed by S_max = 1.25 b g jump / mu_minus."""
+    from numpy.polynomial import legendre
+
+    params, xi = profile.params, float(xi_abs)
+    t, wt = legendre.leggauss(p + 40)
+    P = legendre.legvander(t, p).T  # P[k] = P_k(t)
+    val = [(1 - t) / 2, (1 + t) / 2] + [(P[k] - P[k - 2]) / math.sqrt(2 * (2 * k - 1))
+                                        for k in range(2, p + 1)]
+    der = [np.full_like(t, -0.5), np.full_like(t, 0.5)] + [
+        math.sqrt((2 * k - 1) / 2) * P[k - 1] for k in range(2, p + 1)]
+    # per field: 0 the interface, 1 the top, then p - 1 bubbles per layer;
+    # the bottom hat is dropped
+    nf = 2 * p
+    dofs = [[-1, 0, *range(2, p + 1)], [0, 1, *range(p + 1, 2 * p)]]
+    ends = ((-params.b, 0.0), (0.0, params.ell))
+    xq = np.array([lo + (t + 1) * (hi - lo) / 2 for lo, hi in ends])
+    fields = layer_fields(Mesh1D(np.array([-params.b, 0.0, params.ell]), 1, 1), profile, xq)
+    K0, K1, M = (np.zeros((2 * nf, 2 * nf)) for _ in range(3))
+    for layer, ((lo, hi), rows) in enumerate(zip(ends, dofs)):
+        rho, drho, dp, mu, mu_p = fields[:, layer]
+        w = wt * (hi - lo) / 2
+        B, dB = np.zeros((nf, t.size)), np.zeros((nf, t.size))  # one field's basis
+        for j, d in enumerate(rows):
+            if d >= 0:
+                B[d], dB[d] = val[j], der[j] * 2 / (hi - lo)
+        zero = np.zeros_like(B)
+        phi, dphi = np.vstack([B, zero]), np.vstack([dB, zero])
+        psi, dpsi = np.vstack([zero, B]), np.vstack([zero, dB])
+
+        def form(c, row):
+            return (row * (w * c)) @ row.T
+
+        K0 += form(0.5 * dp / rho, drho * psi + rho * dpsi + rho * xi * phi)
+        K1 += (form(0.5 * mu, dphi - xi * psi) + form(0.5 * mu, dpsi - xi * phi)
+               + form(mu / 6.0 + 0.5 * mu_p, dpsi + xi * phi))
+        M += form(0.5 * rho, phi) + form(0.5 * rho, psi)
+    A, C = surface_coefficients(profile)
+    K0[[nf, nf + 1], [nf, nf + 1]] += 0.5 * (A + xi * xi * C)
+    s_max = 1.25 * params.b * params.g * profile.jump / params.mu_minus
+    return pencil_root(K0, K1, M, s_max)
 
 
 def import_mode_csv(csv_path) -> dict[str, np.ndarray]:

@@ -20,8 +20,8 @@ from rtstab.variational import (band_mv, below_spectrum, bisect_root, build_mesh
                                 eig_residual, form_coefficients,
                                 is_min_eigenpair, lu, min_eig)
 from tests.conftest import unit_params, unit_profile
-from tests.oracles import (dedup_lattice_fraction, min_eig_dense, negativity_probe,
-                           psi_bump, psi_bump_norm_sq)
+from tests.oracles import (continuum_rate, dedup_lattice_fraction, min_eig_dense,
+                           negativity_probe, psi_bump, psi_bump_norm_sq)
 
 
 def test_critical_tension_examples(unstable_profile):
@@ -187,22 +187,29 @@ def _scenario(name, unstable_profile):
 
 
 def _count_min_eig(monkeypatch):
-    """Record the frequency of every min_eig call in dispersion."""
+    """Record every min_eig call in dispersion as (frequency, whether it was
+    given a start)."""
     calls = []
 
-    def counted(forms, s):
-        calls.append(forms.xi_abs)
-        return min_eig(forms, s)
+    def counted(forms, s, start=None):
+        calls.append((forms.xi_abs, start is not None))
+        return min_eig(forms, s, start)
 
     monkeypatch.setattr(dispersion, "min_eig", counted)
     return calls
 
 
+def _cold(calls):
+    """The frequencies of the cold min_eig calls (no start) among calls."""
+    return [xi for xi, started in calls if not started]
+
+
 def _count_lu(monkeypatch):
-    """Record every band LU factorization that dispersion makes: the steps
-    of the Rayleigh-functional and Rayleigh-quotient iterations."""
+    """Record every band LU factorization of the shifted inverse iteration:
+    the steps of the Rayleigh-functional iteration and of min_eig's started
+    Rayleigh-quotient round."""
     calls = []
-    monkeypatch.setattr(dispersion, "lu", lambda ab: calls.append(1) or lu(ab))
+    monkeypatch.setattr(variational, "lu", lambda ab: calls.append(1) or lu(ab))
     return calls
 
 
@@ -260,7 +267,7 @@ def test_iterations_count_every_band_factorization(unstable_profile, mesh100,
         factorizations.clear(), eigensolves.clear()
         pt = growth_rate(coeffs, math.sqrt(2.0), start=start)
         assert pt.converged and pt.iterations == len(factorizations)
-        return pt.lam > 0, len(eigensolves)
+        return pt.lam > 0, len(_cold(eigensolves))
 
     assert row(growing) == (True, 1)  # cold: the probe
     assert row(growing, start_g) == (True, 0)  # continued
@@ -420,11 +427,12 @@ def test_chain_across_the_window_edge(mesh100, monkeypatch):
     assert all(p.alpha_at_star >= 0 and p.converged for p in decaying)
     # each decaying row counts the Cholesky test of T(s_min), at least one
     # LU step and the certificate, and no row falls back to the probe
-    assert all(3 <= p.iterations <= dispersion.RQ_MAX_ITER + 2 for p in decaying)
+    assert all(3 <= p.iterations <= variational.RQ_MAX_ITER + 2 for p in decaying)
     # one probe for the chain's first row, and at most one more where a
     # start is rejected next to xi_c, below it
-    assert calls[0] == curve[0].xi_abs and len(calls) <= 2
-    assert all(xi < xi_c for xi in calls)
+    cold = _cold(calls)
+    assert cold[0] == curve[0].xi_abs and len(cold) <= 2
+    assert all(xi < xi_c for xi in cold)
     s_max = 1.25 * prof.params.b * prof.params.g * prof.jump / prof.params.mu_minus
     s_min = 1e-8 * s_max
     for p in decaying:
@@ -486,7 +494,7 @@ def test_continued_probes_match_standalone_probes(name, cutoff, rows, mesh100,
     coeffs = form_coefficients(mesh100, prof)
     calls = _count_min_eig(monkeypatch)
     curve = sweep_lattice(coeffs, cutoff).curve
-    assert len(curve) == rows and calls == [1.0]
+    assert len(curve) == rows and _cold(calls) == [1.0]
     s_min = dispersion._bracket(prof, NumericsConfig())[0]
     for p in curve:
         forms = coeffs.at(p.xi_abs)
@@ -498,8 +506,9 @@ def test_continued_probes_match_standalone_probes(name, cutoff, rows, mesh100,
 
 
 def test_certificate_rejects_a_planted_second_eigenvector(mesh100, monkeypatch):
-    # the second eigenvector as start: the Rayleigh-quotient iteration stays
-    # on it, the certificate refuses its eigenvalue, and the row is the cold
+    # the second eigenvector as start: the started Rayleigh-quotient round
+    # stays on it, the certificate of is_min_eigenpair refuses its
+    # eigenvalue and certifies the cold probe's, and the row is the cold
     # probe's row
     prof = _past_sigma_c("isothermal")
     coeffs = form_coefficients(mesh100, prof)
@@ -509,17 +518,18 @@ def test_certificate_rejects_a_planted_second_eigenvector(mesh100, monkeypatch):
     cold = growth_rate(coeffs, 2.0)
     asked = []
 
-    def recorded(K, M, alpha):
-        asked.append((alpha, below_spectrum(K, M, alpha)))
+    def recorded(forms, s, alpha):
+        asked.append((alpha, below_spectrum(forms, s, alpha)))
         return asked[-1][1]
 
-    monkeypatch.setattr(dispersion, "below_spectrum", recorded)
+    monkeypatch.setattr(variational, "below_spectrum", recorded)
     calls = _count_min_eig(monkeypatch)
     pt = growth_rate(coeffs, 2.0, start=v2)
     eps = forms.certificate_eps(s_min)
-    assert len(asked) == 1 and asked[0][1] is False
+    assert [certified for _alpha, certified in asked] == [False, True]
     assert abs(asked[0][0] - alpha2) <= eps and alpha2 > cold.alpha_at_star + 1e3 * eps
-    assert calls == [2.0]  # the fallback probe
+    assert asked[1][0] == cold.alpha_at_star
+    assert calls == [(2.0, True), (2.0, False)]  # the started round, then the fallback probe
     assert (pt.lam, pt.alpha_at_star, pt.converged) == \
         (cold.lam, cold.alpha_at_star, cold.converged)
     assert np.array_equal(pt.minimizer, cold.minimizer) and pt.converged
@@ -540,7 +550,7 @@ def test_stiff_sweep_continues_its_starts(n_samples, mesh100, monkeypatch):
     calls = _count_min_eig(monkeypatch)
     curve = sweep_lattice(form_coefficients(mesh100, prof), cutoff=6.0).curve
     assert len(curve) == 17 and all(p.lam > 0 and p.converged for p in curve)
-    assert calls == [curve[0].xi_abs]
+    assert _cold(calls) == [curve[0].xi_abs]
 
 
 def test_certificate_steps_once_past_a_short_iterate(unstable_profile, params, mesh100,
@@ -595,8 +605,10 @@ def test_decaying_row_reports_a_planted_sliver_probe(mesh40, monkeypatch):
 def test_cholesky_of_t_s_min_decides_every_row(k, gamma, tension):
     # the pair P = K rho^gamma over P = 2 K rho^gamma under p_atm = K, at
     # sigma_minus = tension * sigma_c: a row grows exactly when T(s_min) is
-    # not positive definite, swept and cold solves agree, every row is
-    # converged, and no rate exceeds b g [rho] / mu_minus
+    # not positive definite, swept and cold solves agree (a decaying row's
+    # probe to the certificate's eps), every row is converged, and no rate
+    # exceeds b g [rho] / mu_minus or, E1 being >= 0, sqrt(-alpha(0)); at the
+    # first lattice |xi|, alpha(s) does not decrease from s_min to S_max / 2
     plus, minus = PressureLaw.polytropic(k, gamma), PressureLaw.polytropic(2 * k, gamma)
     jump = solve_equilibrium(plus, minus, unit_params(p_atm=k)).jump
     prof = solve_equilibrium(plus, minus,
@@ -605,12 +617,20 @@ def test_cholesky_of_t_s_min_decides_every_row(k, gamma, tension):
     bound = prm.b * prm.g * prof.jump / prm.mu_minus
     s_max, s_min = 1.25 * bound, 1.25e-8 * bound
     coeffs = form_coefficients(build_mesh(1.0, 1.0, 40, 40), prof)
-    for p in sweep_lattice(coeffs, cutoff=4.0).curve:
-        forms = coeffs.at(p.xi_abs)
+    curve = sweep_lattice(coeffs, cutoff=4.0).curve
+    for p in curve:
+        forms, cold = coeffs.at(p.xi_abs), growth_rate(coeffs, p.xi_abs)
         pencil = forms.K0 + s_min * forms.K1 + s_min ** 2 * forms.M
         assert (p.lam > 0) is (variational.cholesky(pencil) is None)
-        assert abs(p.lam - growth_rate(coeffs, p.xi_abs).lam) <= 1e-10 * s_max
+        assert abs(p.lam - cold.lam) <= 1e-10 * s_max
+        if p.lam == 0.0:
+            assert abs(p.alpha_at_star - cold.alpha_at_star) <= forms.certificate_eps(s_min)
+        else:
+            assert p.lam <= math.sqrt(-min_eig_dense(forms, 0.0)[0])
         assert p.converged and p.lam <= bound
+    forms = coeffs.at(curve[0].xi_abs)
+    alphas = [min_eig(forms, float(s))[0] for s in np.linspace(s_min, s_max / 2, 5)]
+    assert all(a <= b for a, b in zip(alphas, alphas[1:]))
 
 
 _PAIRS = {  # the README pair, gamma = 1.4 (K = 0.5 over 1) and the stiff pair
@@ -633,6 +653,28 @@ def _rates_by_viscosity(name, xi_abs):
         assert p.converged
         rates.append(p.lam)
     return rates, math.sqrt(-min_eig_dense(coeffs.at(xi_abs), 0.0)[0])
+
+
+# lam - continuum_rate at 100 elements per layer, measured when the gate
+# was written; the gate's bound is twice it
+_CONTINUUM_ERROR_100 = {("isothermal", 1.0): -2.172e-5, ("isothermal", 4.0): -5.674e-5,
+                        ("polytropic", 1.0): -3.843e-5, ("polytropic", 4.0): -1.068e-4}
+
+
+@pytest.mark.parametrize("xi_abs", [1.0, 4.0])
+@pytest.mark.parametrize("name", ["isothermal", "polytropic"])
+def test_rate_converges_to_the_continuum_at_second_order(name, xi_abs):
+    # the p-version reference is settled in p (p and p + 4 agree to 1e-9),
+    # and the P1 rate at 100 and 200 elements per layer approaches it at an
+    # observed order of 2
+    plus, minus, extra = _PAIRS[name]
+    prof = solve_equilibrium(plus, minus, unit_params(**extra))
+    ref = continuum_rate(prof, xi_abs, 16)
+    assert abs(continuum_rate(prof, xi_abs, 20) - ref) <= 1e-9 * ref
+    e100, e200 = (growth_rate(form_coefficients(build_mesh(1.0, 1.0, n, n), prof),
+                              xi_abs).lam - ref for n in (100, 200))
+    assert e100 * e200 > 0 and 1.9 <= math.log2(e100 / e200) <= 2.1
+    assert abs(e100) <= 2 * abs(_CONTINUUM_ERROR_100[name, xi_abs])
 
 
 @pytest.mark.parametrize("xi_abs", [1.0, 4.0])
@@ -682,6 +724,19 @@ def test_converged_flag_comes_from_the_eigen_residual(unstable_profile,
     probe = growth_rate(form_coefficients(mesh40, unit_profile(sigma_minus=0.5)), 3.0,
                         strict)
     assert probe.lam == 0.0 and not probe.converged
+
+
+def test_refused_started_probe_takes_one_cold_probe(mesh40, monkeypatch):
+    # at eig_tol = 1e-300 the residual test refuses every pair: the started
+    # round's pair falls back to the cold probe once, and the row reports
+    # that probe as not converged
+    coeffs = form_coefficients(mesh40, unit_profile(sigma_minus=0.5))
+    start, strict = growth_rate(coeffs, 3.0).minimizer, NumericsConfig(eig_tol=1e-300)
+    cold = growth_rate(coeffs, 3.0, strict)
+    calls = _count_min_eig(monkeypatch)
+    pt = growth_rate(coeffs, 3.0, strict, start)
+    assert calls == [(3.0, True), (3.0, False)]
+    assert pt.lam == 0.0 and not pt.converged and pt.alpha_at_star == cold.alpha_at_star
 
 
 def test_dedup_lattice_exact(params):
