@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .equilibrium import PhysicalParams, PressureLaw
+from .equilibrium import PhysicalParams, PolytropicLaw, PressureLaw, TabulatedLaw
 from .errors import ConfigError
 
 
@@ -106,13 +106,15 @@ def _numbers(values, where: str) -> list[float]:
 def _law_from_dict(d: dict, where: str) -> PressureLaw:
     try:
         kind = d["kind"]
-        if kind == "isothermal":
-            return PressureLaw.isothermal(*_numbers(d["params"], f"{where}.params"))
-        if kind == "polytropic":
-            return PressureLaw.polytropic(*_numbers(d["params"], f"{where}.params"))
+        if kind in ("isothermal", "polytropic"):
+            params = _numbers(d["params"], f"{where}.params")
+            names = ["K"] if kind == "isothermal" else ["K", "gamma"]
+            if len(params) != len(names):
+                raise ValueError(f"{kind} params must be [{', '.join(names)}], got {params}")
+            return PolytropicLaw(params[0], params[1] if kind == "polytropic" else 1.0)
         if kind == "tabulated":
-            return PressureLaw.tabulated(_numbers(d["rho"], f"{where}.rho"),
-                                         _numbers(d["p"], f"{where}.p"))
+            return TabulatedLaw(_numbers(d["rho"], f"{where}.rho"),
+                                _numbers(d["p"], f"{where}.p"))
         raise ConfigError(f"{where}.kind must be isothermal, polytropic or tabulated")
     except ConfigError:
         raise

@@ -75,7 +75,7 @@ S_MIN_FRAC = 1e-8  # s_min = S_MIN_FRAC * S_max, the stability probe point
 RF_MAX_ITER = 30  # Rayleigh-functional steps before the bisection takes over
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionPoint:
     """One lattice frequency with its growth rate and solve metadata.
 
@@ -101,7 +101,7 @@ class DispersionPoint:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthSummary:
     """Sweep result: the sharp rate over the scanned lattice.
 

@@ -16,14 +16,15 @@ orientations.  Everything downstream consumes the profile through rho, its
 hydrostatic derivative, and the enthalpy weight h'(rho) = P'(rho)/rho.
 
 Profiles are integrated top-down with classical fixed-step RK4 and stored as
-dense samples with a cubic Hermite interpolant per layer whose node slopes are
-the exact hydrostatic -g rho_i / P'(rho_i), so interpolation error stays at
-the integrator's O(h^4) node error.  A law is closed-form, P = K rho^gamma
-(isothermal is gamma = 1), or tabulated: the monotone PCHIP cubic through
-its samples, with scipy's PchipInterpolator slopes, evaluated by the same
-Hermite interpolant as the profile and inverted by bisection, in numpy
-alone.  Closed-form profiles (gamma = 1 and 2) serve as test oracles only;
-the solver path is always the integrator.
+dense samples.  EquilibriumProfile.interp holds a cubic Hermite interpolant
+per layer whose node slopes are the exact hydrostatic -g rho_i / P'(rho_i),
+so interpolation error stays at the integrator's O(h^4) node error.  A law
+is a PolytropicLaw, P = K rho^gamma (isothermal is gamma = 1), or a
+TabulatedLaw: the monotone PCHIP cubic through its samples, with scipy's
+PchipInterpolator slopes, evaluated by the same Hermite interpolant as the
+profile and inverted by bisection, in numpy alone.  Closed-form profiles
+(gamma = 1 and 2) serve as test oracles only; the solver path is always the
+integrator.
 """
 
 from __future__ import annotations
@@ -49,72 +50,60 @@ INVERSE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
-class PressureLaw:
-    """Barotropic pressure law P(rho) with derivative and inverse.
+class PolytropicLaw:
+    """P = K rho^gamma with gamma >= 1; isothermal P = K rho is gamma = 1.
+    value and derivative are vectorized and map a scalar to a scalar."""
 
-    kind is "polytropic" (P = K rho^gamma; isothermal P = K rho is gamma = 1)
-    or "tabulated" (monotone cubic through (rho, P) samples).  P must be
-    smooth, positive and strictly increasing on the traversed density range.
-    A tabulated law is defined on [rho_table[0], rho_table[-1]] only: value
-    and derivative raise OutsideTable beyond it instead of extrapolating.
-    """
-
-    kind: str
-    params: tuple = ()
-    rho_table: np.ndarray | None = field(default=None, repr=False)
-    p_table: np.ndarray | None = field(default=None, repr=False)
+    k: float
+    gamma: float
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
-        if self.kind == "polytropic":
-            k, gamma = self.params
-            if not 0 < k < math.inf:
-                raise ValueError(f"pressure coefficient K must be finite and > 0, got {k}")
-            if not 1 <= gamma < math.inf:
-                raise ValueError(f"exponent gamma must be finite and >= 1, got {gamma}")
-        elif self.kind == "tabulated":
-            rho = np.asarray(self.rho_table, dtype=float)
-            p = np.asarray(self.p_table, dtype=float)
-            if rho.ndim != 1 or rho.shape != p.shape or rho.size < 4:
-                raise ValueError("tabulated law needs matching 1d tables, >= 4 points")
-            if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(p))):
-                raise ValueError("tabulated law tables must be finite")
-            if np.any(np.diff(rho) <= 0) or np.any(np.diff(p) <= 0):
-                raise ValueError("tabulated law must be strictly increasing in rho and P")
-            if rho[0] <= 0 or p[0] <= 0:
-                raise ValueError("tabulated law must have positive rho and P")
-            # strictly increasing data give a monotone PCHIP cubic
-            object.__setattr__(self, "_interp", _hermite(rho, p, _pchip_slopes(rho, p)))
-            object.__setattr__(self, "rho_table", rho)
-            object.__setattr__(self, "p_table", p)
-        else:
-            raise ValueError(f"unknown pressure-law kind {self.kind!r}")
-
-    @classmethod
-    def isothermal(cls, k: float) -> "PressureLaw":
-        """P = K rho: the polytropic law with gamma = 1."""
-        return cls.polytropic(k, 1.0)
-
-    @classmethod
-    def polytropic(cls, k: float, gamma: float) -> "PressureLaw":
-        return cls("polytropic", (float(k), float(gamma)))
-
-    @classmethod
-    def tabulated(cls, rho, p) -> "PressureLaw":
-        return cls("tabulated", (), np.asarray(rho, float), np.asarray(p, float))
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"pressure coefficient K must be finite and > 0, got {self.k}")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError(f"exponent gamma must be finite and >= 1, got {self.gamma}")
 
     def value(self, rho):
-        """P(rho); vectorized.  A closed-form law maps a scalar to a scalar."""
-        if self.kind == "polytropic":
-            k, gamma = self.params
-            return k * rho ** gamma
+        return self.k * rho ** self.gamma
+
+    def derivative(self, rho):
+        return self.k * self.gamma * rho ** (self.gamma - 1.0)
+
+    def inverse(self, p: float) -> float:
+        """rho with P(rho) = p."""
+        if p <= 0:
+            raise InverseFailure(f"pressure-law inverse undefined for p = {p}")
+        return (p / self.k) ** (1.0 / self.gamma)
+
+
+class TabulatedLaw:
+    """The monotone PCHIP cubic through strictly increasing (rho, P) samples.
+
+    It is defined on [rho_table[0], rho_table[-1]] only: value and
+    derivative raise OutsideTable beyond it instead of extrapolating.  It
+    compares by identity.
+    """
+
+    def __init__(self, rho, p):
+        rho = np.asarray(rho, dtype=float)
+        p = np.asarray(p, dtype=float)
+        if rho.ndim != 1 or rho.shape != p.shape or rho.size < 4:
+            raise ValueError("tabulated law needs matching 1d tables, >= 4 points")
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(p))):
+            raise ValueError("tabulated law tables must be finite")
+        if np.any(np.diff(rho) <= 0) or np.any(np.diff(p) <= 0):
+            raise ValueError("tabulated law must be strictly increasing in rho and P")
+        if rho[0] <= 0 or p[0] <= 0:
+            raise ValueError("tabulated law must have positive rho and P")
+        self.rho_table, self.p_table = rho, p
+        # strictly increasing data give a monotone PCHIP cubic
+        self._interp = _hermite(rho, p, _pchip_slopes(rho, p))
+
+    def value(self, rho):
         return self._interp(self._in_table(rho))
 
     def derivative(self, rho):
-        """P'(rho); vectorized.  A closed-form law maps a scalar to a scalar."""
-        if self.kind == "polytropic":
-            k, gamma = self.params
-            return k * gamma * rho ** (gamma - 1.0)
         return self._interp(self._in_table(rho), 1)
 
     def _in_table(self, rho):
@@ -126,15 +115,10 @@ class PressureLaw:
         return r
 
     def inverse(self, p: float) -> float:
-        """rho with P(rho) = p, to relative tolerance 1e-12: a tabulated
-        law bisects its increasing interpolant to INVERSE_TOL, up to the
-        larger of p_table[-1] and its value at rho_table[-1], which the last
-        cubic can round above p_table[-1]."""
-        if self.kind == "polytropic":
-            if p <= 0:
-                raise InverseFailure(f"pressure-law inverse undefined for p = {p}")
-            k, gamma = self.params
-            return (p / k) ** (1.0 / gamma)
+        """rho with P(rho) = p, to relative tolerance 1e-12: bisection of the
+        increasing interpolant to INVERSE_TOL, up to the larger of
+        p_table[-1] and its value at rho_table[-1], which the last cubic can
+        round above p_table[-1]."""
         lo = float(self.p_table[0])
         hi = max(float(self.p_table[-1]), float(self._interp(self.rho_table[-1])))
         if not (lo <= p <= hi):
@@ -148,6 +132,11 @@ class PressureLaw:
             if value == p:
                 return mid
             a, b = (mid, b) if value < p else (a, mid)
+
+
+# A barotropic law P(rho) with derivative and inverse: smooth, positive and
+# strictly increasing on the traversed density range.
+PressureLaw = PolytropicLaw | TabulatedLaw
 
 
 @dataclass(frozen=True)
@@ -183,13 +172,15 @@ class PhysicalParams:
         return self.mu_prime_plus if layer == "plus" else self.mu_prime_minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumProfile:
     """Piecewise equilibrium density, a cubic Hermite interpolant per layer.
 
     rho1 is the density at the top surface, rho_top_interface and
     rho_bot_interface the one-sided values at the internal interface, and
-    jump their difference (upper minus lower).
+    jump their difference (upper minus lower).  interp maps "plus" and
+    "minus" to the layer's interpolant: f(x3) is the density and f(x3, 1)
+    its slope.
     """
 
     law_plus: PressureLaw
@@ -203,6 +194,7 @@ class EquilibriumProfile:
     rho_top_interface: float
     rho_bot_interface: float
     jump: float
+    interp: dict = field(repr=False)
 
     @classmethod
     def from_samples(cls, law_plus, law_minus, params, x_plus, rho_plus,
@@ -211,30 +203,23 @@ class EquilibriumProfile:
         x_minus = np.asarray(x_minus, float)
         rho_plus = np.asarray(rho_plus, float)
         rho_minus = np.asarray(rho_minus, float)
-        prof = cls(law_plus, law_minus, params, x_plus, rho_plus, x_minus,
+        # node slopes: the exact hydrostatic -g rho / P'(rho)
+        interp = {side: _hermite(x, r, -params.g * r / law.derivative(r))
+                  for side, x, r, law in (("plus", x_plus, rho_plus, law_plus),
+                                          ("minus", x_minus, rho_minus, law_minus))}
+        return cls(law_plus, law_minus, params, x_plus, rho_plus, x_minus,
                    rho_minus, rho1=float(rho_plus[-1]),
                    rho_top_interface=float(rho_plus[0]),
                    rho_bot_interface=float(rho_minus[-1]),
-                   jump=float(rho_plus[0]) - float(rho_minus[-1]))
-        for side, x, r, law in (("plus", x_plus, rho_plus, law_plus),
-                                ("minus", x_minus, rho_minus, law_minus)):
-            slope = -params.g * r / law.derivative(r)  # exact hydrostatic slope
-            object.__setattr__(prof, f"_interp_{side}", _hermite(x, r, slope))
-        return prof
+                   jump=float(rho_plus[0]) - float(rho_minus[-1]), interp=interp)
 
     def law(self, layer: str) -> PressureLaw:
         return self.law_plus if layer == "plus" else self.law_minus
 
-    def rho_plus(self, x3):
-        return self._interp_plus(x3)
-
-    def rho_minus(self, x3):
-        return self._interp_minus(x3)
-
     def rho(self, x3, layer: str):
         """Density at x3 from `layer`'s interpolant ("plus" or "minus"), which
         also picks the side of the jump at the interface."""
-        return self.rho_plus(x3) if layer == "plus" else self.rho_minus(x3)
+        return self.interp[layer](x3)
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
@@ -377,7 +362,7 @@ def check_admissibility(profile: EquilibriumProfile) -> AdmissibilityReport:
     min_slope = math.inf
     for layer in ("minus", "plus"):
         nodes = profile.x_plus if layer == "plus" else profile.x_minus
-        f = profile._interp_plus if layer == "plus" else profile._interp_minus
+        f = profile.interp[layer]
         m = nodes.size
         xs = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])])
         rho = f(xs)

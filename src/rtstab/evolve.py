@@ -161,7 +161,7 @@ def interface_bump_state(ops: EvolutionOperators) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Record of an advance() run: per state its time, signed eta+-, energy
     and dissipation; per step its balance defect; and the last state."""

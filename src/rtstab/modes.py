@@ -30,7 +30,7 @@ from .errors import DegenerateMode
 from .variational import FormCoefficients, Mesh1D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowingMode:
     """Normal-mode profiles: phi, theta, psi at the mesh nodes (bottom value
     0) and q_tilde, one value per element."""

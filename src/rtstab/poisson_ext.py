@@ -37,7 +37,7 @@ from .artifacts import write_csv
 from .errors import IllConditioned
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicField:
     """Samples on a uniform N1 x N2 grid over the (2 pi L1) x (2 pi L2) torus."""
 
@@ -112,7 +112,7 @@ def vandermonde_coeffs(lambdas) -> np.ndarray:
     return alphas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionParams:
     """Order-m matching data: nodes lambda_0..lambda_m and coefficients alpha."""
 

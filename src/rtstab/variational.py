@@ -87,7 +87,7 @@ INV_CONTRACTION = 0.25  # a round of min_eig ends at a step that moves alpha mor
 RQ_MAX_ITER = 8  # Rayleigh-quotient steps of min_eig's started round
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1D:
     """Uniform-per-layer P1 mesh on [-b, ell] with a node exactly at 0.
 
@@ -276,7 +276,7 @@ def lu(ab: np.ndarray):
     return lambda b: dgbtrs(factor, BAND, BAND, b, piv, overwrite_b=1)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForms:
     """Symmetric matrices with v^T K0 v = E0(v), v^T K1 v = E1(v),
     v^T M v = J(v) for v in the node-by-node order (phi_1, psi_1, phi_2,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rtstab.equilibrium import PhysicalParams, PressureLaw, solve_equilibrium
+from rtstab.equilibrium import PhysicalParams, PolytropicLaw, solve_equilibrium
 from rtstab.variational import build_mesh
 
 
@@ -18,8 +18,8 @@ def unit_profile(**overrides):
     """The unstable isothermal pair, k_plus = 1 over k_minus = 2 (heavy above
     light along the interface, jump > 0; e/2 at unit g), solved at
     unit_params(**overrides)."""
-    return solve_equilibrium(PressureLaw.isothermal(1.0),
-                             PressureLaw.isothermal(2.0), unit_params(**overrides))
+    return solve_equilibrium(PolytropicLaw(1.0, 1.0),
+                             PolytropicLaw(2.0, 1.0), unit_params(**overrides))
 
 
 @pytest.fixture(scope="session")
@@ -34,8 +34,8 @@ def unstable_profile():
 
 @pytest.fixture(scope="session")
 def stable_profile(params):
-    return solve_equilibrium(PressureLaw.isothermal(2.0),
-                             PressureLaw.isothermal(1.0), params)
+    return solve_equilibrium(PolytropicLaw(2.0, 1.0),
+                             PolytropicLaw(1.0, 1.0), params)
 
 
 @pytest.fixture(scope="session")

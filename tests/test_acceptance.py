@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from rtstab.classify import RegimeLabel, classify_regime
 from rtstab.dispersion import critical_tension, growth_rate, sweep_lattice
-from rtstab.equilibrium import PressureLaw, solve_equilibrium
+from rtstab.equilibrium import PolytropicLaw, solve_equilibrium
 from rtstab.evolve import (advance, interface_bump_state, measure_growth,
                            semidiscretize, state_from_mode)
 from rtstab.modes import assemble_mode
@@ -47,13 +47,13 @@ def rate_at_one(coeffs100):
 
 def test_criterion_01_equilibrium_exactness(params):
     t0 = time.time()
-    prof = solve_equilibrium(PressureLaw.isothermal(1.0),
-                             PressureLaw.isothermal(2.0), params, 257)
+    prof = solve_equilibrium(PolytropicLaw(1.0, 1.0),
+                             PolytropicLaw(2.0, 1.0), params, 257)
     xs = np.linspace(0.0, 1.0, 257)
     xm = np.linspace(-1.0, 0.0, 257)
-    rel_p = np.abs(prof.rho_plus(xs) - np.exp(1 - xs)) / np.exp(1 - xs)
+    rel_p = np.abs(prof.rho(xs, "plus") - np.exp(1 - xs)) / np.exp(1 - xs)
     exact_m = 0.5 * np.e * np.exp(-xm / 2)
-    rel_m = np.abs(prof.rho_minus(xm) - exact_m) / exact_m
+    rel_m = np.abs(prof.rho(xm, "minus") - exact_m) / exact_m
     worst = max(rel_p.max(), rel_m.max())
     elapsed = time.time() - t0
     report(1, "equilibrium reproduces the closed-form profiles to 1e-8",
@@ -77,14 +77,14 @@ def test_criterion_02_bump_norm():
 def test_criterion_03_energy_lower_bound(params):
     t0 = time.time()
     configs = [
-        (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0), unit_params()),
-        (PressureLaw.isothermal(0.5), PressureLaw.isothermal(1.7),
+        (PolytropicLaw(1.0, 1.0), PolytropicLaw(2.0, 1.0), unit_params()),
+        (PolytropicLaw(0.5, 1.0), PolytropicLaw(1.7, 1.0),
          unit_params(mu_prime_plus=0.3, mu_prime_minus=0.1)),
-        (PressureLaw.polytropic(1.0, 2.0), PressureLaw.polytropic(2.0, 2.0),
+        (PolytropicLaw(1.0, 2.0), PolytropicLaw(2.0, 2.0),
          unit_params(g=1.5, p_atm=0.8)),
-        (PressureLaw.isothermal(1.0), PressureLaw.polytropic(1.5, 1.4),
+        (PolytropicLaw(1.0, 1.0), PolytropicLaw(1.5, 1.4),
          unit_params(sigma_minus=0.2, sigma_plus=0.1)),
-        (PressureLaw.isothermal(0.8), PressureLaw.isothermal(2.5),
+        (PolytropicLaw(0.8, 1.0), PolytropicLaw(2.5, 1.0),
          unit_params(mu_plus=0.4, mu_minus=2.0)),
     ]
     mesh = build_mesh(1.0, 1.0, 30, 30)
@@ -166,12 +166,12 @@ def test_criterion_07_eigensolver_oracle(params):
     t0 = time.time()
     mesh = build_mesh(1.0, 1.0, 20, 20)  # 80 dofs
     profiles = [
-        solve_equilibrium(PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0),
+        solve_equilibrium(PolytropicLaw(1.0, 1.0), PolytropicLaw(2.0, 1.0),
                           params, 65),
-        solve_equilibrium(PressureLaw.isothermal(2.0), PressureLaw.isothermal(1.0),
+        solve_equilibrium(PolytropicLaw(2.0, 1.0), PolytropicLaw(1.0, 1.0),
                           params, 65),
-        solve_equilibrium(PressureLaw.polytropic(1.0, 2.0),
-                          PressureLaw.polytropic(1.6, 2.0), params, 65),
+        solve_equilibrium(PolytropicLaw(1.0, 2.0),
+                          PolytropicLaw(1.6, 2.0), params, 65),
     ]
     coeffs = [form_coefficients(mesh, prof) for prof in profiles]
     rng = np.random.default_rng(7)

@@ -1,12 +1,18 @@
 """The one writer of CSV and JSON artifacts, that no other module writes,
-and that the package defines only what its own code names."""
+that the package defines only what its own code names, and that its records
+of arrays compare by identity."""
 
 import ast
+import dataclasses
+import importlib
 import json
+import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
 
+import rtstab
 from rtstab import artifacts
 from rtstab.artifacts import write_csv, write_json
 
@@ -87,3 +93,26 @@ def test_every_definition_is_named_in_package_code():
              for tree in trees for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert defined - named == set(ENTRY_POINTS)
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # a generated __eq__ compares the fields as tuples, which raises on two
+    # distinct records with equal arrays, and its __hash__ raises on an
+    # array.  A dataclass holds an array when a field annotation names
+    # ndarray, or names another dataclass that holds one
+    records = {}
+    for info in pkgutil.iter_modules(rtstab.__path__):
+        module = importlib.import_module(f"rtstab.{info.name}")
+        records.update({name: obj for name, obj in vars(module).items()
+                        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                        and obj.__module__ == module.__name__})
+    holders = {"ndarray"}
+    while True:
+        names = re.compile(rf"\b({'|'.join(holders)})\b")
+        found = {name for name, cls in records.items()
+                 if any(names.search(str(f.type)) for f in dataclasses.fields(cls))}
+        if found <= holders:
+            break
+        holders |= found
+    assert sorted(name for name in holders - {"ndarray"}
+                  if records[name].__dataclass_params__.eq) == []

@@ -627,6 +627,22 @@ def test_missing_pressure_law_exits_2(tmp_path, capsys):
         assert f"fluids.{side}.law" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("kind, params", [("isothermal", []), ("isothermal", [1.0, 2.0]),
+                                          ("polytropic", [1.0]),
+                                          ("polytropic", [1.0, 2.0, 3.0])])
+def test_closed_form_law_takes_exactly_its_parameters(tmp_path, capsys, kind, params):
+    # isothermal is [K] and polytropic [K, gamma]: a missing number is not
+    # defaulted and an extra one is not dropped or read as gamma
+    doc = json.loads(write_config(tmp_path / "cfg.json").read_text())
+    doc["fluids"]["minus"]["law"] = {"kind": kind, "params": params}
+    path = tmp_path / "arity.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="fluids.minus.law"):
+        load_config(path)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert_one_error_line(capsys, "fluids.minus.law")
+
 def test_bench_span_targets_resolve_but_assemble_forms():
     # the benchmark times each layer by wrapping these names in place, and a
     # name that no longer resolves is timed as 0 instead of failing the run.

@@ -13,7 +13,7 @@ from rtstab.dispersion import (DispersionPoint, _dedup_lattice,
                                critical_frequency, critical_tension,
                                growth_rate, sweep_lattice,
                                write_dispersion_csv)
-from rtstab.equilibrium import PressureLaw, solve_equilibrium
+from rtstab.equilibrium import PolytropicLaw, solve_equilibrium
 from rtstab.errors import NoSignChange, NotUnstableOrientation, SolverDivergence
 from rtstab.evolve import EvolutionOperators, semidiscretize
 from rtstab.variational import (band_mv, below_spectrum, bisect_root, build_mesh,
@@ -34,9 +34,9 @@ def test_critical_tension_examples(unstable_profile):
 
 
 def test_critical_tension_zero_jump(params):
-    from rtstab.equilibrium import PressureLaw, solve_equilibrium
-    prof = solve_equilibrium(PressureLaw.isothermal(1.0),
-                             PressureLaw.isothermal(1.0), params)
+    from rtstab.equilibrium import PolytropicLaw, solve_equilibrium
+    prof = solve_equilibrium(PolytropicLaw(1.0, 1.0),
+                             PolytropicLaw(1.0, 1.0), params)
     assert abs(critical_tension(prof)) < 1e-12
 
 
@@ -173,8 +173,8 @@ def _scenario(name, unstable_profile):
     """(profile, |xi|, S_max) of the enclosure scenarios."""
     if name == "polytropic":
         prm = unit_params(mu_prime_plus=0.3, mu_prime_minus=0.2, sigma_plus=0.1)
-        prof = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
-                                 PressureLaw.polytropic(2.0, 1.4), prm)
+        prof = solve_equilibrium(PolytropicLaw(1.0, 1.4),
+                                 PolytropicLaw(2.0, 1.4), prm)
         xi = 1.0
     elif name == "isothermal":
         prof, xi = unstable_profile, 1.0
@@ -467,12 +467,12 @@ def _past_sigma_c(name):
     (g = L1 = L2 = 1) and sigma_plus = 0.1, as in the benchmark's probe
     scan: the README pair, gamma = 1.4, mu' != 0 or the stiff pair."""
     plus, minus, extra = {
-        "isothermal": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0), {}),
-        "polytropic": (PressureLaw.polytropic(1.0, 1.4),
-                       PressureLaw.polytropic(2.0, 1.4), {}),
-        "mu_prime": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0),
+        "isothermal": (PolytropicLaw(1.0, 1.0), PolytropicLaw(2.0, 1.0), {}),
+        "polytropic": (PolytropicLaw(1.0, 1.4),
+                       PolytropicLaw(2.0, 1.4), {}),
+        "mu_prime": (PolytropicLaw(1.0, 1.0), PolytropicLaw(2.0, 1.0),
                      {"mu_prime_plus": 0.3, "mu_prime_minus": 0.2}),
-        "stiff": (PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0),
+        "stiff": (PolytropicLaw(400.0, 1.0), PolytropicLaw(800.0, 1.0),
                   {"p_atm": 400.0}),
     }[name]
     jump = solve_equilibrium(plus, minus, unit_params(**extra)).jump
@@ -545,7 +545,7 @@ def test_stiff_sweep_continues_its_starts(n_samples, mesh100, monkeypatch):
     # (unscaled, every row's start was rejected: 16 probes), and an iterate
     # whose T(rho + delta) fails the Cholesky test at round-off is certified
     # by T(rho + 2 delta): the chain takes the first row's probe alone
-    prof = solve_equilibrium(PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0),
+    prof = solve_equilibrium(PolytropicLaw(400.0, 1.0), PolytropicLaw(800.0, 1.0),
                              unit_params(p_atm=400.0), n_samples)
     calls = _count_min_eig(monkeypatch)
     curve = sweep_lattice(form_coefficients(mesh100, prof), cutoff=6.0).curve
@@ -609,7 +609,7 @@ def test_cholesky_of_t_s_min_decides_every_row(k, gamma, tension):
     # probe to the certificate's eps), every row is converged, and no rate
     # exceeds b g [rho] / mu_minus or, E1 being >= 0, sqrt(-alpha(0)); at the
     # first lattice |xi|, alpha(s) does not decrease from s_min to S_max / 2
-    plus, minus = PressureLaw.polytropic(k, gamma), PressureLaw.polytropic(2 * k, gamma)
+    plus, minus = PolytropicLaw(k, gamma), PolytropicLaw(2 * k, gamma)
     jump = solve_equilibrium(plus, minus, unit_params(p_atm=k)).jump
     prof = solve_equilibrium(plus, minus,
                              unit_params(p_atm=k, sigma_minus=tension * jump))
@@ -634,9 +634,9 @@ def test_cholesky_of_t_s_min_decides_every_row(k, gamma, tension):
 
 
 _PAIRS = {  # the README pair, gamma = 1.4 (K = 0.5 over 1) and the stiff pair
-    "isothermal": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0), {}),
-    "polytropic": (PressureLaw.polytropic(0.5, 1.4), PressureLaw.polytropic(1.0, 1.4), {}),
-    "stiff": (PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0), {"p_atm": 400.0}),
+    "isothermal": (PolytropicLaw(1.0, 1.0), PolytropicLaw(2.0, 1.0), {}),
+    "polytropic": (PolytropicLaw(0.5, 1.4), PolytropicLaw(1.0, 1.4), {}),
+    "stiff": (PolytropicLaw(400.0, 1.0), PolytropicLaw(800.0, 1.0), {"p_atm": 400.0}),
 }
 
 
@@ -675,6 +675,24 @@ def test_rate_converges_to_the_continuum_at_second_order(name, xi_abs):
                               xi_abs).lam - ref for n in (100, 200))
     assert e100 * e200 > 0 and 1.9 <= math.log2(e100 / e200) <= 2.1
     assert abs(e100) <= 2 * abs(_CONTINUUM_ERROR_100[name, xi_abs])
+
+
+@pytest.mark.parametrize("sigma_minus", [0.5, 1.0])
+@pytest.mark.parametrize("name", ["isothermal", "polytropic"])
+def test_the_continuum_grows_only_below_the_critical_frequency(name, sigma_minus):
+    # surface tension on the lower layer closes the instability window at
+    # xi_c = sqrt(jump g / sigma_-): the continuum rate is positive just
+    # below xi_c and vanishes past it.  Past xi_c, K0 is only semidefinite,
+    # so the Cholesky test fails at s = 0 and the bisection ends at round-off
+    # above 0 (measured <= 4e-16), not at exactly 0
+    plus, minus, extra = _PAIRS[name]
+    prof = solve_equilibrium(plus, minus, unit_params(sigma_plus=0.1,
+                                                      sigma_minus=sigma_minus, **extra))
+    xi_c = critical_frequency(prof)
+    # measured 1.75e-5 and 1.32e-5 (isothermal), 2.36e-5 and 1.89e-5 (polytropic)
+    assert continuum_rate(prof, (1 - 1e-4) * xi_c, 12) >= 5e-6
+    for past in (1 + 1e-4, 1 + 1e-3):
+        assert continuum_rate(prof, past * xi_c, 12) <= 1e-12
 
 
 @pytest.mark.parametrize("xi_abs", [1.0, 4.0])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtstab.equilibrium import (INVERSE_TOL, EquilibriumProfile, PressureLaw,
-                                _pchip_slopes, check_admissibility,
+from rtstab.equilibrium import (INVERSE_TOL, EquilibriumProfile, PolytropicLaw,
+                                TabulatedLaw, _pchip_slopes, check_admissibility,
                                 export_profile_csv, solve_equilibrium)
 from rtstab.errors import DegeneratePressure, InverseFailure, OutsideTable
 from tests.conftest import unit_params
@@ -19,19 +19,19 @@ def test_isothermal_matches_closed_form(unstable_profile):
     # rho_plus = e^{1-x}, rho_minus = (e/2) e^{-x/2}
     xs = np.linspace(0.0, 1.0, 257)
     exact = np.exp(1.0 - xs)
-    rel = np.abs(unstable_profile.rho_plus(xs) - exact) / exact
+    rel = np.abs(unstable_profile.rho(xs, "plus") - exact) / exact
     assert rel.max() <= 1e-8
     xm = np.linspace(-1.0, 0.0, 257)
     exact_m = 0.5 * np.e * np.exp(-xm / 2.0)
-    rel_m = np.abs(unstable_profile.rho_minus(xm) - exact_m) / exact_m
+    rel_m = np.abs(unstable_profile.rho(xm, "minus") - exact_m) / exact_m
     assert rel_m.max() <= 1e-8
 
 
 def test_hermite_profile_matches_closed_form_at_midpoints(unstable_profile):
     # midpoints are where a cubic Hermite interpolant is farthest from its nodes
-    for x, f, exact in ((unstable_profile.x_plus, unstable_profile.rho_plus,
+    for x, f, exact in ((unstable_profile.x_plus, unstable_profile.interp["plus"],
                          lambda t: np.exp(1.0 - t)),
-                        (unstable_profile.x_minus, unstable_profile.rho_minus,
+                        (unstable_profile.x_minus, unstable_profile.interp["minus"],
                          lambda t: 0.5 * np.e * np.exp(-t / 2.0))):
         mids = 0.5 * (x[1:] + x[:-1])
         assert np.max(np.abs(f(mids) - exact(mids)) / exact(mids)) <= 1e-12
@@ -51,37 +51,37 @@ def test_interface_values_and_jump(unstable_profile, stable_profile):
 
 
 def test_identical_laws_zero_jump(params):
-    prof = solve_equilibrium(PressureLaw.isothermal(1.5),
-                             PressureLaw.isothermal(1.5), params)
+    prof = solve_equilibrium(PolytropicLaw(1.5, 1.0),
+                             PolytropicLaw(1.5, 1.0), params)
     assert abs(prof.jump) < 1e-13
 
 
 def test_jump_sign_flips_with_swapped_constants(params):
     for k1, k2 in [(1.0, 2.0), (0.7, 1.9), (3.0, 5.0)]:
-        a = solve_equilibrium(PressureLaw.isothermal(k1),
-                              PressureLaw.isothermal(k2), params)
-        b = solve_equilibrium(PressureLaw.isothermal(k2),
-                              PressureLaw.isothermal(k1), params)
+        a = solve_equilibrium(PolytropicLaw(k1, 1.0),
+                              PolytropicLaw(k2, 1.0), params)
+        b = solve_equilibrium(PolytropicLaw(k2, 1.0),
+                              PolytropicLaw(k1, 1.0), params)
         assert a.jump > 0 > b.jump
 
 
 def test_polytropic_gamma2_linear_profile(params):
     # P = K rho^2 gives drho/dx = -g/(2K): an exactly linear layer profile
     k = 1.3
-    prof = solve_equilibrium(PressureLaw.polytropic(k, 2.0),
-                             PressureLaw.polytropic(k, 2.0), params)
+    prof = solve_equilibrium(PolytropicLaw(k, 2.0),
+                             PolytropicLaw(k, 2.0), params)
     xs = np.linspace(0.0, 1.0, 33)
     top = math.sqrt(params.p_atm / k)
     exact = top + (1.0 - xs) / (2.0 * k)
-    assert np.abs(prof.rho_plus(xs) - exact).max() < 1e-10
+    assert np.abs(prof.rho(xs, "plus") - exact).max() < 1e-10
 
 
 def test_integrator_order_four(params):
     errs = []
     ns = [17, 33, 65, 129]
     for n in ns:
-        prof = solve_equilibrium(PressureLaw.isothermal(1.0),
-                                 PressureLaw.isothermal(2.0), params, n)
+        prof = solve_equilibrium(PolytropicLaw(1.0, 1.0),
+                                 PolytropicLaw(2.0, 1.0), params, n)
         exact = np.exp(1.0 - prof.x_plus)
         errs.append(np.abs(prof.rho_plus_samples - exact).max())
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -91,8 +91,8 @@ def test_integrator_order_four(params):
 def test_hydrostatic_residual_refines_at_design_order(params):
     resids = []
     for n in (17, 33, 65):
-        prof = solve_equilibrium(PressureLaw.isothermal(1.0),
-                                 PressureLaw.isothermal(2.0), params, n)
+        prof = solve_equilibrium(PolytropicLaw(1.0, 1.0),
+                                 PolytropicLaw(2.0, 1.0), params, n)
         resids.append(check_admissibility(prof).max_hydrostatic_residual)
     orders = [math.log2(resids[i] / resids[i + 1]) for i in range(len(resids) - 1)]
     assert min(orders) > 3.5
@@ -112,8 +112,8 @@ def test_enthalpy_weight(unstable_profile):
 
 
 def test_isothermal_is_polytropic_gamma_one():
-    law = PressureLaw.isothermal(2.5)
-    assert law == PressureLaw.polytropic(2.5, 1.0)
+    law = PolytropicLaw(2.5, 1.0)
+    assert law == PolytropicLaw(2.5, 1.0)
     rho = np.linspace(0.1, 7.0, 33)
     for r in (1.3, np.float64(0.7), rho):
         assert np.array_equal(law.value(r), 2.5 * r)
@@ -122,8 +122,8 @@ def test_isothermal_is_polytropic_gamma_one():
         assert law.inverse(p) == p / 2.5
 
 
-@pytest.mark.parametrize("law", [PressureLaw.isothermal(2.0),
-                                 PressureLaw.polytropic(1.0, 1.4)])
+@pytest.mark.parametrize("law", [PolytropicLaw(2.0, 1.0),
+                                 PolytropicLaw(1.0, 1.4)])
 def test_closed_form_law_maps_scalars_to_scalars(law):
     for method in (law.value, law.derivative):
         out = method(1.5)
@@ -134,20 +134,20 @@ def test_closed_form_law_maps_scalars_to_scalars(law):
 @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
 def test_pressure_law_rejects_bad_coefficient(k):
     with pytest.raises(ValueError, match="K must be finite and > 0") as info:
-        PressureLaw.isothermal(k)
+        PolytropicLaw(k, 1.0)
     assert "polytropic" not in str(info.value)
     with pytest.raises(ValueError, match="K must be finite and > 0"):
-        PressureLaw.polytropic(k, 1.4)
+        PolytropicLaw(k, 1.4)
 
 
 @pytest.mark.parametrize("gamma", [0.5, math.nan, math.inf])
 def test_pressure_law_rejects_bad_exponent(gamma):
     with pytest.raises(ValueError, match="gamma must be finite and >= 1"):
-        PressureLaw.polytropic(1.0, gamma)
+        PolytropicLaw(1.0, gamma)
 
 
 def test_polytropic_weight_direct():
-    law = PressureLaw.polytropic(1.0, 2.0)
+    law = PolytropicLaw(1.0, 2.0)
     # P' = 2 rho, so h'(2) = P'(2)/2 = 2
     assert float(law.derivative(2.0)) / 2.0 == pytest.approx(2.0)
 
@@ -189,8 +189,8 @@ def test_admissibility_flags_negative_density(unstable_profile, params):
 def test_admissibility_flags_negative_interface_density(params):
     # P of a negative density is nan at gamma = 1.4: the pressure checks must
     # leave it to the density check, not fail on it
-    prof = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
-                             PressureLaw.polytropic(2.0, 1.4), params)
+    prof = solve_equilibrium(PolytropicLaw(1.0, 1.4),
+                             PolytropicLaw(2.0, 1.4), params)
     rho = prof.rho_plus_samples.copy()
     rho[0] = -0.1
     with np.errstate(invalid="ignore"):
@@ -218,10 +218,10 @@ def test_admissibility_flags_pressure_mismatch(unstable_profile, params):
 
 def test_tabulated_law_roundtrip(params):
     rho = np.linspace(0.3, 5.0, 200)
-    table = PressureLaw.tabulated(rho, 1.0 * rho)  # isothermal K=1 sampled
-    prof = solve_equilibrium(table, PressureLaw.isothermal(2.0), params)
+    table = TabulatedLaw(rho, 1.0 * rho)  # isothermal K=1 sampled
+    prof = solve_equilibrium(table, PolytropicLaw(2.0, 1.0), params)
     xs = np.linspace(0.0, 1.0, 65)
-    rel = np.abs(prof.rho_plus(xs) - np.exp(1 - xs)) / np.exp(1 - xs)
+    rel = np.abs(prof.rho(xs, "plus") - np.exp(1 - xs)) / np.exp(1 - xs)
     assert rel.max() < 1e-6
     for p in (0.5, 1.0, 3.0):
         assert abs(float(table.value(table.inverse(p))) - p) <= 1e-12 * p
@@ -230,7 +230,7 @@ def test_tabulated_law_roundtrip(params):
 def test_tabulated_law_rejects_nonmonotone():
     rho = np.array([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
-        PressureLaw.tabulated(rho, np.array([1.0, 2.0, 1.5, 4.0]))
+        TabulatedLaw(rho, np.array([1.0, 2.0, 1.5, 4.0]))
 
 
 def test_tabulated_law_accepts_an_end_slope_rounded_below_zero():
@@ -241,7 +241,7 @@ def test_tabulated_law_accepts_an_end_slope_rounded_below_zero():
                     3.3022236786886285])
     p = np.array([0.016468385496857148, 0.12448837538087693, 47.884107620756716,
                   87.86872864066004])
-    law = PressureLaw.tabulated(rho, p)
+    law = TabulatedLaw(rho, p)
     assert abs(float(law.derivative(rho[-1]))) <= 1e-12
 
 
@@ -252,7 +252,7 @@ def test_tabulated_inverse_reaches_the_top_of_its_interpolant():
                     3.9234828236666504, 4.299079239204389, 5.041039490288388])
     p = np.array([47.35446385158705, 47.75230928123166, 80.87462367195755,
                   91.69499370172743, 91.73564667540741, 136.8920851514969])
-    law = PressureLaw.tabulated(rho, p)
+    law = TabulatedLaw(rho, p)
     top = float(law.value(rho[-1]))
     assert top > p[-1]
     for q in (top, p[-1]):
@@ -261,9 +261,9 @@ def test_tabulated_inverse_reaches_the_top_of_its_interpolant():
 
 def test_inverse_failure_outside_table(params):
     rho = np.linspace(1.0, 2.0, 16)
-    law = PressureLaw.tabulated(rho, 0.1 * rho)  # table max pressure 0.2 < p_atm
+    law = TabulatedLaw(rho, 0.1 * rho)  # table max pressure 0.2 < p_atm
     with pytest.raises(InverseFailure):
-        solve_equilibrium(law, PressureLaw.isothermal(1.0), params)
+        solve_equilibrium(law, PolytropicLaw(1.0, 1.0), params)
 
 
 def test_degenerate_pressure_detected():
@@ -271,10 +271,10 @@ def test_degenerate_pressure_detected():
     # slope tolerance once the descent (rho grows downward from 1.5) enters it
     rho = np.array([0.5, 1.0, 2.0, 3.0, 3.5])
     p = np.array([0.5, 1.0, 2.0, 2.0 + 1e-13, 2.5])
-    law = PressureLaw.tabulated(rho, p)
+    law = TabulatedLaw(rho, p)
     prm = unit_params(p_atm=1.5)
     with pytest.raises(DegeneratePressure):
-        solve_equilibrium(law, PressureLaw.isothermal(1.0), prm)
+        solve_equilibrium(law, PolytropicLaw(1.0, 1.0), prm)
 
 
 @pytest.mark.parametrize("gamma", [2.5, 3.0])
@@ -283,7 +283,7 @@ def test_pressure_overflow_raises(gamma, b):
     # the lower layer's density grows past the range where K rho^gamma (at
     # b = 1e150) or its derivative (at b = 1e300) is finite; no overflow
     # warning escapes (pytest turns warnings into errors)
-    law = PressureLaw.polytropic(1.0, gamma)
+    law = PolytropicLaw(1.0, gamma)
     with pytest.raises(DegeneratePressure, match=r"^P'?\([\d.]+e\+\d+\) = .* x3 .*-[\d.]+e\+\d+"):
         solve_equilibrium(law, law, unit_params(b=b))
 
@@ -291,11 +291,11 @@ def test_pressure_overflow_raises(gamma, b):
 _TABLE = np.linspace(0.5, 3.0, 60)
 _RK4_PAIRS = {  # the README pair, gamma = 1.4 (K = 0.5 over 1), the stiff pair
     # and the README pair tabulated
-    "readme": (PressureLaw.isothermal(1.0), PressureLaw.isothermal(2.0), {}),
-    "polytropic": (PressureLaw.polytropic(0.5, 1.4), PressureLaw.polytropic(1.0, 1.4), {}),
-    "stiff": (PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0), {"p_atm": 400.0}),
-    "tabulated": (PressureLaw.tabulated(_TABLE, _TABLE),
-                  PressureLaw.tabulated(_TABLE, 2.0 * _TABLE), {}),
+    "readme": (PolytropicLaw(1.0, 1.0), PolytropicLaw(2.0, 1.0), {}),
+    "polytropic": (PolytropicLaw(0.5, 1.4), PolytropicLaw(1.0, 1.4), {}),
+    "stiff": (PolytropicLaw(400.0, 1.0), PolytropicLaw(800.0, 1.0), {"p_atm": 400.0}),
+    "tabulated": (TabulatedLaw(_TABLE, _TABLE),
+                  TabulatedLaw(_TABLE, 2.0 * _TABLE), {}),
 }
 
 
@@ -318,7 +318,7 @@ def test_tabulated_law_does_not_extrapolate(params):
     # isothermal K = 1 tabulated on rho in [0.5, 1.5]: the upper layer's
     # descent from rho = 1 would reach e = 2.72 at the interface
     rho = np.linspace(0.5, 1.5, 16)
-    law = PressureLaw.tabulated(rho, rho)
+    law = TabulatedLaw(rho, rho)
     assert float(law.value(1.5)) == pytest.approx(1.5, rel=1e-12)
     for outside in (0.4, 1.6, np.array([1.0, 2.72])):
         with pytest.raises(OutsideTable):
@@ -326,7 +326,7 @@ def test_tabulated_law_does_not_extrapolate(params):
         with pytest.raises(OutsideTable):
             law.derivative(outside)
     with pytest.raises(OutsideTable):
-        solve_equilibrium(law, PressureLaw.isothermal(2.0), params)
+        solve_equilibrium(law, PolytropicLaw(2.0, 1.0), params)
 
 
 @st.composite
@@ -358,7 +358,7 @@ def test_tabulated_law_is_scipys_pchip(table):
     # nodes agree to round-off: at most 1.1e-15 and 1.6e-15 measured
     from scipy.interpolate import PchipInterpolator
     rho, p = table
-    law, ref = PressureLaw.tabulated(rho, p), PchipInterpolator(rho, p)
+    law, ref = TabulatedLaw(rho, p), PchipInterpolator(rho, p)
     assert np.array_equal(_pchip_slopes(rho, p)[:-1], ref.c[2])
     t = np.concatenate([rho, np.linspace(rho[0], rho[-1], 301)])
     assert np.max(np.abs(law.value(t) - ref(t)) / ref(t)) <= 2.5e-15
@@ -381,7 +381,7 @@ def test_pchip_end_rules():
 def test_tabulated_inverse_round_trips(table):
     # the bisection's own tolerance plus the shift of rho that rounding p
     # makes; the worst measured error was 0.44 of this bound
-    law = PressureLaw.tabulated(*table)
+    law = TabulatedLaw(*table)
     for r in np.linspace(table[0][0], table[0][-1], 41)[1:-1]:
         p, slope = float(law.value(r)), float(law.derivative(r))
         bound = INVERSE_TOL * (1.0 + r) + 2.0 * np.finfo(float).eps * p / slope

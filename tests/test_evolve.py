@@ -10,7 +10,7 @@ import pytest
 from rtstab import evolve
 from rtstab.config import NumericsConfig
 from rtstab.dispersion import growth_rate
-from rtstab.equilibrium import PressureLaw, solve_equilibrium
+from rtstab.equilibrium import PolytropicLaw, solve_equilibrium
 from rtstab.errors import SingularStep, ZeroSignal
 from rtstab.evolve import (BLOCK, Trajectory, advance, energy_balance_residual,
                            interface_bump_state, measure_growth,
@@ -369,7 +369,7 @@ def test_oracle_rate_is_the_root_of_its_own_pencil(k_plus, k_minus, p_atm, xi_ab
     # incompressible) pair.  The locked lambda_variational of the root solve
     # stays 9.57% (|xi| = 1) and 20.1% (|xi| = 4) away on the stiff pair
     # until the E0 bulk term is projected the same way (ROADMAP item 1)
-    prof = solve_equilibrium(PressureLaw.isothermal(k_plus), PressureLaw.isothermal(k_minus),
+    prof = solve_equilibrium(PolytropicLaw(k_plus, 1.0), PolytropicLaw(k_minus, 1.0),
                              unit_params(p_atm=p_atm))
     coeffs = form_coefficients(build_mesh(1.0, 1.0, 100, 100), prof)
     pt = growth_rate(coeffs, xi_abs)

@@ -12,7 +12,7 @@ from rtstab import variational
 from rtstab.variational import (BAND, assemble, band_mv, build_mesh, eig_residual,
                                 evaluate_energy, form_coefficients, form_terms,
                                 is_min_eigenpair, min_eig)
-from rtstab.equilibrium import PressureLaw, solve_equilibrium
+from rtstab.equilibrium import PolytropicLaw, solve_equilibrium
 from rtstab.errors import BandOverflow, SolverDivergence
 from rtstab.evolve import semidiscretize
 from tests.conftest import unit_params, unit_profile
@@ -29,6 +29,15 @@ def test_build_mesh_examples():
     assert np.allclose(np.diff(m2.nodes), 0.5)
     with pytest.raises(ValueError):
         build_mesh(1.0, 1.0, 1, 2)
+
+
+def test_equal_meshes_compare_and_hash_by_identity():
+    # a generated __eq__ compares the nodes arrays and raises on their
+    # ambiguous truth value, and a generated __hash__ raises on an array
+    a, b = build_mesh(1, 1, 4, 4), build_mesh(1, 1, 4, 4)
+    assert np.array_equal(a.nodes, b.nodes)
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 def test_zero_vector_zero_forms(unstable_profile, mesh40):
@@ -88,9 +97,9 @@ def test_alpha_respects_lower_bound(unstable_profile, params, mesh40):
 def test_dense_vs_iterative(unstable_profile, stable_profile):
     # the README pair at 20 elements per layer, then at 40 the gamma = 1.4
     # pair, the stiff isothermal pair and the stable orientation (alpha > 0)
-    poly = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
-                             PressureLaw.polytropic(2.0, 1.4), unit_params())
-    stiff = solve_equilibrium(PressureLaw.isothermal(400.0), PressureLaw.isothermal(800.0),
+    poly = solve_equilibrium(PolytropicLaw(1.0, 1.4),
+                             PolytropicLaw(2.0, 1.4), unit_params())
+    stiff = solve_equilibrium(PolytropicLaw(400.0, 1.0), PolytropicLaw(800.0, 1.0),
                               unit_params(p_atm=400.0))
     rng = np.random.default_rng(3)
     for prof, n in ((unstable_profile, 20), (poly, 40), (stiff, 40), (stable_profile, 40)):
@@ -242,8 +251,8 @@ def _coefficient_scenarios(unstable_profile):
     surface tensions on."""
     prm = unit_params(mu_prime_plus=0.3, mu_prime_minus=0.2, sigma_plus=0.15,
                       sigma_minus=0.05)
-    poly = solve_equilibrium(PressureLaw.polytropic(1.0, 1.4),
-                             PressureLaw.polytropic(2.0, 1.4), prm)
+    poly = solve_equilibrium(PolytropicLaw(1.0, 1.4),
+                             PolytropicLaw(2.0, 1.4), prm)
     return [unstable_profile, poly]
 
 
