@@ -44,11 +44,16 @@ identity holds exactly:
 
 A state is one real vector y = (u, z).  It is advanced by the trapezoidal
 rule, which inherits the identity exactly at step midpoints (quadratic
-invariants are preserved) and is second order in dt.  The masses of q and
-eta are diagonal, so each step eliminates z and solves for the velocity
-alone with the symmetric band matrix
+invariants are preserved) and is second order in dt.  For this linear
+system the trapezoidal step is the implicit midpoint step: with the
+midpoint velocity m = (u + u+)/2 and h = dt/2 it reads
 
-    L = Mu + dt/2 Du + dt^2/4 S,   S = -F G = B^T H^-1 B + diag(c),
+    L m = Mu u + h F z,   u+ = 2 m - u,   z+ = z + dt G m.
+
+The masses of q and eta are diagonal, so each step eliminates z and solves
+for the velocity alone with the symmetric band matrix
+
+    L = Mu + h Du + h^2 S,   S = -F G = B^T H^-1 B + diag(c),
 
 of the forms' half-bandwidth BAND, factorized once per run by
 variational.cholesky when L is positive definite (the usual case for a
@@ -88,7 +93,8 @@ class EvolutionOperators:
     The index arrays v, w and q give each field's place in y.  Mu, Du and S
     are band storage of half-bandwidth BAND over the velocity, and the
     energy and dissipation matrices W and D over the whole state; F, G and
-    WD (W over D, for energy_balance_residual) are CSR triples for csr_product.
+    WD (W over D, for energy_balance_residual) are CSR triples (indptr,
+    indices, data) for scipy's CSR kernels.
     """
 
     def __init__(self, coeffs: FormCoefficients, xi_abs: float):
@@ -199,7 +205,8 @@ def _csr(n_rows: int, *blocks):
     rows, cols, values = (np.concatenate(part) for part in zip(*blocks))
     keep = values != 0
     rows, cols, values = rows[keep], cols[keep].astype(np.intc), values[keep]
-    order = np.lexsort((cols, rows))
+    # the order of np.lexsort((cols, rows)) for indices below 2**31, 4x faster
+    order = np.argsort(rows.astype(np.int64) << 32 | cols, kind="stable")
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_rows))].astype(np.intc)
     return indptr, cols[order], values[order]
 
@@ -225,18 +232,24 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     t_final must be too.  The run takes round(t_final / dt) steps, so it
     ends at the multiple of dt nearest t_final, which is times[-1].
 
-    With z+ = z + dt/2 G (u + u+) substituted, the step for the velocity is
+    For a linear system the trapezoidal step is the implicit midpoint step:
+    with the midpoint m = (u + u+)/2 and h = dt/2 it is
 
-        L u+ = (2 Mu - L) u + dt F z,   L = Mu + dt/2 Du + dt^2/4 S,
+        L m = Mu u + h F z,   u+ = 2 m - u,   z+ = z + dt G m,
 
-    one CSR product and one band solve, and then z+ is one CSR product more.
-    L is factorized once: by cholesky when L is positive definite, otherwise
-    by the pivoted lu.  The steps fill a ring of BLOCK + 1 states, which
-    goes to energy_balance_residual when full or at the end; its last state
-    starts the next ring.  A complex y0 raises ValueError: the operators are
-    real, so its real and imaginary parts are two separate trajectories.  A
-    step whose balance is not finite (the energy overflows once |y| >
-    ~1e154, or a state is not finite) raises SingularStep.
+    with L = Mu + h Du + h^2 S.  The loop solves for p = 2 m = u + u+ with
+    [2 Mu | dt F] and h G, the same numbers to the bit (scaling by 2 is
+    exact away from underflow), so that u+ = p - u.  A step is one CSR
+    product into the zeroed velocity of the next state, one band solve in
+    place there and one CSR product into its zeroed z; it allocates no
+    array.  L is factorized once: by cholesky when L is positive definite,
+    otherwise by the pivoted lu.  The steps fill a ring of BLOCK + 1
+    states, which goes to energy_balance_residual when full or at the end;
+    its last state starts the next ring.  A complex y0 raises ValueError:
+    the operators are real, so its real and imaginary parts are two
+    separate trajectories.  A step whose balance is not finite (the energy
+    overflows once |y| > ~1e154, or a state is not finite) raises
+    SingularStep.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -245,25 +258,34 @@ def advance(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final must cover at least one step of size dt")
-    h, nu = 0.5 * dt, ops.Mu.shape[1]
+    h, n, nu = 0.5 * dt, ops.n, ops.Mu.shape[1]
     lhs = ops.Mu + h * ops.Du + (h * h) * ops.S
     solve = cholesky(lhs) or lu(lhs)
     if solve is None:
         raise SingularStep("implicit step matrix is singular")
     indptr, cols, values = ops.F
-    rhs = _csr(nu, _band_entries(ops.Mu - h * ops.Du - (h * h) * ops.S),
-               (np.repeat(np.arange(nu), np.diff(indptr)), cols + nu, dt * values))
-    update = (*ops.G[:2], h * ops.G[2])
+    r_ptr, r_cols, r_values = _csr(nu, _band_entries(2.0 * ops.Mu),
+                                   (np.repeat(np.arange(nu), np.diff(indptr)), cols + nu,
+                                    dt * values))
+    g_ptr, g_cols, g_values = ops.G
+    g_values = h * g_values
     times, resid = dt * np.arange(n_steps + 1), np.empty(n_steps)
     eta_minus, eta_plus, energy, diss = np.empty((4, n_steps + 1))
-    ring = np.empty((BLOCK + 1, ops.n))
+    ring = np.empty((BLOCK + 1, n))
     ring[0] = y0
+    # fixed views of each state of the ring, its velocity and its z
+    states, us, zs = list(ring), list(ring[:, :nu]), list(ring[:, nu:])
     for a in range(0, n_steps, BLOCK):
         k = min(BLOCK, n_steps - a) + 1  # states in this ring, both ends
         for j in range(k - 1):
-            y, nxt = ring[j], ring[j + 1]
-            nxt[:nu] = solve(csr_product(rhs, y))
-            nxt[nu:] = y[nu:] + csr_product(update, y[:nu] + nxt[:nu])
+            u, z = us[j + 1], zs[j + 1]
+            u.fill(0.0)
+            csr_matvec(nu, n, r_ptr, r_cols, r_values, states[j], u)
+            p = solve(u)
+            z.fill(0.0)
+            csr_matvec(n - nu, nu, g_ptr, g_cols, g_values, p, z)
+            np.add(z, zs[j], out=z)
+            np.subtract(p, us[j], out=u)
         resid[a:a + k - 1], energy[a:a + k], diss[a:a + k] = \
             energy_balance_residual(ring[:k], ops, dt)
         # a defect is finite only if its energies and dissipations are
@@ -304,7 +326,8 @@ def energy_balance_residual(states: np.ndarray, ops: EvolutionOperators,
     defect of each of the k - 1 steps and the last two at every state.
     """
     Y = np.ascontiguousarray(states.T)
-    WY, DY = np.split(csr_product(ops.WD, Y), 2)
+    WDY = csr_product(ops.WD, Y)
+    WY, DY = WDY[:ops.n], WDY[ops.n:]
     energy = 0.5 * np.einsum("ji,ji->i", Y, WY)
     diss = np.einsum("ji,ji->i", Y, DY)
     cross = np.einsum("ji,ji->i", Y[:, :-1], DY[:, 1:])  # y_k^T D y_k+1

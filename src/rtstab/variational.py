@@ -313,17 +313,27 @@ class QuadraticForms:
         return CERT_ULPS * np.finfo(float).eps / 2 * self.stiffness(s)[1] / self.m_norm1
 
 
+def divergence_term(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
+    """E0's one bulk term (h'(rho)/2, (rho psi)' + rho xi phi) at frequency
+    magnitude xi_abs, in the (phi, psi) rows of field_rows(mesh, 2), from the
+    layer_fields at the quadrature points.  FormCoefficients.continuity
+    integrates its row per element."""
+    xi = float(xi_abs)
+    rho, drho, dp, _mu, _mu_p = fields
+    (phi, psi), (_dphi, dpsi) = field_rows(mesh, 2)
+    r = rho[..., None]
+    return 0.5 * dp / rho, drho[..., None] * psi + r * dpsi + r * xi * phi
+
+
 def form_terms(mesh: Mesh1D, fields: np.ndarray, xi_abs: float):
     """The bulk kernel terms (div, visc, mass) of E0, E1 and J at frequency
     magnitude xi_abs, in the (phi, psi) rows of field_rows(mesh, 2), from the
-    layer_fields at the quadrature points: div is E0's one term (h'(rho)/2,
-    (rho psi)' + rho xi phi), visc the three of E1 and mass the two of J.
-    FormCoefficients.continuity integrates the row of div per element."""
+    layer_fields at the quadrature points: div is E0's one term
+    (divergence_term), visc the three of E1 and mass the two of J."""
     xi = float(xi_abs)
-    rho, drho, dp, mu, mu_p = fields
+    rho, _drho, _dp, mu, mu_p = fields
     (phi, psi), (dphi, dpsi) = field_rows(mesh, 2)
-    r = rho[..., None]
-    return ((0.5 * dp / rho, drho[..., None] * psi + r * dpsi + r * xi * phi),
+    return (divergence_term(mesh, fields, xi),
             [(0.5 * mu, dphi - xi * psi), (0.5 * mu, dpsi - xi * phi),
              (mu / 6.0 + 0.5 * mu_p, dpsi + xi * phi)],
             [(0.5 * rho, phi), (0.5 * rho, psi)])
@@ -375,8 +385,7 @@ class FormCoefficients:
         density value per element at |xi| = xi_abs, from the fields: H_e =
         int_e h'(rho) of shape (E,), r_e = int_e h'(rho) ((rho psi)' + rho xi
         phi) of shape (E, 4) in the local dofs of mesh.dofs(2)."""
-        (half_hp, div), _visc, _mass = form_terms(self.mesh, self.fields,
-                                                  check_frequency(xi_abs))
+        half_hp, div = divergence_term(self.mesh, self.fields, check_frequency(xi_abs))
         hw = 2.0 * half_hp * self.mesh.quad[1]  # h'(rho) times the Gauss weights
         return np.einsum("eq->e", hw), np.einsum("eq,eqi->ei", hw, div)
 

@@ -15,8 +15,9 @@ continuum rate of the same forms in a p-version basis (continuum_rate), a
 mode CSV reader, the rotation of a growing mode to another frequency
 direction (rotate_mode, which raises NotARotation), the strong-form
 residuals of a growing mode's ODE system from recovered fluxes
-(ode_residual), and the oracle's full-record stepping with its two-pass
-energy balance."""
+(ode_residual), and the oracle's full-record stepping, in the midpoint
+and the trapezoidal arrangement of its step, with its two-pass energy
+balance."""
 
 import math
 from dataclasses import dataclass, replace
@@ -740,7 +741,7 @@ class DenseTrajectory:
 
 
 def advance_dense(y0: np.ndarray, ops: EvolutionOperators, dt: float,
-                  t_final: float) -> DenseTrajectory:
+                  t_final: float, form: str = "midpoint") -> DenseTrajectory:
     """The full-record advance() before it streamed, kept as its reference:
     every state in one (n_steps + 1, n) array.
 
@@ -749,18 +750,27 @@ def advance_dense(y0: np.ndarray, ops: EvolutionOperators, dt: float,
     t_final must be too.  The run takes round(t_final / dt) steps, so it
     ends at the multiple of dt nearest t_final, which is times[-1].
 
-    With z+ = z + dt/2 G (u + u+) substituted, the step for the velocity is
+    With h = dt/2 and L = Mu + h Du + h^2 S, form picks one of two
+    arrangements of the same step.  "midpoint" is advance()'s: the midpoint
+    m = (u + u+)/2 solves
 
-        L u+ = (2 Mu - L) u + dt F z,   L = Mu + dt/2 Du + dt^2/4 S,
+        L m = Mu u + h F z,   then u+ = 2 m - u,   z+ = z + dt G m.
 
-    one CSR product and one band solve written straight into the
-    (n_steps + 1, n) record, and then z+ is one CSR product more.  L is
+    "trapezoidal", the reference of the midpoint arrangement, solves for u+
+    instead: with z+ = z + h G (u + u+) substituted,
+
+        L u+ = (2 Mu - L) u + dt F z.
+
+    Either way a step is one CSR product, one band solve and one more CSR
+    product, written straight into the (n_steps + 1, n) record.  L is
     factorized once: by dpbtrf, and each solve is one dpbtrs, when L is
     positive definite; otherwise by dgbtrf with BAND zero rows on top of the
     band storage as room for the fill of the pivoting, and each solve is one
     dgbtrs.  A complex y0 raises ValueError: the operators are real, so its
     real and imaginary parts are two separate trajectories.
     """
+    if form not in ("midpoint", "trapezoidal"):
+        raise ValueError(f"unknown step form {form!r}")
     if dt == 0:
         raise ValueError("dt must be nonzero")
     if np.iscomplexobj(y0):
@@ -783,16 +793,26 @@ def advance_dense(y0: np.ndarray, ops: EvolutionOperators, dt: float,
 
         def solve(b):
             return dgbtrs(lu, BAND, BAND, b, piv, overwrite_b=1)[0]
-    rhs = sp.hstack([csr(ops.Mu - h * ops.Du - (h * h) * ops.S),
-                     dt * csr_view(ops.F, ops.n - nu)], format="csr")
-    update = h * csr_view(ops.G, nu)
+    F, G = csr_view(ops.F, ops.n - nu), csr_view(ops.G, nu)
+    if form == "midpoint":
+        rhs, update = sp.hstack([csr(ops.Mu), h * F], format="csr"), dt * G
+
+        def step(y, nxt):
+            m = solve(rhs @ y)
+            nxt[:nu] = 2.0 * m - y[:nu]
+            nxt[nu:] = y[nu:] + update @ m
+    else:
+        rhs = sp.hstack([csr(ops.Mu - h * ops.Du - (h * h) * ops.S), dt * F], format="csr")
+        update = h * G
+
+        def step(y, nxt):
+            nxt[:nu] = solve(rhs @ y)
+            nxt[nu:] = y[nu:] + update @ (y[:nu] + nxt[:nu])
     out = np.empty((n_steps + 1, ops.n))
     out[0] = y0
     for k in range(n_steps):
-        y, nxt = out[k], out[k + 1]
-        nxt[:nu] = solve(rhs @ y)
-        nxt[nu:] = y[nu:] + update @ (y[:nu] + nxt[:nu])
-        if not np.all(np.isfinite(nxt)):
+        step(out[k], out[k + 1])
+        if not np.all(np.isfinite(out[k + 1])):
             raise SingularStep(f"non-finite state at step {k + 1}")
     return DenseTrajectory(dt * np.arange(n_steps + 1), out, dt,
                            ops.eta_plus_idx, ops.eta_minus_idx)

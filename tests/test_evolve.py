@@ -213,6 +213,59 @@ def test_streamed_record_equals_the_full_record(monkeypatch, dt, n_steps, pivote
     assert np.array_equal(res, traj.balance_residual[:BLOCK])
 
 
+@pytest.mark.parametrize("dt, n_steps, pivoted", [(0.1, 600, False), (-0.1, 37, True),
+                                                  (40.0, 37, True)])
+def test_midpoint_step_is_the_trapezoidal_step(monkeypatch, dt, n_steps, pivoted):
+    # advance() solves for the step midpoint; the trapezoidal arrangement
+    # L u+ = (2 Mu - L) u + dt F z is the same step in another order of
+    # operations, so the records agree to round-off on both paths
+    prof = unit_profile(mu_plus=0.7, mu_prime_minus=0.3, sigma_plus=0.2,
+                        sigma_minus=0.1)
+    ops = semidiscretize(form_coefficients(build_mesh(1.0, 1.0, 20, 20), prof), 1.0)
+    y0 = random_state(ops, seed=3)
+    calls = []
+    monkeypatch.setattr(evolve, "lu", lambda ab: calls.append(1) or lu(ab))
+    traj = advance(y0, ops, dt, n_steps * dt)
+    assert len(calls) == pivoted
+    ref = advance_dense(y0, ops, dt, n_steps * dt, form="trapezoidal")
+    _res, energy, diss = energy_balance_two_pass(ref, ops)
+    pairs = {"eta_minus": (traj.eta_minus, ref.states[:, ops.eta_minus_idx]),
+             "eta_plus": (traj.eta_plus, ref.states[:, ops.eta_plus_idx]),
+             "energy": (traj.energy, energy), "dissipation": (traj.dissipation, diss)}
+    for name, (got, want) in pairs.items():
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want)), name
+    assert np.abs(traj.balance_residual).max() <= 1e-12
+
+
+def test_a_step_is_one_band_solve_and_two_csr_products(monkeypatch):
+    # the work per step, counted on the Cholesky path over 37 steps: one
+    # band solve and two csr_matvec calls per step, and one csr_matvecs
+    # (the energy balance) per ring of BLOCK steps
+    ops = semidiscretize(form_coefficients(build_mesh(1.0, 1.0, 20, 20), unit_profile()), 1.0)
+    counts = {"solve": 0, "csr_matvec": 0, "csr_matvecs": 0}
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    factorize = evolve.cholesky
+
+    def cholesky(ab):
+        solve = factorize(ab)
+        assert solve is not None, "L is not positive definite"
+        return counted("solve", solve)
+
+    monkeypatch.setattr(evolve, "cholesky", cholesky)
+    for name in ("csr_matvec", "csr_matvecs"):
+        monkeypatch.setattr(evolve, name, counted(name, getattr(evolve, name)))
+    advance(random_state(ops, seed=5), ops, 0.1, 37 * 0.1)
+    rings = -(-37 // BLOCK)
+    assert rings == 3
+    assert counts == {"solve": 37, "csr_matvec": 2 * 37, "csr_matvecs": rings}
+
+
 def test_advance_memory_does_not_grow_with_the_states(stable_profile):
     # a step adds a few scalars to the record (the time, eta+-, energy,
     # dissipation and balance defect: 48 bytes) and no state (n = 242 here,

@@ -9,9 +9,10 @@ import pytest
 from scipy.linalg.lapack import dpbtrf
 
 from rtstab import variational
-from rtstab.variational import (BAND, assemble, band_mv, build_mesh, eig_residual,
-                                evaluate_energy, form_coefficients, form_terms,
-                                is_min_eigenpair, min_eig)
+from rtstab.variational import (BAND, assemble, band_mv, build_mesh, cholesky,
+                                eig_residual, evaluate_energy, field_rows,
+                                form_coefficients, form_terms, is_min_eigenpair, lu,
+                                min_eig)
 from rtstab.equilibrium import PolytropicLaw, solve_equilibrium
 from rtstab.errors import BandOverflow, SolverDivergence
 from rtstab.evolve import semidiscretize
@@ -427,6 +428,40 @@ def test_continuity_rows_are_the_weighted_divergence_row(unstable_profile, mesh4
         assert np.abs(r - r_ref).max() <= 1e-14 * np.abs(r_ref).max()
     with pytest.raises(ValueError):
         coeffs.continuity(0.0)
+
+
+def test_continuity_rows_are_the_divergence_term_of_the_forms_to_the_bit(unstable_profile,
+                                                                         mesh40):
+    # continuity builds E0's divergence term alone; its rows are those it
+    # integrated from all of form_terms before, inlined here
+    coeffs = form_coefficients(mesh40, unstable_profile)
+    rho, drho, dp, _mu, _mu_p = coeffs.fields
+    (phi, psi), (_dphi, dpsi) = field_rows(mesh40, 2)
+    r = rho[..., None]
+    for xi in (0.5, 1.0, 3.0):
+        div = drho[..., None] * psi + r * dpsi + r * xi * phi
+        hw = 2.0 * (0.5 * dp / rho) * mesh40.quad[1]
+        H, rows = coeffs.continuity(xi)
+        assert np.array_equal(H, np.einsum("eq->e", hw))
+        assert np.array_equal(rows, np.einsum("eq,eqi->ei", hw, div))
+        assert np.array_equal(form_terms(mesh40, coeffs.fields, xi)[0][1], div)
+
+
+@pytest.mark.parametrize("factorize", [cholesky, lu])
+def test_band_solves_work_in_the_vector_they_are_given(factorize):
+    # the oracle's step loop solves a preallocated buffer and reads the
+    # array the solve returns; for a contiguous float64 b that is b itself
+    rng = np.random.default_rng(4)
+    n = 50
+    ab = np.zeros((2 * BAND + 1, n), order="F")
+    for k in range(1, BAND + 1):  # A[i, i + k] = A[i + k, i]
+        ab[BAND - k, k:] = ab[BAND + k, :n - k] = rng.uniform(-1.0, 1.0, n - k)
+    ab[BAND] = 2.0 * BAND + 1.0
+    b = rng.standard_normal(n)
+    want = np.linalg.solve(dense(ab), b)
+    x = factorize(ab)(b)
+    assert x is b
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_theta_decouples_at_negative_alpha(unstable_profile, mesh40):
